@@ -140,10 +140,7 @@ int main(int argc, char** argv) {
                        0)});
   }
   std::printf(
-      "\nNote: dual-index build time is dominated by the TOP/BOT LP\n"
-      "evaluations (2k per tuple) in both paths; bulk loading removes the\n"
-      "per-insert tree descents and packs leaves denser. Dynamic R+-tree\n"
-      "insertion trades clipping for region overlap (fewer pages, softer\n"
-      "disjointness) versus the sweep-cut Pack.\n");
+      "\nNote: dynamic R+-tree insertion trades clipping for region overlap\n"
+      "(fewer pages, softer disjointness) versus the sweep-cut Pack.\n");
   return reporter.Write() ? 0 : 1;
 }

@@ -64,8 +64,8 @@ inline void RunFigure(ObjectSize size, const std::string& figure_name,
       }
       if (ks[ki] == 3) {
         // Refinement substrate + warm end-to-end latency at the headline
-        // configuration, scalar vs batched (ISSUE 8). The mixed EXIST/ALL
-        // set exercises both box-provable directions.
+        // configuration. The mixed EXIST/ALL set exercises both
+        // box-provable directions.
         std::vector<CalibratedQuery> mixed = exist_qs;
         mixed.insert(mixed.end(), all_qs.begin(), all_qs.end());
         ReportRefineRows(&ds, mixed, reporter, {{"n", dn}}, /*warm=*/true);

@@ -296,7 +296,7 @@ def self_test():
              "values": {"count": 256, "p50_ms": 2.0, "p99_ms": 6.0}},
             {"label": "t2/exist", "params": {"n": 2000},
              "values": {"index_fetches": 12.5}},
-            {"label": "refine", "params": {"batched": 1},
+            {"label": "refine", "params": {},
              "values": {"pages_per_candidate": 0.15, "candidates": 7200}},
             {"label": "ingest", "params": {"group": 64},
              "values": {"appends": 2048, "groups": 32, "group_fsyncs": 32,

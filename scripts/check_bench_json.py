@@ -139,14 +139,12 @@ def _check_histogram(name, h, errors):
 
 
 def _check_refine_rows(bench, doc, errors):
-    """Refinement-substrate rules (ISSUE 8): the artifact must carry a
-    scalar (batched=0) and a batched (batched=1) "refine" row for every
-    measured configuration, each with positive ns_per_candidate and a
-    non-negative pages_per_candidate; page clustering plus the bounding-box
-    sidecar can only *skip* fetches, so the batched physical page count per
-    candidate must never exceed the scalar one, and both modes must accept
-    the identical (seed-pinned) candidate count."""
-    rows = {}
+    """Refinement-substrate rules: the artifact must carry "refine" rows,
+    each with a positive ns_per_candidate, a pages_per_candidate in [0, 1]
+    (page clustering reads each candidate's page at most once from a cold
+    cache), and 0 <= accepts <= candidates. The bench itself aborts when
+    accepts differ from naive truth."""
+    found = False
     for m in doc.get("measurements", []):
         if not isinstance(m, dict) or m.get("label") != "refine":
             continue
@@ -154,49 +152,26 @@ def _check_refine_rows(bench, doc, errors):
         values = m.get("values")
         if not isinstance(params, dict) or not isinstance(values, dict):
             continue
-        batched = params.get("batched")
-        if batched not in (0, 1):
-            errors.append(f"{bench}: refine row without a batched=0|1 param")
-            continue
-        coords = tuple(sorted((k, v) for k, v in params.items()
-                              if k != "batched"))
-        rows.setdefault(coords, {}).setdefault(batched, {}).update(
-            {k: v for k, v in values.items() if _is_number(v)})
-    if not rows:
+        found = True
+        coords = tuple(sorted(params.items()))
+        at = f"refine[{coords}]" if coords else "refine"
+        ns = values.get("ns_per_candidate")
+        pages = values.get("pages_per_candidate")
+        candidates = values.get("candidates")
+        accepts = values.get("accepts")
+        if not _is_number(ns) or ns <= 0:
+            errors.append(f"{bench}: {at} ns_per_candidate {ns!r} "
+                          "(must be a positive number)")
+        if not _is_number(pages) or not 0 <= pages <= 1:
+            errors.append(f"{bench}: {at} pages_per_candidate {pages!r} "
+                          "(must be in [0, 1])")
+        if (not _is_number(candidates) or not _is_number(accepts) or
+                not 0 <= accepts <= candidates):
+            errors.append(f"{bench}: {at} accepts {accepts!r} outside "
+                          f"[0, candidates={candidates!r}]")
+    if not found:
         errors.append(f"{bench}: no refine substrate rows "
                       "(ns_per_candidate/pages_per_candidate)")
-        return
-    for coords, modes in sorted(rows.items()):
-        at = f"refine[{coords}]" if coords else "refine"
-        missing = [b for b in (0, 1) if b not in modes]
-        if missing:
-            errors.append(f"{bench}: {at} missing batched={missing} row(s)")
-            continue
-        for b in (0, 1):
-            ns = modes[b].get("ns_per_candidate")
-            pages = modes[b].get("pages_per_candidate")
-            if not _is_number(ns) or ns <= 0:
-                errors.append(
-                    f"{bench}: {at} batched={b} ns_per_candidate {ns!r} "
-                    "(must be a positive number)")
-            if not _is_number(pages) or pages < 0:
-                errors.append(
-                    f"{bench}: {at} batched={b} pages_per_candidate "
-                    f"{pages!r} (must be a non-negative number)")
-        scalar_pages = modes[0].get("pages_per_candidate")
-        batched_pages = modes[1].get("pages_per_candidate")
-        if (_is_number(scalar_pages) and _is_number(batched_pages) and
-                batched_pages > scalar_pages * (1 + 1e-9)):
-            errors.append(
-                f"{bench}: {at} batched pages_per_candidate {batched_pages!r} "
-                f"exceeds scalar {scalar_pages!r} (clustering must only "
-                "skip fetches, never add them)")
-        if modes[0].get("accepts") != modes[1].get("accepts"):
-            errors.append(
-                f"{bench}: {at} accepts differ between scalar "
-                f"({modes[0].get('accepts')!r}) and batched "
-                f"({modes[1].get('accepts')!r}); the batched refiner "
-                "changed a decision")
 
 
 # Warm fetches never recompute the CRC (verification happens on physical
@@ -689,10 +664,7 @@ _GOOD_MICRO = {
          "values": {"ns_per_fetch": 30.9}},
         {"label": "pager_fetch_warm", "params": {},
          "values": {"checksum_overhead_ratio": 0.99}},
-        {"label": "refine", "params": {"batched": 0},
-         "values": {"ns_per_candidate": 3700.0, "pages_per_candidate": 0.15,
-                    "candidates": 7200, "accepts": 996}},
-        {"label": "refine", "params": {"batched": 1},
+        {"label": "refine", "params": {},
          "values": {"ns_per_candidate": 840.0, "pages_per_candidate": 0.12,
                     "candidates": 7200, "accepts": 996}},
     ],
@@ -733,10 +705,7 @@ _GOOD_THROUGHPUT = {
          "values": {"sampled": 61, "balanced": 61}},
         {"label": "overload", "params": {},
          "values": {"submitted": 256, "completed": 128, "shed": 128}},
-        {"label": "refine", "params": {"batched": 0},
-         "values": {"ns_per_candidate": 3700.0, "pages_per_candidate": 0.15,
-                    "candidates": 7200, "accepts": 996}},
-        {"label": "refine", "params": {"batched": 1},
+        {"label": "refine", "params": {},
          "values": {"ns_per_candidate": 840.0, "pages_per_candidate": 0.12,
                     "candidates": 7200, "accepts": 996}},
     ],
@@ -861,24 +830,21 @@ def self_test():
         "warm checksum overhead over budget")
     broken_micro(lambda d: d["measurements"].pop(1),
                  "micro_substrates sans overhead measurement")
-    broken_micro(lambda d: d["measurements"].pop(3),
-                 "micro_substrates sans batched refine row")
+    broken_micro(lambda d: d["measurements"].pop(2),
+                 "micro_substrates sans any refine rows")
     broken_micro(
-        lambda d: [d["measurements"].pop(3), d["measurements"].pop(2)],
-        "micro_substrates sans any refine rows")
+        lambda d: d["measurements"][2]["values"].update(
+            pages_per_candidate=1.2),
+        "refine reads more than one page per candidate")
     broken_micro(
-        lambda d: d["measurements"][3]["values"].update(
-            pages_per_candidate=0.2),
-        "batched refine reads more pages per candidate than scalar")
-    broken_micro(
-        lambda d: d["measurements"][3]["values"].update(ns_per_candidate=0),
+        lambda d: d["measurements"][2]["values"].update(ns_per_candidate=0),
         "refine row with zero ns_per_candidate")
     broken_micro(
-        lambda d: d["measurements"][3]["values"].update(accepts=990),
-        "batched refine accepts diverge from scalar")
+        lambda d: d["measurements"][2]["values"].update(accepts=7201),
+        "refine accepts more candidates than it saw")
     broken_micro(
-        lambda d: d["measurements"][3]["params"].pop("batched"),
-        "refine row without a batched param")
+        lambda d: d["measurements"][2]["values"].pop("accepts"),
+        "refine row without an accepts count")
 
     expect(_GOOD_THROUGHPUT, True, "good throughput_scaling artifact")
 
@@ -926,12 +892,12 @@ def self_test():
     broken_throughput(
         lambda d: d["measurements"][10]["values"].pop("completed"),
         "overload row missing a ledger column")
-    broken_throughput(lambda d: d["measurements"].pop(12),
-                      "throughput_scaling sans batched refine row")
+    broken_throughput(lambda d: d["measurements"].pop(11),
+                      "throughput_scaling sans refine row")
     broken_throughput(
-        lambda d: d["measurements"][12]["values"].update(
-            pages_per_candidate=0.5),
-        "throughput_scaling batched refine pages above scalar")
+        lambda d: d["measurements"][11]["values"].update(
+            pages_per_candidate=-0.1),
+        "throughput_scaling refine pages_per_candidate negative")
 
     expect(_GOOD_ONLINE, True, "good online_updates artifact")
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "geometry/dual.h"
 #include "geometry/linear_constraint.h"
 #include "geometry/polyhedron2d.h"
@@ -71,6 +72,16 @@ class GeneralizedTupleD {
   size_t dim_ = 0;
   std::vector<ConstraintD> constraints_;
 };
+
+/// The admission check for a tuple entering the system (Relation::Insert,
+/// RelationD::Insert, DualIndex::ValidateForInsert and Insert, and through
+/// them IngestQueue::Submit): InvalidArgument unless the tuple has at least
+/// one constraint and every coefficient is finite. The LP solver cannot
+/// decide a NaN or infinite coefficient — a NaN row reads as satisfiable
+/// with TOP = +inf and BOT = -inf, so the index would store a phantom
+/// tuple with infinite keys.
+Status ValidateTuple(const GeneralizedTuple& tuple);
+Status ValidateTuple(const GeneralizedTupleD& tuple);
 
 }  // namespace cdb
 

@@ -1,6 +1,5 @@
 #include "constraint/refine_batch.h"
 
-#include <atomic>
 #include <cmath>
 
 #include "geometry/dual.h"
@@ -9,8 +8,6 @@
 namespace cdb {
 
 namespace {
-
-std::atomic<bool> g_batching_enabled{true};
 
 /// Extremes of f(x, y) = y - slope*x over the corners of `box`. For a tuple
 /// whose extension lies inside the box, BOT^t(slope) >= *f_min and
@@ -30,7 +27,7 @@ inline void BoxSupport(const Rect& box, double slope, double* f_min,
 /// tuple shape. The Definitely* margin (kEps * scale, ~1e-9 relative)
 /// dominates the ~1e-16 relative rounding between the corner arithmetic
 /// and the LP's support values, so every box decision agrees with the
-/// decision the scalar LP predicate would have made (DESIGN.md §2h).
+/// decision ExactAll/ExactExist would have made (DESIGN.md §2h).
 inline int DecideFromBox(const Rect& box, SelectionType type,
                          const HalfPlaneQuery& q) {
   double f_min, f_max;
@@ -48,7 +45,7 @@ inline int DecideFromBox(const Rect& box, SelectionType type,
 }
 
 /// ExactAll/ExactExist (geometry/dual.cc) restructured over a
-/// pre-normalized SoA slice, decision-identical to the scalar pair:
+/// pre-normalized SoA slice, decision-identical to that pair:
 ///
 ///   ALL(q(>=))  iff  b <= BOT;   ALL(q(<=))  iff  b >= TOP;
 ///   EXIST(q(>=)) iff b <= TOP;  EXIST(q(<=)) iff b >= BOT.
@@ -80,35 +77,10 @@ bool ExactHalfPlaneSlice(const NormSlice2D& slice, SelectionType type,
 
 }  // namespace
 
-void SetRefineBatchingEnabled(bool enabled) {
-  g_batching_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool RefineBatchingEnabled() {
-  return g_batching_enabled.load(std::memory_order_relaxed);
-}
-
 Status RefineBatch2D(const Relation& relation, SelectionType type,
                      const HalfPlaneQuery& q, obs::Counter* lp_calls,
                      const QueryContext* ctx, std::vector<TupleId>* ids,
                      obs::FilterCounts* filter, uint64_t* false_hits) {
-  // Resolve the substrate exactly once for this query. The delegation
-  // below passes the resolved value instead of letting RefinePageClustered
-  // re-read the toggle: a concurrent SetRefineBatchingEnabled between two
-  // reads would otherwise run the "scalar" fallback batched and mix both
-  // substrates' booking in one FilterCounts.
-  if (!RefineBatchingEnabled()) {
-    // Historical scalar reference: per-candidate checkpoint + Get + LP.
-    return RefinePageClustered<Relation, GeneralizedTuple>(
-        relation, lp_calls, ctx, ids, filter, false_hits,
-        [&](const GeneralizedTuple& tuple) {
-          return type == SelectionType::kAll
-                     ? ExactAll(tuple.constraints(), q)
-                     : ExactExist(tuple.constraints(), q);
-        },
-        /*batched=*/false);
-  }
-
   static obs::Counter* const batch_pages =
       obs::GlobalMetrics().counter("refine.batch.pages");
   static obs::Counter* const batch_candidates =

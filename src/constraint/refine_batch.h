@@ -1,10 +1,10 @@
-// Shared candidate-batch refiner (ISSUE 8 tentpole).
+// Shared candidate-batch refiner.
 //
 // Every query family — dual T1/T2, the d-dimensional index, the R-tree
 // baselines — ends its filter step with the same tail: fetch each surviving
 // candidate tuple, run the exact LP predicate, book the outcome into
 // FilterCounts. This module is that tail, in exactly one place, with three
-// composable optimizations over the historical per-candidate loop:
+// composable optimizations over a per-candidate fetch-and-solve loop:
 //
 //  (a) page clustering — candidates arrive in ascending TupleId order,
 //      which is physical page-chain order for an append-only relation, so
@@ -15,7 +15,7 @@
 //      granularity.
 //  (b) SoA kernels — each tuple's constraints are normalized once into
 //      contiguous arrays (geometry/lp2d.h NormSoa2D) and the sign tests run
-//      as flat autovectorizable loops, decision-identical to the scalar
+//      as flat autovectorizable loops, decision-identical to the
 //      ExactAll/ExactExist path (DESIGN.md §2h).
 //  (c) bounding-box early-accept — when the relation carries an AABB
 //      sidecar (Relation::EnableBoundingBoxCache), candidates the box
@@ -23,10 +23,9 @@
 //      ALL-accepts book as FilterCounts::early_accepts, EXIST-rejects as
 //      refine_rejects, and FilterCounts::Balances() holds unchanged.
 //
-// SetRefineBatchingEnabled(false) reverts to the historical scalar loop
-// (per-candidate checkpoint + Get + "fetch-tuple"/"lp" spans) through the
-// same entry points — the in-binary reference the differential tests and
-// the before/after benchmarks compare against.
+// The reference the refiner is tested against is the naive evaluator
+// (constraint/naive_eval.h: ExactAll/ExactExist/NaiveSelect), which decides
+// every tuple by the same exact predicate without any index or batching.
 
 #ifndef CDB_CONSTRAINT_REFINE_BATCH_H_
 #define CDB_CONSTRAINT_REFINE_BATCH_H_
@@ -45,16 +44,6 @@
 
 namespace cdb {
 
-/// Process-wide switch between the batched refiner and the historical
-/// scalar reference loop. Defaults to true; benchmarks flip it to measure
-/// both substrates in one binary. The flag is atomic, but atomicity alone
-/// is not enough: a query must run *entirely* on one substrate or its
-/// FilterCounts mix scalar and batched booking. Every refinement entry
-/// point therefore reads the toggle exactly once per query and threads the
-/// resolved mode through — never re-reads it mid-query.
-void SetRefineBatchingEnabled(bool enabled);
-bool RefineBatchingEnabled();
-
 /// Refines the ascending, deduplicated candidate ids in `ids` in place:
 /// on success `ids` holds the accepted ids, still ascending. `lp_calls` is
 /// the per-family LP counter ("dual.refine.lp_calls" etc. — box-decided
@@ -70,42 +59,14 @@ Status RefineBatch2D(const Relation& relation, SelectionType type,
 /// Generic page-clustered refinement driver for relation types without a
 /// 2-D bounding-box sidecar (the d-dimensional family). `pred(tuple)` is
 /// the exact predicate. Same contract and booking as RefineBatch2D.
-/// `batched` is the substrate resolved *once* for the whole query — the
-/// caller reads RefineBatchingEnabled() a single time and passes the
-/// result, so a concurrent toggle flip can never tear one query's
-/// FilterCounts across both loops; false runs the historical scalar loop.
 template <typename RelationT, typename TupleT, typename Pred>
 Status RefinePageClustered(const RelationT& relation, obs::Counter* lp_calls,
                            const QueryContext* ctx, std::vector<TupleId>* ids,
                            obs::FilterCounts* filter, uint64_t* false_hits,
-                           const Pred& pred, bool batched) {
+                           const Pred& pred) {
   CDB_TRACE_SPAN("refine");
   std::vector<TupleId> kept;
   kept.reserve(ids->size());
-
-  if (!batched) {
-    for (TupleId id : *ids) {
-      // Checkpoint before each tuple fetch; unprocessed candidates are
-      // booked as abandoned by the caller.
-      CDB_RETURN_IF_ERROR(CheckQueryContext(ctx));
-      TupleT tuple;
-      {
-        CDB_TRACE_SPAN("fetch-tuple");
-        CDB_RETURN_IF_ERROR(relation.Get(id, &tuple));
-      }
-      CDB_TRACE_SPAN("lp");
-      lp_calls->Increment();
-      if (pred(tuple)) {
-        kept.push_back(id);
-        ++filter->refine_accepts;
-      } else {
-        ++*false_hits;
-        ++filter->refine_rejects;
-      }
-    }
-    *ids = std::move(kept);
-    return Status::OK();
-  }
 
   static obs::Counter* const batch_pages =
       obs::GlobalMetrics().counter("refine.batch.pages");

@@ -165,9 +165,7 @@ Status Relation::RebuildDirectory() {
 }
 
 Result<TupleId> Relation::Insert(const GeneralizedTuple& tuple) {
-  if (tuple.empty()) {
-    return Status::InvalidArgument("tuple must have at least one constraint");
-  }
+  CDB_RETURN_IF_ERROR(ValidateTuple(tuple));
   if (pager_->concurrent_reads_active() &&
       directory_.size() >= swmr_capacity_) {
     return Status::InvalidArgument(

@@ -128,9 +128,7 @@ Result<TupleId> RelationD::Insert(const GeneralizedTupleD& tuple) {
   if (tuple.dim() != dim_) {
     return Status::InvalidArgument("tuple dimension mismatch");
   }
-  if (tuple.constraints().empty()) {
-    return Status::InvalidArgument("tuple must have at least one constraint");
-  }
+  CDB_RETURN_IF_ERROR(ValidateTuple(tuple));
   size_t len = RecordLength(dim_, tuple.constraints().size());
   if (len + kHeaderSize > pager_->page_size()) {
     return Status::InvalidArgument("tuple too large for a page");

@@ -306,10 +306,7 @@ Status DDimDualIndex::Refine(SelectionType type, const HalfPlaneQueryD& q,
         return type == SelectionType::kAll
                    ? ExactAllD(tuple.constraints(), q)
                    : ExactExistD(tuple.constraints(), q);
-      },
-      // Substrate resolved once per query (a toggle flip mid-query must
-      // not tear this query's FilterCounts across both loops).
-      RefineBatchingEnabled());
+      });
 }
 
 Result<std::vector<TupleId>> DDimDualIndex::SelectT1(SelectionType type,

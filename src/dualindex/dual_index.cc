@@ -282,9 +282,7 @@ void DualIndex::RegisterAssignmentFns() {
 }
 
 Status DualIndex::ValidateForInsert(const GeneralizedTuple& tuple) const {
-  if (tuple.empty()) {
-    return Status::InvalidArgument("tuple must have at least one constraint");
-  }
+  CDB_RETURN_IF_ERROR(ValidateTuple(tuple));
   for (size_t i = 0; i < slopes_.size(); ++i) {
     if (std::isnan(tuple.Top(slopes_.slope(i))) ||
         std::isnan(tuple.Bot(slopes_.slope(i)))) {
@@ -302,6 +300,7 @@ Status DualIndex::ValidateForInsert(const GeneralizedTuple& tuple) const {
 }
 
 Status DualIndex::Insert(TupleId id, const GeneralizedTuple& tuple) {
+  CDB_RETURN_IF_ERROR(ValidateTuple(tuple));
   const size_t k = slopes_.size();
   // One pass to validate before mutating any tree.
   std::vector<double> tops(k), bots(k);

@@ -95,20 +95,13 @@ Result<IngestHandle> IngestQueue::Submit(const GeneralizedTuple& tuple) {
   // Validation runs producer-side, outside the queue lock: a tuple that
   // could never be applied is the producer's bug, and rejecting it here
   // keeps whole-group failure reserved for environmental faults.
-  if (tuple.empty()) {
+  Status valid = index_ != nullptr ? index_->ValidateForInsert(tuple)
+                                    : ValidateTuple(tuple);
+  if (!valid.ok()) {
     if (options_.event_log != nullptr) {
       options_.event_log->Record(obs::EventType::kReject);
     }
-    return Status::InvalidArgument("tuple must have at least one constraint");
-  }
-  if (index_ != nullptr) {
-    Status valid = index_->ValidateForInsert(tuple);
-    if (!valid.ok()) {
-      if (options_.event_log != nullptr) {
-        options_.event_log->Record(obs::EventType::kReject);
-      }
-      return valid;
-    }
+    return valid;
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_ || poisoned_ || queue_.size() >= options_.queue_capacity) {

@@ -16,11 +16,13 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
+#include "constraint/relation_d.h"
 #include "exec/query_executor.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
@@ -204,6 +206,69 @@ TEST(IngestQueueTest, MalformedTupleIsRejectedAtAdmission) {
   EXPECT_EQ(stats.groups_failed, 0u);
   ASSERT_TRUE(index->CheckInvariants().ok());
   ExpectNoPinnedFrames(*idx_pager);
+}
+
+// A NaN or infinite coefficient is undecidable for the LP solver: a NaN
+// row reads as satisfiable with TOP = +inf and BOT = -inf, which would
+// index a phantom tuple. Every entry point rejects it with InvalidArgument
+// and leaves the relation unchanged.
+TEST(IngestQueueTest, NonFiniteCoefficientsAreRejectedWhereTuplesEnter) {
+  LaneFixture fx;
+  std::unique_ptr<Pager> idx_pager = MakePager(std::make_unique<MemFile>(1024));
+  for (size_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(fx.relation->Insert(fx.NextTuple()).ok());
+  }
+  std::unique_ptr<DualIndex> index;
+  ASSERT_TRUE(DualIndex::Build(idx_pager.get(), fx.relation.get(),
+                               SlopeSet::UniformInAngle(4, -1.3, 1.3), {},
+                               &index)
+                  .ok());
+  std::unique_ptr<Pager> d_pager = MakePager(std::make_unique<MemFile>(1024));
+  std::unique_ptr<RelationD> relation_d;
+  ASSERT_TRUE(
+      RelationD::Open(d_pager.get(), 3, kInvalidPageId, &relation_d).ok());
+  IngestQueue queue(fx.relation.get(), index.get(), fx.pager.get(),
+                    idx_pager.get(), IngestQueueOptions{});
+
+  const double bad_values[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+  for (double v : bad_values) {
+    // {v*x + y <= 0, x - 1 <= 0} with v moved through every coefficient.
+    for (int slot = 0; slot < 3; ++slot) {
+      double coeffs[3] = {1.0, 1.0, 0.0};
+      coeffs[slot] = v;
+      GeneralizedTuple t;
+      t.Add(coeffs[0], coeffs[1], coeffs[2], Cmp::kLE);
+      t.Add(1, 0, -1, Cmp::kLE);
+      const std::string what =
+          "v=" + std::to_string(v) + " slot=" + std::to_string(slot);
+      EXPECT_TRUE(fx.relation->Insert(t).status().IsInvalidArgument())
+          << what;
+      EXPECT_TRUE(index->ValidateForInsert(t).IsInvalidArgument()) << what;
+      EXPECT_TRUE(index->Insert(static_cast<TupleId>(fx.relation->size()), t)
+                      .IsInvalidArgument())
+          << what;
+      EXPECT_TRUE(queue.Submit(t).status().IsInvalidArgument()) << what;
+    }
+    for (int slot = 0; slot < 4; ++slot) {
+      std::vector<double> a = {1.0, 1.0, 1.0};
+      double c = -1.0;
+      (slot < 3 ? a[slot] : c) = v;
+      GeneralizedTupleD t(3, {ConstraintD(a, c, Cmp::kLE)});
+      EXPECT_TRUE(relation_d->Insert(t).status().IsInvalidArgument())
+          << "v=" << v << " slot=" << slot;
+    }
+  }
+  EXPECT_EQ(fx.relation->size(), 20u);
+  EXPECT_EQ(relation_d->size(), 0u);
+  queue.Close();
+  ASSERT_TRUE(queue.RunWriter().ok());
+  const IngestQueueStats stats = queue.stats();
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.groups_failed, 0u);
+  EXPECT_EQ(fx.relation->size(), 20u);
+  ASSERT_TRUE(index->CheckInvariants().ok());
+  ExpectNoPinnedFrames(*idx_pager);
+  ExpectNoPinnedFrames(*d_pager);
 }
 
 TEST(IngestQueueTest, CommitWaitHoldsPartialGroupUntilDeadline) {

@@ -1,13 +1,13 @@
-// Differential and fault coverage for the shared candidate-batch refiner
-// (ISSUE 8): the batched page-clustered / SoA / bounding-box path must be
-// decision-identical to the historical scalar loop and to the naive
-// evaluator across ALL/EXIST and both comparison senses (bounded and
-// unbounded tuples); FilterCounts partitions must balance — including the
-// abandoned bucket when a deadline or cancellation fires at page
-// granularity; refine-off queries must return proven candidate supersets;
-// injected tuple-read faults must surface as per-item kUnavailable with no
-// leaked pins; and a stale bounding-box sidecar must be caught by
-// CheckDatabase's relation.bbox_sidecar phase.
+// Differential and fault coverage for the shared candidate-batch refiner:
+// the page-clustered / SoA / bounding-box path must be decision-identical
+// to the naive evaluator across ALL/EXIST and both comparison senses
+// (bounded and unbounded tuples), and its booking must be derivable from
+// the candidate set and NaiveSelect truth alone; FilterCounts partitions
+// must balance — including the abandoned bucket when a deadline or
+// cancellation fires at page granularity; refine-off queries must return
+// proven candidate supersets; injected tuple-read faults must surface as
+// per-item kUnavailable with no leaked pins; and a stale bounding-box
+// sidecar must be caught by CheckDatabase's relation.bbox_sidecar phase.
 
 #include "constraint/refine_batch.h"
 
@@ -36,21 +36,6 @@ namespace cdb {
 namespace {
 
 using FaultPlan = FaultInjectionFile::FaultPlan;
-
-// Restores the process-wide batching toggle on scope exit so a failing
-// assertion in one test cannot leak scalar mode into the next.
-class ScopedBatching {
- public:
-  explicit ScopedBatching(bool enabled) : prev_(RefineBatchingEnabled()) {
-    SetRefineBatchingEnabled(enabled);
-  }
-  ~ScopedBatching() { SetRefineBatchingEnabled(prev_); }
-  ScopedBatching(const ScopedBatching&) = delete;
-  ScopedBatching& operator=(const ScopedBatching&) = delete;
-
- private:
-  bool prev_;
-};
 
 std::unique_ptr<Pager> MakePager() {
   PagerOptions opts;
@@ -122,58 +107,55 @@ std::vector<std::pair<SelectionType, HalfPlaneQuery>> QuerySweep() {
   return out;
 }
 
-// --- Differential: batched vs scalar vs naive --------------------------------
+// --- Differential: refiner vs naive ------------------------------------------
 
+// The reference is NaiveSelect, which decides every tuple by the scalar
+// ExactAll/ExactExist predicate. The refiner's booking is restated from the
+// candidate set and that truth: every candidate lands in exactly one bucket
+// (an LP, a box accept, or a box reject), accepts total |truth| and rejects
+// are the rest.
 TEST(RefineBatchTest, BatchedMatchesScalarAndNaiveAcrossFamilies) {
   RefineFixture fx;
   obs::GlobalMetrics().SetEnabled(true);
   obs::Counter* lp = obs::GlobalMetrics().counter("dual.refine.lp_calls");
+  obs::Counter* bbox_accepts =
+      obs::GlobalMetrics().counter("refine.batch.bbox_accepts");
+  obs::Counter* bbox_rejects =
+      obs::GlobalMetrics().counter("refine.batch.bbox_rejects");
 
   for (const auto& [type, q] : QuerySweep()) {
     Result<std::vector<TupleId>> truth = NaiveSelect(*fx.relation, type, q);
     ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+    const uint64_t n_truth = truth.value().size();
 
     for (QueryMethod method : {QueryMethod::kT1, QueryMethod::kT2}) {
-      QueryStats batched_stats;
-      uint64_t lp_before = lp->value();
-      Result<std::vector<TupleId>> batched = [&] {
-        ScopedBatching on(true);
-        return fx.index->Select(type, q, method, &batched_stats);
-      }();
-      uint64_t batched_lp = lp->value() - lp_before;
+      QueryStats stats;
+      const uint64_t lp_before = lp->value();
+      const uint64_t accepts_before = bbox_accepts->value();
+      const uint64_t rejects_before = bbox_rejects->value();
+      Result<std::vector<TupleId>> got =
+          fx.index->Select(type, q, method, &stats);
+      const uint64_t lp_calls = lp->value() - lp_before;
+      const uint64_t box_accepts = bbox_accepts->value() - accepts_before;
+      const uint64_t box_rejects = bbox_rejects->value() - rejects_before;
 
-      QueryStats scalar_stats;
-      lp_before = lp->value();
-      Result<std::vector<TupleId>> scalar = [&] {
-        ScopedBatching off(false);
-        return fx.index->Select(type, q, method, &scalar_stats);
-      }();
-      uint64_t scalar_lp = lp->value() - lp_before;
-
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-      EXPECT_EQ(batched.value(), truth.value())
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.value(), truth.value())
           << "type=" << static_cast<int>(type) << " slope=" << q.slope
           << " b=" << q.intercept << " method=" << static_cast<int>(method);
-      EXPECT_EQ(scalar.value(), truth.value());
-      EXPECT_TRUE(std::is_sorted(batched.value().begin(),
-                                 batched.value().end()));
+      EXPECT_TRUE(std::is_sorted(got.value().begin(), got.value().end()));
 
-      EXPECT_TRUE(batched_stats.filter.Balances());
-      EXPECT_TRUE(scalar_stats.filter.Balances());
-      // Box decisions move accepts between buckets (early vs refine) and
-      // skip LPs, but never change a decision: the accept total, the
-      // reject bucket, and the candidate population are identical.
-      EXPECT_EQ(batched_stats.filter.candidates,
-                scalar_stats.filter.candidates);
-      EXPECT_EQ(batched_stats.filter.early_accepts +
-                    batched_stats.filter.refine_accepts,
-                scalar_stats.filter.early_accepts +
-                    scalar_stats.filter.refine_accepts);
-      EXPECT_EQ(batched_stats.filter.refine_rejects,
-                scalar_stats.filter.refine_rejects);
-      EXPECT_EQ(batched_stats.filter.abandoned, 0u);
-      EXPECT_LE(batched_lp, scalar_lp);
+      const obs::FilterCounts& f = stats.filter;
+      EXPECT_TRUE(f.Balances());
+      EXPECT_EQ(f.abandoned, 0u);
+      // Candidates that reach refinement (after dedup) are each decided
+      // once: by an LP or by the box. Box decisions never change a
+      // decision, so accepts and rejects match naive truth exactly.
+      const uint64_t refined = f.candidates - f.dedup_dropped;
+      EXPECT_EQ(lp_calls + box_accepts + box_rejects, refined);
+      EXPECT_EQ(f.early_accepts, box_accepts);
+      EXPECT_EQ(f.early_accepts + f.refine_accepts, n_truth);
+      EXPECT_EQ(f.refine_rejects, refined - n_truth);
       fx.CheckClean();
     }
   }
@@ -193,32 +175,20 @@ TEST(RefineBatchTest, DirectRefinerBooksPartitionsAndSkipsBoxDecided) {
   obs::Counter* bbox_rejects =
       obs::GlobalMetrics().counter("refine.batch.bbox_rejects");
 
-  struct Run {
-    std::vector<TupleId> kept;
-    obs::FilterCounts filter;
-    uint64_t false_hits = 0;
-    uint64_t lp_calls = 0;
-    uint64_t page_reads = 0;
+  // Distinct relation pages holding `ids`: the most a page-clustered
+  // refiner may read from a cold cache.
+  auto distinct_pages = [&](const std::vector<TupleId>& ids) {
+    std::vector<PageId> pages;
+    for (TupleId id : ids) {
+      PageId pid;
+      EXPECT_TRUE(fx.relation->LocateTuple(id, &pid).ok());
+      pages.push_back(pid);
+    }
+    std::sort(pages.begin(), pages.end());
+    return static_cast<uint64_t>(
+        std::unique(pages.begin(), pages.end()) - pages.begin());
   };
-  auto run = [&](SelectionType type, const HalfPlaneQuery& q, bool batched) {
-    ScopedBatching mode(batched);
-    Run r;
-    r.kept = all_ids;
-    // Cold cache so physical reads are comparable between modes.
-    EXPECT_TRUE(fx.rel_pager->Flush().ok());
-    EXPECT_TRUE(fx.rel_pager->DropCache().ok());
-    IoStats before = fx.rel_pager->stats();
-    uint64_t lp_before = lp->value();
-    EXPECT_TRUE(RefineBatch2D(*fx.relation, type, q, lp, /*ctx=*/nullptr,
-                              &r.kept, &r.filter, &r.false_hits)
-                    .ok());
-    r.filter.candidates = all_ids.size();
-    r.filter.results = r.filter.early_accepts + r.filter.refine_accepts;
-    r.lp_calls = lp->value() - lp_before;
-    r.page_reads = fx.rel_pager->stats().Delta(before).page_reads;
-    fx.CheckClean();
-    return r;
-  };
+  const uint64_t candidate_pages = distinct_pages(all_ids);
 
   // Far-below intercept: ALL(y >= .3x - 200) holds for every bounded tuple
   // in the ±50 window and the box alone proves it; far-above intercept:
@@ -235,39 +205,51 @@ TEST(RefineBatchTest, DirectRefinerBooksPartitionsAndSkipsBoxDecided) {
       {SelectionType::kExist, HalfPlaneQuery(0.9, -3.0, Cmp::kLE), false},
   };
   for (const auto& c : cases) {
-    uint64_t accepts_before = bbox_accepts->value();
-    uint64_t rejects_before = bbox_rejects->value();
-    Run batched = run(c.type, c.q, /*batched=*/true);
-    uint64_t box_accepts = bbox_accepts->value() - accepts_before;
-    uint64_t box_rejects = bbox_rejects->value() - rejects_before;
-    Run scalar = run(c.type, c.q, /*batched=*/false);
+    std::vector<TupleId> kept = all_ids;
+    obs::FilterCounts filter;
+    uint64_t false_hits = 0;
+    // Cold cache so physical reads measure the clustering.
+    ASSERT_TRUE(fx.rel_pager->Flush().ok());
+    ASSERT_TRUE(fx.rel_pager->DropCache().ok());
+    const IoStats io_before = fx.rel_pager->stats();
+    const uint64_t lp_before = lp->value();
+    const uint64_t accepts_before = bbox_accepts->value();
+    const uint64_t rejects_before = bbox_rejects->value();
+    ASSERT_TRUE(RefineBatch2D(*fx.relation, c.type, c.q, lp, /*ctx=*/nullptr,
+                              &kept, &filter, &false_hits)
+                    .ok());
+    const uint64_t lp_calls = lp->value() - lp_before;
+    const uint64_t box_accepts = bbox_accepts->value() - accepts_before;
+    const uint64_t box_rejects = bbox_rejects->value() - rejects_before;
+    const uint64_t page_reads =
+        fx.rel_pager->stats().Delta(io_before).page_reads;
+    filter.candidates = all_ids.size();
+    filter.results = filter.early_accepts + filter.refine_accepts;
+    fx.CheckClean();
 
     Result<std::vector<TupleId>> truth =
         NaiveSelect(*fx.relation, c.type, c.q);
     ASSERT_TRUE(truth.ok());
-    EXPECT_EQ(batched.kept, truth.value());
-    EXPECT_EQ(scalar.kept, truth.value());
-    EXPECT_TRUE(std::is_sorted(batched.kept.begin(), batched.kept.end()));
+    const uint64_t n_truth = truth.value().size();
+    EXPECT_EQ(kept, truth.value());
+    EXPECT_TRUE(std::is_sorted(kept.begin(), kept.end()));
 
-    EXPECT_TRUE(batched.filter.Balances());
-    EXPECT_TRUE(scalar.filter.Balances());
-    EXPECT_EQ(batched.false_hits, batched.filter.refine_rejects);
-    EXPECT_EQ(scalar.filter.early_accepts, 0u);
-    EXPECT_EQ(batched.filter.early_accepts, box_accepts);
-    EXPECT_EQ(batched.filter.early_accepts + batched.filter.refine_accepts,
-              scalar.filter.refine_accepts);
-    EXPECT_EQ(batched.filter.refine_rejects, scalar.filter.refine_rejects);
+    EXPECT_TRUE(filter.Balances());
+    EXPECT_EQ(false_hits, filter.refine_rejects);
+    EXPECT_EQ(filter.early_accepts, box_accepts);
+    EXPECT_EQ(filter.early_accepts + filter.refine_accepts, n_truth);
+    EXPECT_EQ(filter.refine_rejects, all_ids.size() - n_truth);
 
-    // Every box decision is an LP the batched path never ran.
-    EXPECT_EQ(batched.lp_calls + box_accepts + box_rejects, scalar.lp_calls);
+    // Every candidate is decided exactly once: by an LP or by the box.
+    EXPECT_EQ(lp_calls + box_accepts + box_rejects, all_ids.size());
     if (c.expect_box_accepts) {
       EXPECT_GT(box_accepts, 0u) << "slope=" << c.q.slope;
     } else if (c.type == SelectionType::kExist) {
       EXPECT_GT(box_rejects, 0u) << "slope=" << c.q.slope;
     }
-    // Page clustering + box short-circuits never read more than the
-    // per-candidate loop.
-    EXPECT_LE(batched.page_reads, scalar.page_reads);
+    // Page clustering + box short-circuits read each candidate page at
+    // most once.
+    EXPECT_LE(page_reads, candidate_pages);
   }
   obs::GlobalMetrics().SetEnabled(false);
 }
@@ -283,27 +265,18 @@ TEST(RefineBatchTest, RefineOffReturnsProvenSuperset) {
     Result<std::vector<TupleId>> truth = NaiveSelect(*fx.relation, type, q);
     ASSERT_TRUE(truth.ok());
     for (QueryMethod method : {QueryMethod::kT1, QueryMethod::kT2}) {
-      QueryStats on_stats, off_stats;
-      Result<std::vector<TupleId>> with_batching = [&] {
-        ScopedBatching on(true);
-        return fx.index->Select(type, q, method, &on_stats);
-      }();
-      Result<std::vector<TupleId>> without_batching = [&] {
-        ScopedBatching off(false);
-        return fx.index->Select(type, q, method, &off_stats);
-      }();
-      ASSERT_TRUE(with_batching.ok());
-      ASSERT_TRUE(without_batching.ok());
-      // The refiner never runs, so the toggle cannot change the candidate
+      QueryStats stats;
+      Result<std::vector<TupleId>> got =
+          fx.index->Select(type, q, method, &stats);
+      ASSERT_TRUE(got.ok());
+      // The refiner never runs, so the result is the raw candidate
       // superset — and that superset must contain every true result.
-      EXPECT_EQ(with_batching.value(), without_batching.value());
-      EXPECT_TRUE(std::includes(with_batching.value().begin(),
-                                with_batching.value().end(),
+      EXPECT_TRUE(std::includes(got.value().begin(), got.value().end(),
                                 truth.value().begin(), truth.value().end()))
           << "refine-off candidates dropped a true result: slope=" << q.slope
           << " b=" << q.intercept;
-      EXPECT_EQ(on_stats.false_hits, 0u);
-      EXPECT_TRUE(on_stats.filter.Balances());
+      EXPECT_EQ(stats.false_hits, 0u);
+      EXPECT_TRUE(stats.filter.Balances());
       fx.CheckClean();
     }
   }
@@ -322,7 +295,6 @@ class TickingClock final : public obs::Clock {
 };
 
 TEST(RefineBatchTest, BatchedDeadlineAtEveryCheckpointKeepsBalance) {
-  ScopedBatching on(true);
   RefineFixture fx;
   HalfPlaneQuery q(0.37, 5.0, Cmp::kGE);
 
@@ -366,7 +338,6 @@ TEST(RefineBatchTest, BatchedDeadlineAtEveryCheckpointKeepsBalance) {
 }
 
 TEST(RefineBatchTest, PreCancelledTokenAbandonsWholeBatch) {
-  ScopedBatching on(true);
   RefineFixture fx;
   CancelToken token;
   token.Cancel();
@@ -476,7 +447,6 @@ struct FaultRig {
 };
 
 TEST(RefineBatchTest, TransientTupleReadFaultAtEveryIndexDegradesCleanly) {
-  ScopedBatching on(true);
   FaultRig rig(/*max_read_attempts=*/1);
 
   rig.DropCaches();
@@ -508,7 +478,6 @@ TEST(RefineBatchTest, TransientTupleReadFaultAtEveryIndexDegradesCleanly) {
 }
 
 TEST(RefineBatchTest, TransientTupleReadSweepIsCleanWithOneRetry) {
-  ScopedBatching on(true);
   FaultRig rig(/*max_read_attempts=*/2);
 
   rig.DropCaches();
