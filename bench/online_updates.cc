@@ -30,10 +30,10 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "exec/ingest_queue.h"
 #include "exec/query_executor.h"
 #include "harness.h"
-#include "obs/clock.h"
 #include "obs/event_log.h"
 #include "obs/json.h"
 #include "obs/latency.h"
@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
   if (!inc.relation->BeginOnlineAppends(kIngest).ok()) return 1;
   size_t inserted = 0;
   obs::LatencyRecorder publish_lat;
-  obs::Clock* clock = obs::DefaultClock();
+  Clock* clock = DefaultClock();
   auto writer = [&]() -> Status {
     for (const GeneralizedTuple& t : stream) {
       Result<TupleId> id = inc.relation->Insert(t);
@@ -529,7 +529,7 @@ int main(int argc, char** argv) {
         live.dual_pager->concurrency_stats();
     exec::QueryExecutor dexecutor(kDThreads);
     std::vector<exec::BatchItemResult> dresults;
-    obs::Clock* dclock = obs::DefaultClock();
+    Clock* dclock = DefaultClock();
     const uint64_t run_t0 = dclock->NowNanos();
     Status dst = dexecutor.RunBatchWithWriter(
         live.dual.get(), dbatch, &dresults, [&] { return dqueue.RunWriter(); });
@@ -692,7 +692,7 @@ int main(int argc, char** argv) {
                                           cs_before.publish_drain_ns) /
                           1e6);
 
-    // Lane health + stage digests as gauges (satellite): the artifact's
+    // Lane health as gauges, stage digests as histograms: the artifact's
     // metrics section and any Prometheus scrape see them side by side.
     dqueue.ExportMetrics(&obs::GlobalMetrics(), "ingest.lane");
     pipeline.ExportMetrics(&obs::GlobalMetrics(), "ingest");

@@ -10,11 +10,13 @@
 //
 // ISSUE 5 adds a per-thread-count instrumented pass (warm cache) through
 // the BatchObservability overload of RunBatch: service-latency and
-// queue-wait percentiles ("latency"/"queue_wait" rows), plus 1-in-4
-// deterministic trace sampling whose profiles must all pass the
-// self==total balance invariant ("sampling" row; the bench exits nonzero
-// if any recorded count misses the batch size or a sampled profile is
-// unbalanced). --smoke shrinks the dataset/batch for CI.
+// queue-wait percentiles ("latency"/"queue_wait" rows, and every batch
+// merged into the exec.query.latency / exec.queue.wait histograms of the
+// artifact's metrics section), plus 1-in-4 deterministic trace sampling
+// whose profiles must all pass the self==total balance invariant
+// ("sampling" row; the bench exits nonzero if any recorded count misses
+// the batch size or a sampled profile is unbalanced). --smoke shrinks the
+// dataset/batch for CI.
 //
 // ISSUE 6 adds --trace <path>: the sampled profiles of every instrumented
 // pass are exported as a Chrome-trace JSON file (obs/export.h), self-checked

@@ -19,10 +19,14 @@ The schema (see bench/harness.h):
                                            "count": <int>, "sum": <number>},
                                 ...}}}
 
+Every histogram has the obs::LatencyRecorder layout: 129 finite upper
+bounds in milliseconds (the first 0.001024), then one overflow count.
+
 Stdlib only; runs under the ctest entry `check_bench_json_selftest`.
 """
 
 import json
+import math
 import numbers
 import sys
 
@@ -109,6 +113,14 @@ def _check_measurement(i, m, errors):
         _check_overload_ledger(f"{where}.values", values, errors)
 
 
+# Every registry histogram is an obs::LatencyRecorder (src/obs/latency.h):
+# 129 finite upper bounds in milliseconds, the first kMinTrackedNs = 1024 ns,
+# then one overflow bucket. A shared layout is what lets histograms from
+# different batches, scrapes and processes be summed.
+RECORDER_BOUNDS = 129
+RECORDER_FIRST_BOUND_MS = 0.001024
+
+
 def _check_histogram(name, h, errors):
     where = f"metrics.histograms.{name}"
     if not isinstance(h, dict):
@@ -121,6 +133,12 @@ def _check_histogram(name, h, errors):
         return
     if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
         errors.append(f"{where}.bounds: not strictly increasing")
+    if (len(bounds) != RECORDER_BOUNDS or
+            bounds[0] != RECORDER_FIRST_BOUND_MS):
+        errors.append(
+            f"{where}.bounds: not the latency-recorder layout "
+            f"({RECORDER_BOUNDS} bounds from {RECORDER_FIRST_BOUND_MS} ms; "
+            f"got {len(bounds)} from {bounds[0] if bounds else None!r})")
     if not isinstance(counts, list) or not all(_is_number(c) for c in counts):
         errors.append(f"{where}.counts: expected an array of numbers")
         return
@@ -229,6 +247,31 @@ def _check_percentile_order(bench, where, values, errors,
 SCALING_NOISE_FLOOR = 0.9
 
 
+def _check_executor_histograms(doc, errors):
+    """The instrumented batches merge into the registry histograms
+    exec.query.latency and exec.queue.wait. They run no shedding ladder,
+    so every picked query records both: the counts must be equal and
+    non-zero."""
+    hists = (doc.get("metrics") or {}).get("histograms")
+    if not isinstance(hists, dict):
+        return
+    counts = {}
+    for name in ("exec.query.latency", "exec.queue.wait"):
+        h = hists.get(name)
+        if not isinstance(h, dict) or not _is_number(h.get("count")):
+            errors.append(f"throughput_scaling: no {name} histogram")
+            return
+        counts[name] = h["count"]
+    if counts["exec.query.latency"] != counts["exec.queue.wait"]:
+        errors.append(
+            f"throughput_scaling: exec.query.latency counts "
+            f"{counts['exec.query.latency']!r} queries but exec.queue.wait "
+            f"{counts['exec.queue.wait']!r} (every query records both)")
+    elif counts["exec.query.latency"] < 1:
+        errors.append("throughput_scaling: executor latency histograms are "
+                      "empty (the instrumented batches record every query)")
+
+
 def _check_throughput_scaling(doc, errors):
     """Semantic rules for the throughput_scaling artifact: the 1-thread
     executor must reproduce serial accounting exactly, no query may fail,
@@ -295,6 +338,7 @@ def _check_throughput_scaling(doc, errors):
                 f"throughput_scaling: sampling[{t}] {balanced!r} of "
                 f"{sampled!r} sampled traces balanced (self==total "
                 "invariant broken)")
+    _check_executor_histograms(doc, errors)
     if overload is None:
         errors.append(
             "throughput_scaling: no overload ledger row (the bench must "
@@ -635,6 +679,18 @@ def validate_file(path):
     return [f"{path}: {err}" for err in validate(doc)]
 
 
+def _recorder_histogram(counts_by_bucket):
+    """A histogram in the latency-recorder layout with the given
+    {bucket index: count} entries (test fixtures)."""
+    bounds = [math.floor(1024 * 2 ** (i / 4)) / 1e6
+              for i in range(RECORDER_BOUNDS)]
+    counts = [counts_by_bucket.get(i, 0) for i in range(RECORDER_BOUNDS + 1)]
+    total_ms = sum(n * (bounds[min(i, RECORDER_BOUNDS - 1)])
+                   for i, n in enumerate(counts))
+    return {"bounds": bounds, "counts": counts, "count": sum(counts),
+            "sum": total_ms}
+
+
 _GOOD = {
     "schema": SCHEMA,
     "bench": "fig8_small_objects",
@@ -649,8 +705,7 @@ _GOOD = {
         "counters": {"dual.refine.lp_calls": 4181},
         "gauges": {"relation.resident_frames": 64},
         "histograms": {
-            "lat": {"bounds": [1.0, 10.0], "counts": [3, 2, 1],
-                    "count": 6, "sum": 27.5},
+            "lat": _recorder_histogram({0: 3, 40: 2, RECORDER_BOUNDS: 1}),
         },
     },
 }
@@ -709,7 +764,10 @@ _GOOD_THROUGHPUT = {
          "values": {"ns_per_candidate": 840.0, "pages_per_candidate": 0.12,
                     "candidates": 7200, "accepts": 996}},
     ],
-    "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+    "metrics": {"counters": {}, "gauges": {}, "histograms": {
+        "exec.query.latency": _recorder_histogram({44: 600, 52: 424}),
+        "exec.queue.wait": _recorder_histogram({0: 1000, 20: 24}),
+    }},
 }
 
 
@@ -805,8 +863,11 @@ def self_test():
            "counts/bounds arity mismatch")
     broken(lambda d: d["metrics"]["histograms"]["lat"].update(count=99),
            "count disagrees with bucket sum")
-    broken(lambda d: d["metrics"]["histograms"]["lat"].update(
-        bounds=[10.0, 1.0]), "unsorted bounds")
+    broken(lambda d: d["metrics"]["histograms"]["lat"]["bounds"].reverse(),
+           "unsorted bounds")
+    broken(lambda d: d["metrics"]["histograms"].update(
+        lat={"bounds": [1.0, 10.0], "counts": [3, 2, 1], "count": 6,
+             "sum": 27.5}), "histogram in a foreign bucket layout")
     broken(lambda d: d.pop("metrics"), "missing metrics")
     broken(lambda d: d["measurements"][0]["values"].update(precision=0),
            "precision of zero (an empty candidate set is vacuously 1)")
@@ -898,6 +959,13 @@ def self_test():
         lambda d: d["measurements"][11]["values"].update(
             pages_per_candidate=-0.1),
         "throughput_scaling refine pages_per_candidate negative")
+    broken_throughput(
+        lambda d: d["metrics"]["histograms"].pop("exec.queue.wait"),
+        "throughput_scaling sans the queue-wait histogram")
+    broken_throughput(
+        lambda d: d["metrics"]["histograms"].update(
+            {"exec.queue.wait": _recorder_histogram({0: 1023})}),
+        "executor latency histograms with unequal counts")
 
     expect(_GOOD_ONLINE, True, "good online_updates artifact")
 

@@ -8,9 +8,8 @@
 // construction: leaf cursors hold no pins between moves, and the callers
 // fill FilterCounts::abandoned so accounting still balances.
 //
-// Header-only and compiled into cdb_common users without linking cdb_obs:
-// the obs::Clock interface (obs/clock.h) is itself header-only, so this is
-// an interface-only dependency that does not invert the library layering.
+// Header-only; the deadline reads the cdb::Clock (common/clock.h), which
+// is header-only too.
 
 #ifndef CDB_COMMON_QUERY_CONTEXT_H_
 #define CDB_COMMON_QUERY_CONTEXT_H_
@@ -18,8 +17,8 @@
 #include <atomic>
 #include <cstdint>
 
+#include "common/clock.h"
 #include "common/status.h"
-#include "obs/clock.h"
 
 namespace cdb {
 
@@ -46,9 +45,9 @@ class CancelToken {
 struct QueryContext {
   /// Absolute deadline in the clock's epoch, in nanoseconds; 0 = none.
   uint64_t deadline_ns = 0;
-  /// Clock the deadline is checked against; null = obs::DefaultClock().
+  /// Clock the deadline is checked against; null = DefaultClock().
   /// Tests inject a ManualClock to place deadlines deterministically.
-  obs::Clock* clock = nullptr;
+  Clock* clock = nullptr;
   /// Optional cancellation flag; not owned. Null = not cancellable.
   const CancelToken* cancel = nullptr;
 
@@ -59,7 +58,7 @@ struct QueryContext {
       return Status::Cancelled("query cancelled");
     }
     if (deadline_ns != 0) {
-      obs::Clock* c = clock != nullptr ? clock : obs::DefaultClock();
+      Clock* c = clock != nullptr ? clock : DefaultClock();
       if (c->NowNanos() >= deadline_ns) {
         return Status::DeadlineExceeded("query deadline exceeded");
       }

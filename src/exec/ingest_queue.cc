@@ -52,7 +52,7 @@ IngestQueue::IngestQueue(Relation* relation, DualIndex* index,
       rel_pager_(rel_pager),
       idx_pager_(idx_pager),
       options_(options),
-      clock_(options.clock != nullptr ? options.clock : obs::DefaultClock()) {
+      clock_(options.clock != nullptr ? options.clock : DefaultClock()) {
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   if (options_.max_group_size == 0) options_.max_group_size = 1;
   if (options_.pipeline != nullptr) {

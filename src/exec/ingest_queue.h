@@ -6,7 +6,7 @@
 // amortizes that bill across a *group*: many producer threads Submit()
 // tuples into a bounded MPSC queue, and the writer thread drains a group
 // (bounded by max_group_size and, optionally, a commit wait on the
-// injectable obs::Clock), applies every append through Relation::Insert +
+// injectable cdb::Clock), applies every append through Relation::Insert +
 // DualIndex::Insert (augmented-tree path), then runs ONE journal commit
 // and ONE PublishAppends epoch barrier for the whole group.
 //
@@ -42,11 +42,11 @@
 #include <mutex>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "constraint/relation.h"
 #include "dualindex/dual_index.h"
-#include "obs/clock.h"
 #include "obs/event_log.h"
 #include "obs/latency.h"
 #include "obs/pipeline.h"
@@ -67,9 +67,9 @@ struct IngestQueueOptions {
   /// append is seen. 0 = commit whatever is queued immediately (greedy
   /// batching: group size then tracks producer burstiness).
   uint64_t commit_wait_ns = 0;
-  /// Clock behind the commit wait (null = obs::DefaultClock(); tests
+  /// Clock behind the commit wait (null = DefaultClock(); tests
   /// inject a ManualClock to place the deadline deterministically).
-  obs::Clock* clock = nullptr;
+  Clock* clock = nullptr;
   /// Optional per-group commit timing: each committed group records its
   /// apply + journal-commit + publish duration here (on `clock`). Not
   /// owned; must outlive the queue. The online_updates bench reads its
@@ -207,7 +207,7 @@ class IngestQueue {
   Pager* rel_pager_;
   Pager* idx_pager_;
   IngestQueueOptions options_;
-  obs::Clock* clock_;
+  Clock* clock_;
 
   mutable std::mutex mu_;
   std::condition_variable writer_cv_;

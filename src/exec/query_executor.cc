@@ -163,7 +163,7 @@ Status QueryExecutor::Execute(std::vector<Pager*> pagers, size_t n,
   }
   if (record_latency || ladder) {
     batch.clock =
-        bobs->clock != nullptr ? bobs->clock : obs::DefaultClock();
+        bobs->clock != nullptr ? bobs->clock : DefaultClock();
     batch.submit_ns = batch.clock->NowNanos();
   }
   {
@@ -190,10 +190,8 @@ Status QueryExecutor::Execute(std::vector<Pager*> pagers, size_t n,
   if (record_latency) {
     out->service = service.Snapshot();
     out->queue_wait = queue_wait.Snapshot();
-    obs::ExportLatencyMetrics(service, &obs::GlobalMetrics(),
-                              "exec.query.latency");
-    obs::ExportLatencyMetrics(queue_wait, &obs::GlobalMetrics(),
-                              "exec.queue.wait");
+    obs::GlobalMetrics().histogram("exec.query.latency")->MergeFrom(service);
+    obs::GlobalMetrics().histogram("exec.queue.wait")->MergeFrom(queue_wait);
   }
 
   // EndConcurrentReads publishes any remaining writer state (it must run

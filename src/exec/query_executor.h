@@ -38,11 +38,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "dualindex/ddim_index.h"
 #include "dualindex/dual_index.h"
-#include "obs/clock.h"
 #include "obs/latency.h"
 #include "obs/trace.h"
 #include "rtree/rtree_query.h"
@@ -107,12 +107,13 @@ struct OverloadPolicy {
 /// the serial/paper paths byte-identical.
 struct BatchObservability {
   /// Record per-query service time and queue-wait time into
-  /// BatchResult::service / ::queue_wait and export them as
-  /// "exec.query.latency.*" / "exec.queue.wait.*" gauges.
+  /// BatchResult::service / ::queue_wait (digests of this batch alone) and
+  /// merge them into the GlobalMetrics() histograms "exec.query.latency" /
+  /// "exec.queue.wait", whose counts accumulate across batches.
   bool record_latency = false;
   /// Clock behind the latency timers, sampled tracers, and the overload
-  /// ladder (null = obs::DefaultClock(); tests inject a ManualClock).
-  obs::Clock* clock = nullptr;
+  /// ladder (null = DefaultClock(); tests inject a ManualClock).
+  Clock* clock = nullptr;
   /// Attach an ExplainProfile to ~1-in-N queries, chosen deterministically
   /// from (trace_sample_seed, query index) — see obs::TraceSampler. 0
   /// disables sampling, 1 traces everything.
@@ -235,7 +236,7 @@ class QueryExecutor {
     // handed to the pool) to job pickup; service from pickup to job
     // return, per-item sessions included. The clock is also set — with the
     // recorders left null — when only the overload ladder needs it.
-    obs::Clock* clock = nullptr;
+    Clock* clock = nullptr;
     obs::LatencyRecorder* service = nullptr;
     obs::LatencyRecorder* queue = nullptr;
     uint64_t submit_ns = 0;
@@ -255,8 +256,8 @@ class QueryExecutor {
   // teardown. `writer` null = plain concurrent-read mode with per-batch
   // sessions; non-null = single-writer mode, per-item sessions, writer
   // runs on the calling thread. `bobs`/`out` non-null = latency recording
-  // into *out plus "exec.query.latency.*"/"exec.queue.wait.*" gauges.
-  // `on_degrade`/`on_shed` implement the overload ladder when
+  // into *out, merged into the "exec.query.latency"/"exec.queue.wait"
+  // histograms. `on_degrade`/`on_shed` implement the overload ladder when
   // bobs->overload enables it (see Batch).
   Status Execute(std::vector<Pager*> pagers, size_t n,
                  const std::function<void(size_t)>& job,

@@ -15,7 +15,7 @@
 // reads seq (acquire), the fields, and seq again, skipping slots that are
 // empty, in-flight, or changed in between — a lapped or torn slot is
 // dropped, never misreported. Timestamps come from the injectable
-// obs::Clock (never a raw now()), so tests drive the ring with a
+// cdb::Clock (never a raw now()), so tests drive the ring with a
 // ManualClock and assert dump contents exactly.
 //
 // JSON dumps use schema "cdb-flight/v1" and are self-checked through
@@ -31,8 +31,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/status.h"
-#include "obs/clock.h"
 #include "obs/json.h"
 
 namespace cdb {

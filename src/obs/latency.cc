@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
-
 namespace cdb {
 namespace obs {
 
@@ -38,19 +36,31 @@ size_t LatencyRecorder::BucketOf(uint64_t ns) {
   return static_cast<size_t>(it - upper.begin());
 }
 
-uint64_t LatencyRecorder::BucketUpperNs(size_t i) {
-  const auto& upper = Bounds().upper;
-  return upper[std::min(i, upper.size() - 1)];
-}
+uint64_t LatencyRecorder::UpperBoundNs(size_t i) { return Bounds().upper[i]; }
 
-void LatencyRecorder::RecordNanos(uint64_t ns) {
-  counts_[BucketOf(ns)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_ns_.fetch_add(ns, std::memory_order_relaxed);
+void LatencyRecorder::RaiseMax(uint64_t ns) {
   uint64_t cur = max_ns_.load(std::memory_order_relaxed);
   while (ns > cur &&
          !max_ns_.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
   }
+}
+
+void LatencyRecorder::RecordNanos(uint64_t ns) {
+  if (!recording()) return;
+  counts_[BucketOf(ns)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_ns_.fetch_add(ns, std::memory_order_relaxed);
+  RaiseMax(ns);
+}
+
+void LatencyRecorder::MergeFrom(const LatencyRecorder& other) {
+  if (!recording()) return;
+  for (size_t i = 0; i < kBuckets; ++i) {
+    counts_[i].fetch_add(other.bucket_count(i), std::memory_order_relaxed);
+  }
+  count_.fetch_add(other.count(), std::memory_order_relaxed);
+  sum_ns_.fetch_add(other.sum_ns(), std::memory_order_relaxed);
+  RaiseMax(other.max_ns());
 }
 
 double LatencyRecorder::PercentileNs(double p) const {
@@ -70,7 +80,7 @@ double LatencyRecorder::PercentileNs(double p) const {
       // value is <= max). Finite buckets clamp *down* to the exact max so
       // the top of the distribution stays honest too.
       if (i == kBuckets - 1) return static_cast<double>(exact_max);
-      return static_cast<double>(std::min(BucketUpperNs(i), exact_max));
+      return static_cast<double>(std::min(UpperBoundNs(i), exact_max));
     }
   }
   // Concurrent recording raced count_ past the bucket sums; the exact max
@@ -96,22 +106,6 @@ void LatencyRecorder::Reset() {
   count_.store(0, std::memory_order_relaxed);
   sum_ns_.store(0, std::memory_order_relaxed);
   max_ns_.store(0, std::memory_order_relaxed);
-}
-
-void ExportLatencyMetrics(const LatencyRecorder& recorder,
-                          MetricsRegistry* registry,
-                          const std::string& prefix) {
-  LatencySnapshot s = recorder.Snapshot();
-  auto set = [&](const char* name, double v) {
-    registry->gauge(prefix + "." + name)->Set(v);
-  };
-  set("count", static_cast<double>(s.count));
-  set("mean_ms", s.mean_ms);
-  set("p50_ms", s.p50_ms);
-  set("p90_ms", s.p90_ms);
-  set("p95_ms", s.p95_ms);
-  set("p99_ms", s.p99_ms);
-  set("max_ms", s.max_ms);
 }
 
 }  // namespace obs

@@ -18,9 +18,15 @@
 // some consistent-enough interleaving; the exact totals are re-read last so
 // a torn view can only make a percentile conservative).
 //
-// The recorder does not read a clock; callers time with an obs::Clock and
+// The recorder does not read a clock; callers time with a cdb::Clock and
 // hand it the elapsed nanoseconds, which is what makes the executor's
 // latency paths testable with a ManualClock.
+//
+// It is also the metrics registry's only histogram type:
+// MetricsRegistry::histogram(name) hands out gated recorders, which
+// callers fill with RecordNanos or fold whole recorders into with
+// MergeFrom. Every recorder shares one bucket layout (UpperBoundNs), so
+// exported histograms sum across batches, scrapes and processes.
 
 #ifndef CDB_OBS_LATENCY_H_
 #define CDB_OBS_LATENCY_H_
@@ -28,12 +34,9 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace cdb {
 namespace obs {
-
-class MetricsRegistry;
 
 /// Point-in-time digest of a LatencyRecorder, in milliseconds (the unit the
 /// bench artifacts use). Percentiles are bucket-upper-bound estimates (see
@@ -66,11 +69,26 @@ class LatencyRecorder {
   static constexpr double kRelativeErrorBound = 0.18920711500272103;
 
   LatencyRecorder() = default;
+  /// A recorder that drops RecordNanos/MergeFrom while `*enabled` is false
+  /// (the registry's gate; DESIGN.md decision 15). Null = always records.
+  explicit LatencyRecorder(const std::atomic<bool>* enabled)
+      : enabled_(enabled) {}
   LatencyRecorder(const LatencyRecorder&) = delete;
   LatencyRecorder& operator=(const LatencyRecorder&) = delete;
 
   /// Thread-safe, wait-free.
   void RecordNanos(uint64_t ns);
+  /// Adds every bucket, the count and the sum of `other`, and raises the
+  /// max to `other`'s. Thread-safe against recording on either side.
+  void MergeFrom(const LatencyRecorder& other);
+
+  /// Inclusive upper bound of finite bucket i < kBuckets - 1; the last
+  /// bucket (overflow) has none.
+  static uint64_t UpperBoundNs(size_t i);
+  /// Observations in bucket i < kBuckets (the last is the overflow).
+  uint64_t bucket_count(size_t i) const {
+    return counts_[i].load(std::memory_order_relaxed);
+  }
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t sum_ns() const { return sum_ns_.load(std::memory_order_relaxed); }
@@ -89,23 +107,18 @@ class LatencyRecorder {
 
  private:
   static size_t BucketOf(uint64_t ns);
-  /// Inclusive upper bound of bucket i, clamped to the last *finite* bound
-  /// (the overflow bucket has none; PercentileNs reports exact_max there).
-  static uint64_t BucketUpperNs(size_t i);
+  void RaiseMax(uint64_t ns);
 
+  bool recording() const {
+    return enabled_ == nullptr || enabled_->load(std::memory_order_relaxed);
+  }
+
+  const std::atomic<bool>* enabled_ = nullptr;
   std::array<std::atomic<uint64_t>, kBuckets> counts_{};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_ns_{0};
   std::atomic<uint64_t> max_ns_{0};
 };
-
-/// Publishes a recorder's digest as gauges "<prefix>.count",
-/// "<prefix>.mean_ms", "<prefix>.p50_ms", "<prefix>.p90_ms",
-/// "<prefix>.p95_ms", "<prefix>.p99_ms", "<prefix>.max_ms" (gauges: this is
-/// a point-in-time snapshot, exactly like ExportPagerMetrics).
-void ExportLatencyMetrics(const LatencyRecorder& recorder,
-                          MetricsRegistry* registry,
-                          const std::string& prefix);
 
 }  // namespace obs
 }  // namespace cdb

@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-
 #include "storage/pager.h"
 
 namespace cdb {
@@ -9,44 +7,26 @@ namespace obs {
 
 namespace {
 
-// Portable atomic add for doubles (atomic<double>::fetch_add is C++20 but
-// not guaranteed lock-free everywhere; a relaxed CAS loop is).
-void AtomicAdd(std::atomic<double>* a, double v) {
-  double cur = a->load(std::memory_order_relaxed);
-  while (!a->compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
+// The recorder's layout in milliseconds. The count is the sum of the
+// bucket counts read here, so the data is self-consistent even while
+// observations land.
+MetricsSnapshot::HistogramData HistogramDataOf(const LatencyRecorder& h) {
+  MetricsSnapshot::HistogramData data;
+  data.bounds.resize(LatencyRecorder::kBuckets - 1);
+  for (size_t i = 0; i < data.bounds.size(); ++i) {
+    data.bounds[i] =
+        static_cast<double>(LatencyRecorder::UpperBoundNs(i)) / 1e6;
   }
+  data.counts.resize(LatencyRecorder::kBuckets);
+  for (size_t i = 0; i < data.counts.size(); ++i) {
+    data.counts[i] = h.bucket_count(i);
+    data.count += data.counts[i];
+  }
+  data.sum = static_cast<double>(h.sum_ns()) / 1e6;
+  return data;
 }
 
 }  // namespace
-
-Histogram::Histogram(std::string name, std::vector<double> bounds,
-                     const std::atomic<bool>* enabled)
-    : name_(std::move(name)),
-      bounds_(std::move(bounds)),
-      counts_(bounds_.size() + 1),
-      enabled_(enabled) {}
-
-Histogram::Histogram(Histogram&& o) noexcept
-    : name_(std::move(o.name_)),
-      bounds_(std::move(o.bounds_)),
-      counts_(bounds_.size() + 1),
-      enabled_(o.enabled_),
-      count_(o.count_.load(std::memory_order_relaxed)),
-      sum_(o.sum_.load(std::memory_order_relaxed)) {
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i].store(o.counts_[i].load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  }
-}
-
-void Histogram::Observe(double v) {
-  if (!enabled_->load(std::memory_order_relaxed)) return;
-  size_t i = static_cast<size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  counts_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(&sum_, v);
-}
 
 Counter* MetricsRegistry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -68,30 +48,12 @@ Gauge* MetricsRegistry::gauge(std::string_view name) {
   return g;
 }
 
-Result<Histogram*> MetricsRegistry::histogram(std::string_view name,
-                                              std::vector<double> bounds) {
-  if (bounds.empty()) {
-    return Status::InvalidArgument("histogram needs at least one bound");
-  }
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    if (!(bounds[i - 1] < bounds[i])) {
-      return Status::InvalidArgument(
-          "histogram bounds must be strictly increasing");
-    }
-  }
+LatencyRecorder* MetricsRegistry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
-  if (it != histograms_.end()) {
-    if (it->second->bounds() != bounds) {
-      return Status::InvalidArgument("histogram '" + std::string(name) +
-                                     "' re-registered with different bounds");
-    }
-    return it->second;
-  }
-  histogram_storage_.push_back(
-      Histogram(std::string(name), std::move(bounds), &enabled_));
-  Histogram* h = &histogram_storage_.back();
-  histograms_.emplace(h->name(), h);
+  if (it != histograms_.end()) return it->second;
+  LatencyRecorder* h = &histogram_storage_.emplace_back(&enabled_);
+  histograms_.emplace(std::string(name), h);
   return h;
 }
 
@@ -103,11 +65,7 @@ void MetricsRegistry::ResetAll() {
   for (Gauge& g : gauge_storage_) {
     g.value_.store(0, std::memory_order_relaxed);
   }
-  for (Histogram& h : histogram_storage_) {
-    for (auto& c : h.counts_) c.store(0, std::memory_order_relaxed);
-    h.count_.store(0, std::memory_order_relaxed);
-    h.sum_.store(0, std::memory_order_relaxed);
-  }
+  for (LatencyRecorder& h : histogram_storage_) h.Reset();
 }
 
 void MetricsRegistry::WriteJson(JsonWriter* w) const {
@@ -121,17 +79,16 @@ void MetricsRegistry::WriteJson(JsonWriter* w) const {
   w->EndObject();
   w->Key("histograms").BeginObject();
   for (const auto& [name, h] : histograms_) {
+    const MetricsSnapshot::HistogramData data = HistogramDataOf(*h);
     w->Key(name).BeginObject();
     w->Key("bounds").BeginArray();
-    for (double b : h->bounds()) w->Value(b);
+    for (double b : data.bounds) w->Value(b);
     w->EndArray();
     w->Key("counts").BeginArray();
-    for (size_t i = 0; i <= h->bounds().size(); ++i) {
-      w->Value(h->bucket_count(i));
-    }
+    for (uint64_t c : data.counts) w->Value(c);
     w->EndArray();
-    w->Key("count").Value(h->count());
-    w->Key("sum").Value(h->sum());
+    w->Key("count").Value(data.count);
+    w->Key("sum").Value(data.sum);
     w->EndObject();
   }
   w->EndObject();
@@ -150,15 +107,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
   for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
   for (const auto& [name, h] : histograms_) {
-    MetricsSnapshot::HistogramData data;
-    data.bounds = h->bounds();
-    data.counts.resize(data.bounds.size() + 1);
-    for (size_t i = 0; i < data.counts.size(); ++i) {
-      data.counts[i] = h->bucket_count(i);
-    }
-    data.count = h->count();
-    data.sum = h->sum();
-    snap.histograms[name] = std::move(data);
+    snap.histograms[name] = HistogramDataOf(*h);
   }
   return snap;
 }
@@ -175,7 +124,7 @@ MetricsSnapshot SnapshotDelta(const MetricsSnapshot& later,
   for (const auto& [name, h] : later.histograms) {
     MetricsSnapshot::HistogramData d = h;
     auto it = earlier.histograms.find(name);
-    if (it != earlier.histograms.end() && it->second.bounds == h.bounds) {
+    if (it != earlier.histograms.end()) {
       for (size_t i = 0; i < d.counts.size(); ++i) {
         d.counts[i] = sub(d.counts[i], it->second.counts[i]);
       }

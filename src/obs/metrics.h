@@ -1,23 +1,26 @@
-// MetricsRegistry: named counters, gauges and fixed-bucket histograms for
-// the observability layer.
+// MetricsRegistry: named counters, gauges and latency histograms for the
+// observability layer.
 //
 // Design goals (ISSUE 1):
-//  - no exceptions; the only fallible operation (histogram registration with
-//    bad buckets) returns Result<>;
+//  - no exceptions; registration cannot fail;
 //  - near-zero overhead when disabled: hot-path call sites cache the handle
-//    in a function-local static and Increment()/Observe() reduce to one
+//    in a function-local static and Increment()/RecordNanos() reduce to one
 //    predicated load when the owning registry is disabled;
 //  - stable handles: pointers returned by counter()/gauge()/histogram()
 //    remain valid for the registry's lifetime (deque storage);
 //  - deterministic JSON snapshots (members sorted by name) feeding the
 //    BENCH_*.json artifacts.
 //
+// Histograms are LatencyRecorders (obs/latency.h), so every histogram has
+// the recorder's fixed log-scale layout and sums across batches, scrapes
+// and processes.
+//
 // Counters and histograms are *event* metrics and respect the enabled flag;
 // gauges are *snapshot* metrics written by export paths (e.g.
 // ExportPagerMetrics) and always store, so a disabled registry still
 // yields a truthful point-in-time export.
 //
-// Thread safety (ISSUE 3): Increment/Observe/Set are atomic (relaxed), so
+// Thread safety: Increment/RecordNanos/Set are atomic (relaxed), so
 // executor worker threads sharing cached handles never lose events;
 // registration and snapshots are serialized on a registry mutex. Handles
 // stay stable (deque storage), so the function-local-static caching idiom
@@ -35,9 +38,8 @@
 #include <string_view>
 #include <vector>
 
-#include "common/result.h"
-#include "common/status.h"
 #include "obs/json.h"
+#include "obs/latency.h"
 
 namespace cdb {
 
@@ -95,44 +97,13 @@ class Gauge {
   std::atomic<double> value_{0};
 };
 
-/// Fixed-bucket histogram: `bounds` are inclusive upper bounds of the first
-/// bounds.size() buckets; one implicit overflow bucket follows. Tracks sum
-/// and count for mean recovery.
-class Histogram {
- public:
-  void Observe(double v);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// i in [0, bounds().size()]; the last index is the overflow bucket.
-  uint64_t bucket_count(size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  const std::string& name() const { return name_; }
-
-  Histogram(Histogram&& o) noexcept;
-
- private:
-  friend class MetricsRegistry;
-  Histogram(std::string name, std::vector<double> bounds,
-            const std::atomic<bool>* enabled);
-
-  std::string name_;
-  std::vector<double> bounds_;
-  // bounds_.size() + 1 entries (atomics: vector is sized once, at
-  // registration, and only the elements mutate afterwards).
-  std::vector<std::atomic<uint64_t>> counts_;
-  const std::atomic<bool>* enabled_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0};
-};
-
 /// Point-in-time copy of a registry's contents, decoupled from the live
 /// atomics. The unit of export (obs/export.h Prometheus exposition) and of
 /// interval accounting via SnapshotDelta. Maps keep everything sorted by
 /// metric name, so renderings diff cleanly across runs.
 struct MetricsSnapshot {
+  /// A LatencyRecorder in milliseconds: its kBuckets - 1 finite upper
+  /// bounds, kBuckets counts (overflow last), and the exact count and sum.
   struct HistogramData {
     std::vector<double> bounds;
     std::vector<uint64_t> counts;  // bounds.size() + 1; overflow last.
@@ -165,11 +136,9 @@ class MetricsRegistry {
   Counter* counter(std::string_view name);
   Gauge* gauge(std::string_view name);
 
-  /// Registers (or retrieves) a histogram. `bounds` must be non-empty and
-  /// strictly increasing, and must match any previous registration of the
-  /// same name exactly.
-  Result<Histogram*> histogram(std::string_view name,
-                               std::vector<double> bounds);
+  /// Returns the latency histogram registered under `name`, creating it on
+  /// first use. It records only while the registry is enabled.
+  LatencyRecorder* histogram(std::string_view name);
 
   void SetEnabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
@@ -194,10 +163,10 @@ class MetricsRegistry {
   mutable std::mutex mu_;  // Guards the maps and storage below.
   std::deque<Counter> counter_storage_;
   std::deque<Gauge> gauge_storage_;
-  std::deque<Histogram> histogram_storage_;
+  std::deque<LatencyRecorder> histogram_storage_;
   std::map<std::string, Counter*, std::less<>> counters_;
   std::map<std::string, Gauge*, std::less<>> gauges_;
-  std::map<std::string, Histogram*, std::less<>> histograms_;
+  std::map<std::string, LatencyRecorder*, std::less<>> histograms_;
 };
 
 /// The process-wide registry. Disabled by default; benchmarks and tests

@@ -92,12 +92,18 @@ std::vector<IngestGroupProfile> IngestPipelineRecorders::SampledProfiles()
 
 void IngestPipelineRecorders::ExportMetrics(MetricsRegistry* registry,
                                             const std::string& prefix) const {
+  // Replace, not merge: the histogram mirrors the cumulative digest, so
+  // exporting again never counts an append twice.
+  auto mirror = [&](const LatencyRecorder& digest, const std::string& name) {
+    LatencyRecorder* h = registry->histogram(name);
+    h->Reset();
+    h->MergeFrom(digest);
+  };
   for (int i = 0; i < kIngestStageCount; ++i) {
     const std::string name(IngestStageName(static_cast<IngestStage>(i)));
-    ExportLatencyMetrics(stages_[i], registry,
-                         prefix + ".stage." + name + ".latency");
+    mirror(stages_[i], prefix + ".stage." + name + ".latency");
   }
-  ExportLatencyMetrics(visibility_, registry, prefix + ".visibility.latency");
+  mirror(visibility_, prefix + ".visibility.latency");
   registry->gauge(prefix + ".sampled_groups")
       ->Set(static_cast<double>(sampled_groups()));
   registry->gauge(prefix + ".unbalanced_groups")

@@ -3,7 +3,7 @@
 // The write path's analogue of the query path's Tracer/ExplainProfile: a
 // bundle of stage-labelled LatencyRecorders that decompose each append's
 // Submit -> reader-visibility latency into five stages, measured on the
-// injectable obs::Clock by the IngestQueue writer:
+// injectable cdb::Clock by the IngestQueue writer:
 //
 //   admission   Submit() to the writer opening the append's group
 //               (time spent queued before any writer attention);
@@ -141,10 +141,11 @@ class IngestPipelineRecorders {
   /// Copy of the retained sampled profiles, oldest first.
   std::vector<IngestGroupProfile> SampledProfiles() const;
 
-  /// Publishes every digest as gauges: "<prefix>.stage.<name>.latency.*"
-  /// and "<prefix>.visibility.latency.*" (count/mean_ms/p50/p90/p95/p99/
-  /// max_ms each, via ExportLatencyMetrics) plus
-  /// "<prefix>.sampled_groups" / "<prefix>.unbalanced_groups".
+  /// Publishes every digest as a registry histogram,
+  /// "<prefix>.stage.<name>.latency" and "<prefix>.visibility.latency",
+  /// plus the gauges "<prefix>.sampled_groups" /
+  /// "<prefix>.unbalanced_groups". Each call replaces what the previous
+  /// one published, so calling it again never double-counts.
   void ExportMetrics(MetricsRegistry* registry,
                      const std::string& prefix) const;
 

@@ -33,8 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/io_stats.h"
-#include "obs/clock.h"
 #include "obs/json.h"
 
 namespace cdb {
@@ -78,9 +78,9 @@ class Tracer {
  public:
   /// `tuple_pager` may be null, or equal to `index_pager` (then all cost is
   /// reported on the index slots and the tuple slots stay zero). `clock`
-  /// drives every wall_ms reading (ISSUE 5: null = obs::DefaultClock(), so
-  /// production call sites change nothing while tests inject a
-  /// ManualClock and assert span timings exactly).
+  /// drives every wall_ms reading (null = DefaultClock(), so production
+  /// call sites change nothing while tests inject a ManualClock and
+  /// assert span timings exactly).
   Tracer(const char* root_name, Pager* index_pager, Pager* tuple_pager,
          Clock* clock = nullptr);
   ~Tracer();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstring>
 
 #include "common/crc32c.h"
@@ -64,17 +63,6 @@ T Load(const char* p, size_t off) {
 // singly-linked list is enough because sessions are scoped locals and so
 // strictly nested.
 thread_local PagerReadSession* t_session_head = nullptr;
-
-// Monotonic nanoseconds for the contention/fsync/publish timers. The
-// storage layer sits below obs in the link order, so it cannot take an
-// obs::Clock; these durations are real-time measurements by design (they
-// feed gauges, not test assertions).
-uint64_t MonoNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 }  // namespace
 
@@ -156,12 +144,12 @@ Pager::Pager(std::unique_ptr<BlockFile> file,
       payload_offset_(options.checksums ? kPageHeaderSize : 0),
       checksums_(options.checksums),
       cache_frames_(options.cache_frames),
+      clock_(options.clock != nullptr ? options.clock : DefaultClock()),
       max_read_attempts_(options.max_read_attempts < 1
                              ? 1
                              : options.max_read_attempts),
       retry_backoff_base_ns_(options.retry_backoff_base_ns),
       retry_backoff_cap_ns_(options.retry_backoff_cap_ns),
-      retry_backoff_(options.retry_backoff),
       reread_on_checksum_mismatch_(options.reread_on_checksum_mismatch),
       block_scratch_(options.page_size),
       journal_scratch_(JournalBlockSize(options.page_size)) {
@@ -501,18 +489,20 @@ Status Pager::EnsureJournaled(PageId id) {
 }
 
 Status Pager::SyncDataFile() {
-  uint64_t t0 = MonoNanos();
+  uint64_t t0 = clock_->NowNanos();
   Status st = file_->Sync();
   cc_.data_fsyncs.fetch_add(1, std::memory_order_relaxed);
-  cc_.data_fsync_ns.fetch_add(MonoNanos() - t0, std::memory_order_relaxed);
+  cc_.data_fsync_ns.fetch_add(clock_->NowNanos() - t0,
+                              std::memory_order_relaxed);
   return st;
 }
 
 Status Pager::SyncJournalFile() {
-  uint64_t t0 = MonoNanos();
+  uint64_t t0 = clock_->NowNanos();
   Status st = journal_->Sync();
   cc_.journal_fsyncs.fetch_add(1, std::memory_order_relaxed);
-  cc_.journal_fsync_ns.fetch_add(MonoNanos() - t0, std::memory_order_relaxed);
+  cc_.journal_fsync_ns.fetch_add(clock_->NowNanos() - t0,
+                                 std::memory_order_relaxed);
   return st;
 }
 
@@ -656,11 +646,11 @@ Status Pager::PublishWriter() {
   if (!txn_active_ && !journal_header_written_) return Status::OK();
   std::unique_lock<std::mutex> lock(publish_mu_);
   gate_closed_ = true;
-  const uint64_t drain_start = MonoNanos();
+  const uint64_t drain_start = clock_->NowNanos();
   const uint64_t sessions_at_gate = active_swmr_sessions_;
   publish_cv_.wait(lock, [&] { return active_swmr_sessions_ == 0; });
   cc_.publish_epochs.fetch_add(1, std::memory_order_relaxed);
-  cc_.publish_drain_ns.fetch_add(MonoNanos() - drain_start,
+  cc_.publish_drain_ns.fetch_add(clock_->NowNanos() - drain_start,
                                  std::memory_order_relaxed);
   cc_.publish_sessions_drained.fetch_add(sessions_at_gate,
                                          std::memory_order_relaxed);
@@ -839,10 +829,10 @@ std::unique_lock<std::mutex> Pager::LockShard(ReadShard& shard) {
     // Contended: charge the blocking wait. The uncontended path above never
     // reads the clock, so instrumentation costs nothing when shards are
     // well spread.
-    uint64_t t0 = MonoNanos();
+    uint64_t t0 = clock_->NowNanos();
     lock.lock();
     cc_.shard_lock_waits.fetch_add(1, std::memory_order_relaxed);
-    cc_.shard_lock_wait_ns.fetch_add(MonoNanos() - t0,
+    cc_.shard_lock_wait_ns.fetch_add(clock_->NowNanos() - t0,
                                      std::memory_order_relaxed);
   }
   return lock;
@@ -984,7 +974,7 @@ Status Pager::ReadBlockVerified(PageId id, char* block, IoStats* sink) {
                           : backoff_ns;
       rc_.backoff_waits.fetch_add(1, std::memory_order_relaxed);
       rc_.backoff_wait_ns.fetch_add(wait, std::memory_order_relaxed);
-      if (retry_backoff_) retry_backoff_(wait);
+      clock_->SleepNanos(wait);
       backoff_ns = backoff_ns > (UINT64_MAX >> 1) ? UINT64_MAX
                                                   : backoff_ns << 1;
     }

@@ -50,7 +50,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -59,6 +58,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/io_stats.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -146,13 +146,13 @@ struct PagerOptions {
   /// no waiting (retry immediately).
   uint64_t retry_backoff_base_ns = 0;
   uint64_t retry_backoff_cap_ns = 0;
-  /// How to wait. Null = do not wait at all (backoff is still *accounted*
-  /// so tests can assert the schedule). Production callers pass a sleeper;
-  /// tests pass a ManualClock-advancing lambda — zero real sleeps. Must be
-  /// thread-safe: concurrent-read misses invoke it from worker threads.
-  /// (Storage sits below obs, so this is a plain function, not an
-  /// obs::Clock; obs-level code is free to wrap one.)
-  std::function<void(uint64_t wait_ns)> retry_backoff;
+  /// Clock behind every pager timer — fsyncs, journal fsyncs, publish
+  /// drains, shard-lock waits — and the retry backoff, which sleeps on it
+  /// (null = DefaultClock(), a real sleep). Tests pass a ManualClock:
+  /// backoff then advances it instead of sleeping, and the timers read
+  /// exactly what the test advanced. Shared with reader threads, so it
+  /// must be thread-safe (every cdb::Clock is). Not owned.
+  Clock* clock = nullptr;
   /// Re-read a page once when its checksum fails before declaring
   /// Corruption, curing one-shot bus/DMA flukes while keeping persistent
   /// rot loud. Counted in PagerRetryStats::crc_rereads.
@@ -163,8 +163,7 @@ struct PagerOptions {
 /// accumulate from Open() onward; all are zero until the corresponding
 /// machinery runs (shard counters need concurrent-read mode, publish
 /// counters need a single-writer publish, fsync counters need real Sync
-/// calls). Durations are steady-clock nanoseconds measured inside the
-/// pager (the storage layer sits below obs and cannot take an obs::Clock).
+/// calls). Durations are nanoseconds on PagerOptions::clock.
 struct PagerConcurrencyStats {
   /// Shard-mutex acquisitions that found the lock held (try_lock failed)
   /// and the total nanoseconds those acquisitions then waited. Uncontended
@@ -492,11 +491,11 @@ class Pager {
   size_t payload_offset_;  // kPageHeaderSize with checksums, else 0.
   bool checksums_;
   size_t cache_frames_;
+  Clock* clock_;  // PagerOptions::clock, resolved; see there.
   // Retry policy, copied from PagerOptions at Open (see there).
   int max_read_attempts_;
   uint64_t retry_backoff_base_ns_;
   uint64_t retry_backoff_cap_ns_;
-  std::function<void(uint64_t)> retry_backoff_;
   bool reread_on_checksum_mismatch_;
   RetryCounters rc_;  // See retry_stats().
 

@@ -391,7 +391,7 @@ TEST(QueryExecutorTest, AdmissionCapacityShedsBeyondBound) {
 // Returns a scripted sequence of instants, one per NowNanos() call (the
 // last value repeats). With one worker thread the executor's clock reads
 // are totally ordered, so the script dictates each query's queue wait.
-class StepClock final : public obs::Clock {
+class StepClock final : public Clock {
  public:
   explicit StepClock(std::vector<uint64_t> values)
       : values_(std::move(values)) {}
@@ -399,6 +399,7 @@ class StepClock final : public obs::Clock {
     size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     return values_[std::min(i, values_.size() - 1)];
   }
+  void SleepNanos(uint64_t) override {}
 
  private:
   std::vector<uint64_t> values_;

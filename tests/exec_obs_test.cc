@@ -1,7 +1,7 @@
 // Executor observability tests (ISSUE 5 tentpole): the instrumented
 // RunBatch overloads must record every query's service time and queue wait
 // exactly once (count == batch size), drive all timing through the injected
-// obs::Clock (a frozen ManualClock yields all-zero durations — proof no
+// Clock (a frozen ManualClock yields all-zero durations — proof no
 // wall clock leaks in), sample traces deterministically from (seed, index)
 // regardless of thread count, and keep the ISSUE 1 attribution invariants
 // under full concurrency: every sampled ExplainProfile sums to its own
@@ -15,9 +15,9 @@
 #include <set>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/rng.h"
 #include "exec/query_executor.h"
-#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "pager_test_util.h"
 #include "storage/file.h"
@@ -94,10 +94,19 @@ TEST(ExecObsTest, LatencyIsRecordedExactlyOncePerQuery) {
   std::vector<exec::BatchItemResult> plain;
   ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, &plain).ok());
 
+  obs::MetricsRegistry& registry = obs::GlobalMetrics();
+  const bool was_enabled = registry.enabled();
+  registry.SetEnabled(true);
+  obs::LatencyRecorder* service = registry.histogram("exec.query.latency");
+  obs::LatencyRecorder* queue = registry.histogram("exec.queue.wait");
+  const uint64_t service0 = service->count();
+  const uint64_t queue0 = queue->count();
+
   exec::BatchObservability bobs;
   bobs.record_latency = true;
   exec::BatchResult out;
   ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, bobs, &out).ok());
+  registry.SetEnabled(was_enabled);
 
   // The acceptance criterion: one service sample and one queue-wait sample
   // per query, no more, no less — regardless of scheduling.
@@ -110,12 +119,43 @@ TEST(ExecObsTest, LatencyIsRecordedExactlyOncePerQuery) {
     EXPECT_EQ(out.items[i].ids, plain[i].ids) << "query " << i;
   }
 
-  // The exported gauges mirror the snapshot.
-  EXPECT_EQ(
-      obs::GlobalMetrics().gauge("exec.query.latency.count")->value(),
-      static_cast<double>(batch.size()));
-  EXPECT_EQ(obs::GlobalMetrics().gauge("exec.queue.wait.count")->value(),
-            static_cast<double>(batch.size()));
+  // The registry histograms gained exactly the batch.
+  EXPECT_EQ(service->count() - service0, batch.size());
+  EXPECT_EQ(queue->count() - queue0, batch.size());
+}
+
+// Each BatchResult digest covers its own batch, while the registry
+// histograms accumulate every batch recorded into them.
+TEST(ExecObsTest, RegistryHistogramsAccumulateAcrossBatches) {
+  ObsFixture fx;
+  std::vector<exec::BatchQuery> batch = fx.MakeBatch(24);
+  ManualClock clock;
+  exec::BatchObservability bobs;
+  bobs.record_latency = true;
+  bobs.clock = &clock;
+  exec::QueryExecutor executor(2);
+
+  obs::MetricsRegistry& registry = obs::GlobalMetrics();
+  const bool was_enabled = registry.enabled();
+  registry.SetEnabled(true);
+  const obs::MetricsSnapshot before = registry.Snapshot();
+  for (int round = 0; round < 2; ++round) {
+    exec::BatchResult out;
+    ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, bobs, &out).ok());
+    EXPECT_EQ(out.service.count, batch.size());
+    EXPECT_EQ(out.queue_wait.count, batch.size());
+  }
+  const obs::MetricsSnapshot delta =
+      obs::SnapshotDelta(registry.Snapshot(), before);
+  registry.SetEnabled(was_enabled);
+
+  for (const char* name : {"exec.query.latency", "exec.queue.wait"}) {
+    const obs::MetricsSnapshot::HistogramData& h = delta.histograms.at(name);
+    EXPECT_EQ(h.count, 2 * batch.size()) << name;
+    // A frozen clock puts every duration in the first bucket.
+    EXPECT_EQ(h.counts[0], 2 * batch.size()) << name;
+    EXPECT_EQ(h.sum, 0.0) << name;
+  }
 }
 
 TEST(ExecObsTest, InjectedClockDrivesAllTiming) {
@@ -123,7 +163,7 @@ TEST(ExecObsTest, InjectedClockDrivesAllTiming) {
   std::vector<exec::BatchQuery> batch = fx.MakeBatch(16);
   // A frozen clock: if any timer read wall time instead, the elapsed
   // durations would be non-zero.
-  obs::ManualClock clock(1'000'000'000);
+  ManualClock clock(1'000'000'000);
   exec::BatchObservability bobs;
   bobs.record_latency = true;
   bobs.clock = &clock;

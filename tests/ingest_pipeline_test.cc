@@ -20,9 +20,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/rng.h"
 #include "exec/ingest_queue.h"
-#include "obs/clock.h"
 #include "obs/event_log.h"
 #include "obs/export.h"
 #include "obs/json.h"
@@ -115,7 +115,7 @@ size_t CountEvents(const obs::JsonValue& doc, std::string_view type_name) {
 // asserted to the nanosecond.
 TEST(IngestPipelineTest, StageAttributionIsExactOnManualClock) {
   LaneFixture fx;
-  obs::ManualClock clock;
+  ManualClock clock;
   IngestPipelineRecorders pipeline(/*sample_every=*/1, /*sample_seed=*/kSeed);
   IngestQueueOptions opts;
   opts.max_group_size = 4;
@@ -169,7 +169,7 @@ TEST(IngestPipelineTest, StageAttributionIsExactOnManualClock) {
 // each stage, the per-group sums must reproduce visibility exactly.
 TEST(IngestPipelineTest, StageSumsBalanceWhenClockAdvancesMidCommit) {
   LaneFixture fx;
-  obs::ManualClock clock;
+  ManualClock clock;
   IngestPipelineRecorders pipeline(/*sample_every=*/1, /*sample_seed=*/kSeed);
   IngestQueueOptions opts;
   opts.max_group_size = 8;
@@ -222,7 +222,7 @@ TEST(IngestPipelineTest, CommitTriggerLedgerClassifiesEveryGroup) {
   // Full + drain: 6 appends into groups of 4 = one full group, one drain.
   {
     LaneFixture fx;
-    obs::ManualClock clock;
+    ManualClock clock;
     IngestPipelineRecorders pipeline(1, kSeed);
     EventLog log(64, &clock);
     IngestQueueOptions opts;
@@ -262,7 +262,7 @@ TEST(IngestPipelineTest, CommitTriggerLedgerClassifiesEveryGroup) {
   // ManualClock passes the deadline.
   {
     LaneFixture fx;
-    obs::ManualClock clock;
+    ManualClock clock;
     IngestQueueOptions opts;
     opts.max_group_size = 4;
     opts.commit_wait_ns = 1000;
@@ -296,7 +296,7 @@ TEST(IngestPipelineTest, CommitTriggerLedgerClassifiesEveryGroup) {
 // make the depth integral a small exact sum.
 TEST(IngestPipelineTest, DepthIntegralAndHighWaterAreExact) {
   LaneFixture fx;
-  obs::ManualClock clock;
+  ManualClock clock;
   IngestPipelineRecorders pipeline(0, 0);
   IngestQueueOptions opts;
   opts.max_group_size = 8;
@@ -323,7 +323,7 @@ TEST(IngestPipelineTest, DepthIntegralAndHighWaterAreExact) {
 // Prometheus exposition.
 TEST(IngestPipelineTest, ExportMetricsPublishesLaneAndStageGauges) {
   LaneFixture fx;
-  obs::ManualClock clock;
+  ManualClock clock;
   IngestPipelineRecorders pipeline(1, kSeed);
   IngestQueueOptions opts;
   opts.max_group_size = 4;
@@ -354,11 +354,20 @@ TEST(IngestPipelineTest, ExportMetricsPublishesLaneAndStageGauges) {
   EXPECT_EQ(snap.gauges.at("ingest.lane.depth"), 0);
   EXPECT_EQ(snap.gauges.at("ingest.lane.poisoned"), 0);
   EXPECT_EQ(snap.gauges.at("ingest.lane.closed"), 1);
-  EXPECT_EQ(snap.gauges.at("ingest.stage.admission.latency.count"), 8);
-  EXPECT_EQ(snap.gauges.at("ingest.stage.publish.latency.count"), 8);
-  EXPECT_EQ(snap.gauges.at("ingest.visibility.latency.count"), 8);
+  EXPECT_EQ(snap.histograms.at("ingest.stage.admission.latency").count, 8u);
+  EXPECT_EQ(snap.histograms.at("ingest.stage.publish.latency").count, 8u);
+  EXPECT_EQ(snap.histograms.at("ingest.visibility.latency").count, 8u);
   EXPECT_EQ(snap.gauges.at("ingest.sampled_groups"), 2);
   EXPECT_EQ(snap.gauges.at("ingest.unbalanced_groups"), 0);
+
+  // Exporting again republishes the same digests: no append counts twice.
+  pipeline.ExportMetrics(&registry, "ingest");
+  const obs::MetricsSnapshot again = registry.Snapshot();
+  for (const auto& [name, h] : snap.histograms) {
+    EXPECT_EQ(again.histograms.at(name).count, h.count) << name;
+    EXPECT_EQ(again.histograms.at(name).counts, h.counts) << name;
+    EXPECT_EQ(again.histograms.at(name).sum, h.sum) << name;
+  }
 
   const std::string exposition = obs::ToPrometheus(snap);
   EXPECT_NE(exposition.find("ingest_lane_depth_high_water"),
@@ -388,7 +397,7 @@ TEST(IngestPipelineTest, LanePoisonWritesParseableFlightDump) {
 
   Rng rng(kSeed + 1);
   WorkloadOptions wopts;
-  obs::ManualClock clock;
+  ManualClock clock;
   EventLog log(128, &clock);
   IngestQueueOptions opts;
   opts.max_group_size = 3;
@@ -460,7 +469,7 @@ TEST(IngestPipelineTest, ChaosSweepProducesParseableDumpAtEveryFaultIndex) {
       plan->ArmTransientWrites(fault_at, 1);
     }
 
-    obs::ManualClock clock;
+    ManualClock clock;
     EventLog log(256, &clock);
     IngestQueueOptions opts;
     opts.max_group_size = kGroup;

@@ -20,11 +20,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
 #include "constraint/relation_d.h"
 #include "exec/query_executor.h"
-#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "pager_test_util.h"
 #include "storage/fault_file.h"
@@ -273,7 +273,7 @@ TEST(IngestQueueTest, NonFiniteCoefficientsAreRejectedWhereTuplesEnter) {
 
 TEST(IngestQueueTest, CommitWaitHoldsPartialGroupUntilDeadline) {
   LaneFixture fx;
-  obs::ManualClock clock;
+  ManualClock clock;
   IngestQueueOptions opts;
   opts.max_group_size = 4;
   opts.commit_wait_ns = 1000;
@@ -310,7 +310,7 @@ TEST(IngestQueueTest, CommitWaitHoldsPartialGroupUntilDeadline) {
 
 TEST(IngestQueueTest, FullGroupCommitsWithoutWaitingForTheClock) {
   LaneFixture fx;
-  obs::ManualClock clock;  // Never advanced: only the size bound can fire.
+  ManualClock clock;  // Never advanced: only the size bound can fire.
   IngestQueueOptions opts;
   opts.max_group_size = 4;
   opts.commit_wait_ns = 1000000000;  // 1 s on a clock that never moves.

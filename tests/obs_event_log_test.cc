@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/clock.h"
+#include "common/clock.h"
 #include "obs/json.h"
 
 namespace cdb {

@@ -181,13 +181,11 @@ TEST(PrometheusTest, ExportsSortedSanitizedAndCumulative) {
   reg.counter("dual.refine.lp_calls")->Increment(42);
   reg.counter("a.first")->Increment(1);
   reg.gauge("pool.resident_frames")->Set(64.5);
-  Result<Histogram*> h =
-      reg.histogram("exec.latency_ms", {1.0, 10.0, 100.0});
-  ASSERT_TRUE(h.ok());
-  h.value()->Observe(0.5);
-  h.value()->Observe(5.0);
-  h.value()->Observe(5.0);
-  h.value()->Observe(1000.0);  // Overflow bucket.
+  LatencyRecorder* h = reg.histogram("exec.latency");
+  h->RecordNanos(500'000);      // 0.5 ms.
+  h->RecordNanos(5'000'000);    // 5 ms.
+  h->RecordNanos(5'000'000);
+  h->RecordNanos(uint64_t{1} << 43);  // Overflow bucket.
 
   std::string text = ToPrometheus(reg.Snapshot());
   // Dots sanitized, TYPE lines present.
@@ -201,35 +199,66 @@ TEST(PrometheusTest, ExportsSortedSanitizedAndCumulative) {
   EXPECT_NE(text.find("pool_resident_frames 64.5\n"), std::string::npos);
   // Counters sort by name: a_first before dual_refine_lp_calls.
   EXPECT_LT(text.find("a_first"), text.find("dual_refine_lp_calls"));
-  // Cumulative buckets with a +Inf bucket equal to the total count.
-  EXPECT_NE(text.find("exec_latency_ms_bucket{le=\"1\"} 1\n"),
+  // Cumulative buckets with a +Inf bucket equal to the total count:
+  // 0.5 ms sits under the 0.524288 ms bound, 5 ms under 5.931641 ms.
+  EXPECT_NE(text.find("# TYPE exec_latency histogram"), std::string::npos);
+  EXPECT_NE(text.find("exec_latency_bucket{le=\"0.524288\"} 1\n"),
             std::string::npos);
-  EXPECT_NE(text.find("exec_latency_ms_bucket{le=\"10\"} 3\n"),
+  EXPECT_NE(text.find("exec_latency_bucket{le=\"5.931641\"} 3\n"),
             std::string::npos);
-  EXPECT_NE(text.find("exec_latency_ms_bucket{le=\"100\"} 3\n"),
+  EXPECT_NE(text.find("exec_latency_bucket{le=\"4398046.511104\"} 3\n"),
             std::string::npos);
-  EXPECT_NE(text.find("exec_latency_ms_bucket{le=\"+Inf\"} 4\n"),
+  EXPECT_NE(text.find("exec_latency_bucket{le=\"+Inf\"} 4\n"),
             std::string::npos);
-  EXPECT_NE(text.find("exec_latency_ms_count 4\n"), std::string::npos);
-  EXPECT_NE(text.find("exec_latency_ms_sum 1010.5\n"), std::string::npos);
+  EXPECT_NE(text.find("exec_latency_count 4\n"), std::string::npos);
   // Deterministic: a second render is byte-identical.
   EXPECT_EQ(text, ToPrometheus(reg.Snapshot()));
+}
+
+// The recorder's layout on the wire: 129 finite `le` bounds in
+// milliseconds plus +Inf, cumulative counts, and the exact sum and count.
+TEST(PrometheusTest, RecorderLayoutRendersExactCumulativeLines) {
+  MetricsRegistry reg(/*enabled=*/true);
+  LatencyRecorder* h = reg.histogram("q");
+  for (uint64_t ns : {uint64_t{500}, uint64_t{1024}, uint64_t{1500},
+                      uint64_t{1500}, (uint64_t{1} << 42) + 5}) {
+    h->RecordNanos(ns);
+  }
+  const std::string text = ToPrometheus(reg.Snapshot());
+  EXPECT_EQ(text.find("# TYPE q histogram\n"
+                      "q_bucket{le=\"0.001024\"} 2\n"
+                      "q_bucket{le=\"0.001217\"} 2\n"
+                      "q_bucket{le=\"0.001448\"} 2\n"
+                      "q_bucket{le=\"0.001722\"} 4\n"
+                      "q_bucket{le=\"0.002048\"} 4\n"),
+            0u);
+  const std::string tail =
+      "q_bucket{le=\"4398046.511104\"} 4\n"
+      "q_bucket{le=\"+Inf\"} 5\n"
+      "q_sum 4398046.515633\n"
+      "q_count 5\n";
+  ASSERT_GE(text.size(), tail.size());
+  EXPECT_EQ(text.substr(text.size() - tail.size()), tail);
+  size_t bucket_lines = 0;
+  for (size_t at = text.find("q_bucket"); at != std::string::npos;
+       at = text.find("q_bucket", at + 1)) {
+    ++bucket_lines;
+  }
+  EXPECT_EQ(bucket_lines, LatencyRecorder::kBuckets);
 }
 
 TEST(PrometheusTest, EscapesLabelValuesAndAppliesThemEverywhere) {
   MetricsRegistry reg(/*enabled=*/true);
   reg.counter("c")->Increment(7);
-  Result<Histogram*> h = reg.histogram("h", {2.0});
-  ASSERT_TRUE(h.ok());
-  h.value()->Observe(1.0);
+  reg.histogram("h")->RecordNanos(1000);
   std::string text = ToPrometheus(
       reg.Snapshot(), {{"db", "a\\b\"c\nd"}, {"host", "box1"}});
   EXPECT_NE(text.find("c{db=\"a\\\\b\\\"c\\nd\",host=\"box1\"} 7\n"),
             std::string::npos);
   // Histogram bucket lines merge the shared labels with the le label.
-  EXPECT_NE(
-      text.find("h_bucket{db=\"a\\\\b\\\"c\\nd\",host=\"box1\",le=\"2\"} 1"),
-      std::string::npos);
+  EXPECT_NE(text.find("h_bucket{db=\"a\\\\b\\\"c\\nd\",host=\"box1\","
+                      "le=\"0.001024\"} 1"),
+            std::string::npos);
   EXPECT_NE(text.find("h_count{db=\"a\\\\b\\\"c\\nd\",host=\"box1\"} 1"),
             std::string::npos);
 }
@@ -249,18 +278,17 @@ TEST(SnapshotDeltaTest, ClampedIntervalArithmetic) {
   MetricsRegistry reg(/*enabled=*/true);
   Counter* c = reg.counter("c");
   Gauge* g = reg.gauge("g");
-  Result<Histogram*> h = reg.histogram("h", {10.0});
-  ASSERT_TRUE(h.ok());
+  LatencyRecorder* h = reg.histogram("h");
 
   c->Increment(5);
   g->Set(1.0);
-  h.value()->Observe(3.0);
+  h->RecordNanos(3'000'000);
   MetricsSnapshot before = reg.Snapshot();
 
   c->Increment(7);
   g->Set(2.5);
-  h.value()->Observe(4.0);
-  h.value()->Observe(40.0);
+  h->RecordNanos(1'000);
+  h->RecordNanos(uint64_t{1} << 43);
   reg.counter("fresh")->Increment(9);  // Absent from `before`: taken whole.
   MetricsSnapshot after = reg.Snapshot();
 
@@ -270,10 +298,14 @@ TEST(SnapshotDeltaTest, ClampedIntervalArithmetic) {
   EXPECT_DOUBLE_EQ(delta.gauges.at("g"), 2.5);  // Point-in-time, not diff.
   const MetricsSnapshot::HistogramData& hd = delta.histograms.at("h");
   EXPECT_EQ(hd.count, 2u);
-  ASSERT_EQ(hd.counts.size(), 2u);
-  EXPECT_EQ(hd.counts[0], 1u);  // 4.0.
-  EXPECT_EQ(hd.counts[1], 1u);  // 40.0 overflow.
-  EXPECT_DOUBLE_EQ(hd.sum, 44.0);
+  ASSERT_EQ(hd.counts.size(), LatencyRecorder::kBuckets);
+  EXPECT_EQ(hd.counts[0], 1u);       // 1 us.
+  EXPECT_EQ(hd.counts.back(), 1u);   // 2^43 ns overflow.
+  uint64_t rest = 0;
+  for (uint64_t n : hd.counts) rest += n;
+  EXPECT_EQ(rest, 2u);               // The 3 ms event is before the interval.
+  EXPECT_DOUBLE_EQ(hd.sum,
+                   (1'000 + static_cast<double>(uint64_t{1} << 43)) / 1e6);
 
   // A reset (later < earlier) clamps to zero instead of underflowing.
   MetricsSnapshot wrapped = SnapshotDelta(before, after);

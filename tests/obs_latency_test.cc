@@ -1,20 +1,20 @@
 // LatencyRecorder tests (ISSUE 5 tentpole): exact count/sum/max, the
 // log-bucket percentile error bound (never under-reports, overshoots by at
 // most kRelativeErrorBound), unit conversion in Snapshot(), lossless
-// concurrent recording (runs under `-L tsan`), and the gauge export. Also
-// covers the obs::Clock seam the recorder is designed around: ManualClock
-// arithmetic and DefaultClock monotonicity.
+// concurrent recording (runs under `-L tsan`), merging and the registry
+// gate. Also covers the Clock seam the recorder is designed around:
+// ManualClock arithmetic and sleeps, DefaultClock monotonicity and sleeps.
 
 #include "obs/latency.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
-#include "obs/clock.h"
-#include "obs/metrics.h"
+#include "common/clock.h"
 
 namespace cdb {
 namespace obs {
@@ -143,19 +143,46 @@ TEST(LatencyRecorderTest, ConcurrentRecordingIsLossless) {
   EXPECT_EQ(rec.max_ns(), 1000 + n - 1);
 }
 
-TEST(LatencyRecorderTest, ExportPublishesTheDocumentedGauges) {
-  LatencyRecorder rec;
-  rec.RecordNanos(1'000'000);
-  rec.RecordNanos(3'000'000);
-  MetricsRegistry registry(/*enabled=*/true);
-  ExportLatencyMetrics(rec, &registry, "exec.query.latency");
-  EXPECT_EQ(registry.gauge("exec.query.latency.count")->value(), 2.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("exec.query.latency.mean_ms")->value(),
-                   2.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("exec.query.latency.max_ms")->value(), 3.0);
-  EXPECT_GT(registry.gauge("exec.query.latency.p50_ms")->value(), 0.0);
-  EXPECT_GT(registry.gauge("exec.query.latency.p95_ms")->value(), 0.0);
-  EXPECT_GT(registry.gauge("exec.query.latency.p99_ms")->value(), 0.0);
+TEST(LatencyRecorderTest, MergeFromAddsEveryBucketCountSumAndMax) {
+  LatencyRecorder a;
+  a.RecordNanos(1'000);
+  a.RecordNanos(3'000'000);
+  LatencyRecorder b;
+  b.RecordNanos(1'000);
+  b.RecordNanos(9'000'000);
+  b.RecordNanos(uint64_t{1} << 43);  // Overflow bucket.
+  LatencyRecorder merged;
+  merged.MergeFrom(a);
+  merged.MergeFrom(b);
+  EXPECT_EQ(merged.count(), 5u);
+  EXPECT_EQ(merged.sum_ns(), a.sum_ns() + b.sum_ns());
+  EXPECT_EQ(merged.max_ns(), uint64_t{1} << 43);
+  for (size_t i = 0; i < LatencyRecorder::kBuckets; ++i) {
+    EXPECT_EQ(merged.bucket_count(i), a.bucket_count(i) + b.bucket_count(i))
+        << "bucket " << i;
+  }
+  EXPECT_EQ(merged.bucket_count(0), 2u);
+  EXPECT_EQ(merged.bucket_count(LatencyRecorder::kBuckets - 1), 1u);
+  // The sources are read, never drained.
+  EXPECT_EQ(a.count(), 2u);
+  EXPECT_EQ(b.count(), 3u);
+}
+
+// A gated recorder (what MetricsRegistry::histogram hands out) drops both
+// single observations and merges while its gate is closed.
+TEST(LatencyRecorderTest, GatedRecorderDropsWhileDisabled) {
+  std::atomic<bool> enabled{false};
+  LatencyRecorder gated(&enabled);
+  LatencyRecorder batch;
+  batch.RecordNanos(2'000);
+  gated.RecordNanos(2'000);
+  gated.MergeFrom(batch);
+  EXPECT_EQ(gated.count(), 0u);
+  enabled.store(true);
+  gated.RecordNanos(2'000);
+  gated.MergeFrom(batch);
+  EXPECT_EQ(gated.count(), 2u);
+  EXPECT_EQ(gated.sum_ns(), 4'000u);
 }
 
 TEST(ClockTest, ManualClockIsExactAndDefaultClockIsMonotonic) {
@@ -165,6 +192,8 @@ TEST(ClockTest, ManualClockIsExactAndDefaultClockIsMonotonic) {
   EXPECT_EQ(clock.NowNanos(), 1000u);
   clock.AdvanceNanos(234);
   EXPECT_EQ(clock.NowNanos(), 1234u);
+  clock.SleepNanos(766);  // Sleeping on a manual clock advances it.
+  EXPECT_EQ(clock.NowNanos(), 2000u);
 
   Clock* def = DefaultClock();
   ASSERT_NE(def, nullptr);
@@ -172,6 +201,8 @@ TEST(ClockTest, ManualClockIsExactAndDefaultClockIsMonotonic) {
   const uint64_t a = def->NowNanos();
   const uint64_t b = def->NowNanos();
   EXPECT_LE(a, b);
+  def->SleepNanos(1'000'000);  // The steady clock really sleeps.
+  EXPECT_GE(def->NowNanos() - b, 1'000'000u);
 }
 
 }  // namespace

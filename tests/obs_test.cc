@@ -1,5 +1,5 @@
 // Unit tests for the observability layer (ISSUE 1): MetricsRegistry
-// counters/gauges/histograms, the JSON writer/parser, span tracing with
+// counters/gauges/latency histograms, the JSON writer/parser, span tracing with
 // pager-delta attribution, and the fault path (injected read failures must
 // leave no pinned frames and no ambient tracer behind).
 
@@ -60,10 +60,13 @@ TEST(MetricsTest, DisabledRegistryDropsEventsButKeepsGauges) {
   c->Increment(100);
   EXPECT_EQ(c->value(), 0u);
 
-  Result<Histogram*> h = reg.histogram("latency", {1.0, 10.0});
-  ASSERT_TRUE(h.ok());
-  h.value()->Observe(0.5);
-  EXPECT_EQ(h.value()->count(), 0u);
+  LatencyRecorder* h = reg.histogram("latency");
+  h->RecordNanos(5000);
+  LatencyRecorder batch;
+  batch.RecordNanos(7000);
+  h->MergeFrom(batch);
+  EXPECT_EQ(h->count(), 0u);
+  EXPECT_EQ(h->sum_ns(), 0u);
 
   // Gauges are snapshot metrics: they store regardless of the flag.
   Gauge* g = reg.gauge("resident");
@@ -73,59 +76,76 @@ TEST(MetricsTest, DisabledRegistryDropsEventsButKeepsGauges) {
   reg.SetEnabled(true);
   c->Increment();
   EXPECT_EQ(c->value(), 1u);
+  h->RecordNanos(5000);
+  h->MergeFrom(batch);
+  EXPECT_EQ(h->count(), 2u);
+  EXPECT_EQ(h->sum_ns(), 12000u);
 }
 
+// Every registry histogram has the recorder's layout: kBuckets - 1 finite
+// inclusive upper bounds from kMinTrackedNs up, then one overflow bucket.
 TEST(MetricsTest, HistogramBucketBoundsAreInclusiveUpperBounds) {
   MetricsRegistry reg(/*enabled=*/true);
-  Result<Histogram*> r = reg.histogram("h", {1.0, 10.0, 100.0});
-  ASSERT_TRUE(r.ok());
-  Histogram* h = r.value();
-  h->Observe(0.0);    // Bucket 0.
-  h->Observe(1.0);    // Bucket 0 (bounds are inclusive).
-  h->Observe(1.001);  // Bucket 1.
-  h->Observe(10.0);   // Bucket 1.
-  h->Observe(100.0);  // Bucket 2.
-  h->Observe(101.0);  // Overflow.
-  h->Observe(1e9);    // Overflow.
+  LatencyRecorder* h = reg.histogram("h");
+  ASSERT_EQ(LatencyRecorder::UpperBoundNs(0), 1024u);
+  ASSERT_EQ(LatencyRecorder::UpperBoundNs(1), 1217u);
+  const uint64_t last = LatencyRecorder::UpperBoundNs(
+      LatencyRecorder::kBuckets - 2);
+  ASSERT_EQ(last, uint64_t{1} << 42);
+  h->RecordNanos(0);         // Bucket 0.
+  h->RecordNanos(1024);      // Bucket 0 (bounds are inclusive).
+  h->RecordNanos(1025);      // Bucket 1.
+  h->RecordNanos(1217);      // Bucket 1.
+  h->RecordNanos(1218);      // Bucket 2.
+  h->RecordNanos(last);      // Last finite bucket.
+  h->RecordNanos(last + 1);  // Overflow.
   EXPECT_EQ(h->bucket_count(0), 2u);
   EXPECT_EQ(h->bucket_count(1), 2u);
   EXPECT_EQ(h->bucket_count(2), 1u);
-  EXPECT_EQ(h->bucket_count(3), 2u);  // bounds.size() == overflow bucket.
+  EXPECT_EQ(h->bucket_count(LatencyRecorder::kBuckets - 2), 1u);
+  EXPECT_EQ(h->bucket_count(LatencyRecorder::kBuckets - 1), 1u);
   EXPECT_EQ(h->count(), 7u);
-  EXPECT_DOUBLE_EQ(h->sum(), 0.0 + 1.0 + 1.001 + 10.0 + 100.0 + 101.0 + 1e9);
+  EXPECT_EQ(h->sum_ns(),
+            0 + 1024 + 1025 + 1217 + 1218 + last + (last + 1));
+
+  const MetricsSnapshot snap = reg.Snapshot();
+  const MetricsSnapshot::HistogramData& data = snap.histograms.at("h");
+  ASSERT_EQ(data.bounds.size(), LatencyRecorder::kBuckets - 1);
+  EXPECT_DOUBLE_EQ(data.bounds[0], 0.001024);  // Milliseconds.
+  ASSERT_EQ(data.counts.size(), LatencyRecorder::kBuckets);
+  EXPECT_EQ(data.counts[0], 2u);
+  EXPECT_EQ(data.counts.back(), 1u);
+  EXPECT_EQ(data.count, 7u);
 }
 
-TEST(MetricsTest, HistogramRegistrationErrors) {
+TEST(MetricsTest, HistogramRegistrationIsIdempotent) {
   MetricsRegistry reg(/*enabled=*/true);
-  EXPECT_FALSE(reg.histogram("empty", {}).ok());
-  EXPECT_FALSE(reg.histogram("unsorted", {10.0, 1.0}).ok());
-  EXPECT_FALSE(reg.histogram("dup-bound", {1.0, 1.0}).ok());
-
-  ASSERT_TRUE(reg.histogram("h", {1.0, 2.0}).ok());
-  // Re-registration with identical bounds returns the same histogram ...
-  Result<Histogram*> again = reg.histogram("h", {1.0, 2.0});
-  ASSERT_TRUE(again.ok());
-  // ... and with different bounds is an error.
-  EXPECT_FALSE(reg.histogram("h", {1.0, 3.0}).ok());
+  LatencyRecorder* h = reg.histogram("h");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(reg.histogram("h"), h);
+  EXPECT_NE(reg.histogram("other"), h);
 }
 
 TEST(MetricsTest, ResetAllZeroesEverythingAndKeepsHandles) {
   MetricsRegistry reg(/*enabled=*/true);
   Counter* c = reg.counter("c");
   Gauge* g = reg.gauge("g");
-  Histogram* h = reg.histogram("h", {5.0}).value();
+  LatencyRecorder* h = reg.histogram("h");
   c->Increment(3);
   g->Set(9);
-  h->Observe(1);
-  h->Observe(100);
+  h->RecordNanos(1);
+  h->RecordNanos(100'000);
   reg.ResetAll();
   EXPECT_EQ(c->value(), 0u);
   EXPECT_DOUBLE_EQ(g->value(), 0.0);
   EXPECT_EQ(h->count(), 0u);
-  EXPECT_DOUBLE_EQ(h->sum(), 0.0);
-  EXPECT_EQ(h->bucket_count(0), 0u);
-  EXPECT_EQ(h->bucket_count(1), 0u);
+  EXPECT_EQ(h->sum_ns(), 0u);
+  EXPECT_EQ(h->max_ns(), 0u);
+  for (size_t i = 0; i < LatencyRecorder::kBuckets; ++i) {
+    EXPECT_EQ(h->bucket_count(i), 0u);
+  }
   EXPECT_EQ(reg.counter("c"), c);  // Handles survive the reset.
+  EXPECT_EQ(reg.histogram("h"), h);
 }
 
 TEST(MetricsTest, JsonSnapshotRoundTripsAndSortsByName) {
@@ -133,7 +153,7 @@ TEST(MetricsTest, JsonSnapshotRoundTripsAndSortsByName) {
   reg.counter("z.last")->Increment(2);
   reg.counter("a.first")->Increment(1);
   reg.gauge("mid")->Set(0.25);
-  reg.histogram("lat", {1.0, 2.0}).value()->Observe(1.5);
+  reg.histogram("lat")->RecordNanos(1'500'000);
 
   Result<JsonValue> doc = ParseJson(reg.ToJson());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
@@ -154,7 +174,10 @@ TEST(MetricsTest, JsonSnapshotRoundTripsAndSortsByName) {
   const JsonValue* lat = hists->Find("lat");
   ASSERT_NE(lat, nullptr);
   EXPECT_DOUBLE_EQ(lat->Find("count")->number, 1.0);
-  EXPECT_DOUBLE_EQ(lat->Find("sum")->number, 1.5);
+  EXPECT_DOUBLE_EQ(lat->Find("sum")->number, 1.5);  // Milliseconds.
+  EXPECT_EQ(lat->Find("bounds")->items.size(),
+            LatencyRecorder::kBuckets - 1);
+  EXPECT_EQ(lat->Find("counts")->items.size(), LatencyRecorder::kBuckets);
 }
 
 TEST(MetricsTest, ExportPagerMetricsPublishesGauges) {
@@ -508,14 +531,15 @@ TEST(MetricsConcurrencyTest, ConcurrentHistogramObservationsAreExact) {
   constexpr size_t kThreads = 8;
   constexpr uint64_t kPerThread = 5000;
   MetricsRegistry reg(/*enabled=*/true);
-  Histogram* h = reg.histogram("concurrent.h", {1.0, 2.0}).value();
+  LatencyRecorder* h = reg.histogram("concurrent.h");
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([h, t] {
-      // Thread t observes a constant landing in bucket t % 3 (2.5 is the
-      // overflow bucket), so per-bucket totals are predictable.
-      const double v = 0.5 + static_cast<double>(t % 3);
-      for (uint64_t i = 0; i < kPerThread; ++i) h->Observe(v);
+      // Thread t records a constant landing in bucket t % 3 (1024, 1217
+      // and 1448 ns are the first three inclusive bounds), so per-bucket
+      // totals are predictable.
+      const uint64_t v = 1000 + 200 * (t % 3);
+      for (uint64_t i = 0; i < kPerThread; ++i) h->RecordNanos(v);
     });
   }
   for (auto& th : threads) th.join();
@@ -525,9 +549,8 @@ TEST(MetricsConcurrencyTest, ConcurrentHistogramObservationsAreExact) {
   EXPECT_EQ(h->bucket_count(0), 3 * kPerThread);
   EXPECT_EQ(h->bucket_count(1), 3 * kPerThread);
   EXPECT_EQ(h->bucket_count(2), 2 * kPerThread);
-  // The CAS-loop double accumulator loses nothing either.
-  EXPECT_DOUBLE_EQ(h->sum(),
-                   kPerThread * (3 * 0.5 + 3 * 1.5 + 2 * 2.5));
+  // The integer nanosecond sum loses nothing either.
+  EXPECT_EQ(h->sum_ns(), kPerThread * (3 * 1000 + 3 * 1200 + 2 * 1400));
 }
 
 TEST(MetricsConcurrencyTest, ConcurrentRegistrationYieldsOneStableHandle) {

@@ -1,13 +1,16 @@
 // Transient-read retry policy on the Pager's physical-read path (ISSUE 7):
-// bounded retries with injected backoff, exhaustion, the one-shot CRC
-// re-read, and the invariant that retries never double-charge page_reads.
+// bounded retries with backoff slept on the pager's Clock, exhaustion, the
+// one-shot CRC re-read, and the invariant that retries never double-charge
+// page_reads. The concurrent-backoff case runs under `-L tsan`.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "storage/fault_file.h"
 #include "storage/file.h"
 #include "storage/pager.h"
@@ -144,16 +147,31 @@ TEST(PagerRetryTest, DefaultPolicyDoesNotRetry) {
   EXPECT_TRUE(pager->Fetch(id).ok());
 }
 
+// Records every sleep instead of taking it; a sleep advances the clock.
+class RecordingClock final : public Clock {
+ public:
+  uint64_t NowNanos() override { return now_ns_; }
+  void SleepNanos(uint64_t ns) override {
+    sleeps_.push_back(ns);
+    now_ns_ += ns;
+  }
+  const std::vector<uint64_t>& sleeps() const { return sleeps_; }
+
+ private:
+  uint64_t now_ns_ = 0;
+  std::vector<uint64_t> sleeps_;
+};
+
 TEST(PagerRetryTest, BackoffDoublesAndCaps) {
   auto plan = std::make_shared<FaultInjectionFile::FaultPlan>();
-  std::vector<uint64_t> waits;
+  RecordingClock clock;
   PagerOptions opts;
   opts.page_size = kPageSize;
   opts.cache_frames = 4;
   opts.max_read_attempts = 4;
   opts.retry_backoff_base_ns = 100;
   opts.retry_backoff_cap_ns = 250;
-  opts.retry_backoff = [&](uint64_t wait_ns) { waits.push_back(wait_ns); };
+  opts.clock = &clock;
   std::unique_ptr<Pager> pager;
   ASSERT_TRUE(Pager::Open(std::make_unique<FaultInjectionFile>(
                               std::make_unique<MemFile>(kPageSize), plan),
@@ -164,12 +182,67 @@ TEST(PagerRetryTest, BackoffDoublesAndCaps) {
   plan->ArmTransientReads(/*n=*/0, /*k=*/3);
   ASSERT_TRUE(pager->Fetch(id).ok());
   // Exponential from the base, clamped at the cap; no wall-clock sleeps —
-  // the injected hook observed the whole schedule.
-  EXPECT_EQ(waits, (std::vector<uint64_t>{100, 200, 250}));
+  // the injected clock observed the whole schedule.
+  EXPECT_EQ(clock.sleeps(), (std::vector<uint64_t>{100, 200, 250}));
+  EXPECT_EQ(clock.NowNanos(), 550u);
   const PagerRetryStats r = pager->retry_stats();
   EXPECT_EQ(r.backoff_waits, 3u);
   EXPECT_EQ(r.backoff_wait_ns, 550u);
   EXPECT_EQ(r.read_recoveries, 1u);
+}
+
+// Readers on several threads miss, fail transiently and back off through
+// one shared ManualClock: every sleep lands on it exactly once, so the
+// clock ends at the pager's booked backoff total.
+TEST(PagerRetryTest, ConcurrentBackoffAdvancesOneSharedClock) {
+  constexpr int kReaders = 4;
+  constexpr int kPagesPerReader = 8;
+  constexpr int64_t kFailures = 12;
+  auto plan = std::make_shared<FaultInjectionFile::FaultPlan>();
+  ManualClock clock;
+  PagerOptions opts;
+  opts.page_size = kPageSize;
+  opts.cache_frames = kReaders * kPagesPerReader;
+  opts.max_read_attempts = kFailures + 1;  // No miss can exhaust.
+  opts.retry_backoff_base_ns = 100;
+  opts.retry_backoff_cap_ns = 1000;
+  opts.clock = &clock;
+  std::unique_ptr<Pager> pager;
+  ASSERT_TRUE(Pager::Open(std::make_unique<FaultInjectionFile>(
+                              std::make_unique<MemFile>(kPageSize), plan),
+                          opts, &pager)
+                  .ok());
+  std::vector<PageId> ids;
+  for (int i = 0; i < kReaders * kPagesPerReader; ++i) {
+    Result<PageId> id = pager->Allocate();
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  ASSERT_TRUE(pager->Flush().ok());
+  ASSERT_TRUE(pager->DropCache().ok());
+  ASSERT_TRUE(pager->BeginConcurrentReads().ok());
+
+  plan->ArmTransientReads(/*n=*/3, /*k=*/kFailures);
+  std::vector<std::thread> readers;
+  std::vector<int> failed(kReaders, 0);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      PagerReadSession session(pager.get());
+      for (int i = 0; i < kPagesPerReader; ++i) {
+        if (!pager->Fetch(ids[t * kPagesPerReader + i]).ok()) ++failed[t];
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  ASSERT_TRUE(pager->EndConcurrentReads().ok());
+
+  EXPECT_EQ(failed, std::vector<int>(kReaders, 0));
+  const PagerRetryStats r = pager->retry_stats();
+  EXPECT_EQ(r.read_retries, static_cast<uint64_t>(kFailures));
+  EXPECT_EQ(r.backoff_waits, static_cast<uint64_t>(kFailures));
+  EXPECT_EQ(r.read_exhausted, 0u);
+  EXPECT_GE(r.backoff_wait_ns, 100u * kFailures);
+  EXPECT_EQ(clock.NowNanos(), r.backoff_wait_ns);
 }
 
 TEST(PagerRetryTest, ChecksumMismatchRereadsOnceAndRecovers) {

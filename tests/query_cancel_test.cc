@@ -27,9 +27,10 @@ namespace {
 // Advances one nanosecond per reading: with deadline_ns = j, the j-th
 // context check is the first to fire, so sweeping j visits every
 // checkpoint position of a query deterministically.
-class TickingClock final : public obs::Clock {
+class TickingClock final : public Clock {
  public:
   uint64_t NowNanos() override { return ++now_; }
+  void SleepNanos(uint64_t ns) override { now_ += ns; }
 
  private:
   uint64_t now_ = 0;

@@ -286,9 +286,10 @@ TEST(RefineBatchTest, RefineOffReturnsProvenSuperset) {
 
 // Advances one nanosecond per reading, so deadline_ns = j fires at exactly
 // the j-th context check (same driver as query_cancel_test).
-class TickingClock final : public obs::Clock {
+class TickingClock final : public Clock {
  public:
   uint64_t NowNanos() override { return ++now_; }
+  void SleepNanos(uint64_t ns) override { now_ += ns; }
 
  private:
   uint64_t now_ = 0;
