@@ -26,7 +26,9 @@ void Check(const Status& st, const char* what) {
   }
 }
 
-std::unique_ptr<Pager> MakePager() {
+}  // namespace
+
+std::unique_ptr<Pager> MakeBenchPager() {
   PagerOptions opts;
   opts.page_size = kDefaultPageSize;  // 1024, as in the paper.
   opts.cache_frames = 64;
@@ -36,7 +38,17 @@ std::unique_ptr<Pager> MakePager() {
   return pager;
 }
 
-}  // namespace
+std::vector<GeneralizedTuple> GenerateTuples(const DatasetConfig& config) {
+  Rng rng(config.seed);
+  WorkloadOptions w;
+  w.size = config.size;
+  std::vector<GeneralizedTuple> tuples;
+  tuples.reserve(config.n);
+  for (int i = 0; i < config.n; ++i) {
+    tuples.push_back(RandomBoundedTuple(&rng, w));
+  }
+  return tuples;
+}
 
 // Query slopes and the slope set S share a moderate angle band (slopes up
 // to ~tan(0.9) = 1.26). The paper leaves the query-slope distribution
@@ -48,21 +60,17 @@ double AngleRange() { return 0.9; }
 
 Dataset BuildDataset(const DatasetConfig& config) {
   Dataset ds;
-  ds.rel_pager = MakePager();
-  ds.dual_pager = MakePager();
-  ds.rtree_pager = MakePager();
+  ds.rel_pager = MakeBenchPager();
+  ds.dual_pager = MakeBenchPager();
+  ds.rtree_pager = MakeBenchPager();
   Check(Relation::Open(ds.rel_pager.get(), kInvalidPageId, &ds.relation),
         "relation open");
   // Benches run with the sidecar on, like every fresh ConstraintDatabase;
   // inserts below keep it current.
   Check(ds.relation->EnableBoundingBoxCache(), "bbox cache enable");
 
-  Rng rng(config.seed);
-  WorkloadOptions w;
-  w.size = config.size;
   std::vector<std::pair<Rect, TupleId>> rects;
-  for (int i = 0; i < config.n; ++i) {
-    GeneralizedTuple t = RandomBoundedTuple(&rng, w);
+  for (const GeneralizedTuple& t : GenerateTuples(config)) {
     Result<TupleId> id = ds.relation->Insert(t);
     Check(id.status(), "relation insert");
     Rect box;

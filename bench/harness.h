@@ -46,6 +46,12 @@ struct DatasetConfig {
 /// clear of the vertical, like the paper's constraint angles).
 double AngleRange();
 
+/// A 1 KiB-page, 64-frame pager on an in-memory file, as every bench uses.
+std::unique_ptr<Pager> MakeBenchPager();
+
+/// The `config.n` tuples BuildDataset loads, from `config.seed`.
+std::vector<GeneralizedTuple> GenerateTuples(const DatasetConfig& config);
+
 /// Builds everything. Aborts the process on error (benchmark context).
 Dataset BuildDataset(const DatasetConfig& config);
 

@@ -1,12 +1,9 @@
-// Generalized relation: a persistent, paged store of generalized tuples.
+// Generalized relation: a persistent, paged store of 2-D generalized tuples.
 //
-// Tuples are serialized into data pages managed by a Pager; every Get()
-// costs one page fetch, which is how the benchmark harness charges the
-// refinement step of the approximation techniques. The id -> location
-// directory is kept in memory and rebuilt by scanning on Open (records are
-// self-describing), keeping the on-disk format simple and the page count —
-// the Figure 10 space metric — free of directory overhead for all
-// structures alike.
+// Tuples live in a TupleHeap (constraint/tuple_heap.h) as dim = 2 records,
+// read through HeapRelation; this class adds the bounding-box sidecar.
+// Every Get() costs one page fetch, which is how the benchmark harness
+// charges the refinement step of the approximation techniques.
 
 #ifndef CDB_CONSTRAINT_RELATION_H_
 #define CDB_CONSTRAINT_RELATION_H_
@@ -19,13 +16,14 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "constraint/generalized_tuple.h"
+#include "constraint/heap_relation.h"
 #include "geometry/rect.h"
 #include "storage/pager.h"
 
 namespace cdb {
 
 /// See file comment.
-class Relation {
+class Relation : public HeapRelation<GeneralizedTuple> {
  public:
   /// Opens a relation stored in `pager` (which the caller owns and must keep
   /// alive). `root_page` is the first data page of an existing relation, or
@@ -33,33 +31,11 @@ class Relation {
   static Status Open(Pager* pager, PageId root_page,
                      std::unique_ptr<Relation>* out);
 
-  /// First data page; persist it to reopen the relation later.
-  PageId root_page() const { return root_page_; }
-
-  /// The backing pager (for I/O accounting by callers).
-  Pager* pager() const { return pager_; }
-
   /// Appends a tuple and returns its id. The tuple must have at least one
   /// constraint and fit a page (constraint count is bounded by the page
   /// size; ~40 constraints at 1 KiB pages — generalized tuples in the paper
   /// have 3-6).
   Result<TupleId> Insert(const GeneralizedTuple& tuple);
-
-  /// Fetches tuple `id`. Costs one page access.
-  Status Get(TupleId id, GeneralizedTuple* out) const;
-
-  /// Resolves `id` to its data page without fetching it — the visibility
-  /// checks of Get() (published bound under single-writer mode, live flag)
-  /// with none of the I/O. The batch refiner uses this to sort candidates
-  /// into page runs before pinning anything.
-  Status LocateTuple(TupleId id, PageId* page) const;
-
-  /// Deserializes tuple `id` out of `page`, which the caller already holds
-  /// pinned and which must be the page LocateTuple resolved for this id.
-  /// Together with LocateTuple this splits Get() so one pinned page can
-  /// serve every candidate clustered on it.
-  Status GetFromPage(const PageRef& page, TupleId id,
-                     GeneralizedTuple* out) const;
 
   // --- Bounding-box sidecar (ISSUE 8c) ---------------------------------
   //
@@ -101,66 +77,47 @@ class Relation {
   Status VerifyBoundingBoxCache(
       const std::function<void(const std::string&)>& on_violation) const;
 
-  /// Tombstones tuple `id`. Its page is returned to the pager when the last
-  /// live record on it is deleted.
+  /// Tombstones tuple `id`; its page is freed with its last live record.
   Status Delete(TupleId id);
 
-  /// Number of live tuples.
-  uint64_t size() const { return live_count_; }
-
-  /// Calls fn(id, tuple) for every live tuple in id order. Stops and
-  /// propagates the first non-OK status returned by fn.
-  Status ForEach(
-      const std::function<Status(TupleId, const GeneralizedTuple&)>& fn) const;
-
   /// Prepares insert-only online appends under the pager's single-writer
-  /// mode: reserves directory capacity for up to `max_inserts` new tuples
-  /// (readers index the directory lock-free, so it must never reallocate
-  /// while they run) and initializes the published tuple count. Call
-  /// *before* Pager::BeginConcurrentReads(true); while that mode is
-  /// active, Insert fails once the reservation is exhausted and Delete is
-  /// rejected outright.
+  /// mode: reserves directory capacity for `max_inserts` new tuples (readers
+  /// index it lock-free, so it must never reallocate) and publishes the
+  /// current count. Call before Pager::BeginConcurrentReads(true); in that
+  /// mode Insert fails once the reservation is spent and Delete is rejected.
   Status BeginOnlineAppends(size_t max_inserts);
 
-  /// Makes every tuple appended so far visible to single-writer-mode
-  /// readers. Call after the pager's Flush() published their pages. Also
-  /// extends the published range of the bounding-box sidecar: box slots
-  /// appended since the last publish become readable only here, so a
-  /// reader can never index mirror entries the writer is still producing
-  /// (ids past either bound read as "no box" and take the full LP path).
+  /// Makes every tuple appended so far, and its sidecar slot, visible to
+  /// single-writer-mode readers. Call after the pager's Flush() published
+  /// their pages; until then readers see "no box" and take the LP path.
   void PublishAppends() {
     published_box_slots_.store(bbox_cache_.size(), std::memory_order_release);
-    published_tuples_.store(directory_.size(), std::memory_order_release);
+    heap_.PublishAppends();
   }
 
  private:
-  struct Location {
-    PageId page = kInvalidPageId;
-    uint16_t offset = 0;
-    bool live = false;
-  };
-
   /// Mirror of one sidecar slot.
   struct BoxEntry {
     bool has_box = false;
     Rect box;
   };
 
-  explicit Relation(Pager* pager) : pager_(pager) {}
+  explicit Relation(Pager* pager) : HeapRelation(pager, 2) {}
 
-  Status RebuildDirectory();
+  /// Allocates an empty sidecar page and appends it to bbox_pages_.
+  Result<PageRef> NewBoxPage();
   /// Appends one sidecar slot (persisted record + mirror entry) for the
-  /// tuple whose id equals the current slot count.
-  Status AppendBoxSlot(bool has_box, const Rect& box);
+  /// tuple whose id equals the current slot count; null for a dead id.
+  Status AppendBoxSlot(const GeneralizedTuple* tuple);
   /// Tombstones the persisted sidecar slot for `id` and clears its mirror.
   Status ClearBoxSlot(TupleId id);
   size_t BoxSlotsPerPage() const;
-
-  Pager* pager_;
-  PageId root_page_ = kInvalidPageId;
-  PageId tail_page_ = kInvalidPageId;
-  std::vector<Location> directory_;  // Indexed by TupleId.
-  uint64_t live_count_ = 0;
+  /// Reads the sidecar chain from `root` into `pages` and `slots`. A
+  /// partial non-tail page goes to `on_violation`; an over-full page is
+  /// Corruption.
+  Status ReadBoxChain(
+      PageId root, std::vector<PageId>* pages, std::vector<BoxEntry>* slots,
+      const std::function<void(const std::string&)>& on_violation) const;
 
   // Bounding-box sidecar state (all empty until Enable/Load).
   bool bbox_enabled_ = false;
@@ -168,12 +125,6 @@ class Relation {
   std::vector<PageId> bbox_pages_;   // Chain in order, for O(1) id -> page.
   std::vector<BoxEntry> bbox_cache_;  // Mirror, indexed by TupleId.
 
-  // Online-append state. Readers bound-check ids against the published
-  // count (acquire) instead of directory_.size(), whose vector bookkeeping
-  // the writer's push_back mutates; entries below the published count are
-  // immutable while the mode is active (Delete is rejected).
-  size_t swmr_capacity_ = 0;
-  std::atomic<uint64_t> published_tuples_{0};
   // Published bound on bbox_cache_ — single-writer-mode readers bound-check
   // sidecar lookups against this (acquire) instead of bbox_cache_.size(),
   // whose vector bookkeeping the writer's push_back mutates.

@@ -1,68 +1,38 @@
 // d-dimensional generalized relation: the paged store for GeneralizedTupleD
-// (Section 4.4 workloads). Mirrors Relation's design: self-describing
-// records on a doubly-linked page chain, an in-memory directory rebuilt on
-// open, one page access per Get.
+// (Section 4.4 workloads). Tuples live in a TupleHeap
+// (constraint/tuple_heap.h) of `dim`-dimensional records, read through
+// HeapRelation; one page access per Get, as for Relation.
 
 #ifndef CDB_CONSTRAINT_RELATION_D_H_
 #define CDB_CONSTRAINT_RELATION_D_H_
 
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "constraint/generalized_tuple.h"
+#include "constraint/heap_relation.h"
 #include "storage/pager.h"
 
 namespace cdb {
 
 /// See file comment.
-class RelationD {
+class RelationD : public HeapRelation<GeneralizedTupleD> {
  public:
   /// Opens a d-dimensional relation in `pager`; kInvalidPageId creates a
   /// fresh one. All tuples of one relation share the dimension `dim`.
   static Status Open(Pager* pager, size_t dim, PageId root_page,
                      std::unique_ptr<RelationD>* out);
 
-  PageId root_page() const { return root_page_; }
-  size_t dim() const { return dim_; }
-  Pager* pager() const { return pager_; }
+  size_t dim() const { return heap_.dim(); }
 
   Result<TupleId> Insert(const GeneralizedTupleD& tuple);
-  Status Get(TupleId id, GeneralizedTupleD* out) const;
 
-  /// Get() split in two for the page-clustered batch refiner: resolve the
-  /// data page without I/O, then deserialize any number of this page's
-  /// tuples while the caller keeps it pinned.
-  Status LocateTuple(TupleId id, PageId* page) const;
-  Status GetFromPage(const PageRef& page, TupleId id,
-                     GeneralizedTupleD* out) const;
-
-  Status Delete(TupleId id);
-  uint64_t size() const { return live_count_; }
-
-  Status ForEach(
-      const std::function<Status(TupleId, const GeneralizedTupleD&)>& fn)
-      const;
+  /// Tombstones tuple `id`; its page is freed with its last live record.
+  Status Delete(TupleId id) { return heap_.Delete(id); }
 
  private:
-  struct Location {
-    PageId page = kInvalidPageId;
-    uint16_t offset = 0;
-    bool live = false;
-  };
-
-  RelationD(Pager* pager, size_t dim) : pager_(pager), dim_(dim) {}
-
-  Status RebuildDirectory();
-
-  Pager* pager_;
-  size_t dim_;
-  PageId root_page_ = kInvalidPageId;
-  PageId tail_page_ = kInvalidPageId;
-  std::vector<Location> directory_;
-  uint64_t live_count_ = 0;
+  RelationD(Pager* pager, size_t dim) : HeapRelation(pager, dim) {}
 };
 
 }  // namespace cdb

@@ -112,6 +112,15 @@ Status CheckDatabase(ConstraintDatabase* db, CheckReport* report) {
   }
   report->AddCheck("index.trees", before);
 
+  // The data-page chain under the relation: links, page accounting, and
+  // directory entries, before any tuple is decoded from it.
+  before = report->violations.size();
+  CDB_RETURN_IF_ERROR(db->relation()->heap().Verify(
+      [report](const std::string& what) {
+        report->AddViolation("relation heap: " + what);
+      }));
+  report->AddCheck("relation.heap", before);
+
   // Every live tuple must deserialize.
   before = report->violations.size();
   uint64_t tuples = 0;

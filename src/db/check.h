@@ -27,9 +27,10 @@ namespace cdb {
 struct CheckReport {
   /// Per-phase verdict (ISSUE 5): CheckDatabase appends one entry per
   /// check phase it ran ("pager.relation", "pager.index", "index.trees",
-  /// "relation.tuples", and "relation.bbox_sidecar" when the relation
-  /// carries a bounding-box cache), so machine consumers (cdb_check
-  /// --json) see which phase failed, not just the flat violation list.
+  /// "relation.heap", "relation.tuples", and "relation.bbox_sidecar" when
+  /// the relation carries a bounding-box cache), so machine consumers
+  /// (cdb_check --json) see which phase failed, not just the flat
+  /// violation list.
   struct Entry {
     std::string name;
     bool ok = true;

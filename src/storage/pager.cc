@@ -152,13 +152,7 @@ Pager::Pager(std::unique_ptr<BlockFile> file,
       retry_backoff_cap_ns_(options.retry_backoff_cap_ns),
       reread_on_checksum_mismatch_(options.reread_on_checksum_mismatch),
       block_scratch_(options.page_size),
-      journal_scratch_(JournalBlockSize(options.page_size)) {
-  // Round the shard count up to a power of two so ShardOf is a mask.
-  size_t want = options.read_shards == 0 ? 1 : options.read_shards;
-  size_t shards = 1;
-  while (shards < want && shards < 1024) shards <<= 1;
-  shard_mask_ = shards - 1;
-}
+      journal_scratch_(JournalBlockSize(options.page_size)) {}
 
 Status Pager::Open(std::unique_ptr<BlockFile> file,
                    const PagerOptions& options, std::unique_ptr<Pager>* out) {
@@ -719,7 +713,7 @@ Status Pager::BeginConcurrentReads(bool single_writer) {
   // frames without write-back, and readers never see in-flight mutations.
   CDB_RETURN_IF_ERROR(Flush());
   if (shards_.empty()) {
-    shards_.resize(shard_mask_ + 1);
+    shards_.resize(kReadShards);
     for (auto& s : shards_) s = std::make_unique<ReadShard>();
   }
   // Per-epoch fetch distribution restarts with the mode (ShardImbalance()).

@@ -79,6 +79,11 @@ inline constexpr size_t kPageHeaderSize = 16;
 /// Per-record framing overhead in the journal file (see JournalBlockSize).
 inline constexpr size_t kJournalBlockOverhead = 16;
 
+/// Buffer-pool shards used while in concurrent-read mode (a power of two,
+/// so a page's shard is `id & (kReadShards - 1)`). Exclusive mode has one
+/// LRU, which stays byte-identical to the paper's accounting.
+inline constexpr size_t kReadShards = 8;
+
 class Pager;
 
 /// Pinned view of a page's bytes. The frame stays resident while any
@@ -125,10 +130,6 @@ struct PagerOptions {
   /// every write. The mode is recorded in the meta page; a file must be
   /// reopened with the mode it was created with.
   bool checksums = true;
-  /// Buffer-pool shards used while in concurrent-read mode (rounded up to a
-  /// power of two). Exclusive mode ignores this — the single LRU stays
-  /// byte-identical to the paper's accounting.
-  size_t read_shards = 8;
 
   /// Transient-read retry policy (ISSUE 7; DESIGN.md §2g). Applies only to
   /// the physical page reads behind Fetch() cache misses — open/recovery
@@ -433,7 +434,7 @@ class Pager {
 
   // Concurrent-read machinery (pager.cc; active only between
   // BeginConcurrentReads and EndConcurrentReads).
-  size_t ShardOf(PageId id) const { return id & shard_mask_; }
+  static size_t ShardOf(PageId id) { return id & (kReadShards - 1); }
   Result<PageRef> SharedFetch(PageId id);
   void SharedUnpin(PageId id);
   void MergeSessionStats(const IoStats& delta);
@@ -528,7 +529,6 @@ class Pager {
   // other thread touches the pager (the executor's dispatch handshake
   // provides the happens-before edge), so it needs no atomicity itself.
   bool shared_mode_ = false;
-  size_t shard_mask_ = 0;  // shards - 1 (shard count is a power of two).
   std::vector<std::unique_ptr<ReadShard>> shards_;
   std::atomic<size_t> shared_frames_{0};  // Frames across all shards.
   std::atomic<size_t> shared_pinned_{0};  // Pinned frames across all shards.

@@ -66,10 +66,11 @@ TEST(CheckTest, ReportCarriesPerCheckEntriesAndJsonVerdict) {
 
   CheckReport report;
   ASSERT_TRUE(CheckDatabase(db.get(), &report).ok());
-  const char* expected[] = {"pager.relation", "pager.index", "index.trees",
+  const char* expected[] = {"pager.relation",  "pager.index",
+                            "index.trees",     "relation.heap",
                             "relation.tuples", "relation.bbox_sidecar"};
-  ASSERT_EQ(report.checks.size(), 5u);
-  for (size_t i = 0; i < 5; ++i) {
+  ASSERT_EQ(report.checks.size(), 6u);
+  for (size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(report.checks[i].name, expected[i]);
     EXPECT_TRUE(report.checks[i].ok) << report.checks[i].name;
     EXPECT_EQ(report.checks[i].violations, 0u);
@@ -91,13 +92,52 @@ TEST(CheckTest, ReportCarriesPerCheckEntriesAndJsonVerdict) {
   const obs::JsonValue* checks = v.Find("checks");
   ASSERT_NE(checks, nullptr);
   ASSERT_TRUE(checks->is_array());
-  ASSERT_EQ(checks->items.size(), 5u);
-  for (size_t i = 0; i < 5; ++i) {
+  ASSERT_EQ(checks->items.size(), 6u);
+  for (size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(checks->items[i].Find("name")->string_value, expected[i]);
     EXPECT_TRUE(checks->items[i].Find("ok")->bool_value);
   }
   ASSERT_NE(v.Find("violations"), nullptr);
   EXPECT_TRUE(v.Find("violations")->items.empty());
+}
+
+// A data page whose live_records disagrees with its live flags is reported
+// under relation.heap, naming the page; every other phase stays sound.
+TEST(CheckTest, HeapCheckReportsTamperedLiveCount) {
+  DatabaseOptions opts;
+  opts.in_memory = true;
+  std::unique_ptr<ConstraintDatabase> db;
+  ASSERT_TRUE(ConstraintDatabase::Open("mem_heap", opts, &db).ok());
+  Rng rng(17);
+  WorkloadOptions wopts;
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(db->Insert(RandomBoundedTuple(&rng, wopts)).ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  PageId page;
+  ASSERT_TRUE(db->relation()->LocateTuple(30, &page).ok());
+  {
+    Result<PageRef> ref = db->relation_pager()->Fetch(page);
+    ASSERT_TRUE(ref.ok());
+    uint16_t live;  // PageHeader: next u32 | prev u32 | used u16 | live u16.
+    std::memcpy(&live, ref.value().data() + 10, 2);
+    --live;
+    std::memcpy(ref.value().data() + 10, &live, 2);
+    ref.value().MarkDirty();
+  }
+
+  CheckReport report;
+  ASSERT_TRUE(CheckDatabase(db.get(), &report).ok());
+  EXPECT_FALSE(report.ok());
+  for (const CheckReport::Entry& e : report.checks) {
+    EXPECT_EQ(e.ok, e.name != "relation.heap") << e.name;
+  }
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_NE(report.violations[0].find("live_records"), std::string::npos)
+      << report.violations[0];
+  EXPECT_NE(report.violations[0].find("page " + std::to_string(page)),
+            std::string::npos)
+      << report.violations[0];
 }
 
 // AddCheck attributes exactly the violations recorded since its snapshot,
