@@ -1,7 +1,7 @@
-// E12 — google-benchmark micro suite for the substrates: LP evaluation
-// (the TOP/BOT oracle), polyhedron construction, B+-tree operations, pager
-// fetches and R+-tree search. These are the constants behind every number
-// in the figure benches.
+// E12 — google-benchmark micro suite for the substrates: the TOP/BOT
+// oracle (V-representation build, one-shot and mirrored support values),
+// B+-tree operations, pager fetches and R+-tree search. These are the
+// constants behind every number in the figure benches.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +11,7 @@
 #include "btree/bplus_tree.h"
 #include "harness.h"
 #include "common/rng.h"
+#include "constraint/relation.h"
 #include "geometry/dual.h"
 #include "geometry/lpd.h"
 #include "geometry/polyhedron2d.h"
@@ -39,6 +40,7 @@ GeneralizedTuple SampleTuple(uint64_t seed) {
   return RandomBoundedTuple(&rng, w);
 }
 
+// One-shot TOP from constraints: builds the V-representation every call.
 void BM_TopValue(benchmark::State& state) {
   GeneralizedTuple t = SampleTuple(1);
   double slope = 0.37;
@@ -48,6 +50,42 @@ void BM_TopValue(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopValue);
+
+// The V-representation build alone: what Relation::Insert and the chain
+// scan of Relation::Open pay once per tuple.
+void BM_PolyhedronBuild(benchmark::State& state) {
+  GeneralizedTuple t = SampleTuple(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Polyhedron2D::FromConstraints(t.constraints()));
+  }
+}
+BENCHMARK(BM_PolyhedronBuild);
+
+// The hot-path support value: a shape read from a relation's mirror and
+// one TOP evaluated on it, as keys, assignments and refinement do.
+void BM_MirrorSupport(benchmark::State& state) {
+  constexpr TupleId kTuples = 1024;
+  auto pager = MakePager(4096);
+  std::unique_ptr<Relation> relation;
+  if (!Relation::Open(pager.get(), kInvalidPageId, &relation).ok()) {
+    std::abort();
+  }
+  Rng rng(7);
+  WorkloadOptions w;
+  for (TupleId i = 0; i < kTuples; ++i) {
+    if (!relation->Insert(RandomBoundedTuple(&rng, w)).ok()) std::abort();
+  }
+  TupleId id = 0;
+  double slope = 0.37;
+  for (auto _ : state) {
+    Polyhedron2DView shape;
+    if (!relation->Shape(id, &shape)) std::abort();
+    benchmark::DoNotOptimize(TopValue(shape, slope));
+    id = (id + 1) % kTuples;
+    slope += 1e-6;
+  }
+}
+BENCHMARK(BM_MirrorSupport);
 
 void BM_TopValueD(benchmark::State& state) {
   Rng rng(2);
@@ -59,14 +97,6 @@ void BM_TopValueD(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopValueD)->Arg(2)->Arg(3)->Arg(4)->Arg(6);
-
-void BM_PolyhedronFromConstraints(benchmark::State& state) {
-  GeneralizedTuple t = SampleTuple(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Polyhedron2D::FromConstraints(t.constraints()));
-  }
-}
-BENCHMARK(BM_PolyhedronFromConstraints);
 
 void BM_TightAssignment(benchmark::State& state) {
   GeneralizedTuple t = SampleTuple(4);

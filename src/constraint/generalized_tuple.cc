@@ -1,8 +1,7 @@
 #include "constraint/generalized_tuple.h"
 
 #include <cmath>
-
-#include "geometry/lp2d.h"
+#include <string>
 
 namespace cdb {
 
@@ -12,6 +11,18 @@ Status NonFinite() {
   return Status::InvalidArgument("tuple coefficients must be finite");
 }
 
+// Finite, and zero or inside [kMinCoefficient, kMaxCoefficient].
+Status CheckCoefficient(double v) {
+  if (!std::isfinite(v)) return NonFinite();
+  const double mag = std::fabs(v);
+  if (mag != 0.0 && (mag < kMinCoefficient || mag > kMaxCoefficient)) {
+    return Status::InvalidArgument(
+        "tuple coefficient " + std::to_string(v) +
+        " outside the exact range: zero or magnitude in [2^-64, 2^64]");
+  }
+  return Status::OK();
+}
+
 Status Empty() {
   return Status::InvalidArgument("tuple must have at least one constraint");
 }
@@ -19,15 +30,13 @@ Status Empty() {
 }  // namespace
 
 bool GeneralizedTuple::IsSatisfiable() const {
-  return IsSatisfiable2D(constraints_);
+  return Polyhedron().feasible;
 }
 
 Status ValidateTuple(const GeneralizedTuple& tuple) {
   if (tuple.empty()) return Empty();
   for (const Constraint2D& c : tuple.constraints()) {
-    if (!std::isfinite(c.a) || !std::isfinite(c.b) || !std::isfinite(c.c)) {
-      return NonFinite();
-    }
+    for (double v : {c.a, c.b, c.c}) CDB_RETURN_IF_ERROR(CheckCoefficient(v));
   }
   return Status::OK();
 }

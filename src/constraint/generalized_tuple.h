@@ -73,13 +73,23 @@ class GeneralizedTupleD {
   std::vector<ConstraintD> constraints_;
 };
 
+/// Coefficient magnitudes the geometry arithmetic handles exactly: every
+/// coefficient (a, b and c alike) is zero or has magnitude in
+/// [kMinCoefficient, kMaxCoefficient] = [2^-64, 2^64]. Inside that range no
+/// product, difference or quotient of the boundary-intersection and
+/// support arithmetic (geometry/polyhedron2d.h) overflows to infinity or
+/// underflows into subnormals, so each is correctly rounded; outside it a
+/// vertex can come out infinite, zero or wrong without any signal.
+inline constexpr double kMinCoefficient = 0x1p-64;
+inline constexpr double kMaxCoefficient = 0x1p64;
+
 /// The admission check for a tuple entering the system (Relation::Insert,
-/// RelationD::Insert, DualIndex::ValidateForInsert and Insert, and through
-/// them IngestQueue::Submit): InvalidArgument unless the tuple has at least
-/// one constraint and every coefficient is finite. The LP solver cannot
-/// decide a NaN or infinite coefficient — a NaN row reads as satisfiable
-/// with TOP = +inf and BOT = -inf, so the index would store a phantom
-/// tuple with infinite keys.
+/// RelationD::Insert, DualIndex::ValidateForInsert and Insert, the parser,
+/// and through them IngestQueue::Submit): InvalidArgument unless the tuple
+/// has at least one constraint and every coefficient is finite and inside
+/// the magnitude range above. A NaN or infinite coefficient cannot be
+/// decided at all — a NaN row reads as satisfiable with TOP = +inf and
+/// BOT = -inf, so the index would store a phantom tuple with infinite keys.
 Status ValidateTuple(const GeneralizedTuple& tuple);
 Status ValidateTuple(const GeneralizedTupleD& tuple);
 

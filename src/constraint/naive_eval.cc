@@ -1,10 +1,8 @@
 #include "constraint/naive_eval.h"
 
 #include <cmath>
-#include <limits>
 
 #include "geometry/dual.h"
-#include "geometry/lp2d.h"
 
 namespace cdb {
 

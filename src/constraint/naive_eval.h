@@ -2,7 +2,9 @@
 //
 // Serves two roles: the ground truth every index implementation is tested
 // against, and the "no index" baseline in benchmarks. Each tuple costs one
-// page fetch (through Relation::Get) plus two LP evaluations.
+// page fetch (through Relation::Get); its V-representation is rebuilt from
+// the stored bytes, never read from the relation's mirror, so the scan
+// also checks the mirror the index and refiner decide from.
 
 #ifndef CDB_CONSTRAINT_NAIVE_EVAL_H_
 #define CDB_CONSTRAINT_NAIVE_EVAL_H_

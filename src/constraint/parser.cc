@@ -164,9 +164,7 @@ Status ParseConstraint(Lexer* lex, GeneralizedTuple* out) {
   return Status::OK();
 }
 
-}  // namespace
-
-Status ParseGeneralizedTuple(const std::string& text, GeneralizedTuple* out) {
+Status ParseConjunction(const std::string& text, GeneralizedTuple* out) {
   *out = GeneralizedTuple();
   Lexer lex(text);
   if (lex.AtEnd()) return Status::InvalidArgument("empty tuple text");
@@ -179,9 +177,16 @@ Status ParseGeneralizedTuple(const std::string& text, GeneralizedTuple* out) {
   }
 }
 
+}  // namespace
+
+Status ParseGeneralizedTuple(const std::string& text, GeneralizedTuple* out) {
+  CDB_RETURN_IF_ERROR(ParseConjunction(text, out));
+  return ValidateTuple(*out);
+}
+
 Status ParseHalfPlaneQuery(const std::string& text, HalfPlaneQuery* out) {
   GeneralizedTuple tuple;
-  CDB_RETURN_IF_ERROR(ParseGeneralizedTuple(text, &tuple));
+  CDB_RETURN_IF_ERROR(ParseConjunction(text, &tuple));
   // Accept a single non-vertical constraint; '=' (two constraints) is not a
   // half-plane.
   if (tuple.size() != 1) {

@@ -24,7 +24,9 @@
 namespace cdb {
 
 /// Parses `text` into a generalized tuple. On error, returns
-/// InvalidArgument with a message pointing at the offending token.
+/// InvalidArgument with a message pointing at the offending token; a tuple
+/// that parses but fails ValidateTuple (a coefficient outside the exact
+/// range) is InvalidArgument too.
 Status ParseGeneralizedTuple(const std::string& text, GeneralizedTuple* out);
 
 /// Parses a half-plane query of the form "y <= 2*x + 3" or "y >= -0.5x".

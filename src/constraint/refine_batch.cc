@@ -1,9 +1,9 @@
 #include "constraint/refine_batch.h"
 
-#include <cmath>
+#include <algorithm>
+#include <string>
 
 #include "geometry/dual.h"
-#include "geometry/lp2d.h"
 
 namespace cdb {
 
@@ -20,13 +20,13 @@ inline void BoxSupport(const Rect& box, double slope, double* f_min,
   *f_min = box.ylo - std::max(e1, e2);
 }
 
-/// Box-provable decision: +1 accept, -1 reject, 0 undecided (run the LP).
+/// Box-provable decision: +1 accept, -1 reject, 0 undecided (refine).
 /// The box can prove ALL-accepts (the whole box, hence the whole tuple,
 /// satisfies the query) and EXIST-rejects (not even the box touches the
 /// query) — never EXIST-accepts or ALL-rejects, which depend on the exact
 /// tuple shape. The Definitely* margin (kEps * scale, ~1e-9 relative)
 /// dominates the ~1e-16 relative rounding between the corner arithmetic
-/// and the LP's support values, so every box decision agrees with the
+/// and the exact support values, so every box decision agrees with the
 /// decision ExactAll/ExactExist would have made (DESIGN.md §2h).
 inline int DecideFromBox(const Rect& box, SelectionType type,
                          const HalfPlaneQuery& q) {
@@ -42,37 +42,6 @@ inline int DecideFromBox(const Rect& box, SelectionType type,
     return DefinitelyGreater(q.intercept, f_max) ? -1 : 0;
   }
   return DefinitelyLess(q.intercept, f_min) ? -1 : 0;
-}
-
-/// ExactAll/ExactExist (geometry/dual.cc) restructured over a
-/// pre-normalized SoA slice, decision-identical to that pair:
-///
-///   ALL(q(>=))  iff  b <= BOT;   ALL(q(<=))  iff  b >= TOP;
-///   EXIST(q(>=)) iff b <= TOP;  EXIST(q(<=)) iff b >= BOT.
-///
-/// ALL(>=) and EXIST(<=) read BOT (objective (slope, -1), support = -value);
-/// the other two read TOP (objective (-slope, 1), support = value). The
-/// boxed solve runs once; when its finite support value already decides the
-/// query the same way on both recession-probe branches (an unbounded
-/// surface makes ALL false and EXIST true regardless of b), the probe — the
-/// second, equally expensive solve — is skipped.
-bool ExactHalfPlaneSlice(const NormSlice2D& slice, SelectionType type,
-                         const HalfPlaneQuery& q) {
-  const bool bot_side = (type == SelectionType::kAll) == (q.cmp == Cmp::kGE);
-  const double cx = bot_side ? q.slope : -q.slope;
-  const double cy = bot_side ? -1.0 : 1.0;
-  LpBoxed2D base = SolveBoxedNormalized2D(slice, cx, cy, kLpBox, false);
-  if (!base.feasible) return false;  // Unsatisfiable (NaN surface): no match.
-  const double support = bot_side ? -base.value : base.value;
-  const bool finite_ok = q.cmp == Cmp::kGE
-                             ? LessOrEq(q.intercept, support)
-                             : GreaterOrEq(q.intercept, support);
-  if (type == SelectionType::kAll) {
-    if (!finite_ok) return false;  // Rejects whether bounded or not.
-    return !UnboundedAbove2D(slice, cx, cy);  // ±inf surface rejects ALL.
-  }
-  if (finite_ok) return true;  // Accepts whether bounded or not.
-  return UnboundedAbove2D(slice, cx, cy);  // ±inf surface accepts EXIST.
 }
 
 }  // namespace
@@ -94,14 +63,16 @@ Status RefineBatch2D(const Relation& relation, SelectionType type,
   batch_candidates->Increment(ids->size());
   std::vector<TupleId> kept;
   kept.reserve(ids->size());
-  NormSoa2D soa;
+  const bool use_box = relation.bbox_cache_enabled();
   std::optional<PageRef> page;
   PageId pinned = kInvalidPageId;
 
   for (TupleId id : *ids) {
-    // Layer (c): decide box-provable candidates without any fetch or LP.
+    Polyhedron2DView shape;
+    const bool mirrored = relation.Shape(id, &shape);
+    // Layer (c): decide box-provable candidates without any fetch.
     Rect box;
-    if (relation.CachedBoundingBox(id, &box)) {
+    if (use_box && mirrored && shape.BoundingRect(&box)) {
       int decision = DecideFromBox(box, type, q);
       if (decision > 0) {
         kept.push_back(id);
@@ -132,16 +103,23 @@ Status RefineBatch2D(const Relation& relation, SelectionType type,
       pinned = pid;
       batch_pages->Increment();
     }
-    GeneralizedTuple tuple;
-    CDB_RETURN_IF_ERROR(relation.GetFromPage(*page, id, &tuple));
-    // Layer (b): normalize into the reused SoA buffers and decide via the
-    // flat-loop kernels.
+    // The fetched record must be the live tuple the directory promised;
+    // the decision itself reads the mirror, not the record's bytes.
+    const char* body = nullptr;
+    uint16_t m = 0;
+    CDB_RETURN_IF_ERROR(relation.heap().Record(*page, id, &body, &m));
+    // A writer may have published the id since the first lookup; the heap
+    // publishes after the mirror, so a visible record now has its shape.
+    if (!mirrored && !relation.Shape(id, &shape)) {
+      return Status::Internal("no V-representation for tuple " +
+                              std::to_string(id));
+    }
+    // Layer (b): the exact predicate on the V-representation, O(v).
     CDB_TRACE_SPAN("lp");
     lp_calls->Increment();
-    soa.clear();
-    AppendNormalized2D(tuple.constraints(), &soa);
-    NormSlice2D slice{&soa, 0, soa.size()};
-    if (ExactHalfPlaneSlice(slice, type, q)) {
+    const bool hit = type == SelectionType::kAll ? ExactAll(shape, q)
+                                                 : ExactExist(shape, q);
+    if (hit) {
       kept.push_back(id);
       ++filter->refine_accepts;
     } else {

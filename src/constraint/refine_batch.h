@@ -2,9 +2,9 @@
 //
 // Every query family — dual T1/T2, the d-dimensional index, the R-tree
 // baselines — ends its filter step with the same tail: fetch each surviving
-// candidate tuple, run the exact LP predicate, book the outcome into
+// candidate tuple, run the exact predicate, book the outcome into
 // FilterCounts. This module is that tail, in exactly one place, with three
-// composable optimizations over a per-candidate fetch-and-solve loop:
+// composable optimizations over a per-candidate fetch-and-decide loop:
 //
 //  (a) page clustering — candidates arrive in ascending TupleId order,
 //      which is physical page-chain order for an append-only relation, so
@@ -13,10 +13,11 @@
 //      on it while pinned, turning O(candidates) logical fetches into
 //      O(distinct pages) and moving QueryContext checkpoints to page
 //      granularity.
-//  (b) SoA kernels — each tuple's constraints are normalized once into
-//      contiguous arrays (geometry/lp2d.h NormSoa2D) and the sign tests run
-//      as flat autovectorizable loops, decision-identical to the
-//      ExactAll/ExactExist path (DESIGN.md §2h).
+//  (b) mirrored shapes — the 2-D refiner decides from the relation's
+//      in-memory V-representation (Relation::Shape) with the same
+//      ExactAll/ExactExist as naive evaluation, O(v) per candidate; the
+//      fetched page still pays the paper's refinement charge and proves the
+//      record live, but its bytes are never decoded (DESIGN.md §2h).
 //  (c) bounding-box early-accept — when the relation carries an AABB
 //      sidecar (Relation::EnableBoundingBoxCache), candidates the box
 //      already proves are decided without fetching the tuple at all:

@@ -49,30 +49,64 @@ void DeserializeBoxRecord(const char* src, bool* has_box, Rect* box) {
 Status Relation::Open(Pager* pager, PageId root_page,
                       std::unique_ptr<Relation>* out) {
   std::unique_ptr<Relation> rel(new Relation(pager));
-  CDB_RETURN_IF_ERROR(rel->heap_.Open(root_page));
+  ShapeMirror* mirror = &rel->mirror_;
+  CDB_RETURN_IF_ERROR(rel->heap_.Open(
+      root_page, [mirror](TupleId id, const char* body, uint16_t m) {
+        GeneralizedTuple tuple;
+        DecodeTuple(body, m, 2, &tuple);
+        mirror->Put(id, tuple.Polyhedron());
+      }));
+  rel->mirror_.Resize(rel->heap_.id_bound());
   *out = std::move(rel);
   return Status::OK();
 }
 
 Result<TupleId> Relation::Insert(const GeneralizedTuple& tuple) {
   CDB_RETURN_IF_ERROR(ValidateTuple(tuple));
+  const Polyhedron2D shape = tuple.Polyhedron();
   Result<TupleId> id = Append(tuple);
-  if (!id.ok() || !bbox_enabled_) return id;
-  CDB_RETURN_IF_ERROR(AppendBoxSlot(&tuple));
+  if (!id.ok()) return id;
+  mirror_.Put(id.value(), shape);
+  if (bbox_enabled_) CDB_RETURN_IF_ERROR(AppendBoxSlot(id.value()));
   return id;
+}
+
+bool Relation::Shape(TupleId id, Polyhedron2DView* out) const {
+  // Single-writer-mode readers never consult mirror_.size(), which the
+  // writer mutates mid-append: ids past the published bound read as absent.
+  // Visibility is checked first: PublishAppends stores the mirror bound
+  // before the heap's, so an id the heap shows is below the mirror bound.
+  if (!heap_.Visible(id)) return false;
+  const uint64_t bound =
+      pager()->InSwmrReadContext()
+          ? published_shapes_.load(std::memory_order_acquire)
+          : mirror_.size();
+  return id < bound && mirror_.Get(id, out);
+}
+
+Status Relation::ForEachShape(
+    const std::function<Status(TupleId, const Polyhedron2DView&)>& fn)
+    const {
+  for (TupleId id = 0; id < heap_.id_bound(); ++id) {
+    Polyhedron2DView shape;
+    if (!Shape(id, &shape)) continue;
+    CDB_RETURN_IF_ERROR(fn(id, shape));
+  }
+  return Status::OK();
 }
 
 Status Relation::Delete(TupleId id) {
   CDB_RETURN_IF_ERROR(heap_.Delete(id));
+  mirror_.Clear(id);
   return bbox_enabled_ ? ClearBoxSlot(id) : Status::OK();
 }
 
 Status Relation::BeginOnlineAppends(size_t max_inserts) {
   CDB_RETURN_IF_ERROR(heap_.BeginOnlineAppends(max_inserts));
-  // The box mirror is indexed lock-free by readers just like the
-  // directory, so it must never reallocate while they run.
-  if (bbox_enabled_) bbox_cache_.reserve(heap_.online_capacity());
-  published_box_slots_.store(bbox_cache_.size(), std::memory_order_release);
+  // The mirror is indexed lock-free by readers just like the directory, so
+  // it must never reallocate while they run.
+  mirror_.Reserve(max_inserts);
+  published_shapes_.store(mirror_.size(), std::memory_order_release);
   return Status::OK();
 }
 
@@ -91,9 +125,11 @@ Result<PageRef> Relation::NewBoxPage() {
   return ref;
 }
 
-Status Relation::AppendBoxSlot(const GeneralizedTuple* tuple) {
+Status Relation::AppendBoxSlot(TupleId id) {
   Rect box;
-  const bool has_box = tuple != nullptr && tuple->GetBoundingRect(&box);
+  Polyhedron2DView shape;
+  const bool has_box = id < mirror_.size() && mirror_.Get(id, &shape) &&
+                       shape.BoundingRect(&box);
   if (!has_box) box = Rect();
   Result<PageRef> tail = pager()->Fetch(bbox_pages_.back());
   if (!tail.ok()) return tail.status();
@@ -114,13 +150,12 @@ Status Relation::AppendBoxSlot(const GeneralizedTuple* tuple) {
   ++h.count;
   WriteBoxHeader(tail.value().data(), h);
   tail.value().MarkDirty();
-  bbox_cache_.push_back({has_box, box});
+  ++box_slots_;
   return Status::OK();
 }
 
 Status Relation::ClearBoxSlot(TupleId id) {
-  if (id >= bbox_cache_.size()) return Status::OK();
-  bbox_cache_[id].has_box = false;
+  if (id >= box_slots_) return Status::OK();
   const size_t per_page = BoxSlotsPerPage();
   Result<PageRef> ref = pager()->Fetch(bbox_pages_[id / per_page]);
   if (!ref.ok()) return ref.status();
@@ -134,8 +169,8 @@ Status Relation::ClearBoxSlot(TupleId id) {
 Status Relation::EnableBoundingBoxCache() {
   if (bbox_enabled_) return Status::OK();
   if (pager()->concurrent_reads_active()) {
-    // Readers index the mirror lock-free; building it under them would
-    // race the backfill. Enable before serving starts.
+    // Readers consult bbox_enabled_ lock-free; flipping it under them would
+    // race. Enable before serving starts.
     return Status::InvalidArgument(
         "EnableBoundingBoxCache during concurrent reads");
   }
@@ -144,19 +179,13 @@ Status Relation::EnableBoundingBoxCache() {
   if (!root.ok()) return root.status();
   bbox_root_ = root.value().id();
   root.value().Release();
-  bbox_cache_.clear();
-  // Cover a pending BeginOnlineAppends reservation too, so the mirror
-  // never reallocates once single-writer serving starts.
-  bbox_cache_.reserve(std::max(heap_.id_bound(), heap_.online_capacity()));
-  bbox_enabled_ = true;
+  box_slots_ = 0;
   // Backfill one slot per existing directory entry; dead ids get empty
   // slots so the id-positional mapping holds.
   for (TupleId id = 0; id < heap_.id_bound(); ++id) {
-    GeneralizedTuple tuple;
-    const bool live = heap_.Visible(id);
-    if (live) CDB_RETURN_IF_ERROR(Get(id, &tuple));
-    CDB_RETURN_IF_ERROR(AppendBoxSlot(live ? &tuple : nullptr));
+    CDB_RETURN_IF_ERROR(AppendBoxSlot(id));
   }
+  bbox_enabled_ = true;
   return Status::OK();
 }
 
@@ -204,19 +233,19 @@ Status Relation::LoadBoundingBoxCache(PageId bbox_root) {
   }
   const size_t per_page = BoxSlotsPerPage();
   bbox_pages_.clear();
-  bbox_cache_.clear();
-  bbox_cache_.reserve(std::max(heap_.id_bound(), heap_.online_capacity()));
+  std::vector<BoxEntry> slots;
   std::string damage;
   CDB_RETURN_IF_ERROR(ReadBoxChain(
-      bbox_root, &bbox_pages_, &bbox_cache_,
+      bbox_root, &bbox_pages_, &slots,
       [&damage](const std::string& v) { damage = v; }));
   if (!damage.empty()) return Status::Corruption(damage);
-  if (bbox_cache_.size() < heap_.id_bound()) {
+  if (slots.size() < heap_.id_bound()) {
     return Status::Corruption("bbox sidecar shorter than relation directory");
   }
   bbox_root_ = bbox_root;
   bbox_enabled_ = true;
-  if (bbox_cache_.size() > heap_.id_bound()) {
+  box_slots_ = slots.size();
+  if (box_slots_ > heap_.id_bound()) {
     // Deletes freed whole trailing data pages before the last close, so the
     // directory shrank; truncate the sidecar so future appends land on the
     // right id-positional slot.
@@ -234,25 +263,14 @@ Status Relation::LoadBoundingBoxCache(PageId bbox_root) {
     WriteBoxHeader(tail.value().data(), h);
     tail.value().MarkDirty();
     bbox_pages_.resize(keep_pages);
-    bbox_cache_.resize(keep);
+    box_slots_ = keep;
   }
   return Status::OK();
 }
 
 bool Relation::CachedBoundingBox(TupleId id, Rect* out) const {
-  if (!bbox_enabled_) return false;
-  // Single-writer-mode readers never consult bbox_cache_.size(), which the
-  // writer mutates mid-append: ids past the published bounds read as
-  // "no box" and take the full refinement path.
-  const uint64_t slots =
-      pager()->InSwmrReadContext()
-          ? published_box_slots_.load(std::memory_order_acquire)
-          : bbox_cache_.size();
-  if (id >= slots || !heap_.Visible(id)) return false;
-  const BoxEntry& e = bbox_cache_[id];
-  if (!e.has_box) return false;
-  *out = e.box;
-  return true;
+  Polyhedron2DView shape;
+  return bbox_enabled_ && Shape(id, &shape) && shape.BoundingRect(out);
 }
 
 Status Relation::VerifyBoundingBoxCache(
@@ -282,11 +300,9 @@ Status Relation::VerifyBoundingBoxCache(
       }
       continue;
     }
-    GeneralizedTuple tuple;
-    CDB_RETURN_IF_ERROR(Get(static_cast<TupleId>(slot), &tuple));
     Rect want;
-    bool want_has = tuple.GetBoundingRect(&want);
-    // Both sides of the comparison run the same BoundingRect code, so a
+    bool want_has = CachedBoundingBox(static_cast<TupleId>(slot), &want);
+    // Both sides of the comparison run the same support arithmetic, so a
     // healthy sidecar matches to the exact bit pattern.
     bool same = stored_has == want_has &&
                 (!want_has || (std::memcmp(&stored.xlo, &want.xlo, 8) == 0 &&
@@ -297,8 +313,8 @@ Status Relation::VerifyBoundingBoxCache(
       on_violation("stale bounding box for tuple " + std::to_string(slot));
     }
   }
-  if (slots.size() != bbox_cache_.size()) {
-    on_violation("bbox sidecar slot count disagrees with loaded mirror");
+  if (slots.size() != box_slots_) {
+    on_violation("bbox sidecar slot count changed since it was loaded");
   }
   return Status::OK();
 }

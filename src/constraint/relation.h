@@ -1,7 +1,12 @@
 // Generalized relation: a persistent, paged store of 2-D generalized tuples.
 //
 // Tuples live in a TupleHeap (constraint/tuple_heap.h) as dim = 2 records,
-// read through HeapRelation; this class adds the bounding-box sidecar.
+// read through HeapRelation. This class adds two things:
+//  - the V-representation mirror (constraint/shape_mirror.h): every tuple's
+//    Polyhedron2D, built at Insert and by the one chain scan of Open, so
+//    keys, assignments and refinement decisions read TOP/BOT in O(v)
+//    without decoding a tuple;
+//  - the persisted bounding-box sidecar, whose boxes derive from the mirror.
 // Every Get() costs one page fetch, which is how the benchmark harness
 // charges the refinement step of the approximation techniques.
 
@@ -17,6 +22,8 @@
 #include "common/status.h"
 #include "constraint/generalized_tuple.h"
 #include "constraint/heap_relation.h"
+#include "constraint/shape_mirror.h"
+#include "geometry/polyhedron2d.h"
 #include "geometry/rect.h"
 #include "storage/pager.h"
 
@@ -27,7 +34,8 @@ class Relation : public HeapRelation<GeneralizedTuple> {
  public:
   /// Opens a relation stored in `pager` (which the caller owns and must keep
   /// alive). `root_page` is the first data page of an existing relation, or
-  /// kInvalidPageId to create a new one.
+  /// kInvalidPageId to create a new one. Opening an existing relation builds
+  /// the V-representation mirror during the directory scan.
   static Status Open(Pager* pager, PageId root_page,
                      std::unique_ptr<Relation>* out);
 
@@ -37,21 +45,32 @@ class Relation : public HeapRelation<GeneralizedTuple> {
   /// have 3-6).
   Result<TupleId> Insert(const GeneralizedTuple& tuple);
 
+  /// The V-representation of tuple `id` from the in-memory mirror: true
+  /// when `id` is visible and live. Never touches the pager. Views stay
+  /// valid until the relation is destroyed.
+  bool Shape(TupleId id, Polyhedron2DView* out) const;
+
+  /// Calls fn(id, shape) for every live tuple in id order, without I/O.
+  /// Stops and propagates the first non-OK status returned by fn.
+  Status ForEachShape(
+      const std::function<Status(TupleId, const Polyhedron2DView&)>& fn)
+      const;
+
   // --- Bounding-box sidecar (ISSUE 8c) ---------------------------------
   //
   // A per-relation page chain caching each tuple's AABB (or "unbounded")
   // so refinement can decide box-provable candidates without fetching the
   // tuple at all. Slots are id-positional; records are written at Insert
-  // and tombstoned at Delete. An in-memory mirror makes the per-candidate
-  // lookup free of I/O; the persisted chain exists so reopening a database
-  // does not have to recompute every box, and so tools/cdb_check can
-  // verify the cache against the tuples it claims to bound.
+  // and tombstoned at Delete. The per-candidate lookup derives the box from
+  // the V-representation mirror, free of I/O; the persisted chain keeps its
+  // format so existing databases reopen unchanged, and tools/cdb_check
+  // verifies it against the boxes the mirror derives.
 
   /// Creates the sidecar for this relation and backfills one slot per
   /// existing directory entry. Idempotent once enabled.
   Status EnableBoundingBoxCache();
 
-  /// Loads an existing sidecar rooted at `bbox_root` into the mirror. The
+  /// Attaches an existing sidecar rooted at `bbox_root`. The
   /// persisted slot count must cover every directory entry (shorter =
   /// Corruption); trailing slots beyond the directory — left behind when
   /// deletes freed whole trailing data pages before a reopen — are
@@ -63,21 +82,22 @@ class Relation : public HeapRelation<GeneralizedTuple> {
 
   bool bbox_cache_enabled() const { return bbox_enabled_; }
 
-  /// True when tuple `id` is visible, live, and has a cached *finite*
-  /// bounding box, which is copied to `out`. Pure in-memory lookup — never
-  /// touches the pager. Unbounded tuples (no finite AABB) return false and
-  /// take the full refinement path.
+  /// True when the sidecar is enabled and tuple `id` is visible, live, and
+  /// bounded; its box, derived from the mirror, is copied to `out`. Pure
+  /// in-memory lookup — never touches the pager. Unbounded tuples (no finite
+  /// AABB) return false and take the full refinement path.
   bool CachedBoundingBox(TupleId id, Rect* out) const;
 
   /// Re-reads the persisted sidecar and checks, for every live tuple, that
-  /// the stored slot matches the box recomputed from the tuple's
-  /// constraints (exact double equality — both sides run the same code).
+  /// the stored slot matches the box derived from the mirror (exact bit
+  /// equality — both sides run the same support arithmetic).
   /// Every mismatch is reported through `on_violation`; the return status
   /// is non-OK only for I/O failures.
   Status VerifyBoundingBoxCache(
       const std::function<void(const std::string&)>& on_violation) const;
 
-  /// Tombstones tuple `id`; its page is freed with its last live record.
+  /// Tombstones tuple `id` and clears its mirror entry; its page is freed
+  /// with its last live record.
   Status Delete(TupleId id);
 
   /// Prepares insert-only online appends under the pager's single-writer
@@ -87,16 +107,17 @@ class Relation : public HeapRelation<GeneralizedTuple> {
   /// mode Insert fails once the reservation is spent and Delete is rejected.
   Status BeginOnlineAppends(size_t max_inserts);
 
-  /// Makes every tuple appended so far, and its sidecar slot, visible to
+  /// Makes every tuple appended so far, and its mirror entry, visible to
   /// single-writer-mode readers. Call after the pager's Flush() published
-  /// their pages; until then readers see "no box" and take the LP path.
+  /// their pages. The mirror bound is published first, so an id a reader
+  /// finds in the heap always has its shape.
   void PublishAppends() {
-    published_box_slots_.store(bbox_cache_.size(), std::memory_order_release);
+    published_shapes_.store(mirror_.size(), std::memory_order_release);
     heap_.PublishAppends();
   }
 
  private:
-  /// Mirror of one sidecar slot.
+  /// One persisted sidecar slot.
   struct BoxEntry {
     bool has_box = false;
     Rect box;
@@ -106,10 +127,10 @@ class Relation : public HeapRelation<GeneralizedTuple> {
 
   /// Allocates an empty sidecar page and appends it to bbox_pages_.
   Result<PageRef> NewBoxPage();
-  /// Appends one sidecar slot (persisted record + mirror entry) for the
-  /// tuple whose id equals the current slot count; null for a dead id.
-  Status AppendBoxSlot(const GeneralizedTuple* tuple);
-  /// Tombstones the persisted sidecar slot for `id` and clears its mirror.
+  /// Appends one persisted sidecar slot for the tuple whose id equals the
+  /// current slot count: its mirror box, or "no box" when it has none.
+  Status AppendBoxSlot(TupleId id);
+  /// Tombstones the persisted sidecar slot for `id`.
   Status ClearBoxSlot(TupleId id);
   size_t BoxSlotsPerPage() const;
   /// Reads the sidecar chain from `root` into `pages` and `slots`. A
@@ -119,16 +140,18 @@ class Relation : public HeapRelation<GeneralizedTuple> {
       PageId root, std::vector<PageId>* pages, std::vector<BoxEntry>* slots,
       const std::function<void(const std::string&)>& on_violation) const;
 
+  ShapeMirror mirror_;  // Indexed by TupleId.
+
+  // Published bound on mirror_ — single-writer-mode readers bound-check
+  // shape lookups against this (acquire) instead of mirror_.size(), whose
+  // vector bookkeeping the writer's appends mutate.
+  std::atomic<uint64_t> published_shapes_{0};
+
   // Bounding-box sidecar state (all empty until Enable/Load).
   bool bbox_enabled_ = false;
   PageId bbox_root_ = kInvalidPageId;
-  std::vector<PageId> bbox_pages_;   // Chain in order, for O(1) id -> page.
-  std::vector<BoxEntry> bbox_cache_;  // Mirror, indexed by TupleId.
-
-  // Published bound on bbox_cache_ — single-writer-mode readers bound-check
-  // sidecar lookups against this (acquire) instead of bbox_cache_.size(),
-  // whose vector bookkeeping the writer's push_back mutates.
-  std::atomic<uint64_t> published_box_slots_{0};
+  std::vector<PageId> bbox_pages_;  // Chain in order, for O(1) id -> page.
+  size_t box_slots_ = 0;            // Persisted slot count.
 };
 
 }  // namespace cdb

@@ -33,10 +33,10 @@ void ReadPrefix(const char* rec, TupleId* id, uint16_t* m, uint8_t* flags) {
 
 }  // namespace
 
-Status TupleHeap::Open(PageId root_page) {
+Status TupleHeap::Open(PageId root_page, const RecordVisitor& on_live) {
   if (root_page != kInvalidPageId) {
     root_page_ = root_page;
-    return RebuildDirectory();
+    return RebuildDirectory(on_live);
   }
   Result<PageRef> root = NewPage(kInvalidPageId);
   if (!root.ok()) return root.status();
@@ -71,7 +71,7 @@ size_t TupleHeap::ScanRecords(const char* page, size_t used,
   return off;
 }
 
-Status TupleHeap::RebuildDirectory() {
+Status TupleHeap::RebuildDirectory(const RecordVisitor& on_live) {
   PageId page = root_page_;
   while (page != kInvalidPageId) {
     Result<PageRef> ref = pager_->Fetch(page);
@@ -83,6 +83,12 @@ Status TupleHeap::RebuildDirectory() {
                   if (directory_.size() <= id) directory_.resize(id + 1);
                   directory_[id] = {page, static_cast<uint16_t>(off), live};
                   live_count_ += live;
+                  if (live && on_live) {
+                    const char* rec = ref.value().data() + off;
+                    uint16_t m = 0;
+                    std::memcpy(&m, rec + 4, 2);
+                    on_live(id, rec + kRecordFixed, m);
+                  }
                 });
     tail_page_ = page;
     page = h.next;

@@ -34,9 +34,14 @@ class TupleHeap {
   /// `pager` must outlive the heap. Call Open() before anything else.
   TupleHeap(Pager* pager, size_t dim) : pager_(pager), dim_(dim) {}
 
+  /// Calls fn(id, body, m) with a live record's constraint bytes.
+  using RecordVisitor =
+      std::function<void(TupleId, const char* body, uint16_t m)>;
+
   /// Creates a fresh chain when `root_page` is kInvalidPageId; otherwise
-  /// scans the chain rooted there and rebuilds the directory.
-  Status Open(PageId root_page);
+  /// scans the chain rooted there and rebuilds the directory, handing each
+  /// live record to `on_live` (if set) during that one scan.
+  Status Open(PageId root_page, const RecordVisitor& on_live = nullptr);
 
   /// First data page. Delete() can free the root page, so re-read this
   /// before persisting it.
@@ -124,7 +129,7 @@ class TupleHeap {
   Result<TupleId> Append(size_t m, PageRef* page, char** body);
   /// Allocates a data page with an empty header linked after `prev`.
   Result<PageRef> NewPage(PageId prev);
-  Status RebuildDirectory();
+  Status RebuildDirectory(const RecordVisitor& on_live);
   /// fn(offset, id, live) for each whole record below `used`; returns where
   /// the records end (`used` on a sound page).
   template <typename Fn>

@@ -180,6 +180,7 @@ Status ConstraintDatabase::LoadCatalogAndAttach(
 }
 
 Result<TupleId> ConstraintDatabase::Insert(const GeneralizedTuple& tuple) {
+  CDB_RETURN_IF_ERROR(ValidateTuple(tuple));
   if (!tuple.IsSatisfiable()) {
     return Status::InvalidArgument("tuple is unsatisfiable");
   }

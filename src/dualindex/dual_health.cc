@@ -109,10 +109,12 @@ Status DualIndex::CollectHealth(obs::HealthReport* out) const {
       }
       if (s.health.augmented) {
         for (int j = 0; j < cur.entry_count(); ++j) {
-          GeneralizedTuple tuple;
-          CDB_RETURN_IF_ERROR(relation_->Get(cur.value(j), &tuple));
+          Polyhedron2DView shape;
+          if (!relation_->Shape(cur.value(j), &shape)) {
+            return Status::NotFound("tuple " + std::to_string(cur.value(j)));
+          }
           double m[nb::kHandicapSlots];
-          CDB_RETURN_IF_ERROR(TreeAssignments(i, is_up, tuple, m));
+          CDB_RETURN_IF_ERROR(TreeAssignments(i, is_up, shape, m));
           nb::AugFoldArray(ev.data(), m);
         }
       }
@@ -131,20 +133,19 @@ Status DualIndex::CollectHealth(obs::HealthReport* out) const {
 
   // Pass 2: the relation — tuple count, and for ordinary trees the exact
   // fold replay through the shared contribution enumeration.
-  CDB_RETURN_IF_ERROR(relation_->ForEach(
-      [&](TupleId, const GeneralizedTuple& tuple) -> Status {
+  CDB_RETURN_IF_ERROR(relation_->ForEachShape(
+      [&](TupleId, const Polyhedron2DView& shape) -> Status {
         ++out->tuples;
-        if (!ordinary) return Status::OK();
+        if (!ordinary || !shape.feasible) return Status::OK();  // Not indexed.
         for (size_t i = 0; i < k; ++i) {
-          const double top = tuple.Top(slopes_.slope(i));
-          const double bot = tuple.Bot(slopes_.slope(i));
-          if (std::isnan(top) || std::isnan(bot)) break;  // Not indexed.
+          const double top = TopValue(shape, slopes_.slope(i));
+          const double bot = BotValue(shape, slopes_.slope(i));
           for (int step = -1; step <= 1; step += 2) {
             if (step < 0 ? i == 0 : i + 1 >= k) continue;
             const size_t other = step < 0 ? i - 1 : i + 1;
             HandicapContribution c[4];
             CDB_RETURN_IF_ERROR(
-                HandicapContributions(i, other, tuple, top, bot, c));
+                HandicapContributions(i, other, shape, top, bot, c));
             for (const HandicapContribution& hc : c) {
               TreeScan& s = scans[scan_of(i, hc.is_up)];
               PageId leaf;

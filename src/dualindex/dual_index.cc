@@ -46,23 +46,23 @@ Status DualIndex::Build(Pager* pager, Relation* relation, SlopeSet slopes,
   std::vector<std::vector<BPlusTree::AugEntry>> aug_ups(inc ? k : 0),
       aug_downs(inc ? k : 0);
   std::vector<std::pair<double, uint32_t>> xmaxs, xmins;
-  CDB_RETURN_IF_ERROR(relation->ForEach(
-      [&](TupleId id, const GeneralizedTuple& tuple) -> Status {
+  CDB_RETURN_IF_ERROR(relation->ForEachShape(
+      [&](TupleId id, const Polyhedron2DView& shape) -> Status {
+        if (!shape.feasible) {
+          return Status::InvalidArgument(
+              "unsatisfiable tuple cannot be indexed (id " +
+              std::to_string(id) + ")");
+        }
         for (size_t i = 0; i < k; ++i) {
-          double top = tuple.Top(index->slopes_.slope(i));
-          double bot = tuple.Bot(index->slopes_.slope(i));
-          if (std::isnan(top) || std::isnan(bot)) {
-            return Status::InvalidArgument(
-                "unsatisfiable tuple cannot be indexed (id " +
-                std::to_string(id) + ")");
-          }
+          double top = TopValue(shape, index->slopes_.slope(i));
+          double bot = BotValue(shape, index->slopes_.slope(i));
           if (inc) {
             BPlusTree::AugEntry eu{top, id, {}};
             BPlusTree::AugEntry ed{bot, id, {}};
             CDB_RETURN_IF_ERROR(
-                index->TreeAssignments(i, /*is_up=*/true, tuple, eu.m));
+                index->TreeAssignments(i, /*is_up=*/true, shape, eu.m));
             CDB_RETURN_IF_ERROR(
-                index->TreeAssignments(i, /*is_up=*/false, tuple, ed.m));
+                index->TreeAssignments(i, /*is_up=*/false, shape, ed.m));
             aug_ups[i].push_back(eu);
             aug_downs[i].push_back(ed);
           } else {
@@ -71,8 +71,8 @@ Status DualIndex::Build(Pager* pager, Relation* relation, SlopeSet slopes,
           }
         }
         if (options.support_vertical) {
-          xmaxs.emplace_back(XMaxValue(tuple.constraints()), id);
-          xmins.emplace_back(XMinValue(tuple.constraints()), id);
+          xmaxs.emplace_back(XMaxValue(shape), id);
+          xmins.emplace_back(XMinValue(shape), id);
         }
         return Status::OK();
       }));
@@ -170,7 +170,7 @@ DualIndexManifest DualIndex::Manifest() const {
 }
 
 Status DualIndex::HandicapContributions(size_t i, size_t other,
-                                        const GeneralizedTuple& tuple,
+                                        const Polyhedron2DView& shape,
                                         double top_i, double bot_i,
                                         HandicapContribution out[4]) const {
   const bool next_side = other > i;
@@ -179,8 +179,8 @@ Status DualIndex::HandicapContributions(size_t i, size_t other,
   const double lo = std::min(s_i, amid);
   const double hi = std::max(s_i, amid);
 
-  const double top_mid = tuple.Top(amid);
-  const double bot_mid = tuple.Bot(amid);
+  const double top_mid = TopValue(shape, amid);
+  const double bot_mid = BotValue(shape, amid);
 
   // EXIST(q(>=)) on B_i^up: assignment = max TOP over [s_i, amid]
   // (exact at endpoints: TOP is convex in the slope).
@@ -189,10 +189,10 @@ Status DualIndex::HandicapContributions(size_t i, size_t other,
 
   // ALL(q(<=)) on B_i^up: assignment must lower-bound min TOP over the
   // interval; paper variant uses min BOT at endpoints (concave, exact),
-  // tight variant solves the minimax LP.
+  // tight variant scans the envelope's breakpoints.
   out[1] = {/*is_up=*/true,
             options_.tight_assignment
-                ? MinTopOverInterval(tuple.constraints(), lo, hi)
+                ? MinTopOverInterval(shape, lo, hi)
                 : std::min(bot_i, bot_mid),
             HighSlot(next_side), top_i};
 
@@ -200,7 +200,7 @@ Status DualIndex::HandicapContributions(size_t i, size_t other,
   // interval; paper variant uses max TOP at endpoints.
   out[2] = {/*is_up=*/false,
             options_.tight_assignment
-                ? MaxBotOverInterval(tuple.constraints(), lo, hi)
+                ? MaxBotOverInterval(shape, lo, hi)
                 : std::max(top_i, top_mid),
             LowSlot(next_side), bot_i};
 
@@ -212,11 +212,11 @@ Status DualIndex::HandicapContributions(size_t i, size_t other,
 }
 
 Status DualIndex::FoldHandicaps(size_t i, size_t other,
-                                const GeneralizedTuple& tuple, double top_i,
+                                const Polyhedron2DView& shape, double top_i,
                                 double bot_i) {
   HandicapContribution c[4];
   CDB_RETURN_IF_ERROR(
-      HandicapContributions(i, other, tuple, top_i, bot_i, c));
+      HandicapContributions(i, other, shape, top_i, bot_i, c));
   for (const HandicapContribution& hc : c) {
     BPlusTree* tree = hc.is_up ? up_[i].get() : down_[i].get();
     CDB_RETURN_IF_ERROR(tree->MergeHandicap(hc.at, hc.slot, hc.v));
@@ -225,14 +225,12 @@ Status DualIndex::FoldHandicaps(size_t i, size_t other,
 }
 
 Status DualIndex::TreeAssignments(size_t i, bool is_up,
-                                  const GeneralizedTuple& tuple,
+                                  const Polyhedron2DView& shape,
                                   double* m) const {
   const double s_i = slopes_.slope(i);
-  const double top_i = tuple.Top(s_i);
-  const double bot_i = tuple.Bot(s_i);
-  if (std::isnan(top_i) || std::isnan(bot_i)) {
-    return Status::InvalidArgument("unsatisfiable tuple");
-  }
+  if (!shape.feasible) return Status::InvalidArgument("unsatisfiable tuple");
+  const double top_i = TopValue(shape, s_i);
+  const double bot_i = BotValue(shape, s_i);
   // Augmented neutral values for slots without a neighbour interval: low
   // slots (0, 1) fold by max, high slots (2, 3) by min.
   m[0] = m[1] = -kInf;
@@ -245,20 +243,20 @@ Status DualIndex::TreeAssignments(size_t i, bool is_up,
     const double amid = (s_i + slopes_.slope(other)) / 2.0;
     const double lo = std::min(s_i, amid);
     const double hi = std::max(s_i, amid);
-    const double top_mid = tuple.Top(amid);
-    const double bot_mid = tuple.Bot(amid);
+    const double top_mid = TopValue(shape, amid);
+    const double bot_mid = BotValue(shape, amid);
     // Same assignment math as FoldHandicaps; the values land in the slots
     // of the tuple's own leaf instead of the leaf covering the assignment.
     if (is_up) {
       m[LowSlot(next_side)] = std::max(top_i, top_mid);  // EXIST(q(>=)).
       m[HighSlot(next_side)] =
           options_.tight_assignment
-              ? MinTopOverInterval(tuple.constraints(), lo, hi)
+              ? MinTopOverInterval(shape, lo, hi)
               : std::min(bot_i, bot_mid);  // ALL(q(<=)).
     } else {
       m[LowSlot(next_side)] =
           options_.tight_assignment
-              ? MaxBotOverInterval(tuple.constraints(), lo, hi)
+              ? MaxBotOverInterval(shape, lo, hi)
               : std::max(top_i, top_mid);                // ALL(q(>=)).
       m[HighSlot(next_side)] = std::min(bot_i, bot_mid);  // EXIST(q(<=)).
     }
@@ -268,101 +266,88 @@ Status DualIndex::TreeAssignments(size_t i, bool is_up,
 
 void DualIndex::RegisterAssignmentFns() {
   for (size_t i = 0; i < up_.size(); ++i) {
-    up_[i]->SetAssignmentFn([this, i](uint32_t value, double* m) -> Status {
-      GeneralizedTuple tuple;
-      CDB_RETURN_IF_ERROR(relation_->Get(value, &tuple));
-      return TreeAssignments(i, /*is_up=*/true, tuple, m);
-    });
-    down_[i]->SetAssignmentFn([this, i](uint32_t value, double* m) -> Status {
-      GeneralizedTuple tuple;
-      CDB_RETURN_IF_ERROR(relation_->Get(value, &tuple));
-      return TreeAssignments(i, /*is_up=*/false, tuple, m);
-    });
+    for (bool is_up : {true, false}) {
+      BPlusTree* tree = is_up ? up_[i].get() : down_[i].get();
+      tree->SetAssignmentFn(
+          [this, i, is_up](uint32_t value, double* m) -> Status {
+            Polyhedron2DView shape;
+            if (!relation_->Shape(value, &shape)) {
+              return Status::NotFound("tuple " + std::to_string(value));
+            }
+            return TreeAssignments(i, is_up, shape, m);
+          });
+    }
   }
+}
+
+Polyhedron2DView DualIndex::ShapeOf(TupleId id, const GeneralizedTuple& tuple,
+                                    Polyhedron2D* local) const {
+  Polyhedron2DView shape;
+  if (relation_->Shape(id, &shape)) return shape;
+  *local = tuple.Polyhedron();
+  return local->view();
 }
 
 Status DualIndex::ValidateForInsert(const GeneralizedTuple& tuple) const {
   CDB_RETURN_IF_ERROR(ValidateTuple(tuple));
-  for (size_t i = 0; i < slopes_.size(); ++i) {
-    if (std::isnan(tuple.Top(slopes_.slope(i))) ||
-        std::isnan(tuple.Bot(slopes_.slope(i)))) {
-      return Status::InvalidArgument(
-          "unsatisfiable tuple cannot be indexed");
-    }
-  }
-  if (xmax_ != nullptr) {
-    if (std::isnan(XMaxValue(tuple.constraints())) ||
-        std::isnan(XMinValue(tuple.constraints()))) {
-      return Status::InvalidArgument("unsatisfiable tuple cannot be indexed");
-    }
+  if (!tuple.IsSatisfiable()) {
+    return Status::InvalidArgument("unsatisfiable tuple cannot be indexed");
   }
   return Status::OK();
 }
 
 Status DualIndex::Insert(TupleId id, const GeneralizedTuple& tuple) {
   CDB_RETURN_IF_ERROR(ValidateTuple(tuple));
+  Polyhedron2D local;
+  const Polyhedron2DView shape = ShapeOf(id, tuple, &local);
+  if (!shape.feasible) {
+    return Status::InvalidArgument(
+        "unsatisfiable tuple cannot be indexed (id " + std::to_string(id) +
+        ")");
+  }
   const size_t k = slopes_.size();
-  // One pass to validate before mutating any tree.
-  std::vector<double> tops(k), bots(k);
-  for (size_t i = 0; i < k; ++i) {
-    tops[i] = tuple.Top(slopes_.slope(i));
-    bots[i] = tuple.Bot(slopes_.slope(i));
-    if (std::isnan(tops[i]) || std::isnan(bots[i])) {
-      return Status::InvalidArgument(
-          "unsatisfiable tuple cannot be indexed (id " + std::to_string(id) +
-          ")");
-    }
-  }
   if (xmax_ != nullptr) {
-    double mx = XMaxValue(tuple.constraints());
-    double mn = XMinValue(tuple.constraints());
-    if (std::isnan(mx) || std::isnan(mn)) {
-      return Status::InvalidArgument("unsatisfiable tuple cannot be indexed");
-    }
-    CDB_RETURN_IF_ERROR(xmax_->Insert(mx, id));
-    CDB_RETURN_IF_ERROR(xmin_->Insert(mn, id));
+    CDB_RETURN_IF_ERROR(xmax_->Insert(XMaxValue(shape), id));
+    CDB_RETURN_IF_ERROR(xmin_->Insert(XMinValue(shape), id));
   }
   for (size_t i = 0; i < k; ++i) {
+    const double top = TopValue(shape, slopes_.slope(i));
+    const double bot = BotValue(shape, slopes_.slope(i));
     if (options_.incremental_handicaps) {
       // Assignments ride along with the entry; the tree folds them into
       // the target leaf's slots and refreshes the aggregate path — no
       // global handicap smearing, values stay exact.
       double mu[4], md[4];
-      CDB_RETURN_IF_ERROR(TreeAssignments(i, /*is_up=*/true, tuple, mu));
-      CDB_RETURN_IF_ERROR(TreeAssignments(i, /*is_up=*/false, tuple, md));
-      CDB_RETURN_IF_ERROR(up_[i]->InsertWithAssignment(tops[i], id, mu));
-      CDB_RETURN_IF_ERROR(down_[i]->InsertWithAssignment(bots[i], id, md));
+      CDB_RETURN_IF_ERROR(TreeAssignments(i, /*is_up=*/true, shape, mu));
+      CDB_RETURN_IF_ERROR(TreeAssignments(i, /*is_up=*/false, shape, md));
+      CDB_RETURN_IF_ERROR(up_[i]->InsertWithAssignment(top, id, mu));
+      CDB_RETURN_IF_ERROR(down_[i]->InsertWithAssignment(bot, id, md));
       continue;
     }
-    CDB_RETURN_IF_ERROR(up_[i]->Insert(tops[i], id));
-    CDB_RETURN_IF_ERROR(down_[i]->Insert(bots[i], id));
+    CDB_RETURN_IF_ERROR(up_[i]->Insert(top, id));
+    CDB_RETURN_IF_ERROR(down_[i]->Insert(bot, id));
     if (i > 0) {
-      CDB_RETURN_IF_ERROR(FoldHandicaps(i, i - 1, tuple, tops[i], bots[i]));
+      CDB_RETURN_IF_ERROR(FoldHandicaps(i, i - 1, shape, top, bot));
     }
     if (i + 1 < k) {
-      CDB_RETURN_IF_ERROR(FoldHandicaps(i, i + 1, tuple, tops[i], bots[i]));
+      CDB_RETURN_IF_ERROR(FoldHandicaps(i, i + 1, shape, top, bot));
     }
   }
   return MaybeAutoCompact();
 }
 
 Status DualIndex::Remove(TupleId id, const GeneralizedTuple& tuple) {
+  Polyhedron2D local;
+  const Polyhedron2DView shape = ShapeOf(id, tuple, &local);
+  if (!shape.feasible) return Status::InvalidArgument("unsatisfiable tuple");
   const size_t k = slopes_.size();
   if (xmax_ != nullptr) {
-    double mx = XMaxValue(tuple.constraints());
-    double mn = XMinValue(tuple.constraints());
-    if (std::isnan(mx) || std::isnan(mn)) {
-      return Status::InvalidArgument("unsatisfiable tuple");
-    }
-    CDB_RETURN_IF_ERROR(xmax_->Delete(mx, id));
-    CDB_RETURN_IF_ERROR(xmin_->Delete(mn, id));
+    CDB_RETURN_IF_ERROR(xmax_->Delete(XMaxValue(shape), id));
+    CDB_RETURN_IF_ERROR(xmin_->Delete(XMinValue(shape), id));
   }
   for (size_t i = 0; i < k; ++i) {
-    double top = tuple.Top(slopes_.slope(i));
-    double bot = tuple.Bot(slopes_.slope(i));
-    if (std::isnan(top) || std::isnan(bot)) {
-      return Status::InvalidArgument("unsatisfiable tuple");
-    }
+    const double top = TopValue(shape, slopes_.slope(i));
+    const double bot = BotValue(shape, slopes_.slope(i));
     CDB_RETURN_IF_ERROR(up_[i]->Delete(top, id));
     CDB_RETURN_IF_ERROR(down_[i]->Delete(bot, id));
     // Ordinary trees: handicaps stay conservatively stale (see header).
@@ -929,18 +914,18 @@ Status DualIndex::RebuildHandicaps() {
   }
   for (auto& tree : up_) CDB_RETURN_IF_ERROR(tree->ResetHandicaps());
   for (auto& tree : down_) CDB_RETURN_IF_ERROR(tree->ResetHandicaps());
-  return relation_->ForEach(
-      [&](TupleId, const GeneralizedTuple& tuple) -> Status {
+  return relation_->ForEachShape(
+      [&](TupleId, const Polyhedron2DView& shape) -> Status {
+        if (!shape.feasible) return Status::OK();  // Not indexed.
         const size_t k = slopes_.size();
         for (size_t i = 0; i < k; ++i) {
-          double top = tuple.Top(slopes_.slope(i));
-          double bot = tuple.Bot(slopes_.slope(i));
-          if (std::isnan(top) || std::isnan(bot)) break;  // Not indexed.
+          const double top = TopValue(shape, slopes_.slope(i));
+          const double bot = BotValue(shape, slopes_.slope(i));
           if (i > 0) {
-            CDB_RETURN_IF_ERROR(FoldHandicaps(i, i - 1, tuple, top, bot));
+            CDB_RETURN_IF_ERROR(FoldHandicaps(i, i - 1, shape, top, bot));
           }
           if (i + 1 < k) {
-            CDB_RETURN_IF_ERROR(FoldHandicaps(i, i + 1, tuple, top, bot));
+            CDB_RETURN_IF_ERROR(FoldHandicaps(i, i + 1, shape, top, bot));
           }
         }
         return Status::OK();

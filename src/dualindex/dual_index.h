@@ -11,7 +11,7 @@
 //      downward from the query intercept — using per-leaf handicap values
 //      to bound the second sweep; duplicate-free by construction.
 // Both techniques return a superset of the answer; a refinement step
-// (exact LP predicates on the stored constraints) removes false hits.
+// (exact predicates on each tuple's V-representation) removes false hits.
 //
 // Unbounded tuples are stored as ±infinity keys — the index never
 // approximates objects, only queries (the paper's central design point).
@@ -64,7 +64,7 @@ struct QueryStats {
 };
 
 struct DualIndexOptions {
-  /// Use the exact interval extrema (minimax LPs) for the ALL-family
+  /// Use the exact interval extrema (envelope maxima) for the ALL-family
   /// assignment values instead of the paper's TOP/BOT endpoint bounds
   /// (ablation E9 in DESIGN.md). Both are safe; tight shortens second
   /// sweeps at higher build cost.
@@ -134,14 +134,16 @@ class DualIndex {
 
   /// Adds a tuple to all 2k trees (and folds its handicap contributions).
   /// The tuple must be satisfiable and already stored in the relation under
-  /// `id`. O(k log_B n) page accesses (Theorem 3.1/4.1).
+  /// `id`; keys and assignments come from the relation's V-representation
+  /// mirror. O(k log_B n) page accesses (Theorem 3.1/4.1).
   Status Insert(TupleId id, const GeneralizedTuple& tuple);
 
-  /// Runs Insert's validation pass — satisfiable support values under every
-  /// slope, plus bounded x extraction when vertical support is on — without
-  /// touching any tree or the pager. The group-commit ingest queue calls
-  /// this at admission so a malformed tuple is rejected producer-side with
-  /// InvalidArgument instead of failing its whole commit group mid-apply.
+  /// Runs Insert's validation pass — ValidateTuple plus a satisfiable
+  /// V-representation, which makes every support value Insert reads a
+  /// number — without touching any tree or the pager. The group-commit
+  /// ingest queue calls this at admission so a malformed tuple is rejected
+  /// producer-side with InvalidArgument instead of failing its whole commit
+  /// group mid-apply.
   Status ValidateForInsert(const GeneralizedTuple& tuple) const;
 
   /// Removes a tuple from all trees. Handicaps are left conservatively
@@ -267,23 +269,28 @@ class DualIndex {
   // Shared by the FoldHandicaps write path and CollectHealth's read-only
   // replay, so the tightness measurement can never drift from the fold.
   Status HandicapContributions(size_t i, size_t other,
-                               const GeneralizedTuple& tuple, double top_i,
+                               const Polyhedron2DView& shape, double top_i,
                                double bot_i, HandicapContribution out[4]) const;
 
   // Folds the contributions of HandicapContributions into tree i's leaves.
-  Status FoldHandicaps(size_t i, size_t other, const GeneralizedTuple& tuple,
+  Status FoldHandicaps(size_t i, size_t other, const Polyhedron2DView& shape,
                        double top_i, double bot_i);
 
   // Incremental-mode twin of FoldHandicaps: fills the tuple's four
   // assignment values m[0..3] for tree i (up or down), one per handicap
   // slot; slots whose neighbour interval does not exist get the augmented
   // neutral values. Same Section 4.2 math, same tight_assignment knob.
-  Status TreeAssignments(size_t i, bool is_up, const GeneralizedTuple& tuple,
+  Status TreeAssignments(size_t i, bool is_up, const Polyhedron2DView& shape,
                          double* m) const;
 
-  // Installs the AssignmentFn of every augmented tree (refetches the tuple
-  // from the relation and delegates to TreeAssignments).
+  // Installs the AssignmentFn of every augmented tree (reads the tuple's
+  // shape from the relation's mirror and delegates to TreeAssignments).
   void RegisterAssignmentFns();
+
+  // The V-representation of tuple `id`: the relation's mirror entry, or,
+  // when the relation does not hold `id`, `tuple`'s built into `*local`.
+  Polyhedron2DView ShapeOf(TupleId id, const GeneralizedTuple& tuple,
+                           Polyhedron2D* local) const;
 
   // Insert/Remove tail: triggers RebuildHandicaps() when the configured
   // staleness budget is exceeded (see

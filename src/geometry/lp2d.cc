@@ -1,134 +1,25 @@
 #include "geometry/lp2d.h"
 
-#include <algorithm>
 #include <cmath>
+
+#include "geometry/polyhedron2d.h"
 
 namespace cdb {
 
-namespace {
-
-// The four box constraints appended (virtually) after every slice, in the
-// order the one-shot solver has always pushed them.
-constexpr double kBoxNx[4] = {1.0, -1.0, 0.0, 0.0};
-constexpr double kBoxNy[4] = {0.0, 0.0, 1.0, -1.0};
-
-// Normalized constraint k of the boxed program: slice entries first, then
-// the four box walls. rhs honors the recession-cone substitution.
-inline void ConstraintAt(const NormSlice2D& s, double box, bool zero_rhs,
-                         size_t k, double* nx, double* ny, double* rhs) {
-  if (k < s.count) {
-    *nx = s.soa->nx[s.begin + k];
-    *ny = s.soa->ny[s.begin + k];
-    *rhs = zero_rhs ? 0.0 : s.soa->rhs[s.begin + k];
-  } else {
-    *nx = kBoxNx[k - s.count];
-    *ny = kBoxNy[k - s.count];
-    *rhs = box;
-  }
-}
-
-// Feasibility of p against the boxed program. The conjunction of
-// independent sign tests is order-insensitive, so accumulating a mask over
-// the flat SoA pass decides exactly as the historical early-exit loop while
-// letting the autovectorizer chew the slice portion.
-bool FeasibleBoxed(const NormSlice2D& s, double box, bool zero_rhs,
-                   const Vec2& p, double eps) {
-  const double* nx = s.soa->nx.data() + s.begin;
-  const double* ny = s.soa->ny.data() + s.begin;
-  const double* rhs = s.soa->rhs.data() + s.begin;
-  bool ok = true;
-  for (size_t k = 0; k < s.count; ++k) {
-    double lhs = nx[k] * p.x + ny[k] * p.y;
-    double r = zero_rhs ? 0.0 : rhs[k];
-    double scale = std::max({1.0, std::fabs(lhs), std::fabs(r)});
-    ok &= !(lhs - r > eps * scale);
-  }
-  for (size_t k = 0; k < 4; ++k) {
-    double lhs = kBoxNx[k] * p.x + kBoxNy[k] * p.y;
-    double scale = std::max({1.0, std::fabs(lhs), std::fabs(box)});
-    ok &= !(lhs - box > eps * scale);
-  }
-  return ok;
-}
-
-}  // namespace
-
-void AppendNormalized2D(const std::vector<Constraint2D>& constraints,
-                        NormSoa2D* out) {
-  out->nx.reserve(out->nx.size() + constraints.size());
-  out->ny.reserve(out->ny.size() + constraints.size());
-  out->rhs.reserve(out->rhs.size() + constraints.size());
-  for (const Constraint2D& c : constraints) {
-    if (c.cmp == Cmp::kLE) {
-      out->nx.push_back(c.a);
-      out->ny.push_back(c.b);
-      out->rhs.push_back(-c.c);
-    } else {
-      out->nx.push_back(-c.a);
-      out->ny.push_back(-c.b);
-      out->rhs.push_back(c.c);
-    }
-  }
-}
-
-LpBoxed2D SolveBoxedNormalized2D(const NormSlice2D& slice, double cx,
-                                 double cy, double box, bool zero_rhs) {
-  LpBoxed2D best;
-  const size_t m = slice.count + 4;
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = i + 1; j < m; ++j) {
-      double inx, iny, irhs, jnx, jny, jrhs;
-      ConstraintAt(slice, box, zero_rhs, i, &inx, &iny, &irhs);
-      ConstraintAt(slice, box, zero_rhs, j, &jnx, &jny, &jrhs);
-      double det = inx * jny - iny * jnx;
-      double det_scale =
-          std::max(1e-30, std::hypot(inx, iny) * std::hypot(jnx, jny));
-      if (std::fabs(det) < 1e-12 * det_scale) continue;
-      Vec2 p{(irhs * jny - iny * jrhs) / det,
-             (inx * jrhs - irhs * jnx) / det};
-      if (!std::isfinite(p.x) || !std::isfinite(p.y)) continue;
-      if (!FeasibleBoxed(slice, box, zero_rhs, p, kEps)) continue;
-      double v = cx * p.x + cy * p.y;
-      if (!best.feasible || v > best.value) {
-        best.feasible = true;
-        best.value = v;
-        best.point = p;
-      }
-    }
-  }
-  return best;
-}
-
-bool UnboundedAbove2D(const NormSlice2D& slice, double cx, double cy) {
-  // The program is unbounded iff there is a direction d with n·d <= 0 for
-  // every constraint and c·d > 0. Restricting d to the unit box makes the
-  // probe itself a bounded LP; d = 0 keeps it feasible.
-  LpBoxed2D ray = SolveBoxedNormalized2D(slice, cx, cy, 1.0, true);
-  double c_scale = std::max({1.0, std::fabs(cx), std::fabs(cy)});
-  return ray.feasible && ray.value > 1e-7 * c_scale;
-}
-
 Lp2DResult MaximizeLinear2D(const std::vector<Constraint2D>& constraints,
                             double cx, double cy) {
-  NormSoa2D soa;
-  AppendNormalized2D(constraints, &soa);
-  NormSlice2D slice{&soa, 0, soa.size()};
-
-  LpBoxed2D base = SolveBoxedNormalized2D(slice, cx, cy, kLpBox, false);
-  if (!base.feasible) {
-    return {LpStatus::kInfeasible, 0.0, Vec2()};
-  }
-  if (UnboundedAbove2D(slice, cx, cy)) {
-    return {LpStatus::kUnbounded, 0.0, Vec2()};
-  }
-  return {LpStatus::kOptimal, base.value, base.point};
+  Polyhedron2D poly = Polyhedron2D::FromConstraints(constraints);
+  Lp2DResult r;
+  double value = poly.view().Maximize(cx, cy, &r.point);
+  if (std::isnan(value)) return {LpStatus::kInfeasible, 0.0, Vec2()};
+  if (std::isinf(value)) return {LpStatus::kUnbounded, 0.0, Vec2()};
+  r.status = LpStatus::kOptimal;
+  r.value = value;
+  return r;
 }
 
 bool IsSatisfiable2D(const std::vector<Constraint2D>& constraints) {
-  NormSoa2D soa;
-  AppendNormalized2D(constraints, &soa);
-  NormSlice2D slice{&soa, 0, soa.size()};
-  return SolveBoxedNormalized2D(slice, 0.0, 0.0, kLpBox, false).feasible;
+  return Polyhedron2D::FromConstraints(constraints).feasible;
 }
 
 }  // namespace cdb

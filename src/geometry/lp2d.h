@@ -1,30 +1,16 @@
-// Exact (epsilon-tolerant) 2-variable linear programming.
+// 2-variable linear programming over a constraint conjunction.
 //
-// This is the workhorse oracle of the whole system: TOP^P and BOT^P values
-// (support-function evaluations of a polyhedron at a slope) reduce to
-// maximizing a linear objective over the constraint conjunction, and every
-// refinement / ground-truth check routes through here.
-//
-// The solver classifies the program as infeasible / unbounded / optimal and
-// correctly handles vertex-free feasible regions (half-planes, strips,
-// lines, the whole plane), which arise naturally for the paper's unbounded
-// generalized tuples.
-//
-// Two entry levels (ISSUE 8):
-//  - MaximizeLinear2D / IsSatisfiable2D take a Constraint2D conjunction and
-//    normalize internally — the convenient one-shot API.
-//  - The NormSoa2D / NormSlice2D layer lets a batch refiner normalize many
-//    tuples' constraints once into contiguous structure-of-arrays storage
-//    and run several objectives per tuple without re-normalizing. The SoA
-//    solver enumerates candidate vertices in exactly the same order with
-//    exactly the same arithmetic as the one-shot path, so results are
-//    bit-for-bit identical.
+// A one-shot convenience over the geometry oracle (geometry/polyhedron2d.h):
+// MaximizeLinear2D builds the V-representation of the conjunction and reads
+// one support value from it, classifying the program as infeasible,
+// unbounded or optimal. Vertex-free feasible regions (half-planes, strips,
+// lines, the whole plane), which the paper's unbounded generalized tuples
+// produce, are classified exactly. Hot paths keep the V-representation
+// instead (Relation's per-tuple mirror) and never rebuild it per objective.
 
 #ifndef CDB_GEOMETRY_LP2D_H_
 #define CDB_GEOMETRY_LP2D_H_
 
-#include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "geometry/linear_constraint.h"
@@ -41,67 +27,8 @@ struct Lp2DResult {
   Vec2 point;
 };
 
-/// Half-width of the candidate-vertex enumeration box. Real workload
-/// coordinates are orders of magnitude smaller (the paper's window is
-/// [-50, 50]^2), so the box never truncates a bounded optimum.
-inline constexpr double kLpBox = 1e9;
-
-/// Constraints normalized to nx*x + ny*y <= rhs, stored as parallel arrays
-/// so the feasibility sign tests run as flat autovectorizable loops. Append
-/// many tuples' constraints back to back and address each with a slice.
-struct NormSoa2D {
-  std::vector<double> nx;
-  std::vector<double> ny;
-  std::vector<double> rhs;
-
-  size_t size() const { return nx.size(); }
-  void clear() {
-    nx.clear();
-    ny.clear();
-    rhs.clear();
-  }
-};
-
-/// Normalizes `constraints` (kLE: {a, b, -c}; kGE: {-a, -b, c}) and appends
-/// them to `out`.
-void AppendNormalized2D(const std::vector<Constraint2D>& constraints,
-                        NormSoa2D* out);
-
-/// A contiguous run of normalized constraints inside a NormSoa2D.
-struct NormSlice2D {
-  const NormSoa2D* soa = nullptr;
-  size_t begin = 0;
-  size_t count = 0;
-};
-
-/// Result of one boxed solve (feasibility + best vertex found).
-struct LpBoxed2D {
-  bool feasible = false;
-  double value = -std::numeric_limits<double>::infinity();
-  Vec2 point;
-};
-
-/// Maximizes cx*x + cy*y over the slice's constraints intersected with the
-/// box |x|,|y| <= box. The four box constraints are virtual trailing
-/// entries — same index order and doubles as the one-shot solver — so the
-/// clipped region, if non-empty, is a polytope whose optimal vertex the
-/// pairwise boundary enumeration finds. `zero_rhs` substitutes 0.0 for
-/// every stored rhs (the recession-cone form) without mutating the SoA.
-LpBoxed2D SolveBoxedNormalized2D(const NormSlice2D& slice, double cx,
-                                 double cy, double box, bool zero_rhs);
-
-/// Recession-cone probe: true when cx*x + cy*y is unbounded above on the
-/// (assumed non-empty) feasible region of the slice.
-bool UnboundedAbove2D(const NormSlice2D& slice, double cx, double cy);
-
 /// Maximizes cx*x + cy*y subject to the conjunction `constraints`.
-///
-/// Implementation: candidate-vertex enumeration inside a large bounding box
-/// (which guarantees the clipped region is a polytope with vertices),
-/// followed by an exact recession-cone probe to separate "optimal on the
-/// box" from genuine unboundedness. Intended for the small constraint
-/// counts of generalized tuples (the paper uses 3-6 constraints per tuple);
-/// complexity is O(m^3).
+/// O(m^3) in the constraint count (the V-representation build).
 Lp2DResult MaximizeLinear2D(const std::vector<Constraint2D>& constraints,
                             double cx, double cy);
 

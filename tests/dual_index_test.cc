@@ -385,6 +385,37 @@ TEST(DualIndexTest, RejectsUnsatisfiableTuple) {
   EXPECT_TRUE(fx.index->Insert(999, bad).IsInvalidArgument());
 }
 
+// A tuple wholly outside the former LP box (|x|, |y| <= 1e9) is
+// satisfiable, so it is indexed and found like any other.
+TEST(DualIndexTest, IndexesTuplesBeyondTheFormerLpBox) {
+  IndexFixture fx(113);
+  fx.Populate(40);
+  GeneralizedTuple far;
+  far.Add(1, 0, -2e9, Cmp::kGE);  // 2e9 <= x <= 3e9
+  far.Add(1, 0, -3e9, Cmp::kLE);
+  far.Add(0, 1, 0, Cmp::kGE);     // 0 <= y <= 1
+  far.Add(0, 1, -1, Cmp::kLE);
+  Result<TupleId> id = fx.relation->Insert(far);
+  ASSERT_TRUE(id.ok());
+  fx.BuildIndex(DefaultSlopes());
+  for (const HalfPlaneQuery& q :
+       {HalfPlaneQuery(0.0, 0.5, Cmp::kGE), HalfPlaneQuery(0.0, 2.0, Cmp::kLE),
+        HalfPlaneQuery(0.3, -6e8 + 0.5, Cmp::kGE)}) {
+    for (SelectionType type : {SelectionType::kExist, SelectionType::kAll}) {
+      Result<std::vector<TupleId>> got =
+          fx.index->Select(type, q, QueryMethod::kAuto);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.value(), fx.Truth(type, q));
+    }
+  }
+  Result<std::vector<TupleId>> hit = fx.index->Select(
+      SelectionType::kAll, HalfPlaneQuery(0.0, 2.0, Cmp::kLE),
+      QueryMethod::kAuto);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_NE(std::find(hit.value().begin(), hit.value().end(), id.value()),
+            hit.value().end());
+}
+
 // Property sweep across k and seeds: all methods agree with the naive
 // evaluator on calibrated workload queries.
 struct ParamCase {

@@ -118,5 +118,42 @@ TEST(GeometryEdgeTest, IntervalExtremaDegenerateInterval) {
   EXPECT_NEAR(MinTopOverInterval(sq, 0.5, 0.5), TopValue(sq, 0.5), 1e-5);
 }
 
+// The support arithmetic has no bounding box: regions beyond the former
+// LP box (|x|, |y| <= 1e9) keep their exact support values.
+TEST(GeometryEdgeTest, SupportBeyondTheFormerLpBox) {
+  // Triangle (-5e9, 0), (5e9, 0), (0, 5e9).
+  std::vector<Constraint2D> spike = {
+      {0, 1, 0, Cmp::kGE},        // y >= 0
+      {1, 1, -5e9, Cmp::kLE},     // x + y <= 5e9
+      {-1, 1, -5e9, Cmp::kLE},    // -x + y <= 5e9
+  };
+  EXPECT_EQ(TopValue(spike, 0.0), 5e9);
+  EXPECT_EQ(BotValue(spike, 0.0), 0.0);
+  Rect r;
+  ASSERT_TRUE(BoundingRect(spike, &r));
+  EXPECT_EQ(r.yhi, 5e9);
+
+  // A needle: apex half-angle 2e-10 rad is still a genuine angle, so the
+  // region stays bounded rather than growing a ray.
+  std::vector<Constraint2D> needle = {
+      {0, 1, 0, Cmp::kGE},
+      {5e9, 1, -5e9, Cmp::kLE},
+      {-5e9, 1, -5e9, Cmp::kLE},
+  };
+  EXPECT_TRUE(Polyhedron2D::FromConstraints(needle).bounded);
+  EXPECT_EQ(TopValue(needle, 0.0), 5e9);
+
+  // The box 2e9 <= x <= 3e9, 0 <= y <= 1 lies wholly outside the old box.
+  std::vector<Constraint2D> far = {
+      {1, 0, -2e9, Cmp::kGE}, {1, 0, -3e9, Cmp::kLE},
+      {0, 1, 0, Cmp::kGE},    {0, 1, -1, Cmp::kLE},
+  };
+  EXPECT_TRUE(IsSatisfiable2D(far));
+  EXPECT_EQ(XMinValue(far), 2e9);
+  EXPECT_EQ(XMaxValue(far), 3e9);
+  EXPECT_EQ(TopValue(far, 0.5), 1.0 - 0.5 * 2e9);
+  EXPECT_TRUE(ExactExist(far, HalfPlaneQuery(0.0, 0.5, Cmp::kGE)));
+}
+
 }  // namespace
 }  // namespace cdb

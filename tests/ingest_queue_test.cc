@@ -23,6 +23,7 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
+#include "constraint/parser.h"
 #include "constraint/relation_d.h"
 #include "exec/query_executor.h"
 #include "obs/metrics.h"
@@ -269,6 +270,68 @@ TEST(IngestQueueTest, NonFiniteCoefficientsAreRejectedWhereTuplesEnter) {
   ASSERT_TRUE(index->CheckInvariants().ok());
   ExpectNoPinnedFrames(*idx_pager);
   ExpectNoPinnedFrames(*d_pager);
+}
+
+// Finite but outside the exact range (zero or magnitude in [2^-64, 2^64])
+// is rejected the same way at every entry point, the parser included;
+// the range's edges are admitted.
+TEST(IngestQueueTest, OutOfRangeMagnitudesAreRejectedWhereTuplesEnter) {
+  LaneFixture fx;
+  std::unique_ptr<Pager> idx_pager = MakePager(std::make_unique<MemFile>(1024));
+  for (size_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(fx.relation->Insert(fx.NextTuple()).ok());
+  }
+  std::unique_ptr<DualIndex> index;
+  ASSERT_TRUE(DualIndex::Build(idx_pager.get(), fx.relation.get(),
+                               SlopeSet::UniformInAngle(4, -1.3, 1.3), {},
+                               &index)
+                  .ok());
+  IngestQueue queue(fx.relation.get(), index.get(), fx.pager.get(),
+                    idx_pager.get(), IngestQueueOptions{});
+
+  // {v*x + y <= 0, x - 1 <= 0} with v moved through every coefficient.
+  auto with = [](double v, int slot) {
+    double coeffs[3] = {1.0, 1.0, 0.0};
+    coeffs[slot] = v;
+    GeneralizedTuple t;
+    t.Add(coeffs[0], coeffs[1], coeffs[2], Cmp::kLE);
+    t.Add(1, 0, -1, Cmp::kLE);
+    return t;
+  };
+  for (double v : {1e30, -0x1p65, 1e-30, -0x1p-65, 1e300}) {
+    for (int slot = 0; slot < 3; ++slot) {
+      const GeneralizedTuple t = with(v, slot);
+      const std::string what =
+          "v=" + std::to_string(v) + " slot=" + std::to_string(slot);
+      EXPECT_TRUE(ValidateTuple(t).IsInvalidArgument()) << what;
+      EXPECT_TRUE(fx.relation->Insert(t).status().IsInvalidArgument())
+          << what;
+      EXPECT_TRUE(index->ValidateForInsert(t).IsInvalidArgument()) << what;
+      EXPECT_TRUE(index->Insert(static_cast<TupleId>(fx.relation->size()), t)
+                      .IsInvalidArgument())
+          << what;
+      EXPECT_TRUE(queue.Submit(t).status().IsInvalidArgument()) << what;
+    }
+  }
+  // The text syntax has no exponents: 2^65 and 1e-20 written out.
+  GeneralizedTuple parsed;
+  EXPECT_TRUE(ParseGeneralizedTuple("x <= 36893488147419103232", &parsed)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ParseGeneralizedTuple("0.00000000000000000001x + y >= 0",
+                                    &parsed)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ParseGeneralizedTuple("x <= 3000000000", &parsed).ok());
+  for (double v : {0x1p64, -0x1p64, 0x1p-64, 0.0}) {
+    for (int slot = 0; slot < 3; ++slot) {
+      EXPECT_TRUE(ValidateTuple(with(v, slot)).ok()) << v << " " << slot;
+    }
+  }
+  EXPECT_EQ(fx.relation->size(), 20u);
+  queue.Close();
+  ASSERT_TRUE(queue.RunWriter().ok());
+  EXPECT_EQ(queue.stats().submitted, 0u);
+  ASSERT_TRUE(index->CheckInvariants().ok());
+  ExpectNoPinnedFrames(*idx_pager);
 }
 
 TEST(IngestQueueTest, CommitWaitHoldsPartialGroupUntilDeadline) {

@@ -36,17 +36,17 @@ TEST(Polyhedron2DTest, UnitSquareVertices) {
   EXPECT_TRUE(p.rays.empty());
 }
 
-TEST(Polyhedron2DTest, VerticesAreCounterClockwise) {
+TEST(Polyhedron2DTest, VerticesKeepPairEnumerationOrder) {
+  // Vertices come in the order their constraint pairs (i < j) are
+  // enumerated, the order that decides which of equal maxima a support
+  // value reports: (x>=0, y>=0), (x>=0, y<=1), (x<=1, y>=0), (x<=1, y<=1).
   Polyhedron2D p = Polyhedron2D::FromConstraints(UnitSquare());
   ASSERT_EQ(p.vertices.size(), 4u);
-  double area2 = 0;
+  const Vec2 want[4] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   for (size_t i = 0; i < 4; ++i) {
-    const Vec2& a = p.vertices[i];
-    const Vec2& b = p.vertices[(i + 1) % 4];
-    area2 += a.Cross(b);
+    EXPECT_EQ(p.vertices[i].x, want[i].x) << i;
+    EXPECT_EQ(p.vertices[i].y, want[i].y) << i;
   }
-  EXPECT_GT(area2, 0);  // CCW orientation has positive signed area.
-  EXPECT_NEAR(area2 / 2, 1.0, 1e-6);
 }
 
 TEST(Polyhedron2DTest, InfeasibleConjunction) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 
@@ -173,6 +174,49 @@ void CheckOversizedTupleRejected() {
 TEST(RelationTest, OversizedTupleRejected) {
   CheckOversizedTupleRejected<Relation2D>();
   CheckOversizedTupleRejected<Relation3D>();
+}
+
+// A shape bigger than one mirror pool chunk (4096 points): 100 boundary
+// lines through the origin meet pairwise there, 4950 feasible
+// intersections. It gets a chunk of its own; shapes stored before and
+// after it stay intact, and reopening rebuilds the same values.
+TEST(RelationTest, MirrorHoldsShapesLargerThanAPoolChunk) {
+  PagerOptions opts;
+  opts.page_size = 4096;
+  std::unique_ptr<Pager> pager;
+  ASSERT_TRUE(
+      Pager::Open(std::make_unique<MemFile>(4096), opts, &pager).ok());
+  std::unique_ptr<Relation> rel;
+  ASSERT_TRUE(Relation::Open(pager.get(), kInvalidPageId, &rel).ok());
+  GeneralizedTuple fan;  // A cone above the origin.
+  for (int k = 0; k < 100; ++k) {
+    const double theta = 3.5 + 2.4 * k / 100.0;  // Normals pointing down.
+    fan.Add(std::cos(theta), std::sin(theta), 0, Cmp::kLE);
+  }
+  ASSERT_TRUE(rel->Insert(SquareAt(1, 2, 0.5)).ok());
+  ASSERT_TRUE(rel->Insert(fan).ok());
+  ASSERT_TRUE(rel->Insert(SquareAt(-3, 4, 1)).ok());
+  auto check = [&](const Relation& r) {
+    const GeneralizedTuple want[3] = {SquareAt(1, 2, 0.5), fan,
+                                      SquareAt(-3, 4, 1)};
+    for (TupleId id = 0; id < 3; ++id) {
+      Polyhedron2DView shape;
+      ASSERT_TRUE(r.Shape(id, &shape));
+      for (double slope : {-0.7, 0.0, 0.4}) {
+        const auto& c = want[id].constraints();
+        EXPECT_EQ(TopValue(shape, slope), TopValue(c, slope)) << id;
+        EXPECT_EQ(BotValue(shape, slope), BotValue(c, slope)) << id;
+      }
+    }
+    Polyhedron2DView shape;
+    ASSERT_TRUE(r.Shape(1, &shape));
+    EXPECT_EQ(shape.points.size(), 4950u);
+  };
+  check(*rel);
+  const PageId root = rel->root_page();
+  std::unique_ptr<Relation> reopened;
+  ASSERT_TRUE(Relation::Open(pager.get(), root, &reopened).ok());
+  check(*reopened);
 }
 
 template <typename T>
