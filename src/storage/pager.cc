@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <tuple>
 
 #include "common/crc32c.h"
 
@@ -72,8 +73,8 @@ PagerReadSession::PagerReadSession(Pager* pager)
   // Under single-writer mode a session is the commit-epoch boundary: wait
   // out any in-flight publish, then register so the next publish waits for
   // us. (The writer thread never registers — it would deadlock its own
-  // publish, and its Fetches bypass the shard pools anyway.)
-  if (pager_->shared_mode_ && pager_->swmr_ && !pager_->IsSwmrWriterThread()) {
+  // publish, and its Fetches go to its overlay anyway.)
+  if (pager_->InSwmrReadContext()) {
     std::unique_lock<std::mutex> lock(pager_->publish_mu_);
     pager_->publish_cv_.wait(lock, [&] { return !pager_->gate_closed_; });
     ++pager_->active_swmr_sessions_;
@@ -202,14 +203,19 @@ Pager::~Pager() {
   if (!shared_mode_) Flush().ok();
 }
 
+PagerReadSession* Pager::FindSession() const {
+  for (PagerReadSession* s = t_session_head; s != nullptr; s = s->prev_) {
+    if (s->pager_ == this) return s;
+  }
+  return nullptr;
+}
+
 const IoStats& Pager::ThreadStats() const {
   if (shared_mode_) {
     // The single writer's view is its un-published delta (cleared into
     // stats() at each publish).
     if (IsSwmrWriterThread()) return writer_stats_;
-    for (PagerReadSession* s = t_session_head; s != nullptr; s = s->prev_) {
-      if (s->pager_ == this) return s->local_;
-    }
+    if (PagerReadSession* s = FindSession()) return s->local_;
   }
   return stats_;
 }
@@ -305,7 +311,7 @@ Status Pager::WalkFreeList() {
 }
 
 Result<PageId> Pager::Allocate() {
-  if (shared_mode_ && !IsSwmrWriterThread()) {
+  if (IsReader()) {
     return Status::InvalidArgument("Allocate during concurrent reads");
   }
   ++MutStats().pages_allocated;
@@ -322,24 +328,23 @@ Result<PageId> Pager::Allocate() {
     ref.value().MarkDirty();
   } else {
     id = next_page_id_++;
-    Frame frame;
+    const bool writer = IsSwmrWriterThread();
+    Shard& shard = shards_[ShardOf(id)];
+    Frame& frame = (writer ? overlay_ : shard.frames)[id];
     frame.data.assign(block_size_, 0);
     frame.dirty = true;
-    frame.pins = 0;
-    auto [it, inserted] = frames_.emplace(id, std::move(frame));
-    assert(inserted);
-    lru_.push_front(id);
-    it->second.lru_pos = lru_.begin();
-    it->second.in_lru = true;
-    Status st = EvictIfNeeded();
-    if (!st.ok()) return st;
+    Count(writer ? overlay_frames_ : pool_frames_, 1);
+    if (!writer) {
+      PushLru(shard, id, frame);
+      CDB_RETURN_IF_ERROR(EvictIfNeeded(nullptr, stats_));
+    }
   }
   ++live_pages_;
   return id;
 }
 
 Status Pager::Free(PageId id) {
-  if (shared_mode_ && !IsSwmrWriterThread()) {
+  if (IsReader()) {
     return Status::InvalidArgument("Free during concurrent reads");
   }
   if (id == kInvalidPageId || id >= next_page_id_) {
@@ -349,8 +354,10 @@ Status Pager::Free(PageId id) {
   if (free_set_.count(id) > 0) {
     return Status::Corruption("double free of page " + std::to_string(id));
   }
-  auto it = frames_.find(id);
-  if (it != frames_.end() && it->second.pins > 0) {
+  auto& frames =
+      IsSwmrWriterThread() ? overlay_ : shards_[ShardOf(id)].frames;
+  auto it = frames.find(id);
+  if (it != frames.end() && it->second.pins > 0) {
     return Status::InvalidArgument("Free of pinned page " +
                                    std::to_string(id));
   }
@@ -367,69 +374,127 @@ Status Pager::Free(PageId id) {
 }
 
 Result<PageRef> Pager::Fetch(PageId id) {
-  // Readers validate against the published snapshot inside SharedFetch —
-  // the live next_page_id_/free_set_ are the writer's under single-writer
-  // mode (and identical to the snapshot in plain concurrent-read mode).
-  if (shared_mode_ && !IsSwmrWriterThread()) return SharedFetch(id);
-  if (id == kInvalidPageId || id >= next_page_id_) {
+  // One body for three callers. A single thread, or a reader holding a
+  // session, fetches through the pool; under single-writer mode the writer
+  // fetches into its private overlay.
+  const bool writer = IsSwmrWriterThread();
+  PagerReadSession* session = nullptr;
+  if (IsReader()) {
+    session = FindSession();
+    if (session == nullptr) {
+      return Status::InvalidArgument(
+          "concurrent-read Fetch requires a PagerReadSession on this thread");
+    }
+  }
+  // Readers validate against the published snapshot: the live allocation
+  // state belongs to the writer's uncommitted transaction (and equals the
+  // snapshot in plain concurrent-read mode). The session's gate
+  // registration ordered this read after the last snapshot swap.
+  const bool reader = session != nullptr;
+  if (id == kInvalidPageId ||
+      id >= (reader ? published_next_page_id_ : next_page_id_)) {
     return Status::InvalidArgument("Fetch of invalid page id " +
                                    std::to_string(id));
   }
-  if (free_set_.count(id) > 0) {
+  if ((reader ? published_free_ : free_set_).count(id) > 0) {
     return Status::Corruption("Fetch of free page " + std::to_string(id));
   }
-  IoStats& sink = MutStats();
+  IoStats& sink = reader ? session->local_ : MutStats();
   ++sink.page_fetches;
-  auto it = frames_.find(id);
-  if (it == frames_.end()) {
-    ++sink.page_reads;
-    Frame frame;
-    frame.data.resize(block_size_);
-    // Pages allocated but never flushed do not exist in the file yet; they
-    // were evicted with write-back, so a resident miss means a real read
-    // unless the block is past EOF (possible only for never-written pages,
-    // which are zero by definition).
-    if (id < file_->BlockCount()) {
-      CDB_RETURN_IF_ERROR(ReadBlockVerified(id, frame.data.data(), &sink));
-    } else {
-      std::fill(frame.data.begin(), frame.data.end(), 0);
+  Shard& shard = shards_[ShardOf(id)];
+  std::unique_lock<std::mutex> lock;
+  if (reader) {
+    shard.fetches.fetch_add(1, std::memory_order_relaxed);
+    lock = LockShard(shard);
+  }
+  auto& frames = writer ? overlay_ : shard.frames;
+  auto it = frames.find(id);
+  if (it == frames.end()) {
+    // Miss: load outside the shard lock so a slow read does not serialize
+    // the shard. Two readers may race to load the same page; the loser
+    // adopts the winner's frame and its duplicate read is charged as a
+    // physical read (it was one), which keeps the per-session
+    // fetches == hits + reads invariant exact.
+    if (lock.owns_lock()) lock.unlock();
+    std::vector<char> block(block_size_);
+    bool copied = false;
+    if (writer) {
+      // The writer's first touch of a page copies its committed bytes from
+      // the pool when they are resident there.
+      std::unique_lock<std::mutex> pool_lock = LockShard(shard);
+      auto pit = shard.frames.find(id);
+      if (pit != shard.frames.end()) {
+        std::memcpy(block.data(), pit->second.data.data(), block_size_);
+        copied = true;
+      }
     }
-    it = frames_.emplace(id, std::move(frame)).first;
+    if (copied) {
+      ++sink.buffer_hits;
+    } else {
+      // A page allocated but never flushed does not exist in the file
+      // yet: past EOF a miss is a zero page.
+      ++sink.page_reads;
+      if (id < file_->BlockCount()) {
+        CDB_RETURN_IF_ERROR(ReadBlockVerified(id, block.data(), &sink));
+      }
+    }
+    if (reader) lock = LockShard(shard);
+    bool inserted;
+    std::tie(it, inserted) = frames.try_emplace(id);
+    if (inserted) {
+      it->second.data = std::move(block);
+      Count(writer ? overlay_frames_ : pool_frames_, 1);
+    }
   } else {
     ++sink.buffer_hits;
-    if (it->second.in_lru) {
-      lru_.erase(it->second.lru_pos);
-      it->second.in_lru = false;
-    }
   }
   Frame& frame = it->second;
-  if (frame.pins == 0) ++pinned_frames_;
-  ++frame.pins;
-  Status st = EvictIfNeeded();
-  if (!st.ok()) {
-    // Roll back the pin so the pager stays consistent.
-    --frame.pins;
-    if (frame.pins == 0) --pinned_frames_;
-    return st;
+  if (frame.pins++ == 0) {
+    Count(pinned_, 1);
+    if (frame.in_lru) {
+      shard.lru.erase(frame.lru_pos);
+      frame.in_lru = false;
+    }
+  }
+  if (!writer && pool_frames_.load(std::memory_order_relaxed) > cache_frames_) {
+    Status st = EvictIfNeeded(reader ? &shard : nullptr, sink);
+    if (!st.ok()) {
+      // Only single-threaded eviction writes back, so no lock is held.
+      Unpin(id);
+      return st;
+    }
   }
   return PageRef(this, id, frame.data.data() + payload_offset_);
 }
 
 void Pager::Unpin(PageId id) {
-  if (shared_mode_ && !IsSwmrWriterThread()) {
-    SharedUnpin(id);
-    return;
-  }
-  auto it = frames_.find(id);
-  assert(it != frames_.end());
+  const bool writer = IsSwmrWriterThread();
+  Shard& shard = shards_[ShardOf(id)];
+  std::unique_lock<std::mutex> lock;
+  if (shared_mode_ && !writer) lock = LockShard(shard);
+  auto& frames = writer ? overlay_ : shard.frames;
+  auto it = frames.find(id);
+  assert(it != frames.end() && it->second.pins > 0);
   Frame& frame = it->second;
-  assert(frame.pins > 0);
-  if (--frame.pins == 0) {
-    --pinned_frames_;
-    lru_.push_front(id);
-    frame.lru_pos = lru_.begin();
-    frame.in_lru = true;
+  if (--frame.pins > 0) return;
+  Count(pinned_, static_cast<size_t>(-1));
+  // Overlay frames are never evicted, so only pool frames join an LRU.
+  if (!writer) PushLru(shard, id, frame);
+}
+
+void Pager::Count(std::atomic<size_t>& counter, size_t delta) {
+  if (shared_mode_) {
+    counter.fetch_add(delta, std::memory_order_relaxed);
+  } else {
+    counter.store(counter.load(std::memory_order_relaxed) + delta,
+                  std::memory_order_relaxed);
   }
+}
+
+void Pager::PushLru(Shard& shard, PageId id, Frame& frame) {
+  shard.lru.push_front({shared_mode_ ? tick_ : ++tick_, id});
+  frame.lru_pos = shard.lru.begin();
+  frame.in_lru = true;
 }
 
 void Pager::MarkDirty(PageId id) {
@@ -437,10 +502,12 @@ void Pager::MarkDirty(PageId id) {
   // the single writer); there is no Status channel here, so fail loudly in
   // debug builds and ignore the mark otherwise (the frame would never be
   // written back anyway — write-back paths are all mode-guarded).
-  assert(!shared_mode_ || IsSwmrWriterThread());
-  if (shared_mode_ && !IsSwmrWriterThread()) return;
-  auto it = frames_.find(id);
-  assert(it != frames_.end());
+  assert(!IsReader());
+  if (IsReader()) return;
+  auto& frames =
+      IsSwmrWriterThread() ? overlay_ : shards_[ShardOf(id)].frames;
+  auto it = frames.find(id);
+  assert(it != frames.end());
   it->second.dirty = true;
   txn_active_ = true;
 }
@@ -571,31 +638,43 @@ Status Pager::WriteBack(PageId id, Frame* frame) {
   return Status::OK();
 }
 
-Status Pager::EvictIfNeeded() {
-  // The single-writer overlay is never evicted: a mid-transaction
-  // write-back would make uncommitted bytes readable. The overlay is
-  // bounded by the writer's batch size between publishes, not by
-  // cache_frames_ (documented trade-off, DESIGN.md §2d).
-  if (shared_mode_) return Status::OK();
-  while (frames_.size() > cache_frames_ && !lru_.empty()) {
-    PageId victim = lru_.back();
-    auto it = frames_.find(victim);
-    assert(it != frames_.end() && it->second.pins == 0);
-    if (it->second.dirty) ++stats_.dirty_writebacks;
-    CDB_RETURN_IF_ERROR(WriteBack(victim, &it->second));
-    ++stats_.buffer_evictions;
-    lru_.pop_back();
-    frames_.erase(it);
+Status Pager::EvictIfNeeded(Shard* home, IoStats& sink) {
+  while (pool_frames_.load(std::memory_order_relaxed) > cache_frames_) {
+    // Every shard's LRU is ordered by tick, so the oldest tick among the
+    // shard tails is the pool's least recently used frame. A reader holds
+    // only its home shard's lock and evicts there, tolerating transient
+    // overflow elsewhere rather than taking a second lock.
+    Shard* victim = home;
+    if (victim == nullptr) {
+      uint64_t oldest = UINT64_MAX;
+      for (Shard& s : shards_) {
+        if (!s.lru.empty() && s.lru.back().tick < oldest) {
+          oldest = s.lru.back().tick;
+          victim = &s;
+        }
+      }
+    }
+    if (victim == nullptr || victim->lru.empty()) break;
+    const PageId id = victim->lru.back().id;
+    auto it = victim->frames.find(id);
+    assert(it != victim->frames.end() && it->second.pins == 0);
+    // Only single-threaded frames can be dirty: concurrent reads begin
+    // with a flush, and a publish hands over committed frames.
+    if (it->second.dirty) ++sink.dirty_writebacks;
+    CDB_RETURN_IF_ERROR(WriteBack(id, &it->second));
+    ++sink.buffer_evictions;
+    victim->lru.pop_back();
+    victim->frames.erase(it);
+    Count(pool_frames_, static_cast<size_t>(-1));
   }
   return Status::OK();
 }
 
 Status Pager::Flush() {
-  if (shared_mode_) {
-    if (IsSwmrWriterThread()) return PublishWriter();
+  if (IsReader()) {
     return Status::InvalidArgument("Flush during concurrent reads");
   }
-  return FlushBody();
+  return IsSwmrWriterThread() ? PublishWriter() : FlushBody();
 }
 
 Status Pager::FlushBody() {
@@ -603,16 +682,28 @@ Status Pager::FlushBody() {
   // destructor's flush after a clean Flush() must not advance the
   // sequence or touch the file.
   if (!txn_active_ && !journal_header_written_) return Status::OK();
+  // Under single-writer mode the transaction lives in the overlay and the
+  // pool is clean; otherwise it lives in the pool.
+  std::vector<std::unordered_map<PageId, Frame>*> stores;
+  if (swmr_) {
+    stores.push_back(&overlay_);
+  } else {
+    for (Shard& shard : shards_) stores.push_back(&shard.frames);
+  }
   // Journal every pre-image first so one journal sync covers the whole
   // batch of in-place writes below.
   if (journal_ != nullptr) {
-    for (auto& [id, frame] : frames_) {
-      if (frame.dirty) CDB_RETURN_IF_ERROR(EnsureJournaled(id));
+    for (auto* frames : stores) {
+      for (auto& [id, frame] : *frames) {
+        if (frame.dirty) CDB_RETURN_IF_ERROR(EnsureJournaled(id));
+      }
     }
     CDB_RETURN_IF_ERROR(EnsureJournaled(0));
   }
-  for (auto& [id, frame] : frames_) {
-    CDB_RETURN_IF_ERROR(WriteBack(id, &frame));
+  for (auto* frames : stores) {
+    for (auto& [id, frame] : *frames) {
+      CDB_RETURN_IF_ERROR(WriteBack(id, &frame));
+    }
   }
   CDB_RETURN_IF_ERROR(StoreMeta());
   CDB_RETURN_IF_ERROR(SyncDataFile());
@@ -635,9 +726,17 @@ Status Pager::FlushBody() {
 }
 
 Status Pager::PublishWriter() {
-  // Nothing to commit: don't close the gate for a no-op (the ingest lane
-  // calls Flush once more on exit even when the tail batch was empty).
-  if (!txn_active_ && !journal_header_written_) return Status::OK();
+  if (!txn_active_ && !journal_header_written_) {
+    // Nothing to commit, so don't close the gate for a no-op (the ingest
+    // lane calls Flush once more on exit even when the tail batch was
+    // empty). The overlay holds only clean copies of committed pages; drop
+    // the unpinned ones.
+    std::erase_if(overlay_, [](const auto& entry) {
+      return entry.second.pins == 0;
+    });
+    overlay_frames_.store(overlay_.size(), std::memory_order_relaxed);
+    return Status::OK();
+  }
   std::unique_lock<std::mutex> lock(publish_mu_);
   gate_closed_ = true;
   const uint64_t drain_start = clock_->NowNanos();
@@ -649,29 +748,17 @@ Status Pager::PublishWriter() {
   cc_.publish_sessions_drained.fetch_add(sessions_at_gate,
                                          std::memory_order_relaxed);
   // Every read session is drained and new ones are parked at the gate, so
-  // the commit below is invisible until the snapshot swap completes.
-  std::vector<PageId> written;
-  for (auto& [id, frame] : frames_) {
-    if (frame.dirty) written.push_back(id);
-  }
-  cc_.publish_pages.fetch_add(written.size(), std::memory_order_relaxed);
+  // the commit below is invisible until the snapshot swap completes, and
+  // the pool is the writer's to change without shard locks.
+  cc_.publish_pages.fetch_add(
+      std::count_if(overlay_.begin(), overlay_.end(),
+                    [](const auto& entry) { return entry.second.dirty; }),
+      std::memory_order_relaxed);
   Status st = FlushBody();
   if (st.ok()) {
-    // Purge superseded copies so post-publish readers refetch the new
-    // bytes from disk. (Pages freed this transaction may leave stale
-    // clean frames behind; the published free set blocks fetching them,
-    // and a later reuse lands in `written` and purges them here.)
-    for (PageId id : written) {
-      ReadShard& shard = *shards_[ShardOf(id)];
-      std::lock_guard<std::mutex> slock(shard.mu);
-      auto it = shard.frames.find(id);
-      if (it != shard.frames.end()) {
-        assert(it->second.pins.load(std::memory_order_relaxed) == 0);
-        if (it->second.in_lru) shard.lru.erase(it->second.lru_pos);
-        shard.frames.erase(it);
-        shared_frames_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
+    AdoptOverlay();
+    // Committed frames are clean, so this eviction writes nothing back.
+    st = EvictIfNeeded(nullptr, writer_stats_);
     published_next_page_id_ = next_page_id_;
     published_free_ = free_set_;
   }
@@ -686,17 +773,50 @@ Status Pager::PublishWriter() {
   return st;
 }
 
+void Pager::AdoptOverlay() {
+  // The adopted frames are newer than anything in the pool.
+  ++tick_;
+  for (auto it = overlay_.begin(); it != overlay_.end();) {
+    const PageId id = it->first;
+    Frame& src = it->second;
+    Shard& shard = shards_[ShardOf(id)];
+    auto [dst, inserted] = shard.frames.try_emplace(id);
+    // A superseded copy is unpinned: its readers have drained.
+    assert(dst->second.pins == 0);
+    if (inserted) {
+      Count(pool_frames_, 1);
+    } else if (dst->second.in_lru) {
+      shard.lru.erase(dst->second.lru_pos);
+    }
+    dst->second.dirty = false;
+    PushLru(shard, id, dst->second);
+    if (src.pins == 0) {
+      dst->second.data = std::move(src.data);
+      it = overlay_.erase(it);
+      Count(overlay_frames_, static_cast<size_t>(-1));
+    } else {
+      // The writer still holds this page: leave it the overlay's frame and
+      // give readers a copy.
+      dst->second.data = src.data;
+      ++it;
+    }
+  }
+}
+
 Status Pager::DropCache() {
   if (shared_mode_) {
     return Status::InvalidArgument("DropCache during concurrent reads");
   }
   CDB_RETURN_IF_ERROR(Flush());
-  for (auto it = frames_.begin(); it != frames_.end();) {
-    if (it->second.pins == 0) {
-      if (it->second.in_lru) lru_.erase(it->second.lru_pos);
-      it = frames_.erase(it);
-    } else {
-      ++it;
+  for (Shard& shard : shards_) {
+    for (auto it = shard.frames.begin(); it != shard.frames.end();) {
+      if (it->second.pins == 0) {
+        if (it->second.in_lru) shard.lru.erase(it->second.lru_pos);
+        it = shard.frames.erase(it);
+        Count(pool_frames_, static_cast<size_t>(-1));
+      } else {
+        ++it;
+      }
     }
   }
   return Status::OK();
@@ -706,38 +826,19 @@ Status Pager::BeginConcurrentReads(bool single_writer) {
   if (shared_mode_) {
     return Status::InvalidArgument("already in concurrent-read mode");
   }
-  if (pinned_frames_ != 0) {
+  if (pinned_frame_count() != 0) {
     return Status::InvalidArgument("BeginConcurrentReads with live pins");
   }
-  // Every frame must be clean before sharing: shared-mode eviction drops
-  // frames without write-back, and readers never see in-flight mutations.
+  // Every pool frame must be clean before sharing: concurrent eviction
+  // drops frames without write-back, and readers never see in-flight
+  // mutations.
   CDB_RETURN_IF_ERROR(Flush());
-  if (shards_.empty()) {
-    shards_.resize(kReadShards);
-    for (auto& s : shards_) s = std::make_unique<ReadShard>();
-  }
   // Per-epoch fetch distribution restarts with the mode (ShardImbalance()).
-  for (auto& s : shards_) s->fetches.store(0, std::memory_order_relaxed);
-  // Distribute resident frames, walking the exclusive LRU from MRU to LRU
-  // so each shard's list preserves relative recency — a warm cache stays
-  // warm across the mode switch.
-  size_t moved = 0;
-  for (PageId id : lru_) {
-    auto it = frames_.find(id);
-    assert(it != frames_.end());
-    it->second.in_lru = false;
-    ReadShard& shard = *shards_[ShardOf(id)];
-    auto res = shard.frames.emplace(id, std::move(it->second));
-    assert(res.second);
-    shard.lru.push_back(id);
-    res.first->second.lru_pos = --shard.lru.end();
-    res.first->second.in_lru = true;
-    ++moved;
+  for (Shard& shard : shards_) {
+    shard.fetches.store(0, std::memory_order_relaxed);
   }
-  frames_.clear();
-  lru_.clear();
-  shared_frames_.store(moved, std::memory_order_relaxed);
-  shared_pinned_.store(0, std::memory_order_relaxed);
+  // Frames the readers touch this epoch are newer than every earlier one.
+  ++tick_;
   // Snapshot the allocation state readers validate against. In plain
   // concurrent-read mode it never diverges from the live state (mutations
   // are rejected); under single-writer mode it advances only at publish.
@@ -761,45 +862,19 @@ Status Pager::EndConcurrentReads() {
       return Status::InvalidArgument(
           "EndConcurrentReads must run on the writer thread");
     }
-    // Commit whatever the writer left pending so exclusive mode resumes
-    // from a published state.
+    // Commit whatever the writer left pending so the pager resumes from a
+    // published state. After it the overlay holds only pinned frames.
     CDB_RETURN_IF_ERROR(PublishWriter());
-    {
-      std::lock_guard<std::mutex> lock(publish_mu_);
-      if (active_swmr_sessions_ != 0) {
-        return Status::InvalidArgument(
-            "EndConcurrentReads with open read sessions");
-      }
-    }
-    if (pinned_frames_ != 0) {
-      return Status::InvalidArgument("EndConcurrentReads with writer pins");
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    if (active_swmr_sessions_ != 0) {
+      return Status::InvalidArgument(
+          "EndConcurrentReads with open read sessions");
     }
   }
-  if (shared_pinned_.load(std::memory_order_relaxed) != 0) {
+  if (pinned_frame_count() != 0) {
     return Status::InvalidArgument(
         "EndConcurrentReads with live PageRefs or sessions");
   }
-  // Fold the shards back. Recency within a shard is preserved; ordering
-  // across shards is approximate, which only perturbs future eviction
-  // order, never counters or query results. Under single-writer mode the
-  // writer's overlay may already hold a (clean, identical post-publish)
-  // copy of a shard frame — keep the overlay's and drop the shard's.
-  for (auto& shard_ptr : shards_) {
-    ReadShard& shard = *shard_ptr;
-    for (PageId id : shard.lru) {
-      auto it = shard.frames.find(id);
-      assert(it != shard.frames.end());
-      it->second.in_lru = false;
-      auto res = frames_.emplace(id, std::move(it->second));
-      if (!res.second) continue;
-      lru_.push_back(id);
-      res.first->second.lru_pos = --lru_.end();
-      res.first->second.in_lru = true;
-    }
-    shard.frames.clear();
-    shard.lru.clear();
-  }
-  shared_frames_.store(0, std::memory_order_relaxed);
   // Residual writer counters (reads that never hit a publish) and the
   // mode reset. The publish above already merged the mutation counters.
   {
@@ -807,17 +882,12 @@ Status Pager::EndConcurrentReads() {
     stats_.Merge(writer_stats_);
     writer_stats_.Reset();
   }
-  const bool had_writer = swmr_;
   swmr_ = false;
   shared_mode_ = false;
-  // The writer overlay may have grown past the frame budget while
-  // eviction was disabled; shed the excess now that exclusive eviction is
-  // legal again. (Plain concurrent-read mode never overflows: shard-local
-  // eviction kept the pool at the budget.)
-  return had_writer ? EvictIfNeeded() : Status::OK();
+  return Status::OK();
 }
 
-std::unique_lock<std::mutex> Pager::LockShard(ReadShard& shard) {
+std::unique_lock<std::mutex> Pager::LockShard(Shard& shard) {
   std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
   if (!lock.owns_lock()) {
     // Contended: charge the blocking wait. The uncontended path above never
@@ -830,83 +900,6 @@ std::unique_lock<std::mutex> Pager::LockShard(ReadShard& shard) {
                                      std::memory_order_relaxed);
   }
   return lock;
-}
-
-Result<PageRef> Pager::SharedFetch(PageId id) {
-  PagerReadSession* session = nullptr;
-  for (PagerReadSession* s = t_session_head; s != nullptr; s = s->prev_) {
-    if (s->pager_ == this) {
-      session = s;
-      break;
-    }
-  }
-  if (session == nullptr) {
-    return Status::InvalidArgument(
-        "concurrent-read Fetch requires a PagerReadSession on this thread");
-  }
-  // Validate against the published snapshot (== the live state in plain
-  // concurrent-read mode; the last commit under single-writer mode). The
-  // session's gate registration ordered this read after the snapshot swap.
-  if (id == kInvalidPageId || id >= published_next_page_id_) {
-    return Status::InvalidArgument("Fetch of invalid page id " +
-                                   std::to_string(id));
-  }
-  if (published_free_.count(id) > 0) {
-    return Status::Corruption("Fetch of free page " + std::to_string(id));
-  }
-  IoStats& stats = session->local_;
-  ++stats.page_fetches;
-  ReadShard& shard = *shards_[ShardOf(id)];
-  shard.fetches.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lock = LockShard(shard);
-  auto it = shard.frames.find(id);
-  if (it == shard.frames.end()) {
-    // Miss: do the physical read outside the shard lock so a slow read
-    // does not serialize the whole shard. Two threads may race to load the
-    // same page; the loser adopts the winner's frame and its duplicate
-    // read is charged as a physical read (it was one), which keeps the
-    // per-session fetches == hits + reads invariant exact.
-    lock.unlock();
-    ++stats.page_reads;
-    std::vector<char> block(block_size_);
-    if (id < file_->BlockCount()) {
-      CDB_RETURN_IF_ERROR(ReadBlockVerified(id, block.data(), &stats));
-    }
-    lock = LockShard(shard);
-    it = shard.frames.find(id);
-    if (it == shard.frames.end()) {
-      Frame frame;
-      frame.data = std::move(block);
-      it = shard.frames.emplace(id, std::move(frame)).first;
-      shared_frames_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    ++stats.buffer_hits;
-  }
-  Frame& frame = it->second;
-  if (frame.pins.fetch_add(1, std::memory_order_relaxed) == 0) {
-    shared_pinned_.fetch_add(1, std::memory_order_relaxed);
-    if (frame.in_lru) {
-      shard.lru.erase(frame.lru_pos);
-      frame.in_lru = false;
-    }
-  }
-  // Capacity: evict unpinned frames from this shard's cold end while the
-  // pool as a whole is over budget. All frames are clean, so eviction is
-  // just an erase. Another shard may be the actual offender; tolerating
-  // transient overflow keeps eviction lock-local.
-  while (shared_frames_.load(std::memory_order_relaxed) > cache_frames_ &&
-         !shard.lru.empty()) {
-    PageId victim = shard.lru.back();
-    auto vit = shard.frames.find(victim);
-    assert(vit != shard.frames.end() &&
-           vit->second.pins.load(std::memory_order_relaxed) == 0);
-    shard.lru.pop_back();
-    shard.frames.erase(vit);
-    shared_frames_.fetch_sub(1, std::memory_order_relaxed);
-    ++stats.buffer_evictions;
-  }
-  return PageRef(this, id, frame.data.data() + payload_offset_);
 }
 
 Status Pager::ReadBlockVerified(PageId id, char* block, IoStats* sink) {
@@ -1010,8 +1003,8 @@ double Pager::ShardImbalance() const {
   uint64_t total = 0;
   uint64_t peak = 0;
   size_t shards = 0;
-  for (const auto& shard_ptr : shards_) {
-    uint64_t f = shard_ptr->fetches.load(std::memory_order_relaxed);
+  for (const Shard& shard : shards_) {
+    uint64_t f = shard.fetches.load(std::memory_order_relaxed);
     total += f;
     peak = std::max(peak, f);
     ++shards;
@@ -1019,22 +1012,6 @@ double Pager::ShardImbalance() const {
   if (total == 0 || shards == 0) return 0;
   double mean = static_cast<double>(total) / static_cast<double>(shards);
   return static_cast<double>(peak) / mean;
-}
-
-void Pager::SharedUnpin(PageId id) {
-  ReadShard& shard = *shards_[ShardOf(id)];
-  std::unique_lock<std::mutex> lock = LockShard(shard);
-  auto it = shard.frames.find(id);
-  assert(it != shard.frames.end());
-  Frame& frame = it->second;
-  int prev = frame.pins.fetch_sub(1, std::memory_order_relaxed);
-  assert(prev > 0);
-  if (prev == 1) {
-    shared_pinned_.fetch_sub(1, std::memory_order_relaxed);
-    shard.lru.push_front(id);
-    frame.lru_pos = shard.lru.begin();
-    frame.in_lru = true;
-  }
 }
 
 }  // namespace cdb

@@ -7,17 +7,19 @@
 // not the page was resident, so benchmarks can reproduce that metric with a
 // warm or cold cache.
 //
-// Threading: the pager has two modes (DESIGN.md §2c).
-//   - Exclusive mode (the default, and the only mode with mutations): the
-//     pager is single-threaded, exactly as the paper's structures are
-//     evaluated; no latching, byte-identical behavior to previous versions.
-//   - Concurrent-read mode, entered with BeginConcurrentReads(): the buffer
-//     pool is sharded by page id (per-shard mutex + LRU, atomic pin counts)
-//     and Fetch() becomes safe from many threads at once — provided each
-//     thread holds a PagerReadSession, which collects that thread's IoStats
-//     delta and merges it into stats() when it closes. All mutating entry
-//     points (Allocate, Free, Flush, DropCache, MarkDirty) are rejected
-//     until EndConcurrentReads() restores exclusive mode.
+// Buffer pool (DESIGN.md §2c): one pool, sharded by page id into
+// kReadShards shards, holds every resident page in every mode.
+//   - Single-threaded (the default, and the only state in which any thread
+//     may mutate): no lock is taken, and eviction follows one global LRU
+//     order (recency ticks across the shards), as the paper's accounting
+//     requires.
+//   - Concurrent reads (BeginConcurrentReads()): Fetch() is safe from any
+//     thread holding a PagerReadSession, which collects that thread's
+//     IoStats delta and merges it into stats() when it closes. A fetch
+//     locks one shard and evicts there. Mutations (Allocate, Free, Flush,
+//     DropCache, MarkDirty) are rejected until EndConcurrentReads().
+//   - Single writer (BeginConcurrentReads(true)): the calling thread keeps
+//     the full API, working in a private overlay (see there).
 //
 // On-disk layout (format v2):
 //   block 0           meta page: magic, page size, next id, free-list head,
@@ -47,6 +49,7 @@
 #ifndef CDB_STORAGE_PAGER_H_
 #define CDB_STORAGE_PAGER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -79,12 +82,13 @@ inline constexpr size_t kPageHeaderSize = 16;
 /// Per-record framing overhead in the journal file (see JournalBlockSize).
 inline constexpr size_t kJournalBlockOverhead = 16;
 
-/// Buffer-pool shards used while in concurrent-read mode (a power of two,
-/// so a page's shard is `id & (kReadShards - 1)`). Exclusive mode has one
-/// LRU, which stays byte-identical to the paper's accounting.
+/// Shards of the buffer pool (a power of two, so a page's shard is
+/// `id & (kReadShards - 1)`). Single-threaded eviction still follows one
+/// global LRU order, so the paper's accounting does not depend on it.
 inline constexpr size_t kReadShards = 8;
 
 class Pager;
+class PagerReadSession;
 
 /// Pinned view of a page's bytes. The frame stays resident while any
 /// PageRef to it is alive. Call MarkDirty() after mutating data().
@@ -286,11 +290,10 @@ class Pager {
   const IoStats& stats() const { return stats_; }
   IoStats* mutable_stats() { return &stats_; }
 
-  /// Frames currently held in the buffer pool (all shards in
-  /// concurrent-read mode).
+  /// Frames currently held: the pool's, plus the single writer's overlay.
   size_t resident_frame_count() const {
-    return shared_mode_ ? shared_frames_.load(std::memory_order_relaxed)
-                        : frames_.size();
+    return pool_frames_.load(std::memory_order_relaxed) +
+           overlay_frames_.load(std::memory_order_relaxed);
   }
 
   /// Frames with at least one live PageRef. Zero between operations — a
@@ -298,40 +301,37 @@ class Pager {
   /// the fault-injection tests). Buffer-pool state is published to a
   /// MetricsRegistry by obs::ExportPagerMetrics (obs/metrics.h).
   size_t pinned_frame_count() const {
-    return shared_mode_ ? shared_pinned_.load(std::memory_order_relaxed)
-                        : pinned_frames_;
+    return pinned_.load(std::memory_order_relaxed);
   }
 
   /// Drops every unpinned frame (writing dirty ones back) so subsequent
   /// fetches hit the file. Benchmarks use it to take cold-cache readings.
   Status DropCache();
 
-  /// Switches the buffer pool into concurrent-read mode: flushes so every
-  /// frame is clean, then distributes the resident frames across the shard
-  /// pools (preserving recency, so a warm cache stays warm). Requires zero
-  /// live pins. After this, Fetch() is thread-safe for any thread holding a
-  /// PagerReadSession, and every mutating entry point returns
-  /// Status::InvalidArgument until EndConcurrentReads().
+  /// Enters concurrent-read mode: flushes so every frame is clean and
+  /// snapshots the allocation state readers validate against; no frame
+  /// moves. Requires zero live pins. After this, Fetch() is thread-safe
+  /// for any thread holding a PagerReadSession, and every mutating entry
+  /// point returns Status::InvalidArgument until EndConcurrentReads().
   ///
   /// With `single_writer` the mode becomes single-writer/multi-reader
   /// (DESIGN.md §2d): the *calling* thread keeps the full exclusive-mode
-  /// API — Allocate/Free/Fetch/MarkDirty mutate a private frame overlay
+  /// API — Allocate/Free/Fetch/MarkDirty work in a private frame overlay
   /// (never evicted, so in-flight changes stay invisible) — while every
   /// other thread reads the last *committed* state through sessions as
   /// before. The writer publishes by calling Flush(), which drains open
   /// read sessions (sessions, not the mode, are the commit-epoch boundary:
-  /// a session opened after the publish sees the new state), write-backs
-  /// the transaction through the journal, purges superseded frames from
-  /// the shard pools and re-opens the gate. Reader-side id validation runs
-  /// against the published allocation snapshot, so readers can neither see
-  /// a half-built page nor lose one the writer freed but has not
-  /// committed.
+  /// a session opened after the publish sees the new state), writes the
+  /// transaction back through the journal, hands the committed frames to
+  /// the pool (replacing superseded copies) and re-opens the gate.
+  /// Reader-side id validation runs against the published allocation
+  /// snapshot, so readers can neither see a half-built page nor lose one
+  /// the writer freed but has not committed.
   Status BeginConcurrentReads(bool single_writer = false);
 
-  /// Leaves concurrent-read mode, folding the shard pools back into the
-  /// exclusive-mode LRU (shard-local recency is preserved; cross-shard
-  /// ordering is approximate). Requires that all PageRefs and all
-  /// PagerReadSessions are closed.
+  /// Leaves concurrent-read mode (publishing first under single-writer
+  /// mode). Requires that all PageRefs and all PagerReadSessions are
+  /// closed.
   Status EndConcurrentReads();
 
   bool concurrent_reads_active() const { return shared_mode_; }
@@ -341,8 +341,7 @@ class Pager {
   /// thread. Index structures use this to descend from their committed
   /// meta instead of in-memory state the writer is mutating.
   bool InSwmrReadContext() const {
-    return shared_mode_ && swmr_ &&
-           std::this_thread::get_id() != writer_thread_;
+    return swmr_ && std::this_thread::get_id() != writer_thread_;
   }
 
   /// The calling thread's view of the I/O counters: in concurrent-read mode
@@ -359,40 +358,40 @@ class Pager {
   /// to call from any thread at any time.
   PagerRetryStats retry_stats() const;
 
-  /// Shard-load imbalance over the *current* concurrent-read epoch:
-  /// max(per-shard fetches) / mean(per-shard fetches), 0 when no shard saw
-  /// a fetch (or outside concurrent-read mode). 1.0 = perfectly even.
-  /// Per-shard fetch counters reset at each BeginConcurrentReads().
+  /// Shard-load imbalance of reader fetches since the last
+  /// BeginConcurrentReads(): max(per-shard fetches) / mean(per-shard
+  /// fetches), 1.0 = perfectly even, 0 when no reader fetched. The value
+  /// outlives EndConcurrentReads(), so it can be exported after a batch;
+  /// single-threaded and writer fetches are not counted.
   double ShardImbalance() const;
 
  private:
+  /// A shard LRU entry. `tick` is the pool's recency clock when the frame
+  /// entered the list; lists are ordered by it (front = newest).
+  struct LruEntry {
+    uint64_t tick;
+    PageId id;
+  };
+
   struct Frame {
     std::vector<char> data;  // Full block; payload at payload_offset_.
     bool dirty = false;
-    // Atomic so concurrent-read pin/unpin from different shard-lock holders
-    // and the lock-free pinned_frame_count() probe are race-free. Exclusive
-    // mode only ever touches it single-threaded.
-    std::atomic<int> pins{0};
-    std::list<PageId>::iterator lru_pos;  // Valid iff in_lru.
+    // Guarded by the shard lock while reads are concurrent; an overlay
+    // frame is only ever touched by the writer.
+    int pins = 0;
+    std::list<LruEntry>::iterator lru_pos;  // Valid iff in_lru.
     bool in_lru = false;
-
-    Frame() = default;
-    Frame(Frame&& o) noexcept
-        : data(std::move(o.data)),
-          dirty(o.dirty),
-          pins(o.pins.load(std::memory_order_relaxed)),
-          lru_pos(o.lru_pos),
-          in_lru(o.in_lru) {}
   };
 
-  /// One concurrent-read shard: pages with ShardOf(id) == index live here
-  /// while shared mode is active. All fields are guarded by `mu`.
-  struct ReadShard {
+  /// One shard of the pool: pages with ShardOf(id) == index. While reads
+  /// are concurrent every field but `fetches` is guarded by `mu`;
+  /// single-threaded, no lock is taken.
+  struct alignas(64) Shard {
     std::mutex mu;
     std::unordered_map<PageId, Frame> frames;
-    std::list<PageId> lru;  // Front = most recently used, unpinned only.
-    // Fetches routed to this shard in the current concurrent-read epoch
-    // (reset by BeginConcurrentReads); feeds ShardImbalance().
+    std::list<LruEntry> lru;  // Unpinned frames only.
+    // Reader fetches routed here since the last BeginConcurrentReads();
+    // feeds ShardImbalance().
     std::atomic<uint64_t> fetches{0};
   };
 
@@ -432,16 +431,19 @@ class Pager {
   void Unpin(PageId id);
   void MarkDirty(PageId id);
 
-  // Concurrent-read machinery (pager.cc; active only between
-  // BeginConcurrentReads and EndConcurrentReads).
   static size_t ShardOf(PageId id) { return id & (kReadShards - 1); }
-  Result<PageRef> SharedFetch(PageId id);
-  void SharedUnpin(PageId id);
+  // This thread's open session on this pager, or null.
+  PagerReadSession* FindSession() const;
   void MergeSessionStats(const IoStats& delta);
+  // Adds `delta` (mod 2^64) to a frame counter other threads may read;
+  // an atomic read-modify-write only while reads are concurrent.
+  void Count(std::atomic<size_t>& counter, size_t delta);
+  // Puts an unpinned pool frame at the front of its shard's LRU.
+  void PushLru(Shard& shard, PageId id, Frame& frame);
   // Acquires shard.mu; on contention (try_lock failure) charges the wait to
   // cc_.shard_lock_waits / shard_lock_wait_ns. Uncontended path is just the
   // try_lock — no clock read.
-  std::unique_lock<std::mutex> LockShard(ReadShard& shard);
+  std::unique_lock<std::mutex> LockShard(Shard& shard);
   // Timed wrappers around file_->Sync() / journal_->Sync(); the only Sync
   // call sites, so cc_ sees every fsync.
   Status SyncDataFile();
@@ -451,14 +453,20 @@ class Pager {
   bool IsSwmrWriterThread() const {
     return swmr_ && std::this_thread::get_id() == writer_thread_;
   }
+  // True on a thread that may only read: concurrent reads are active and
+  // it is not the single writer.
+  bool IsReader() const { return shared_mode_ && !IsSwmrWriterThread(); }
   // The accumulator mutations charge: the pager-wide stats_ in exclusive
   // mode, the writer's private delta under single-writer mode (merged into
   // stats_ at each publish; readers merge via sessions concurrently).
   IoStats& MutStats() { return shared_mode_ ? writer_stats_ : stats_; }
   // Flush()'s writer-thread form: drain read sessions, commit the
-  // transaction, purge superseded shard frames, advance the published
+  // transaction, hand the overlay to the pool, advance the published
   // allocation snapshot, re-open the gate.
   Status PublishWriter();
+  // Moves the committed overlay frames into the pool (pinned ones stay in
+  // the overlay and leave a copy). Readers must be drained.
+  void AdoptOverlay();
 
   Status LoadMeta();
   Status StoreMeta();
@@ -466,12 +474,16 @@ class Pager {
   // Flush's transaction body (journal pre-images, write-backs, meta,
   // commit). Shared between exclusive Flush() and PublishWriter().
   Status FlushBody();
-  Status EvictIfNeeded();
+  // Evicts unpinned pool frames, charging `sink`, until the pool fits
+  // cache_frames_. With `home` (a reader holding its lock) only that
+  // shard's cold end is eligible; otherwise the victim is the pool's least
+  // recently used frame.
+  Status EvictIfNeeded(Shard* home, IoStats& sink);
   Status WriteBack(PageId id, Frame* frame);
   // `sink` receives checksum_failures (the caller's IoStats: the pager-wide
   // accumulator in exclusive mode, the session's in concurrent-read mode).
   Status VerifyPageBlock(PageId id, const char* block, IoStats* sink);
-  // The one physical-read path behind Fetch()/SharedFetch() cache misses:
+  // The one physical-read path behind Fetch() cache misses:
   // ReadBlock + checksum verify, with the PagerOptions retry policy
   // (transient retries with capped exponential backoff, one optional CRC
   // re-read). Thread-safe; charges rc_, never `sink` beyond what a single
@@ -504,7 +516,6 @@ class Pager {
   PageId free_head_ = kInvalidPageId;
   uint64_t live_pages_ = 0;
   uint64_t commit_seq_ = 0;
-  size_t pinned_frames_ = 0;  // Frames with pins > 0.
 
   std::unordered_set<PageId> free_set_;
 
@@ -517,8 +528,13 @@ class Pager {
   bool txn_active_ = false;  // Any mutation since the last commit?
   uint64_t txn_base_blocks_ = 0;  // BlockCount() at the last commit.
 
-  std::unordered_map<PageId, Frame> frames_;
-  std::list<PageId> lru_;  // Front = most recently used, unpinned only.
+  // The buffer pool. `tick_` is the recency clock behind LruEntry::tick;
+  // concurrent readers stamp it without advancing it (DESIGN.md §2c).
+  std::array<Shard, kReadShards> shards_;
+  uint64_t tick_ = 0;
+  std::atomic<size_t> pool_frames_{0};     // Frames across all shards.
+  std::atomic<size_t> overlay_frames_{0};  // overlay_.size().
+  std::atomic<size_t> pinned_{0};          // Frames with pins > 0.
 
   std::vector<char> block_scratch_;    // One data block (pre-image reads).
   std::vector<char> journal_scratch_;  // One journal block.
@@ -529,9 +545,6 @@ class Pager {
   // other thread touches the pager (the executor's dispatch handshake
   // provides the happens-before edge), so it needs no atomicity itself.
   bool shared_mode_ = false;
-  std::vector<std::unique_ptr<ReadShard>> shards_;
-  std::atomic<size_t> shared_frames_{0};  // Frames across all shards.
-  std::atomic<size_t> shared_pinned_{0};  // Pinned frames across all shards.
   std::mutex stats_mu_;  // Guards stats_ during session merges.
   ConcurrencyCounters cc_;  // See concurrency_stats().
 
@@ -542,6 +555,9 @@ class Pager {
   // belong to the writer's uncommitted transaction.
   bool swmr_ = false;
   std::thread::id writer_thread_{};
+  // The writer's private frames: every page its transaction touched since
+  // the last publish, never evicted.
+  std::unordered_map<PageId, Frame> overlay_;
   IoStats writer_stats_;
   PageId published_next_page_id_ = 1;
   std::unordered_set<PageId> published_free_;

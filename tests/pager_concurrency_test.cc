@@ -248,10 +248,10 @@ TEST(PagerConcurrencyTest, WarmCacheSurvivesModeRoundTrip) {
   }
   ASSERT_TRUE(pager->EndConcurrentReads().ok());
 
-  // Every fetch inside shared mode hit the (redistributed) warm cache...
+  // Every fetch inside shared mode hit the warm pool...
   EXPECT_EQ(pager->stats().page_reads, reads_before);
 
-  // ...and the fold back into exclusive mode kept the frames resident too.
+  // ...and leaving the mode kept the frames resident too.
   for (PageId id : ids) ASSERT_TRUE(pager->Fetch(id).ok());
   EXPECT_EQ(pager->stats().page_reads, reads_before);
 }

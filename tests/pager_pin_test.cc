@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "storage/file.h"
 
@@ -128,7 +129,7 @@ TEST(PageRefPinTest, SharedModePinLifecycleMirrorsExclusive) {
     Result<PageRef> rb = pager->Fetch(b);
     ASSERT_TRUE(ra.ok() && rb.ok());
     EXPECT_EQ(pager->pinned_frame_count(), 2u);
-    // Move-assign across pages exercises SharedUnpin via Release.
+    // Move-assign across pages exercises the locked unpin via Release.
     rb.value() = std::move(ra.value());
     EXPECT_EQ(pager->pinned_frame_count(), 1u);
     rb.value().Release();
@@ -154,6 +155,43 @@ TEST(PageRefPinTest, EndConcurrentReadsRefusesWhilePinned) {
     ref.value().Release();
   }
   EXPECT_TRUE(pager->EndConcurrentReads().ok());
+}
+
+// Under single-writer mode the writer's frames live in its private overlay.
+// They are still the pager's frames: a leaked writer pin must show in
+// pinned_frame_count() (the leak checks and the pinned_frames gauge read
+// it), its dirty pages in resident_frame_count(), and each publish must
+// hand them to the pool without letting it grow past its budget.
+TEST(PageRefPinTest, WriterPinsCountUnderSingleWriter) {
+  constexpr size_t kCacheFrames = 4;
+  constexpr size_t kPages = 8;
+  auto pager = MakePager(kCacheFrames);
+  std::vector<PageId> ids;
+  for (size_t i = 0; i < kPages; ++i) ids.push_back(AllocatePage(pager.get()));
+
+  ASSERT_TRUE(pager->BeginConcurrentReads(/*single_writer=*/true).ok());
+  {
+    Result<PageRef> ref = pager->Fetch(ids[0]);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ(pager->pinned_frame_count(), 1u);
+  }
+  EXPECT_EQ(pager->pinned_frame_count(), 0u);
+
+  for (int round = 0; round < 4; ++round) {
+    for (PageId id : ids) {
+      Result<PageRef> ref = pager->Fetch(id);
+      ASSERT_TRUE(ref.ok());
+      ref.value().data()[0] = static_cast<char>(round);
+      ref.value().MarkDirty();
+    }
+    EXPECT_GE(pager->resident_frame_count(), kPages) << "round " << round;
+    ASSERT_TRUE(pager->Flush().ok());
+    EXPECT_LE(pager->resident_frame_count(), kCacheFrames + kReadShards)
+        << "round " << round;
+    EXPECT_EQ(pager->pinned_frame_count(), 0u);
+  }
+  ASSERT_TRUE(pager->EndConcurrentReads().ok());
+  EXPECT_LE(pager->resident_frame_count(), kCacheFrames + kReadShards);
 }
 
 }  // namespace

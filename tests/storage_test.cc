@@ -276,6 +276,38 @@ TEST(PagerTest, EvictionAndDirtyWritebackCounters) {
   EXPECT_EQ(delta.buffer_evictions, 0u);
 }
 
+// The pool is sharded by page id (id & 7), but single-threaded eviction
+// must drop the page one global LRU list would drop (DESIGN.md decision
+// 24): the paper tables count the re-reads that follow. Pages 1, 9 and 17
+// share shard 1 and page 2 sits in shard 2. With the recency order
+// 2, 1, 9 a miss on 17 must evict page 2, the pool-wide LRU page, not
+// page 1, the cold end of the fetched page's shard and of the
+// lowest-numbered non-empty shard.
+TEST(PagerTest, EvictsGlobalLeastRecentlyUsedAcrossShards) {
+  constexpr size_t kCacheFrames = 3;
+  auto pager = MakeMemPager(kCacheFrames);
+  for (int i = 0; i < 17; ++i) ASSERT_TRUE(pager->Allocate().ok());
+  ASSERT_TRUE(pager->DropCache().ok());
+
+  // Fetches `id`, releases it and returns the physical reads it cost.
+  auto reads_for = [&](PageId id) -> uint64_t {
+    const uint64_t before = pager->stats().page_reads;
+    EXPECT_TRUE(pager->Fetch(id).ok());
+    EXPECT_LE(pager->resident_frame_count(), kCacheFrames) << "page " << id;
+    return pager->stats().page_reads - before;
+  };
+  EXPECT_EQ(reads_for(2), 1u);
+  EXPECT_EQ(reads_for(1), 1u);
+  EXPECT_EQ(reads_for(9), 1u);
+  EXPECT_EQ(reads_for(17), 1u);  // Evicts page 2.
+  EXPECT_EQ(reads_for(1), 0u);   // Still resident: recency order 9, 17, 1.
+  EXPECT_EQ(reads_for(2), 1u);   // Re-read; evicts page 9.
+  EXPECT_EQ(reads_for(17), 0u);
+  EXPECT_EQ(reads_for(9), 1u);   // Evicts page 1.
+  EXPECT_EQ(reads_for(2), 0u);
+  EXPECT_EQ(reads_for(1), 1u);
+}
+
 TEST(PagerTest, ResidentAndPinnedFrameCounts) {
   auto pager = MakeMemPager(/*cache_frames=*/4);
   EXPECT_EQ(pager->resident_frame_count(), 0u);
