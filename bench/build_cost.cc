@@ -37,13 +37,11 @@ int main(int argc, char** argv) {
     config.n = n;
     const std::vector<GeneralizedTuple> tuples = GenerateTuples(config);
 
-    // load-sec: the relation load alone (with the bounding-box sidecar, as
-    // BuildDataset and every fresh ConstraintDatabase have it).
+    // load-sec: the relation load alone (heap pages and the shape mirror).
     std::unique_ptr<Pager> rpager = MakeBenchPager();
     std::unique_ptr<Relation> relation;
     auto t0 = std::chrono::steady_clock::now();
-    if (!Relation::Open(rpager.get(), kInvalidPageId, &relation).ok() ||
-        !relation->EnableBoundingBoxCache().ok()) {
+    if (!Relation::Open(rpager.get(), kInvalidPageId, &relation).ok()) {
       return 1;
     }
     for (const GeneralizedTuple& t : tuples) {

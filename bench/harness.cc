@@ -65,9 +65,6 @@ Dataset BuildDataset(const DatasetConfig& config) {
   ds.rtree_pager = MakeBenchPager();
   Check(Relation::Open(ds.rel_pager.get(), kInvalidPageId, &ds.relation),
         "relation open");
-  // Benches run with the sidecar on, like every fresh ConstraintDatabase;
-  // inserts below keep it current.
-  Check(ds.relation->EnableBoundingBoxCache(), "bbox cache enable");
 
   std::vector<std::pair<Rect, TupleId>> rects;
   for (const GeneralizedTuple& t : GenerateTuples(config)) {

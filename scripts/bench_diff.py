@@ -78,11 +78,11 @@ _SCHEDULE_DEPENDENT = (
 )
 
 # Deterministic but *directional*: seed-pinned values whose designed
-# improvement direction is down (the page-clustered refiner with the
-# bounding-box sidecar can only skip relation fetches; the group-commit
-# ingest lane can only amortize journal fsyncs further). A decrease is the
-# optimisation doing its job and never fails; an increase beyond the
-# deterministic tolerance is a regression even without --timing.
+# improvement direction is down (the page-clustered refiner's bounding-box
+# decisions, read from the shape mirror, can only skip relation fetches;
+# the group-commit ingest lane can only amortize journal fsyncs further).
+# A decrease is the optimisation doing its job and never fails; an increase
+# beyond the deterministic tolerance is a regression even without --timing.
 _DETERMINISTIC_LOWER_IS_BETTER = (
     "*/refine/pages_per_candidate",
     "refine/pages_per_candidate",

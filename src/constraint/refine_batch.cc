@@ -63,7 +63,6 @@ Status RefineBatch2D(const Relation& relation, SelectionType type,
   batch_candidates->Increment(ids->size());
   std::vector<TupleId> kept;
   kept.reserve(ids->size());
-  const bool use_box = relation.bbox_cache_enabled();
   std::optional<PageRef> page;
   PageId pinned = kInvalidPageId;
 
@@ -72,7 +71,7 @@ Status RefineBatch2D(const Relation& relation, SelectionType type,
     const bool mirrored = relation.Shape(id, &shape);
     // Layer (c): decide box-provable candidates without any fetch.
     Rect box;
-    if (use_box && mirrored && shape.BoundingRect(&box)) {
+    if (mirrored && shape.BoundingRect(&box)) {
       int decision = DecideFromBox(box, type, q);
       if (decision > 0) {
         kept.push_back(id);

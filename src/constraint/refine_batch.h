@@ -18,11 +18,11 @@
 //      ExactAll/ExactExist as naive evaluation, O(v) per candidate; the
 //      fetched page still pays the paper's refinement charge and proves the
 //      record live, but its bytes are never decoded (DESIGN.md §2h).
-//  (c) bounding-box early-accept — when the relation carries an AABB
-//      sidecar (Relation::EnableBoundingBoxCache), candidates the box
-//      already proves are decided without fetching the tuple at all:
-//      ALL-accepts book as FilterCounts::early_accepts, EXIST-rejects as
-//      refine_rejects, and FilterCounts::Balances() holds unchanged.
+//  (c) bounding-box early decisions — every bounded tuple's AABB, derived
+//      from its mirrored shape in O(v), decides the candidates the box
+//      already proves without fetching the tuple at all: ALL-accepts book
+//      as FilterCounts::early_accepts, EXIST-rejects as refine_rejects, and
+//      FilterCounts::Balances() holds unchanged.
 //
 // The reference the refiner is tested against is the naive evaluator
 // (constraint/naive_eval.h: ExactAll/ExactExist/NaiveSelect), which decides
@@ -58,7 +58,7 @@ Status RefineBatch2D(const Relation& relation, SelectionType type,
                      obs::FilterCounts* filter, uint64_t* false_hits);
 
 /// Generic page-clustered refinement driver for relation types without a
-/// 2-D bounding-box sidecar (the d-dimensional family). `pred(tuple)` is
+/// 2-D shape mirror (the d-dimensional family). `pred(tuple)` is
 /// the exact predicate. Same contract and booking as RefineBatch2D.
 template <typename RelationT, typename TupleT, typename Pred>
 Status RefinePageClustered(const RelationT& relation, obs::Counter* lp_calls,

@@ -1,12 +1,10 @@
 // Generalized relation: a persistent, paged store of 2-D generalized tuples.
 //
 // Tuples live in a TupleHeap (constraint/tuple_heap.h) as dim = 2 records,
-// read through HeapRelation. This class adds two things:
-//  - the V-representation mirror (constraint/shape_mirror.h): every tuple's
-//    Polyhedron2D, built at Insert and by the one chain scan of Open, so
-//    keys, assignments and refinement decisions read TOP/BOT in O(v)
-//    without decoding a tuple;
-//  - the persisted bounding-box sidecar, whose boxes derive from the mirror.
+// read through HeapRelation. This class adds the V-representation mirror
+// (constraint/shape_mirror.h): every tuple's Polyhedron2D, built at Insert
+// and by the one chain scan of Open, so keys, assignments, bounding boxes
+// and refinement decisions read TOP/BOT in O(v) without decoding a tuple.
 // Every Get() costs one page fetch, which is how the benchmark harness
 // charges the refinement step of the approximation techniques.
 
@@ -16,7 +14,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -24,7 +21,6 @@
 #include "constraint/heap_relation.h"
 #include "constraint/shape_mirror.h"
 #include "geometry/polyhedron2d.h"
-#include "geometry/rect.h"
 #include "storage/pager.h"
 
 namespace cdb {
@@ -56,45 +52,10 @@ class Relation : public HeapRelation<GeneralizedTuple> {
       const std::function<Status(TupleId, const Polyhedron2DView&)>& fn)
       const;
 
-  // --- Bounding-box sidecar (ISSUE 8c) ---------------------------------
-  //
-  // A per-relation page chain caching each tuple's AABB (or "unbounded")
-  // so refinement can decide box-provable candidates without fetching the
-  // tuple at all. Slots are id-positional; records are written at Insert
-  // and tombstoned at Delete. The per-candidate lookup derives the box from
-  // the V-representation mirror, free of I/O; the persisted chain keeps its
-  // format so existing databases reopen unchanged, and tools/cdb_check
-  // verifies it against the boxes the mirror derives.
-
-  /// Creates the sidecar for this relation and backfills one slot per
-  /// existing directory entry. Idempotent once enabled.
-  Status EnableBoundingBoxCache();
-
-  /// Attaches an existing sidecar rooted at `bbox_root`. The
-  /// persisted slot count must cover every directory entry (shorter =
-  /// Corruption); trailing slots beyond the directory — left behind when
-  /// deletes freed whole trailing data pages before a reopen — are
-  /// truncated so the id-positional mapping survives future appends.
-  Status LoadBoundingBoxCache(PageId bbox_root);
-
-  /// First sidecar page; persist it (catalog) to reload the cache later.
-  PageId bbox_root() const { return bbox_root_; }
-
-  bool bbox_cache_enabled() const { return bbox_enabled_; }
-
-  /// True when the sidecar is enabled and tuple `id` is visible, live, and
-  /// bounded; its box, derived from the mirror, is copied to `out`. Pure
-  /// in-memory lookup — never touches the pager. Unbounded tuples (no finite
-  /// AABB) return false and take the full refinement path.
-  bool CachedBoundingBox(TupleId id, Rect* out) const;
-
-  /// Re-reads the persisted sidecar and checks, for every live tuple, that
-  /// the stored slot matches the box derived from the mirror (exact bit
-  /// equality — both sides run the same support arithmetic).
-  /// Every mismatch is reported through `on_violation`; the return status
-  /// is non-OK only for I/O failures.
-  Status VerifyBoundingBoxCache(
-      const std::function<void(const std::string&)>& on_violation) const;
+  /// No-op. Refinement derives every tuple's bounding box from the mirror,
+  /// so there is no longer a persisted box sidecar to enable. The last
+  /// caller is perfbench's fixture; remove both together.
+  Status EnableBoundingBoxCache() { return Status::OK(); }
 
   /// Tombstones tuple `id` and clears its mirror entry; its page is freed
   /// with its last live record.
@@ -117,28 +78,7 @@ class Relation : public HeapRelation<GeneralizedTuple> {
   }
 
  private:
-  /// One persisted sidecar slot.
-  struct BoxEntry {
-    bool has_box = false;
-    Rect box;
-  };
-
   explicit Relation(Pager* pager) : HeapRelation(pager, 2) {}
-
-  /// Allocates an empty sidecar page and appends it to bbox_pages_.
-  Result<PageRef> NewBoxPage();
-  /// Appends one persisted sidecar slot for the tuple whose id equals the
-  /// current slot count: its mirror box, or "no box" when it has none.
-  Status AppendBoxSlot(TupleId id);
-  /// Tombstones the persisted sidecar slot for `id`.
-  Status ClearBoxSlot(TupleId id);
-  size_t BoxSlotsPerPage() const;
-  /// Reads the sidecar chain from `root` into `pages` and `slots`. A
-  /// partial non-tail page goes to `on_violation`; an over-full page is
-  /// Corruption.
-  Status ReadBoxChain(
-      PageId root, std::vector<PageId>* pages, std::vector<BoxEntry>* slots,
-      const std::function<void(const std::string&)>& on_violation) const;
 
   ShapeMirror mirror_;  // Indexed by TupleId.
 
@@ -146,12 +86,6 @@ class Relation : public HeapRelation<GeneralizedTuple> {
   // shape lookups against this (acquire) instead of mirror_.size(), whose
   // vector bookkeeping the writer's appends mutate.
   std::atomic<uint64_t> published_shapes_{0};
-
-  // Bounding-box sidecar state (all empty until Enable/Load).
-  bool bbox_enabled_ = false;
-  PageId bbox_root_ = kInvalidPageId;
-  std::vector<PageId> bbox_pages_;  // Chain in order, for O(1) id -> page.
-  size_t box_slots_ = 0;            // Persisted slot count.
 };
 
 }  // namespace cdb

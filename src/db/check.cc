@@ -139,17 +139,6 @@ Status CheckDatabase(ConstraintDatabase* db, CheckReport* report) {
                          std::to_string(db->size()));
   }
   report->AddCheck("relation.tuples", before);
-
-  // The bounding-box sidecar drives refinement early-accepts; a stale box
-  // must surface here as Corruption, never as a silently wrong result.
-  if (db->relation()->bbox_cache_enabled()) {
-    before = report->violations.size();
-    CDB_RETURN_IF_ERROR(db->relation()->VerifyBoundingBoxCache(
-        [report](const std::string& what) {
-          report->AddViolation("bbox sidecar: " + what);
-        }));
-    report->AddCheck("relation.bbox_sidecar", before);
-  }
   return Status::OK();
 }
 

@@ -27,8 +27,7 @@ namespace cdb {
 struct CheckReport {
   /// Per-phase verdict (ISSUE 5): CheckDatabase appends one entry per
   /// check phase it ran ("pager.relation", "pager.index", "index.trees",
-  /// "relation.heap", "relation.tuples", and "relation.bbox_sidecar" when
-  /// the relation carries a bounding-box cache), so machine consumers
+  /// "relation.heap", "relation.tuples"), so machine consumers
   /// (cdb_check --json) see which phase failed, not just the flat
   /// violation list.
   struct Entry {

@@ -13,7 +13,9 @@ namespace {
 constexpr uint64_t kCatalogMagic = 0xCDBCA7A1060000AAull;
 constexpr uint8_t kFlagTight = 1;
 constexpr uint8_t kFlagVertical = 2;
-constexpr uint8_t kFlagBBox = 4;  // Relation carries a bounding-box sidecar.
+// Flag bit 4 is taken: older files set it and store a bounding-box sidecar
+// root after the down-tree metas. Both are ignored on load, so neither may
+// be given a new meaning; the sidecar's pages stay allocated, unreferenced.
 
 Status OpenPager(const std::string& path, const DatabaseOptions& options,
                  std::unique_ptr<Pager>* out, bool* existed) {
@@ -66,9 +68,6 @@ Status ConstraintDatabase::Open(const std::string& path,
     }
     CDB_RETURN_IF_ERROR(
         Relation::Open(db->rel_pager_.get(), kInvalidPageId, &db->relation_));
-    // Fresh relations maintain the bounding-box sidecar from the first
-    // insert; the batched refiner uses it for early accept/reject.
-    CDB_RETURN_IF_ERROR(db->relation_->EnableBoundingBoxCache());
     Result<PageId> catalog = db->idx_pager_->Allocate();
     if (!catalog.ok()) return catalog.status();
     db->catalog_page_ = catalog.value();
@@ -99,7 +98,7 @@ Status ConstraintDatabase::StoreCatalog() {
   std::memset(p, 0, idx_pager_->page_size());
   DualIndexManifest m = index_->Manifest();
   size_t k = m.slopes.size();
-  size_t need = 8 + 4 + 1 + 3 + 4 + 4 + 4 + k * (8 + 4 + 4) + 4;
+  size_t need = 8 + 4 + 1 + 3 + 4 + 4 + 4 + k * (8 + 4 + 4);
   if (need > idx_pager_->page_size()) {
     return Status::InvalidArgument("slope set too large for catalog page");
   }
@@ -109,7 +108,6 @@ Status ConstraintDatabase::StoreCatalog() {
   uint8_t flags = 0;
   if (m.tight_assignment) flags |= kFlagTight;
   if (m.support_vertical) flags |= kFlagVertical;
-  if (relation_->bbox_cache_enabled()) flags |= kFlagBBox;
   p[12] = static_cast<char>(flags);
   PageId rel_root = relation_->root_page();
   std::memcpy(p + 16, &rel_root, 4);
@@ -125,8 +123,6 @@ Status ConstraintDatabase::StoreCatalog() {
   for (size_t i = 0; i < k; ++i, cursor += 4) {
     std::memcpy(cursor, &m.down_metas[i], 4);
   }
-  PageId bbox_root = relation_->bbox_root();
-  std::memcpy(cursor, &bbox_root, 4);
   ref.value().MarkDirty();
   return Status::OK();
 }
@@ -164,17 +160,10 @@ Status ConstraintDatabase::LoadCatalogAndAttach(
   for (uint32_t i = 0; i < k; ++i, cursor += 4) {
     std::memcpy(&m.down_metas[i], cursor, 4);
   }
-  // Databases written before the sidecar existed lack the flag; they open
-  // fine and simply refine without box short-circuits.
-  PageId bbox_root = kInvalidPageId;
-  if ((flags & kFlagBBox) != 0) std::memcpy(&bbox_root, cursor, 4);
   ref.value().Release();
 
   CDB_RETURN_IF_ERROR(
       Relation::Open(rel_pager_.get(), rel_root, &relation_));
-  if ((flags & kFlagBBox) != 0) {
-    CDB_RETURN_IF_ERROR(relation_->LoadBoundingBoxCache(bbox_root));
-  }
   return DualIndex::Open(idx_pager_.get(), relation_.get(), m,
                          options.index_options, &index_);
 }

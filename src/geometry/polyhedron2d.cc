@@ -18,7 +18,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kAngleTol = 1e-12;
 
 // The objective arithmetic of every support value and box edge. Keep the
-// expression as is: persisted sidecar boxes are verified bit for bit.
+// expression as is: the paper tables are checked byte for byte.
 inline double Dot(double cx, double cy, const Vec2& p) {
   return cx * p.x + cy * p.y;
 }

@@ -14,12 +14,11 @@
 // intersection that satisfies all constraints (relative tolerance kEps) is
 // kept, in pair-enumeration order and without merging near-duplicates; a
 // maximum keeps the first of equal values. The expression, the order and
-// the tie rule are load-bearing: bounding boxes persisted by earlier
-// versions (the relation's sidecar) and the paper tables were produced by a
-// vertex enumeration over exactly this candidate list, and both are
-// checked bit for bit. There is no bounding box: ValidateTuple limits
-// coefficient magnitudes instead (constraint/generalized_tuple.h), so a
-// region reaching 5e9 has TOP = 5e9.
+// the tie rule are load-bearing: the paper tables were produced by a vertex
+// enumeration over exactly this candidate list and are checked byte for
+// byte. There is no bounding box: ValidateTuple limits coefficient
+// magnitudes instead (constraint/generalized_tuple.h), so a region reaching
+// 5e9 has TOP = 5e9.
 //
 // Classification is exact and structural:
 //  - empty: some 0x + 0y + c row is violated, no pairwise intersection is

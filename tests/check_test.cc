@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "common/rng.h"
+#include "constraint/naive_eval.h"
 #include "obs/json.h"
 #include "storage/file.h"
 #include "workload/generator.h"
@@ -66,11 +67,10 @@ TEST(CheckTest, ReportCarriesPerCheckEntriesAndJsonVerdict) {
 
   CheckReport report;
   ASSERT_TRUE(CheckDatabase(db.get(), &report).ok());
-  const char* expected[] = {"pager.relation",  "pager.index",
-                            "index.trees",     "relation.heap",
-                            "relation.tuples", "relation.bbox_sidecar"};
-  ASSERT_EQ(report.checks.size(), 6u);
-  for (size_t i = 0; i < 6; ++i) {
+  const char* expected[] = {"pager.relation", "pager.index", "index.trees",
+                            "relation.heap", "relation.tuples"};
+  ASSERT_EQ(report.checks.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(report.checks[i].name, expected[i]);
     EXPECT_TRUE(report.checks[i].ok) << report.checks[i].name;
     EXPECT_EQ(report.checks[i].violations, 0u);
@@ -92,8 +92,8 @@ TEST(CheckTest, ReportCarriesPerCheckEntriesAndJsonVerdict) {
   const obs::JsonValue* checks = v.Find("checks");
   ASSERT_NE(checks, nullptr);
   ASSERT_TRUE(checks->is_array());
-  ASSERT_EQ(checks->items.size(), 6u);
-  for (size_t i = 0; i < 6; ++i) {
+  ASSERT_EQ(checks->items.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(checks->items[i].Find("name")->string_value, expected[i]);
     EXPECT_TRUE(checks->items[i].Find("ok")->bool_value);
   }
@@ -309,6 +309,120 @@ TEST(CheckTest, CorruptCatalogFailsOpenWithoutCrashing) {
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_EQ(db, nullptr);
+  RemoveDb(path);
+}
+
+// Opens one file of a database through a bare pager, as ConstraintDatabase
+// does, so a test can edit pages the database itself would not write.
+std::unique_ptr<Pager> OpenDbFile(const std::string& file, size_t page_size) {
+  std::unique_ptr<PosixFile> data;
+  std::unique_ptr<PosixFile> journal;
+  EXPECT_TRUE(PosixFile::Open(file, page_size, /*truncate=*/false, &data).ok());
+  EXPECT_TRUE(PosixFile::Open(file + "-journal",
+                              Pager::JournalBlockSize(page_size),
+                              /*truncate=*/false, &journal)
+                  .ok());
+  PagerOptions popts;
+  popts.page_size = page_size;
+  std::unique_ptr<Pager> pager;
+  EXPECT_TRUE(
+      Pager::Open(std::move(data), std::move(journal), popts, &pager).ok());
+  return pager;
+}
+
+// Older files carry a bounding-box sidecar: catalog flag bit 4 plus a root
+// word after the down-tree metas, naming a page chain in the relation file.
+// Such a file must open, answer exactly, and check out; its chain page
+// stays allocated and unreferenced, and the next catalog write drops both.
+TEST(CheckTest, LegacyBoxSidecarCatalogOpensAndChecksOut) {
+  std::string path = TempPath("cdb_check_test_legacy_bbox");
+  RemoveDb(path);
+  DatabaseOptions opts;
+  Rng rng(17);
+  WorkloadOptions wopts;
+  {
+    std::unique_ptr<ConstraintDatabase> db;
+    ASSERT_TRUE(ConstraintDatabase::Open(path, opts, &db).ok());
+    for (int i = 0; i < 120; ++i) {
+      GeneralizedTuple t = i % 7 == 0 ? RandomUnboundedTuple(&rng, wopts)
+                                      : RandomBoundedTuple(&rng, wopts);
+      ASSERT_TRUE(db->Insert(t).ok());
+    }
+  }
+  PageId sidecar = kInvalidPageId;
+  {
+    // A sidecar page as older files laid it out: next u32 | count u16.
+    std::unique_ptr<Pager> rel = OpenDbFile(path + ".rel", opts.page_size);
+    Result<PageId> id = rel->Allocate();
+    ASSERT_TRUE(id.ok());
+    sidecar = id.value();
+    Result<PageRef> ref = rel->Fetch(sidecar);
+    ASSERT_TRUE(ref.ok());
+    const PageId next = kInvalidPageId;
+    const uint16_t count = 120;
+    std::memcpy(ref.value().data(), &next, 4);
+    std::memcpy(ref.value().data() + 4, &count, 2);
+    ref.value().MarkDirty();
+    ref.value().Release();
+    ASSERT_TRUE(rel->Flush().ok());
+  }
+  {
+    // The catalog is the index file's first page: k u32 at offset 8, flags
+    // at 12, then 16 bytes per slope from offset 28.
+    std::unique_ptr<Pager> idx = OpenDbFile(path + ".idx", opts.page_size);
+    Result<PageRef> ref = idx->Fetch(1);
+    ASSERT_TRUE(ref.ok());
+    char* p = ref.value().data();
+    uint32_t k = 0;
+    std::memcpy(&k, p + 8, 4);
+    ASSERT_EQ(k, opts.slopes.size());
+    p[12] = static_cast<char>(p[12] | 4);
+    std::memcpy(p + 28 + 16 * k, &sidecar, 4);
+    ref.value().MarkDirty();
+    ref.value().Release();
+    ASSERT_TRUE(idx->Flush().ok());
+  }
+
+  std::unique_ptr<ConstraintDatabase> db;
+  Status st = ConstraintDatabase::Open(path, opts, &db);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(db->size(), 120u);
+  for (double slope : {-1.1, 0.0, 0.45}) {
+    for (double b : {-30.0, 0.0, 25.0}) {
+      for (Cmp cmp : {Cmp::kGE, Cmp::kLE}) {
+        for (SelectionType type :
+             {SelectionType::kAll, SelectionType::kExist}) {
+          const HalfPlaneQuery q(slope, b, cmp);
+          Result<std::vector<TupleId>> want =
+              NaiveSelect(*db->relation(), type, q);
+          ASSERT_TRUE(want.ok());
+          for (QueryMethod method : {QueryMethod::kT1, QueryMethod::kT2}) {
+            Result<std::vector<TupleId>> got = db->Select(type, q, method);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            EXPECT_EQ(got.value(), want.value())
+                << "slope " << slope << " intercept " << b;
+          }
+        }
+      }
+    }
+  }
+  CheckReport report;
+  ASSERT_TRUE(CheckDatabase(db.get(), &report).ok());
+  EXPECT_TRUE(report.ok()) << report.Summary();
+
+  // The next catalog write clears the flag and the root word.
+  ASSERT_TRUE(db->Insert(RandomBoundedTuple(&rng, wopts)).ok());
+  ASSERT_TRUE(db->Flush().ok());
+  {
+    Result<PageRef> ref = db->index_pager()->Fetch(1);
+    ASSERT_TRUE(ref.ok());
+    const char* p = ref.value().data();
+    EXPECT_EQ(p[12] & 4, 0);
+    PageId root = 0;
+    std::memcpy(&root, p + 28 + 16 * opts.slopes.size(), 4);
+    EXPECT_EQ(root, 0u);
+  }
+  db.reset();
   RemoveDb(path);
 }
 

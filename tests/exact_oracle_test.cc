@@ -9,7 +9,9 @@
 // and the support value of a vertex-free region from its tightest parallel
 // constraint. TopValue/BotValue, ExactAll/ExactExist and NaiveSelect must
 // agree with it on bounded polygons, wedges, strips, half-planes, points,
-// segments and empty conjunctions.
+// segments and empty conjunctions, and every candidate the refiner decides
+// from a bounding box alone must be decided the way the exact arithmetic
+// decides it, at coefficient magnitudes out to the validated 2^±64 edges.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +21,10 @@
 
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
+#include "constraint/refine_batch.h"
 #include "constraint/relation.h"
 #include "geometry/dual.h"
+#include "obs/metrics.h"
 #include "storage/file.h"
 
 namespace cdb {
@@ -340,11 +344,14 @@ std::vector<double> Intercepts(const std::vector<IntRow>& rows, int p, int q) {
   return out;
 }
 
+// The intercept b as a rational; b*4 must be an integer.
+Frac Quarters(double b) {
+  return Make(static_cast<i128>(std::llround(b * 4)), 4);
+}
+
 bool ExactDecision(const std::vector<IntRow>& rows, SelectionType type,
-                   int p, int q, double b, Cmp cmp) {
+                   int p, int q, const Frac& fb, Cmp cmp) {
   if (!NonEmpty(rows)) return false;
-  // b as a rational: b*4 is an integer.
-  const Frac fb = Make(static_cast<i128>(std::llround(b * 4)), 4);
   std::optional<Frac> top = ExactTop(rows, p, q);
   std::optional<Frac> bot = ExactBot(rows, p, q);
   const bool ge = cmp == Cmp::kGE;
@@ -368,11 +375,12 @@ TEST(ExactOracleTest, PredicatesMatchExactDecisions) {
           const std::string what = "slope " + std::to_string(s) +
                                    " intercept " + std::to_string(b);
           EXPECT_EQ(ExactAll(t.tuple.constraints(), hq),
-                    ExactDecision(t.rows, SelectionType::kAll, p, q, b, cmp))
+                    ExactDecision(t.rows, SelectionType::kAll, p, q,
+                                  Quarters(b), cmp))
               << what;
-          EXPECT_EQ(
-              ExactExist(t.tuple.constraints(), hq),
-              ExactDecision(t.rows, SelectionType::kExist, p, q, b, cmp))
+          EXPECT_EQ(ExactExist(t.tuple.constraints(), hq),
+                    ExactDecision(t.rows, SelectionType::kExist, p, q,
+                                  Quarters(b), cmp))
               << what;
         }
       }
@@ -399,7 +407,8 @@ TEST(ExactOracleTest, NaiveSelectMatchesExactDecisions) {
              {SelectionType::kAll, SelectionType::kExist}) {
           std::vector<TupleId> want;
           for (TupleId id = 0; id < tuples.size(); ++id) {
-            if (ExactDecision(tuples[id].rows, type, p, q, b, cmp)) {
+            if (ExactDecision(tuples[id].rows, type, p, q, Quarters(b),
+                              cmp)) {
               want.push_back(id);
             }
           }
@@ -412,6 +421,197 @@ TEST(ExactOracleTest, NaiveSelectMatchesExactDecisions) {
       }
     }
   }
+}
+
+// --- Box decisions -----------------------------------------------------------
+
+Frac Neg(const Frac& x) { return {-x.num, x.den}; }
+
+Frac Sub(const Frac& x, const Frac& y) {
+  return Make(x.num * y.den - y.num * x.den, x.den * y.den);
+}
+
+// x * p/q.
+Frac Times(const Frac& x, int p, int q) { return Make(x.num * p, x.den * q); }
+
+const Frac& Min(const Frac& x, const Frac& y) { return Less(y, x) ? y : x; }
+const Frac& Max(const Frac& x, const Frac& y) { return Less(x, y) ? y : x; }
+
+bool Equal(const Frac& x, const Frac& y) { return !Less(x, y) && !Less(y, x); }
+
+// The exact bounding box of a region, or nullopt when it is empty or
+// unbounded (then the refiner must have no box either).
+struct ExactBox {
+  Frac xlo, xhi, ylo, yhi;
+};
+
+std::optional<ExactBox> BoxOf(const std::vector<IntRow>& rows) {
+  if (!NonEmpty(rows)) return std::nullopt;
+  std::optional<Frac> xhi = ExactMax(rows, 1, 0);
+  std::optional<Frac> xlo = ExactMax(rows, -1, 0);
+  std::optional<Frac> yhi = ExactMax(rows, 0, 1);
+  std::optional<Frac> ylo = ExactMax(rows, 0, -1);
+  if (!xhi || !xlo || !yhi || !ylo) return std::nullopt;
+  return ExactBox{Neg(*xlo), *xhi, Neg(*ylo), *yhi};
+}
+
+// The extremes of y - (p/q) x over the box corners: the values a box
+// decision compares the intercept with.
+void ExactBoxSupport(const ExactBox& box, int p, int q, Frac* f_min,
+                     Frac* f_max) {
+  const Frac e1 = Times(box.xlo, p, q);
+  const Frac e2 = Times(box.xhi, p, q);
+  *f_max = Sub(box.yhi, Min(e1, e2));
+  *f_min = Sub(box.ylo, Max(e1, e2));
+}
+
+// The tuple `t` scaled by 2^region_exp about the origin, with every row
+// then multiplied by 2^row_exp (which leaves the region alone). Powers of
+// two keep every coefficient, vertex and support value exact up to
+// rounding, and the decision of a query whose intercept is scaled the same
+// way is the unscaled decision.
+GeneralizedTuple Scaled(const IntTuple& t, int region_exp, int row_exp) {
+  GeneralizedTuple out;
+  for (const IntRow& r : t.rows) {
+    double a = static_cast<double>(r.a);
+    double b = static_cast<double>(r.b);
+    double c = static_cast<double>(r.c);
+    if (region_exp >= 0) {
+      c = std::ldexp(c, region_exp);
+    } else {
+      a = std::ldexp(a, -region_exp);
+      b = std::ldexp(b, -region_exp);
+    }
+    out.Add(std::ldexp(a, row_exp), std::ldexp(b, row_exp),
+            std::ldexp(c, row_exp), Cmp::kLE);
+  }
+  return out;
+}
+
+// Unscaled intercepts, each a multiple of 1/64 (so exact as a double):
+// fixed far and near values, and values on and beside TOP, BOT and the box
+// support extremes. Box edges of integer-vertex tuples land on the grid,
+// so some queries touch the box exactly.
+std::vector<Frac> BoxIntercepts(const std::vector<IntRow>& rows, int p,
+                                int q) {
+  std::vector<Frac> out;
+  for (int v : {-100, -3, 0, 2, 100}) out.push_back({v, 1});
+  std::vector<Frac> surfaces;
+  for (const std::optional<Frac>& f :
+       {ExactTop(rows, p, q), ExactBot(rows, p, q)}) {
+    if (f) surfaces.push_back(*f);
+  }
+  if (std::optional<ExactBox> box = BoxOf(rows)) {
+    Frac f_min, f_max;
+    ExactBoxSupport(*box, p, q, &f_min, &f_max);
+    surfaces.push_back(f_min);
+    surfaces.push_back(f_max);
+  }
+  for (const Frac& f : surfaces) {
+    const i128 base = static_cast<i128>(std::floor(ToDouble(f) * 64));
+    for (int d : {-1, 0, 1, 16}) out.push_back(Make(base + d, 64));
+  }
+  return out;
+}
+
+// Every +1/-1 RefineBatch2D takes from a bounding box (booked in its
+// refine.batch.bbox_* counters) is checked against the exact decision.
+// Scales: unit; every row at 2^-64 (the smallest valid magnitude); regions
+// stretched to 2^54, which puts constant terms near 2^64; and regions
+// shrunk to 2^-58, which puts slope terms near 2^62 and makes the
+// comparison tolerance absolute.
+TEST(ExactOracleTest, BoxDecisionsMatchExactDecisions) {
+  obs::GlobalMetrics().SetEnabled(true);
+  obs::Counter* lp = obs::GlobalMetrics().counter("test.oracle.lp_calls");
+  obs::Counter* bbox_accepts =
+      obs::GlobalMetrics().counter("refine.batch.bbox_accepts");
+  obs::Counter* bbox_rejects =
+      obs::GlobalMetrics().counter("refine.batch.bbox_rejects");
+  const std::vector<IntTuple> tuples = RandomTuples(44, 12);
+  const struct {
+    int region_exp, row_exp;
+  } scales[] = {{0, 0}, {0, -64}, {54, 0}, {-58, 0}};
+  uint64_t touching = 0;
+  for (const auto& [region_exp, row_exp] : scales) {
+    const std::string scale = "scale 2^" + std::to_string(region_exp) +
+                              " rows 2^" + std::to_string(row_exp);
+    std::unique_ptr<Pager> pager;
+    ASSERT_TRUE(
+        Pager::Open(std::make_unique<MemFile>(1024), PagerOptions{}, &pager)
+            .ok());
+    std::unique_ptr<Relation> relation;
+    ASSERT_TRUE(Relation::Open(pager.get(), kInvalidPageId, &relation).ok());
+    for (const IntTuple& t : tuples) {
+      Result<TupleId> id = relation->Insert(Scaled(t, region_exp, row_exp));
+      ASSERT_TRUE(id.ok()) << scale << ": " << id.status().ToString();
+    }
+    // The far intercepts ±1 in scaled units, so a shrunk region still
+    // meets intercepts far beyond the absolute tolerance.
+    std::vector<Frac> extra;
+    if (region_exp < 0) {
+      extra = {{static_cast<i128>(1) << -region_exp, 1},
+               {-(static_cast<i128>(1) << -region_exp), 1}};
+    }
+    uint64_t accepts = 0, rejects = 0;
+    for (TupleId id = 0; id < tuples.size(); ++id) {
+      const std::vector<IntRow>& rows = tuples[id].rows;
+      const std::optional<ExactBox> box = BoxOf(rows);
+      for (const auto& [p, q] : kSlopes) {
+        const double s = static_cast<double>(p) / q;
+        Frac f_min{0, 1}, f_max{0, 1};
+        if (box) ExactBoxSupport(*box, p, q, &f_min, &f_max);
+        std::vector<Frac> intercepts = BoxIntercepts(rows, p, q);
+        intercepts.insert(intercepts.end(), extra.begin(), extra.end());
+        for (const Frac& b : intercepts) {
+          const double bd = std::ldexp(ToDouble(b), region_exp);
+          touching += box && (Equal(b, f_min) || Equal(b, f_max));
+          for (Cmp cmp : {Cmp::kGE, Cmp::kLE}) {
+            for (SelectionType type :
+                 {SelectionType::kAll, SelectionType::kExist}) {
+              std::vector<TupleId> ids = {id};
+              obs::FilterCounts filter;
+              uint64_t false_hits = 0;
+              const uint64_t a0 = bbox_accepts->value();
+              const uint64_t r0 = bbox_rejects->value();
+              ASSERT_TRUE(RefineBatch2D(*relation, type,
+                                        HalfPlaneQuery(s, bd, cmp), lp,
+                                        /*ctx=*/nullptr, &ids, &filter,
+                                        &false_hits)
+                              .ok());
+              const uint64_t da = bbox_accepts->value() - a0;
+              const uint64_t dr = bbox_rejects->value() - r0;
+              if (da + dr == 0) continue;
+              const std::string what =
+                  scale + " tuple " + std::to_string(id) + " slope " +
+                  std::to_string(s) + " intercept " + std::to_string(bd) +
+                  (type == SelectionType::kAll ? " ALL" : " EXIST") +
+                  (cmp == Cmp::kGE ? " >=" : " <=");
+              ASSERT_TRUE(box.has_value())
+                  << what << ": decided from a box the region does not have";
+              const bool exact = ExactDecision(rows, type, p, q, b, cmp);
+              // The box proves only ALL-accepts and EXIST-rejects.
+              if (da > 0) {
+                ++accepts;
+                EXPECT_EQ(type, SelectionType::kAll) << what;
+                EXPECT_TRUE(exact) << what << ": box accepted";
+                EXPECT_EQ(ids, std::vector<TupleId>{id}) << what;
+              } else {
+                ++rejects;
+                EXPECT_EQ(type, SelectionType::kExist) << what;
+                EXPECT_FALSE(exact) << what << ": box rejected";
+                EXPECT_TRUE(ids.empty()) << what;
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(accepts, 0u) << scale;
+    EXPECT_GT(rejects, 0u) << scale;
+  }
+  // Some queries ran exactly through a box corner.
+  EXPECT_GT(touching, 0u);
+  obs::GlobalMetrics().SetEnabled(false);
 }
 
 }  // namespace

@@ -285,12 +285,11 @@ TEST(ExecOnlineTest, WriterCapacityAndDeleteGuards) {
   ASSERT_TRUE(fx.relation->Delete(0).ok());
 }
 
-// Concurrent refinement with bounding-box early decisions on: every
-// worker books box and LP decisions into the same FilterCounts buckets, so
-// each query must match ground truth exactly and balance its partition.
+// Concurrent refinement with bounding-box early decisions: every worker
+// books box and LP decisions into the same FilterCounts buckets, so each
+// query must match ground truth exactly and balance its partition.
 TEST(ExecOnlineTest, ConcurrentBoxedRefinementMatchesTruthAndBalances) {
   OnlineFixture fx(/*incremental=*/false, /*n0=*/250);
-  ASSERT_TRUE(fx.relation->EnableBoundingBoxCache().ok());
   std::vector<exec::BatchQuery> batch = MakeBatch(64, kSeed + 4,
                                                   QueryMethod::kT2);
   std::vector<std::vector<TupleId>> truth;
@@ -312,22 +311,28 @@ TEST(ExecOnlineTest, ConcurrentBoxedRefinementMatchesTruthAndBalances) {
   }
 }
 
-// ISSUE 9 satellite 2: the bounding-box sidecar on the live-append path.
-// Readers consult CachedBoundingBox from refinement worker threads while
-// the writer appends slots and publishes; ids past either published bound
-// must read as "no box" (never an out-of-bounds or torn mirror read), and
-// slots become visible exactly at PublishAppends. TSan proves the mirror
-// is never read while it reallocates or grows.
+// The box refinement decides from: the bounding rect of the tuple's
+// mirrored shape, or false ("no box") when the id has no visible shape.
+bool MirrorBox(const Relation& relation, TupleId id, Rect* out) {
+  Polyhedron2DView shape;
+  return relation.Shape(id, &shape) && shape.BoundingRect(out);
+}
+
+// Bounding boxes on the live-append path. Refinement workers derive each
+// candidate's box from the shape mirror (Shape + BoundingRect) while the
+// writer appends and publishes; ids past the published bound must read as
+// "no box" (never an out-of-bounds or torn mirror read), and shapes become
+// visible exactly at PublishAppends. TSan proves the mirror is never read
+// while it reallocates or grows.
 TEST(ExecOnlineTest, BboxSidecarLiveAppendsNeverServeStaleBoxes) {
   OnlineFixture fx(/*incremental=*/true, /*n0=*/250);
-  ASSERT_TRUE(fx.relation->EnableBoundingBoxCache().ok());
 
   // Out-of-range probes in exclusive mode: past-the-end ids are "no box".
   Rect box;
-  EXPECT_TRUE(fx.relation->CachedBoundingBox(0, &box));
-  EXPECT_FALSE(fx.relation->CachedBoundingBox(
-      static_cast<TupleId>(fx.relation->size()), &box));
-  EXPECT_FALSE(fx.relation->CachedBoundingBox(1u << 20, &box));
+  EXPECT_TRUE(MirrorBox(*fx.relation, 0, &box));
+  EXPECT_FALSE(MirrorBox(*fx.relation,
+                         static_cast<TupleId>(fx.relation->size()), &box));
+  EXPECT_FALSE(MirrorBox(*fx.relation, 1u << 20, &box));
 
   constexpr size_t kInserts = 200;
   constexpr size_t kPublishEvery = 25;
@@ -394,20 +399,20 @@ TEST(ExecOnlineTest, BboxSidecarLiveAppendsNeverServeStaleBoxes) {
     }
   }
 
-  // Every appended tuple's slot is visible (and correct) after the final
+  // Every appended tuple's box is visible (and correct) after the final
   // publish; past-the-end stays "no box".
   for (size_t i = 0; i < kInserts; ++i) {
     const TupleId id = static_cast<TupleId>(250 + i);
     Rect expect;
     ASSERT_TRUE(stream[i].GetBoundingRect(&expect));
     Rect got_box;
-    ASSERT_TRUE(fx.relation->CachedBoundingBox(id, &got_box))
+    ASSERT_TRUE(MirrorBox(*fx.relation, id, &got_box))
         << "appended tuple " << id << " has no published box";
     EXPECT_EQ(got_box.xlo, expect.xlo);
     EXPECT_EQ(got_box.yhi, expect.yhi);
   }
-  EXPECT_FALSE(fx.relation->CachedBoundingBox(
-      static_cast<TupleId>(fx.relation->size()), &box));
+  EXPECT_FALSE(MirrorBox(*fx.relation,
+                         static_cast<TupleId>(fx.relation->size()), &box));
   ASSERT_TRUE(fx.index->CheckInvariants().ok());
 }
 

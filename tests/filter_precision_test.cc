@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "dualindex/ddim_index.h"
 #include "dualindex/dual_index.h"
+#include "obs/metrics.h"
 #include "pager_test_util.h"
 #include "rtree/rtree_query.h"
 #include "storage/file.h"
@@ -344,12 +345,16 @@ TEST(FilterPrecisionTest, RTreePathBalancesAndMatchesNaive) {
   }
   std::unique_ptr<RPlusTree> tree;
   ASSERT_TRUE(RPlusTree::BulkBuild(idx_pager.get(), rects, &tree).ok());
+  obs::GlobalMetrics().SetEnabled(true);
+  obs::Counter* bbox_accepts =
+      obs::GlobalMetrics().counter("refine.batch.bbox_accepts");
   for (int qi = 0; qi < 12; ++qi) {
     HalfPlaneQuery q(rng.Uniform(-2, 2), rng.Uniform(-70, 70),
                      rng.Chance(0.5) ? Cmp::kGE : Cmp::kLE);
     for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
       QueryStats stats;
       obs::ExplainProfile profile;
+      const uint64_t accepts_before = bbox_accepts->value();
       Result<std::vector<TupleId>> got = RTreeSelect(
           tree.get(), relation.get(), type, q, &stats, &profile);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -359,9 +364,13 @@ TEST(FilterPrecisionTest, RTreePathBalancesAndMatchesNaive) {
       ExpectFilterEq(profile.filter, stats.filter);
       EXPECT_EQ(stats.filter.dedup_dropped, stats.duplicates);
       EXPECT_EQ(stats.filter.refine_rejects, stats.false_hits);
-      EXPECT_EQ(stats.filter.early_accepts, 0u);  // R+-tree always refines.
+      // The shared refiner's box accepts are the family's only early
+      // accepts.
+      EXPECT_EQ(stats.filter.early_accepts,
+                bbox_accepts->value() - accepts_before);
     }
   }
+  obs::GlobalMetrics().SetEnabled(false);
 }
 
 }  // namespace

@@ -55,9 +55,9 @@ void CheckProfileAgainstExternalSnapshots(const obs::ExplainProfile& profile,
 TEST(ObsIntegrationTest, DualIndexProfileReproducesMeasurement) {
   Dataset ds = BuildDataset(SmallConfig());
   Rng rng(424242);
-  // BuildDataset enables the bounding-box sidecar (ISSUE 8c), so some
-  // candidates are decided without an LP; track them via the refiner's
-  // counters to keep the per-candidate accounting exact.
+  // Refinement decides box-provable candidates from each tuple's mirrored
+  // bounding box without an LP; track them via the refiner's counters to
+  // keep the per-candidate accounting exact.
   obs::GlobalMetrics().SetEnabled(true);
   obs::Counter* bbox_accepts =
       obs::GlobalMetrics().counter("refine.batch.bbox_accepts");

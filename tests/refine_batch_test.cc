@@ -6,15 +6,13 @@
 // must balance — including the abandoned bucket when a deadline or
 // cancellation fires at page granularity; refine-off queries must return
 // proven candidate supersets; injected tuple-read faults must surface as
-// per-item kUnavailable with no leaked pins; and a stale bounding-box
-// sidecar must be caught by CheckDatabase's relation.bbox_sidecar phase.
+// per-item kUnavailable with no leaked pins.
 
 #include "constraint/refine_batch.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -22,8 +20,6 @@
 #include "common/query_context.h"
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
-#include "db/check.h"
-#include "db/database.h"
 #include "dualindex/dual_index.h"
 #include "obs/metrics.h"
 #include "pager_test_util.h"
@@ -47,7 +43,7 @@ std::unique_ptr<Pager> MakePager() {
   return pager;
 }
 
-// Relation (bounding-box sidecar enabled, mixed bounded/unbounded tuples)
+// Relation (mixed bounded/unbounded tuples, boxes from the shape mirror)
 // plus a dual index over it — the full refinement substrate.
 struct RefineFixture {
   std::unique_ptr<Pager> rel_pager = MakePager();
@@ -67,7 +63,6 @@ struct RefineFixture {
                                : RandomBoundedTuple(&rng, w);
       EXPECT_TRUE(relation->Insert(t).ok());
     }
-    EXPECT_TRUE(relation->EnableBoundingBoxCache().ok());
     EXPECT_TRUE(DualIndex::Build(idx_pager.get(), relation.get(),
                                  SlopeSet::UniformInAngle(4, -1.3, 1.3),
                                  options, &index)
@@ -391,7 +386,6 @@ struct FaultRig {
     for (int i = 0; i < 80; ++i) {
       EXPECT_TRUE(relation->Insert(RandomBoundedTuple(&rng, w)).ok());
     }
-    EXPECT_TRUE(relation->EnableBoundingBoxCache().ok());
     EXPECT_TRUE(DualIndex::Build(idx_pager.get(), relation.get(),
                                  SlopeSet::UniformInAngle(4, -1.3, 1.3), {},
                                  &index)
@@ -501,164 +495,6 @@ TEST(RefineBatchTest, TransientTupleReadSweepIsCleanWithOneRetry) {
   const PagerRetryStats idx = rig.idx_pager->retry_stats();
   EXPECT_EQ(rel.read_exhausted + idx.read_exhausted, 0u);
   EXPECT_GT(rel.read_recoveries + idx.read_recoveries, 0u);
-}
-
-// --- Stale sidecar detection (cdb_check satellite) ---------------------------
-
-// Sidecar record layout mirrored from relation.cc: 8-byte page header
-// (next u32 | count u16 | pad u16), then 33-byte id-positional records
-// (flags u8 | xlo, ylo, xhi, yhi f64).
-constexpr size_t kSidecarHeaderSize = 8;
-constexpr size_t kSidecarRecordSize = 33;
-
-TEST(RefineBatchTest, StaleSidecarBoxIsACheckViolation) {
-  DatabaseOptions opts;
-  opts.in_memory = true;
-  std::unique_ptr<ConstraintDatabase> db;
-  ASSERT_TRUE(ConstraintDatabase::Open("mem_stale_bbox", opts, &db).ok());
-  Rng rng(8103);
-  WorkloadOptions w;
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(db->Insert(RandomBoundedTuple(&rng, w)).ok());
-  }
-  ASSERT_TRUE(db->Flush().ok());
-  ASSERT_TRUE(db->relation()->bbox_cache_enabled());
-
-  CheckReport clean;
-  ASSERT_TRUE(CheckDatabase(db.get(), &clean).ok());
-  ASSERT_TRUE(clean.ok()) << clean.Summary();
-
-  // Shift tuple 0's stored xlo: the tuple itself is untouched, so the
-  // sidecar is now stale — exactly what a missed rebuild would leave.
-  {
-    Result<PageRef> ref =
-        db->relation()->pager()->Fetch(db->relation()->bbox_root());
-    ASSERT_TRUE(ref.ok());
-    char* rec = ref.value().data() + kSidecarHeaderSize;
-    double xlo = 0;
-    std::memcpy(&xlo, rec + 1, sizeof(xlo));
-    xlo += 1.0;
-    std::memcpy(rec + 1, &xlo, sizeof(xlo));
-    ref.value().MarkDirty();
-  }
-  ASSERT_TRUE(db->Flush().ok());
-
-  CheckReport report;
-  ASSERT_TRUE(CheckDatabase(db.get(), &report).ok());
-  EXPECT_FALSE(report.ok());
-  bool found = false;
-  for (const std::string& v : report.violations) {
-    found = found || v.find("stale bounding box for tuple 0") !=
-                         std::string::npos;
-  }
-  EXPECT_TRUE(found) << report.Summary();
-  bool phase_flagged = false;
-  for (const CheckReport::Entry& e : report.checks) {
-    if (e.name == "relation.bbox_sidecar") {
-      phase_flagged = !e.ok && e.violations > 0;
-    }
-  }
-  EXPECT_TRUE(phase_flagged);
-}
-
-// ISSUE 9 satellite 2: slots written on the live-append path must leave
-// the persisted sidecar verifiable — cdb_check's relation.bbox_sidecar
-// phase passes on a database that appended (and published) tuples under
-// single-writer mode.
-TEST(RefineBatchTest, SidecarVerifiesCleanAfterLiveAppends) {
-  DatabaseOptions opts;
-  opts.in_memory = true;
-  std::unique_ptr<ConstraintDatabase> db;
-  ASSERT_TRUE(ConstraintDatabase::Open("mem_live_bbox", opts, &db).ok());
-  Rng rng(8105);
-  WorkloadOptions w;
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(db->Insert(RandomBoundedTuple(&rng, w)).ok());
-  }
-  ASSERT_TRUE(db->Flush().ok());
-  ASSERT_TRUE(db->relation()->bbox_cache_enabled());
-
-  // Live appends: reserve, enter single-writer mode, append a mix of
-  // bounded and unbounded tuples with a mid-stream publish, publish the
-  // rest, and leave serving mode.
-  constexpr size_t kAppends = 25;
-  ASSERT_TRUE(db->relation()->BeginOnlineAppends(kAppends).ok());
-  ASSERT_TRUE(db->relation_pager()->BeginConcurrentReads(true).ok());
-  for (size_t i = 0; i < kAppends; ++i) {
-    GeneralizedTuple t = (i % 5 == 0) ? RandomUnboundedTuple(&rng, w)
-                                      : RandomBoundedTuple(&rng, w);
-    Result<TupleId> id = db->relation()->Insert(t);
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    ASSERT_TRUE(db->index()->Insert(id.value(), t).ok());
-    if (i == kAppends / 2) {
-      ASSERT_TRUE(db->relation_pager()->Flush().ok());
-      db->relation()->PublishAppends();
-      ASSERT_TRUE(db->index_pager()->Flush().ok());
-    }
-  }
-  ASSERT_TRUE(db->relation_pager()->Flush().ok());
-  db->relation()->PublishAppends();
-  ASSERT_TRUE(db->relation_pager()->EndConcurrentReads().ok());
-  ASSERT_TRUE(db->Flush().ok());
-
-  CheckReport report;
-  ASSERT_TRUE(CheckDatabase(db.get(), &report).ok());
-  EXPECT_TRUE(report.ok()) << report.Summary() << ": "
-                           << (report.violations.empty()
-                                   ? ""
-                                   : report.violations[0]);
-  bool sidecar_ran = false;
-  for (const CheckReport::Entry& e : report.checks) {
-    if (e.name == "relation.bbox_sidecar") {
-      sidecar_ran = true;
-      EXPECT_TRUE(e.ok) << e.violations << " sidecar violations";
-    }
-  }
-  EXPECT_TRUE(sidecar_ran);
-
-  // Past-the-end ids read as "no box" even right after the append run.
-  Rect box;
-  EXPECT_FALSE(db->relation()->CachedBoundingBox(
-      static_cast<TupleId>(40 + kAppends), &box));
-}
-
-TEST(RefineBatchTest, SidecarBoxForDeadTupleIsACheckViolation) {
-  DatabaseOptions opts;
-  opts.in_memory = true;
-  std::unique_ptr<ConstraintDatabase> db;
-  ASSERT_TRUE(ConstraintDatabase::Open("mem_dead_bbox", opts, &db).ok());
-  Rng rng(8104);
-  WorkloadOptions w;
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(db->Insert(RandomBoundedTuple(&rng, w)).ok());
-  }
-  ASSERT_TRUE(db->Delete(1).ok());
-  ASSERT_TRUE(db->Flush().ok());
-
-  CheckReport clean;
-  ASSERT_TRUE(CheckDatabase(db.get(), &clean).ok());
-  ASSERT_TRUE(clean.ok()) << clean.Summary();
-
-  // Resurrect the tombstoned slot's finite-box flag.
-  {
-    Result<PageRef> ref =
-        db->relation()->pager()->Fetch(db->relation()->bbox_root());
-    ASSERT_TRUE(ref.ok());
-    char* rec =
-        ref.value().data() + kSidecarHeaderSize + 1 * kSidecarRecordSize;
-    rec[0] = 1;
-    ref.value().MarkDirty();
-  }
-  ASSERT_TRUE(db->Flush().ok());
-
-  CheckReport report;
-  ASSERT_TRUE(CheckDatabase(db.get(), &report).ok());
-  EXPECT_FALSE(report.ok());
-  bool found = false;
-  for (const std::string& v : report.violations) {
-    found = found || v.find("dead tuple") != std::string::npos;
-  }
-  EXPECT_TRUE(found) << report.Summary();
 }
 
 }  // namespace

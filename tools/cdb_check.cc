@@ -5,12 +5,13 @@
 // Opens the database at <path> (the same <path>.rel / <path>.idx pair
 // ConstraintDatabase uses — a leftover crash journal is replayed first,
 // exactly as a normal open would) and verifies page checksums, free-list
-// accounting, every index tree's structural invariants, that all live
-// tuples deserialize, and — when the relation carries a bounding-box
-// sidecar — that every cached box matches the box recomputed from its
-// tuple's constraints (a stale box would turn refinement early-accepts
-// into wrong answers, so it is reported as corruption here). Exit status:
-// 0 = sound, 1 = violations found, 2 = could not open / usage error.
+// accounting, every index tree's structural invariants, the relation's
+// page chain, and that all live tuples deserialize. Refinement's bounding
+// boxes derive from the in-memory shape mirror that open rebuilds from the
+// tuples, so there is no persisted box to check. Pages a retired box
+// sidecar left in older files stay allocated and count as live. Exit
+// status: 0 = sound, 1 = violations found, 2 = could not open / usage
+// error.
 //
 // With --json the verdict goes to stdout as one "cdb-check/v1" JSON
 // object (per-phase checks plus the flat violation list; open/abort
