@@ -1,7 +1,7 @@
 // Shared candidate-batch refiner.
 //
-// Every query family — dual T1/T2, the d-dimensional index, the R-tree
-// baselines — ends its filter step with the same tail: fetch each surviving
+// Every query family — dual T1/T2, the d-dimensional index, the R+-tree
+// baseline — ends its filter step with the same tail: fetch each surviving
 // candidate tuple, run the exact predicate, book the outcome into
 // FilterCounts. This module is that tail, in exactly one place, with three
 // composable optimizations over a per-candidate fetch-and-decide loop:

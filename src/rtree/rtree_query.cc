@@ -5,15 +5,12 @@
 
 namespace cdb {
 
-namespace {
-
-template <typename Tree>
-Result<std::vector<TupleId>> SelectImpl(Tree* tree, Relation* relation,
-                                        SelectionType type,
-                                        const HalfPlaneQuery& q,
-                                        QueryStats* stats,
-                                        obs::ExplainProfile* profile,
-                                        const QueryContext* ctx) {
+Result<std::vector<TupleId>> RTreeSelect(RPlusTree* tree, Relation* relation,
+                                         SelectionType type,
+                                         const HalfPlaneQuery& q,
+                                         QueryStats* stats,
+                                         obs::ExplainProfile* profile,
+                                         const QueryContext* ctx) {
   QueryStats local;
   QueryStats* st = stats != nullptr ? stats : &local;
   *st = QueryStats();
@@ -63,37 +60,6 @@ Result<std::vector<TupleId>> SelectImpl(Tree* tree, Relation* relation,
   }
   if (profile != nullptr) profile->filter = st->filter;
   return result;
-}
-
-}  // namespace
-
-Result<std::vector<TupleId>> RTreeSelect(RPlusTree* tree, Relation* relation,
-                                         SelectionType type,
-                                         const HalfPlaneQuery& q,
-                                         QueryStats* stats,
-                                         obs::ExplainProfile* profile,
-                                         const QueryContext* ctx) {
-  return SelectImpl(tree, relation, type, q, stats, profile, ctx);
-}
-
-Result<std::vector<TupleId>> RTreeSelect(GuttmanRTree* tree,
-                                         Relation* relation,
-                                         SelectionType type,
-                                         const HalfPlaneQuery& q,
-                                         QueryStats* stats,
-                                         obs::ExplainProfile* profile,
-                                         const QueryContext* ctx) {
-  return SelectImpl(tree, relation, type, q, stats, profile, ctx);
-}
-
-Result<std::vector<TupleId>> RTreeSelect(MxCifQuadtree* tree,
-                                         Relation* relation,
-                                         SelectionType type,
-                                         const HalfPlaneQuery& q,
-                                         QueryStats* stats,
-                                         obs::ExplainProfile* profile,
-                                         const QueryContext* ctx) {
-  return SelectImpl(tree, relation, type, q, stats, profile, ctx);
 }
 
 }  // namespace cdb

@@ -12,8 +12,6 @@
 #include "constraint/relation.h"
 #include "dualindex/dual_index.h"  // QueryStats
 #include "obs/trace.h"
-#include "rtree/guttman_rtree.h"
-#include "rtree/quadtree.h"
 #include "rtree/rplus_tree.h"
 
 namespace cdb {
@@ -26,24 +24,6 @@ namespace cdb {
 /// early-exit contract as DualIndex::Select (no pinned pages, balanced
 /// stats, unprocessed candidates booked as `filter.abandoned`).
 Result<std::vector<TupleId>> RTreeSelect(RPlusTree* tree, Relation* relation,
-                                         SelectionType type,
-                                         const HalfPlaneQuery& q,
-                                         QueryStats* stats = nullptr,
-                                         obs::ExplainProfile* profile = nullptr,
-                                         const QueryContext* ctx = nullptr);
-
-/// Same execution over the classic Guttman R-tree baseline.
-Result<std::vector<TupleId>> RTreeSelect(GuttmanRTree* tree,
-                                         Relation* relation,
-                                         SelectionType type,
-                                         const HalfPlaneQuery& q,
-                                         QueryStats* stats = nullptr,
-                                         obs::ExplainProfile* profile = nullptr,
-                                         const QueryContext* ctx = nullptr);
-
-/// Same execution over the MX-CIF quadtree baseline.
-Result<std::vector<TupleId>> RTreeSelect(MxCifQuadtree* tree,
-                                         Relation* relation,
                                          SelectionType type,
                                          const HalfPlaneQuery& q,
                                          QueryStats* stats = nullptr,

@@ -178,6 +178,48 @@ TEST(RPlusTreeTest, DeleteRemovesAllFragments) {
   EXPECT_TRUE(tree->Delete(data[0].first, 0).IsNotFound());
 }
 
+TEST(RPlusTreeTest, RandomizedInsertDeleteFuzz) {
+  auto pager = MakePager();
+  Rng rng(75);
+  std::unique_ptr<RPlusTree> tree;
+  ASSERT_TRUE(RPlusTree::Create(pager.get(), &tree).ok());
+  // Ids are handed out in increasing order and erased in place, so `live`
+  // stays sorted by id, the order searches return.
+  std::vector<std::pair<Rect, TupleId>> live;
+  TupleId next_id = 0;
+  for (int op = 0; op < 1200; ++op) {
+    if (live.empty() || rng.Chance(0.6)) {
+      double cx = rng.Uniform(-50, 50), cy = rng.Uniform(-50, 50);
+      double h = rng.Uniform(0.2, 6);
+      Rect r(cx - h, cy - h, cx + h, cy + h);
+      ASSERT_TRUE(tree->Insert(r, next_id).ok());
+      live.push_back({r, next_id++});
+    } else {
+      size_t pos = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+      ASSERT_TRUE(tree->Delete(live[pos].first, live[pos].second).ok());
+      live.erase(live.begin() + static_cast<long>(pos));
+    }
+    if (op % 200 == 199) {
+      ASSERT_TRUE(tree->CheckInvariants().ok()) << "op " << op;
+      Result<std::vector<TupleId>> all =
+          tree->SearchRect(Rect(-100, -100, 100, 100));
+      ASSERT_TRUE(all.ok());
+      std::vector<TupleId> live_ids;
+      for (const auto& [r, id] : live) live_ids.push_back(id);
+      EXPECT_EQ(all.value(), live_ids) << "op " << op;
+      for (int qi = 0; qi < 5; ++qi) {
+        HalfPlaneQuery q(rng.Uniform(-3, 3), rng.Uniform(-60, 60),
+                         rng.Chance(0.5) ? Cmp::kGE : Cmp::kLE);
+        Result<std::vector<TupleId>> got = tree->SearchHalfPlane(q);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got.value(), BruteHalfPlane(live, q))
+            << "op " << op << " query " << qi;
+      }
+    }
+  }
+}
+
 TEST(RPlusTreeTest, RejectsUnboundedRect) {
   auto pager = MakePager();
   std::unique_ptr<RPlusTree> tree;
