@@ -5,7 +5,8 @@
 #
 # asan (default): ASan+UBSan in build-asan/, runs `ctest -L sanitize` —
 #   the storage / durability suites that exercise raw page buffers,
-#   journal replay, and fault injection, where a latent out-of-bounds
+#   journal replay, and fault injection, and the B+-tree and dual-index
+#   suites that read and write node pages, where a latent out-of-bounds
 #   write or use-after-evict would hide.
 # tsan: ThreadSanitizer in build-tsan/, runs `ctest -L tsan` — the
 #   concurrent-read pager, executor, and metrics suites (ISSUE 3), where a

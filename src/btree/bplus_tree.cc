@@ -200,124 +200,21 @@ Status BPlusTree::Open(Pager* pager, PageId meta_page,
 Status BPlusTree::BulkLoad(Pager* pager,
                            std::vector<std::pair<double, uint32_t>> entries,
                            double fill, std::unique_ptr<BPlusTree>* out) {
-  if (!(fill > 0.0 && fill <= 1.0)) {
-    return Status::InvalidArgument("fill factor must be in (0, 1]");
-  }
-  for (const auto& [k, v] : entries) {
-    (void)v;
-    if (std::isnan(k)) return Status::InvalidArgument("NaN key");
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const std::pair<double, uint32_t>& a,
-               const std::pair<double, uint32_t>& b) {
-              return nb::CKeyLess({a.first, a.second}, {b.first, b.second});
-            });
-  for (size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i] == entries[i - 1]) {
-      return Status::InvalidArgument("duplicate (key, value) pair");
-    }
-  }
-
-  Result<PageId> meta = pager->Allocate();
-  if (!meta.ok()) return meta.status();
-  std::unique_ptr<BPlusTree> tree(new BPlusTree(pager, meta.value()));
-  tree->count_ = entries.size();
-
-  const size_t page_size = pager->page_size();
-  const size_t leaf_cap = nb::LeafCapacity(page_size);
-  const size_t leaf_min = leaf_cap / 2;
-
-  // --- Leaves.
-  struct ChildRef {
-    nb::CKey first;
-    PageId page;
-  };
-  std::vector<ChildRef> level;
-  size_t per_leaf = std::max<size_t>(
-      1, static_cast<size_t>(static_cast<double>(leaf_cap) * fill));
-  per_leaf = std::max(per_leaf, std::min(leaf_min, entries.size()));
-  std::vector<size_t> sizes =
-      entries.empty()
-          ? std::vector<size_t>{0}
-          : ChunkSizes(entries.size(), per_leaf, leaf_min, leaf_cap);
-  size_t pos = 0;
-  PageId prev_leaf = kInvalidPageId;
-  for (size_t si = 0; si < sizes.size(); ++si) {
-    Result<PageId> page = pager->Allocate();
-    if (!page.ok()) return page.status();
-    Result<PageRef> ref = pager->Fetch(page.value());
-    if (!ref.ok()) return ref.status();
-    char* p = ref.value().data();
-    nb::SetType(p, /*leaf=*/true);
-    nb::SetCount(p, static_cast<uint16_t>(sizes[si]));
-    nb::SetPrevLeaf(p, prev_leaf);
-    nb::SetNextLeaf(p, kInvalidPageId);
-    nb::ResetHandicaps(p);
-    for (size_t i = 0; i < sizes[si]; ++i, ++pos) {
-      nb::SetLeafEntry(p, i, {entries[pos].first, entries[pos].second});
-    }
-    if (prev_leaf != kInvalidPageId) {
-      Result<PageRef> pref = pager->Fetch(prev_leaf);
-      if (!pref.ok()) return pref.status();
-      nb::SetNextLeaf(pref.value().data(), page.value());
-      pref.value().MarkDirty();
-    }
-    ref.value().MarkDirty();
-    nb::CKey first =
-        sizes[si] > 0 ? nb::LeafEntry(p, 0) : nb::CKey{0.0, 0};
-    level.push_back({first, page.value()});
-    prev_leaf = page.value();
-  }
-
-  // --- Internal levels.
-  const size_t icap = nb::InternalCapacity(page_size);
-  const size_t max_children = icap + 1;
-  const size_t min_children = icap / 2 + 1;
-  uint32_t height = 1;
-  while (level.size() > 1) {
-    size_t per = std::max<size_t>(
-        2, static_cast<size_t>(static_cast<double>(max_children) * fill));
-    std::vector<size_t> group =
-        ChunkSizes(level.size(), per, min_children, max_children);
-    std::vector<ChildRef> next;
-    size_t at = 0;
-    for (size_t gi = 0; gi < group.size(); ++gi) {
-      Result<PageId> page = pager->Allocate();
-      if (!page.ok()) return page.status();
-      Result<PageRef> ref = pager->Fetch(page.value());
-      if (!ref.ok()) return ref.status();
-      char* p = ref.value().data();
-      nb::SetType(p, /*leaf=*/false);
-      nb::SetCount(p, static_cast<uint16_t>(group[gi] - 1));
-      nb::SetChild(p, 0, level[at].page);
-      for (size_t i = 1; i < group[gi]; ++i) {
-        nb::SetInternalKey(p, i - 1, level[at + i].first);
-        nb::SetChild(p, i, level[at + i].page);
-      }
-      ref.value().MarkDirty();
-      next.push_back({level[at].first, page.value()});
-      at += group[gi];
-    }
-    level = std::move(next);
-    ++height;
-  }
-  tree->root_ = level.front().page;
-  tree->height_ = height;
-  CDB_RETURN_IF_ERROR(tree->StoreMeta());
-  *out = std::move(tree);
-  return Status::OK();
+  std::vector<AugEntry> plain;
+  plain.reserve(entries.size());
+  for (const auto& [key, value] : entries) plain.push_back({key, value, {}});
+  return BulkLoad(pager, std::move(plain), fill, /*augmented=*/false, out);
 }
 
-Status BPlusTree::BulkLoadAugmented(Pager* pager,
-                                    std::vector<AugEntry> entries,
-                                    double fill,
-                                    std::unique_ptr<BPlusTree>* out) {
+Status BPlusTree::BulkLoad(Pager* pager, std::vector<AugEntry> entries,
+                           double fill, bool augmented,
+                           std::unique_ptr<BPlusTree>* out) {
   if (!(fill > 0.0 && fill <= 1.0)) {
     return Status::InvalidArgument("fill factor must be in (0, 1]");
   }
   for (const AugEntry& e : entries) {
     if (std::isnan(e.key)) return Status::InvalidArgument("NaN key");
-    for (int s = 0; s < nb::kHandicapSlots; ++s) {
+    for (int s = 0; augmented && s < nb::kHandicapSlots; ++s) {
       if (std::isnan(e.m[s])) {
         return Status::InvalidArgument("NaN assignment value");
       }
@@ -338,14 +235,16 @@ Status BPlusTree::BulkLoadAugmented(Pager* pager,
   if (!meta.ok()) return meta.status();
   std::unique_ptr<BPlusTree> tree(new BPlusTree(pager, meta.value()));
   tree->count_ = entries.size();
-  tree->augmented_ = true;
+  tree->augmented_ = augmented;
 
   const size_t page_size = pager->page_size();
   const size_t leaf_cap = nb::LeafCapacity(page_size);
   const size_t leaf_min = leaf_cap / 2;
 
-  // --- Leaves (same packing as BulkLoad, so the leaf structure — and
-  // every sweep's page count — matches an ordinary build exactly).
+  // --- Leaves (one packing for both layouts, so an augmented build has
+  // the leaf structure — and every sweep the page count — of an ordinary
+  // one). `agg` is the child's slot fold, carried inline by augmented
+  // internal entries.
   struct ChildRef {
     nb::CKey first;
     PageId page;
@@ -368,14 +267,18 @@ Status BPlusTree::BulkLoadAugmented(Pager* pager,
     if (!ref.ok()) return ref.status();
     char* p = ref.value().data();
     nb::SetType(p, /*leaf=*/true);
-    nb::SetAugFlag(p);
+    if (augmented) nb::SetAugFlag(p);
     nb::SetCount(p, static_cast<uint16_t>(sizes[si]));
     nb::SetPrevLeaf(p, prev_leaf);
     nb::SetNextLeaf(p, kInvalidPageId);
-    nb::AugResetHandicaps(p);
+    if (augmented) {
+      nb::AugResetHandicaps(p);
+    } else {
+      nb::ResetHandicaps(p);
+    }
     for (size_t i = 0; i < sizes[si]; ++i, ++pos) {
       nb::SetLeafEntry(p, i, {entries[pos].key, entries[pos].value});
-      for (int s = 0; s < nb::kHandicapSlots; ++s) {
+      for (int s = 0; augmented && s < nb::kHandicapSlots; ++s) {
         nb::AugCombineHandicap(p, s, entries[pos].m[s]);
       }
     }
@@ -396,8 +299,8 @@ Status BPlusTree::BulkLoadAugmented(Pager* pager,
     prev_leaf = page.value();
   }
 
-  // --- Internal levels (augmented layout, child aggregates inline).
-  const size_t icap = nb::AugInternalCapacity(page_size);
+  // --- Internal levels.
+  const size_t icap = XInternalCapacity(augmented, page_size);
   const size_t max_children = icap + 1;
   const size_t min_children = icap / 2 + 1;
   uint32_t height = 1;
@@ -415,20 +318,18 @@ Status BPlusTree::BulkLoadAugmented(Pager* pager,
       if (!ref.ok()) return ref.status();
       char* p = ref.value().data();
       nb::SetType(p, /*leaf=*/false);
-      nb::SetAugFlag(p);
+      if (augmented) nb::SetAugFlag(p);
       nb::SetCount(p, static_cast<uint16_t>(group[gi] - 1));
-      nb::AugSetChild(p, 0, level[at].page);
-      nb::AugSetAgg(p, 0, level[at].agg);
       ChildRef cr;
       cr.first = level[at].first;
       cr.page = page.value();
       nb::AugNeutralArray(cr.agg);
-      nb::AugFoldArray(cr.agg, level[at].agg);
-      for (size_t i = 1; i < group[gi]; ++i) {
-        nb::AugSetInternalKey(p, i - 1, level[at + i].first);
-        nb::AugSetChild(p, i, level[at + i].page);
-        nb::AugSetAgg(p, i, level[at + i].agg);
-        nb::AugFoldArray(cr.agg, level[at + i].agg);
+      for (size_t i = 0; i < group[gi]; ++i) {
+        const ChildRef& child = level[at + i];
+        if (i > 0) XSetKey(augmented, p, i - 1, child.first);
+        XSetChild(augmented, p, i, child.page);
+        if (augmented) nb::AugSetAgg(p, i, child.agg);
+        nb::AugFoldArray(cr.agg, child.agg);
       }
       ref.value().MarkDirty();
       next.push_back(cr);
@@ -1068,6 +969,19 @@ Status BPlusTree::SeekLeaf(double key, LeafCursor* out) const {
   CDB_RETURN_IF_ERROR(out->LoadLeaf(leaf));
   out->seek_pos_ = static_cast<int>(
       nb::LeafLowerBound(out->data_.data(), nb::CKey{key, 0}));
+  return Status::OK();
+}
+
+Status BPlusTree::SeekLeafPast(double key, LeafCursor* out) const {
+  if (std::isnan(key)) return Status::InvalidArgument("NaN key");
+  const nb::CKey past{key, std::numeric_limits<uint32_t>::max()};
+  PageId leaf;
+  CDB_RETURN_IF_ERROR(DescendToLeaf(past.key, past.value, &leaf));
+  out->pager_ = pager_;
+  CDB_RETURN_IF_ERROR(out->LoadLeaf(leaf));
+  int pos = static_cast<int>(nb::LeafLowerBound(out->data_.data(), past));
+  if (pos < out->count_ && out->key(pos) == key) ++pos;  // (key, max value).
+  out->seek_pos_ = pos;
   return Status::OK();
 }
 

@@ -15,8 +15,8 @@
 //    redistributions (combine); exact recomputation is the index's job
 //    (DualIndex::RebuildHandicaps). `handicap_staleness()` counts the
 //    events that degraded them since the last reset.
-//  * Trees created with CreateAugmented / BulkLoadAugmented instead
-//    maintain the slots *incrementally* (DESIGN.md section 2d): each leaf
+//  * Trees made by CreateAugmented, or by BulkLoad with `augmented`, keep
+//    the slots *incrementally* instead (DESIGN.md section 2d): each leaf
 //    slot folds the assignment values of its own entries, internal nodes
 //    carry per-child aggregates, and mutations keep both exact via an
 //    assignment callback — so SecondSweepBound() answers T2's second-sweep
@@ -97,7 +97,8 @@ class BPlusTree {
   /// Delete runs. Must not return NaN.
   using AssignmentFn = std::function<Status(uint32_t value, double* m)>;
 
-  /// Bulk-load input for augmented trees: an entry plus its assignments.
+  /// Bulk-load input: an entry plus its four assignment values, one per
+  /// handicap slot (read only when building an augmented tree).
   struct AugEntry {
     double key;
     uint32_t value;
@@ -121,17 +122,19 @@ class BPlusTree {
   /// internally by the composite (key, value) order and must contain no
   /// exact duplicates and no NaN keys. Leaves are packed at `fill` of
   /// capacity (0 < fill <= 1), leaving split slack for later inserts.
-  /// Far cheaper than repeated Insert() and yields denser pages.
+  /// Far cheaper than repeated Insert() and yields denser pages. An
+  /// `augmented` tree computes its leaf slots and internal aggregates from
+  /// the entries' assignment values during the build, so it is exact
+  /// without any rebuild pass; an ordinary one ignores them. Both layouts
+  /// get the same leaf packing.
+  static Status BulkLoad(Pager* pager, std::vector<AugEntry> entries,
+                         double fill, bool augmented,
+                         std::unique_ptr<BPlusTree>* out);
+
+  /// BulkLoad of an ordinary tree from plain (key, value) pairs.
   static Status BulkLoad(Pager* pager,
                          std::vector<std::pair<double, uint32_t>> entries,
                          double fill, std::unique_ptr<BPlusTree>* out);
-
-  /// Augmented twin of BulkLoad: leaf slots and internal aggregates are
-  /// computed from the entries' assignment values during the build, so the
-  /// tree is exact without any rebuild pass.
-  static Status BulkLoadAugmented(Pager* pager, std::vector<AugEntry> entries,
-                                  double fill,
-                                  std::unique_ptr<BPlusTree>* out);
 
   /// Meta page id; persist to reopen the tree.
   PageId meta_page() const { return meta_page_; }
@@ -171,6 +174,12 @@ class BPlusTree {
   /// leaf holds no qualifying entry — T2 needs the leaf's handicaps
   /// regardless.
   Status SeekLeaf(double key, LeafCursor* out) const;
+
+  /// Like SeekLeaf, but past every entry with key `key`: positions `out`
+  /// at the leaf whose range contains (key, max value), with seek_pos() at
+  /// the first entry whose key exceeds `key` — however many leaves the
+  /// entries equal to `key` fill.
+  Status SeekLeafPast(double key, LeafCursor* out) const;
 
   /// Positions `out` at the first / last leaf.
   Status SeekFirstLeaf(LeafCursor* out) const;

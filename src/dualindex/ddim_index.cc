@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "constraint/refine_batch.h"
+#include "dualindex/sweep.h"
 #include "geometry/polyhedron2d.h"
 #include "obs/metrics.h"
 
@@ -15,88 +16,11 @@ constexpr size_t kNpos = static_cast<size_t>(-1);
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Handicap slot convention for the d-dimensional trees: one cell per tree,
-// so only the "prev" pair is used — slot 0 (min-combined, bounds upward
-// first sweeps) and slot 2 (max-combined, bounds downward first sweeps).
+// so only the "prev" pair is used (PlanSweep with next_side = false) —
+// slot 0 (min-combined, bounds upward first sweeps) and slot 2
+// (max-combined, bounds downward first sweeps).
 constexpr int kLowSlot = 0;
 constexpr int kHighSlot = 2;
-
-// First sweep: collects every entry with key >= b (upward) or key <= b
-// (downward), folding the handicap bound over all visited leaves when
-// slot >= 0.
-Status SweepTree(BPlusTree* tree, double b, bool upward, int slot,
-                 std::vector<TupleId>* out, double* bound,
-                 QueryStats* stats, const QueryContext* ctx) {
-  LeafCursor cur;
-  CDB_RETURN_IF_ERROR(tree->SeekLeaf(b, &cur));
-  if (bound != nullptr) *bound = upward ? kInf : -kInf;
-  bool first = true;
-  while (cur.valid()) {
-    // Deadline/cancellation checkpoint, once per leaf (= one page fetch).
-    // The cursor holds no pins between moves, so this early exit is
-    // pin-clean by construction.
-    CDB_RETURN_IF_ERROR(CheckQueryContext(ctx));
-    if (slot >= 0 && bound != nullptr) {
-      double h = cur.handicap(slot);
-      *bound = upward ? std::min(*bound, h) : std::max(*bound, h);
-    }
-    if (upward) {
-      for (int j = first ? cur.seek_pos() : 0; j < cur.entry_count(); ++j) {
-        out->push_back(cur.value(j));
-        if (stats != nullptr) ++stats->candidates;
-      }
-      CDB_RETURN_IF_ERROR(cur.NextLeaf());
-    } else {
-      int limit = cur.entry_count();
-      if (first) {
-        limit = cur.seek_pos();
-        for (int j = cur.seek_pos();
-             j < cur.entry_count() && cur.key(j) == b; ++j) {
-          out->push_back(cur.value(j));
-          if (stats != nullptr) ++stats->candidates;
-        }
-      }
-      for (int j = 0; j < limit; ++j) {
-        out->push_back(cur.value(j));
-        if (stats != nullptr) ++stats->candidates;
-      }
-      CDB_RETURN_IF_ERROR(cur.PrevLeaf());
-    }
-    first = false;
-  }
-  return Status::OK();
-}
-
-// Second sweep: the opposite direction, bounded by the handicap value
-// (see DualIndex::SweepSecond; keys equal to b belong to the first sweep).
-Status SweepSecondTree(BPlusTree* tree, double b, bool downward, double bound,
-                       std::vector<TupleId>* out, QueryStats* stats,
-                       const QueryContext* ctx) {
-  LeafCursor cur;
-  CDB_RETURN_IF_ERROR(tree->SeekLeaf(b, &cur));
-  bool first = true;
-  while (cur.valid()) {
-    CDB_RETURN_IF_ERROR(CheckQueryContext(ctx));
-    if (downward) {
-      int start = first ? cur.seek_pos() - 1 : cur.entry_count() - 1;
-      for (int j = start; j >= 0; --j) {
-        if (cur.key(j) < bound) return Status::OK();
-        out->push_back(cur.value(j));
-        if (stats != nullptr) ++stats->candidates;
-      }
-      CDB_RETURN_IF_ERROR(cur.PrevLeaf());
-    } else {
-      for (int j = first ? cur.seek_pos() : 0; j < cur.entry_count(); ++j) {
-        if (cur.key(j) == b) continue;
-        if (cur.key(j) > bound) return Status::OK();
-        out->push_back(cur.value(j));
-        if (stats != nullptr) ++stats->candidates;
-      }
-      CDB_RETURN_IF_ERROR(cur.NextLeaf());
-    }
-    first = false;
-  }
-  return Status::OK();
-}
 
 double Dist2(const std::vector<double>& a, const std::vector<double>& b) {
   double s = 0;
@@ -282,19 +206,6 @@ std::vector<size_t> DDimDualIndex::FindCoveringSimplex(
   return support;
 }
 
-Status DDimDualIndex::RunExact(size_t slope_idx, SelectionType type, Cmp cmp,
-                               double intercept, std::vector<TupleId>* out,
-                               QueryStats* stats, const QueryContext* ctx) {
-  BPlusTree* tree;
-  if (type == SelectionType::kExist) {
-    tree = cmp == Cmp::kGE ? up_[slope_idx].get() : down_[slope_idx].get();
-  } else {
-    tree = cmp == Cmp::kGE ? down_[slope_idx].get() : up_[slope_idx].get();
-  }
-  return SweepTree(tree, intercept, /*upward=*/cmp == Cmp::kGE, /*slot=*/-1,
-                   out, nullptr, stats, ctx);
-}
-
 Status DDimDualIndex::Refine(SelectionType type, const HalfPlaneQueryD& q,
                              std::vector<TupleId>* ids, QueryStats* st,
                              const QueryContext* ctx) {
@@ -337,8 +248,9 @@ Result<std::vector<TupleId>> DDimDualIndex::SelectT1(SelectionType type,
           (type == SelectionType::kAll && j == all_idx)
               ? SelectionType::kAll
               : SelectionType::kExist;
+      const SweepPlan plan = PlanSweep(app_type, q.cmp, /*next_side=*/false);
       CDB_RETURN_IF_ERROR(
-          RunExact(j, app_type, q.cmp, q.intercept, &ids, st, ctx));
+          Sweep(Tree(j, plan), q.intercept, plan.upward, &ids, st, ctx));
     }
     std::sort(ids.begin(), ids.end());
     size_t before_dedup = ids.size();
@@ -382,48 +294,10 @@ Result<std::vector<TupleId>> DDimDualIndex::SelectT2(SelectionType type,
     }
   }
 
-  BPlusTree* tree;
-  bool sweep_up;
-  int slot;
-  if (type == SelectionType::kExist) {
-    if (q.cmp == Cmp::kGE) {
-      tree = up_[nearest].get();
-      sweep_up = true;
-      slot = kLowSlot;
-    } else {
-      tree = down_[nearest].get();
-      sweep_up = false;
-      slot = kHighSlot;
-    }
-  } else {
-    if (q.cmp == Cmp::kGE) {
-      tree = down_[nearest].get();
-      sweep_up = true;
-      slot = kLowSlot;
-    } else {
-      tree = up_[nearest].get();
-      sweep_up = false;
-      slot = kHighSlot;
-    }
-  }
-
+  const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
   std::vector<TupleId> ids;
-  {
-    CDB_TRACE_SPAN("filter");
-    double bound = 0.0;
-    {
-      CDB_TRACE_SPAN("sweep/first");
-      CDB_RETURN_IF_ERROR(
-          SweepTree(tree, q.intercept, sweep_up, slot, &ids, &bound, st, ctx));
-    }
-    if (sweep_up ? bound < q.intercept : bound > q.intercept) {
-      CDB_TRACE_SPAN("sweep/second");
-      CDB_RETURN_IF_ERROR(SweepSecondTree(tree, q.intercept,
-                                          /*downward=*/sweep_up, bound, &ids,
-                                          st, ctx));
-    }
-    std::sort(ids.begin(), ids.end());
-  }
+  CDB_RETURN_IF_ERROR(FilterT2(Tree(nearest, plan), plan, q.intercept, &ids,
+                               st, ctx));
   CDB_RETURN_IF_ERROR(Refine(type, q, &ids, st, ctx));
   return ids;
 }
@@ -445,13 +319,9 @@ Result<std::vector<TupleId>> DDimDualIndex::Select(SelectionType type,
   Result<std::vector<TupleId>> result = [&]() -> Result<std::vector<TupleId>> {
     size_t exact = FindExact(q.slope);
     if (exact != kNpos) {
-      CDB_TRACE_SPAN("sweep/exact");
-      std::vector<TupleId> ids;
-      Status s = RunExact(exact, type, q.cmp, q.intercept, &ids, st, ctx);
-      if (!s.ok()) return s;
-      std::sort(ids.begin(), ids.end());
-      st->filter.early_accepts += ids.size();  // Exact sweep: no refinement.
-      return ids;
+      const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
+      return SelectExact(Tree(exact, plan), plan.upward, q.intercept, st,
+                         ctx);
     }
     switch (method) {
       case Method::kExactOnly:
@@ -464,26 +334,7 @@ Result<std::vector<TupleId>> DDimDualIndex::Select(SelectionType type,
     return Status::InvalidArgument("unknown method");
   }();
 
-  obs::PhaseCost totals = obs::FinishQueryTrace(&tracer, profile);
-  st->index_page_fetches = totals.index_fetches;  // Logical (decision 11).
-  st->tuple_page_fetches = totals.tuple_reads;    // Physical (decision 11).
-  if (result.ok()) {
-    st->results = result.value().size();
-    st->filter.candidates = st->candidates;
-    st->filter.results = st->results;
-  } else {
-    // Early exit (deadline/cancellation/I-O error): candidates the filter
-    // produced but never classified are booked as abandoned so the
-    // partition invariant still balances on partial queries.
-    st->filter.candidates = st->candidates;
-    st->filter.abandoned =
-        st->candidates -
-        (st->filter.dedup_dropped + st->filter.early_accepts +
-         st->filter.refine_accepts + st->filter.refine_rejects);
-    st->results = st->filter.early_accepts + st->filter.refine_accepts;
-    st->filter.results = st->results;
-  }
-  if (profile != nullptr) profile->filter = st->filter;
+  FinishSelect(&tracer, result, st, profile);
   return result;
 }
 

@@ -35,6 +35,7 @@
 #include "constraint/naive_eval.h"
 #include "constraint/relation_d.h"
 #include "dualindex/dual_index.h"  // QueryStats
+#include "dualindex/sweep.h"
 #include "geometry/lpd.h"
 #include "obs/trace.h"
 
@@ -132,9 +133,10 @@ class DDimDualIndex {
                 std::vector<TupleId>* ids, QueryStats* st,
                 const QueryContext* ctx);
 
-  Status RunExact(size_t slope_idx, SelectionType type, Cmp cmp,
-                  double intercept, std::vector<TupleId>* out,
-                  QueryStats* stats, const QueryContext* ctx);
+  /// The tree `plan` reads among slope point i's pair.
+  const BPlusTree& Tree(size_t i, const SweepPlan& plan) const {
+    return *(plan.up_tree ? up_ : down_)[i];
+  }
 
   Pager* pager_;
   RelationD* relation_;

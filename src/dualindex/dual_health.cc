@@ -3,10 +3,10 @@
 //
 // Tightness is measured by replaying the exact handicap computation:
 //  - ordinary trees: every live tuple's contributions (the same
-//    HandicapContributions enumeration FoldHandicaps writes through) are
-//    folded into an in-memory side table keyed by the leaf page
-//    HandicapLeaf() resolves — exactly what RebuildHandicaps() would
-//    store — and compared slot by slot against the stored values;
+//    FoldHandicaps enumeration the write path merges through) are folded
+//    into an in-memory side table keyed by the leaf page HandicapLeaf()
+//    resolves — exactly what RebuildHandicaps() would store — and
+//    compared slot by slot against the stored values;
 //  - augmented trees: each leaf's slots are refolded from its own entries'
 //    assignment values (the incremental-maintenance definition), which
 //    must match the stored slots exactly.
@@ -73,8 +73,7 @@ Status DualIndex::CollectHealth(obs::HealthReport* out) const {
       static_cast<double>(nb::LeafCapacity(pager_->page_size()));
   const bool ordinary = !options_.incremental_handicaps;
 
-  // Scan index for slope tree (i, is_up): the write-path twin of
-  // HandicapContribution::is_up.
+  // Scan index for slope tree (i, is_up): B_i^up or B_i^down.
   auto scan_of = [](size_t i, bool is_up) { return 2 * i + (is_up ? 0 : 1); };
 
   std::vector<TreeScan> scans(2 * k);
@@ -132,7 +131,7 @@ Status DualIndex::CollectHealth(obs::HealthReport* out) const {
   }
 
   // Pass 2: the relation — tuple count, and for ordinary trees the exact
-  // fold replay through the shared contribution enumeration.
+  // fold replay through the write path's FoldHandicaps.
   CDB_RETURN_IF_ERROR(relation_->ForEachShape(
       [&](TupleId, const Polyhedron2DView& shape) -> Status {
         ++out->tuples;
@@ -140,22 +139,18 @@ Status DualIndex::CollectHealth(obs::HealthReport* out) const {
         for (size_t i = 0; i < k; ++i) {
           const double top = TopValue(shape, slopes_.slope(i));
           const double bot = BotValue(shape, slopes_.slope(i));
-          for (int step = -1; step <= 1; step += 2) {
-            if (step < 0 ? i == 0 : i + 1 >= k) continue;
-            const size_t other = step < 0 ? i - 1 : i + 1;
-            HandicapContribution c[4];
-            CDB_RETURN_IF_ERROR(
-                HandicapContributions(i, other, shape, top, bot, c));
-            for (const HandicapContribution& hc : c) {
-              TreeScan& s = scans[scan_of(i, hc.is_up)];
-              PageId leaf;
-              CDB_RETURN_IF_ERROR(s.tree->HandicapLeaf(hc.at, &leaf));
-              auto it = s.leaf_index.find(leaf);
-              if (it == s.leaf_index.end()) continue;
-              double& slot = s.exact[it->second][static_cast<size_t>(hc.slot)];
-              slot = hc.slot < 2 ? std::min(slot, hc.v) : std::max(slot, hc.v);
-            }
-          }
+          CDB_RETURN_IF_ERROR(FoldHandicaps(
+              i, shape, top, bot,
+              [&](BPlusTree* tree, int slot, double at, double v) -> Status {
+                TreeScan& s = scans[scan_of(i, tree == up_[i].get())];
+                PageId leaf;
+                CDB_RETURN_IF_ERROR(s.tree->HandicapLeaf(at, &leaf));
+                auto it = s.leaf_index.find(leaf);
+                if (it == s.leaf_index.end()) return Status::OK();
+                double& e = s.exact[it->second][static_cast<size_t>(slot)];
+                e = slot < 2 ? std::min(e, v) : std::max(e, v);
+                return Status::OK();
+              }));
         }
         return Status::OK();
       }));

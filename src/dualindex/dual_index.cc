@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "constraint/refine_batch.h"
+#include "dualindex/sweep.h"
 #include "geometry/dual.h"
 #include "obs/metrics.h"
 
@@ -19,13 +20,38 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 int LowSlot(bool next_side) { return next_side ? 1 : 0; }
 int HighSlot(bool next_side) { return next_side ? 3 : 2; }
 
-}  // namespace
+// Whether slope i of k has a neighbour on that side. A missing side's
+// slots carry no contribution; they are skipped by index, never by value
+// (unbounded tuples have real infinite assignments).
+bool HasNeighbour(size_t i, size_t k, bool next_side) {
+  return next_side ? i + 1 < k : i > 0;
+}
 
-namespace {
+// The write path's fold: MergeHandicap into the leaf covering `at`.
+Status MergeFold(BPlusTree* tree, int slot, double at, double v) {
+  return tree->MergeHandicap(at, slot, v);
+}
 
 // Leaf fill factor for bulk loads: dense pages (the paper's space profile)
 // with slack for later inserts.
 constexpr double kBulkFill = 0.8;
+
+// T2's tree choice (Section 4.2): the query slope lies in (s_i, s_{i+1});
+// the nearer slope's tree answers, with the handicaps of its half-interval
+// on the query's side.
+struct T2Plan {
+  size_t nearest;
+  bool next_side;  // The query lies toward the slope after `nearest`.
+  SweepPlan sweep;
+};
+
+T2Plan PlanT2(const SlopeSet& slopes, size_t i, SelectionType type,
+              const HalfPlaneQuery& q) {
+  const double left = slopes.slope(i), right = slopes.slope(i + 1);
+  const size_t nearest = (q.slope - left <= right - q.slope) ? i : i + 1;
+  const bool next_side = nearest == i;
+  return {nearest, next_side, PlanSweep(type, q.cmp, next_side)};
+}
 
 }  // namespace
 
@@ -37,14 +63,14 @@ Status DualIndex::Build(Pager* pager, Relation* relation, SlopeSet slopes,
   const size_t k = index->slopes_.size();
 
   // Gather every tuple's surface values, then bulk-load each tree sorted —
-  // one pass, packed leaves. Handicaps are computed afterwards on the
-  // settled leaf structure, like the paper's preprocessing phase. (Folding
-  // them while leaves split would smear early contributions across the
-  // whole tree — conservative but useless bounds.)
+  // one pass, packed leaves. Augmented entries carry their assignment
+  // values, so those trees come out exact. Ordinary handicaps are computed
+  // afterwards on the settled leaf structure, like the paper's
+  // preprocessing phase. (Folding them while leaves split would smear
+  // early contributions across the whole tree — conservative but useless
+  // bounds.)
   const bool inc = options.incremental_handicaps;
-  std::vector<std::vector<std::pair<double, uint32_t>>> ups(k), downs(k);
-  std::vector<std::vector<BPlusTree::AugEntry>> aug_ups(inc ? k : 0),
-      aug_downs(inc ? k : 0);
+  std::vector<std::vector<BPlusTree::AugEntry>> ups(k), downs(k);
   std::vector<std::pair<double, uint32_t>> xmaxs, xmins;
   CDB_RETURN_IF_ERROR(relation->ForEachShape(
       [&](TupleId id, const Polyhedron2DView& shape) -> Status {
@@ -54,20 +80,13 @@ Status DualIndex::Build(Pager* pager, Relation* relation, SlopeSet slopes,
               std::to_string(id) + ")");
         }
         for (size_t i = 0; i < k; ++i) {
-          double top = TopValue(shape, index->slopes_.slope(i));
-          double bot = BotValue(shape, index->slopes_.slope(i));
+          const double top = TopValue(shape, index->slopes_.slope(i));
+          const double bot = BotValue(shape, index->slopes_.slope(i));
+          ups[i].push_back({top, id, {}});
+          downs[i].push_back({bot, id, {}});
           if (inc) {
-            BPlusTree::AugEntry eu{top, id, {}};
-            BPlusTree::AugEntry ed{bot, id, {}};
-            CDB_RETURN_IF_ERROR(
-                index->TreeAssignments(i, /*is_up=*/true, shape, eu.m));
-            CDB_RETURN_IF_ERROR(
-                index->TreeAssignments(i, /*is_up=*/false, shape, ed.m));
-            aug_ups[i].push_back(eu);
-            aug_downs[i].push_back(ed);
-          } else {
-            ups[i].emplace_back(top, id);
-            downs[i].emplace_back(bot, id);
+            CDB_RETURN_IF_ERROR(index->Assignments(
+                i, shape, top, bot, ups[i].back().m, downs[i].back().m));
           }
         }
         if (options.support_vertical) {
@@ -80,17 +99,10 @@ Status DualIndex::Build(Pager* pager, Relation* relation, SlopeSet slopes,
   index->up_.resize(k);
   index->down_.resize(k);
   for (size_t i = 0; i < k; ++i) {
-    if (inc) {
-      CDB_RETURN_IF_ERROR(BPlusTree::BulkLoadAugmented(
-          pager, std::move(aug_ups[i]), kBulkFill, &index->up_[i]));
-      CDB_RETURN_IF_ERROR(BPlusTree::BulkLoadAugmented(
-          pager, std::move(aug_downs[i]), kBulkFill, &index->down_[i]));
-    } else {
-      CDB_RETURN_IF_ERROR(BPlusTree::BulkLoad(pager, std::move(ups[i]),
-                                              kBulkFill, &index->up_[i]));
-      CDB_RETURN_IF_ERROR(BPlusTree::BulkLoad(pager, std::move(downs[i]),
-                                              kBulkFill, &index->down_[i]));
-    }
+    CDB_RETURN_IF_ERROR(BPlusTree::BulkLoad(pager, std::move(ups[i]),
+                                            kBulkFill, inc, &index->up_[i]));
+    CDB_RETURN_IF_ERROR(BPlusTree::BulkLoad(
+        pager, std::move(downs[i]), kBulkFill, inc, &index->down_[i]));
   }
   if (options.support_vertical) {
     CDB_RETURN_IF_ERROR(
@@ -99,7 +111,6 @@ Status DualIndex::Build(Pager* pager, Relation* relation, SlopeSet slopes,
         BPlusTree::BulkLoad(pager, std::move(xmins), kBulkFill, &index->xmin_));
   }
   if (inc) {
-    // The augmented bulk load already produced exact slots and aggregates.
     index->RegisterAssignmentFns();
   } else {
     CDB_RETURN_IF_ERROR(index->RebuildHandicaps());
@@ -169,96 +180,61 @@ DualIndexManifest DualIndex::Manifest() const {
   return m;
 }
 
-Status DualIndex::HandicapContributions(size_t i, size_t other,
-                                        const Polyhedron2DView& shape,
-                                        double top_i, double bot_i,
-                                        HandicapContribution out[4]) const {
-  const bool next_side = other > i;
-  const double s_i = slopes_.slope(i);
-  const double amid = (s_i + slopes_.slope(other)) / 2.0;
-  const double lo = std::min(s_i, amid);
-  const double hi = std::max(s_i, amid);
-
-  const double top_mid = TopValue(shape, amid);
-  const double bot_mid = BotValue(shape, amid);
-
-  // EXIST(q(>=)) on B_i^up: assignment = max TOP over [s_i, amid]
-  // (exact at endpoints: TOP is convex in the slope).
-  out[0] = {/*is_up=*/true, std::max(top_i, top_mid), LowSlot(next_side),
-            top_i};
-
-  // ALL(q(<=)) on B_i^up: assignment must lower-bound min TOP over the
-  // interval; paper variant uses min BOT at endpoints (concave, exact),
-  // tight variant scans the envelope's breakpoints.
-  out[1] = {/*is_up=*/true,
-            options_.tight_assignment
-                ? MinTopOverInterval(shape, lo, hi)
-                : std::min(bot_i, bot_mid),
-            HighSlot(next_side), top_i};
-
-  // ALL(q(>=)) on B_i^down: assignment must upper-bound max BOT over the
-  // interval; paper variant uses max TOP at endpoints.
-  out[2] = {/*is_up=*/false,
-            options_.tight_assignment
-                ? MaxBotOverInterval(shape, lo, hi)
-                : std::max(top_i, top_mid),
-            LowSlot(next_side), bot_i};
-
-  // EXIST(q(<=)) on B_i^down: assignment = min BOT over [s_i, amid]
-  // (exact at endpoints: BOT is concave).
-  out[3] = {/*is_up=*/false, std::min(bot_i, bot_mid), HighSlot(next_side),
-            bot_i};
-  return Status::OK();
-}
-
-Status DualIndex::FoldHandicaps(size_t i, size_t other,
-                                const Polyhedron2DView& shape, double top_i,
-                                double bot_i) {
-  HandicapContribution c[4];
-  CDB_RETURN_IF_ERROR(
-      HandicapContributions(i, other, shape, top_i, bot_i, c));
-  for (const HandicapContribution& hc : c) {
-    BPlusTree* tree = hc.is_up ? up_[i].get() : down_[i].get();
-    CDB_RETURN_IF_ERROR(tree->MergeHandicap(hc.at, hc.slot, hc.v));
-  }
-  return Status::OK();
-}
-
-Status DualIndex::TreeAssignments(size_t i, bool is_up,
-                                  const Polyhedron2DView& shape,
-                                  double* m) const {
-  const double s_i = slopes_.slope(i);
+Status DualIndex::Assignments(size_t i, const Polyhedron2DView& shape,
+                              double top_i, double bot_i, double* up,
+                              double* down) const {
   if (!shape.feasible) return Status::InvalidArgument("unsatisfiable tuple");
-  const double top_i = TopValue(shape, s_i);
-  const double bot_i = BotValue(shape, s_i);
-  // Augmented neutral values for slots without a neighbour interval: low
-  // slots (0, 1) fold by max, high slots (2, 3) by min.
-  m[0] = m[1] = -kInf;
-  m[2] = m[3] = kInf;
-  const size_t k = slopes_.size();
-  for (int step = -1; step <= 1; step += 2) {
-    if (step < 0 ? i == 0 : i + 1 >= k) continue;
-    const size_t other = step < 0 ? i - 1 : i + 1;
-    const bool next_side = other > i;
-    const double amid = (s_i + slopes_.slope(other)) / 2.0;
+  for (double* m : {up, down}) {
+    if (m == nullptr) continue;
+    m[0] = m[1] = -kInf;  // Augmented neutral values: low slots fold by
+    m[2] = m[3] = kInf;   // max, high slots by min.
+  }
+  const double s_i = slopes_.slope(i);
+  for (bool next_side : {false, true}) {
+    if (!HasNeighbour(i, slopes_.size(), next_side)) continue;
+    const double amid =
+        (s_i + slopes_.slope(next_side ? i + 1 : i - 1)) / 2.0;
     const double lo = std::min(s_i, amid);
     const double hi = std::max(s_i, amid);
     const double top_mid = TopValue(shape, amid);
     const double bot_mid = BotValue(shape, amid);
-    // Same assignment math as FoldHandicaps; the values land in the slots
-    // of the tuple's own leaf instead of the leaf covering the assignment.
-    if (is_up) {
-      m[LowSlot(next_side)] = std::max(top_i, top_mid);  // EXIST(q(>=)).
-      m[HighSlot(next_side)] =
-          options_.tight_assignment
-              ? MinTopOverInterval(shape, lo, hi)
-              : std::min(bot_i, bot_mid);  // ALL(q(<=)).
-    } else {
-      m[LowSlot(next_side)] =
-          options_.tight_assignment
-              ? MaxBotOverInterval(shape, lo, hi)
-              : std::max(top_i, top_mid);                // ALL(q(>=)).
-      m[HighSlot(next_side)] = std::min(bot_i, bot_mid);  // EXIST(q(<=)).
+    const int low = LowSlot(next_side);
+    const int high = HighSlot(next_side);
+    if (up != nullptr) {
+      // EXIST(q(>=)): max TOP over [s_i, amid] (exact at the endpoints:
+      // TOP is convex in the slope).
+      up[low] = std::max(top_i, top_mid);
+      // ALL(q(<=)): must lower-bound min TOP over the interval; the paper
+      // variant uses min BOT at the endpoints (concave, exact), the tight
+      // variant scans the envelope's breakpoints.
+      up[high] = options_.tight_assignment ? MinTopOverInterval(shape, lo, hi)
+                                           : std::min(bot_i, bot_mid);
+    }
+    if (down != nullptr) {
+      // ALL(q(>=)): must upper-bound max BOT over the interval; the paper
+      // variant uses max TOP at the endpoints.
+      down[low] = options_.tight_assignment
+                      ? MaxBotOverInterval(shape, lo, hi)
+                      : std::max(top_i, top_mid);
+      // EXIST(q(<=)): min BOT over [s_i, amid] (exact: BOT is concave).
+      down[high] = std::min(bot_i, bot_mid);
+    }
+  }
+  return Status::OK();
+}
+
+Status DualIndex::FoldHandicaps(size_t i, const Polyhedron2DView& shape,
+                                double top, double bot,
+                                const FoldFn& fold) const {
+  double up[4], down[4];
+  CDB_RETURN_IF_ERROR(Assignments(i, shape, top, bot, up, down));
+  for (bool next_side : {false, true}) {
+    if (!HasNeighbour(i, slopes_.size(), next_side)) continue;
+    for (int slot : {LowSlot(next_side), HighSlot(next_side)}) {
+      CDB_RETURN_IF_ERROR(fold(up_[i].get(), slot, up[slot], top));
+    }
+    for (int slot : {LowSlot(next_side), HighSlot(next_side)}) {
+      CDB_RETURN_IF_ERROR(fold(down_[i].get(), slot, down[slot], bot));
     }
   }
   return Status::OK();
@@ -278,6 +254,14 @@ void DualIndex::RegisterAssignmentFns() {
           });
     }
   }
+}
+
+Status DualIndex::TreeAssignments(size_t i, bool is_up,
+                                  const Polyhedron2DView& shape,
+                                  double* m) const {
+  const double s_i = slopes_.slope(i);
+  return Assignments(i, shape, TopValue(shape, s_i), BotValue(shape, s_i),
+                     is_up ? m : nullptr, is_up ? nullptr : m);
 }
 
 Polyhedron2DView DualIndex::ShapeOf(TupleId id, const GeneralizedTuple& tuple,
@@ -318,22 +302,16 @@ Status DualIndex::Insert(TupleId id, const GeneralizedTuple& tuple) {
       // the target leaf's slots and refreshes the aggregate path — no
       // global handicap smearing, values stay exact.
       double mu[4], md[4];
-      CDB_RETURN_IF_ERROR(TreeAssignments(i, /*is_up=*/true, shape, mu));
-      CDB_RETURN_IF_ERROR(TreeAssignments(i, /*is_up=*/false, shape, md));
+      CDB_RETURN_IF_ERROR(Assignments(i, shape, top, bot, mu, md));
       CDB_RETURN_IF_ERROR(up_[i]->InsertWithAssignment(top, id, mu));
       CDB_RETURN_IF_ERROR(down_[i]->InsertWithAssignment(bot, id, md));
       continue;
     }
     CDB_RETURN_IF_ERROR(up_[i]->Insert(top, id));
     CDB_RETURN_IF_ERROR(down_[i]->Insert(bot, id));
-    if (i > 0) {
-      CDB_RETURN_IF_ERROR(FoldHandicaps(i, i - 1, shape, top, bot));
-    }
-    if (i + 1 < k) {
-      CDB_RETURN_IF_ERROR(FoldHandicaps(i, i + 1, shape, top, bot));
-    }
+    CDB_RETURN_IF_ERROR(FoldHandicaps(i, shape, top, bot, MergeFold));
   }
-  return MaybeAutoCompact();
+  return Status::OK();
 }
 
 Status DualIndex::Remove(TupleId id, const GeneralizedTuple& tuple) {
@@ -355,118 +333,12 @@ Status DualIndex::Remove(TupleId id, const GeneralizedTuple& tuple) {
     // (which is why Remove must run before the relation's Delete) and
     // stay exact.
   }
-  return MaybeAutoCompact();
-}
-
-// --- Sweeps ------------------------------------------------------------------
-
-// First sweep, upward: collects every entry with key >= from (starting at
-// the leaf whose range contains `from`), folding the min of handicap `slot`
-// over every visited leaf (slot < 0 disables handicap reading).
-Status DualIndex::SweepCollect(BPlusTree* tree, double from, bool upward,
-                               int slot, std::vector<TupleId>* out,
-                               double* handicap_bound, QueryStats* stats,
-                               const QueryContext* ctx) {
-  LeafCursor cur;
-  CDB_RETURN_IF_ERROR(tree->SeekLeaf(from, &cur));
-  if (handicap_bound != nullptr) {
-    *handicap_bound = upward ? kInf : -kInf;
-  }
-  bool first = true;
-  while (cur.valid()) {
-    // Deadline/cancellation checkpoint, once per leaf (= one page-fetch
-    // boundary). The cursor holds no pins between moves, so this early
-    // exit leaves the pager clean.
-    CDB_RETURN_IF_ERROR(CheckQueryContext(ctx));
-    if (slot >= 0 && handicap_bound != nullptr) {
-      double h = cur.handicap(slot);
-      *handicap_bound =
-          upward ? std::min(*handicap_bound, h) : std::max(*handicap_bound, h);
-    }
-    if (upward) {
-      for (int j = first ? cur.seek_pos() : 0; j < cur.entry_count(); ++j) {
-        out->push_back(cur.value(j));
-        if (stats != nullptr) ++stats->candidates;
-      }
-      CDB_RETURN_IF_ERROR(cur.NextLeaf());
-    } else {
-      // Downward: everything before seek_pos has key < from; entries at and
-      // after seek_pos with key == from also qualify (key <= from).
-      int limit = cur.entry_count();
-      if (first) {
-        limit = cur.seek_pos();
-        for (int j = cur.seek_pos();
-             j < cur.entry_count() && cur.key(j) == from; ++j) {
-          out->push_back(cur.value(j));
-          if (stats != nullptr) ++stats->candidates;
-        }
-      }
-      for (int j = 0; j < limit; ++j) {
-        out->push_back(cur.value(j));
-        if (stats != nullptr) ++stats->candidates;
-      }
-      CDB_RETURN_IF_ERROR(cur.PrevLeaf());
-    }
-    first = false;
-  }
   return Status::OK();
 }
 
-// Second sweep: the opposite direction, bounded by the handicap value.
-// `downward` collects entries with bound <= key < from; upward collects
-// from < key <= bound. Keys equal to `from` were taken by the first sweep.
-Status DualIndex::SweepSecond(BPlusTree* tree, double from, bool downward,
-                              double bound, std::vector<TupleId>* out,
-                              QueryStats* stats, const QueryContext* ctx) {
-  LeafCursor cur;
-  CDB_RETURN_IF_ERROR(tree->SeekLeaf(from, &cur));
-  bool first = true;
-  while (cur.valid()) {
-    CDB_RETURN_IF_ERROR(CheckQueryContext(ctx));
-    if (downward) {
-      int start = first ? cur.seek_pos() - 1 : cur.entry_count() - 1;
-      for (int j = start; j >= 0; --j) {
-        if (cur.key(j) < bound) return Status::OK();
-        out->push_back(cur.value(j));
-        if (stats != nullptr) ++stats->candidates;
-      }
-      CDB_RETURN_IF_ERROR(cur.PrevLeaf());
-    } else {
-      for (int j = first ? cur.seek_pos() : 0; j < cur.entry_count(); ++j) {
-        if (cur.key(j) == from) continue;  // First sweep owns these.
-        if (cur.key(j) > bound) return Status::OK();
-        out->push_back(cur.value(j));
-        if (stats != nullptr) ++stats->candidates;
-      }
-      CDB_RETURN_IF_ERROR(cur.NextLeaf());
-    }
-    first = false;
-  }
-  return Status::OK();
-}
-
-// --- Exact (restricted) execution ---------------------------------------------
-
-Status DualIndex::RunExact(const AppQuery& aq, std::vector<TupleId>* out,
-                           QueryStats* stats, const QueryContext* ctx) {
-  CDB_TRACE_SPAN("sweep/exact");
-  // Section 3 mapping: B^up serves EXIST(q(>=)) and ALL(q(<=)); B^down
-  // serves ALL(q(>=)) and EXIST(q(<=)). Sweep direction follows θ.
-  BPlusTree* tree;
-  bool upward;
-  if (aq.type == SelectionType::kExist) {
-    tree = aq.cmp == Cmp::kGE ? up_[aq.slope_index].get()
-                              : down_[aq.slope_index].get();
-  } else {
-    tree = aq.cmp == Cmp::kGE ? down_[aq.slope_index].get()
-                              : up_[aq.slope_index].get();
-  }
-  upward = aq.cmp == Cmp::kGE;
-  return SweepCollect(tree, aq.intercept, upward, /*slot=*/-1, out,
-                      /*handicap_bound=*/nullptr, stats, ctx);
-}
-
-// --- T1 -----------------------------------------------------------------------
+// --- T1 and T2 ----------------------------------------------------------------
+//
+// Select answers slopes in S by the exact sweep before dispatching here.
 
 Result<std::vector<TupleId>> DualIndex::SelectT1(SelectionType type,
                                                  const HalfPlaneQuery& q,
@@ -474,115 +346,39 @@ Result<std::vector<TupleId>> DualIndex::SelectT1(SelectionType type,
                                                  const QueryContext* ctx) {
   AppQueryPlan plan = PlanAppQueries(slopes_, type, q, options_.anchor_x);
   std::vector<TupleId> ids;
-  if (plan.exact) {
-    CDB_RETURN_IF_ERROR(RunExact(plan.exact_query, &ids, stats, ctx));
-    std::sort(ids.begin(), ids.end());
-    // Exact sweep, no refinement: every candidate is an early accept.
-    if (stats != nullptr) stats->filter.early_accepts += ids.size();
-    return ids;
-  }
   {
     CDB_TRACE_SPAN("filter");
     for (const AppQuery& aq : plan.queries) {
-      CDB_RETURN_IF_ERROR(RunExact(aq, &ids, stats, ctx));
+      CDB_TRACE_SPAN("sweep/exact");
+      const SweepPlan sweep = PlanSweep(aq.type, aq.cmp, /*next_side=*/false);
+      CDB_RETURN_IF_ERROR(Sweep(Tree(aq.slope_index, sweep), aq.intercept,
+                                sweep.upward, &ids, stats, ctx));
     }
     std::sort(ids.begin(), ids.end());
     size_t before = ids.size();
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    if (stats != nullptr) {
-      stats->duplicates += before - ids.size();
-      stats->filter.dedup_dropped += before - ids.size();
-    }
+    stats->duplicates += before - ids.size();
+    stats->filter.dedup_dropped += before - ids.size();
   }
   CDB_RETURN_IF_ERROR(Refine(type, q, &ids, stats, ctx));
   return ids;
 }
 
-// --- T2 -----------------------------------------------------------------------
-
 Result<std::vector<TupleId>> DualIndex::SelectT2(SelectionType type,
                                                  const HalfPlaneQuery& q,
+                                                 const SlopeLocation& loc,
                                                  QueryStats* stats,
                                                  const QueryContext* ctx) {
-  SlopeLocation loc = slopes_.Locate(q.slope);
-  if (loc.kind == SlopeLocation::Kind::kExact) {
-    std::vector<TupleId> ids;
-    CDB_RETURN_IF_ERROR(
-        RunExact({loc.index, type, q.cmp, q.intercept}, &ids, stats, ctx));
-    std::sort(ids.begin(), ids.end());
-    if (stats != nullptr) stats->filter.early_accepts += ids.size();
-    return ids;
-  }
   if (loc.kind != SlopeLocation::Kind::kBetween || slopes_.size() < 2) {
     // Wrap-around region: the single-tree trick needs a same-surface
     // neighbour interval; fall back to T1 (DESIGN.md decision 4).
-    if (stats != nullptr) stats->used_wrap_fallback = true;
+    stats->used_wrap_fallback = true;
     return SelectT1(type, q, stats, ctx);
   }
-
-  // Query slope lies in (s_i, s_{i+1}); use the nearer tree and the
-  // handicaps computed for the half-interval on that side.
-  size_t i = loc.index;
-  double left = slopes_.slope(i), right = slopes_.slope(i + 1);
-  size_t nearest = (q.slope - left <= right - q.slope) ? i : i + 1;
-  bool next_side = nearest == i;  // Query is on tree `nearest`'s next side
-                                  // when the nearest slope is the left one.
-  const double b = q.intercept;
-
-  BPlusTree* tree;
-  bool sweep_up;  // Direction of the first sweep.
-  int slot;
-  if (type == SelectionType::kExist) {
-    if (q.cmp == Cmp::kGE) {
-      tree = up_[nearest].get();
-      sweep_up = true;
-      slot = LowSlot(next_side);
-    } else {
-      tree = down_[nearest].get();
-      sweep_up = false;
-      slot = HighSlot(next_side);
-    }
-  } else {
-    if (q.cmp == Cmp::kGE) {
-      tree = down_[nearest].get();
-      sweep_up = true;
-      slot = LowSlot(next_side);
-    } else {
-      tree = up_[nearest].get();
-      sweep_up = false;
-      slot = HighSlot(next_side);
-    }
-  }
-
+  const T2Plan plan = PlanT2(slopes_, loc.index, type, q);
   std::vector<TupleId> ids;
-  double bound = 0.0;
-  bool have_bound = true;
-  {
-    CDB_TRACE_SPAN("filter");
-    {
-      CDB_TRACE_SPAN("sweep/first");
-      if (options_.incremental_handicaps) {
-        // Augmented tree: the first sweep reads no handicaps at all ...
-        CDB_RETURN_IF_ERROR(SweepCollect(tree, b, sweep_up, /*slot=*/-1, &ids,
-                                         /*handicap_bound=*/nullptr, stats,
-                                         ctx));
-      } else {
-        CDB_RETURN_IF_ERROR(
-            SweepCollect(tree, b, sweep_up, slot, &ids, &bound, stats, ctx));
-      }
-    }
-    if (options_.incremental_handicaps) {
-      // ... the bound comes from one aggregate descent instead.
-      CDB_TRACE_SPAN("sweep/bound");
-      CDB_RETURN_IF_ERROR(tree->SecondSweepBound(slot, b, &have_bound, &bound));
-    }
-    if (have_bound && (sweep_up ? bound < b : bound > b)) {
-      CDB_TRACE_SPAN("sweep/second");
-      CDB_RETURN_IF_ERROR(SweepSecond(tree, b, /*downward=*/sweep_up, bound,
-                                      &ids, stats, ctx));
-    }
-    std::sort(ids.begin(), ids.end());
-  }
+  CDB_RETURN_IF_ERROR(FilterT2(Tree(plan.nearest, plan.sweep), plan.sweep,
+                               q.intercept, &ids, stats, ctx));
   CDB_RETURN_IF_ERROR(Refine(type, q, &ids, stats, ctx));
   return ids;
 }
@@ -595,35 +391,34 @@ Status DualIndex::Refine(SelectionType type, const HalfPlaneQuery& q,
   if (!options_.refine) {
     // Raw-superset mode: the post-dedup candidates ship as results
     // untested, so the filter accounting books them as early accepts.
-    if (stats != nullptr) stats->filter.early_accepts += ids->size();
+    stats->filter.early_accepts += ids->size();
     return Status::OK();
   }
   static obs::Counter* const lp_calls =
       obs::GlobalMetrics().counter("dual.refine.lp_calls");
-  obs::FilterCounts local_filter;
-  uint64_t local_false_hits = 0;
-  return RefineBatch2D(
-      *relation_, type, q, lp_calls, ctx, ids,
-      stats != nullptr ? &stats->filter : &local_filter,
-      stats != nullptr ? &stats->false_hits : &local_false_hits);
+  return RefineBatch2D(*relation_, type, q, lp_calls, ctx, ids,
+                       &stats->filter, &stats->false_hits);
 }
 
 // --- Explain -------------------------------------------------------------------
 
 namespace {
 
+const char* TreeName(const SweepPlan& plan) {
+  return plan.up_tree ? "B^up" : "B^down";
+}
+
+const char* Direction(bool upward) { return upward ? "upward" : "downward"; }
+
 std::string DescribeExact(const SlopeSet& slopes, const AppQuery& aq) {
-  const char* tree = (aq.type == SelectionType::kExist) ==
-                             (aq.cmp == Cmp::kGE)
-                         ? "B^up"
-                         : "B^down";
+  const SweepPlan plan = PlanSweep(aq.type, aq.cmp, /*next_side=*/false);
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "%s(%s) on %s[slope=%g]: seek b=%g, sweep %s",
                 aq.type == SelectionType::kAll ? "ALL" : "EXIST",
-                aq.cmp == Cmp::kGE ? ">=" : "<=", tree,
+                aq.cmp == Cmp::kGE ? ">=" : "<=", TreeName(plan),
                 slopes.slope(aq.slope_index), aq.intercept,
-                aq.cmp == Cmp::kGE ? "upward" : "downward");
+                Direction(plan.upward));
   return buf;
 }
 
@@ -664,32 +459,31 @@ std::string DualIndex::Explain(SelectionType type, const HalfPlaneQuery& q,
     for (const AppQuery& aq : plan.queries) {
       out += "  app-query: " + DescribeExact(slopes_, aq) + "\n";
     }
-    out += "  deduplicate ids, refine candidates by exact LP predicate\n";
+    out += "  deduplicate ids, refine candidates on their V-representation\n";
     return out;
   }
 
-  size_t i = loc.index;
-  double left = slopes_.slope(i), right = slopes_.slope(i + 1);
-  size_t nearest = (q.slope - left <= right - q.slope) ? i : i + 1;
-  bool next_side = nearest == i;
-  const char* tree;
-  const char* dir;
-  if ((type == SelectionType::kExist) == (q.cmp == Cmp::kGE)) {
-    tree = "B^up";
+  const T2Plan plan = PlanT2(slopes_, loc.index, type, q);
+  const SweepPlan& sw = plan.sweep;
+  char bound[96];
+  if (Tree(plan.nearest, sw).augmented()) {
+    std::snprintf(bound, sizeof(bound),
+                  "one aggregate descent on handicap slot %d", sw.slot);
   } else {
-    tree = "B^down";
+    std::snprintf(bound, sizeof(bound),
+                  "handicap slot %d folded over the first sweep's leaves",
+                  sw.slot);
   }
-  dir = q.cmp == Cmp::kGE ? "upward" : "downward";
-  char body[256];
-  std::snprintf(
-      body, sizeof(body),
-      "  T2: %s[slope=%g] (nearest), handicap side=%s\n"
-      "  first sweep %s from b=%g collecting %s(q)\n"
-      "  second sweep %s bounded by the handicap value\n"
-      "  refine candidates by exact LP predicate\n",
-      tree, slopes_.slope(nearest), next_side ? "next" : "prev", dir,
-      q.intercept, q.cmp == Cmp::kGE ? "low" : "high",
-      q.cmp == Cmp::kGE ? "downward" : "upward");
+  char body[384];
+  std::snprintf(body, sizeof(body),
+                "  T2: %s[slope=%g] (nearest), handicap side=%s\n"
+                "  first sweep %s from b=%g\n"
+                "  second-sweep bound: %s\n"
+                "  second sweep %s to that bound\n"
+                "  refine candidates on their V-representation\n",
+                TreeName(sw), slopes_.slope(plan.nearest),
+                plan.next_side ? "next" : "prev", Direction(sw.upward),
+                q.intercept, bound, Direction(!sw.upward));
   out += body;
   return out;
 }
@@ -717,50 +511,27 @@ Result<std::vector<TupleId>> DualIndex::Select(SelectionType type,
   obs::Tracer tracer("dual/select", pager_, relation_->pager());
 
   Result<std::vector<TupleId>> result = [&]() -> Result<std::vector<TupleId>> {
+    const SlopeLocation loc = slopes_.Locate(q.slope);
+    if (loc.kind == SlopeLocation::Kind::kExact) {
+      // Slope in S: every method runs Section 3's exact sweep.
+      const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
+      return SelectExact(Tree(loc.index, plan), plan.upward, q.intercept, st,
+                         ctx);
+    }
     switch (method) {
-      case QueryMethod::kRestricted: {
-        SlopeLocation loc = slopes_.Locate(q.slope);
-        if (loc.kind != SlopeLocation::Kind::kExact) {
-          return Status::InvalidArgument(
-              "restricted method requires the query slope to be in S");
-        }
-        std::vector<TupleId> ids;
-        Status s =
-            RunExact({loc.index, type, q.cmp, q.intercept}, &ids, st, ctx);
-        if (!s.ok()) return s;
-        std::sort(ids.begin(), ids.end());
-        st->filter.early_accepts += ids.size();
-        return ids;
-      }
+      case QueryMethod::kRestricted:
+        return Status::InvalidArgument(
+            "restricted method requires the query slope to be in S");
       case QueryMethod::kT1:
         return SelectT1(type, q, st, ctx);
       case QueryMethod::kT2:
       case QueryMethod::kAuto:
-        return SelectT2(type, q, st, ctx);
+        return SelectT2(type, q, loc, st, ctx);
     }
     return Status::InvalidArgument("unknown query method");
   }();
 
-  obs::PhaseCost totals = obs::FinishQueryTrace(&tracer, profile);
-  st->index_page_fetches = totals.index_fetches;  // Logical (decision 11).
-  st->tuple_page_fetches = totals.tuple_reads;    // Physical (decision 11).
-  if (result.ok()) {
-    st->results = result.value().size();
-    st->filter.candidates = st->candidates;
-    st->filter.results = st->results;
-  } else {
-    // Partial execution (deadline, cancellation, I/O failure): the phase
-    // counts cover only the candidates actually processed; the rest are
-    // booked as abandoned so the partition still balances.
-    st->filter.candidates = st->candidates;
-    st->filter.abandoned =
-        st->candidates -
-        (st->filter.dedup_dropped + st->filter.early_accepts +
-         st->filter.refine_accepts + st->filter.refine_rejects);
-    st->results = st->filter.early_accepts + st->filter.refine_accepts;
-    st->filter.results = st->results;
-  }
-  if (profile != nullptr) profile->filter = st->filter;
+  FinishSelect(&tracer, result, st, profile);
   return result;
 }
 
@@ -779,23 +550,15 @@ Result<std::vector<TupleId>> DualIndex::SelectVertical(
   *st = QueryStats();
   obs::Tracer tracer("dual/select-vertical", pager_, relation_->pager());
 
-  // Exact mapping on the x-extent support trees:
-  //   EXIST(x >= c): max_x >= c  -> sweep xmax upward.
-  //   EXIST(x <= c): min_x <= c  -> sweep xmin downward.
-  //   ALL  (x >= c): min_x >= c  -> sweep xmin upward.
-  //   ALL  (x <= c): max_x <= c  -> sweep xmax downward.
-  BPlusTree* tree;
-  if (type == SelectionType::kExist) {
-    tree = q.cmp == Cmp::kGE ? xmax_.get() : xmin_.get();
-  } else {
-    tree = q.cmp == Cmp::kGE ? xmin_.get() : xmax_.get();
-  }
+  // Section 3's table on the x-extent support trees, xmax in B^up's place
+  // and xmin in B^down's: EXIST(x >= c) is max_x >= c, ALL(x >= c) is
+  // min_x >= c, and so on.
+  const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
   std::vector<TupleId> ids;
   {
     CDB_TRACE_SPAN("sweep/support");
-    CDB_RETURN_IF_ERROR(SweepCollect(tree, q.boundary,
-                                     /*upward=*/q.cmp == Cmp::kGE, /*slot=*/-1,
-                                     &ids, nullptr, st, /*ctx=*/nullptr));
+    CDB_RETURN_IF_ERROR(Sweep(plan.up_tree ? *xmax_ : *xmin_, q.boundary,
+                              plan.upward, &ids, st, /*ctx=*/nullptr));
   }
   std::sort(ids.begin(), ids.end());
   st->index_page_fetches =
@@ -824,23 +587,20 @@ Result<std::vector<TupleId>> DualIndex::SelectSlab(
   *st = QueryStats();
   obs::Tracer tracer("dual/select-slab", pager_, relation_->pager());
 
-  const size_t i = loc.index;
+  // ALL: BOT >= b_lo ∩ TOP <= b_hi; EXIST: TOP >= b_lo ∩ BOT <= b_hi —
+  // the exact sweeps of q(>=) at b_lo and q(<=) at b_hi.
+  const SweepPlan lo = PlanSweep(type, Cmp::kGE, /*next_side=*/false);
+  const SweepPlan hi = PlanSweep(type, Cmp::kLE, /*next_side=*/false);
   std::vector<TupleId> a, b;
-  // ALL: BOT >= b_lo (upward sweep of B^down) ∩ TOP <= b_hi (downward
-  // B^up). EXIST: TOP >= b_lo ∩ BOT <= b_hi.
-  BPlusTree* lo_tree =
-      type == SelectionType::kAll ? down_[i].get() : up_[i].get();
-  BPlusTree* hi_tree =
-      type == SelectionType::kAll ? up_[i].get() : down_[i].get();
   {
     CDB_TRACE_SPAN("sweep/lo-bound");
-    CDB_RETURN_IF_ERROR(SweepCollect(lo_tree, b_lo, /*upward=*/true, -1, &a,
-                                     nullptr, st, /*ctx=*/nullptr));
+    CDB_RETURN_IF_ERROR(Sweep(Tree(loc.index, lo), b_lo, lo.upward, &a, st,
+                              /*ctx=*/nullptr));
   }
   {
     CDB_TRACE_SPAN("sweep/hi-bound");
-    CDB_RETURN_IF_ERROR(SweepCollect(hi_tree, b_hi, /*upward=*/false, -1, &b,
-                                     nullptr, st, /*ctx=*/nullptr));
+    CDB_RETURN_IF_ERROR(Sweep(Tree(loc.index, hi), b_hi, hi.upward, &b, st,
+                              /*ctx=*/nullptr));
   }
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
@@ -887,22 +647,6 @@ void DualIndex::ExportStalenessMetrics() const {
       ->Set(static_cast<double>(handicap_staleness()));
 }
 
-Status DualIndex::MaybeAutoCompact() {
-  if (options_.incremental_handicaps ||
-      options_.handicap_staleness_budget == 0) {
-    return Status::OK();
-  }
-  if (handicap_staleness() <= options_.handicap_staleness_budget) {
-    return Status::OK();
-  }
-  // Budget exceeded: restore exact handicaps now (ResetHandicaps zeroes the
-  // per-tree staleness counters, so the budget re-arms automatically).
-  CDB_RETURN_IF_ERROR(RebuildHandicaps());
-  obs::GlobalMetrics().counter("dual.handicap.compactions")->Increment();
-  ExportStalenessMetrics();
-  return Status::OK();
-}
-
 Status DualIndex::RebuildHandicaps() {
   if (options_.incremental_handicaps) {
     // Compaction only: incremental maintenance keeps slots and aggregates
@@ -917,16 +661,10 @@ Status DualIndex::RebuildHandicaps() {
   return relation_->ForEachShape(
       [&](TupleId, const Polyhedron2DView& shape) -> Status {
         if (!shape.feasible) return Status::OK();  // Not indexed.
-        const size_t k = slopes_.size();
-        for (size_t i = 0; i < k; ++i) {
-          const double top = TopValue(shape, slopes_.slope(i));
-          const double bot = BotValue(shape, slopes_.slope(i));
-          if (i > 0) {
-            CDB_RETURN_IF_ERROR(FoldHandicaps(i, i - 1, shape, top, bot));
-          }
-          if (i + 1 < k) {
-            CDB_RETURN_IF_ERROR(FoldHandicaps(i, i + 1, shape, top, bot));
-          }
+        for (size_t i = 0; i < slopes_.size(); ++i) {
+          CDB_RETURN_IF_ERROR(FoldHandicaps(
+              i, shape, TopValue(shape, slopes_.slope(i)),
+              BotValue(shape, slopes_.slope(i)), MergeFold));
         }
         return Status::OK();
       });

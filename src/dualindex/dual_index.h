@@ -19,6 +19,7 @@
 #ifndef CDB_DUALINDEX_DUAL_INDEX_H_
 #define CDB_DUALINDEX_DUAL_INDEX_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "constraint/relation.h"
 #include "dualindex/app_query.h"
 #include "dualindex/slope_set.h"
+#include "dualindex/sweep.h"
 #include "obs/health.h"
 #include "obs/trace.h"
 
@@ -89,15 +91,6 @@ struct DualIndexOptions {
   /// on, RebuildHandicaps() is a no-op compaction — values never go stale.
   /// Persisted in the trees' meta pages; Open() rederives it from there.
   bool incremental_handicaps = false;
-
-  /// Staleness budget for ordinary (non-augmented) trees (ISSUE 5,
-  /// ROADMAP item): when handicap_staleness() exceeds this after an
-  /// Insert/Remove, the index runs RebuildHandicaps() automatically and
-  /// increments the "dual.handicap.compactions" counter. 0 (the default)
-  /// disables auto-compaction — staleness then accumulates until an
-  /// explicit rebuild, exactly as before. Ignored with
-  /// incremental_handicaps (staleness is always 0 there).
-  uint64_t handicap_staleness_budget = 0;
 };
 
 /// Everything needed to reopen a DualIndex from its pager: the slope set,
@@ -196,10 +189,8 @@ class DualIndex {
   uint64_t handicap_staleness() const;
 
   /// Publishes handicap_staleness() as the "dual.handicap.staleness" gauge.
-  /// Export-path only — Insert/Remove/Select never call it unless a
-  /// triggered staleness budget just compacted (the gauge then reflects
-  /// the post-rebuild value): serial bench artifacts that predate this
-  /// metric stay byte-identical.
+  /// Export-path only — Insert/Remove/Select never call it: serial bench
+  /// artifacts that predate this metric stay byte-identical.
   void ExportStalenessMetrics() const;
 
   /// Runs BPlusTree::CheckInvariants on all 2k trees (and the vertical
@@ -210,9 +201,9 @@ class DualIndex {
   /// Fills `out` with per-tree structure, occupancy, staleness and
   /// handicap-tightness numbers plus slope-set coverage (ISSUE 6,
   /// obs/health.h). Tightness replays the exact fold over the live
-  /// relation through the same contribution enumeration the write path
-  /// uses, so stored-vs-exact gaps measure staleness drift, never math
-  /// drift. Read-only; O(|relation| * k + leaves) page accesses.
+  /// relation through the write path's own fold, so stored-vs-exact gaps
+  /// measure staleness drift, never math drift. Read-only;
+  /// O(|relation| * k + leaves) page accesses.
   Status CollectHealth(obs::HealthReport* out) const;
 
   /// Attaches (nullptr detaches) an observed query-slope histogram:
@@ -255,31 +246,30 @@ class DualIndex {
         slopes_(std::move(slopes)),
         options_(options) {}
 
-  // One handicap write of FoldHandicaps: fold `v` into `slot` of the leaf
-  // covering assignment value `at` on B_i^up (is_up) or B_i^down.
-  struct HandicapContribution {
-    bool is_up;
-    double at;
-    int slot;
-    double v;
-  };
+  // Section 4.2 assignment values of one tuple for slope i, indexed by
+  // handicap slot: `up` receives B_i^up's (EXIST(q(>=)) in the low slot,
+  // ALL(q(<=)) in the high one), `down` B_i^down's (ALL(q(>=)) low,
+  // EXIST(q(<=)) high), over the half-interval toward each neighbour slope
+  // that exists. A missing neighbour's slots keep the augmented neutral
+  // values. Either output may be null. `top_i`/`bot_i` are the tuple's keys
+  // at s_i. The one source of assignments: augmented entries and their
+  // callback, the ordinary fold and CollectHealth's replay all read it.
+  Status Assignments(size_t i, const Polyhedron2DView& shape, double top_i,
+                     double bot_i, double* up, double* down) const;
 
-  // Enumerates the four contributions of one tuple for tree i on the
-  // interval toward neighbour `other` (Section 4.2 assignment values).
-  // Shared by the FoldHandicaps write path and CollectHealth's read-only
-  // replay, so the tightness measurement can never drift from the fold.
-  Status HandicapContributions(size_t i, size_t other,
-                               const Polyhedron2DView& shape, double top_i,
-                               double bot_i, HandicapContribution out[4]) const;
+  // The ordinary fold of one tuple for slope i: calls fold(tree, slot, at,
+  // v) for every slot with a neighbour on both of the slope's trees —
+  // fold `v`, the tuple's key on `tree`, into `slot` of the leaf covering
+  // its assignment value `at`. The write path folds by MergeHandicap;
+  // CollectHealth's replay folds into a side table, so the two cannot
+  // drift apart.
+  using FoldFn =
+      std::function<Status(BPlusTree* tree, int slot, double at, double v)>;
+  Status FoldHandicaps(size_t i, const Polyhedron2DView& shape, double top,
+                       double bot, const FoldFn& fold) const;
 
-  // Folds the contributions of HandicapContributions into tree i's leaves.
-  Status FoldHandicaps(size_t i, size_t other, const Polyhedron2DView& shape,
-                       double top_i, double bot_i);
-
-  // Incremental-mode twin of FoldHandicaps: fills the tuple's four
-  // assignment values m[0..3] for tree i (up or down), one per handicap
-  // slot; slots whose neighbour interval does not exist get the augmented
-  // neutral values. Same Section 4.2 math, same tight_assignment knob.
+  // Assignments of one entry of B_i^up (is_up) or B_i^down: what an
+  // augmented tree's callback resolves.
   Status TreeAssignments(size_t i, bool is_up, const Polyhedron2DView& shape,
                          double* m) const;
 
@@ -292,32 +282,21 @@ class DualIndex {
   Polyhedron2DView ShapeOf(TupleId id, const GeneralizedTuple& tuple,
                            Polyhedron2D* local) const;
 
-  // Insert/Remove tail: triggers RebuildHandicaps() when the configured
-  // staleness budget is exceeded (see
-  // DualIndexOptions::handicap_staleness_budget).
-  Status MaybeAutoCompact();
+  // The tree `plan` reads among slope i's pair.
+  const BPlusTree& Tree(size_t i, const SweepPlan& plan) const {
+    return *(plan.up_tree ? up_ : down_)[i];
+  }
 
-  // Sweeps tree `tree` starting at `intercept`: upward collects entries with
-  // key >= intercept, downward key < intercept... (exact semantics in .cc).
-  // All query-path helpers take the caller's QueryContext (may be null) and
-  // check it once per leaf moved / candidate refined.
-  Status SweepCollect(BPlusTree* tree, double from, bool upward, int slot,
-                      std::vector<TupleId>* out, double* handicap_bound,
-                      QueryStats* stats, const QueryContext* ctx);
-  Status SweepSecond(BPlusTree* tree, double from, bool downward, double bound,
-                     std::vector<TupleId>* out, QueryStats* stats,
-                     const QueryContext* ctx);
-
-  // Executes one exact (slope in S) selection; appends ids to out.
-  Status RunExact(const AppQuery& aq, std::vector<TupleId>* out,
-                  QueryStats* stats, const QueryContext* ctx);
-
+  // T1 and T2 for slopes outside S (Select runs the exact sweep for slopes
+  // in S). Query-path helpers take the caller's QueryContext (may be null)
+  // and check it once per leaf moved / candidate refined.
   Result<std::vector<TupleId>> SelectT1(SelectionType type,
                                         const HalfPlaneQuery& q,
                                         QueryStats* stats,
                                         const QueryContext* ctx);
   Result<std::vector<TupleId>> SelectT2(SelectionType type,
                                         const HalfPlaneQuery& q,
+                                        const SlopeLocation& loc,
                                         QueryStats* stats,
                                         const QueryContext* ctx);
 

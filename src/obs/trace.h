@@ -166,16 +166,17 @@ class ScopedSpan {
 /// Per-query filter-precision accounting (ISSUE 6): how many candidate
 /// entries the filter step produced and what happened to each of them.
 /// Every candidate meets exactly one of four fates — dropped by
-/// deduplication / set algebra before refinement, accepted without an LP
-/// test (exact paths, or refinement disabled), accepted by the LP
-/// predicate, or rejected by it — so the counts partition `candidates`,
+/// deduplication / set algebra before refinement, accepted without a
+/// refinement test (exact paths, or refinement disabled), accepted by the
+/// exact predicate, or rejected by it — so the counts partition `candidates`,
 /// which Balances() re-proves per query.
 struct FilterCounts {
   uint64_t candidates = 0;      // Entries produced by index sweeps/searches.
   uint64_t dedup_dropped = 0;   // Removed before refinement (T1 duplicates,
                                 // slab set-intersection drops).
-  uint64_t early_accepts = 0;   // Accepted without an LP refinement test.
-  uint64_t refine_accepts = 0;  // Accepted by the exact LP predicate.
+  uint64_t early_accepts = 0;   // Accepted without a refinement test.
+  uint64_t refine_accepts = 0;  // Accepted by the exact predicate on the
+                                // tuple's V-representation.
   uint64_t refine_rejects = 0;  // Rejected by it (the false hits).
   uint64_t abandoned = 0;       // Left unprocessed by an early exit
                                 // (deadline/cancellation, ISSUE 7); always

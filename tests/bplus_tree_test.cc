@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <map>
 #include <set>
@@ -128,6 +129,40 @@ TEST(BPlusTreeTest, SeekLeafPositionsAtLowerBound) {
   ASSERT_TRUE(fx.tree->SeekLeaf(1e9, &cur).ok());
   ASSERT_TRUE(cur.valid());
   EXPECT_EQ(cur.seek_pos(), cur.entry_count());
+}
+
+TEST(BPlusTreeTest, SeekLeafPastSkipsEveryEqualKey) {
+  TreeFixture fx;
+  // 300 copies of key 5 fill many 256-byte leaves; 4 and 6 frame them.
+  for (uint32_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(fx.tree->Insert(5.0, i).ok());
+  }
+  ASSERT_TRUE(fx.tree->Insert(4.0, 1000).ok());
+  ASSERT_TRUE(fx.tree->Insert(6.0, 1001).ok());
+  ASSERT_TRUE(fx.tree->Insert(5.0, std::numeric_limits<uint32_t>::max()).ok());
+
+  // Everything before the past-seek position has key <= 5, all 302 of
+  // those entries, and the entry at it is the first key above 5.
+  LeafCursor cur;
+  ASSERT_TRUE(fx.tree->SeekLeafPast(5.0, &cur).ok());
+  ASSERT_TRUE(cur.valid());
+  ASSERT_LT(cur.seek_pos(), cur.entry_count());
+  EXPECT_EQ(cur.key(cur.seek_pos()), 6.0);
+  for (int j = 0; j < cur.seek_pos(); ++j) EXPECT_LE(cur.key(j), 5.0);
+  size_t at_or_below = static_cast<size_t>(cur.seek_pos());
+  while (true) {
+    ASSERT_TRUE(cur.PrevLeaf().ok());
+    if (!cur.valid()) break;
+    for (int j = 0; j < cur.entry_count(); ++j) EXPECT_LE(cur.key(j), 5.0);
+    at_or_below += static_cast<size_t>(cur.entry_count());
+  }
+  EXPECT_EQ(at_or_below, 302u);
+
+  // Past the maximum: the last leaf, seek_pos at its end.
+  ASSERT_TRUE(fx.tree->SeekLeafPast(6.0, &cur).ok());
+  ASSERT_TRUE(cur.valid());
+  EXPECT_EQ(cur.seek_pos(), cur.entry_count());
+  EXPECT_TRUE(fx.tree->SeekLeafPast(std::nan(""), &cur).IsInvalidArgument());
 }
 
 TEST(BPlusTreeTest, BackwardSweepMatchesForward) {

@@ -140,8 +140,9 @@ TEST(BtreeAugmentedTest, BulkLoadMatchesOrdinaryLeafStructure) {
   }
   std::unique_ptr<BPlusTree> ord, tree;
   ASSERT_TRUE(BPlusTree::BulkLoad(ord_pager.get(), plain, 0.8, &ord).ok());
-  ASSERT_TRUE(
-      BPlusTree::BulkLoadAugmented(aug_pager.get(), aug, 0.8, &tree).ok());
+  ASSERT_TRUE(BPlusTree::BulkLoad(aug_pager.get(), aug, 0.8,
+                                  /*augmented=*/true, &tree)
+                  .ok());
   ASSERT_TRUE(ord->CheckInvariants().ok());
   ASSERT_TRUE(tree->CheckInvariants().ok());
   EXPECT_FALSE(ord->augmented());
@@ -229,8 +230,9 @@ TEST(BtreeAugmentedTest, SecondSweepBoundMatchesBruteForce) {
     entries.push_back(a);
   }
   std::unique_ptr<BPlusTree> tree;
-  ASSERT_TRUE(
-      BPlusTree::BulkLoadAugmented(pager.get(), entries, 0.8, &tree).ok());
+  ASSERT_TRUE(BPlusTree::BulkLoad(pager.get(), entries, 0.8,
+                                  /*augmented=*/true, &tree)
+                  .ok());
   tree->SetAssignmentFn(MakeAssignmentFn());
 
   for (int slot = 0; slot < 4; ++slot) {

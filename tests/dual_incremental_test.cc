@@ -247,86 +247,6 @@ TEST(DualIncrementalTest, StalenessGaugeTracksOrdinaryDegradationOnly) {
   EXPECT_EQ(fx.ord->handicap_staleness(), 0u);
 }
 
-// ISSUE 5 satellite: an ordinary-mode index with a staleness budget must
-// compact itself. Crossing the budget triggers RebuildHandicaps()
-// automatically, bumps the dual.handicap.compactions counter, and re-arms
-// — so observed staleness never exceeds the budget after any mutation.
-TEST(DualIncrementalTest, StalenessBudgetAutoCompactsOrdinaryTrees) {
-  constexpr uint64_t kBudget = 5;
-  std::unique_ptr<Pager> rel_pager = MakePager();
-  std::unique_ptr<Pager> bud_pager = MakePager();
-  std::unique_ptr<Pager> ctl_pager = MakePager();
-  std::unique_ptr<Relation> relation;
-  ASSERT_TRUE(
-      Relation::Open(rel_pager.get(), kInvalidPageId, &relation).ok());
-  Rng rng(kSeed + 9);
-  WorkloadOptions wopts;
-  std::vector<GeneralizedTuple> tuples;
-  for (size_t i = 0; i < 300; ++i) {
-    GeneralizedTuple t = RandomBoundedTuple(&rng, wopts);
-    ASSERT_TRUE(relation->Insert(t).ok());
-    tuples.push_back(t);
-  }
-  SlopeSet slopes = SlopeSet::UniformInAngle(4, -1.3, 1.3);
-  DualIndexOptions bud_opts;
-  bud_opts.handicap_staleness_budget = kBudget;
-  std::unique_ptr<DualIndex> budgeted;
-  ASSERT_TRUE(DualIndex::Build(bud_pager.get(), relation.get(), slopes,
-                               bud_opts, &budgeted)
-                  .ok());
-  std::unique_ptr<DualIndex> control;  // Budget 0 = never auto-compacts.
-  ASSERT_TRUE(
-      DualIndex::Build(ctl_pager.get(), relation.get(), slopes, {}, &control)
-          .ok());
-
-  obs::GlobalMetrics().SetEnabled(true);
-  const uint64_t compactions_before =
-      obs::GlobalMetrics().counter("dual.handicap.compactions")->value();
-
-  // Degrade hard: inserts (splits) and removes both accrue staleness. The
-  // budget's post-condition must hold after *every* mutation.
-  for (size_t i = 0; i < 250; ++i) {
-    GeneralizedTuple t = RandomBoundedTuple(&rng, wopts);
-    Result<TupleId> id = relation->Insert(t);
-    ASSERT_TRUE(id.ok());
-    tuples.push_back(t);
-    ASSERT_TRUE(budgeted->Insert(id.value(), t).ok());
-    ASSERT_TRUE(control->Insert(id.value(), t).ok());
-    ASSERT_LE(budgeted->handicap_staleness(), kBudget) << "insert " << i;
-  }
-  for (TupleId id = 0; id < 80; id += 2) {
-    ASSERT_TRUE(budgeted->Remove(id, tuples[id]).ok());
-    ASSERT_TRUE(control->Remove(id, tuples[id]).ok());
-    ASSERT_TRUE(relation->Delete(id).ok());
-    ASSERT_LE(budgeted->handicap_staleness(), kBudget) << "remove " << id;
-  }
-  const uint64_t compactions =
-      obs::GlobalMetrics().counter("dual.handicap.compactions")->value() -
-      compactions_before;
-  obs::GlobalMetrics().SetEnabled(false);
-
-  // The control proves the workload really crossed the budget (so the
-  // budgeted index must have compacted at least once and re-armed).
-  EXPECT_GT(control->handicap_staleness(), kBudget);
-  EXPECT_GE(compactions, 1u);
-  ASSERT_TRUE(budgeted->CheckInvariants().ok());
-
-  // Auto-compaction must not have disturbed results.
-  for (const HalfPlaneQuery& q : MakeQueries(20, kSeed + 10)) {
-    for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
-      Result<std::vector<TupleId>> got =
-          budgeted->Select(type, q, QueryMethod::kT2);
-      ASSERT_TRUE(got.ok());
-      Result<std::vector<TupleId>> naive = NaiveSelect(*relation, type, q);
-      ASSERT_TRUE(naive.ok());
-      EXPECT_EQ(got.value(), naive.value());
-    }
-  }
-  ExpectNoPinnedFrames(*rel_pager);
-  ExpectNoPinnedFrames(*bud_pager);
-  ExpectNoPinnedFrames(*ctl_pager);
-}
-
 TEST(DualIncrementalTest, ManifestRoundTripRederivesIncrementalMode) {
   IncFixture fx(300);
   fx.InsertMore(100);

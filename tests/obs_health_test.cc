@@ -2,9 +2,7 @@
 // replay must report exact values on a settled index (all gaps zero, no
 // unsound slots), conservative-but-sound values after deletions, and
 // exactness again after RebuildHandicaps(); augmented trees never drift.
-// Also covers the slope observer/coverage report and the
-// handicap_staleness_budget regression (satellite f): auto-compaction must
-// keep the health report's staleness and tightness consistent.
+// Also covers the slope observer/coverage report.
 
 #include <gtest/gtest.h>
 
@@ -186,51 +184,6 @@ TEST(HealthTest, AugmentedTreesNeverDrift) {
     // Incremental maintenance keeps every slot exact at all times.
     EXPECT_EQ(t.gap_zero, t.gap_samples);
     EXPECT_DOUBLE_EQ(t.gap_max, 0.0);
-  }
-}
-
-// Satellite f: auto-compaction driven by handicap_staleness_budget must
-// leave the health report consistent — staleness and tightness both reset.
-TEST(HealthTest, StalenessBudgetCompactionResetsHealthReport) {
-  HealthFixture fx(704);
-  fx.Populate(240);
-  DualIndexOptions opts;
-  opts.handicap_staleness_budget = 16;
-  fx.BuildIndex(opts);
-
-  uint64_t max_seen = 0;
-  // Interleave removes; every time the budget trips, the index rebuilds.
-  for (int round = 0; round < 4; ++round) {
-    std::vector<std::pair<TupleId, GeneralizedTuple>> kept;
-    for (size_t i = 0; i < fx.live.size(); ++i) {
-      if (i % 5 == 0) {
-        ASSERT_TRUE(fx.index->Remove(fx.live[i].first, fx.live[i].second).ok());
-        ASSERT_TRUE(fx.relation->Delete(fx.live[i].first).ok());
-        max_seen = std::max(max_seen, fx.index->handicap_staleness());
-      } else {
-        kept.push_back(fx.live[i]);
-      }
-    }
-    fx.live = std::move(kept);
-    obs::HealthReport r = fx.Collect();
-    // The report always mirrors the index's own debt counter, before and
-    // after any compaction the budget triggered.
-    EXPECT_EQ(r.staleness_total, fx.index->handicap_staleness());
-    EXPECT_LE(r.staleness_total, opts.handicap_staleness_budget);
-    EXPECT_EQ(r.unsound_total, 0u);
-  }
-  // The budget actually engaged (debt accumulated, then was compacted).
-  EXPECT_GT(max_seen, 0u);
-  EXPECT_LE(fx.index->handicap_staleness(), opts.handicap_staleness_budget);
-
-  // Force a final settled state and verify full exactness.
-  ASSERT_TRUE(fx.index->RebuildHandicaps().ok());
-  obs::HealthReport settled = fx.Collect();
-  EXPECT_EQ(settled.staleness_total, 0u);
-  for (const obs::TreeHealth& t : settled.trees) {
-    SCOPED_TRACE(t.name);
-    EXPECT_DOUBLE_EQ(t.gap_max, 0.0);
-    EXPECT_EQ(t.gap_zero, t.gap_samples);
   }
 }
 
