@@ -1,13 +1,12 @@
 // E17 — cost of the extension query families against the sequential-scan
-// baseline: exact vertical selections (footnote 4) and slab selections
-// (footnote 6's interval view). Neither exists in the paper's evaluation;
-// this bench documents what they cost on this implementation.
+// baseline: exact vertical selections (footnote 4) and exact slab
+// selections, the band between two parallel lines (footnote 6's interval
+// view). Neither exists in the paper's evaluation; this bench documents
+// what they cost on this implementation's B+-trees.
 
 #include <cstdio>
 
-#include "dualindex/stabbing_index.h"
 #include "harness.h"
-#include "storage/file.h"
 
 int main(int argc, char** argv) {
   using namespace cdb;
@@ -81,78 +80,12 @@ int main(int argc, char** argv) {
     PrintTableRow({"slab", type == SelectionType::kExist ? "EXIST" : "ALL",
                    Fmt(pages / kQ), Fmt(results / kQ), Fmt(scan_pages, 0)});
   }
-  // Footnote-6 alternative: the interval stabbing index versus the
-  // two-sweep slab on EXIST band queries.
-  {
-    std::unique_ptr<Pager> stab_pager;
-    PagerOptions popts;
-    if (!Pager::Open(std::make_unique<MemFile>(popts.page_size), popts,
-                     &stab_pager)
-             .ok()) {
-      return 1;
-    }
-    const double slope = ds.dual->slopes().slope(1);
-    std::vector<StabInterval> ivs;
-    Status st = ds.relation->ForEach(
-        [&](TupleId id, const GeneralizedTuple& t) -> Status {
-          ivs.push_back({t.Bot(slope), t.Top(slope), id});
-          return Status::OK();
-        });
-    if (!st.ok()) return 1;
-    std::unique_ptr<StabbingIndex> stab;
-    if (!StabbingIndex::Build(stab_pager.get(), std::move(ivs), &stab)
-             .ok()) {
-      return 1;
-    }
-    PrintTableHeader(
-        "EXIST band: B+-tree two-sweep slab vs interval stabbing index "
-        "(footnote 6)",
-        {"band-width", "slab-pages", "stab-pages", "results"});
-    Rng brng(626262);
-    for (double half : {1.0, 5.0, 20.0}) {
-      double slab_pages = 0, stab_pages = 0, results = 0;
-      const int kQ = 8;
-      for (int qi = 0; qi < kQ; ++qi) {
-        double centre = brng.Uniform(-30, 30);
-        if (!ds.dual_pager->DropCache().ok() ||
-            !stab_pager->DropCache().ok()) {
-          return 1;
-        }
-        QueryStats stats;
-        Result<std::vector<TupleId>> a = ds.dual->SelectSlab(
-            SelectionType::kExist, slope, centre - half, centre + half,
-            &stats);
-        uint64_t fetches = 0;
-        Result<std::vector<TupleId>> b =
-            stab->Intersecting(centre - half, centre + half, &fetches);
-        if (!a.ok() || !b.ok()) return 1;
-        if (a.value() != b.value()) {
-          std::fprintf(stderr, "BUG: slab and stabbing disagree\n");
-          return 1;
-        }
-        slab_pages += static_cast<double>(stats.index_page_fetches);
-        stab_pages += static_cast<double>(fetches);
-        results += static_cast<double>(a.value().size());
-      }
-      BenchReporter::Params params = {{"band_width", 2 * half}};
-      reporter.AddValue("slab-vs-stab", params, "slab_fetches",
-                        slab_pages / kQ);
-      reporter.AddValue("slab-vs-stab", params, "stab_fetches",
-                        stab_pages / kQ);
-      reporter.AddValue("slab-vs-stab", params, "results", results / kQ);
-      PrintTableRow({Fmt(2 * half, 0), Fmt(slab_pages / kQ),
-                     Fmt(stab_pages / kQ), Fmt(results / kQ)});
-    }
-    std::printf("stabbing index space: %llu pages (one slope)\n",
-                static_cast<unsigned long long>(stab->live_page_count()));
-  }
 
   std::printf(
       "\nNote: vertical selections sweep one support tree (output-\n"
       "proportional). Slab selections intersect two full half-plane sweeps,\n"
       "so their cost is bounded by the *larger* one-sided result — cheap\n"
       "for narrow slabs near the distribution's edge, up to scan-like for\n"
-      "slabs through the middle (the price of exactness without a\n"
-      "dedicated interval structure; cf. the paper's footnote 6).\n");
+      "slabs through the middle.\n");
   return reporter.Write() ? 0 : 1;
 }

@@ -5,9 +5,10 @@
 #
 # asan (default): ASan+UBSan in build-asan/, runs `ctest -L sanitize` —
 #   the storage / durability suites that exercise raw page buffers,
-#   journal replay, and fault injection, and the B+-tree and dual-index
+#   journal replay, and fault injection; the B+-tree and dual-index
 #   suites that read and write node pages, where a latent out-of-bounds
-#   write or use-after-evict would hide.
+#   write or use-after-evict would hide; and the executor's batch suite,
+#   the relation codecs, the parser and the database facade.
 # tsan: ThreadSanitizer in build-tsan/, runs `ctest -L tsan` — the
 #   concurrent-read pager, executor, and metrics suites (ISSUE 3), where a
 #   data race on the sharded buffer pool or the stats plumbing would hide.

@@ -51,8 +51,9 @@ Status DDimDualIndex::Create(Pager* pager, RelationD* relation,
     CDB_RETURN_IF_ERROR(BPlusTree::Create(pager, &index->down_[i]));
   }
   index->BuildVoronoiCells();
-  // Two-phase bulk load (see DualIndex::Build): keys first, handicaps on
-  // the settled leaf structure.
+  // Two-phase load: keys first, one BPlusTree::Insert per entry (not
+  // BulkLoad), then handicaps on the settled leaf structure (see
+  // DualIndex::Build).
   CDB_RETURN_IF_ERROR(relation->ForEach(
       [&](TupleId id, const GeneralizedTupleD& tuple) -> Status {
         return index->IndexTuple(id, tuple);
@@ -240,24 +241,15 @@ Result<std::vector<TupleId>> DDimDualIndex::SelectT1(SelectionType type,
       }
     }
   }
-  std::vector<TupleId> ids;
-  {
-    CDB_TRACE_SPAN("filter");
-    for (size_t j : simplex) {
-      SelectionType app_type =
-          (type == SelectionType::kAll && j == all_idx)
-              ? SelectionType::kAll
-              : SelectionType::kExist;
-      const SweepPlan plan = PlanSweep(app_type, q.cmp, /*next_side=*/false);
-      CDB_RETURN_IF_ERROR(
-          Sweep(Tree(j, plan), q.intercept, plan.upward, &ids, st, ctx));
-    }
-    std::sort(ids.begin(), ids.end());
-    size_t before_dedup = ids.size();
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    st->duplicates += before_dedup - ids.size();
-    st->filter.dedup_dropped += before_dedup - ids.size();
+  std::vector<AppSweep> sweeps;
+  sweeps.reserve(simplex.size());
+  for (size_t j : simplex) {
+    const SelectionType app_type = j == all_idx ? type : SelectionType::kExist;
+    const SweepPlan plan = PlanSweep(app_type, q.cmp, /*next_side=*/false);
+    sweeps.push_back({&Tree(j, plan), q.intercept, plan.upward});
   }
+  std::vector<TupleId> ids;
+  CDB_RETURN_IF_ERROR(FilterT1(sweeps, &ids, st, ctx));
   CDB_RETURN_IF_ERROR(Refine(type, q, &ids, st, ctx));
   return ids;
 }

@@ -47,7 +47,7 @@ class DDimDualIndex {
   /// Creates an index over `relation` (dimension taken from it; the caller
   /// keeps the relation alive) for slope points `slope_points` (each of
   /// size dim-1), with B+-trees in `pager`. Existing live tuples are
-  /// bulk-loaded.
+  /// loaded with one BPlusTree::Insert per tree entry.
   static Status Create(Pager* pager, RelationD* relation,
                        std::vector<std::vector<double>> slope_points,
                        std::unique_ptr<DDimDualIndex>* out);

@@ -1,6 +1,8 @@
 #include "dualindex/dual_index.h"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -344,22 +346,18 @@ Result<std::vector<TupleId>> DualIndex::SelectT1(SelectionType type,
                                                  const HalfPlaneQuery& q,
                                                  QueryStats* stats,
                                                  const QueryContext* ctx) {
-  AppQueryPlan plan = PlanAppQueries(slopes_, type, q, options_.anchor_x);
-  std::vector<TupleId> ids;
-  {
-    CDB_TRACE_SPAN("filter");
-    for (const AppQuery& aq : plan.queries) {
-      CDB_TRACE_SPAN("sweep/exact");
-      const SweepPlan sweep = PlanSweep(aq.type, aq.cmp, /*next_side=*/false);
-      CDB_RETURN_IF_ERROR(Sweep(Tree(aq.slope_index, sweep), aq.intercept,
-                                sweep.upward, &ids, stats, ctx));
-    }
-    std::sort(ids.begin(), ids.end());
-    size_t before = ids.size();
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    stats->duplicates += before - ids.size();
-    stats->filter.dedup_dropped += before - ids.size();
+  const AppQueryPlan plan =
+      PlanAppQueries(slopes_, type, q, options_.anchor_x);
+  // A slope off S always yields two app-queries (Table 1).
+  assert(plan.queries.size() == 2);
+  std::array<AppSweep, 2> sweeps;
+  for (size_t j = 0; j < sweeps.size(); ++j) {
+    const AppQuery& aq = plan.queries[j];
+    const SweepPlan sweep = PlanSweep(aq.type, aq.cmp, /*next_side=*/false);
+    sweeps[j] = {&Tree(aq.slope_index, sweep), aq.intercept, sweep.upward};
   }
+  std::vector<TupleId> ids;
+  CDB_RETURN_IF_ERROR(FilterT1(sweeps, &ids, stats, ctx));
   CDB_RETURN_IF_ERROR(Refine(type, q, &ids, stats, ctx));
   return ids;
 }

@@ -87,6 +87,21 @@ Result<std::vector<TupleId>> SelectExact(const BPlusTree& tree, bool upward,
   return ids;
 }
 
+Status FilterT1(std::span<const AppSweep> sweeps, std::vector<TupleId>* ids,
+                QueryStats* stats, const QueryContext* ctx) {
+  CDB_TRACE_SPAN("filter");
+  for (const AppSweep& s : sweeps) {
+    CDB_TRACE_SPAN("sweep/exact");
+    CDB_RETURN_IF_ERROR(Sweep(*s.tree, s.b, s.upward, ids, stats, ctx));
+  }
+  std::sort(ids->begin(), ids->end());
+  const size_t before = ids->size();
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+  stats->duplicates += before - ids->size();
+  stats->filter.dedup_dropped += before - ids->size();
+  return Status::OK();
+}
+
 Status FilterT2(const BPlusTree& tree, const SweepPlan& plan, double b,
                 std::vector<TupleId>* ids, QueryStats* stats,
                 const QueryContext* ctx) {

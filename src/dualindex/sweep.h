@@ -6,6 +6,8 @@
 //    handicap slot bounds T2's second sweep;
 //  * Sweep / SelectExact — Section 3's exact sweep, and the exact selection
 //    built on it (sorted, every hit an early accept, no refinement);
+//  * FilterT1 — Section 4.1's T1 filter (and its Section 4.4
+//    generalization): one exact sweep per app-query, sort, deduplicate;
 //  * FilterT2 — Section 4.2's T2 filter on one tree: first sweep, the
 //    second-sweep bound, the bounded second sweep, sort;
 //  * FinishSelect — a selection's closing books (page fetches, filter
@@ -18,6 +20,7 @@
 #ifndef CDB_DUALINDEX_SWEEP_H_
 #define CDB_DUALINDEX_SWEEP_H_
 
+#include <span>
 #include <vector>
 
 #include "btree/bplus_tree.h"
@@ -55,6 +58,20 @@ Status Sweep(const BPlusTree& tree, double b, bool upward,
 Result<std::vector<TupleId>> SelectExact(const BPlusTree& tree, bool upward,
                                          double b, QueryStats* stats,
                                          const QueryContext* ctx);
+
+/// One app-query of T1's filter: an exact sweep of `tree` from `b`.
+struct AppSweep {
+  const BPlusTree* tree;
+  double b;
+  bool upward;
+};
+
+/// T1's filter under a "filter" span: each of `sweeps` under its own
+/// "sweep/exact" span, appending to `ids`, then sort and drop the tuples
+/// more than one app-query returned (booked in stats->duplicates and
+/// stats->filter.dedup_dropped).
+Status FilterT1(std::span<const AppSweep> sweeps, std::vector<TupleId>* ids,
+                QueryStats* stats, const QueryContext* ctx);
 
 /// T2's filter on `tree` under a "filter" span: the first sweep
 /// ("sweep/first"), the second-sweep bound, the second sweep in the other

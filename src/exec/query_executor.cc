@@ -366,44 +366,5 @@ Status QueryExecutor::RunBatch(DualIndex* index,
                     batch.size(), job);
 }
 
-Status QueryExecutor::RunBatch(RPlusTree* tree, Relation* relation,
-                               const std::vector<BatchQuery>& batch,
-                               std::vector<BatchItemResult>* results) {
-  results->clear();
-  results->resize(batch.size());
-  auto job = [&](size_t i) {
-    const BatchQuery& q = batch[i];
-    BatchItemResult& out = (*results)[i];
-    Result<std::vector<TupleId>> r =
-        RTreeSelect(tree, relation, q.type, q.query, &out.stats);
-    if (r.ok()) {
-      out.ids = std::move(r.value());
-    } else {
-      out.status = r.status();
-    }
-  };
-  return RunSharded({tree->pager(), relation->pager()}, batch.size(), job);
-}
-
-Status QueryExecutor::RunBatch(DDimDualIndex* index,
-                               const std::vector<BatchQueryD>& batch,
-                               std::vector<BatchItemResult>* results) {
-  results->clear();
-  results->resize(batch.size());
-  auto job = [&](size_t i) {
-    const BatchQueryD& q = batch[i];
-    BatchItemResult& out = (*results)[i];
-    Result<std::vector<TupleId>> r =
-        index->Select(q.type, q.query, q.method, &out.stats);
-    if (r.ok()) {
-      out.ids = std::move(r.value());
-    } else {
-      out.status = r.status();
-    }
-  };
-  return RunSharded({index->pager(), index->relation()->pager()},
-                    batch.size(), job);
-}
-
 }  // namespace exec
 }  // namespace cdb

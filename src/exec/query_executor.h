@@ -3,8 +3,8 @@
 // The paper evaluates one query at a time; the ROADMAP north star is a
 // system serving many half-plane selections at once. QueryExecutor supplies
 // the serving layer: it owns a fixed pool of worker threads and fans a
-// batch of ALL/EXIST queries out across the dual index, the d-dimensional
-// dual index, or the R+-tree baseline.
+// batch of ALL/EXIST queries out across the dual index (RunBatch) or, for
+// any other index, runs the caller's per-query job (RunSharded).
 //
 // Protocol per batch (RunSharded):
 //   1. Every pager involved is switched into concurrent-read mode
@@ -41,11 +41,9 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "dualindex/ddim_index.h"
 #include "dualindex/dual_index.h"
 #include "obs/latency.h"
 #include "obs/trace.h"
-#include "rtree/rtree_query.h"
 
 namespace cdb {
 namespace exec {
@@ -55,13 +53,6 @@ struct BatchQuery {
   SelectionType type = SelectionType::kExist;
   HalfPlaneQuery query;
   QueryMethod method = QueryMethod::kAuto;
-};
-
-/// One d-dimensional query of a batch.
-struct BatchQueryD {
-  SelectionType type = SelectionType::kExist;
-  HalfPlaneQueryD query;
-  DDimDualIndex::Method method = DDimDualIndex::Method::kT1;
 };
 
 /// Outcome of one query. `ids` and `stats` are meaningful iff status.ok().
@@ -172,15 +163,6 @@ class QueryExecutor {
   /// recording and deterministic trace sampling per `bobs` (ISSUE 5).
   Status RunBatch(DualIndex* index, const std::vector<BatchQuery>& batch,
                   const BatchObservability& bobs, BatchResult* out);
-
-  /// Runs `batch` against the R+-tree baseline (refined on `relation`).
-  Status RunBatch(RPlusTree* tree, Relation* relation,
-                  const std::vector<BatchQuery>& batch,
-                  std::vector<BatchItemResult>* results);
-
-  /// Runs a d-dimensional batch against the d-dim dual index.
-  Status RunBatch(DDimDualIndex* index, const std::vector<BatchQueryD>& batch,
-                  std::vector<BatchItemResult>* results);
 
   /// Generic engine behind the typed RunBatch overloads: switches every
   /// pager in `pagers` (duplicates tolerated) into concurrent-read mode,

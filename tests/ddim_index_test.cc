@@ -242,6 +242,45 @@ TEST(DDimIndexTest2, RejectsOutsideHull) {
   EXPECT_TRUE(r.status().IsNotSupported());
 }
 
+// A traced T1 query off S runs one exact sweep per simplex corner, each
+// booked under "filter" as "sweep/exact", so the filter keeps no index
+// fetch as self cost and the span tree balances.
+TEST(DDimIndexTest2, T1SweepsAreTracedUnderFilter) {
+  DdimFixture fx;
+  // One triangle of slope points: a query point strictly inside it is
+  // covered by all three corners.
+  ASSERT_TRUE(fx.Init(3, {{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}}));
+  Rng rng(2211);
+  std::vector<GeneralizedTupleD> tuples;
+  for (int i = 0; i < 200; ++i) {
+    tuples.push_back(RandomBoundedTupleD(&rng, 3, 20.0));
+    ASSERT_TRUE(fx.index->Insert(tuples.back()).ok());
+  }
+  HalfPlaneQueryD q;
+  q.slope = {0.25, 0.25};
+  q.intercept = 5;
+  for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
+    for (Cmp cmp : {Cmp::kGE, Cmp::kLE}) {
+      q.cmp = cmp;
+      QueryStats stats;
+      obs::ExplainProfile profile;
+      Result<std::vector<TupleId>> got = fx.index->Select(
+          type, q, DDimDualIndex::Method::kT1, &stats, &profile);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.value(), BruteSelect(tuples, type, q));
+      EXPECT_TRUE(profile.SumsBalance()) << profile.ToString();
+      const obs::ProfileNode* filter = profile.root.Find("filter");
+      ASSERT_NE(filter, nullptr) << profile.ToString();
+      ASSERT_EQ(filter->children.size(), 1u) << profile.ToString();
+      const obs::ProfileNode& sweep = filter->children[0];
+      EXPECT_EQ(sweep.name, "sweep/exact");
+      EXPECT_EQ(sweep.invocations, 3u);
+      EXPECT_EQ(filter->self.index_fetches, 0u) << profile.ToString();
+      EXPECT_GT(sweep.self.index_fetches, 0u);
+    }
+  }
+}
+
 TEST(DDimIndexTest2, ExactOnlyRejectsForeignSlope) {
   DdimFixture fx;
   ASSERT_TRUE(fx.Init(3, GridSlopes(3, 2, 1.0)));

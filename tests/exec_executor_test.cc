@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
 #include "db/database.h"
+#include "dualindex/ddim_index.h"
 #include "obs/metrics.h"
 #include "pager_test_util.h"
 #include "rtree/rtree_query.h"
@@ -251,9 +252,22 @@ TEST(QueryExecutorTest, RTreeBatchMatchesSerial) {
   }
 
   exec::QueryExecutor executor(4);
-  std::vector<exec::BatchItemResult> results;
-  ASSERT_TRUE(
-      executor.RunBatch(tree.get(), relation.get(), batch, &results).ok());
+  std::vector<exec::BatchItemResult> results(batch.size());
+  auto job = [&](size_t i) {
+    const exec::BatchQuery& q = batch[i];
+    exec::BatchItemResult& out = results[i];
+    Result<std::vector<TupleId>> r =
+        RTreeSelect(tree.get(), relation.get(), q.type, q.query, &out.stats);
+    if (r.ok()) {
+      out.ids = std::move(r.value());
+    } else {
+      out.status = r.status();
+    }
+  };
+  ASSERT_TRUE(executor
+                  .RunSharded({tree->pager(), relation->pager()},
+                              batch.size(), job)
+                  .ok());
   ASSERT_EQ(results.size(), batch.size());
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].status.ok());
@@ -286,9 +300,14 @@ TEST(QueryExecutorTest, DDimBatchMatchesSerial) {
     ASSERT_TRUE(index->Insert(RandomBoundedTupleD(&rng, dim, 20.0)).ok());
   }
 
-  std::vector<exec::BatchQueryD> batch;
+  struct DQuery {
+    SelectionType type;
+    HalfPlaneQueryD query;
+    DDimDualIndex::Method method;
+  };
+  std::vector<DQuery> batch;
   for (int i = 0; i < 16; ++i) {
-    exec::BatchQueryD q;
+    DQuery q;
     q.type = rng.Chance(0.5) ? SelectionType::kAll : SelectionType::kExist;
     q.query.slope = {rng.Uniform(-0.9, 0.9), rng.Uniform(-0.9, 0.9)};
     q.query.intercept = rng.Uniform(-40, 40);
@@ -298,15 +317,29 @@ TEST(QueryExecutorTest, DDimBatchMatchesSerial) {
   }
 
   std::vector<std::vector<TupleId>> serial;
-  for (const exec::BatchQueryD& q : batch) {
+  for (const DQuery& q : batch) {
     Result<std::vector<TupleId>> r = index->Select(q.type, q.query, q.method);
     ASSERT_TRUE(r.ok());
     serial.push_back(r.value());
   }
 
   exec::QueryExecutor executor(4);
-  std::vector<exec::BatchItemResult> results;
-  ASSERT_TRUE(executor.RunBatch(index.get(), batch, &results).ok());
+  std::vector<exec::BatchItemResult> results(batch.size());
+  auto job = [&](size_t i) {
+    const DQuery& q = batch[i];
+    exec::BatchItemResult& out = results[i];
+    Result<std::vector<TupleId>> r =
+        index->Select(q.type, q.query, q.method, &out.stats);
+    if (r.ok()) {
+      out.ids = std::move(r.value());
+    } else {
+      out.status = r.status();
+    }
+  };
+  ASSERT_TRUE(executor
+                  .RunSharded({index->pager(), index->relation()->pager()},
+                              batch.size(), job)
+                  .ok());
   ASSERT_EQ(results.size(), batch.size());
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].status.ok());
