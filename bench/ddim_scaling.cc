@@ -95,7 +95,10 @@ int main(int argc, char** argv) {
       q.intercept = tops[static_cast<size_t>(0.875 * kN)] - 1e-6;
       if (!pager->DropCache().ok()) return 1;
       QueryStats stats;
-      if (!index->Select(SelectionType::kExist, q, true, &stats).ok()) {
+      if (!index
+               ->Select(SelectionType::kExist, q,
+                        DDimDualIndex::Method::kExactOnly, &stats)
+               .ok()) {
         return 1;
       }
       exact_pages += static_cast<double>(stats.index_page_fetches);
@@ -113,7 +116,8 @@ int main(int argc, char** argv) {
       qa.intercept = tops[static_cast<size_t>(0.875 * kN)] - 1e-6;
       if (!pager->DropCache().ok()) return 1;
       Result<std::vector<TupleId>> r =
-          index->Select(SelectionType::kExist, qa, false, &stats);
+          index->Select(SelectionType::kExist, qa, DDimDualIndex::Method::kT1,
+                        &stats);
       if (!r.ok()) {
         std::fprintf(stderr, "T1 failed: %s\n", r.status().ToString().c_str());
         return 1;

@@ -256,8 +256,8 @@ RefineSubstrate MeasureRefineSubstrate(Dataset* ds,
   auto refine_pass = [&](const CalibratedQuery& cq, std::vector<TupleId>* work) {
     obs::FilterCounts filter;
     uint64_t false_hits = 0;
-    Check(RefineBatch2D(*ds->relation, cq.type, cq.query, lp_calls, nullptr,
-                        work, &filter, &false_hits),
+    Check(RefineBatch2D(*ds->relation, cq.type, cq.query, lp_calls, work,
+                        &filter, &false_hits),
           "refine substrate");
     filter.candidates = ids.size();
     filter.results = work->size();

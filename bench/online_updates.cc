@@ -246,10 +246,10 @@ int main(int argc, char** argv) {
   };
 
   exec::QueryExecutor executor(kThreads);
-  std::vector<exec::BatchItemResult> results;
+  exec::BatchResult run;
   auto start = std::chrono::steady_clock::now();
-  Status st = executor.RunBatchWithWriter(inc.dual.get(), batch, &results,
-                                          writer);
+  Status st =
+      executor.RunBatchWithWriter(inc.dual.get(), batch, {}, &run, writer);
   const double wall_ms = MillisSince(start);
   if (!st.ok()) {
     std::fprintf(stderr, "FATAL: ingest run failed: %s\n",
@@ -257,7 +257,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   size_t failed = 0;
-  for (const exec::BatchItemResult& r : results) {
+  for (const exec::BatchItemResult& r : run.items) {
     if (!r.status.ok()) ++failed;
   }
   const double qps =
@@ -528,11 +528,12 @@ int main(int argc, char** argv) {
     const PagerConcurrencyStats cs_before =
         live.dual_pager->concurrency_stats();
     exec::QueryExecutor dexecutor(kDThreads);
-    std::vector<exec::BatchItemResult> dresults;
+    exec::BatchResult drun;
     Clock* dclock = DefaultClock();
     const uint64_t run_t0 = dclock->NowNanos();
     Status dst = dexecutor.RunBatchWithWriter(
-        live.dual.get(), dbatch, &dresults, [&] { return dqueue.RunWriter(); });
+        live.dual.get(), dbatch, {}, &drun,
+        [&] { return dqueue.RunWriter(); });
     const uint64_t run_ns = dclock->NowNanos() - run_t0;
     if (!dst.ok()) {
       std::fprintf(stderr, "FATAL: phase-D run failed: %s\n",
@@ -546,7 +547,7 @@ int main(int argc, char** argv) {
       }
     }
     size_t dfailed = 0;
-    for (const exec::BatchItemResult& r : dresults) {
+    for (const exec::BatchItemResult& r : drun.items) {
       if (!r.status.ok()) ++dfailed;
     }
     if (dfailed != 0 || !live.dual->CheckInvariants().ok()) {

@@ -3,6 +3,7 @@
 // and verifies empirically (dense point sampling) that the produced pair
 // covers the original half-plane in every case.
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 
@@ -23,13 +24,14 @@ void VerifyCase(const SlopeSet& s, double slope, const char* label, Rng* rng,
     HalfPlaneQuery q(slope + rng->Uniform(-0.05, 0.05),
                      rng->Uniform(-30, 30), base);
     if (s.Locate(q.slope).kind == SlopeLocation::Kind::kExact) continue;
-    AppQueryPlan plan = PlanAppQueries(s, SelectionType::kExist, q);
-    theta1 = plan.queries[0].cmp == base ? Cmp::kGE : Cmp::kLE;
-    theta2 = plan.queries[1].cmp == base ? Cmp::kGE : Cmp::kLE;
-    HalfPlaneQuery q1(s.slope(plan.queries[0].slope_index),
-                      plan.queries[0].intercept, plan.queries[0].cmp);
-    HalfPlaneQuery q2(s.slope(plan.queries[1].slope_index),
-                      plan.queries[1].intercept, plan.queries[1].cmp);
+    const std::array<AppQuery, 2> plan =
+        PlanAppQueries(s, SelectionType::kExist, q);
+    theta1 = plan[0].cmp == base ? Cmp::kGE : Cmp::kLE;
+    theta2 = plan[1].cmp == base ? Cmp::kGE : Cmp::kLE;
+    HalfPlaneQuery q1(s.slope(plan[0].slope_index), plan[0].intercept,
+                      plan[0].cmp);
+    HalfPlaneQuery q2(s.slope(plan[1].slope_index), plan[1].intercept,
+                      plan[1].cmp);
     ++trials;
     if (CoversSampled(q, q1, q2, 120.0, 50)) ++covered;
   }

@@ -104,15 +104,16 @@ size_t CheckAccounting(Dataset* ds, const std::vector<exec::BatchQuery>& batch,
     }
 
     DropCaches(ds);
-    std::vector<exec::BatchItemResult> one;
-    if (!executor.RunBatch(ds->dual.get(), {bq}, &one).ok() ||
-        !one[0].status.ok()) {
+    exec::BatchResult run;
+    if (!executor.RunBatch(ds->dual.get(), {bq}, {}, &run).ok() ||
+        !run.items[0].status.ok()) {
       std::fprintf(stderr, "FATAL: executor select failed\n");
       std::abort();
     }
-    if (one[0].ids != serial.value() ||
-        one[0].stats.index_page_fetches != serial_stats.index_page_fetches ||
-        one[0].stats.tuple_page_fetches != serial_stats.tuple_page_fetches) {
+    const exec::BatchItemResult& one = run.items[0];
+    if (one.ids != serial.value() ||
+        one.stats.index_page_fetches != serial_stats.index_page_fetches ||
+        one.stats.tuple_page_fetches != serial_stats.tuple_page_fetches) {
       ++mismatches;
     }
   }
@@ -257,11 +258,11 @@ ThroughputRow MeasureThroughput(Dataset* ds,
                                 const std::vector<exec::BatchQuery>& batch,
                                 size_t threads, bool warm) {
   exec::QueryExecutor executor(threads);
-  std::vector<exec::BatchItemResult> results;
+  exec::BatchResult run;
   if (warm) {
     // One unmeasured pass leaves both pools hot.
     DropCaches(ds);
-    if (!executor.RunBatch(ds->dual.get(), batch, &results).ok()) {
+    if (!executor.RunBatch(ds->dual.get(), batch, {}, &run).ok()) {
       std::abort();
     }
   }
@@ -269,12 +270,12 @@ ThroughputRow MeasureThroughput(Dataset* ds,
   for (int rep = 0; rep < kRepeats; ++rep) {
     if (!warm) DropCaches(ds);
     auto start = std::chrono::steady_clock::now();
-    if (!executor.RunBatch(ds->dual.get(), batch, &results).ok()) {
+    if (!executor.RunBatch(ds->dual.get(), batch, {}, &run).ok()) {
       std::abort();
     }
     double wall_ms = MillisSince(start);
     size_t failed = 0;
-    for (const exec::BatchItemResult& r : results) {
+    for (const exec::BatchItemResult& r : run.items) {
       if (!r.status.ok()) ++failed;
     }
     double qps = wall_ms > 0 ? 1000.0 * batch.size() / wall_ms : 0;

@@ -68,7 +68,8 @@ int main() {
     q.cmp = Cmp::kLE;  // time <= s1*cpu + s2*mem + b : "under budget".
     for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
       QueryStats stats;
-      Result<std::vector<TupleId>> r = index->Select(type, q, false, &stats);
+      Result<std::vector<TupleId>> r =
+          index->Select(type, q, DDimDualIndex::Method::kT1, &stats);
       Check(r.status());
       std::printf(
           "%-5s slope=(%.2f, %.2f): %4zu jobs, %3llu index pages%s\n",

@@ -60,9 +60,10 @@ _HIGHER_IS_BETTER = {"qps", "appends_per_s"}
 # a live writer with the readers, so how many refinement LPs the readers
 # ran depends on the interleaving; the same counter is seed-pinned in the
 # read-only benches and stays gated there. The fault-hardening tallies
-# (ISSUE 7) are likewise scheduling artifacts wherever they appear: which
-# worker's queue wait crossed the shed threshold and how many attempts a
-# flaky read took are decided by the scheduler, not by the bench seeds.
+# ride the same path wherever they appear: how many attempts a flaky
+# read took is decided by the scheduler, not by the bench seeds.
+# exec.shed.count (admission sheds, decided by submission index) is listed
+# too, so it is not gated exactly.
 _SCHEDULE_DEPENDENT = (
     "online_updates/counters/dual.refine.lp_calls",
     "online_updates/counters/refine.batch.*",

@@ -83,7 +83,7 @@ def _check_filter_precision(where, values, errors):
 def _check_overload_ledger(where, values, errors):
     """Overload-control ledger (ISSUE 7), applied to any row carrying the
     full set of keys: every submitted query must be accounted for exactly
-    once — shed (at admission or by the queue-wait rung) or completed."""
+    once — shed at admission or completed."""
     submitted = values.get("submitted")
     completed = values.get("completed")
     shed = values.get("shed")
@@ -249,9 +249,9 @@ SCALING_NOISE_FLOOR = 0.9
 
 def _check_executor_histograms(doc, errors):
     """The instrumented batches merge into the registry histograms
-    exec.query.latency and exec.queue.wait. They run no shedding ladder,
-    so every picked query records both: the counts must be equal and
-    non-zero."""
+    exec.query.latency and exec.queue.wait. A query shed at admission is
+    never picked, and every picked query records both: the counts must be
+    equal and non-zero."""
     hists = (doc.get("metrics") or {}).get("histograms")
     if not isinstance(hists, dict):
         return

@@ -7,8 +7,10 @@
 #   the storage / durability suites that exercise raw page buffers,
 #   journal replay, and fault injection; the B+-tree and dual-index
 #   suites that read and write node pages, where a latent out-of-bounds
-#   write or use-after-evict would hide; and the executor's batch suite,
-#   the relation codecs, the parser and the database facade.
+#   write or use-after-evict would hide; the executor's batch suite,
+#   the relation codecs, the parser and the database facade; and the
+#   geometry oracle every refinement decision trusts (LPs, polyhedra,
+#   duality, rectangles, float comparison) with the status type.
 # tsan: ThreadSanitizer in build-tsan/, runs `ctest -L tsan` — the
 #   concurrent-read pager, executor, and metrics suites (ISSUE 3), where a
 #   data race on the sharded buffer pool or the stats plumbing would hide.

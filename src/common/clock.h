@@ -3,11 +3,10 @@
 // Everything that reads wall time or waits — the pager's fsync, publish
 // drain, shard-lock and retry-backoff timers, Tracer's per-span wall_ms,
 // the executor's service/queue-wait timers, the ingest lane's commit
-// wait, query deadlines, flight-recorder timestamps — takes a Clock*
-// (null resolves to DefaultClock()), so tests substitute a ManualClock
-// and make timing assertions exact instead of sleeping and hoping.
-// Header-only, so cdb_common users take the interface without a link
-// dependency.
+// wait, flight-recorder timestamps — takes a Clock* (null resolves to
+// DefaultClock()), so tests substitute a ManualClock and make timing
+// assertions exact instead of sleeping and hoping. Header-only, so
+// cdb_common users take the interface without a link dependency.
 
 #ifndef CDB_COMMON_CLOCK_H_
 #define CDB_COMMON_CLOCK_H_

@@ -24,10 +24,6 @@ const char* CodeName(StatusCode code) {
       return "Internal";
     case StatusCode::kUnavailable:
       return "Unavailable";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
-    case StatusCode::kCancelled:
-      return "Cancelled";
   }
   return "Unknown";
 }

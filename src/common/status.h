@@ -21,9 +21,7 @@ enum class StatusCode {
   kNotSupported,
   kOutOfRange,
   kInternal,
-  kUnavailable,       // transient failure; safe to retry (see IsTransient()).
-  kDeadlineExceeded,  // query ran past its QueryContext deadline.
-  kCancelled,         // query observed a CancelToken.
+  kUnavailable,  // transient failure; safe to retry (see IsTransient()).
 };
 
 /// Outcome of a fallible operation: an error code plus a human-readable
@@ -58,12 +56,6 @@ class Status {
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
@@ -75,15 +67,10 @@ class Status {
   bool IsNotSupported() const { return code_ == StatusCode::kNotSupported; }
   bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
-  bool IsDeadlineExceeded() const {
-    return code_ == StatusCode::kDeadlineExceeded;
-  }
-  bool IsCancelled() const { return code_ == StatusCode::kCancelled; }
 
   /// True for failures that a bounded retry may cure (the operation did not
   /// corrupt state and the fault is expected to clear). Only kUnavailable
-  /// qualifies: kIOError/kCorruption are persistent, kDeadlineExceeded and
-  /// kCancelled are caller decisions that a retry must respect.
+  /// qualifies: kIOError/kCorruption are persistent.
   bool IsTransient() const { return code_ == StatusCode::kUnavailable; }
 
   StatusCode code() const { return code_; }

@@ -48,8 +48,8 @@ inline int DecideFromBox(const Rect& box, SelectionType type,
 
 Status RefineBatch2D(const Relation& relation, SelectionType type,
                      const HalfPlaneQuery& q, obs::Counter* lp_calls,
-                     const QueryContext* ctx, std::vector<TupleId>* ids,
-                     obs::FilterCounts* filter, uint64_t* false_hits) {
+                     std::vector<TupleId>* ids, obs::FilterCounts* filter,
+                     uint64_t* false_hits) {
   static obs::Counter* const batch_pages =
       obs::GlobalMetrics().counter("refine.batch.pages");
   static obs::Counter* const batch_candidates =
@@ -87,12 +87,11 @@ Status RefineBatch2D(const Relation& relation, SelectionType type,
       }
     }
     // Layer (a): ascending ids cluster into consecutive page runs; pin
-    // each run's page once. Checkpoints fire at page granularity.
+    // each run's page once.
     PageId pid;
     CDB_RETURN_IF_ERROR(relation.LocateTuple(id, &pid));
     if (!page.has_value() || pid != pinned) {
       page.reset();
-      CDB_RETURN_IF_ERROR(CheckQueryContext(ctx));
       Result<PageRef> ref = [&] {
         CDB_TRACE_SPAN("fetch-page");
         return relation.pager()->Fetch(pid);

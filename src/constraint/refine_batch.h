@@ -11,8 +11,7 @@
 //      consecutive candidates cluster on the same tuple page. The refiner
 //      pins each distinct page once and refines every candidate clustered
 //      on it while pinned, turning O(candidates) logical fetches into
-//      O(distinct pages) and moving QueryContext checkpoints to page
-//      granularity.
+//      O(distinct pages).
 //  (b) mirrored shapes — the 2-D refiner decides from the relation's
 //      in-memory V-representation (Relation::Shape) with the same
 //      ExactAll/ExactExist as naive evaluation, O(v) per candidate; the
@@ -31,12 +30,12 @@
 #ifndef CDB_CONSTRAINT_REFINE_BATCH_H_
 #define CDB_CONSTRAINT_REFINE_BATCH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "common/query_context.h"
 #include "common/status.h"
 #include "constraint/naive_eval.h"
 #include "constraint/relation.h"
@@ -54,15 +53,25 @@ namespace cdb {
 /// books the unprocessed tail as FilterCounts::abandoned.
 Status RefineBatch2D(const Relation& relation, SelectionType type,
                      const HalfPlaneQuery& q, obs::Counter* lp_calls,
-                     const QueryContext* ctx, std::vector<TupleId>* ids,
-                     obs::FilterCounts* filter, uint64_t* false_hits);
+                     std::vector<TupleId>* ids, obs::FilterCounts* filter,
+                     uint64_t* false_hits);
+
+/// RefineBatch2D for callers that still pass a null fifth argument where a
+/// per-query context used to go (perfbench/src/traced_run.cc). Delete it
+/// together with that argument.
+inline Status RefineBatch2D(const Relation& relation, SelectionType type,
+                            const HalfPlaneQuery& q, obs::Counter* lp_calls,
+                            std::nullptr_t, std::vector<TupleId>* ids,
+                            obs::FilterCounts* filter, uint64_t* false_hits) {
+  return RefineBatch2D(relation, type, q, lp_calls, ids, filter, false_hits);
+}
 
 /// Generic page-clustered refinement driver for relation types without a
 /// 2-D shape mirror (the d-dimensional family). `pred(tuple)` is
 /// the exact predicate. Same contract and booking as RefineBatch2D.
 template <typename RelationT, typename TupleT, typename Pred>
 Status RefinePageClustered(const RelationT& relation, obs::Counter* lp_calls,
-                           const QueryContext* ctx, std::vector<TupleId>* ids,
+                           std::vector<TupleId>* ids,
                            obs::FilterCounts* filter, uint64_t* false_hits,
                            const Pred& pred) {
   CDB_TRACE_SPAN("refine");
@@ -81,8 +90,7 @@ Status RefinePageClustered(const RelationT& relation, obs::Counter* lp_calls,
     PageId pid;
     CDB_RETURN_IF_ERROR(relation.LocateTuple(id, &pid));
     if (!page.has_value() || pid != pinned) {
-      page.reset();  // Unpin before the page-granularity checkpoint.
-      CDB_RETURN_IF_ERROR(CheckQueryContext(ctx));
+      page.reset();  // Unpin before fetching the next page.
       Result<PageRef> ref = [&] {
         CDB_TRACE_SPAN("fetch-page");
         return relation.pager()->Fetch(pid);

@@ -219,7 +219,10 @@ Status ConstraintDatabase::SelectBatch(
     const std::vector<exec::BatchQuery>& batch, size_t threads,
     std::vector<exec::BatchItemResult>* results) {
   exec::QueryExecutor executor(threads);
-  return executor.RunBatch(index_.get(), batch, results);
+  exec::BatchResult out;
+  Status st = executor.RunBatch(index_.get(), batch, {}, &out);
+  *results = std::move(out.items);
+  return st;
 }
 
 Status ConstraintDatabase::ParseQueryText(const std::string& text,

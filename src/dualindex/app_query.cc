@@ -1,5 +1,6 @@
 #include "dualindex/app_query.h"
 
+#include <cassert>
 #include <cmath>
 
 namespace cdb {
@@ -15,15 +16,12 @@ double AngleDistance(double a1, double a2) {
 
 }  // namespace
 
-AppQueryPlan PlanAppQueries(const SlopeSet& slopes, SelectionType type,
-                            const HalfPlaneQuery& q, double anchor_x) {
-  AppQueryPlan plan;
-  SlopeLocation loc = slopes.Locate(q.slope);
-  if (loc.kind == SlopeLocation::Kind::kExact) {
-    plan.exact = true;
-    plan.exact_query = {loc.index, type, q.cmp, q.intercept};
-    return plan;
-  }
+std::array<AppQuery, 2> PlanAppQueries(const SlopeSet& slopes,
+                                       SelectionType type,
+                                       const HalfPlaneQuery& q,
+                                       double anchor_x) {
+  const SlopeLocation loc = slopes.Locate(q.slope);
+  assert(loc.kind != SlopeLocation::Kind::kExact);
 
   // a1 = slope reached by clockwise rotation of the query line, a2 by
   // anti-clockwise rotation; rotations wrap through the vertical (Table 1).
@@ -70,9 +68,7 @@ AppQueryPlan PlanAppQueries(const SlopeSet& slopes, SelectionType type,
     (first_nearer ? t1 : t2) = SelectionType::kAll;
   }
 
-  plan.queries.push_back({i1, t1, theta1, b1});
-  plan.queries.push_back({i2, t2, theta2, b2});
-  return plan;
+  return {{{i1, t1, theta1, b1}, {i2, t2, theta2, b2}}};
 }
 
 bool CoversSampled(const HalfPlaneQuery& q, const HalfPlaneQuery& q1,

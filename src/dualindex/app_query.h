@@ -1,6 +1,6 @@
 // Approximation-query planning for technique T1 (Section 4.1).
 //
-// A half-plane query whose slope is not in S is replaced by (at most) two
+// A half-plane query whose slope is not in S is replaced by two
 // app-queries whose slopes are in S and whose union covers the original
 // half-plane. Table 1 of the paper gives the operator choice; the query
 // types follow Section 4.1: EXIST -> two EXISTs, ALL -> one ALL (on the
@@ -9,7 +9,7 @@
 #ifndef CDB_DUALINDEX_APP_QUERY_H_
 #define CDB_DUALINDEX_APP_QUERY_H_
 
-#include <vector>
+#include <array>
 
 #include "constraint/naive_eval.h"
 #include "dualindex/slope_set.h"
@@ -25,23 +25,16 @@ struct AppQuery {
   double intercept;
 };
 
-/// T1 plan for an original query.
-struct AppQueryPlan {
-  /// True when the original slope is in S and `exact` should be executed
-  /// directly (no approximation, no refinement).
-  bool exact = false;
-  AppQuery exact_query;
-
-  /// Otherwise: 1-2 app-queries whose union covers the original query.
-  std::vector<AppQuery> queries;
-};
-
-/// Builds the T1 plan. `anchor_x` is the x coordinate of the shared point P
-/// on the query line that both app-query lines pass through (the paper
-/// leaves the optimal choice open; 0 — the centre of the paper's working
-/// window — is the default).
-AppQueryPlan PlanAppQueries(const SlopeSet& slopes, SelectionType type,
-                            const HalfPlaneQuery& q, double anchor_x = 0.0);
+/// Builds the T1 plan: the two app-queries whose union covers `q`, reached
+/// by clockwise and anti-clockwise rotation of its line. Requires q.slope
+/// not in S (a slope in S is answered exactly, without a plan). `anchor_x`
+/// is the x coordinate of the shared point P on the query line that both
+/// app-query lines pass through (the paper leaves the optimal choice open;
+/// 0 — the centre of the paper's working window — is the default).
+std::array<AppQuery, 2> PlanAppQueries(const SlopeSet& slopes,
+                                       SelectionType type,
+                                       const HalfPlaneQuery& q,
+                                       double anchor_x = 0.0);
 
 /// True when half-plane `q` is covered by the union of `q1` and `q2`
 /// (sampled check used by tests and the Table 1 verification bench).

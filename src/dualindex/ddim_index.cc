@@ -208,12 +208,11 @@ std::vector<size_t> DDimDualIndex::FindCoveringSimplex(
 }
 
 Status DDimDualIndex::Refine(SelectionType type, const HalfPlaneQueryD& q,
-                             std::vector<TupleId>* ids, QueryStats* st,
-                             const QueryContext* ctx) {
+                             std::vector<TupleId>* ids, QueryStats* st) {
   static obs::Counter* const lp_calls =
       obs::GlobalMetrics().counter("ddim.refine.lp_calls");
   return RefinePageClustered<RelationD, GeneralizedTupleD>(
-      *relation_, lp_calls, ctx, ids, &st->filter, &st->false_hits,
+      *relation_, lp_calls, ids, &st->filter, &st->false_hits,
       [&](const GeneralizedTupleD& tuple) {
         return type == SelectionType::kAll
                    ? ExactAllD(tuple.constraints(), q)
@@ -223,8 +222,7 @@ Status DDimDualIndex::Refine(SelectionType type, const HalfPlaneQueryD& q,
 
 Result<std::vector<TupleId>> DDimDualIndex::SelectT1(SelectionType type,
                                                      const HalfPlaneQueryD& q,
-                                                     QueryStats* st,
-                                                     const QueryContext* ctx) {
+                                                     QueryStats* st) {
   std::vector<size_t> simplex = FindCoveringSimplex(q.slope);
   if (simplex.empty()) {
     return Status::NotSupported(
@@ -249,15 +247,14 @@ Result<std::vector<TupleId>> DDimDualIndex::SelectT1(SelectionType type,
     sweeps.push_back({&Tree(j, plan), q.intercept, plan.upward});
   }
   std::vector<TupleId> ids;
-  CDB_RETURN_IF_ERROR(FilterT1(sweeps, &ids, st, ctx));
-  CDB_RETURN_IF_ERROR(Refine(type, q, &ids, st, ctx));
+  CDB_RETURN_IF_ERROR(FilterT1(sweeps, &ids, st));
+  CDB_RETURN_IF_ERROR(Refine(type, q, &ids, st));
   return ids;
 }
 
 Result<std::vector<TupleId>> DDimDualIndex::SelectT2(SelectionType type,
                                                      const HalfPlaneQueryD& q,
-                                                     QueryStats* st,
-                                                     const QueryContext* ctx) {
+                                                     QueryStats* st) {
   // Applicability: d == 3 with precomputed cells, query slope point inside
   // the bounding box of S (the cells tile exactly that box).
   bool applicable = !cell_vertices_.empty();
@@ -274,7 +271,7 @@ Result<std::vector<TupleId>> DDimDualIndex::SelectT2(SelectionType type,
   }
   if (!applicable) {
     st->used_wrap_fallback = true;
-    return SelectT1(type, q, st, ctx);
+    return SelectT1(type, q, st);
   }
 
   // Nearest site: the query point lies in its Voronoi cell by definition.
@@ -288,18 +285,15 @@ Result<std::vector<TupleId>> DDimDualIndex::SelectT2(SelectionType type,
 
   const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
   std::vector<TupleId> ids;
-  CDB_RETURN_IF_ERROR(FilterT2(Tree(nearest, plan), plan, q.intercept, &ids,
-                               st, ctx));
-  CDB_RETURN_IF_ERROR(Refine(type, q, &ids, st, ctx));
+  CDB_RETURN_IF_ERROR(
+      FilterT2(Tree(nearest, plan), plan, q.intercept, &ids, st));
+  CDB_RETURN_IF_ERROR(Refine(type, q, &ids, st));
   return ids;
 }
 
-Result<std::vector<TupleId>> DDimDualIndex::Select(SelectionType type,
-                                                   const HalfPlaneQueryD& q,
-                                                   Method method,
-                                                   QueryStats* stats,
-                                                   obs::ExplainProfile* profile,
-                                                   const QueryContext* ctx) {
+Result<std::vector<TupleId>> DDimDualIndex::Select(
+    SelectionType type, const HalfPlaneQueryD& q, Method method,
+    QueryStats* stats, obs::ExplainProfile* profile) {
   if (q.dim() != relation_->dim()) {
     return Status::InvalidArgument("query dimension mismatch");
   }
@@ -312,16 +306,15 @@ Result<std::vector<TupleId>> DDimDualIndex::Select(SelectionType type,
     size_t exact = FindExact(q.slope);
     if (exact != kNpos) {
       const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
-      return SelectExact(Tree(exact, plan), plan.upward, q.intercept, st,
-                         ctx);
+      return SelectExact(Tree(exact, plan), plan.upward, q.intercept, st);
     }
     switch (method) {
       case Method::kExactOnly:
         return Status::InvalidArgument("query slope point not in S");
       case Method::kT1:
-        return SelectT1(type, q, st, ctx);
+        return SelectT1(type, q, st);
       case Method::kT2:
-        return SelectT2(type, q, st, ctx);
+        return SelectT2(type, q, st);
     }
     return Status::InvalidArgument("unknown method");
   }();

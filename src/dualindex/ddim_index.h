@@ -67,25 +67,14 @@ class DDimDualIndex {
   /// Executes a d-dimensional ALL/EXIST half-plane selection. T1 requires
   /// the query slope point to lie in the convex hull of S (NotSupported
   /// otherwise). When `profile` is non-null it receives the per-phase span
-  /// breakdown. `ctx` (optional) is checked at every page-fetch boundary,
-  /// with the same early-exit contract as DualIndex::Select: no pinned
-  /// pages, balanced stats, unprocessed candidates booked as
-  /// `filter.abandoned`.
+  /// breakdown. A failed page read has the same error contract as
+  /// DualIndex::Select: no pinned pages, balanced stats, unprocessed
+  /// candidates booked as `filter.abandoned`.
   Result<std::vector<TupleId>> Select(SelectionType type,
                                       const HalfPlaneQueryD& q,
                                       Method method = Method::kT1,
                                       QueryStats* stats = nullptr,
-                                      obs::ExplainProfile* profile = nullptr,
-                                      const QueryContext* ctx = nullptr);
-
-  /// Back-compat convenience used by earlier revisions/tests.
-  Result<std::vector<TupleId>> Select(SelectionType type,
-                                      const HalfPlaneQueryD& q,
-                                      bool exact_only,
-                                      QueryStats* stats = nullptr) {
-    return Select(type, q, exact_only ? Method::kExactOnly : Method::kT1,
-                  stats);
-  }
+                                      obs::ExplainProfile* profile = nullptr);
 
   size_t dim() const { return relation_->dim(); }
   size_t tuple_count() const { return relation_->size(); }
@@ -123,15 +112,12 @@ class DDimDualIndex {
 
   Result<std::vector<TupleId>> SelectT1(SelectionType type,
                                         const HalfPlaneQueryD& q,
-                                        QueryStats* st,
-                                        const QueryContext* ctx);
+                                        QueryStats* st);
   Result<std::vector<TupleId>> SelectT2(SelectionType type,
                                         const HalfPlaneQueryD& q,
-                                        QueryStats* st,
-                                        const QueryContext* ctx);
+                                        QueryStats* st);
   Status Refine(SelectionType type, const HalfPlaneQueryD& q,
-                std::vector<TupleId>* ids, QueryStats* st,
-                const QueryContext* ctx);
+                std::vector<TupleId>* ids, QueryStats* st);
 
   /// The tree `plan` reads among slope point i's pair.
   const BPlusTree& Tree(size_t i, const SweepPlan& plan) const {

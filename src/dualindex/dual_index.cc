@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -344,48 +343,43 @@ Status DualIndex::Remove(TupleId id, const GeneralizedTuple& tuple) {
 
 Result<std::vector<TupleId>> DualIndex::SelectT1(SelectionType type,
                                                  const HalfPlaneQuery& q,
-                                                 QueryStats* stats,
-                                                 const QueryContext* ctx) {
-  const AppQueryPlan plan =
+                                                 QueryStats* stats) {
+  const std::array<AppQuery, 2> plan =
       PlanAppQueries(slopes_, type, q, options_.anchor_x);
-  // A slope off S always yields two app-queries (Table 1).
-  assert(plan.queries.size() == 2);
   std::array<AppSweep, 2> sweeps;
   for (size_t j = 0; j < sweeps.size(); ++j) {
-    const AppQuery& aq = plan.queries[j];
+    const AppQuery& aq = plan[j];
     const SweepPlan sweep = PlanSweep(aq.type, aq.cmp, /*next_side=*/false);
     sweeps[j] = {&Tree(aq.slope_index, sweep), aq.intercept, sweep.upward};
   }
   std::vector<TupleId> ids;
-  CDB_RETURN_IF_ERROR(FilterT1(sweeps, &ids, stats, ctx));
-  CDB_RETURN_IF_ERROR(Refine(type, q, &ids, stats, ctx));
+  CDB_RETURN_IF_ERROR(FilterT1(sweeps, &ids, stats));
+  CDB_RETURN_IF_ERROR(Refine(type, q, &ids, stats));
   return ids;
 }
 
 Result<std::vector<TupleId>> DualIndex::SelectT2(SelectionType type,
                                                  const HalfPlaneQuery& q,
                                                  const SlopeLocation& loc,
-                                                 QueryStats* stats,
-                                                 const QueryContext* ctx) {
+                                                 QueryStats* stats) {
   if (loc.kind != SlopeLocation::Kind::kBetween || slopes_.size() < 2) {
     // Wrap-around region: the single-tree trick needs a same-surface
     // neighbour interval; fall back to T1 (DESIGN.md decision 4).
     stats->used_wrap_fallback = true;
-    return SelectT1(type, q, stats, ctx);
+    return SelectT1(type, q, stats);
   }
   const T2Plan plan = PlanT2(slopes_, loc.index, type, q);
   std::vector<TupleId> ids;
   CDB_RETURN_IF_ERROR(FilterT2(Tree(plan.nearest, plan.sweep), plan.sweep,
-                               q.intercept, &ids, stats, ctx));
-  CDB_RETURN_IF_ERROR(Refine(type, q, &ids, stats, ctx));
+                               q.intercept, &ids, stats));
+  CDB_RETURN_IF_ERROR(Refine(type, q, &ids, stats));
   return ids;
 }
 
 // --- Refinement ----------------------------------------------------------------
 
 Status DualIndex::Refine(SelectionType type, const HalfPlaneQuery& q,
-                         std::vector<TupleId>* ids, QueryStats* stats,
-                         const QueryContext* ctx) {
+                         std::vector<TupleId>* ids, QueryStats* stats) {
   if (!options_.refine) {
     // Raw-superset mode: the post-dedup candidates ship as results
     // untested, so the filter accounting books them as early accepts.
@@ -394,8 +388,8 @@ Status DualIndex::Refine(SelectionType type, const HalfPlaneQuery& q,
   }
   static obs::Counter* const lp_calls =
       obs::GlobalMetrics().counter("dual.refine.lp_calls");
-  return RefineBatch2D(*relation_, type, q, lp_calls, ctx, ids,
-                       &stats->filter, &stats->false_hits);
+  return RefineBatch2D(*relation_, type, q, lp_calls, ids, &stats->filter,
+                       &stats->false_hits);
 }
 
 // --- Explain -------------------------------------------------------------------
@@ -453,8 +447,8 @@ std::string DualIndex::Explain(SelectionType type, const HalfPlaneQuery& q,
     use_t1 = true;
   }
   if (use_t1) {
-    AppQueryPlan plan = PlanAppQueries(slopes_, type, q, options_.anchor_x);
-    for (const AppQuery& aq : plan.queries) {
+    for (const AppQuery& aq :
+         PlanAppQueries(slopes_, type, q, options_.anchor_x)) {
       out += "  app-query: " + DescribeExact(slopes_, aq) + "\n";
     }
     out += "  deduplicate ids, refine candidates on their V-representation\n";
@@ -492,8 +486,7 @@ Result<std::vector<TupleId>> DualIndex::Select(SelectionType type,
                                                const HalfPlaneQuery& q,
                                                QueryMethod method,
                                                QueryStats* stats,
-                                               obs::ExplainProfile* profile,
-                                               const QueryContext* ctx) {
+                                               obs::ExplainProfile* profile) {
   if (std::isnan(q.slope) || std::isnan(q.intercept) ||
       std::isinf(q.slope)) {
     return Status::InvalidArgument("query slope/intercept must be finite");
@@ -513,18 +506,17 @@ Result<std::vector<TupleId>> DualIndex::Select(SelectionType type,
     if (loc.kind == SlopeLocation::Kind::kExact) {
       // Slope in S: every method runs Section 3's exact sweep.
       const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
-      return SelectExact(Tree(loc.index, plan), plan.upward, q.intercept, st,
-                         ctx);
+      return SelectExact(Tree(loc.index, plan), plan.upward, q.intercept, st);
     }
     switch (method) {
       case QueryMethod::kRestricted:
         return Status::InvalidArgument(
             "restricted method requires the query slope to be in S");
       case QueryMethod::kT1:
-        return SelectT1(type, q, st, ctx);
+        return SelectT1(type, q, st);
       case QueryMethod::kT2:
       case QueryMethod::kAuto:
-        return SelectT2(type, q, loc, st, ctx);
+        return SelectT2(type, q, loc, st);
     }
     return Status::InvalidArgument("unknown query method");
   }();
@@ -556,7 +548,7 @@ Result<std::vector<TupleId>> DualIndex::SelectVertical(
   {
     CDB_TRACE_SPAN("sweep/support");
     CDB_RETURN_IF_ERROR(Sweep(plan.up_tree ? *xmax_ : *xmin_, q.boundary,
-                              plan.upward, &ids, st, /*ctx=*/nullptr));
+                              plan.upward, &ids, st));
   }
   std::sort(ids.begin(), ids.end());
   st->index_page_fetches =
@@ -592,13 +584,11 @@ Result<std::vector<TupleId>> DualIndex::SelectSlab(
   std::vector<TupleId> a, b;
   {
     CDB_TRACE_SPAN("sweep/lo-bound");
-    CDB_RETURN_IF_ERROR(Sweep(Tree(loc.index, lo), b_lo, lo.upward, &a, st,
-                              /*ctx=*/nullptr));
+    CDB_RETURN_IF_ERROR(Sweep(Tree(loc.index, lo), b_lo, lo.upward, &a, st));
   }
   {
     CDB_TRACE_SPAN("sweep/hi-bound");
-    CDB_RETURN_IF_ERROR(Sweep(Tree(loc.index, hi), b_hi, hi.upward, &b, st,
-                              /*ctx=*/nullptr));
+    CDB_RETURN_IF_ERROR(Sweep(Tree(loc.index, hi), b_hi, hi.upward, &b, st));
   }
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "btree/bplus_tree.h"
-#include "common/query_context.h"
 #include "constraint/naive_eval.h"
 #include "constraint/relation.h"
 #include "dualindex/app_query.h"
@@ -147,19 +146,14 @@ class DualIndex {
   /// Executes ALL(q, r) or EXIST(q, r). Results are sorted by tuple id.
   /// `profile` (optional) receives the span-attributed phase tree of the
   /// execution ("EXPLAIN ANALYZE"); its phase sums equal the pager totals
-  /// exactly (obs/trace.h).
-  ///
-  /// `ctx` (optional) carries a deadline and/or CancelToken, checked at
-  /// every page-fetch boundary (each leaf visited, each candidate
-  /// refined). A fired context returns kDeadlineExceeded/kCancelled with
-  /// zero pinned pages and `stats` still balanced: the candidates the
-  /// query never processed are booked as filter.abandoned.
+  /// exactly (obs/trace.h). A failed page read returns its error with zero
+  /// pinned pages and `stats` still balanced: the candidates the query never
+  /// processed are booked as filter.abandoned.
   Result<std::vector<TupleId>> Select(SelectionType type,
                                       const HalfPlaneQuery& q,
                                       QueryMethod method,
                                       QueryStats* stats = nullptr,
-                                      obs::ExplainProfile* profile = nullptr,
-                                      const QueryContext* ctx = nullptr);
+                                      obs::ExplainProfile* profile = nullptr);
 
   /// Exact vertical selection (x θ c). Requires
   /// DualIndexOptions::support_vertical; one sweep, no refinement.
@@ -288,22 +282,18 @@ class DualIndex {
   }
 
   // T1 and T2 for slopes outside S (Select runs the exact sweep for slopes
-  // in S). Query-path helpers take the caller's QueryContext (may be null)
-  // and check it once per leaf moved / candidate refined.
+  // in S).
   Result<std::vector<TupleId>> SelectT1(SelectionType type,
                                         const HalfPlaneQuery& q,
-                                        QueryStats* stats,
-                                        const QueryContext* ctx);
+                                        QueryStats* stats);
   Result<std::vector<TupleId>> SelectT2(SelectionType type,
                                         const HalfPlaneQuery& q,
                                         const SlopeLocation& loc,
-                                        QueryStats* stats,
-                                        const QueryContext* ctx);
+                                        QueryStats* stats);
 
   // Removes candidates failing the exact predicate (when options_.refine).
   Status Refine(SelectionType type, const HalfPlaneQuery& q,
-                std::vector<TupleId>* ids, QueryStats* stats,
-                const QueryContext* ctx);
+                std::vector<TupleId>* ids, QueryStats* stats);
 
   Pager* pager_;
   Relation* relation_;

@@ -21,7 +21,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // min upward, max downward.
 Status Walk(const BPlusTree& tree, double b, bool upward, bool take_equal,
             double limit, int slot, double* bound, std::vector<TupleId>* out,
-            QueryStats* stats, const QueryContext* ctx) {
+            QueryStats* stats) {
   LeafCursor cur;
   // Keys equal to b lie above the split when an upward walk takes them or
   // a downward walk skips them.
@@ -32,7 +32,6 @@ Status Walk(const BPlusTree& tree, double b, bool upward, bool take_equal,
   }
   bool first = true;
   while (cur.valid()) {
-    CDB_RETURN_IF_ERROR(CheckQueryContext(ctx));
     if (bound != nullptr) {
       const double h = cur.handicap(slot);
       *bound = upward ? std::min(*bound, h) : std::max(*bound, h);
@@ -68,19 +67,17 @@ SweepPlan PlanSweep(SelectionType type, Cmp cmp, bool next_side) {
 }
 
 Status Sweep(const BPlusTree& tree, double b, bool upward,
-             std::vector<TupleId>* out, QueryStats* stats,
-             const QueryContext* ctx) {
+             std::vector<TupleId>* out, QueryStats* stats) {
   return Walk(tree, b, upward, /*take_equal=*/true, upward ? kInf : -kInf,
-              /*slot=*/-1, /*bound=*/nullptr, out, stats, ctx);
+              /*slot=*/-1, /*bound=*/nullptr, out, stats);
 }
 
 Result<std::vector<TupleId>> SelectExact(const BPlusTree& tree, bool upward,
-                                         double b, QueryStats* stats,
-                                         const QueryContext* ctx) {
+                                         double b, QueryStats* stats) {
   std::vector<TupleId> ids;
   {
     CDB_TRACE_SPAN("sweep/exact");
-    CDB_RETURN_IF_ERROR(Sweep(tree, b, upward, &ids, stats, ctx));
+    CDB_RETURN_IF_ERROR(Sweep(tree, b, upward, &ids, stats));
   }
   std::sort(ids.begin(), ids.end());
   stats->filter.early_accepts += ids.size();
@@ -88,11 +85,11 @@ Result<std::vector<TupleId>> SelectExact(const BPlusTree& tree, bool upward,
 }
 
 Status FilterT1(std::span<const AppSweep> sweeps, std::vector<TupleId>* ids,
-                QueryStats* stats, const QueryContext* ctx) {
+                QueryStats* stats) {
   CDB_TRACE_SPAN("filter");
   for (const AppSweep& s : sweeps) {
     CDB_TRACE_SPAN("sweep/exact");
-    CDB_RETURN_IF_ERROR(Sweep(*s.tree, s.b, s.upward, ids, stats, ctx));
+    CDB_RETURN_IF_ERROR(Sweep(*s.tree, s.b, s.upward, ids, stats));
   }
   std::sort(ids->begin(), ids->end());
   const size_t before = ids->size();
@@ -103,8 +100,7 @@ Status FilterT1(std::span<const AppSweep> sweeps, std::vector<TupleId>* ids,
 }
 
 Status FilterT2(const BPlusTree& tree, const SweepPlan& plan, double b,
-                std::vector<TupleId>* ids, QueryStats* stats,
-                const QueryContext* ctx) {
+                std::vector<TupleId>* ids, QueryStats* stats) {
   CDB_TRACE_SPAN("filter");
   const bool augmented = tree.augmented();
   double bound = plan.upward ? kInf : -kInf;
@@ -113,7 +109,7 @@ Status FilterT2(const BPlusTree& tree, const SweepPlan& plan, double b,
     CDB_TRACE_SPAN("sweep/first");
     CDB_RETURN_IF_ERROR(Walk(tree, b, plan.upward, /*take_equal=*/true,
                              plan.upward ? kInf : -kInf, plan.slot,
-                             augmented ? nullptr : &bound, ids, stats, ctx));
+                             augmented ? nullptr : &bound, ids, stats));
   }
   if (augmented) {
     CDB_TRACE_SPAN("sweep/bound");
@@ -124,7 +120,7 @@ Status FilterT2(const BPlusTree& tree, const SweepPlan& plan, double b,
     CDB_TRACE_SPAN("sweep/second");
     CDB_RETURN_IF_ERROR(Walk(tree, b, !plan.upward, /*take_equal=*/false,
                              bound, /*slot=*/-1, /*bound=*/nullptr, ids,
-                             stats, ctx));
+                             stats));
   }
   std::sort(ids->begin(), ids->end());
   return Status::OK();

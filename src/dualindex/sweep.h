@@ -13,9 +13,8 @@
 //  * FinishSelect — a selection's closing books (page fetches, filter
 //    partition).
 //
-// Every sweep checks the caller's QueryContext (may be null) once per leaf,
-// i.e. at every page-fetch boundary; the leaf cursor holds no pin between
-// moves, so an early exit leaves the pager clean.
+// The leaf cursor holds no pin between moves, so a sweep that fails on a
+// page read leaves the pager clean.
 
 #ifndef CDB_DUALINDEX_SWEEP_H_
 #define CDB_DUALINDEX_SWEEP_H_
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "btree/bplus_tree.h"
-#include "common/query_context.h"
 #include "constraint/naive_eval.h"
 #include "obs/trace.h"
 
@@ -50,14 +48,12 @@ SweepPlan PlanSweep(SelectionType type, Cmp cmp, bool next_side);
 /// Appends every entry of `tree` with key >= b (upward) or key <= b
 /// (downward) to `out`, counting each in stats->candidates.
 Status Sweep(const BPlusTree& tree, double b, bool upward,
-             std::vector<TupleId>* out, QueryStats* stats,
-             const QueryContext* ctx);
+             std::vector<TupleId>* out, QueryStats* stats);
 
 /// An exact selection: Sweep under a "sweep/exact" span, then sort. There
 /// is no refinement, so every hit is booked as an early accept.
 Result<std::vector<TupleId>> SelectExact(const BPlusTree& tree, bool upward,
-                                         double b, QueryStats* stats,
-                                         const QueryContext* ctx);
+                                         double b, QueryStats* stats);
 
 /// One app-query of T1's filter: an exact sweep of `tree` from `b`.
 struct AppSweep {
@@ -71,7 +67,7 @@ struct AppSweep {
 /// more than one app-query returned (booked in stats->duplicates and
 /// stats->filter.dedup_dropped).
 Status FilterT1(std::span<const AppSweep> sweeps, std::vector<TupleId>* ids,
-                QueryStats* stats, const QueryContext* ctx);
+                QueryStats* stats);
 
 /// T2's filter on `tree` under a "filter" span: the first sweep
 /// ("sweep/first"), the second-sweep bound, the second sweep in the other
@@ -81,14 +77,13 @@ Status FilterT1(std::span<const AppSweep> sweeps, std::vector<TupleId>* ids,
 /// (BPlusTree::SecondSweepBound, "sweep/bound"). Duplicate-free: the two
 /// sweeps cover disjoint key ranges.
 Status FilterT2(const BPlusTree& tree, const SweepPlan& plan, double b,
-                std::vector<TupleId>* ids, QueryStats* stats,
-                const QueryContext* ctx);
+                std::vector<TupleId>* ids, QueryStats* stats);
 
 /// Finishes `tracer` and closes the selection's books in `st`: page
 /// fetches from the trace totals (logical index fetches, physical tuple
-/// reads; DESIGN.md decision 11) and the filter partition. After an early
-/// exit (deadline, cancellation, I/O error) the candidates never classified
-/// are booked as abandoned, so the partition still balances. `profile`
+/// reads; DESIGN.md decision 11) and the filter partition. After an error
+/// exit (a failed page read) the candidates never classified are booked as
+/// abandoned, so the partition still balances. `profile`
 /// (optional) receives the span tree and a copy of the partition.
 void FinishSelect(obs::Tracer* tracer,
                   const Result<std::vector<TupleId>>& result, QueryStats* st,

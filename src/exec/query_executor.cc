@@ -68,25 +68,11 @@ void QueryExecutor::WorkerLoop() {
         // Latency probes (ISSUE 5): queue wait = submit to pickup, service
         // = pickup to job return (per-item session open/close included —
         // that cost is part of serving the query). clock == nullptr means
-        // neither observability nor the overload ladder is on and no clock
-        // is read at all; the recorders may be null individually when the
-        // clock serves only the ladder.
+        // latency recording is off and no clock is read at all.
         uint64_t picked_ns = 0;
-        uint64_t wait_ns = 0;
         if (batch->clock != nullptr) {
           picked_ns = batch->clock->NowNanos();
-          wait_ns = picked_ns - batch->submit_ns;
-          if (batch->queue != nullptr) batch->queue->RecordNanos(wait_ns);
-        }
-        // Overload ladder (ISSUE 7): shed outranks degrade. A shed query
-        // is completed by on_shed (kUnavailable) without being served, so
-        // it records queue wait but no service time.
-        if (batch->shed_wait_ns > 0 && wait_ns >= batch->shed_wait_ns) {
-          (*batch->on_shed)(i);
-          continue;
-        }
-        if (batch->degrade_wait_ns > 0 && wait_ns >= batch->degrade_wait_ns) {
-          (*batch->on_degrade)(i);
+          batch->queue->RecordNanos(picked_ns - batch->submit_ns);
         }
         if (batch->per_item_sessions) {
           std::vector<std::unique_ptr<PagerReadSession>> item_sessions;
@@ -98,7 +84,7 @@ void QueryExecutor::WorkerLoop() {
         } else {
           (*batch->job)(i);
         }
-        if (batch->service != nullptr) {
+        if (batch->clock != nullptr) {
           batch->service->RecordNanos(batch->clock->NowNanos() - picked_ns);
         }
       }
@@ -115,9 +101,8 @@ void QueryExecutor::WorkerLoop() {
 Status QueryExecutor::Execute(std::vector<Pager*> pagers, size_t n,
                               const std::function<void(size_t)>& job,
                               const std::function<Status()>* writer,
-                              const BatchObservability* bobs, BatchResult* out,
-                              const std::function<void(size_t)>* on_degrade,
-                              const std::function<void(size_t)>* on_shed) {
+                              const BatchObservability* bobs,
+                              BatchResult* out) {
   std::sort(pagers.begin(), pagers.end());
   pagers.erase(std::unique(pagers.begin(), pagers.end()), pagers.end());
   pagers.erase(std::remove(pagers.begin(), pagers.end(), nullptr),
@@ -144,9 +129,6 @@ Status QueryExecutor::Execute(std::vector<Pager*> pagers, size_t n,
   obs::LatencyRecorder service;
   obs::LatencyRecorder queue_wait;
 
-  const bool ladder = bobs != nullptr && bobs->overload.ladder_enabled() &&
-                      on_shed != nullptr && on_degrade != nullptr;
-
   Batch batch;
   batch.n = n;
   batch.job = &job;
@@ -154,16 +136,7 @@ Status QueryExecutor::Execute(std::vector<Pager*> pagers, size_t n,
   if (record_latency) {
     batch.service = &service;
     batch.queue = &queue_wait;
-  }
-  if (ladder) {
-    batch.degrade_wait_ns = bobs->overload.degrade_queue_wait_ns;
-    batch.shed_wait_ns = bobs->overload.shed_queue_wait_ns;
-    batch.on_degrade = on_degrade;
-    batch.on_shed = on_shed;
-  }
-  if (record_latency || ladder) {
-    batch.clock =
-        bobs->clock != nullptr ? bobs->clock : DefaultClock();
+    batch.clock = bobs->clock != nullptr ? bobs->clock : DefaultClock();
     batch.submit_ns = batch.clock->NowNanos();
   }
   {
@@ -219,11 +192,11 @@ Status QueryExecutor::RunWithWriter(std::vector<Pager*> pagers, size_t n,
 
 namespace {
 
-// Tallies the sampled traces of an instrumented batch: every attached
-// ExplainProfile must re-prove the self==total balance invariant (the
-// whole point of sampling under concurrency is that the attribution stays
-// exact; a mismatch is a bug, so debug builds assert) and, since the query
-// paths fill it, the filter-precision phase accounting must balance too
+// Tallies the sampled traces of a batch: every attached ExplainProfile
+// must re-prove the self==total balance invariant (the whole point of
+// sampling under concurrency is that the attribution stays exact; a
+// mismatch is a bug, so debug builds assert) and, since the query paths
+// fill it, the filter-precision phase accounting must balance too
 // (candidates = dedup + early + accepts + rejects, results <= candidates).
 void TallySampledTraces(BatchResult* out) {
   for (const BatchItemResult& item : out->items) {
@@ -238,19 +211,16 @@ void TallySampledTraces(BatchResult* out) {
 
 }  // namespace
 
-Status QueryExecutor::RunInstrumented(DualIndex* index,
-                                      const std::vector<BatchQuery>& batch,
-                                      const BatchObservability& bobs,
-                                      BatchResult* out,
-                                      const std::function<Status()>* writer) {
+Status QueryExecutor::RunDualBatch(DualIndex* index,
+                                   const std::vector<BatchQuery>& batch,
+                                   const BatchObservability& bobs,
+                                   BatchResult* out,
+                                   const std::function<Status()>* writer) {
   out->items.clear();
   out->items.resize(batch.size());
   out->sampled_traces = 0;
   out->balanced_traces = 0;
   out->shed = 0;
-  out->degraded = 0;
-  static obs::Counter* const shed_counter =
-      obs::GlobalMetrics().counter("exec.shed.count");
 
   // Bounded admission (ISSUE 7): queries past the capacity are rejected
   // here, before dispatch, so the pool's queue never grows past the bound.
@@ -263,34 +233,19 @@ Status QueryExecutor::RunInstrumented(DualIndex* index,
       out->items[i].status =
           Status::Unavailable("query shed: admission queue full");
     }
-    const uint64_t rejected = batch.size() - admitted;
-    out->shed += rejected;
-    shed_counter->Increment(rejected);
+    static obs::Counter* const shed_counter =
+        obs::GlobalMetrics().counter("exec.shed.count");
+    out->shed = batch.size() - admitted;
+    shed_counter->Increment(out->shed);
   }
 
   obs::TraceSampler sampler(bobs.trace_sample_every, bobs.trace_sample_seed);
-  // Ladder bookkeeping. degraded_flags[i] is written by on_degrade and read
-  // by job(i) on the same worker thread immediately after, so plain bytes
-  // suffice; the counters are cross-thread and atomic.
-  std::vector<char> degraded_flags(batch.size(), 0);
-  std::atomic<uint64_t> shed_count{0};
-  std::atomic<uint64_t> degraded_count{0};
-  std::function<void(size_t)> on_shed = [&](size_t i) {
-    out->items[i].status =
-        Status::Unavailable("query shed: queue wait over threshold");
-    shed_count.fetch_add(1, std::memory_order_relaxed);
-    shed_counter->Increment();
-  };
-  std::function<void(size_t)> on_degrade = [&](size_t i) {
-    degraded_flags[i] = 1;
-    degraded_count.fetch_add(1, std::memory_order_relaxed);
-  };
 
   auto job = [&](size_t i) {
     const BatchQuery& q = batch[i];
     BatchItemResult& item = out->items[i];
     obs::ExplainProfile* profile = nullptr;
-    if (degraded_flags[i] == 0 && sampler.enabled() && sampler.ShouldSample(i)) {
+    if (sampler.enabled() && sampler.ShouldSample(i)) {
       item.profile = std::make_unique<obs::ExplainProfile>();
       profile = item.profile.get();
     }
@@ -303,9 +258,7 @@ Status QueryExecutor::RunInstrumented(DualIndex* index,
     }
   };
   Status st = Execute({index->pager(), index->relation()->pager()}, admitted,
-                      job, writer, &bobs, out, &on_degrade, &on_shed);
-  out->shed += shed_count.load(std::memory_order_relaxed);
-  out->degraded = degraded_count.load(std::memory_order_relaxed);
+                      job, writer, &bobs, out);
   TallySampledTraces(out);
   return st;
 }
@@ -314,7 +267,7 @@ Status QueryExecutor::RunBatch(DualIndex* index,
                                const std::vector<BatchQuery>& batch,
                                const BatchObservability& bobs,
                                BatchResult* out) {
-  return RunInstrumented(index, batch, bobs, out, /*writer=*/nullptr);
+  return RunDualBatch(index, batch, bobs, out, /*writer=*/nullptr);
 }
 
 Status QueryExecutor::RunBatchWithWriter(DualIndex* index,
@@ -322,48 +275,7 @@ Status QueryExecutor::RunBatchWithWriter(DualIndex* index,
                                          const BatchObservability& bobs,
                                          BatchResult* out,
                                          const std::function<Status()>& writer) {
-  return RunInstrumented(index, batch, bobs, out, &writer);
-}
-
-Status QueryExecutor::RunBatchWithWriter(DualIndex* index,
-                                         const std::vector<BatchQuery>& batch,
-                                         std::vector<BatchItemResult>* results,
-                                         const std::function<Status()>& writer) {
-  results->clear();
-  results->resize(batch.size());
-  auto job = [&](size_t i) {
-    const BatchQuery& q = batch[i];
-    BatchItemResult& out = (*results)[i];
-    Result<std::vector<TupleId>> r =
-        index->Select(q.type, q.query, q.method, &out.stats);
-    if (r.ok()) {
-      out.ids = std::move(r.value());
-    } else {
-      out.status = r.status();
-    }
-  };
-  return RunWithWriter({index->pager(), index->relation()->pager()},
-                       batch.size(), job, writer);
-}
-
-Status QueryExecutor::RunBatch(DualIndex* index,
-                               const std::vector<BatchQuery>& batch,
-                               std::vector<BatchItemResult>* results) {
-  results->clear();
-  results->resize(batch.size());
-  auto job = [&](size_t i) {
-    const BatchQuery& q = batch[i];
-    BatchItemResult& out = (*results)[i];
-    Result<std::vector<TupleId>> r =
-        index->Select(q.type, q.query, q.method, &out.stats);
-    if (r.ok()) {
-      out.ids = std::move(r.value());
-    } else {
-      out.status = r.status();
-    }
-  };
-  return RunSharded({index->pager(), index->relation()->pager()},
-                    batch.size(), job);
+  return RunDualBatch(index, batch, bobs, out, &writer);
 }
 
 }  // namespace exec

@@ -71,26 +71,12 @@ struct BatchItemResult {
 Status FirstError(const std::vector<BatchItemResult>& results);
 
 /// Overload-control policy (ISSUE 7). Default-constructed = fully off:
-/// every query is admitted and served, and the executor reads no clock for
-/// it. The load signal for the ladder is the per-query queue wait — the
-/// same quantity the ISSUE 5 queue-wait digests measure.
+/// every query is admitted and served.
 struct OverloadPolicy {
   /// Bounded admission: at most this many queries of a batch are admitted;
   /// the rest are rejected up front with kUnavailable instead of queueing
   /// unboundedly. 0 = unbounded.
   size_t admission_capacity = 0;
-  /// Degrade ladder, first rung: a query picked up after waiting at least
-  /// this many nanoseconds is served without trace sampling (profiles are
-  /// the first cost dropped under load). 0 = off.
-  uint64_t degrade_queue_wait_ns = 0;
-  /// Degrade ladder, second rung: a query that waited at least this long
-  /// is shed — completed immediately with kUnavailable, never executed.
-  /// 0 = off.
-  uint64_t shed_queue_wait_ns = 0;
-
-  bool ladder_enabled() const {
-    return degrade_queue_wait_ns > 0 || shed_queue_wait_ns > 0;
-  }
 };
 
 /// Per-batch observability knobs (ISSUE 5). Default-constructed = fully
@@ -102,26 +88,24 @@ struct BatchObservability {
   /// merge them into the GlobalMetrics() histograms "exec.query.latency" /
   /// "exec.queue.wait", whose counts accumulate across batches.
   bool record_latency = false;
-  /// Clock behind the latency timers, sampled tracers, and the overload
-  /// ladder (null = DefaultClock(); tests inject a ManualClock).
+  /// Clock behind the latency timers (null = DefaultClock(); tests inject a
+  /// ManualClock).
   Clock* clock = nullptr;
   /// Attach an ExplainProfile to ~1-in-N queries, chosen deterministically
   /// from (trace_sample_seed, query index) — see obs::TraceSampler. 0
   /// disables sampling, 1 traces everything.
   uint64_t trace_sample_every = 0;
   uint64_t trace_sample_seed = 0;
-  /// Overload control (ISSUE 7): admission bound plus the degrade/shed
-  /// ladder. Shed queries carry Status kUnavailable in their item and bump
-  /// the "exec.shed.count" counter.
+  /// Overload control: the admission bound. Shed queries carry Status
+  /// kUnavailable in their item and bump the "exec.shed.count" counter.
   OverloadPolicy overload;
 };
 
-/// Outcome of an instrumented batch (the RunBatch overloads taking a
-/// BatchObservability). `items[i]` corresponds to batch[i]; with overload
-/// control off the latency digests cover exactly the batch
-/// (service.count == queue_wait.count == items.size() — the throughput
-/// bench asserts this). Shed queries record no service time (wait-shed
-/// ones still record queue wait; admission-shed ones record neither).
+/// Outcome of a RunBatch / RunBatchWithWriter batch. `items[i]` corresponds
+/// to batch[i]; with overload control off the latency digests cover exactly
+/// the batch (service.count == queue_wait.count == items.size() — the
+/// throughput bench asserts this). Shed queries record neither service time
+/// nor queue wait.
 struct BatchResult {
   std::vector<BatchItemResult> items;
   /// Per-query service time: job pickup to completion on a worker,
@@ -134,12 +118,9 @@ struct BatchResult {
   /// and tests fail otherwise).
   uint64_t sampled_traces = 0;
   uint64_t balanced_traces = 0;
-  /// Overload-control outcome (ISSUE 7): queries rejected — at admission
-  /// or by the queue-wait shed rung; their items carry kUnavailable — and
-  /// queries served without trace sampling because the degrade rung fired.
-  /// Always shed + (items completed) == items.size().
+  /// Overload-control outcome: queries rejected at admission; their items
+  /// carry kUnavailable. Always shed + (items completed) == items.size().
   uint64_t shed = 0;
-  uint64_t degraded = 0;
 };
 
 /// See file comment. Thread-compatible: one batch runs at a time.
@@ -154,22 +135,19 @@ class QueryExecutor {
 
   size_t thread_count() const { return workers_.size(); }
 
-  /// Runs `batch` against the dual index. `results` is resized to match;
-  /// element i corresponds to batch[i].
-  Status RunBatch(DualIndex* index, const std::vector<BatchQuery>& batch,
-                  std::vector<BatchItemResult>* results);
-
-  /// Instrumented form: as above, plus per-query service/queue-wait latency
-  /// recording and deterministic trace sampling per `bobs` (ISSUE 5).
+  /// Runs `batch` against the dual index into out->items (element i
+  /// corresponds to batch[i]), with per-query service/queue-wait latency
+  /// recording, deterministic trace sampling and admission control as
+  /// `bobs` asks. Pass `{}` for a plain batch.
   Status RunBatch(DualIndex* index, const std::vector<BatchQuery>& batch,
                   const BatchObservability& bobs, BatchResult* out);
 
-  /// Generic engine behind the typed RunBatch overloads: switches every
-  /// pager in `pagers` (duplicates tolerated) into concurrent-read mode,
-  /// runs job(i) for i in [0, n) across the pool — each worker holding a
-  /// PagerReadSession on every pager — then restores exclusive mode.
-  /// `job` must confine each invocation's effects to index-i state and
-  /// must not throw.
+  /// Generic form of RunBatch for any index: switches every pager in
+  /// `pagers` (duplicates tolerated) into concurrent-read mode, runs job(i)
+  /// for i in [0, n) across the pool — each worker holding a
+  /// PagerReadSession on every pager — then restores exclusive mode. `job`
+  /// must confine each invocation's effects to index-i state and must not
+  /// throw.
   Status RunSharded(std::vector<Pager*> pagers, size_t n,
                     const std::function<void(size_t)>& job);
 
@@ -186,17 +164,9 @@ class QueryExecutor {
                        const std::function<void(size_t)>& job,
                        const std::function<Status()>& writer);
 
-  /// Typed ingest-lane helper over the dual index: runs `batch` like
-  /// RunBatch(DualIndex*, ...) while `writer` (typically a loop of
-  /// Relation::Insert + DualIndex::Insert + publish) runs on the calling
-  /// thread.
-  Status RunBatchWithWriter(DualIndex* index,
-                            const std::vector<BatchQuery>& batch,
-                            std::vector<BatchItemResult>* results,
-                            const std::function<Status()>& writer);
-
-  /// Instrumented ingest lane: RunBatchWithWriter plus the ISSUE 5
-  /// latency/sampling machinery of the instrumented RunBatch.
+  /// Typed ingest lane over the dual index: runs `batch` like RunBatch
+  /// while `writer` (typically a loop of Relation::Insert +
+  /// DualIndex::Insert + publish) runs on the calling thread.
   Status RunBatchWithWriter(DualIndex* index,
                             const std::vector<BatchQuery>& batch,
                             const BatchObservability& bobs, BatchResult* out,
@@ -212,26 +182,15 @@ class QueryExecutor {
     // share — required under a live writer, whose publish gate drains
     // active sessions (a per-batch session would deadlock it).
     bool per_item_sessions = false;
-    // Latency instrumentation (null = off: the worker loop then reads no
-    // clock at all, preserving the uninstrumented path exactly). Queue
-    // wait is measured from submit_ns (stamped just before the batch is
-    // handed to the pool) to job pickup; service from pickup to job
-    // return, per-item sessions included. The clock is also set — with the
-    // recorders left null — when only the overload ladder needs it.
+    // Latency instrumentation: the clock and both recorders are set
+    // together, or all null (the worker loop then reads no clock at all).
+    // Queue wait is measured from submit_ns (stamped just before the batch
+    // is handed to the pool) to job pickup; service from pickup to job
+    // return, per-item sessions included.
     Clock* clock = nullptr;
     obs::LatencyRecorder* service = nullptr;
     obs::LatencyRecorder* queue = nullptr;
     uint64_t submit_ns = 0;
-    // Overload ladder (ISSUE 7; 0 = rung off, requires clock). A query
-    // whose queue wait reaches shed_wait_ns is completed by on_shed
-    // instead of the job (queue wait still recorded, service time not —
-    // the query was never served); one reaching degrade_wait_ns has
-    // on_degrade run first (same worker thread, so the job sees its
-    // effect without synchronization).
-    uint64_t degrade_wait_ns = 0;
-    uint64_t shed_wait_ns = 0;
-    const std::function<void(size_t)>* on_degrade = nullptr;
-    const std::function<void(size_t)>* on_shed = nullptr;
   };
 
   // The engine behind RunSharded / RunWithWriter: mode switch, dispatch,
@@ -239,21 +198,17 @@ class QueryExecutor {
   // sessions; non-null = single-writer mode, per-item sessions, writer
   // runs on the calling thread. `bobs`/`out` non-null = latency recording
   // into *out, merged into the "exec.query.latency"/"exec.queue.wait"
-  // histograms. `on_degrade`/`on_shed` implement the overload ladder when
-  // bobs->overload enables it (see Batch).
+  // histograms.
   Status Execute(std::vector<Pager*> pagers, size_t n,
                  const std::function<void(size_t)>& job,
                  const std::function<Status()>* writer,
-                 const BatchObservability* bobs, BatchResult* out,
-                 const std::function<void(size_t)>* on_degrade = nullptr,
-                 const std::function<void(size_t)>* on_shed = nullptr);
+                 const BatchObservability* bobs, BatchResult* out);
 
-  // Shared body of the instrumented DualIndex RunBatch overloads
-  // (`writer` null = plain batch): trace sampling, overload control,
-  // latency recording.
-  Status RunInstrumented(DualIndex* index, const std::vector<BatchQuery>& batch,
-                         const BatchObservability& bobs, BatchResult* out,
-                         const std::function<Status()>* writer);
+  // Shared body of RunBatch and RunBatchWithWriter (`writer` null = plain
+  // batch): trace sampling, admission control, latency recording.
+  Status RunDualBatch(DualIndex* index, const std::vector<BatchQuery>& batch,
+                      const BatchObservability& bobs, BatchResult* out,
+                      const std::function<Status()>* writer);
 
   void WorkerLoop();
 

@@ -178,9 +178,9 @@ struct FilterCounts {
   uint64_t refine_accepts = 0;  // Accepted by the exact predicate on the
                                 // tuple's V-representation.
   uint64_t refine_rejects = 0;  // Rejected by it (the false hits).
-  uint64_t abandoned = 0;       // Left unprocessed by an early exit
-                                // (deadline/cancellation, ISSUE 7); always
-                                // zero for queries that ran to completion.
+  uint64_t abandoned = 0;       // Left unprocessed by an error exit (a
+                                // failed page read); always zero for
+                                // queries that ran to completion.
 
   uint64_t results = 0;
 

@@ -280,12 +280,10 @@ Status RPlusTree::BulkBuild(Pager* pager,
 
 template <typename Pred>
 Status RPlusTree::SearchRec(PageId page, const Pred& pred,
-                            std::vector<TupleId>* out, RTreeStats* stats,
-                            const QueryContext* ctx) const {
-  // Checkpoint before each node read (a page-fetch boundary); ReadNode
-  // materializes the node and leaves nothing pinned, so aborting between
-  // nodes is pin-clean.
-  CDB_RETURN_IF_ERROR(CheckQueryContext(ctx));
+                            std::vector<TupleId>* out,
+                            RTreeStats* stats) const {
+  // ReadNode materializes the node and leaves nothing pinned, so a failed
+  // read between nodes is pin-clean.
   bool leaf;
   std::vector<Entry> entries;
   CDB_RETURN_IF_ERROR(ReadNode(page, &leaf, &entries, stats));
@@ -295,18 +293,18 @@ Status RPlusTree::SearchRec(PageId page, const Pred& pred,
     if (leaf) {
       out->push_back(e.id);
     } else {
-      CDB_RETURN_IF_ERROR(SearchRec(e.id, pred, out, stats, ctx));
+      CDB_RETURN_IF_ERROR(SearchRec(e.id, pred, out, stats));
     }
   }
   return Status::OK();
 }
 
 Result<std::vector<TupleId>> RPlusTree::SearchHalfPlane(
-    const HalfPlaneQuery& q, RTreeStats* stats, const QueryContext* ctx) {
+    const HalfPlaneQuery& q, RTreeStats* stats) {
   std::vector<TupleId> out;
   Status st = SearchRec(
       root_, [&](const Rect& r) { return r.IntersectsHalfPlane(q); }, &out,
-      stats, ctx);
+      stats);
   if (!st.ok()) return st;
   std::sort(out.begin(), out.end());
   size_t before = out.size();
@@ -320,7 +318,7 @@ Result<std::vector<TupleId>> RPlusTree::SearchRect(const Rect& window,
   std::vector<TupleId> out;
   Status st = SearchRec(
       root_, [&](const Rect& r) { return r.Intersects(window); }, &out,
-      stats, /*ctx=*/nullptr);
+      stats);
   if (!st.ok()) return st;
   std::sort(out.begin(), out.end());
   size_t before = out.size();

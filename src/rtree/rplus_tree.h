@@ -27,7 +27,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/query_context.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "constraint/generalized_tuple.h"
@@ -62,12 +61,9 @@ class RPlusTree {
   Status Delete(const Rect& rect, TupleId id);
 
   /// Ids of objects whose rectangle intersects the half-plane, deduplicated
-  /// and sorted. `ctx` (optional) is checked before every node read; a
-  /// fired deadline/cancellation aborts the search with no pinned pages.
+  /// and sorted. A failed node read aborts the search with no pinned pages.
   Result<std::vector<TupleId>> SearchHalfPlane(const HalfPlaneQuery& q,
-                                               RTreeStats* stats = nullptr,
-                                               const QueryContext* ctx =
-                                                   nullptr);
+                                               RTreeStats* stats = nullptr);
 
   /// Ids of objects whose rectangle intersects `window`.
   Result<std::vector<TupleId>> SearchRect(const Rect& window,
@@ -99,8 +95,7 @@ class RPlusTree {
 
   template <typename Pred>
   Status SearchRec(PageId page, const Pred& pred,
-                   std::vector<TupleId>* out, RTreeStats* stats,
-                   const QueryContext* ctx) const;
+                   std::vector<TupleId>* out, RTreeStats* stats) const;
 
   Status InsertRec(PageId page, uint32_t depth, const Rect& rect, TupleId id,
                    std::vector<Entry>* split_out);

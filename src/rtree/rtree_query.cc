@@ -9,21 +9,20 @@ Result<std::vector<TupleId>> RTreeSelect(RPlusTree* tree, Relation* relation,
                                          SelectionType type,
                                          const HalfPlaneQuery& q,
                                          QueryStats* stats,
-                                         obs::ExplainProfile* profile,
-                                         const QueryContext* ctx) {
+                                         obs::ExplainProfile* profile) {
   QueryStats local;
   QueryStats* st = stats != nullptr ? stats : &local;
   *st = QueryStats();
   obs::Tracer tracer("rtree/select", tree->pager(), relation->pager());
 
   // The whole execution runs inside a lambda so every exit — including a
-  // deadline/cancellation abort — flows through FinishQueryTrace and the
+  // failed page read — flows through FinishQueryTrace and the
   // filter-accounting tail below.
   Result<std::vector<TupleId>> result = [&]() -> Result<std::vector<TupleId>> {
     RTreeStats rstats;
     Result<std::vector<TupleId>> candidates = [&] {
       CDB_TRACE_SPAN("filter");
-      return tree->SearchHalfPlane(q, &rstats, ctx);
+      return tree->SearchHalfPlane(q, &rstats);
     }();
     if (!candidates.ok()) return candidates.status();
     st->candidates = candidates.value().size() + rstats.duplicates;
@@ -32,9 +31,8 @@ Result<std::vector<TupleId>> RTreeSelect(RPlusTree* tree, Relation* relation,
 
     static obs::Counter* const lp_calls =
         obs::GlobalMetrics().counter("rtree.refine.lp_calls");
-    Status s = RefineBatch2D(*relation, type, q, lp_calls, ctx,
-                             &candidates.value(), &st->filter,
-                             &st->false_hits);
+    Status s = RefineBatch2D(*relation, type, q, lp_calls, &candidates.value(),
+                             &st->filter, &st->false_hits);
     if (!s.ok()) return {s};
     return std::move(candidates.value());
   }();
@@ -47,8 +45,8 @@ Result<std::vector<TupleId>> RTreeSelect(RPlusTree* tree, Relation* relation,
     st->filter.candidates = st->candidates;
     st->filter.results = st->results;
   } else {
-    // Early exit: a search-phase abort discards its partial candidate set
-    // (st->candidates stays 0); a refine-phase abort leaves the untested
+    // Error exit: a search-phase failure discards its partial candidate set
+    // (st->candidates stays 0); a refine-phase failure leaves the untested
     // tail, booked as abandoned so the partition still balances.
     st->filter.candidates = st->candidates;
     st->filter.abandoned =

@@ -20,15 +20,13 @@ namespace cdb {
 /// stored constraints. Results sorted by tuple id. Populates the same
 /// QueryStats the dual index reports, for apples-to-apples benchmarks.
 /// When `profile` is non-null it receives the per-phase span breakdown.
-/// `ctx` (optional) is checked at every page-fetch boundary with the same
-/// early-exit contract as DualIndex::Select (no pinned pages, balanced
-/// stats, unprocessed candidates booked as `filter.abandoned`).
-Result<std::vector<TupleId>> RTreeSelect(RPlusTree* tree, Relation* relation,
-                                         SelectionType type,
-                                         const HalfPlaneQuery& q,
-                                         QueryStats* stats = nullptr,
-                                         obs::ExplainProfile* profile = nullptr,
-                                         const QueryContext* ctx = nullptr);
+/// A failed page read has the same error contract as DualIndex::Select (no
+/// pinned pages, balanced stats, unprocessed candidates booked as
+/// `filter.abandoned`).
+Result<std::vector<TupleId>> RTreeSelect(
+    RPlusTree* tree, Relation* relation, SelectionType type,
+    const HalfPlaneQuery& q, QueryStats* stats = nullptr,
+    obs::ExplainProfile* profile = nullptr);
 
 }  // namespace cdb
 

@@ -4,18 +4,24 @@
 // never a crash, hang, or corruption; accounting invariants still
 // balance; the pager stays usable (a follow-up clean batch is all-OK);
 // and with retries enabled the same sweep completes with zero surfaced
-// errors.
+// errors. The d-dimensional index and the R+-tree baseline get the same
+// read-fault sweep, one query each, which also proves that a query stopped
+// part-way books its unprocessed candidates as filter.abandoned.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
+#include "constraint/relation_d.h"
+#include "dualindex/ddim_index.h"
 #include "dualindex/dual_index.h"
+#include "rtree/rtree_query.h"
 #include "storage/fault_file.h"
 #include "storage/file.h"
 #include "storage/pager.h"
@@ -45,22 +51,18 @@ std::vector<ServeQuery> ServeBatch() {
   };
 }
 
-// Relation + dual index whose pagers sit on FaultInjectionFile wrappers
-// sharing one plan, so one armed window indexes the combined
-// data+index read stream — the same way production storage would see a
-// single flaky device under both files.
-struct ChaosRig {
+// A relation pager and an index pager on FaultInjectionFile wrappers
+// sharing one plan, so one armed window indexes the combined data+index
+// read stream — the same way production storage would see a single flaky
+// device under both files.
+struct FaultPagers {
   std::shared_ptr<FaultPlan> plan = std::make_shared<FaultPlan>();
   FaultInjectionFile* rel_fault = nullptr;  // Owned by the pagers.
   FaultInjectionFile* idx_fault = nullptr;
   std::unique_ptr<Pager> rel_pager;
   std::unique_ptr<Pager> idx_pager;
-  std::unique_ptr<Relation> relation;
-  std::unique_ptr<DualIndex> index;
 
-  // `load` populates and builds (clean); set false to drive the build
-  // yourself (the build-phase sweep arms faults first).
-  explicit ChaosRig(int max_read_attempts, bool load = true) {
+  explicit FaultPagers(int max_read_attempts) {
     PagerOptions opts;
     opts.page_size = 1024;
     opts.cache_frames = 64;
@@ -75,6 +77,31 @@ struct ChaosRig {
     };
     rel_pager = make_pager(&rel_fault);
     idx_pager = make_pager(&idx_fault);
+  }
+
+  // Cold-cache reset so every sweep iteration replays the identical
+  // physical read sequence.
+  void DropCaches() {
+    ASSERT_TRUE(rel_pager->Flush().ok());
+    ASSERT_TRUE(idx_pager->Flush().ok());
+    ASSERT_TRUE(rel_pager->DropCache().ok());
+    ASSERT_TRUE(idx_pager->DropCache().ok());
+  }
+
+  uint64_t reads_seen() const {
+    return rel_fault->reads_seen() + idx_fault->reads_seen();
+  }
+};
+
+// Relation + dual index on FaultPagers.
+struct ChaosRig : FaultPagers {
+  std::unique_ptr<Relation> relation;
+  std::unique_ptr<DualIndex> index;
+
+  // `load` populates and builds (clean); set false to drive the build
+  // yourself (the build-phase sweep arms faults first).
+  explicit ChaosRig(int max_read_attempts, bool load = true)
+      : FaultPagers(max_read_attempts) {
     if (load) {
       EXPECT_TRUE(Load().ok());
     }
@@ -93,19 +120,6 @@ struct ChaosRig {
         SlopeSet::UniformInAngle(4, -1.3, 1.3), {}, &index));
     CDB_RETURN_IF_ERROR(rel_pager->Flush());
     return idx_pager->Flush();
-  }
-
-  // Cold-cache reset so every sweep iteration replays the identical
-  // physical read sequence.
-  void DropCaches() {
-    ASSERT_TRUE(rel_pager->Flush().ok());
-    ASSERT_TRUE(idx_pager->Flush().ok());
-    ASSERT_TRUE(rel_pager->DropCache().ok());
-    ASSERT_TRUE(idx_pager->DropCache().ok());
-  }
-
-  uint64_t reads_seen() const {
-    return rel_fault->reads_seen() + idx_fault->reads_seen();
   }
 
   // Runs the serve batch, checking the per-query chaos invariants:
@@ -234,6 +248,110 @@ TEST(ChaosSweepTest, BuildTransientWriteFaultAtEveryIndexFailsCleanly) {
   // And a fresh, fault-free rig still builds and serves.
   ChaosRig rig(/*max_read_attempts=*/1);
   for (const Status& st : rig.RunBatch()) EXPECT_TRUE(st.ok());
+}
+
+// Runs `query` cold once per physical read of a clean cold run, with a
+// single transient fault armed at that read and no retries. Every failure
+// must be kUnavailable with balanced filter accounting and no pinned
+// frames; a clean run after each fault must reproduce the clean answer;
+// and some fault must stop the query part-way, with candidates booked as
+// filter.abandoned.
+void SweepQueryReadFaults(
+    FaultPagers* io,
+    const std::function<Result<std::vector<TupleId>>(QueryStats*)>& query) {
+  io->DropCaches();
+  QueryStats clean;
+  Result<std::vector<TupleId>> truth = query(&clean);
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  io->DropCaches();
+  const uint64_t reads_before = io->reads_seen();
+  ASSERT_TRUE(query(&clean).ok());
+  const uint64_t total_reads = io->reads_seen() - reads_before;
+  ASSERT_GT(total_reads, 0u);
+
+  uint64_t failed = 0;
+  uint64_t abandoned_runs = 0;
+  for (uint64_t k = 0; k < total_reads; ++k) {
+    io->DropCaches();
+    io->plan->ArmTransientReads(static_cast<int64_t>(k), /*k=*/1);
+    QueryStats stats;
+    Result<std::vector<TupleId>> r = query(&stats);
+    io->plan->DisarmTransient();
+    if (!r.ok()) {
+      EXPECT_TRUE(r.status().IsUnavailable())
+          << "k=" << k << ": " << r.status().ToString();
+      ++failed;
+    }
+    EXPECT_TRUE(stats.filter.Balances()) << "fault at read " << k;
+    if (stats.filter.abandoned > 0) ++abandoned_runs;
+    EXPECT_EQ(io->rel_pager->pinned_frame_count(), 0u);
+    EXPECT_EQ(io->idx_pager->pinned_frame_count(), 0u);
+
+    io->DropCaches();
+    Result<std::vector<TupleId>> again = query(&stats);
+    ASSERT_TRUE(again.ok()) << "after fault at read " << k << ": "
+                            << again.status().ToString();
+    EXPECT_EQ(again.value(), truth.value()) << "after fault at read " << k;
+  }
+  // Without retries every armed read surfaces as a failed query.
+  EXPECT_EQ(failed, total_reads);
+  EXPECT_EQ(io->plan->transient_faults(), total_reads);
+  EXPECT_GT(abandoned_runs, 0u)
+      << "no fault stopped the query with candidates in hand";
+}
+
+TEST(ChaosSweepTest, DDimT1TransientFaultAtEveryReadIndex) {
+  FaultPagers io(/*max_read_attempts=*/1);
+  std::unique_ptr<RelationD> relation;
+  ASSERT_TRUE(
+      RelationD::Open(io.rel_pager.get(), 3, kInvalidPageId, &relation).ok());
+  std::vector<std::vector<double>> slopes;
+  for (double x : {-1.0, 0.0, 1.0}) {
+    for (double y : {-1.0, 0.0, 1.0}) slopes.push_back({x, y});
+  }
+  std::unique_ptr<DDimDualIndex> index;
+  ASSERT_TRUE(DDimDualIndex::Create(io.idx_pager.get(), relation.get(),
+                                    std::move(slopes), &index)
+                  .ok());
+  Rng rng(9002);
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(index->Insert(RandomBoundedTupleD(&rng, 3, 20.0)).ok());
+  }
+
+  HalfPlaneQueryD q;
+  q.slope = {0.3, -0.2};  // Inside the hull of S, not in S.
+  q.intercept = 2.0;
+  q.cmp = Cmp::kGE;
+  SweepQueryReadFaults(&io, [&](QueryStats* stats) {
+    return index->Select(SelectionType::kAll, q, DDimDualIndex::Method::kT1,
+                         stats);
+  });
+}
+
+TEST(ChaosSweepTest, RTreeTransientFaultAtEveryReadIndex) {
+  FaultPagers io(/*max_read_attempts=*/1);
+  std::unique_ptr<Relation> relation;
+  ASSERT_TRUE(
+      Relation::Open(io.rel_pager.get(), kInvalidPageId, &relation).ok());
+  Rng rng(9003);
+  WorkloadOptions w;
+  std::vector<std::pair<Rect, TupleId>> rects;
+  for (int i = 0; i < 120; ++i) {
+    GeneralizedTuple t = RandomBoundedTuple(&rng, w);
+    Result<TupleId> id = relation->Insert(t);
+    ASSERT_TRUE(id.ok());
+    Rect box;
+    ASSERT_TRUE(t.GetBoundingRect(&box));
+    rects.push_back({box, id.value()});
+  }
+  std::unique_ptr<RPlusTree> tree;
+  ASSERT_TRUE(RPlusTree::BulkBuild(io.idx_pager.get(), rects, &tree).ok());
+
+  const HalfPlaneQuery q(0.4, 0.0, Cmp::kGE);
+  SweepQueryReadFaults(&io, [&](QueryStats* stats) {
+    return RTreeSelect(tree.get(), relation.get(), SelectionType::kAll, q,
+                       stats);
+  });
 }
 
 }  // namespace

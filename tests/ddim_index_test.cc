@@ -99,7 +99,7 @@ TEST_P(DDimIndexTest, ExactAndT1MatchBruteForce) {
     q.cmp = rng.Chance(0.5) ? Cmp::kGE : Cmp::kLE;
     for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
       Result<std::vector<TupleId>> got =
-          index->Select(type, q, /*exact_only=*/true);
+          index->Select(type, q, DDimDualIndex::Method::kExactOnly);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(got.value(), BruteSelect(tuples, type, q));
     }
@@ -115,7 +115,7 @@ TEST_P(DDimIndexTest, ExactAndT1MatchBruteForce) {
     for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
       QueryStats stats;
       Result<std::vector<TupleId>> got =
-          index->Select(type, q, /*exact_only=*/false, &stats);
+          index->Select(type, q, DDimDualIndex::Method::kT1, &stats);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(got.value(), BruteSelect(tuples, type, q))
           << "dim=" << dim << " qi=" << qi;
@@ -238,7 +238,7 @@ TEST(DDimIndexTest2, RejectsOutsideHull) {
   q.intercept = 0;
   q.cmp = Cmp::kGE;
   Result<std::vector<TupleId>> r =
-      fx.index->Select(SelectionType::kExist, q, false);
+      fx.index->Select(SelectionType::kExist, q, DDimDualIndex::Method::kT1);
   EXPECT_TRUE(r.status().IsNotSupported());
 }
 
@@ -288,7 +288,8 @@ TEST(DDimIndexTest2, ExactOnlyRejectsForeignSlope) {
   q.slope = {0.123, 0.456};
   q.intercept = 0;
   Result<std::vector<TupleId>> r =
-      fx.index->Select(SelectionType::kExist, q, /*exact_only=*/true);
+      fx.index->Select(SelectionType::kExist, q,
+                       DDimDualIndex::Method::kExactOnly);
   EXPECT_TRUE(r.status().IsInvalidArgument());
 }
 

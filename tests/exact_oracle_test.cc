@@ -574,9 +574,8 @@ TEST(ExactOracleTest, BoxDecisionsMatchExactDecisions) {
               const uint64_t a0 = bbox_accepts->value();
               const uint64_t r0 = bbox_rejects->value();
               ASSERT_TRUE(RefineBatch2D(*relation, type,
-                                        HalfPlaneQuery(s, bd, cmp), lp,
-                                        /*ctx=*/nullptr, &ids, &filter,
-                                        &false_hits)
+                                        HalfPlaneQuery(s, bd, cmp), lp, &ids,
+                                        &filter, &false_hits)
                               .ok());
               const uint64_t da = bbox_accepts->value() - a0;
               const uint64_t dr = bbox_rejects->value() - r0;

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -119,8 +118,9 @@ TEST(QueryExecutorTest, OneThreadMatchesSerialExactly) {
 
   fx.DropCaches();
   exec::QueryExecutor executor(1);
-  std::vector<exec::BatchItemResult> parallel;
-  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, &parallel).ok());
+  exec::BatchResult run;
+  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &run).ok());
+  std::vector<exec::BatchItemResult> parallel = std::move(run.items);
 
   ASSERT_EQ(parallel.size(), serial.size());
   for (size_t i = 0; i < serial.size(); ++i) {
@@ -148,8 +148,9 @@ TEST(QueryExecutorTest, MultiThreadMatchesSerialResults) {
   for (size_t threads : {2u, 4u, 8u}) {
     exec::QueryExecutor executor(threads);
     EXPECT_EQ(executor.thread_count(), threads);
-    std::vector<exec::BatchItemResult> parallel;
-    ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, &parallel).ok());
+    exec::BatchResult run;
+    ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &run).ok());
+    std::vector<exec::BatchItemResult> parallel = std::move(run.items);
     ASSERT_EQ(parallel.size(), serial.size());
     for (size_t i = 0; i < serial.size(); ++i) {
       ASSERT_TRUE(parallel[i].status.ok());
@@ -169,8 +170,8 @@ TEST(QueryExecutorTest, ExecutorOutlivesBatchesAndPagersRecover) {
   exec::QueryExecutor executor(4);
   for (int round = 0; round < 3; ++round) {
     std::vector<exec::BatchQuery> batch = fx.MakeBatch(8);
-    std::vector<exec::BatchItemResult> results;
-    ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, &results).ok());
+    exec::BatchResult run;
+    ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &run).ok());
     // The pagers must be back in exclusive mode between batches...
     EXPECT_FALSE(fx.idx_pager->concurrent_reads_active());
     EXPECT_FALSE(fx.rel_pager->concurrent_reads_active());
@@ -194,9 +195,10 @@ TEST(QueryExecutorTest, PerItemErrorContainment) {
   }
 
   exec::QueryExecutor executor(4);
-  std::vector<exec::BatchItemResult> results;
+  exec::BatchResult run;
   // The batch as a whole succeeds — failures are per item.
-  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, &results).ok());
+  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &run).ok());
+  std::vector<exec::BatchItemResult> results = std::move(run.items);
   ASSERT_EQ(results.size(), batch.size());
   for (size_t i = 0; i < results.size(); ++i) {
     if (i % 3 == 0) {
@@ -364,8 +366,8 @@ TEST(QueryExecutorTest, PartialModeSwitchRollsBack) {
     // pinned one lands on, no pager may be left in concurrent mode.
     Result<PageRef> pin = fx.rel_pager->Fetch(fx.relation->root_page());
     ASSERT_TRUE(pin.ok());
-    std::vector<exec::BatchItemResult> results;
-    Status st = executor.RunBatch(fx.index.get(), batch, &results);
+    exec::BatchResult run;
+    Status st = executor.RunBatch(fx.index.get(), batch, {}, &run);
     EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
     EXPECT_FALSE(fx.rel_pager->concurrent_reads_active());
     EXPECT_FALSE(fx.idx_pager->concurrent_reads_active());
@@ -381,8 +383,9 @@ TEST(QueryExecutorTest, PartialModeSwitchRollsBack) {
   ASSERT_TRUE(fx.idx_pager->Flush().ok());
 
   // ...and with the pin gone the same batch runs clean.
-  std::vector<exec::BatchItemResult> results;
-  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, &results).ok());
+  exec::BatchResult run;
+  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &run).ok());
+  std::vector<exec::BatchItemResult> results = std::move(run.items);
   EXPECT_TRUE(exec::FirstError(results).ok());
 }
 
@@ -404,7 +407,6 @@ TEST(QueryExecutorTest, AdmissionCapacityShedsBeyondBound) {
 
   ASSERT_EQ(out.items.size(), batch.size());
   EXPECT_EQ(out.shed, 6u);
-  EXPECT_EQ(out.degraded, 0u);
   EXPECT_EQ(shed_counter->value() - shed_before, 6u);
   size_t completed = 0;
   for (size_t i = 0; i < out.items.size(); ++i) {
@@ -419,68 +421,6 @@ TEST(QueryExecutorTest, AdmissionCapacityShedsBeyondBound) {
   }
   // The bench-artifact invariant: every submitted query is accounted for.
   EXPECT_EQ(out.shed + completed, batch.size());
-}
-
-// Returns a scripted sequence of instants, one per NowNanos() call (the
-// last value repeats). With one worker thread the executor's clock reads
-// are totally ordered, so the script dictates each query's queue wait.
-class StepClock final : public Clock {
- public:
-  explicit StepClock(std::vector<uint64_t> values)
-      : values_(std::move(values)) {}
-  uint64_t NowNanos() override {
-    size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    return values_[std::min(i, values_.size() - 1)];
-  }
-  void SleepNanos(uint64_t) override {}
-
- private:
-  std::vector<uint64_t> values_;
-  std::atomic<size_t> next_{0};
-};
-
-TEST(QueryExecutorTest, QueueWaitLadderDegradesThenSheds) {
-  ExecFixture fx(510);
-  std::vector<exec::BatchQuery> batch = fx.MakeBatch(5);
-  exec::QueryExecutor executor(1);  // Deterministic pickup order.
-
-  // Call order: submit, then per served item pickup + completion, per shed
-  // item pickup only. Query 0 waits 0 (normal), query 1 waits 150
-  // (degrade rung), queries 2-4 wait 350 (shed rung).
-  StepClock clock({0, 0, 10, 150, 160, 350});
-  exec::BatchObservability bobs;
-  bobs.record_latency = true;
-  bobs.clock = &clock;
-  bobs.trace_sample_every = 1;  // Trace everything — unless degraded.
-  bobs.overload.degrade_queue_wait_ns = 100;
-  bobs.overload.shed_queue_wait_ns = 300;
-
-  exec::BatchResult out;
-  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, bobs, &out).ok());
-  ASSERT_EQ(out.items.size(), batch.size());
-  EXPECT_EQ(out.degraded, 1u);
-  EXPECT_EQ(out.shed, 3u);
-
-  // Query 0: under every threshold — served with its trace profile.
-  ASSERT_TRUE(out.items[0].status.ok());
-  EXPECT_NE(out.items[0].profile, nullptr);
-  // Query 1: degraded — served correctly, but the profile was the first
-  // cost dropped.
-  ASSERT_TRUE(out.items[1].status.ok());
-  EXPECT_EQ(out.items[1].profile, nullptr);
-  EXPECT_EQ(out.items[1].ids, fx.Truth(batch[1].type, batch[1].query));
-  // Queries 2-4: shed — kUnavailable, never executed.
-  for (size_t i = 2; i < out.items.size(); ++i) {
-    EXPECT_TRUE(out.items[i].status.IsUnavailable()) << "query " << i;
-    EXPECT_EQ(out.items[i].profile, nullptr);
-    EXPECT_TRUE(out.items[i].ids.empty());
-  }
-  // Shed queries record queue wait but no service time; the two served
-  // ones record both.
-  EXPECT_EQ(out.queue_wait.count, 5u);
-  EXPECT_EQ(out.service.count, 2u);
-  EXPECT_EQ(out.sampled_traces, 1u);
-  EXPECT_EQ(out.balanced_traces, 1u);
 }
 
 TEST(QueryExecutorTest, DatabaseSelectBatchMatchesSelectLoop) {

@@ -89,10 +89,11 @@ TEST(ExecObsTest, LatencyIsRecordedExactlyOncePerQuery) {
   ObsFixture fx;
   std::vector<exec::BatchQuery> batch = fx.MakeBatch(32);
 
-  // Uninstrumented reference results.
+  // Reference results with observability left at its defaults.
   exec::QueryExecutor executor(4);
-  std::vector<exec::BatchItemResult> plain;
-  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, &plain).ok());
+  exec::BatchResult plain_run;
+  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &plain_run).ok());
+  std::vector<exec::BatchItemResult> plain = std::move(plain_run.items);
 
   obs::MetricsRegistry& registry = obs::GlobalMetrics();
   const bool was_enabled = registry.enabled();

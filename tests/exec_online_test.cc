@@ -126,8 +126,9 @@ TEST(ExecOnlineTest, FailedItemsStillBalanceGlobalAccounting) {
   }
 
   exec::QueryExecutor executor(kThreads);
-  std::vector<exec::BatchItemResult> results;
-  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, &results).ok());
+  exec::BatchResult run;
+  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &run).ok());
+  std::vector<exec::BatchItemResult> results = std::move(run.items);
 
   size_t corrupted = 0;
   for (const exec::BatchItemResult& r : results) {
@@ -189,10 +190,11 @@ TEST(ExecOnlineTest, ConcurrentWriterIngestIsLinearizable) {
   };
 
   exec::QueryExecutor executor(kThreads);
-  std::vector<exec::BatchItemResult> results;
+  exec::BatchResult run;
   ASSERT_TRUE(
-      executor.RunBatchWithWriter(fx.index.get(), batch, &results, writer)
+      executor.RunBatchWithWriter(fx.index.get(), batch, {}, &run, writer)
           .ok());
+  std::vector<exec::BatchItemResult> results = std::move(run.items);
   ASSERT_EQ(inserted, kInserts);
   ASSERT_TRUE(exec::FirstError(results).ok())
       << exec::FirstError(results).ToString();
@@ -265,9 +267,10 @@ TEST(ExecOnlineTest, WriterCapacityAndDeleteGuards) {
   };
 
   exec::QueryExecutor executor(kThreads);
-  std::vector<exec::BatchItemResult> results;
-  Status st = executor.RunBatchWithWriter(fx.index.get(), batch, &results,
+  exec::BatchResult run;
+  Status st = executor.RunBatchWithWriter(fx.index.get(), batch, {}, &run,
                                           writer);
+  std::vector<exec::BatchItemResult> results = std::move(run.items);
   // The writer's error is the batch's error; the queries themselves ran.
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_TRUE(saw_capacity.IsInvalidArgument());
@@ -299,8 +302,9 @@ TEST(ExecOnlineTest, ConcurrentBoxedRefinementMatchesTruthAndBalances) {
 
   exec::QueryExecutor executor(kThreads);
   for (int round = 0; round < 4; ++round) {
-    std::vector<exec::BatchItemResult> results;
-    ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, &results).ok());
+    exec::BatchResult run;
+    ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &run).ok());
+    std::vector<exec::BatchItemResult> results = std::move(run.items);
     for (size_t i = 0; i < results.size(); ++i) {
       ASSERT_TRUE(results[i].status.ok()) << results[i].status.ToString();
       EXPECT_EQ(results[i].ids, truth[i]) << "round " << round << " query "
@@ -365,10 +369,11 @@ TEST(ExecOnlineTest, BboxSidecarLiveAppendsNeverServeStaleBoxes) {
   };
 
   exec::QueryExecutor executor(kThreads);
-  std::vector<exec::BatchItemResult> results;
+  exec::BatchResult run;
   ASSERT_TRUE(
-      executor.RunBatchWithWriter(fx.index.get(), batch, &results, writer)
+      executor.RunBatchWithWriter(fx.index.get(), batch, {}, &run, writer)
           .ok());
+  std::vector<exec::BatchItemResult> results = std::move(run.items);
   ASSERT_EQ(inserted, kInserts);
   ASSERT_TRUE(exec::FirstError(results).ok())
       << exec::FirstError(results).ToString();

@@ -114,8 +114,9 @@ TEST(ExecStressTest, EightThreadsMatchSerialAndNaive) {
   std::vector<exec::BatchQuery> batch = MakeStressBatch();
 
   exec::QueryExecutor executor(kThreads);
-  std::vector<exec::BatchItemResult> parallel;
-  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, &parallel).ok());
+  exec::BatchResult run;
+  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &run).ok());
+  std::vector<exec::BatchItemResult> parallel = std::move(run.items);
   ASSERT_EQ(parallel.size(), batch.size());
 
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -138,9 +139,9 @@ TEST(ExecStressTest, ParallelCandidateSupersetsMatchSerialProofs) {
 
   // Raw (unrefined) candidates through the no-refine index, in parallel.
   exec::QueryExecutor executor(kThreads);
-  std::vector<exec::BatchItemResult> raw_parallel;
-  ASSERT_TRUE(
-      executor.RunBatch(fx.raw_index.get(), batch, &raw_parallel).ok());
+  exec::BatchResult run;
+  ASSERT_TRUE(executor.RunBatch(fx.raw_index.get(), batch, {}, &run).ok());
+  std::vector<exec::BatchItemResult> raw_parallel = std::move(run.items);
 
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(raw_parallel[i].status.ok());
@@ -181,10 +182,11 @@ TEST(ExecStressTest, CorruptionIsContainedAndRecoverable) {
   }
 
   exec::QueryExecutor executor(kThreads);
-  std::vector<exec::BatchItemResult> results;
+  exec::BatchResult run;
   // The batch completes: no deadlock, no lost queries, and the batch-level
   // status is OK because failures are per item.
-  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, &results).ok());
+  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &run).ok());
+  std::vector<exec::BatchItemResult> results = std::move(run.items);
   ASSERT_EQ(results.size(), batch.size());
 
   size_t corrupted = 0;
@@ -209,8 +211,9 @@ TEST(ExecStressTest, CorruptionIsContainedAndRecoverable) {
     ASSERT_TRUE(fx.rel_file->WriteBlock(b, originals[b - 1].data()).ok());
   }
   ASSERT_TRUE(fx.rel_pager->DropCache().ok());
-  std::vector<exec::BatchItemResult> healed;
-  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, &healed).ok());
+  exec::BatchResult healed_run;
+  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &healed_run).ok());
+  std::vector<exec::BatchItemResult> healed = std::move(healed_run.items);
   for (size_t i = 0; i < healed.size(); ++i) {
     ASSERT_TRUE(healed[i].status.ok()) << healed[i].status.ToString();
     EXPECT_EQ(healed[i].ids, fx.Truth(batch[i].type, batch[i].query));

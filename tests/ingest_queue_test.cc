@@ -534,11 +534,12 @@ TEST(IngestQueueTest, QueriesRacingGroupPublishesAreLinearizable) {
   });
 
   exec::QueryExecutor executor(kThreads);
-  std::vector<exec::BatchItemResult> results;
+  exec::BatchResult run;
   ASSERT_TRUE(executor
-                  .RunBatchWithWriter(index.get(), batch, &results,
+                  .RunBatchWithWriter(index.get(), batch, {}, &run,
                                       [&] { return queue.RunWriter(); })
                   .ok());
+  std::vector<exec::BatchItemResult> results = std::move(run.items);
   closer.join();
 
   for (std::vector<IngestHandle>& hs : handles) {

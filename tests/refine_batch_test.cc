@@ -3,10 +3,10 @@
 // to the naive evaluator across ALL/EXIST and both comparison senses
 // (bounded and unbounded tuples), and its booking must be derivable from
 // the candidate set and NaiveSelect truth alone; FilterCounts partitions
-// must balance — including the abandoned bucket when a deadline or
-// cancellation fires at page granularity; refine-off queries must return
-// proven candidate supersets; injected tuple-read faults must surface as
-// per-item kUnavailable with no leaked pins.
+// must balance — including the abandoned bucket when a read fault stops a
+// query part-way; refine-off queries must return proven candidate
+// supersets; injected tuple-read faults must surface as per-item
+// kUnavailable with no leaked pins.
 
 #include "constraint/refine_batch.h"
 
@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/query_context.h"
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
 #include "dualindex/dual_index.h"
@@ -210,8 +209,8 @@ TEST(RefineBatchTest, DirectRefinerBooksPartitionsAndSkipsBoxDecided) {
     const uint64_t lp_before = lp->value();
     const uint64_t accepts_before = bbox_accepts->value();
     const uint64_t rejects_before = bbox_rejects->value();
-    ASSERT_TRUE(RefineBatch2D(*fx.relation, c.type, c.q, lp, /*ctx=*/nullptr,
-                              &kept, &filter, &false_hits)
+    ASSERT_TRUE(RefineBatch2D(*fx.relation, c.type, c.q, lp, &kept, &filter,
+                              &false_hits)
                     .ok());
     const uint64_t lp_calls = lp->value() - lp_before;
     const uint64_t box_accepts = bbox_accepts->value() - accepts_before;
@@ -277,80 +276,6 @@ TEST(RefineBatchTest, RefineOffReturnsProvenSuperset) {
   }
 }
 
-// --- Deadline / cancellation accounting --------------------------------------
-
-// Advances one nanosecond per reading, so deadline_ns = j fires at exactly
-// the j-th context check (same driver as query_cancel_test).
-class TickingClock final : public Clock {
- public:
-  uint64_t NowNanos() override { return ++now_; }
-  void SleepNanos(uint64_t ns) override { now_ += ns; }
-
- private:
-  uint64_t now_ = 0;
-};
-
-TEST(RefineBatchTest, BatchedDeadlineAtEveryCheckpointKeepsBalance) {
-  RefineFixture fx;
-  HalfPlaneQuery q(0.37, 5.0, Cmp::kGE);
-
-  int aborted = 0;
-  bool saw_partial_refine = false;
-  for (uint64_t j = 1; j < 100000; ++j) {
-    TickingClock clock;
-    QueryContext ctx;
-    ctx.deadline_ns = j;
-    ctx.clock = &clock;
-    QueryStats stats;
-    Status st = fx.index
-                    ->Select(SelectionType::kAll, q, QueryMethod::kT1,
-                             &stats, /*profile=*/nullptr, &ctx)
-                    .status();
-    EXPECT_TRUE(stats.filter.Balances())
-        << "deadline at check " << j << ": " << st.ToString();
-    fx.CheckClean();
-    if (st.ok()) {
-      EXPECT_EQ(stats.filter.abandoned, 0u);
-      break;
-    }
-    EXPECT_TRUE(st.IsDeadlineExceeded()) << st.ToString();
-    ++aborted;
-    // A deadline inside the page-clustered refine loop leaves processed
-    // candidates in their buckets and the unprocessed tail abandoned.
-    if (stats.filter.abandoned > 0 &&
-        stats.filter.early_accepts + stats.filter.refine_accepts +
-                stats.filter.refine_rejects >
-            0) {
-      saw_partial_refine = true;
-      EXPECT_EQ(stats.filter.candidates,
-                stats.filter.dedup_dropped + stats.filter.early_accepts +
-                    stats.filter.refine_accepts +
-                    stats.filter.refine_rejects + stats.filter.abandoned);
-    }
-  }
-  EXPECT_GT(aborted, 0) << "query too short to hit a checkpoint";
-  EXPECT_TRUE(saw_partial_refine)
-      << "no deadline landed between two refinement pages";
-}
-
-TEST(RefineBatchTest, PreCancelledTokenAbandonsWholeBatch) {
-  RefineFixture fx;
-  CancelToken token;
-  token.Cancel();
-  QueryContext ctx;
-  ctx.cancel = &token;
-
-  QueryStats stats;
-  Result<std::vector<TupleId>> r =
-      fx.index->Select(SelectionType::kExist,
-                       HalfPlaneQuery(0.37, 5.0, Cmp::kGE), QueryMethod::kT2,
-                       &stats, /*profile=*/nullptr, &ctx);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
-  EXPECT_TRUE(stats.filter.Balances());
-  fx.CheckClean();
-}
-
 // --- Fault-injected tuple reads (chaos) --------------------------------------
 
 // Relation + index on FaultInjectionFile-backed pagers sharing one plan,
@@ -363,6 +288,9 @@ struct FaultRig {
   std::unique_ptr<Pager> idx_pager;
   std::unique_ptr<Relation> relation;
   std::unique_ptr<DualIndex> index;
+  // Items of RunBatch that failed after refining some candidates and
+  // booked the rest as abandoned.
+  uint64_t partial_refines = 0;
 
   explicit FaultRig(int max_read_attempts) {
     PagerOptions opts;
@@ -421,6 +349,10 @@ struct FaultRig {
       EXPECT_TRUE(stats.filter.Balances());
       EXPECT_EQ(rel_pager->pinned_frame_count(), 0u);
       EXPECT_EQ(idx_pager->pinned_frame_count(), 0u);
+      if (stats.filter.abandoned > 0 &&
+          stats.filter.refine_accepts + stats.filter.refine_rejects > 0) {
+        ++partial_refines;
+      }
     }
     return out;
   }
@@ -470,6 +402,10 @@ TEST(RefineBatchTest, TransientTupleReadFaultAtEveryIndexDegradesCleanly) {
     EXPECT_EQ(rig.RunBatchResults(), truth) << "after fault at read " << k;
   }
   EXPECT_GT(faulted_items, 0u);
+  // Some fault must land between two refinement pages: the candidates
+  // already refined stay in their buckets, the untested tail is abandoned.
+  EXPECT_GT(rig.partial_refines, 0u)
+      << "no fault stopped a query part-way through refinement";
 }
 
 TEST(RefineBatchTest, TransientTupleReadSweepIsCleanWithOneRetry) {

@@ -29,27 +29,18 @@ TEST(StatusTest, EachFactoryMapsToItsPredicate) {
   EXPECT_TRUE(Status::OutOfRange("x").IsOutOfRange());
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
   EXPECT_TRUE(Status::Unavailable("x").IsUnavailable());
-  EXPECT_TRUE(Status::DeadlineExceeded("x").IsDeadlineExceeded());
-  EXPECT_TRUE(Status::Cancelled("x").IsCancelled());
 }
 
 TEST(StatusTest, ServingCodesStringify) {
   EXPECT_EQ(Status::Unavailable("flaky disk").ToString(),
             "Unavailable: flaky disk");
-  EXPECT_EQ(Status::DeadlineExceeded("5ms").ToString(),
-            "DeadlineExceeded: 5ms");
-  EXPECT_EQ(Status::Cancelled("caller gone").ToString(),
-            "Cancelled: caller gone");
 }
 
 TEST(StatusTest, OnlyUnavailableIsTransient) {
   EXPECT_TRUE(Status::Unavailable("x").IsTransient());
-  // Everything else — including the other serving codes — must not be
-  // retried: deadlines and cancellations are final for the query, and
-  // IOError/Corruption signal real damage.
+  // Everything else must not be retried: IOError/Corruption signal real
+  // damage.
   EXPECT_FALSE(Status::OK().IsTransient());
-  EXPECT_FALSE(Status::DeadlineExceeded("x").IsTransient());
-  EXPECT_FALSE(Status::Cancelled("x").IsTransient());
   EXPECT_FALSE(Status::IOError("x").IsTransient());
   EXPECT_FALSE(Status::Corruption("x").IsTransient());
 }
