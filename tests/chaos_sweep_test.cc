@@ -215,6 +215,48 @@ TEST(ChaosSweepTest, ServeSweepIsCleanWithOneRetry) {
   EXPECT_EQ(rel.read_exhausted + idx.read_exhausted, 0u);
 }
 
+TEST(QueryCancelTest, DualIndexAbandonedCountsPartialRefine) {
+  // A 2-d T1 query stopped by a failed read between two refinement
+  // candidates keeps the candidates it already refined in their buckets
+  // and books the untested tail as abandoned.
+  ChaosRig rig(/*max_read_attempts=*/1);
+  const HalfPlaneQuery q(0.37, 5.0, Cmp::kGE);
+  rig.DropCaches();
+  QueryStats full;
+  ASSERT_TRUE(
+      rig.index->Select(SelectionType::kAll, q, QueryMethod::kT1, &full).ok());
+  ASSERT_GT(full.filter.refine_accepts + full.filter.refine_rejects, 2u)
+      << "workload produced no refinement to interrupt";
+  rig.DropCaches();
+  const uint64_t reads_before = rig.reads_seen();
+  ASSERT_TRUE(rig.index->Select(SelectionType::kAll, q, QueryMethod::kT1).ok());
+  const uint64_t total_reads = rig.reads_seen() - reads_before;
+
+  bool saw_partial = false;
+  for (uint64_t k = 0; k < total_reads && !saw_partial; ++k) {
+    rig.DropCaches();
+    rig.plan->ArmTransientReads(static_cast<int64_t>(k), /*k=*/1);
+    QueryStats stats;
+    Status st = rig.index->Select(SelectionType::kAll, q, QueryMethod::kT1,
+                                  &stats)
+                    .status();
+    rig.plan->DisarmTransient();
+    ASSERT_FALSE(st.ok()) << "fault at read " << k << " did not surface";
+    EXPECT_TRUE(st.IsUnavailable()) << "k=" << k << ": " << st.ToString();
+    if (stats.filter.abandoned > 0 &&
+        stats.filter.refine_accepts + stats.filter.refine_rejects > 0) {
+      saw_partial = true;
+      EXPECT_TRUE(stats.filter.Balances());
+      EXPECT_EQ(stats.filter.candidates,
+                stats.filter.dedup_dropped + stats.filter.early_accepts +
+                    stats.filter.refine_accepts +
+                    stats.filter.refine_rejects + stats.filter.abandoned);
+    }
+  }
+  EXPECT_TRUE(saw_partial)
+      << "no read fault landed between two refinement candidates";
+}
+
 TEST(ChaosSweepTest, BuildTransientWriteFaultAtEveryIndexFailsCleanly) {
   // Dry run: count the writes a clean load issues.
   uint64_t total_writes = 0;
