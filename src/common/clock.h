@@ -1,9 +1,9 @@
 // Pluggable monotonic clock, shared by every layer from storage up.
 //
-// Everything that reads wall time or waits — the pager's fsync, publish
-// drain, shard-lock and retry-backoff timers, Tracer's per-span wall_ms,
-// the executor's service/queue-wait timers, the ingest lane's commit
-// wait, flight-recorder timestamps — takes a Clock* (null resolves to
+// Everything that reads wall time — the pager's fsync, publish drain and
+// shard-lock timers, Tracer's per-span wall_ms, the executor's
+// service/queue-wait timers, the ingest lane's commit wait,
+// flight-recorder timestamps — takes a Clock* (null resolves to
 // DefaultClock()), so tests substitute a ManualClock and make timing
 // assertions exact instead of sleeping and hoping. Header-only, so
 // cdb_common users take the interface without a link dependency.
@@ -14,7 +14,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
 namespace cdb {
 
@@ -24,9 +23,6 @@ class Clock {
  public:
   virtual ~Clock() = default;
   virtual uint64_t NowNanos() = 0;
-  /// Lets `ns` nanoseconds pass on this clock (a real sleep on the steady
-  /// clock; an instant advance on a ManualClock).
-  virtual void SleepNanos(uint64_t ns) = 0;
 };
 
 /// The real clock: std::chrono::steady_clock.
@@ -38,9 +34,6 @@ class SteadyClock final : public Clock {
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
   }
-  void SleepNanos(uint64_t ns) override {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-  }
 };
 
 /// Process-wide SteadyClock — what a null Clock* resolves to.
@@ -49,9 +42,8 @@ inline Clock* DefaultClock() {
   return &clock;
 }
 
-/// Test clock: time moves only when the test says so (or when code under
-/// test sleeps on it). Atomic, so executor workers and pager readers may
-/// advance it from inside jobs.
+/// Test clock: time moves only when the test says so. Atomic, so executor
+/// workers and pager readers may advance it from inside jobs.
 class ManualClock final : public Clock {
  public:
   explicit ManualClock(uint64_t start_ns = 0) : now_ns_(start_ns) {}
@@ -59,7 +51,6 @@ class ManualClock final : public Clock {
   uint64_t NowNanos() override {
     return now_ns_.load(std::memory_order_relaxed);
   }
-  void SleepNanos(uint64_t ns) override { AdvanceNanos(ns); }
   void AdvanceNanos(uint64_t ns) {
     now_ns_.fetch_add(ns, std::memory_order_relaxed);
   }

@@ -21,7 +21,7 @@ enum class StatusCode {
   kNotSupported,
   kOutOfRange,
   kInternal,
-  kUnavailable,  // transient failure; safe to retry (see IsTransient()).
+  kUnavailable,  // transient failure; the caller may try again.
 };
 
 /// Outcome of a fallible operation: an error code plus a human-readable
@@ -67,11 +67,6 @@ class Status {
   bool IsNotSupported() const { return code_ == StatusCode::kNotSupported; }
   bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
-
-  /// True for failures that a bounded retry may cure (the operation did not
-  /// corrupt state and the fault is expected to clear). Only kUnavailable
-  /// qualifies: kIOError/kCorruption are persistent.
-  bool IsTransient() const { return code_ == StatusCode::kUnavailable; }
 
   StatusCode code() const { return code_; }
   const std::string& message() const { return msg_; }

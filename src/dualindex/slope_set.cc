@@ -12,8 +12,9 @@ namespace {
 
 // True when the closed hull [min, max] of the angle range avoids every odd
 // multiple of pi/2 (where tan is undefined). Endpoint-inclusive on purpose:
-// UniformInAngle evaluates tan at both boundary angles.
-bool AngleRangeValid(double angle_lo, double angle_hi) {
+// UniformInAngle evaluates tan at both boundary angles. Only its debug
+// assert calls it.
+[[maybe_unused]] bool AngleRangeValid(double angle_lo, double angle_hi) {
   if (!std::isfinite(angle_lo) || !std::isfinite(angle_hi)) return false;
   const double lo = std::min(angle_lo, angle_hi);
   const double hi = std::max(angle_lo, angle_hi);
@@ -48,19 +49,6 @@ SlopeSet SlopeSet::UniformInAngle(size_t k, double angle_lo, double angle_hi) {
     slopes.push_back(std::tan(angle));
   }
   return SlopeSet(std::move(slopes));
-}
-
-Result<SlopeSet> SlopeSet::UniformInAngleChecked(size_t k, double angle_lo,
-                                                 double angle_hi) {
-  if (k == 0) {
-    return Status::InvalidArgument("slope set needs at least one slope");
-  }
-  if (!AngleRangeValid(angle_lo, angle_hi)) {
-    return Status::InvalidArgument(
-        "angle range must be finite and avoid odd multiples of pi/2 "
-        "(vertical direction; tan is undefined)");
-  }
-  return UniformInAngle(k, angle_lo, angle_hi);
 }
 
 SlopeLocation SlopeSet::Locate(double a) const {

@@ -7,8 +7,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/result.h"
-
 namespace cdb {
 
 /// Where a query slope falls relative to S.
@@ -37,15 +35,8 @@ class SlopeSet {
   /// Precondition (asserted in debug builds): k >= 1 and the closed hull
   /// [min, max] of the angle range contains no odd multiple of pi/2 —
   /// tan() is undefined there, and because the spacing is
-  /// endpoint-inclusive a boundary angle of pi/2 *is* evaluated. Use
-  /// UniformInAngleChecked when the range comes from untrusted input.
+  /// endpoint-inclusive a boundary angle of pi/2 *is* evaluated.
   static SlopeSet UniformInAngle(size_t k, double angle_lo, double angle_hi);
-
-  /// Validated twin of UniformInAngle: returns InvalidArgument instead of
-  /// asserting when k == 0, an angle is non-finite, or the angle range
-  /// touches an odd multiple of pi/2.
-  static Result<SlopeSet> UniformInAngleChecked(size_t k, double angle_lo,
-                                                double angle_hi);
 
   size_t size() const { return slopes_.size(); }
   double slope(size_t i) const { return slopes_[i]; }

@@ -39,9 +39,6 @@ struct Constraint2D {
     double r = Residual(p);
     return cmp == Cmp::kLE ? LessOrEq(r, 0.0, eps) : GreaterOrEq(r, 0.0, eps);
   }
-
-  /// True when the boundary line is vertical (no y component).
-  bool IsVertical() const { return ApproxZero(b); }
 };
 
 /// d-dimensional linear constraint: sum(a[i]*x[i]) + c θ 0.

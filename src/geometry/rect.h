@@ -32,8 +32,6 @@ struct Rect {
     return IsEmpty() ? 0.0 : (xhi - xlo) * (yhi - ylo);
   }
 
-  double Width() const { return IsEmpty() ? 0.0 : xhi - xlo; }
-  double Height() const { return IsEmpty() ? 0.0 : yhi - ylo; }
   Vec2 Center() const { return {(xlo + xhi) / 2, (ylo + yhi) / 2}; }
 
   bool Intersects(const Rect& o) const {

@@ -3,8 +3,6 @@
 #ifndef CDB_GEOMETRY_VEC_H_
 #define CDB_GEOMETRY_VEC_H_
 
-#include <cmath>
-
 namespace cdb {
 
 /// Point or direction in the plane.
@@ -23,7 +21,6 @@ struct Vec2 {
   /// z-component of the 3-D cross product; >0 when `o` is counter-clockwise
   /// from *this.
   double Cross(const Vec2& o) const { return x * o.y - y * o.x; }
-  double Norm() const { return std::sqrt(x * x + y * y); }
 };
 
 }  // namespace cdb

@@ -32,8 +32,6 @@ std::string_view EventTypeName(EventType type) {
       return "lane_poisoned";
     case EventType::kLaneClosed:
       return "lane_closed";
-    case EventType::kRetry:
-      return "retry";
     case EventType::kCorruption:
       return "corruption";
   }

@@ -54,7 +54,6 @@ enum class EventType : uint32_t {
   kGroupFailed,      ///< Group failed; a = group seq, b = status code.
   kLanePoisoned,     ///< Lane poisoned; a = group seq, b = status code.
   kLaneClosed,       ///< Close() observed by the writer.
-  kRetry,            ///< A transient fault was retried; a = attempt.
   kCorruption,       ///< Integrity failure observed; a = context id.
 };
 

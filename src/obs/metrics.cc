@@ -180,18 +180,6 @@ void ExportPagerMetrics(const Pager& pager, MetricsRegistry* registry,
   set("fsync.data_ns", static_cast<double>(c.data_fsync_ns));
   set("fsync.journal_count", static_cast<double>(c.journal_fsyncs));
   set("fsync.journal_ns", static_cast<double>(c.journal_fsync_ns));
-  // Transient-retry instrumentation (ISSUE 7); unconditional for the same
-  // reason. All zero unless the retry policy is enabled and a physical
-  // read actually failed.
-  const PagerRetryStats r = pager.retry_stats();
-  set("retry.read_retries", static_cast<double>(r.read_retries));
-  set("retry.read_recoveries", static_cast<double>(r.read_recoveries));
-  set("retry.read_exhausted", static_cast<double>(r.read_exhausted));
-  set("retry.backoff_waits", static_cast<double>(r.backoff_waits));
-  set("retry.backoff_wait_ns", static_cast<double>(r.backoff_wait_ns));
-  set("retry.crc_rereads", static_cast<double>(r.crc_rereads));
-  set("retry.crc_reread_recoveries",
-      static_cast<double>(r.crc_reread_recoveries));
 }
 
 }  // namespace obs

@@ -38,9 +38,10 @@ namespace cdb {
 ///
 ///  * Transient (FaultPlan's transient fields): models flaky I/O. After n
 ///    further successful reads (or writes), the next k calls fail with
-///    kUnavailable — a retryable error, unlike every other mode — then the
-///    window drains and calls succeed again. Chaos sweeps arm (n, 1) for
-///    every n in a workload's read sequence.
+///    kUnavailable — the transient code, where every other mode fails with
+///    kIOError — then the window drains and calls succeed again. The pager
+///    passes the code up from the one read it issues per miss. Chaos
+///    sweeps arm (n, 1) for every n in a workload's read sequence.
 ///
 /// Both plan modes live in one shared FaultPlan so a single plan — handed
 /// to several wrappers (data file + journal file) — indexes their combined

@@ -146,12 +146,6 @@ Pager::Pager(std::unique_ptr<BlockFile> file,
       checksums_(options.checksums),
       cache_frames_(options.cache_frames),
       clock_(options.clock != nullptr ? options.clock : DefaultClock()),
-      max_read_attempts_(options.max_read_attempts < 1
-                             ? 1
-                             : options.max_read_attempts),
-      retry_backoff_base_ns_(options.retry_backoff_base_ns),
-      retry_backoff_cap_ns_(options.retry_backoff_cap_ns),
-      reread_on_checksum_mismatch_(options.reread_on_checksum_mismatch),
       block_scratch_(options.page_size),
       journal_scratch_(JournalBlockSize(options.page_size)) {}
 
@@ -903,82 +897,10 @@ std::unique_lock<std::mutex> Pager::LockShard(Shard& shard) {
 }
 
 Status Pager::ReadBlockVerified(PageId id, char* block, IoStats* sink) {
-  // `page_reads` was already charged by the caller: one logical miss is one
-  // physical read in the paper's accounting, however many attempts the
-  // retry policy issues underneath (attempts are visible in retry_stats()).
-  bool failed_transiently = false;
-  bool crc_reread_done = false;
-  uint64_t backoff_ns = retry_backoff_base_ns_;
-  for (int attempt = 1;; ++attempt) {
-    Status st = file_->ReadBlock(id, block);
-    if (st.ok()) {
-      st = VerifyPageBlock(id, block, sink);
-      if (st.ok()) {
-        if (failed_transiently) {
-          rc_.read_recoveries.fetch_add(1, std::memory_order_relaxed);
-        }
-        return st;
-      }
-      if (st.IsCorruption() && reread_on_checksum_mismatch_ &&
-          !crc_reread_done) {
-        crc_reread_done = true;
-        // One re-read cures a fluked transfer; a second mismatch is rot.
-        // (Persistent mismatches therefore charge checksum_failures twice,
-        // once per verification — the miss still errors exactly once.)
-        // The re-read books only under crc_rereads, never read_retries:
-        // the block *read* succeeded, so this is not a transient I/O retry
-        // and must not look like one in the retry ledger (page_reads stays
-        // one per miss either way; tests/pager_retry_test.cc pins the
-        // exact split).
-        rc_.crc_rereads.fetch_add(1, std::memory_order_relaxed);
-        Status reread = file_->ReadBlock(id, block);
-        if (reread.ok()) {
-          reread = VerifyPageBlock(id, block, sink);
-          if (reread.ok()) {
-            rc_.crc_reread_recoveries.fetch_add(1,
-                                                std::memory_order_relaxed);
-            if (failed_transiently) {
-              rc_.read_recoveries.fetch_add(1, std::memory_order_relaxed);
-            }
-            return reread;
-          }
-        }
-        return reread;
-      }
-      return st;
-    }
-    if (!st.IsTransient() || attempt >= max_read_attempts_) {
-      if (st.IsTransient()) {
-        rc_.read_exhausted.fetch_add(1, std::memory_order_relaxed);
-      }
-      return st;
-    }
-    failed_transiently = true;
-    rc_.read_retries.fetch_add(1, std::memory_order_relaxed);
-    if (backoff_ns > 0) {
-      uint64_t wait = retry_backoff_cap_ns_ > 0
-                          ? std::min(backoff_ns, retry_backoff_cap_ns_)
-                          : backoff_ns;
-      rc_.backoff_waits.fetch_add(1, std::memory_order_relaxed);
-      rc_.backoff_wait_ns.fetch_add(wait, std::memory_order_relaxed);
-      clock_->SleepNanos(wait);
-      backoff_ns = backoff_ns > (UINT64_MAX >> 1) ? UINT64_MAX
-                                                  : backoff_ns << 1;
-    }
-  }
-}
-
-PagerRetryStats Pager::retry_stats() const {
-  PagerRetryStats s;
-  s.read_retries = rc_.read_retries.load(std::memory_order_relaxed);
-  s.read_recoveries = rc_.read_recoveries.load(std::memory_order_relaxed);
-  s.read_exhausted = rc_.read_exhausted.load(std::memory_order_relaxed);
-  s.backoff_waits = rc_.backoff_waits.load(std::memory_order_relaxed);
-  s.backoff_wait_ns = rc_.backoff_wait_ns.load(std::memory_order_relaxed);
-  s.crc_rereads = rc_.crc_rereads.load(std::memory_order_relaxed);
-  s.crc_reread_recoveries =
-      rc_.crc_reread_recoveries.load(std::memory_order_relaxed);
-  return s;
+  // `page_reads` was already charged by the caller: one miss is one
+  // physical read in the paper's accounting.
+  CDB_RETURN_IF_ERROR(file_->ReadBlock(id, block));
+  return VerifyPageBlock(id, block, sink);
 }
 
 PagerConcurrencyStats Pager::concurrency_stats() const {

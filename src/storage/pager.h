@@ -134,34 +134,12 @@ struct PagerOptions {
   /// every write. The mode is recorded in the meta page; a file must be
   /// reopened with the mode it was created with.
   bool checksums = true;
-
-  /// Transient-read retry policy (ISSUE 7; DESIGN.md §2g). Applies only to
-  /// the physical page reads behind Fetch() cache misses — open/recovery
-  /// reads are not retried (a flaky open should surface, not loop). With
-  /// the defaults every knob is off and the pager behaves exactly as
-  /// before; IoStats::page_reads stays "one per cache miss" either way
-  /// (retry attempts are tallied in PagerRetryStats instead), so paper
-  /// artifacts are unaffected.
-
-  /// Total read attempts per miss for errors with Status::IsTransient()
-  /// (kUnavailable). 1 = no retry. Non-transient errors never retry.
-  int max_read_attempts = 1;
-  /// Capped exponential backoff between attempts: wait
-  /// min(backoff_base_ns << attempt, backoff_cap_ns) nanoseconds. Base 0 =
-  /// no waiting (retry immediately).
-  uint64_t retry_backoff_base_ns = 0;
-  uint64_t retry_backoff_cap_ns = 0;
-  /// Clock behind every pager timer — fsyncs, journal fsyncs, publish
-  /// drains, shard-lock waits — and the retry backoff, which sleeps on it
-  /// (null = DefaultClock(), a real sleep). Tests pass a ManualClock:
-  /// backoff then advances it instead of sleeping, and the timers read
-  /// exactly what the test advanced. Shared with reader threads, so it
-  /// must be thread-safe (every cdb::Clock is). Not owned.
+  /// Clock behind every pager timer: fsyncs, journal fsyncs, publish
+  /// drains and shard-lock waits (null = DefaultClock()). Tests pass a
+  /// ManualClock so the timers read exactly what the test advanced.
+  /// Shared with reader threads, so it must be thread-safe (every
+  /// cdb::Clock is). Not owned.
   Clock* clock = nullptr;
-  /// Re-read a page once when its checksum fails before declaring
-  /// Corruption, curing one-shot bus/DMA flukes while keeping persistent
-  /// rot loud. Counted in PagerRetryStats::crc_rereads.
-  bool reread_on_checksum_mismatch = false;
 };
 
 /// Concurrency/pipeline instrumentation snapshot (ISSUE 5). Counters
@@ -192,29 +170,6 @@ struct PagerConcurrencyStats {
   bool any() const {
     return shard_lock_waits != 0 || publish_epochs != 0 || data_fsyncs != 0 ||
            journal_fsyncs != 0;
-  }
-};
-
-/// Transient-retry instrumentation snapshot (ISSUE 7). All counters are
-/// zero unless PagerOptions enabled retries / CRC re-reads and a physical
-/// read actually failed. Exported as `<prefix>.retry.*` gauges by
-/// obs::ExportPagerMetrics.
-struct PagerRetryStats {
-  /// Retry attempts issued (excludes each miss's first attempt).
-  uint64_t read_retries = 0;
-  /// Misses that failed transiently at least once but ultimately succeeded.
-  uint64_t read_recoveries = 0;
-  /// Misses that exhausted max_read_attempts and surfaced kUnavailable.
-  uint64_t read_exhausted = 0;
-  /// Backoff waits taken and their total scheduled nanoseconds.
-  uint64_t backoff_waits = 0;
-  uint64_t backoff_wait_ns = 0;
-  /// Checksum-mismatch re-reads, and how many of them verified clean.
-  uint64_t crc_rereads = 0;
-  uint64_t crc_reread_recoveries = 0;
-
-  bool any() const {
-    return read_retries != 0 || read_exhausted != 0 || crc_rereads != 0;
   }
 };
 
@@ -354,10 +309,6 @@ class Pager {
   /// PagerConcurrencyStats). Safe to call from any thread at any time.
   PagerConcurrencyStats concurrency_stats() const;
 
-  /// Snapshot of the transient-retry counters (see PagerRetryStats). Safe
-  /// to call from any thread at any time.
-  PagerRetryStats retry_stats() const;
-
   /// Shard-load imbalance of reader fetches since the last
   /// BeginConcurrentReads(): max(per-shard fetches) / mean(per-shard
   /// fetches), 1.0 = perfectly even, 0 when no reader fetched. The value
@@ -393,18 +344,6 @@ class Pager {
     // Reader fetches routed here since the last BeginConcurrentReads();
     // feeds ShardImbalance().
     std::atomic<uint64_t> fetches{0};
-  };
-
-  /// Atomic accumulators behind retry_stats(); same torn-view caveat as
-  /// ConcurrencyCounters below.
-  struct RetryCounters {
-    std::atomic<uint64_t> read_retries{0};
-    std::atomic<uint64_t> read_recoveries{0};
-    std::atomic<uint64_t> read_exhausted{0};
-    std::atomic<uint64_t> backoff_waits{0};
-    std::atomic<uint64_t> backoff_wait_ns{0};
-    std::atomic<uint64_t> crc_rereads{0};
-    std::atomic<uint64_t> crc_reread_recoveries{0};
   };
 
   /// Atomic accumulators behind concurrency_stats(); see that struct for
@@ -483,11 +422,10 @@ class Pager {
   // `sink` receives checksum_failures (the caller's IoStats: the pager-wide
   // accumulator in exclusive mode, the session's in concurrent-read mode).
   Status VerifyPageBlock(PageId id, const char* block, IoStats* sink);
-  // The one physical-read path behind Fetch() cache misses:
-  // ReadBlock + checksum verify, with the PagerOptions retry policy
-  // (transient retries with capped exponential backoff, one optional CRC
-  // re-read). Thread-safe; charges rc_, never `sink` beyond what a single
-  // verified read would.
+  // The one physical-read path behind Fetch() cache misses: one ReadBlock
+  // and one checksum verify. A transient read failure surfaces as
+  // kUnavailable and a mismatch as Corruption; nothing is retried.
+  // Thread-safe.
   Status ReadBlockVerified(PageId id, char* block, IoStats* sink);
 
   // Journal machinery (all no-ops when journal_ is null).
@@ -505,12 +443,6 @@ class Pager {
   bool checksums_;
   size_t cache_frames_;
   Clock* clock_;  // PagerOptions::clock, resolved; see there.
-  // Retry policy, copied from PagerOptions at Open (see there).
-  int max_read_attempts_;
-  uint64_t retry_backoff_base_ns_;
-  uint64_t retry_backoff_cap_ns_;
-  bool reread_on_checksum_mismatch_;
-  RetryCounters rc_;  // See retry_stats().
 
   PageId next_page_id_ = 1;  // Block 0 is the meta page.
   PageId free_head_ = kInvalidPageId;

@@ -2,9 +2,8 @@
 // operation index of a build and a serve batch, and assert the system
 // degrades exactly as specified — per-item kUnavailable statuses only,
 // never a crash, hang, or corruption; accounting invariants still
-// balance; the pager stays usable (a follow-up clean batch is all-OK);
-// and with retries enabled the same sweep completes with zero surfaced
-// errors. The d-dimensional index and the R+-tree baseline get the same
+// balance; and the pager stays usable (a follow-up clean batch is
+// all-OK). The d-dimensional index and the R+-tree baseline get the same
 // read-fault sweep, one query each, which also proves that a query stopped
 // part-way books its unprocessed candidates as filter.abandoned.
 
@@ -62,11 +61,10 @@ struct FaultPagers {
   std::unique_ptr<Pager> rel_pager;
   std::unique_ptr<Pager> idx_pager;
 
-  explicit FaultPagers(int max_read_attempts) {
+  FaultPagers() {
     PagerOptions opts;
     opts.page_size = 1024;
     opts.cache_frames = 64;
-    opts.max_read_attempts = max_read_attempts;
     auto make_pager = [&](FaultInjectionFile** fault_out) {
       auto fault = std::make_unique<FaultInjectionFile>(
           std::make_unique<MemFile>(opts.page_size), plan);
@@ -100,8 +98,7 @@ struct ChaosRig : FaultPagers {
 
   // `load` populates and builds (clean); set false to drive the build
   // yourself (the build-phase sweep arms faults first).
-  explicit ChaosRig(int max_read_attempts, bool load = true)
-      : FaultPagers(max_read_attempts) {
+  explicit ChaosRig(bool load = true) {
     if (load) {
       EXPECT_TRUE(Load().ok());
     }
@@ -151,7 +148,7 @@ struct ChaosRig : FaultPagers {
 };
 
 TEST(ChaosSweepTest, ServeTransientFaultAtEveryReadIndexWithoutRetries) {
-  ChaosRig rig(/*max_read_attempts=*/1);
+  ChaosRig rig;
 
   // Ground truth and the serve-phase read count, from a fault-free run.
   rig.DropCaches();
@@ -186,40 +183,11 @@ TEST(ChaosSweepTest, ServeTransientFaultAtEveryReadIndexWithoutRetries) {
   EXPECT_EQ(rig.plan->transient_faults(), total_reads);
 }
 
-TEST(ChaosSweepTest, ServeSweepIsCleanWithOneRetry) {
-  // Same sweep, retries on: every single-shot fault is absorbed by the
-  // retry budget, so the whole sweep is all-OK and the recoveries are
-  // visible in the pager's retry stats instead.
-  ChaosRig rig(/*max_read_attempts=*/2);
-
-  rig.DropCaches();
-  const std::vector<std::vector<TupleId>> truth = rig.RunBatchResults();
-  rig.DropCaches();
-  const uint64_t reads_before = rig.reads_seen();
-  rig.RunBatchResults();
-  const uint64_t total_reads = rig.reads_seen() - reads_before;
-
-  for (uint64_t k = 0; k < total_reads; ++k) {
-    rig.DropCaches();
-    rig.plan->ArmTransientReads(static_cast<int64_t>(k), /*k=*/1);
-    std::vector<Status> statuses = rig.RunBatch();
-    rig.plan->DisarmTransient();
-    for (const Status& st : statuses) {
-      EXPECT_TRUE(st.ok()) << "k=" << k << ": " << st.ToString();
-    }
-    EXPECT_EQ(rig.RunBatchResults(), truth);
-  }
-  const PagerRetryStats rel = rig.rel_pager->retry_stats();
-  const PagerRetryStats idx = rig.idx_pager->retry_stats();
-  EXPECT_EQ(rel.read_recoveries + idx.read_recoveries, total_reads);
-  EXPECT_EQ(rel.read_exhausted + idx.read_exhausted, 0u);
-}
-
 TEST(QueryCancelTest, DualIndexAbandonedCountsPartialRefine) {
   // A 2-d T1 query stopped by a failed read between two refinement
   // candidates keeps the candidates it already refined in their buckets
   // and books the untested tail as abandoned.
-  ChaosRig rig(/*max_read_attempts=*/1);
+  ChaosRig rig;
   const HalfPlaneQuery q(0.37, 5.0, Cmp::kGE);
   rig.DropCaches();
   QueryStats full;
@@ -261,7 +229,7 @@ TEST(ChaosSweepTest, BuildTransientWriteFaultAtEveryIndexFailsCleanly) {
   // Dry run: count the writes a clean load issues.
   uint64_t total_writes = 0;
   {
-    ChaosRig rig(/*max_read_attempts=*/1);
+    ChaosRig rig;
     total_writes = rig.rel_fault->writes_seen() + rig.idx_fault->writes_seen();
     ASSERT_GT(total_writes, 0u);
   }
@@ -274,7 +242,7 @@ TEST(ChaosSweepTest, BuildTransientWriteFaultAtEveryIndexFailsCleanly) {
   const uint64_t stride = std::max<uint64_t>(1, total_writes / 37);
   int aborted = 0;
   for (uint64_t k = 0; k < total_writes; k += stride) {
-    ChaosRig rig(/*max_read_attempts=*/1, /*load=*/false);
+    ChaosRig rig(/*load=*/false);
     rig.plan->ArmTransientWrites(static_cast<int64_t>(k), /*k=*/1);
     Status st = rig.Load();
     rig.plan->DisarmTransient();
@@ -288,15 +256,15 @@ TEST(ChaosSweepTest, BuildTransientWriteFaultAtEveryIndexFailsCleanly) {
   EXPECT_GT(aborted, 0);
 
   // And a fresh, fault-free rig still builds and serves.
-  ChaosRig rig(/*max_read_attempts=*/1);
+  ChaosRig rig;
   for (const Status& st : rig.RunBatch()) EXPECT_TRUE(st.ok());
 }
 
 // Runs `query` cold once per physical read of a clean cold run, with a
-// single transient fault armed at that read and no retries. Every failure
-// must be kUnavailable with balanced filter accounting and no pinned
-// frames; a clean run after each fault must reproduce the clean answer;
-// and some fault must stop the query part-way, with candidates booked as
+// single transient fault armed at that read. Every failure must be
+// kUnavailable with balanced filter accounting and no pinned frames; a
+// clean run after each fault must reproduce the clean answer; and some
+// fault must stop the query part-way, with candidates booked as
 // filter.abandoned.
 void SweepQueryReadFaults(
     FaultPagers* io,
@@ -335,7 +303,7 @@ void SweepQueryReadFaults(
                             << again.status().ToString();
     EXPECT_EQ(again.value(), truth.value()) << "after fault at read " << k;
   }
-  // Without retries every armed read surfaces as a failed query.
+  // Every armed read surfaces as a failed query.
   EXPECT_EQ(failed, total_reads);
   EXPECT_EQ(io->plan->transient_faults(), total_reads);
   EXPECT_GT(abandoned_runs, 0u)
@@ -343,7 +311,7 @@ void SweepQueryReadFaults(
 }
 
 TEST(ChaosSweepTest, DDimT1TransientFaultAtEveryReadIndex) {
-  FaultPagers io(/*max_read_attempts=*/1);
+  FaultPagers io;
   std::unique_ptr<RelationD> relation;
   ASSERT_TRUE(
       RelationD::Open(io.rel_pager.get(), 3, kInvalidPageId, &relation).ok());
@@ -371,7 +339,7 @@ TEST(ChaosSweepTest, DDimT1TransientFaultAtEveryReadIndex) {
 }
 
 TEST(ChaosSweepTest, RTreeTransientFaultAtEveryReadIndex) {
-  FaultPagers io(/*max_read_attempts=*/1);
+  FaultPagers io;
   std::unique_ptr<Relation> relation;
   ASSERT_TRUE(
       Relation::Open(io.rel_pager.get(), kInvalidPageId, &relation).ok());

@@ -53,7 +53,6 @@ class CountingClock final : public Clock {
     reads_.fetch_add(1, std::memory_order_acq_rel);
     return now_ns_.load(std::memory_order_acquire);
   }
-  void SleepNanos(uint64_t ns) override { AdvanceNanos(ns); }
   void AdvanceNanos(uint64_t ns) {
     now_ns_.fetch_add(ns, std::memory_order_acq_rel);
   }

@@ -292,11 +292,10 @@ struct FaultRig {
   // booked the rest as abandoned.
   uint64_t partial_refines = 0;
 
-  explicit FaultRig(int max_read_attempts) {
+  FaultRig() {
     PagerOptions opts;
     opts.page_size = 1024;
     opts.cache_frames = 64;
-    opts.max_read_attempts = max_read_attempts;
     auto make_pager = [&](FaultInjectionFile** fault_out) {
       auto fault = std::make_unique<FaultInjectionFile>(
           std::make_unique<MemFile>(opts.page_size), plan);
@@ -374,7 +373,7 @@ struct FaultRig {
 };
 
 TEST(RefineBatchTest, TransientTupleReadFaultAtEveryIndexDegradesCleanly) {
-  FaultRig rig(/*max_read_attempts=*/1);
+  FaultRig rig;
 
   rig.DropCaches();
   const std::vector<std::vector<TupleId>> truth = rig.RunBatchResults();
@@ -406,31 +405,6 @@ TEST(RefineBatchTest, TransientTupleReadFaultAtEveryIndexDegradesCleanly) {
   // already refined stay in their buckets, the untested tail is abandoned.
   EXPECT_GT(rig.partial_refines, 0u)
       << "no fault stopped a query part-way through refinement";
-}
-
-TEST(RefineBatchTest, TransientTupleReadSweepIsCleanWithOneRetry) {
-  FaultRig rig(/*max_read_attempts=*/2);
-
-  rig.DropCaches();
-  const std::vector<std::vector<TupleId>> truth = rig.RunBatchResults();
-  rig.DropCaches();
-  const uint64_t reads_before = rig.reads_seen();
-  for (Status& st : rig.RunBatch()) ASSERT_TRUE(st.ok());
-  const uint64_t total_reads = rig.reads_seen() - reads_before;
-
-  for (uint64_t k = 0; k < total_reads; ++k) {
-    rig.DropCaches();
-    rig.plan->ArmTransientReads(static_cast<int64_t>(k), /*k=*/1);
-    for (const Status& st : rig.RunBatch()) {
-      EXPECT_TRUE(st.ok()) << "k=" << k << ": " << st.ToString();
-    }
-    rig.plan->DisarmTransient();
-    EXPECT_EQ(rig.RunBatchResults(), truth);
-  }
-  const PagerRetryStats rel = rig.rel_pager->retry_stats();
-  const PagerRetryStats idx = rig.idx_pager->retry_stats();
-  EXPECT_EQ(rel.read_exhausted + idx.read_exhausted, 0u);
-  EXPECT_GT(rel.read_recoveries + idx.read_recoveries, 0u);
 }
 
 }  // namespace

@@ -36,15 +36,6 @@ TEST(StatusTest, ServingCodesStringify) {
             "Unavailable: flaky disk");
 }
 
-TEST(StatusTest, OnlyUnavailableIsTransient) {
-  EXPECT_TRUE(Status::Unavailable("x").IsTransient());
-  // Everything else must not be retried: IOError/Corruption signal real
-  // damage.
-  EXPECT_FALSE(Status::OK().IsTransient());
-  EXPECT_FALSE(Status::IOError("x").IsTransient());
-  EXPECT_FALSE(Status::Corruption("x").IsTransient());
-}
-
 Status FailsThrough() {
   CDB_RETURN_IF_ERROR(Status::IOError("inner"));
   return Status::OK();

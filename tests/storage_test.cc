@@ -507,6 +507,33 @@ TEST(PagerDurabilityTest, BitFlipInColdPageIsCorruption) {
   Result<PageRef> ref = pager->Fetch(id);
   EXPECT_TRUE(ref.status().IsCorruption()) << ref.status().ToString();
   EXPECT_EQ(pager->stats().checksum_failures, 1u);
+  EXPECT_EQ(pager->pinned_frame_count(), 0u);
+}
+
+TEST(PagerDurabilityTest, TransientReadFailsOnceAndChargesOneRead) {
+  auto plan = std::make_shared<FaultInjectionFile::FaultPlan>();
+  PagerOptions opts;
+  opts.page_size = 256;
+  opts.cache_frames = 4;
+  std::unique_ptr<Pager> pager;
+  ASSERT_TRUE(Pager::Open(std::make_unique<FaultInjectionFile>(
+                              std::make_unique<MemFile>(256), plan),
+                          opts, &pager)
+                  .ok());
+  Result<PageId> id = pager->Allocate();
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(pager->Flush().ok());
+  ASSERT_TRUE(pager->DropCache().ok());
+
+  // A miss is one physical read: the armed failure surfaces as the
+  // transient code, is charged once, and leaves no frame pinned.
+  const uint64_t reads_before = pager->stats().page_reads;
+  plan->ArmTransientReads(/*n=*/0, /*k=*/1);
+  EXPECT_TRUE(pager->Fetch(id.value()).status().IsUnavailable());
+  EXPECT_EQ(pager->stats().page_reads - reads_before, 1u);
+  EXPECT_EQ(pager->pinned_frame_count(), 0u);
+  // The window (k=1) was consumed by that one read.
+  EXPECT_TRUE(pager->Fetch(id.value()).ok());
 }
 
 TEST(PagerDurabilityTest, HeaderTamperingIsCorruption) {
