@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   const int kN = 2000;
   PrintTableHeader(
       "Per-query avg index page accesses (N=2000, sel ~10-15%)",
-      {"d", "|S|", "exact", "T1", "T1-cands", "T2", "scan-pages"});
+      {"d", "|S|", "exact", "T1", "T1-cands", "scan-pages"});
 
   for (size_t dim : {2u, 3u, 4u}) {
     PagerOptions popts;
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
 
     // Queries targeting ~10-15% selectivity: place the intercept at the
     // ~87.5% quantile of TOP values at a random in-hull slope point.
-    double exact_pages = 0, t1_pages = 0, t1_cands = 0, t2_pages = 0;
+    double exact_pages = 0, t1_pages = 0, t1_cands = 0;
     const int kQ = 8;
     for (int qi = 0; qi < kQ; ++qi) {
       // Exact query at a grid point.
@@ -95,12 +95,7 @@ int main(int argc, char** argv) {
       q.intercept = tops[static_cast<size_t>(0.875 * kN)] - 1e-6;
       if (!pager->DropCache().ok()) return 1;
       QueryStats stats;
-      if (!index
-               ->Select(SelectionType::kExist, q,
-                        DDimDualIndex::Method::kExactOnly, &stats)
-               .ok()) {
-        return 1;
-      }
+      if (!index->Select(SelectionType::kExist, q, &stats).ok()) return 1;
       exact_pages += static_cast<double>(stats.index_page_fetches);
 
       // T1 query at a random interior slope point.
@@ -116,26 +111,13 @@ int main(int argc, char** argv) {
       qa.intercept = tops[static_cast<size_t>(0.875 * kN)] - 1e-6;
       if (!pager->DropCache().ok()) return 1;
       Result<std::vector<TupleId>> r =
-          index->Select(SelectionType::kExist, qa, DDimDualIndex::Method::kT1,
-                        &stats);
+          index->Select(SelectionType::kExist, qa, &stats);
       if (!r.ok()) {
         std::fprintf(stderr, "T1 failed: %s\n", r.status().ToString().c_str());
         return 1;
       }
       t1_pages += static_cast<double>(stats.index_page_fetches);
       t1_cands += static_cast<double>(stats.candidates);
-
-      // T2 (real Voronoi-handicap search at d == 3; T1 fallback elsewhere).
-      if (!pager->DropCache().ok()) return 1;
-      QueryStats t2stats;
-      Result<std::vector<TupleId>> r2 = index->Select(
-          SelectionType::kExist, qa, DDimDualIndex::Method::kT2, &t2stats);
-      if (!r2.ok()) return 1;
-      if (r2.value() != r.value()) {
-        std::fprintf(stderr, "BUG: T1/T2 disagree\n");
-        return 1;
-      }
-      t2_pages += static_cast<double>(t2stats.index_page_fetches);
     }
     // A sequential scan touches every tuple page: with ~25-byte constraints
     // and 3-10 constraints per tuple, ~6 tuples fit a 1 KiB page.
@@ -146,18 +128,14 @@ int main(int argc, char** argv) {
     reporter.AddValue("ddim", params, "exact_fetches", exact_pages / kQ);
     reporter.AddValue("ddim", params, "t1_fetches", t1_pages / kQ);
     reporter.AddValue("ddim", params, "t1_candidates", t1_cands / kQ);
-    reporter.AddValue("ddim", params, "t2_fetches", t2_pages / kQ);
     reporter.AddValue("ddim", params, "scan_pages", scan_pages);
     PrintTableRow({std::to_string(dim), std::to_string(slopes.size()),
                    Fmt(exact_pages / kQ), Fmt(t1_pages / kQ),
-                   Fmt(t1_cands / kQ), Fmt(t2_pages / kQ),
-                   Fmt(scan_pages, 0)});
+                   Fmt(t1_cands / kQ), Fmt(scan_pages, 0)});
   }
   std::printf(
       "\nExpected shape: exact-query page accesses are flat in d (sweeps\n"
       "over single surface values); T1 grows only with the number of\n"
-      "app-queries (<= d), far below the scan baseline. The T2 column is\n"
-      "the Voronoi-handicap single-tree search at d = 3 (Section 4.4's\n"
-      "sketch); at d = 2 and d = 4 it reports the T1 fallback.\n");
+      "app-queries (<= d), far below the scan baseline.\n");
   return reporter.Write() ? 0 : 1;
 }

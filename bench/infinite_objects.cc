@@ -1,9 +1,10 @@
 // E13 — the paper's Section 1 motivation: constraint databases store
 // *infinite* objects, which rectangle-based structures cannot hold at all
 // (Figure 1 shows window-clipping is not even correct). This bench mixes
-// unbounded tuples into the relation at growing fractions and shows the
-// dual index's query cost stays ordinary — ±infinity keys are first-class.
-// There is no R+-tree column: it rejects the workload.
+// unbounded tuples into the relation at growing fractions: the dual index
+// stores and retrieves every one (±infinity keys are first-class), but T2's
+// cost does not stay flat. There is no R+-tree column: it rejects the
+// workload.
 
 #include <cstdio>
 
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
   // with the unbounded fraction.
   PrintTableHeader(
       "avg index page accesses per query (EXIST band shown; ALL 10-15%)",
-      {"unb-frac", "band", "EXIST", "ALL", "unb-in-results"});
+      {"unb-frac", "band", "EXIST", "ALL", "ALL-cands", "unb-hits"});
 
   for (double frac : {0.0, 0.1, 0.25, 0.5}) {
     PagerOptions popts;
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    double exist_pages = 0, all_pages = 0, unb_hits = 0;
+    double exist_pages = 0, all_pages = 0, all_cands = 0, unb_hits = 0;
     // Tuples unbounded along the query gradient match EXIST for every
     // intercept (selectivity floor rises with the fraction) and can never
     // match ALL (ceiling falls) — so the bands differ per type.
@@ -89,8 +90,9 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "select: %s\n", r.status().ToString().c_str());
           return 1;
         }
-        (type == SelectionType::kExist ? exist_pages : all_pages) +=
+        (exist ? exist_pages : all_pages) +=
             static_cast<double>(stats.index_page_fetches);
+        if (!exist) all_cands += static_cast<double>(stats.candidates);
         for (TupleId id : r.value()) {
           if (is_unbounded[id]) unb_hits += 1;
         }
@@ -100,17 +102,24 @@ int main(int argc, char** argv) {
                       exist_pages / kQ);
     reporter.AddValue("unbounded", {{"frac", frac}}, "all_fetches",
                       all_pages / kQ);
+    reporter.AddValue("unbounded", {{"frac", frac}}, "all_candidates",
+                      all_cands / kQ);
     reporter.AddValue("unbounded", {{"frac", frac}}, "unbounded_in_results",
                       unb_hits / (2 * kQ));
     PrintTableRow({Fmt(frac * 100, 0) + "%",
                    Fmt(exist_lo * 100, 0) + "-" + Fmt(exist_hi * 100, 0) +
                        "%",
                    Fmt(exist_pages / kQ), Fmt(all_pages / kQ),
+                   Fmt(all_cands / kQ),
                    Fmt(unb_hits / (2 * kQ))});
   }
   std::printf(
-      "\nExpected shape: cost stays flat as the unbounded fraction grows —\n"
-      "infinite extensions are just ±inf surface keys at the ends of the\n"
-      "B+-trees. (The R+-tree baseline rejects every unbounded tuple.)\n");
+      "\nMeasured shape: cost does not stay flat. From 10%% unbounded on,\n"
+      "ALL's index pages more than double and its candidates are all N\n"
+      "tuples, at the same 10-15%% band as the 0%% row: an unbounded\n"
+      "tuple's T2 assignment value is infinite, which pulls the second\n"
+      "sweep to the end of the tree. (EXIST's band itself rises with the\n"
+      "fraction.) Every unbounded tuple is still stored and retrievable;\n"
+      "the R+-tree baseline rejects every one.\n");
   return reporter.Write() ? 0 : 1;
 }

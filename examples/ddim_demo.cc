@@ -69,7 +69,7 @@ int main() {
     for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
       QueryStats stats;
       Result<std::vector<TupleId>> r =
-          index->Select(type, q, DDimDualIndex::Method::kT1, &stats);
+          index->Select(type, q, &stats);
       Check(r.status());
       std::printf(
           "%-5s slope=(%.2f, %.2f): %4zu jobs, %3llu index pages%s\n",

@@ -26,12 +26,13 @@ Per-key band overrides: --band 'PATTERN=F' (fnmatch, first match wins)
 where PATTERN is matched against "bench/label/key", "label/key", and
 "key". --band 'publish/p99_ms=1.0' allows publish p99 to double.
 
-metrics.counters are deterministic and diffed exactly; gauges and
+metrics.counters are deterministic and diffed exactly; gauge values and
 histograms are reporting surface, not gate surface, and are skipped.
 
-A measurement row or counter present in baseline but missing from the
-candidate fails the gate (coverage must not silently shrink); rows only
-in the candidate are reported as warnings (new coverage is fine).
+A measurement row, counter or gauge name present in baseline but missing
+from the candidate fails the gate (coverage must not silently shrink);
+names only in the candidate are reported as warnings (new coverage is
+fine).
 
 Exit status: 0 = gate passed, 1 = regression(s), 2 = usage/IO error.
 Stdlib only; `--self-test` runs under ctest as `bench_diff_selftest`.
@@ -225,9 +226,20 @@ class Gate:
         for name in sorted(set(cand) - set(base)):
             self.warnings.append(f"{bench}: candidate-only counter {name}")
 
+    def compare_gauge_names(self, bench, base_doc, cand_doc):
+        # Names only: gauge values are schedule- and machine-dependent.
+        base = (base_doc.get("metrics") or {}).get("gauges") or {}
+        cand = (cand_doc.get("metrics") or {}).get("gauges") or {}
+        for name in sorted(set(base) - set(cand)):
+            self.failures.append(
+                f"{bench}: gauge {name} missing from candidate")
+        for name in sorted(set(cand) - set(base)):
+            self.warnings.append(f"{bench}: candidate-only gauge {name}")
+
     def compare_docs(self, bench, base_doc, cand_doc):
         self.compare_rows(bench, _index_rows(base_doc), _index_rows(cand_doc))
         self.compare_counters(bench, base_doc, cand_doc)
+        self.compare_gauge_names(bench, base_doc, cand_doc)
 
 
 def _load(path):
@@ -343,7 +355,11 @@ def self_test():
     run(lambda d: d["metrics"]["counters"].pop("dual.refine.lp_calls"),
         False, [], True, "missing counter fails")
     run(lambda d: d["metrics"]["gauges"].update(noise=999), False, [], False,
-        "gauges are not gated")
+        "gauge values are not gated")
+    run(lambda d: d["metrics"]["gauges"].pop("noise"), False, [], True,
+        "missing gauge name fails")
+    run(lambda d: d["metrics"]["gauges"].update(extra=1), False, [], False,
+        "candidate-only gauge only warns")
     run(lambda d: d["measurements"][3]["values"].update(
         pages_per_candidate=0.10),
         False, [], False, "directional pages_per_candidate improvement passes")

@@ -5,7 +5,6 @@
 
 #include "constraint/refine_batch.h"
 #include "dualindex/sweep.h"
-#include "geometry/polyhedron2d.h"
 #include "obs/metrics.h"
 
 namespace cdb {
@@ -13,14 +12,6 @@ namespace cdb {
 namespace {
 
 constexpr size_t kNpos = static_cast<size_t>(-1);
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Handicap slot convention for the d-dimensional trees: one cell per tree,
-// so only the "prev" pair is used (PlanSweep with next_side = false) —
-// slot 0 (min-combined, bounds upward first sweeps) and slot 2
-// (max-combined, bounds downward first sweeps).
-constexpr int kLowSlot = 0;
-constexpr int kHighSlot = 2;
 
 double Dist2(const std::vector<double>& a, const std::vector<double>& b) {
   double s = 0;
@@ -50,63 +41,12 @@ Status DDimDualIndex::Create(Pager* pager, RelationD* relation,
     CDB_RETURN_IF_ERROR(BPlusTree::Create(pager, &index->up_[i]));
     CDB_RETURN_IF_ERROR(BPlusTree::Create(pager, &index->down_[i]));
   }
-  index->BuildVoronoiCells();
-  // Two-phase load: keys first, one BPlusTree::Insert per entry (not
-  // BulkLoad), then handicaps on the settled leaf structure (see
-  // DualIndex::Build).
   CDB_RETURN_IF_ERROR(relation->ForEach(
       [&](TupleId id, const GeneralizedTupleD& tuple) -> Status {
         return index->IndexTuple(id, tuple);
       }));
-  CDB_RETURN_IF_ERROR(relation->ForEach(
-      [&](TupleId, const GeneralizedTupleD& tuple) -> Status {
-        return index->FoldHandicapsD(tuple);
-      }));
   *out = std::move(index);
   return Status::OK();
-}
-
-void DDimDualIndex::BuildVoronoiCells() {
-  cell_vertices_.clear();
-  if (relation_->dim() != 3 || slope_points_.size() < 2) return;
-
-  // Bounding box of S in the 2-D slope plane.
-  double xlo = kInf, xhi = -kInf, ylo = kInf, yhi = -kInf;
-  for (const auto& s : slope_points_) {
-    xlo = std::min(xlo, s[0]);
-    xhi = std::max(xhi, s[0]);
-    ylo = std::min(ylo, s[1]);
-    yhi = std::max(yhi, s[1]);
-  }
-
-  cell_vertices_.resize(slope_points_.size());
-  for (size_t i = 0; i < slope_points_.size(); ++i) {
-    const auto& si = slope_points_[i];
-    std::vector<Constraint2D> cons;
-    // Bisector half-planes |p - s_i|^2 <= |p - s_j|^2.
-    for (size_t j = 0; j < slope_points_.size(); ++j) {
-      if (j == i) continue;
-      const auto& sj = slope_points_[j];
-      double a = 2 * (sj[0] - si[0]);
-      double b = 2 * (sj[1] - si[1]);
-      double c = (si[0] * si[0] + si[1] * si[1]) -
-                 (sj[0] * sj[0] + sj[1] * sj[1]);
-      cons.emplace_back(a, b, c, Cmp::kLE);
-    }
-    // Clip to the bounding box of S (queries beyond it use T1).
-    cons.emplace_back(1, 0, -xhi, Cmp::kLE);
-    cons.emplace_back(1, 0, -xlo, Cmp::kGE);
-    cons.emplace_back(0, 1, -yhi, Cmp::kLE);
-    cons.emplace_back(0, 1, -ylo, Cmp::kGE);
-
-    Polyhedron2D cell = Polyhedron2D::FromConstraints(cons);
-    for (const Vec2& v : cell.vertices) {
-      cell_vertices_[i].push_back({v.x, v.y});
-    }
-    // Degenerate cells (collinear S) may have < 3 vertices; always include
-    // the site itself so the assignment never under-covers the exact point.
-    cell_vertices_[i].push_back({si[0], si[1]});
-  }
 }
 
 Status DDimDualIndex::IndexTuple(TupleId id, const GeneralizedTupleD& tuple) {
@@ -126,31 +66,6 @@ Status DDimDualIndex::IndexTuple(TupleId id, const GeneralizedTupleD& tuple) {
   return Status::OK();
 }
 
-Status DDimDualIndex::FoldHandicapsD(const GeneralizedTupleD& tuple) {
-  if (cell_vertices_.empty()) return Status::OK();  // d != 3.
-  for (size_t i = 0; i < slope_points_.size(); ++i) {
-    double key_top = TopValueD(tuple.constraints(), slope_points_[i]);
-    double key_bot = BotValueD(tuple.constraints(), slope_points_[i]);
-    // Extrema of the dual surfaces over the cell: TOP is convex and BOT
-    // concave over the slope plane, so both extrema sit on cell vertices.
-    double top_max = -kInf, bot_min = kInf;
-    for (const auto& v : cell_vertices_[i]) {
-      top_max = std::max(top_max, TopValueD(tuple.constraints(), v));
-      bot_min = std::min(bot_min, BotValueD(tuple.constraints(), v));
-    }
-    // EXIST(q(>=)) on up[i]: assignment max TOP over cell (exact).
-    CDB_RETURN_IF_ERROR(up_[i]->MergeHandicap(top_max, kLowSlot, key_top));
-    // ALL(q(<=)) on up[i]: lower bound of min TOP over cell — min BOT is a
-    // safe dominated bound (paper-style cross-surface assignment).
-    CDB_RETURN_IF_ERROR(up_[i]->MergeHandicap(bot_min, kHighSlot, key_top));
-    // ALL(q(>=)) on down[i]: upper bound of max BOT over cell via max TOP.
-    CDB_RETURN_IF_ERROR(down_[i]->MergeHandicap(top_max, kLowSlot, key_bot));
-    // EXIST(q(<=)) on down[i]: min BOT over cell (exact).
-    CDB_RETURN_IF_ERROR(down_[i]->MergeHandicap(bot_min, kHighSlot, key_bot));
-  }
-  return Status::OK();
-}
-
 Result<TupleId> DDimDualIndex::Insert(const GeneralizedTupleD& tuple) {
   if (tuple.dim() != relation_->dim()) {
     return Status::InvalidArgument("tuple dimension mismatch");
@@ -161,7 +76,6 @@ Result<TupleId> DDimDualIndex::Insert(const GeneralizedTupleD& tuple) {
   Result<TupleId> id = relation_->Insert(tuple);
   if (!id.ok()) return id.status();
   Status st = IndexTuple(id.value(), tuple);
-  if (st.ok()) st = FoldHandicapsD(tuple);
   if (!st.ok()) {
     relation_->Delete(id.value()).ok();
     return st;
@@ -252,50 +166,16 @@ Result<std::vector<TupleId>> DDimDualIndex::SelectT1(SelectionType type,
   return ids;
 }
 
-Result<std::vector<TupleId>> DDimDualIndex::SelectT2(SelectionType type,
-                                                     const HalfPlaneQueryD& q,
-                                                     QueryStats* st) {
-  // Applicability: d == 3 with precomputed cells, query slope point inside
-  // the bounding box of S (the cells tile exactly that box).
-  bool applicable = !cell_vertices_.empty();
-  if (applicable) {
-    double xlo = kInf, xhi = -kInf, ylo = kInf, yhi = -kInf;
-    for (const auto& s : slope_points_) {
-      xlo = std::min(xlo, s[0]);
-      xhi = std::max(xhi, s[0]);
-      ylo = std::min(ylo, s[1]);
-      yhi = std::max(yhi, s[1]);
-    }
-    applicable = q.slope[0] >= xlo && q.slope[0] <= xhi &&
-                 q.slope[1] >= ylo && q.slope[1] <= yhi;
-  }
-  if (!applicable) {
-    st->used_wrap_fallback = true;
-    return SelectT1(type, q, st);
-  }
-
-  // Nearest site: the query point lies in its Voronoi cell by definition.
-  size_t nearest = 0;
-  for (size_t i = 1; i < slope_points_.size(); ++i) {
-    if (Dist2(slope_points_[i], q.slope) <
-        Dist2(slope_points_[nearest], q.slope)) {
-      nearest = i;
-    }
-  }
-
-  const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
-  std::vector<TupleId> ids;
-  CDB_RETURN_IF_ERROR(
-      FilterT2(Tree(nearest, plan), plan, q.intercept, &ids, st));
-  CDB_RETURN_IF_ERROR(Refine(type, q, &ids, st));
-  return ids;
-}
-
 Result<std::vector<TupleId>> DDimDualIndex::Select(
-    SelectionType type, const HalfPlaneQueryD& q, Method method,
-    QueryStats* stats, obs::ExplainProfile* profile) {
+    SelectionType type, const HalfPlaneQueryD& q, QueryStats* stats,
+    obs::ExplainProfile* profile) {
   if (q.dim() != relation_->dim()) {
     return Status::InvalidArgument("query dimension mismatch");
+  }
+  if (std::isnan(q.intercept) ||
+      std::any_of(q.slope.begin(), q.slope.end(),
+                  [](double s) { return !std::isfinite(s); })) {
+    return Status::InvalidArgument("query slope/intercept must be finite");
   }
   QueryStats local;
   QueryStats* st = stats != nullptr ? stats : &local;
@@ -308,15 +188,7 @@ Result<std::vector<TupleId>> DDimDualIndex::Select(
       const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
       return SelectExact(Tree(exact, plan), plan.upward, q.intercept, st);
     }
-    switch (method) {
-      case Method::kExactOnly:
-        return Status::InvalidArgument("query slope point not in S");
-      case Method::kT1:
-        return SelectT1(type, q, st);
-      case Method::kT2:
-        return SelectT2(type, q, st);
-    }
-    return Status::InvalidArgument("unknown method");
+    return SelectT1(type, q, st);
   }();
 
   FinishSelect(&tracer, result, st, profile);

@@ -10,17 +10,6 @@
 // refinement is sound. An EXIST query maps to d EXIST app-queries; an ALL
 // query to one ALL app-query (nearest slope) plus d-1 EXISTs.
 //
-// Technique T2 generalizes per the paper's sketch ("we need the proximity
-// partition of E^{d-1} induced by the Voronoi diagram from the points of
-// S"): for d = 3 the slope space is a plane, each slope point's Voronoi
-// cell is an intersection of bisector half-planes (clipped to the bounding
-// box of S), and a tuple's assignment value for tree i is the extremum of
-// its dual surface over the cell — attained at a cell vertex by
-// convexity/concavity. One handicap-bounded double sweep then answers any
-// query whose slope point falls inside the box; queries outside it, and
-// dimensions above 3, fall back to T1 (which is what the paper's own
-// evaluation, conducted entirely in E^2, also never exercised).
-//
 // Tuples live in a paged RelationD; the refinement step's tuple reads are
 // accounted exactly like the 2-D index's.
 
@@ -56,23 +45,16 @@ class DDimDualIndex {
   /// id.
   Result<TupleId> Insert(const GeneralizedTupleD& tuple);
 
-  /// Query strategy for non-exact slope points.
-  enum class Method {
-    kExactOnly,  // Require the slope point to be in S.
-    kT1,         // Covering-simplex approximation (any d).
-    kT2,         // Voronoi-handicap single-tree search (d == 3, slope point
-                 // inside the bounding box of S; falls back to T1 else).
-  };
-
-  /// Executes a d-dimensional ALL/EXIST half-plane selection. T1 requires
-  /// the query slope point to lie in the convex hull of S (NotSupported
-  /// otherwise). When `profile` is non-null it receives the per-phase span
-  /// breakdown. A failed page read has the same error contract as
-  /// DualIndex::Select: no pinned pages, balanced stats, unprocessed
-  /// candidates booked as `filter.abandoned`.
+  /// Executes a d-dimensional ALL/EXIST half-plane selection: the exact
+  /// sweep for a slope point in S, T1 otherwise. T1 requires the query
+  /// slope point to lie in the convex hull of S (NotSupported otherwise); a
+  /// non-finite slope component or a NaN intercept is InvalidArgument.
+  /// When `profile` is non-null it receives the per-phase span breakdown.
+  /// A failed page read has the same error contract as DualIndex::Select:
+  /// no pinned pages, balanced stats, unprocessed candidates booked as
+  /// `filter.abandoned`.
   Result<std::vector<TupleId>> Select(SelectionType type,
                                       const HalfPlaneQueryD& q,
-                                      Method method = Method::kT1,
                                       QueryStats* stats = nullptr,
                                       obs::ExplainProfile* profile = nullptr);
 
@@ -81,8 +63,7 @@ class DDimDualIndex {
   uint64_t live_page_count() const { return pager_->live_page_count(); }
 
   /// Pagers for exec::QueryExecutor read sessions. Select is stateless per
-  /// call (Voronoi cells are precomputed at Create and read-only after), so
-  /// concurrent Selects are safe in concurrent-read mode.
+  /// call, so concurrent Selects are safe in concurrent-read mode.
   Pager* pager() const { return pager_; }
   RelationD* relation() const { return relation_; }
 
@@ -103,17 +84,7 @@ class DDimDualIndex {
   /// Inserts surface keys for an already-stored tuple into all trees.
   Status IndexTuple(TupleId id, const GeneralizedTupleD& tuple);
 
-  /// Precomputes the Voronoi cell vertices of every slope point (d == 3
-  /// only; no-op otherwise).
-  void BuildVoronoiCells();
-
-  /// Folds one tuple's handicap contributions for every tree (d == 3).
-  Status FoldHandicapsD(const GeneralizedTupleD& tuple);
-
   Result<std::vector<TupleId>> SelectT1(SelectionType type,
-                                        const HalfPlaneQueryD& q,
-                                        QueryStats* st);
-  Result<std::vector<TupleId>> SelectT2(SelectionType type,
                                         const HalfPlaneQueryD& q,
                                         QueryStats* st);
   Status Refine(SelectionType type, const HalfPlaneQueryD& q,
@@ -128,9 +99,6 @@ class DDimDualIndex {
   RelationD* relation_;
   std::vector<std::vector<double>> slope_points_;
   std::vector<std::unique_ptr<BPlusTree>> up_, down_;
-  /// d == 3 only: Voronoi cell vertices (in the 2-D slope plane, clipped to
-  /// the bounding box of S) per slope point. Empty for other dimensions.
-  std::vector<std::vector<std::vector<double>>> cell_vertices_;
 };
 
 }  // namespace cdb

@@ -1,6 +1,6 @@
-// The B+-tree sweeps behind every dual-index selection, shared by the 2-D
-// DualIndex and the d-dimensional DDimDualIndex (Section 4.4 reuses the
-// Section 3 and 4.2 machinery unchanged):
+// The B+-tree sweeps behind every dual-index selection. The 2-D DualIndex
+// uses all of them; the d-dimensional DDimDualIndex uses all but FilterT2
+// (Section 4.4 reuses the Section 3 and 4.1 machinery unchanged):
 //  * PlanSweep — Section 3's lookup table: which of a slope's two trees
 //    answers a selection, which way its first sweep runs, and which
 //    handicap slot bounds T2's second sweep;
@@ -8,8 +8,8 @@
 //    built on it (sorted, every hit an early accept, no refinement);
 //  * FilterT1 — Section 4.1's T1 filter (and its Section 4.4
 //    generalization): one exact sweep per app-query, sort, deduplicate;
-//  * FilterT2 — Section 4.2's T2 filter on one tree: first sweep, the
-//    second-sweep bound, the bounded second sweep, sort;
+//  * FilterT2 — Section 4.2's T2 filter on one tree (2-D only): first
+//    sweep, the second-sweep bound, the bounded second sweep, sort;
 //  * FinishSelect — a selection's closing books (page fetches, filter
 //    partition).
 //

@@ -333,8 +333,7 @@ TEST(ChaosSweepTest, DDimT1TransientFaultAtEveryReadIndex) {
   q.intercept = 2.0;
   q.cmp = Cmp::kGE;
   SweepQueryReadFaults(&io, [&](QueryStats* stats) {
-    return index->Select(SelectionType::kAll, q, DDimDualIndex::Method::kT1,
-                         stats);
+    return index->Select(SelectionType::kAll, q, stats);
   });
 }
 

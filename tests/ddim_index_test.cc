@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "storage/file.h"
 #include "workload/generator.h"
@@ -98,8 +100,7 @@ TEST_P(DDimIndexTest, ExactAndT1MatchBruteForce) {
     q.intercept = rng.Uniform(-40, 40);
     q.cmp = rng.Chance(0.5) ? Cmp::kGE : Cmp::kLE;
     for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
-      Result<std::vector<TupleId>> got =
-          index->Select(type, q, DDimDualIndex::Method::kExactOnly);
+      Result<std::vector<TupleId>> got = index->Select(type, q);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(got.value(), BruteSelect(tuples, type, q));
     }
@@ -114,8 +115,7 @@ TEST_P(DDimIndexTest, ExactAndT1MatchBruteForce) {
     q.cmp = rng.Chance(0.5) ? Cmp::kGE : Cmp::kLE;
     for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
       QueryStats stats;
-      Result<std::vector<TupleId>> got =
-          index->Select(type, q, DDimDualIndex::Method::kT1, &stats);
+      Result<std::vector<TupleId>> got = index->Select(type, q, &stats);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(got.value(), BruteSelect(tuples, type, q))
           << "dim=" << dim << " qi=" << qi;
@@ -125,105 +125,57 @@ TEST_P(DDimIndexTest, ExactAndT1MatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, DDimIndexTest, ::testing::Values(2, 3, 4));
 
-// The Section 4.4 T2 generalization: Voronoi-cell handicaps in E^3.
-TEST(DDimT2Test, MatchesBruteForceInThreeDims) {
-  auto slopes = GridSlopes(3, 3, 1.0);
-  DdimFixture fx;
-  ASSERT_TRUE(fx.Init(3, slopes));
-  Rng rng(2026);
+// Create over a relation that already holds tuples loads every live tuple:
+// exact and T1 answers equal brute force and an index built by Insert.
+TEST_P(DDimIndexTest, CreateLoadsExistingTuples) {
+  const size_t dim = GetParam();
+  auto slopes = GridSlopes(dim, 3, 1.0);
+  Rng rng(3000 + dim);
   std::vector<GeneralizedTupleD> tuples;
-  for (int i = 0; i < 120; ++i) {
-    GeneralizedTupleD t = RandomBoundedTupleD(&rng, 3, 25.0);
-    ASSERT_TRUE(fx.index->Insert(t).ok());
-    tuples.push_back(t);
+  for (int i = 0; i < 150; ++i) {
+    tuples.push_back(RandomBoundedTupleD(&rng, dim, 20.0));
   }
-  int t2_used = 0;
-  for (int qi = 0; qi < 40; ++qi) {
+
+  DdimFixture loaded;
+  ASSERT_TRUE(RelationD::Open(loaded.rel_pager.get(), dim, kInvalidPageId,
+                              &loaded.relation)
+                  .ok());
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    Result<TupleId> id = loaded.relation->Insert(tuples[i]);
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(id.value(), static_cast<TupleId>(i));
+  }
+  ASSERT_TRUE(DDimDualIndex::Create(loaded.idx_pager.get(),
+                                    loaded.relation.get(), slopes,
+                                    &loaded.index)
+                  .ok());
+  EXPECT_EQ(loaded.index->tuple_count(), tuples.size());
+
+  DdimFixture inserted;
+  ASSERT_TRUE(inserted.Init(dim, slopes));
+  for (const GeneralizedTupleD& t : tuples) {
+    ASSERT_TRUE(inserted.index->Insert(t).ok());
+  }
+
+  for (int qi = 0; qi < 20; ++qi) {
     HalfPlaneQueryD q;
-    q.slope = {rng.Uniform(-1, 1), rng.Uniform(-1, 1)};  // Inside the box.
-    q.intercept = rng.Uniform(-60, 60);
+    if (qi % 2 == 0) {
+      q.slope = slopes[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(slopes.size()) - 1))];
+    } else {
+      q.slope.resize(dim - 1);
+      for (double& s : q.slope) s = rng.Uniform(-0.9, 0.9);
+    }
+    q.intercept = rng.Uniform(-40, 40);
     q.cmp = rng.Chance(0.5) ? Cmp::kGE : Cmp::kLE;
     for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
-      QueryStats stats;
-      Result<std::vector<TupleId>> got =
-          fx.index->Select(type, q, DDimDualIndex::Method::kT2, &stats);
+      Result<std::vector<TupleId>> got = loaded.index->Select(type, q);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
+      Result<std::vector<TupleId>> want = inserted.index->Select(type, q);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
       EXPECT_EQ(got.value(), BruteSelect(tuples, type, q))
-          << "qi=" << qi << " slope=(" << q.slope[0] << "," << q.slope[1]
-          << ") b=" << q.intercept;
-      if (!stats.used_wrap_fallback) {
-        ++t2_used;
-        EXPECT_EQ(stats.duplicates, 0u);  // Single-tree, duplicate-free.
-      }
-    }
-  }
-  EXPECT_GT(t2_used, 60);  // In-box queries run real T2.
-}
-
-TEST(DDimT2Test, OutsideBoxFallsBackToT1) {
-  DdimFixture fx;
-  ASSERT_TRUE(fx.Init(3, GridSlopes(3, 2, 0.5)));
-  Rng rng(2027);
-  std::vector<GeneralizedTupleD> tuples;
-  for (int i = 0; i < 40; ++i) {
-    GeneralizedTupleD t = RandomBoundedTupleD(&rng, 3, 15.0);
-    ASSERT_TRUE(fx.index->Insert(t).ok());
-    tuples.push_back(t);
-  }
-  HalfPlaneQueryD q;
-  q.slope = {0.49, 0.49};  // Inside hull but also inside the box.
-  q.intercept = 0;
-  q.cmp = Cmp::kGE;
-  QueryStats stats;
-  Result<std::vector<TupleId>> r =
-      fx.index->Select(SelectionType::kExist, q, DDimDualIndex::Method::kT2,
-                       &stats);
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(stats.used_wrap_fallback);
-  EXPECT_EQ(r.value(), BruteSelect(tuples, SelectionType::kExist, q));
-
-  // Dimension 4 has no Voronoi machinery: T2 silently degrades to T1.
-  DdimFixture fx4;
-  ASSERT_TRUE(fx4.Init(4, GridSlopes(4, 2, 0.8)));
-  ASSERT_TRUE(fx4.index->Insert(RandomBoundedTupleD(&rng, 4, 15.0)).ok());
-  HalfPlaneQueryD q4;
-  q4.slope = {0.1, 0.1, 0.1};
-  q4.intercept = 0;
-  q4.cmp = Cmp::kGE;
-  QueryStats stats4;
-  ASSERT_TRUE(fx4.index
-                  ->Select(SelectionType::kExist, q4,
-                           DDimDualIndex::Method::kT2, &stats4)
-                  .ok());
-  EXPECT_TRUE(stats4.used_wrap_fallback);
-}
-
-TEST(DDimT2Test, IncrementalInsertsStayCorrect) {
-  auto slopes = GridSlopes(3, 3, 1.0);
-  DdimFixture fx;
-  ASSERT_TRUE(fx.Init(3, slopes));
-  Rng rng(2028);
-  std::vector<GeneralizedTupleD> tuples;
-  // Insert in two waves with queries between them: handicaps must stay
-  // conservative across leaf splits.
-  for (int wave = 0; wave < 2; ++wave) {
-    for (int i = 0; i < 80; ++i) {
-      GeneralizedTupleD t = RandomBoundedTupleD(&rng, 3, 25.0);
-      ASSERT_TRUE(fx.index->Insert(t).ok());
-      tuples.push_back(t);
-    }
-    for (int qi = 0; qi < 10; ++qi) {
-      HalfPlaneQueryD q;
-      q.slope = {rng.Uniform(-1, 1), rng.Uniform(-1, 1)};
-      q.intercept = rng.Uniform(-60, 60);
-      q.cmp = rng.Chance(0.5) ? Cmp::kGE : Cmp::kLE;
-      for (SelectionType type :
-           {SelectionType::kAll, SelectionType::kExist}) {
-        Result<std::vector<TupleId>> got =
-            fx.index->Select(type, q, DDimDualIndex::Method::kT2);
-        ASSERT_TRUE(got.ok());
-        EXPECT_EQ(got.value(), BruteSelect(tuples, type, q));
-      }
+          << "dim=" << dim << " qi=" << qi;
+      EXPECT_EQ(got.value(), want.value()) << "dim=" << dim << " qi=" << qi;
     }
   }
 }
@@ -237,9 +189,42 @@ TEST(DDimIndexTest2, RejectsOutsideHull) {
   q.slope = {5.0, 5.0};  // Far outside the hull of [-0.5, 0.5]^2.
   q.intercept = 0;
   q.cmp = Cmp::kGE;
-  Result<std::vector<TupleId>> r =
-      fx.index->Select(SelectionType::kExist, q, DDimDualIndex::Method::kT1);
+  Result<std::vector<TupleId>> r = fx.index->Select(SelectionType::kExist, q);
   EXPECT_TRUE(r.status().IsNotSupported());
+}
+
+// A non-finite slope component or a NaN intercept is rejected before any
+// sweep: an infinite slope point would otherwise pass the covering-simplex
+// LP and return wrong ids.
+TEST(DDimIndexTest2, RejectsNonFiniteQueries) {
+  DdimFixture fx;
+  ASSERT_TRUE(fx.Init(3, GridSlopes(3, 3, 1.0)));
+  Rng rng(11);
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(fx.index->Insert(RandomBoundedTupleD(&rng, 3, 20.0)).ok());
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Bad {
+    std::vector<double> slope;
+    double intercept;
+  };
+  for (const Bad& bad : {Bad{{inf, 0.0}, 0.0}, Bad{{0.0, -inf}, 0.0},
+                         Bad{{nan, 0.0}, 0.0}, Bad{{0.0, nan}, 0.0},
+                         Bad{{0.0, 0.0}, nan}}) {
+    HalfPlaneQueryD q;
+    q.slope = bad.slope;
+    q.intercept = bad.intercept;
+    for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
+      for (Cmp cmp : {Cmp::kGE, Cmp::kLE}) {
+        q.cmp = cmp;
+        Result<std::vector<TupleId>> r = fx.index->Select(type, q);
+        EXPECT_TRUE(r.status().IsInvalidArgument())
+            << "slope=(" << q.slope[0] << ", " << q.slope[1]
+            << ") b=" << q.intercept << " " << r.status().ToString();
+      }
+    }
+  }
 }
 
 // A traced T1 query off S runs one exact sweep per simplex corner, each
@@ -264,8 +249,8 @@ TEST(DDimIndexTest2, T1SweepsAreTracedUnderFilter) {
       q.cmp = cmp;
       QueryStats stats;
       obs::ExplainProfile profile;
-      Result<std::vector<TupleId>> got = fx.index->Select(
-          type, q, DDimDualIndex::Method::kT1, &stats, &profile);
+      Result<std::vector<TupleId>> got =
+          fx.index->Select(type, q, &stats, &profile);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(got.value(), BruteSelect(tuples, type, q));
       EXPECT_TRUE(profile.SumsBalance()) << profile.ToString();
@@ -279,18 +264,6 @@ TEST(DDimIndexTest2, T1SweepsAreTracedUnderFilter) {
       EXPECT_GT(sweep.self.index_fetches, 0u);
     }
   }
-}
-
-TEST(DDimIndexTest2, ExactOnlyRejectsForeignSlope) {
-  DdimFixture fx;
-  ASSERT_TRUE(fx.Init(3, GridSlopes(3, 2, 1.0)));
-  HalfPlaneQueryD q;
-  q.slope = {0.123, 0.456};
-  q.intercept = 0;
-  Result<std::vector<TupleId>> r =
-      fx.index->Select(SelectionType::kExist, q,
-                       DDimDualIndex::Method::kExactOnly);
-  EXPECT_TRUE(r.status().IsInvalidArgument());
 }
 
 TEST(DDimIndexTest2, DimensionValidation) {

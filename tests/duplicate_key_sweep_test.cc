@@ -170,7 +170,8 @@ INSTANTIATE_TEST_SUITE_P(Trees, DuplicateKeySweepTest, ::testing::Bool(),
                          });
 
 // Unit cubes in E^3: at the slope point (0, 0) every TOP is 1 and every
-// BOT 0, shared by all entries.
+// BOT 0, shared by all entries. (0, 0) is in S and runs the exact sweep;
+// (0.1, 0.1) is not and runs T1.
 TEST(DuplicateKeySweepDDimTest, ExactT1AndT2CollectEveryEqualKey) {
   std::unique_ptr<Pager> rel_pager = MakePager();
   std::unique_ptr<Pager> idx_pager = MakePager();
@@ -197,26 +198,21 @@ TEST(DuplicateKeySweepDDimTest, ExactT1AndT2CollectEveryEqualKey) {
 
   for (std::vector<double> slope :
        {std::vector<double>{0.0, 0.0}, std::vector<double>{0.1, 0.1}}) {
-    for (DDimDualIndex::Method method :
-         {DDimDualIndex::Method::kT1, DDimDualIndex::Method::kT2}) {
-      for (double b : {0.0, 1.0}) {
-        for (SelectionType type : kTypes) {
-          for (Cmp cmp : kCmps) {
-            HalfPlaneQueryD q;
-            q.slope = slope;
-            q.intercept = b;
-            q.cmp = cmp;
-            Result<std::vector<TupleId>> got =
-                index->Select(type, q, method);
-            ASSERT_TRUE(got.ok()) << got.status().ToString();
-            const bool hit = type == SelectionType::kAll
-                                 ? ExactAllD(cube, q)
-                                 : ExactExistD(cube, q);
-            EXPECT_EQ(got.value().size(), hit ? size_t{kCopies} : 0u)
-                << (type == SelectionType::kAll ? "ALL" : "EXIST")
-                << " x3 " << (cmp == Cmp::kGE ? ">=" : "<=") << " ("
-                << slope[0] << ", " << slope[1] << ") . x + " << b;
-          }
+    for (double b : {0.0, 1.0}) {
+      for (SelectionType type : kTypes) {
+        for (Cmp cmp : kCmps) {
+          HalfPlaneQueryD q;
+          q.slope = slope;
+          q.intercept = b;
+          q.cmp = cmp;
+          Result<std::vector<TupleId>> got = index->Select(type, q);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          const bool hit = type == SelectionType::kAll ? ExactAllD(cube, q)
+                                                       : ExactExistD(cube, q);
+          EXPECT_EQ(got.value().size(), hit ? size_t{kCopies} : 0u)
+              << (type == SelectionType::kAll ? "ALL" : "EXIST") << " x3 "
+              << (cmp == Cmp::kGE ? ">=" : "<=") << " (" << slope[0] << ", "
+              << slope[1] << ") . x + " << b;
         }
       }
     }

@@ -305,7 +305,6 @@ TEST(QueryExecutorTest, DDimBatchMatchesSerial) {
   struct DQuery {
     SelectionType type;
     HalfPlaneQueryD query;
-    DDimDualIndex::Method method;
   };
   std::vector<DQuery> batch;
   for (int i = 0; i < 16; ++i) {
@@ -314,13 +313,12 @@ TEST(QueryExecutorTest, DDimBatchMatchesSerial) {
     q.query.slope = {rng.Uniform(-0.9, 0.9), rng.Uniform(-0.9, 0.9)};
     q.query.intercept = rng.Uniform(-40, 40);
     q.query.cmp = rng.Chance(0.5) ? Cmp::kGE : Cmp::kLE;
-    q.method = DDimDualIndex::Method::kT1;
     batch.push_back(q);
   }
 
   std::vector<std::vector<TupleId>> serial;
   for (const DQuery& q : batch) {
-    Result<std::vector<TupleId>> r = index->Select(q.type, q.query, q.method);
+    Result<std::vector<TupleId>> r = index->Select(q.type, q.query);
     ASSERT_TRUE(r.ok());
     serial.push_back(r.value());
   }
@@ -331,7 +329,7 @@ TEST(QueryExecutorTest, DDimBatchMatchesSerial) {
     const DQuery& q = batch[i];
     exec::BatchItemResult& out = results[i];
     Result<std::vector<TupleId>> r =
-        index->Select(q.type, q.query, q.method, &out.stats);
+        index->Select(q.type, q.query, &out.stats);
     if (r.ok()) {
       out.ids = std::move(r.value());
     } else {

@@ -295,17 +295,14 @@ TEST(FilterPrecisionTest, DDimPathsBalanceAndMatchBruteForce) {
     q.intercept = rng.Uniform(-50, 50);
     q.cmp = rng.Chance(0.5) ? Cmp::kGE : Cmp::kLE;
     for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
-      for (DDimDualIndex::Method method :
-           {DDimDualIndex::Method::kT1, DDimDualIndex::Method::kT2}) {
-        QueryStats stats;
-        obs::ExplainProfile profile;
-        Result<std::vector<TupleId>> got =
-            index->Select(type, q, method, &stats, &profile);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        CheckFilter(stats, got.value(), brute(type, q), "ddim");
-        ExpectFilterEq(profile.filter, stats.filter);
-        EXPECT_EQ(stats.filter.refine_rejects, stats.false_hits);
-      }
+      QueryStats stats;
+      obs::ExplainProfile profile;
+      Result<std::vector<TupleId>> got =
+          index->Select(type, q, &stats, &profile);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      CheckFilter(stats, got.value(), brute(type, q), "ddim");
+      ExpectFilterEq(profile.filter, stats.filter);
+      EXPECT_EQ(stats.filter.refine_rejects, stats.false_hits);
     }
   }
   // Exact slope points: all early accepts, precision 1.
@@ -316,8 +313,8 @@ TEST(FilterPrecisionTest, DDimPathsBalanceAndMatchBruteForce) {
     q.intercept = rng.Uniform(-50, 50);
     q.cmp = rng.Chance(0.5) ? Cmp::kGE : Cmp::kLE;
     QueryStats stats;
-    Result<std::vector<TupleId>> got = index->Select(
-        SelectionType::kExist, q, DDimDualIndex::Method::kExactOnly, &stats);
+    Result<std::vector<TupleId>> got =
+        index->Select(SelectionType::kExist, q, &stats);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     CheckFilter(stats, got.value(), brute(SelectionType::kExist, q),
                 "ddim exact");
