@@ -43,10 +43,10 @@ int main(int argc, char** argv) {
             " selections (averages per query)",
         {"mode", "idx-pages", "cands", "false", "results"});
     PrintTableRow({"paper", Fmt(paper_m.index_fetches),
-                   Fmt(paper_m.candidates), Fmt(paper_m.false_hits),
+                   Fmt(paper_m.candidates), Fmt(paper_m.refine_rejects),
                    Fmt(paper_m.results)});
     PrintTableRow({"tight", Fmt(tight_m.index_fetches),
-                   Fmt(tight_m.candidates), Fmt(tight_m.false_hits),
+                   Fmt(tight_m.candidates), Fmt(tight_m.refine_rejects),
                    Fmt(tight_m.results)});
   }
   std::printf(

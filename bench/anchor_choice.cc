@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     Measurement m = MeasureDual(&ds, qs, QueryMethod::kT1);
     reporter.Add("t1", {{"anchor_x", anchor}}, m);
     PrintTableRow({Fmt(anchor, 0), Fmt(m.index_fetches), Fmt(m.candidates),
-                   Fmt(m.duplicates), Fmt(m.false_hits)});
+                   Fmt(m.dedup_dropped), Fmt(m.refine_rejects)});
   }
   std::printf(
       "\nExpected shape: the centre of the working window (anchor 0 for the\n"

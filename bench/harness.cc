@@ -154,8 +154,6 @@ Measurement MeasureDual(Dataset* ds, const std::vector<CalibratedQuery>& qs,
     m.index_fetches += static_cast<double>(stats.index_page_fetches);
     m.tuple_fetches += static_cast<double>(stats.tuple_page_fetches);
     m.candidates += static_cast<double>(stats.candidates);
-    m.false_hits += static_cast<double>(stats.false_hits);
-    m.duplicates += static_cast<double>(stats.duplicates);
     m.results += static_cast<double>(stats.results);
     m.selectivity += cq.selectivity;
     AccumulateFilter(stats, &m);
@@ -164,8 +162,6 @@ Measurement MeasureDual(Dataset* ds, const std::vector<CalibratedQuery>& qs,
   m.index_fetches /= n;
   m.tuple_fetches /= n;
   m.candidates /= n;
-  m.false_hits /= n;
-  m.duplicates /= n;
   m.results /= n;
   m.selectivity /= n;
   AverageFilter(n, &m);
@@ -184,8 +180,6 @@ Measurement MeasureRTree(Dataset* ds, const std::vector<CalibratedQuery>& qs) {
     m.index_fetches += static_cast<double>(stats.index_page_fetches);
     m.tuple_fetches += static_cast<double>(stats.tuple_page_fetches);
     m.candidates += static_cast<double>(stats.candidates);
-    m.false_hits += static_cast<double>(stats.false_hits);
-    m.duplicates += static_cast<double>(stats.duplicates);
     m.results += static_cast<double>(stats.results);
     m.selectivity += cq.selectivity;
     AccumulateFilter(stats, &m);
@@ -194,8 +188,6 @@ Measurement MeasureRTree(Dataset* ds, const std::vector<CalibratedQuery>& qs) {
   m.index_fetches /= n;
   m.tuple_fetches /= n;
   m.candidates /= n;
-  m.false_hits /= n;
-  m.duplicates /= n;
   m.results /= n;
   m.selectivity /= n;
   AverageFilter(n, &m);
@@ -255,9 +247,8 @@ RefineSubstrate MeasureRefineSubstrate(Dataset* ds,
   RefineSubstrate out;
   auto refine_pass = [&](const CalibratedQuery& cq, std::vector<TupleId>* work) {
     obs::FilterCounts filter;
-    uint64_t false_hits = 0;
     Check(RefineBatch2D(*ds->relation, cq.type, cq.query, lp_calls, work,
-                        &filter, &false_hits),
+                        &filter),
           "refine substrate");
     filter.candidates = ids.size();
     filter.results = work->size();
@@ -404,8 +395,8 @@ void BenchReporter::Add(const std::string& label, const Params& params,
   row.values = {{"index_fetches", m.index_fetches},
                 {"tuple_fetches", m.tuple_fetches},
                 {"candidates", m.candidates},
-                {"false_hits", m.false_hits},
-                {"duplicates", m.duplicates},
+                {"false_hits", m.refine_rejects},
+                {"duplicates", m.dedup_dropped},
                 {"results", m.results},
                 {"selectivity", m.selectivity}};
   // Filter-precision keys only where a filter phase ran (not the naive

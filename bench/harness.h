@@ -66,14 +66,13 @@ struct Measurement {
   double index_fetches = 0;   // Avg index page accesses per query.
   double tuple_fetches = 0;   // Avg relation page accesses (refinement).
   double candidates = 0;
-  double false_hits = 0;
-  double duplicates = 0;
   double results = 0;
   double selectivity = 0;
   // Filter-precision phase accounting, averaged per query (ISSUE 6): how
   // each candidate left the pipeline, plus the mean per-query precision
-  // (results/candidates). All zero for the naive baseline, which has no
-  // filter phase — BenchReporter::Add emits the precision keys only for
+  // (results/candidates). The paper's duplicates are dedup_dropped and its
+  // false hits refine_rejects. All zero for the naive baseline, which has
+  // no filter phase — BenchReporter::Add emits the precision keys only for
   // rows with candidates.
   double dedup_dropped = 0;
   double early_accepts = 0;

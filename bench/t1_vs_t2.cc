@@ -34,9 +34,11 @@ int main(int argc, char** argv) {
             " selections (averages per query)",
         {"tech", "idx-pages", "cands", "dups", "false", "results"});
     PrintTableRow({"T1", Fmt(t1.index_fetches), Fmt(t1.candidates),
-                   Fmt(t1.duplicates), Fmt(t1.false_hits), Fmt(t1.results)});
+                   Fmt(t1.dedup_dropped), Fmt(t1.refine_rejects),
+                   Fmt(t1.results)});
     PrintTableRow({"T2", Fmt(t2.index_fetches), Fmt(t2.candidates),
-                   Fmt(t2.duplicates), Fmt(t2.false_hits), Fmt(t2.results)});
+                   Fmt(t2.dedup_dropped), Fmt(t2.refine_rejects),
+                   Fmt(t2.results)});
   }
   std::printf(
       "\nExpected shape: T2 shows zero duplicates (Section 4.2's design\n"

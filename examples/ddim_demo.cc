@@ -76,7 +76,7 @@ int main() {
           type == SelectionType::kAll ? "ALL" : "EXIST", slope[0], slope[1],
           r.value().size(),
           static_cast<unsigned long long>(stats.index_page_fetches),
-          stats.duplicates > 0 ? " (T1 duplicates removed)" : "");
+          stats.filter.dedup_dropped > 0 ? " (T1 duplicates removed)" : "");
     }
   }
   std::printf("index size: %llu pages\n",

@@ -7,9 +7,9 @@
 #
 # Usage: scripts/check_paper_tables.sh BUILD_DIR
 #   BUILD_DIR is a configured CMake tree (Release is fastest: fig8, fig9 and
-#   fig10 take ~40 s each on 4 vCPUs); the five bench targets are built
-#   first. Exit 0 when every table matches, 1 on a mismatch or a failed
-#   bench, 2 on a usage error.
+#   fig10 take ~40 s each on 4 vCPUs, the other six a second or two); the
+#   nine bench targets are built first. Exit 0 when every table matches, 1
+#   on a mismatch or a failed bench, 2 on a usage error.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -20,7 +20,8 @@ build=$1
 root=$(cd "$(dirname "$0")/.." && pwd)
 golden=$root/bench/baselines/paper
 benches=(fig8_small_objects fig9_medium_objects fig10_space
-         table1_appquery_rules ddim_scaling)
+         table1_appquery_rules ddim_scaling t1_vs_t2 anchor_choice
+         ablation_assignment extension_queries)
 
 cmake --build "$build" --target "${benches[@]}"
 

@@ -1200,38 +1200,6 @@ Status BPlusTree::SecondSweepBound(int slot, double b, bool* have,
   return Status::Corruption("B+-tree deeper than recorded height");
 }
 
-// --- Maintenance -------------------------------------------------------------
-
-namespace {
-
-Status DestroyRec(Pager* pager, PageId page, bool aug) {
-  Result<PageRef> ref = pager->Fetch(page);
-  if (!ref.ok()) return ref.status();
-  if (!nb::IsLeaf(ref.value().data())) {
-    uint16_t n = nb::Count(ref.value().data());
-    std::vector<PageId> children;
-    for (size_t i = 0; i <= n; ++i) {
-      children.push_back(XChild(aug, ref.value().data(), i));
-    }
-    ref.value().Release();
-    for (PageId child : children) {
-      CDB_RETURN_IF_ERROR(DestroyRec(pager, child, aug));
-    }
-  } else {
-    ref.value().Release();
-  }
-  return pager->Free(page);
-}
-
-}  // namespace
-
-Status BPlusTree::Destroy() {
-  CDB_RETURN_IF_ERROR(DestroyRec(pager_, root_, augmented_));
-  CDB_RETURN_IF_ERROR(pager_->Free(meta_page_));
-  root_ = kInvalidPageId;
-  return Status::OK();
-}
-
 // --- Invariant checking -------------------------------------------------------
 
 Status BPlusTree::CheckNode(PageId page, bool has_lo, double lo_key,

@@ -217,9 +217,6 @@ class BPlusTree {
   /// augmented tree. In-memory only; not persisted.
   uint64_t handicap_staleness() const { return handicap_staleness_; }
 
-  /// Frees every page of the tree (the tree object must not be used after).
-  Status Destroy();
-
   /// Internal consistency check (ordering, separators, chain links, counts);
   /// used by tests.
   Status CheckInvariants() const;

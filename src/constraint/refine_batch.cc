@@ -48,8 +48,7 @@ inline int DecideFromBox(const Rect& box, SelectionType type,
 
 Status RefineBatch2D(const Relation& relation, SelectionType type,
                      const HalfPlaneQuery& q, obs::Counter* lp_calls,
-                     std::vector<TupleId>* ids, obs::FilterCounts* filter,
-                     uint64_t* false_hits) {
+                     std::vector<TupleId>* ids, obs::FilterCounts* filter) {
   static obs::Counter* const batch_pages =
       obs::GlobalMetrics().counter("refine.batch.pages");
   static obs::Counter* const batch_candidates =
@@ -80,7 +79,6 @@ Status RefineBatch2D(const Relation& relation, SelectionType type,
         continue;
       }
       if (decision < 0) {
-        ++*false_hits;
         ++filter->refine_rejects;
         bbox_rejects->Increment();
         continue;
@@ -121,7 +119,6 @@ Status RefineBatch2D(const Relation& relation, SelectionType type,
       kept.push_back(id);
       ++filter->refine_accepts;
     } else {
-      ++*false_hits;
       ++filter->refine_rejects;
     }
   }

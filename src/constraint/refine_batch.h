@@ -48,22 +48,25 @@ namespace cdb {
 /// on success `ids` holds the accepted ids, still ascending. `lp_calls` is
 /// the per-family LP counter ("dual.refine.lp_calls" etc. — box-decided
 /// candidates never increment it); `filter` receives the
-/// early_accepts/refine_accepts/refine_rejects booking and `false_hits`
-/// the rejected count. On error `ids` is left untouched and the caller
+/// early_accepts/refine_accepts/refine_rejects booking (the rejects are the
+/// paper's false hits). On error `ids` is left untouched and the caller
 /// books the unprocessed tail as FilterCounts::abandoned.
 Status RefineBatch2D(const Relation& relation, SelectionType type,
                      const HalfPlaneQuery& q, obs::Counter* lp_calls,
-                     std::vector<TupleId>* ids, obs::FilterCounts* filter,
-                     uint64_t* false_hits);
+                     std::vector<TupleId>* ids, obs::FilterCounts* filter);
 
 /// RefineBatch2D for callers that still pass a null fifth argument where a
-/// per-query context used to go (perfbench/src/traced_run.cc). Delete it
-/// together with that argument.
+/// per-query context used to go, and a false-hit counter of their own
+/// (perfbench/src/traced_run.cc): adds this call's refine_rejects to
+/// `*false_hits`. Delete it together with those arguments.
 inline Status RefineBatch2D(const Relation& relation, SelectionType type,
                             const HalfPlaneQuery& q, obs::Counter* lp_calls,
                             std::nullptr_t, std::vector<TupleId>* ids,
                             obs::FilterCounts* filter, uint64_t* false_hits) {
-  return RefineBatch2D(relation, type, q, lp_calls, ids, filter, false_hits);
+  const uint64_t before = filter->refine_rejects;
+  Status st = RefineBatch2D(relation, type, q, lp_calls, ids, filter);
+  *false_hits += filter->refine_rejects - before;
+  return st;
 }
 
 /// Generic page-clustered refinement driver for relation types without a
@@ -72,8 +75,7 @@ inline Status RefineBatch2D(const Relation& relation, SelectionType type,
 template <typename RelationT, typename TupleT, typename Pred>
 Status RefinePageClustered(const RelationT& relation, obs::Counter* lp_calls,
                            std::vector<TupleId>* ids,
-                           obs::FilterCounts* filter, uint64_t* false_hits,
-                           const Pred& pred) {
+                           obs::FilterCounts* filter, const Pred& pred) {
   CDB_TRACE_SPAN("refine");
   std::vector<TupleId> kept;
   kept.reserve(ids->size());
@@ -108,7 +110,6 @@ Status RefinePageClustered(const RelationT& relation, obs::Counter* lp_calls,
       kept.push_back(id);
       ++filter->refine_accepts;
     } else {
-      ++*false_hits;
       ++filter->refine_rejects;
     }
   }

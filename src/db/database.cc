@@ -215,16 +215,6 @@ Result<std::vector<TupleId>> ConstraintDatabase::SelectVertical(
   return index_->SelectVertical(type, q, stats);
 }
 
-Status ConstraintDatabase::SelectBatch(
-    const std::vector<exec::BatchQuery>& batch, size_t threads,
-    std::vector<exec::BatchItemResult>* results) {
-  exec::QueryExecutor executor(threads);
-  exec::BatchResult out;
-  Status st = executor.RunBatch(index_.get(), batch, {}, &out);
-  *results = std::move(out.items);
-  return st;
-}
-
 Status ConstraintDatabase::ParseQueryText(const std::string& text,
                                           SelectionType* type, bool* vertical,
                                           HalfPlaneQuery* hp,
@@ -287,19 +277,7 @@ Result<std::string> ConstraintDatabase::Explain(const std::string& text) {
   HalfPlaneQuery hp;
   VerticalQuery vq;
   CDB_RETURN_IF_ERROR(ParseQueryText(text, &type, &vertical, &hp, &vq));
-  if (vertical) {
-    char buf[200];
-    const char* tree = (type == SelectionType::kExist) == (vq.cmp == Cmp::kGE)
-                           ? "X^max"
-                           : "X^min";
-    std::snprintf(buf, sizeof(buf),
-                  "%s(x %s %g) via vertical support trees\n"
-                  "  exact: sweep %s %s from %g\n  no refinement needed\n",
-                  type == SelectionType::kAll ? "ALL" : "EXIST",
-                  vq.cmp == Cmp::kGE ? ">=" : "<=", vq.boundary, tree,
-                  vq.cmp == Cmp::kGE ? "upward" : "downward", vq.boundary);
-    return std::string(buf);
-  }
+  if (vertical) return index_->Explain(type, vq);
   return index_->Explain(type, hp, QueryMethod::kAuto);
 }
 

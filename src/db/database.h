@@ -10,9 +10,9 @@
 // page; Open() with an existing path reattaches everything.
 //
 // Mutations are single-threaded, like the underlying structures. Reads can
-// be served in parallel through SelectBatch, which drives both pagers
-// through exec::QueryExecutor (concurrent-read mode; see
-// src/exec/query_executor.h and DESIGN.md §2c).
+// be served in parallel by handing index() to exec::QueryExecutor, which
+// drives both pagers in concurrent-read mode (src/exec/query_executor.h and
+// DESIGN.md §2c).
 
 #ifndef CDB_DB_DATABASE_H_
 #define CDB_DB_DATABASE_H_
@@ -21,7 +21,6 @@
 #include <string>
 
 #include "dualindex/dual_index.h"
-#include "exec/query_executor.h"
 
 namespace cdb {
 
@@ -73,15 +72,6 @@ class ConstraintDatabase {
   Result<std::vector<TupleId>> SelectVertical(SelectionType type,
                                               const VerticalQuery& q,
                                               QueryStats* stats = nullptr);
-
-  /// Runs a batch of selections in parallel on `threads` worker threads
-  /// (a fresh executor per call; hold a QueryExecutor and use RunBatch
-  /// directly to amortize pool startup across batches). Results are
-  /// per-query — a failing query reports through its own element without
-  /// aborting the rest. No mutation may run concurrently.
-  Status SelectBatch(const std::vector<exec::BatchQuery>& batch,
-                     size_t threads,
-                     std::vector<exec::BatchItemResult>* results);
 
   /// One-line query language: "ALL <halfplane>" or "EXIST <halfplane>",
   /// where <halfplane> is parser syntax (e.g. "y >= 2x + 1") or a vertical

@@ -126,7 +126,7 @@ Status DDimDualIndex::Refine(SelectionType type, const HalfPlaneQueryD& q,
   static obs::Counter* const lp_calls =
       obs::GlobalMetrics().counter("ddim.refine.lp_calls");
   return RefinePageClustered<RelationD, GeneralizedTupleD>(
-      *relation_, lp_calls, ids, &st->filter, &st->false_hits,
+      *relation_, lp_calls, ids, &st->filter,
       [&](const GeneralizedTupleD& tuple) {
         return type == SelectionType::kAll
                    ? ExactAllD(tuple.constraints(), q)

@@ -37,23 +37,6 @@ Status MergeFold(BPlusTree* tree, int slot, double at, double v) {
 // with slack for later inserts.
 constexpr double kBulkFill = 0.8;
 
-// T2's tree choice (Section 4.2): the query slope lies in (s_i, s_{i+1});
-// the nearer slope's tree answers, with the handicaps of its half-interval
-// on the query's side.
-struct T2Plan {
-  size_t nearest;
-  bool next_side;  // The query lies toward the slope after `nearest`.
-  SweepPlan sweep;
-};
-
-T2Plan PlanT2(const SlopeSet& slopes, size_t i, SelectionType type,
-              const HalfPlaneQuery& q) {
-  const double left = slopes.slope(i), right = slopes.slope(i + 1);
-  const size_t nearest = (q.slope - left <= right - q.slope) ? i : i + 1;
-  const bool next_side = nearest == i;
-  return {nearest, next_side, PlanSweep(type, q.cmp, next_side)};
-}
-
 }  // namespace
 
 Status DualIndex::Build(Pager* pager, Relation* relation, SlopeSet slopes,
@@ -337,43 +320,43 @@ Status DualIndex::Remove(TupleId id, const GeneralizedTuple& tuple) {
   return Status::OK();
 }
 
-// --- T1 and T2 ----------------------------------------------------------------
-//
-// Select answers slopes in S by the exact sweep before dispatching here.
+// --- The planner -------------------------------------------------------------
 
-Result<std::vector<TupleId>> DualIndex::SelectT1(SelectionType type,
-                                                 const HalfPlaneQuery& q,
-                                                 QueryStats* stats) {
-  const std::array<AppQuery, 2> plan =
-      PlanAppQueries(slopes_, type, q, options_.anchor_x);
-  std::array<AppSweep, 2> sweeps;
-  for (size_t j = 0; j < sweeps.size(); ++j) {
-    const AppQuery& aq = plan[j];
-    const SweepPlan sweep = PlanSweep(aq.type, aq.cmp, /*next_side=*/false);
-    sweeps[j] = {&Tree(aq.slope_index, sweep), aq.intercept, sweep.upward};
+DualIndex::QueryPlan DualIndex::Plan(SelectionType type,
+                                     const HalfPlaneQuery& q,
+                                     QueryMethod method) const {
+  QueryPlan plan;
+  const SlopeLocation loc = slopes_.Locate(q.slope);
+  if (loc.kind == SlopeLocation::Kind::kExact) {
+    // Slope in S: every method runs Section 3's exact sweep.
+    plan.path = QueryPlan::Path::kExact;
+    plan.slope = loc.index;
+    plan.sweep = PlanSweep(type, q.cmp, /*next_side=*/false);
+    return plan;
   }
-  std::vector<TupleId> ids;
-  CDB_RETURN_IF_ERROR(FilterT1(sweeps, &ids, stats));
-  CDB_RETURN_IF_ERROR(Refine(type, q, &ids, stats));
-  return ids;
-}
-
-Result<std::vector<TupleId>> DualIndex::SelectT2(SelectionType type,
-                                                 const HalfPlaneQuery& q,
-                                                 const SlopeLocation& loc,
-                                                 QueryStats* stats) {
-  if (loc.kind != SlopeLocation::Kind::kBetween || slopes_.size() < 2) {
-    // Wrap-around region: the single-tree trick needs a same-surface
-    // neighbour interval; fall back to T1 (DESIGN.md decision 4).
-    stats->used_wrap_fallback = true;
-    return SelectT1(type, q, stats);
+  if (method == QueryMethod::kRestricted) return plan;  // kReject.
+  // The filter for a slope outside S: kAuto and kT2 ask for T2.
+  const bool asks_t2 = method != QueryMethod::kT1;
+  // Wrap-around region: T2's single-tree trick needs a same-surface
+  // neighbour interval, so it falls back to T1 (DESIGN.md decision 4).
+  plan.wrap_fallback =
+      asks_t2 &&
+      (loc.kind != SlopeLocation::Kind::kBetween || slopes_.size() < 2);
+  if (!asks_t2 || plan.wrap_fallback) {
+    plan.path = QueryPlan::Path::kT1;
+    plan.app = PlanAppQueries(slopes_, type, q, options_.anchor_x);
+    return plan;
   }
-  const T2Plan plan = PlanT2(slopes_, loc.index, type, q);
-  std::vector<TupleId> ids;
-  CDB_RETURN_IF_ERROR(FilterT2(Tree(plan.nearest, plan.sweep), plan.sweep,
-                               q.intercept, &ids, stats));
-  CDB_RETURN_IF_ERROR(Refine(type, q, &ids, stats));
-  return ids;
+  // T2 (Section 4.2): the query slope lies in (s_i, s_{i+1}); the nearer
+  // slope's tree answers, with the handicaps of its half-interval on the
+  // query's side.
+  const size_t i = loc.index;
+  const double left = slopes_.slope(i), right = slopes_.slope(i + 1);
+  plan.path = QueryPlan::Path::kT2;
+  plan.slope = (q.slope - left <= right - q.slope) ? i : i + 1;
+  plan.next_side = plan.slope == i;
+  plan.sweep = PlanSweep(type, q.cmp, plan.next_side);
+  return plan;
 }
 
 // --- Refinement ----------------------------------------------------------------
@@ -388,13 +371,18 @@ Status DualIndex::Refine(SelectionType type, const HalfPlaneQuery& q,
   }
   static obs::Counter* const lp_calls =
       obs::GlobalMetrics().counter("dual.refine.lp_calls");
-  return RefineBatch2D(*relation_, type, q, lp_calls, ids, &stats->filter,
-                       &stats->false_hits);
+  return RefineBatch2D(*relation_, type, q, lp_calls, ids, &stats->filter);
 }
 
 // --- Explain -------------------------------------------------------------------
 
 namespace {
+
+const char* TypeName(SelectionType type) {
+  return type == SelectionType::kAll ? "ALL" : "EXIST";
+}
+
+const char* CmpName(Cmp cmp) { return cmp == Cmp::kGE ? ">=" : "<="; }
 
 const char* TreeName(const SweepPlan& plan) {
   return plan.up_tree ? "B^up" : "B^down";
@@ -407,8 +395,7 @@ std::string DescribeExact(const SlopeSet& slopes, const AppQuery& aq) {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "%s(%s) on %s[slope=%g]: seek b=%g, sweep %s",
-                aq.type == SelectionType::kAll ? "ALL" : "EXIST",
-                aq.cmp == Cmp::kGE ? ">=" : "<=", TreeName(plan),
+                TypeName(aq.type), CmpName(aq.cmp), TreeName(plan),
                 slopes.slope(aq.slope_index), aq.intercept,
                 Direction(plan.upward));
   return buf;
@@ -420,52 +407,39 @@ std::string DualIndex::Explain(SelectionType type, const HalfPlaneQuery& q,
                                QueryMethod method) const {
   char head[160];
   std::snprintf(head, sizeof(head), "%s(y %s %g*x + %g) via %s\n",
-                type == SelectionType::kAll ? "ALL" : "EXIST",
-                q.cmp == Cmp::kGE ? ">=" : "<=", q.slope, q.intercept,
+                TypeName(type), CmpName(q.cmp), q.slope, q.intercept,
                 method == QueryMethod::kRestricted ? "restricted"
                 : method == QueryMethod::kT1       ? "T1"
                 : method == QueryMethod::kT2       ? "T2"
                                                    : "auto");
   std::string out = head;
-  SlopeLocation loc = slopes_.Locate(q.slope);
-
-  if (loc.kind == SlopeLocation::Kind::kExact) {
-    out += "  exact: " +
-           DescribeExact(slopes_, {loc.index, type, q.cmp, q.intercept}) +
-           "\n  no refinement needed\n";
-    return out;
+  const QueryPlan plan = Plan(type, q, method);
+  switch (plan.path) {
+    case QueryPlan::Path::kExact:
+      return out + "  exact: " +
+             DescribeExact(slopes_, {plan.slope, type, q.cmp, q.intercept}) +
+             "\n  no refinement needed\n";
+    case QueryPlan::Path::kReject:
+      return out + "  ERROR: slope not in S\n";
+    case QueryPlan::Path::kT1:
+      if (plan.wrap_fallback) {
+        out += "  slope outside [min S, max S]: T2 falls back to T1\n";
+      }
+      for (const AppQuery& aq : plan.app) {
+        out += "  app-query: " + DescribeExact(slopes_, aq) + "\n";
+      }
+      return out +
+             "  deduplicate ids, refine candidates on their V-representation\n";
+    case QueryPlan::Path::kT2:
+      break;
   }
-  if (method == QueryMethod::kRestricted) {
-    out += "  ERROR: slope not in S\n";
-    return out;
-  }
-
-  bool use_t1 = method == QueryMethod::kT1;
-  if (!use_t1 && (loc.kind != SlopeLocation::Kind::kBetween ||
-                  slopes_.size() < 2)) {
-    out += "  slope outside [min S, max S]: T2 falls back to T1\n";
-    use_t1 = true;
-  }
-  if (use_t1) {
-    for (const AppQuery& aq :
-         PlanAppQueries(slopes_, type, q, options_.anchor_x)) {
-      out += "  app-query: " + DescribeExact(slopes_, aq) + "\n";
-    }
-    out += "  deduplicate ids, refine candidates on their V-representation\n";
-    return out;
-  }
-
-  const T2Plan plan = PlanT2(slopes_, loc.index, type, q);
   const SweepPlan& sw = plan.sweep;
   char bound[96];
-  if (Tree(plan.nearest, sw).augmented()) {
-    std::snprintf(bound, sizeof(bound),
-                  "one aggregate descent on handicap slot %d", sw.slot);
-  } else {
-    std::snprintf(bound, sizeof(bound),
-                  "handicap slot %d folded over the first sweep's leaves",
-                  sw.slot);
-  }
+  std::snprintf(bound, sizeof(bound),
+                Tree(plan.slope, sw).augmented()
+                    ? "one aggregate descent on handicap slot %d"
+                    : "handicap slot %d folded over the first sweep's leaves",
+                sw.slot);
   char body[384];
   std::snprintf(body, sizeof(body),
                 "  T2: %s[slope=%g] (nearest), handicap side=%s\n"
@@ -473,14 +447,26 @@ std::string DualIndex::Explain(SelectionType type, const HalfPlaneQuery& q,
                 "  second-sweep bound: %s\n"
                 "  second sweep %s to that bound\n"
                 "  refine candidates on their V-representation\n",
-                TreeName(sw), slopes_.slope(plan.nearest),
+                TreeName(sw), slopes_.slope(plan.slope),
                 plan.next_side ? "next" : "prev", Direction(sw.upward),
                 q.intercept, bound, Direction(!sw.upward));
-  out += body;
-  return out;
+  return out + body;
 }
 
-// --- Entry point -----------------------------------------------------------------
+std::string DualIndex::Explain(SelectionType type,
+                               const VerticalQuery& q) const {
+  const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
+  char buf[200];
+  std::snprintf(buf, sizeof(buf),
+                "%s(x %s %g) via vertical support trees\n"
+                "  exact: sweep %s %s from %g\n  no refinement needed\n",
+                TypeName(type), CmpName(q.cmp), q.boundary,
+                plan.up_tree ? "X^max" : "X^min", Direction(plan.upward),
+                q.boundary);
+  return buf;
+}
+
+// --- Entry points ------------------------------------------------------------
 
 Result<std::vector<TupleId>> DualIndex::Select(SelectionType type,
                                                const HalfPlaneQuery& q,
@@ -502,23 +488,34 @@ Result<std::vector<TupleId>> DualIndex::Select(SelectionType type,
   obs::Tracer tracer("dual/select", pager_, relation_->pager());
 
   Result<std::vector<TupleId>> result = [&]() -> Result<std::vector<TupleId>> {
-    const SlopeLocation loc = slopes_.Locate(q.slope);
-    if (loc.kind == SlopeLocation::Kind::kExact) {
-      // Slope in S: every method runs Section 3's exact sweep.
-      const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
-      return SelectExact(Tree(loc.index, plan), plan.upward, q.intercept, st);
-    }
-    switch (method) {
-      case QueryMethod::kRestricted:
+    const QueryPlan plan = Plan(type, q, method);
+    std::vector<TupleId> ids;
+    switch (plan.path) {
+      case QueryPlan::Path::kExact:
+        return SelectExact(Tree(plan.slope, plan.sweep), plan.sweep.upward,
+                           q.intercept, st);
+      case QueryPlan::Path::kReject:
         return Status::InvalidArgument(
             "restricted method requires the query slope to be in S");
-      case QueryMethod::kT1:
-        return SelectT1(type, q, st);
-      case QueryMethod::kT2:
-      case QueryMethod::kAuto:
-        return SelectT2(type, q, loc, st);
+      case QueryPlan::Path::kT1: {
+        std::array<AppSweep, 2> sweeps;
+        for (size_t j = 0; j < sweeps.size(); ++j) {
+          const AppQuery& aq = plan.app[j];
+          const SweepPlan sweep =
+              PlanSweep(aq.type, aq.cmp, /*next_side=*/false);
+          sweeps[j] = {&Tree(aq.slope_index, sweep), aq.intercept,
+                       sweep.upward};
+        }
+        CDB_RETURN_IF_ERROR(FilterT1(sweeps, &ids, st));
+        break;
+      }
+      case QueryPlan::Path::kT2:
+        CDB_RETURN_IF_ERROR(FilterT2(Tree(plan.slope, plan.sweep), plan.sweep,
+                                     q.intercept, &ids, st));
+        break;
     }
-    return Status::InvalidArgument("unknown query method");
+    CDB_RETURN_IF_ERROR(Refine(type, q, &ids, st));
+    return ids;
   }();
 
   FinishSelect(&tracer, result, st, profile);
@@ -542,24 +539,12 @@ Result<std::vector<TupleId>> DualIndex::SelectVertical(
 
   // Section 3's table on the x-extent support trees, xmax in B^up's place
   // and xmin in B^down's: EXIST(x >= c) is max_x >= c, ALL(x >= c) is
-  // min_x >= c, and so on.
+  // min_x >= c, and so on. Exact: every candidate is a result.
   const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
-  std::vector<TupleId> ids;
-  {
-    CDB_TRACE_SPAN("sweep/support");
-    CDB_RETURN_IF_ERROR(Sweep(plan.up_tree ? *xmax_ : *xmin_, q.boundary,
-                              plan.upward, &ids, st));
-  }
-  std::sort(ids.begin(), ids.end());
-  st->index_page_fetches =
-      obs::FinishQueryTrace(&tracer, profile).index_fetches;
-  st->results = ids.size();
-  // Exact support sweep: every candidate is a result.
-  st->filter.candidates = st->candidates;
-  st->filter.early_accepts = ids.size();
-  st->filter.results = st->results;
-  if (profile != nullptr) profile->filter = st->filter;
-  return ids;
+  Result<std::vector<TupleId>> result = SelectExact(
+      plan.up_tree ? *xmax_ : *xmin_, plan.upward, q.boundary, st);
+  FinishSelect(&tracer, result, st, profile);
+  return result;
 }
 
 Result<std::vector<TupleId>> DualIndex::SelectSlab(
@@ -581,31 +566,31 @@ Result<std::vector<TupleId>> DualIndex::SelectSlab(
   // the exact sweeps of q(>=) at b_lo and q(<=) at b_hi.
   const SweepPlan lo = PlanSweep(type, Cmp::kGE, /*next_side=*/false);
   const SweepPlan hi = PlanSweep(type, Cmp::kLE, /*next_side=*/false);
-  std::vector<TupleId> a, b;
-  {
-    CDB_TRACE_SPAN("sweep/lo-bound");
-    CDB_RETURN_IF_ERROR(Sweep(Tree(loc.index, lo), b_lo, lo.upward, &a, st));
-  }
-  {
-    CDB_TRACE_SPAN("sweep/hi-bound");
-    CDB_RETURN_IF_ERROR(Sweep(Tree(loc.index, hi), b_hi, hi.upward, &b, st));
-  }
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  std::vector<TupleId> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  st->index_page_fetches =
-      obs::FinishQueryTrace(&tracer, profile).index_fetches;
-  st->results = out.size();
-  // Exact set algebra over the two sweeps: candidates outside the
-  // intersection drop like T1 duplicates, survivors are early accepts.
-  st->filter.candidates = st->candidates;
-  st->filter.dedup_dropped = st->candidates - out.size();
-  st->filter.early_accepts = out.size();
-  st->filter.results = st->results;
-  if (profile != nullptr) profile->filter = st->filter;
-  return out;
+  Result<std::vector<TupleId>> result = [&]() -> Result<std::vector<TupleId>> {
+    std::vector<TupleId> a, b;
+    {
+      CDB_TRACE_SPAN("sweep/lo-bound");
+      CDB_RETURN_IF_ERROR(
+          Sweep(Tree(loc.index, lo), b_lo, lo.upward, &a, st));
+    }
+    {
+      CDB_TRACE_SPAN("sweep/hi-bound");
+      CDB_RETURN_IF_ERROR(
+          Sweep(Tree(loc.index, hi), b_hi, hi.upward, &b, st));
+    }
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    std::vector<TupleId> out;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(out));
+    // Exact set algebra over the two sweeps: candidates outside the
+    // intersection drop like T1 duplicates, survivors are early accepts.
+    st->filter.dedup_dropped = st->candidates - out.size();
+    st->filter.early_accepts = out.size();
+    return out;
+  }();
+  FinishSelect(&tracer, result, st, profile);
+  return result;
 }
 
 // --- Handicap rebuild ---------------------------------------------------------

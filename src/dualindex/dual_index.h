@@ -12,6 +12,8 @@
 //      to bound the second sweep; duplicate-free by construction.
 // Both techniques return a superset of the answer; a refinement step
 // (exact predicates on each tuple's V-representation) removes false hits.
+// Which of these a query runs is decided in one place, the private planner
+// DualIndex::Plan: Select executes its plan and Explain prints it.
 //
 // Unbounded tuples are stored as ±infinity keys — the index never
 // approximates objects, only queries (the paper's central design point).
@@ -19,6 +21,7 @@
 #ifndef CDB_DUALINDEX_DUAL_INDEX_H_
 #define CDB_DUALINDEX_DUAL_INDEX_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -34,15 +37,20 @@
 
 namespace cdb {
 
-/// Query-execution strategy.
+/// Query-execution strategy, as the caller asks for it. A slope in S runs
+/// the exact sweep under every method; DualIndex::Plan decides the rest.
 enum class QueryMethod {
-  kAuto,        // Exact when the slope is in S; otherwise T2.
+  kAuto,        // Exact when the slope is in S; otherwise T2 (Plan).
   kRestricted,  // Require the slope to be in S (error otherwise).
   kT1,          // Two app-queries (Section 4.1).
-  kT2,          // Single-tree handicap search (Section 4.2).
+  kT2,          // Single-tree handicap search (Section 4.2); T1 when the
+                // slope lies outside [min S, max S] (Plan).
 };
 
-/// Per-query execution statistics, the paper's evaluation currency.
+/// Per-query execution statistics, the paper's evaluation currency: page
+/// accesses and the candidate/result totals here, and the paper's
+/// duplicates and false hits as filter.dedup_dropped and
+/// filter.refine_rejects.
 struct QueryStats {
   uint64_t index_page_fetches = 0;  // B+-tree page accesses (logical; each
                                     // leaf is visited exactly once).
@@ -51,15 +59,12 @@ struct QueryStats {
                                     // visited in id order, so buffered
                                     // re-reads of a page are not charged).
   uint64_t candidates = 0;          // Entries returned by sweeps.
-  uint64_t duplicates = 0;          // Candidates seen more than once (T1).
-  uint64_t false_hits = 0;          // Candidates removed by refinement.
   uint64_t results = 0;
-  bool used_wrap_fallback = false;  // T2 delegated to T1 (slope outside S).
 
-  /// Filter-precision phase accounting (ISSUE 6): partitions `candidates`
-  /// into dedup drops / early accepts / refinement accepts / refinement
-  /// rejects. filter.Balances() holds on every path by construction (the
-  /// filter_precision tests prove it); also copied into the query's
+  /// The one per-query partition of `candidates`: dedup drops, early
+  /// accepts, refinement accepts and rejects, and (after an error exit)
+  /// abandoned. filter.Balances() holds on every path, because every
+  /// selection closes through FinishSelect; also copied into the query's
   /// ExplainProfile when one is attached.
   obs::FilterCounts filter;
 };
@@ -215,9 +220,12 @@ class DualIndex {
 
   /// Human-readable, single-line-per-step description of how Select()
   /// would execute the query (tree choice, sweep directions, app-query
-  /// plan, fallbacks) — without running it.
+  /// plan, fallbacks) — the plan Select runs, printed without running it.
   std::string Explain(SelectionType type, const HalfPlaneQuery& q,
                       QueryMethod method) const;
+
+  /// The same for SelectVertical(): which support tree, which direction.
+  std::string Explain(SelectionType type, const VerticalQuery& q) const;
 
   const SlopeSet& slopes() const { return slopes_; }
 
@@ -281,15 +289,22 @@ class DualIndex {
     return *(plan.up_tree ? up_ : down_)[i];
   }
 
-  // T1 and T2 for slopes outside S (Select runs the exact sweep for slopes
-  // in S).
-  Result<std::vector<TupleId>> SelectT1(SelectionType type,
-                                        const HalfPlaneQuery& q,
-                                        QueryStats* stats);
-  Result<std::vector<TupleId>> SelectT2(SelectionType type,
-                                        const HalfPlaneQuery& q,
-                                        const SlopeLocation& loc,
-                                        QueryStats* stats);
+  // How one half-plane query runs.
+  struct QueryPlan {
+    enum class Path { kExact, kReject, kT1, kT2 };
+    Path path = Path::kReject;
+    bool wrap_fallback = false;  // T2 asked for, T1 runs (see Plan).
+    size_t slope = 0;            // kExact: the query's slope in S; kT2: the
+                                 // nearer bracketing slope.
+    bool next_side = false;      // kT2: the query lies toward slope + 1.
+    SweepPlan sweep{};           // kExact and kT2.
+    std::array<AppQuery, 2> app{};  // kT1.
+  };
+
+  // The planner: the one place that decides among the exact sweep, T1, T2
+  // and the restricted method's rejection.
+  QueryPlan Plan(SelectionType type, const HalfPlaneQuery& q,
+                 QueryMethod method) const;
 
   // Removes candidates failing the exact predicate (when options_.refine).
   Status Refine(SelectionType type, const HalfPlaneQuery& q,

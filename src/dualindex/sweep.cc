@@ -94,7 +94,6 @@ Status FilterT1(std::span<const AppSweep> sweeps, std::vector<TupleId>* ids,
   std::sort(ids->begin(), ids->end());
   const size_t before = ids->size();
   ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
-  stats->duplicates += before - ids->size();
   stats->filter.dedup_dropped += before - ids->size();
   return Status::OK();
 }

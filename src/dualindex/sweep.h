@@ -11,7 +11,8 @@
 //  * FilterT2 — Section 4.2's T2 filter on one tree (2-D only): first
 //    sweep, the second-sweep bound, the bounded second sweep, sort;
 //  * FinishSelect — a selection's closing books (page fetches, filter
-//    partition).
+//    partition); every 2-D dual, d-dimensional and R+-tree selection
+//    closes through it, error exits included.
 //
 // The leaf cursor holds no pin between moves, so a sweep that fails on a
 // page read leaves the pager clean.
@@ -64,7 +65,7 @@ struct AppSweep {
 
 /// T1's filter under a "filter" span: each of `sweeps` under its own
 /// "sweep/exact" span, appending to `ids`, then sort and drop the tuples
-/// more than one app-query returned (booked in stats->duplicates and
+/// more than one app-query returned (booked in
 /// stats->filter.dedup_dropped).
 Status FilterT1(std::span<const AppSweep> sweeps, std::vector<TupleId>* ids,
                 QueryStats* stats);

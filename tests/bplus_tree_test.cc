@@ -245,16 +245,6 @@ TEST(BPlusTreeTest, HandicapsSurviveSplitsConservatively) {
   EXPECT_LE(cur.handicap(0), 42.0);
 }
 
-TEST(BPlusTreeTest, DestroyReleasesAllPages) {
-  TreeFixture fx;
-  for (uint32_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE(fx.tree->Insert(static_cast<double>(i), i).ok());
-  }
-  EXPECT_GT(fx.pager->live_page_count(), 10u);
-  ASSERT_TRUE(fx.tree->Destroy().ok());
-  EXPECT_EQ(fx.pager->live_page_count(), 0u);
-}
-
 TEST(BPlusTreeTest, OpenFromMetaPage) {
   PagerOptions opts;
   opts.page_size = 256;

@@ -3,15 +3,17 @@
 // degrades exactly as specified — per-item kUnavailable statuses only,
 // never a crash, hang, or corruption; accounting invariants still
 // balance; and the pager stays usable (a follow-up clean batch is
-// all-OK). The d-dimensional index and the R+-tree baseline get the same
-// read-fault sweep, one query each, which also proves that a query stopped
-// part-way books its unprocessed candidates as filter.abandoned.
+// all-OK). The d-dimensional index, the R+-tree baseline and the dual
+// index's vertical and slab selections get the same read-fault sweep,
+// which also proves that a query stopped part-way books its unprocessed
+// candidates as filter.abandoned.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -361,6 +363,102 @@ TEST(ChaosSweepTest, RTreeTransientFaultAtEveryReadIndex) {
     return RTreeSelect(tree.get(), relation.get(), SelectionType::kAll, q,
                        stats);
   });
+}
+
+TEST(ChaosSweepTest, VerticalAndSlabTransientFaultAtEveryReadIndex) {
+  // The vertical and slab selections read only the index pager. Each
+  // armed read fault must fail the query with its books closed like any
+  // other selection's: balanced partition over every swept candidate,
+  // page fetches equal to the pager's own count, and a filled profile.
+  FaultPagers io;
+  std::unique_ptr<Relation> relation;
+  ASSERT_TRUE(
+      Relation::Open(io.rel_pager.get(), kInvalidPageId, &relation).ok());
+  Rng rng(9004);
+  WorkloadOptions w;
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(relation->Insert(RandomBoundedTuple(&rng, w)).ok());
+  }
+  DualIndexOptions opts;
+  opts.support_vertical = true;
+  std::unique_ptr<DualIndex> index;
+  ASSERT_TRUE(DualIndex::Build(io.idx_pager.get(), relation.get(),
+                               SlopeSet::UniformInAngle(4, -1.3, 1.3), opts,
+                               &index)
+                  .ok());
+  ASSERT_TRUE(io.idx_pager->Flush().ok());
+
+  using Query = std::function<Result<std::vector<TupleId>>(
+      QueryStats*, obs::ExplainProfile*)>;
+  const double slope = index->slopes().slope(1);
+  const std::vector<std::pair<std::string, Query>> queries = {
+      {"dual/select-vertical",
+       [&](QueryStats* stats, obs::ExplainProfile* profile) {
+         return index->SelectVertical(SelectionType::kExist,
+                                      {-20.0, Cmp::kGE}, stats, profile);
+       }},
+      {"dual/select-vertical",
+       [&](QueryStats* stats, obs::ExplainProfile* profile) {
+         return index->SelectVertical(SelectionType::kAll, {30.0, Cmp::kLE},
+                                      stats, profile);
+       }},
+      {"dual/select-slab",
+       [&](QueryStats* stats, obs::ExplainProfile* profile) {
+         return index->SelectSlab(SelectionType::kExist, slope, -40.0, 40.0,
+                                  stats, profile);
+       }},
+      {"dual/select-slab",
+       [&](QueryStats* stats, obs::ExplainProfile* profile) {
+         return index->SelectSlab(SelectionType::kAll, slope, -60.0, 20.0,
+                                  stats, profile);
+       }},
+  };
+  for (const auto& [root, query] : queries) {
+    io.DropCaches();
+    const uint64_t reads_before = io.reads_seen();
+    Result<std::vector<TupleId>> truth = query(nullptr, nullptr);
+    ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+    const uint64_t total_reads = io.reads_seen() - reads_before;
+    ASSERT_GT(total_reads, 2u) << root;
+
+    const uint64_t faults_before = io.plan->transient_faults();
+    uint64_t abandoned_runs = 0;
+    for (uint64_t k = 0; k < total_reads; ++k) {
+      io.DropCaches();
+      io.plan->ArmTransientReads(static_cast<int64_t>(k), /*k=*/1);
+      const uint64_t fetches_before = io.idx_pager->stats().page_fetches;
+      QueryStats stats;
+      obs::ExplainProfile profile;
+      Result<std::vector<TupleId>> r = query(&stats, &profile);
+      const uint64_t fetches =
+          io.idx_pager->stats().page_fetches - fetches_before;
+      io.plan->DisarmTransient();
+
+      EXPECT_TRUE(r.status().IsUnavailable())
+          << root << " k=" << k << ": " << r.status().ToString();
+      EXPECT_EQ(io.rel_pager->pinned_frame_count(), 0u);
+      EXPECT_EQ(io.idx_pager->pinned_frame_count(), 0u);
+      EXPECT_TRUE(stats.filter.Balances()) << root << " k=" << k;
+      EXPECT_EQ(stats.filter.candidates, stats.candidates)
+          << root << " k=" << k;
+      EXPECT_EQ(stats.index_page_fetches, fetches) << root << " k=" << k;
+      if (stats.filter.abandoned > 0) ++abandoned_runs;
+      // The profile is filled: its span tree, totals and partition.
+      EXPECT_EQ(profile.root.name, root);
+      EXPECT_EQ(profile.totals.index_fetches, fetches) << root << " k=" << k;
+      EXPECT_TRUE(profile.SumsBalance());
+      EXPECT_EQ(profile.filter.candidates, stats.filter.candidates);
+      EXPECT_EQ(profile.filter.abandoned, stats.filter.abandoned);
+
+      io.DropCaches();
+      Result<std::vector<TupleId>> again = query(nullptr, nullptr);
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      EXPECT_EQ(again.value(), truth.value()) << root << " k=" << k;
+    }
+    EXPECT_EQ(io.plan->transient_faults() - faults_before, total_reads);
+    EXPECT_GT(abandoned_runs, 0u)
+        << root << ": no fault stopped the query with candidates in hand";
+  }
 }
 
 }  // namespace

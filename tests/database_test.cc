@@ -221,6 +221,248 @@ TEST(DatabaseTest, ExplainDescribesThePlan) {
   EXPECT_TRUE(db->Explain("BOGUS y >= 1").status().IsInvalidArgument());
 }
 
+// Every branch of the query planner as Explain prints it, as one text: a
+// slope in S, between two slopes of S (nearer the lower and nearer the
+// upper one), below min S and above max S, under each method, on ordinary
+// and augmented trees, ALL with >= and EXIST with <=; then vertical
+// queries with both comparisons.
+std::string ExplainAllBranches() {
+  std::string out;
+  for (bool augmented : {false, true}) {
+    DatabaseOptions opts = MemOptions();
+    opts.slopes = {-1.0, 0.0, 1.0};
+    opts.index_options.support_vertical = true;
+    opts.index_options.incremental_handicaps = augmented;
+    std::unique_ptr<ConstraintDatabase> db;
+    EXPECT_TRUE(ConstraintDatabase::Open("mem", opts, &db).ok());
+    EXPECT_TRUE(db->InsertText("x >= 0, x <= 1, y >= 0, y <= 1").ok());
+    const std::vector<double> slopes =
+        augmented ? std::vector<double>{0.4, 0.7}
+                  : std::vector<double>{0.0, 0.4, 0.7, -2.5, 3.0};
+    for (double slope : slopes) {
+      for (QueryMethod method : {QueryMethod::kAuto, QueryMethod::kT1,
+                                 QueryMethod::kT2, QueryMethod::kRestricted}) {
+        if (augmented && method != QueryMethod::kT2) continue;
+        for (SelectionType type :
+             {SelectionType::kAll, SelectionType::kExist}) {
+          const Cmp cmp =
+              type == SelectionType::kAll ? Cmp::kGE : Cmp::kLE;
+          out += db->index()->Explain(type, HalfPlaneQuery(slope, 1.5, cmp),
+                                      method);
+        }
+      }
+    }
+    if (augmented) continue;
+    for (const char* text :
+         {"ALL x >= 2", "ALL x <= -1.5", "EXIST x >= 0.25", "EXIST x <= 3"}) {
+      Result<std::string> plan = db->Explain(text);
+      EXPECT_TRUE(plan.ok());
+      out += plan.ok() ? plan.value() : "";
+    }
+  }
+  return out;
+}
+
+TEST(DatabaseTest, ExplainTextIsPinnedForEveryPlanBranch) {
+  EXPECT_EQ(ExplainAllBranches(), R"(ALL(y >= 0*x + 1.5) via auto
+  exact: ALL(>=) on B^down[slope=0]: seek b=1.5, sweep upward
+  no refinement needed
+EXIST(y <= 0*x + 1.5) via auto
+  exact: EXIST(<=) on B^down[slope=0]: seek b=1.5, sweep downward
+  no refinement needed
+ALL(y >= 0*x + 1.5) via T1
+  exact: ALL(>=) on B^down[slope=0]: seek b=1.5, sweep upward
+  no refinement needed
+EXIST(y <= 0*x + 1.5) via T1
+  exact: EXIST(<=) on B^down[slope=0]: seek b=1.5, sweep downward
+  no refinement needed
+ALL(y >= 0*x + 1.5) via T2
+  exact: ALL(>=) on B^down[slope=0]: seek b=1.5, sweep upward
+  no refinement needed
+EXIST(y <= 0*x + 1.5) via T2
+  exact: EXIST(<=) on B^down[slope=0]: seek b=1.5, sweep downward
+  no refinement needed
+ALL(y >= 0*x + 1.5) via restricted
+  exact: ALL(>=) on B^down[slope=0]: seek b=1.5, sweep upward
+  no refinement needed
+EXIST(y <= 0*x + 1.5) via restricted
+  exact: EXIST(<=) on B^down[slope=0]: seek b=1.5, sweep downward
+  no refinement needed
+ALL(y >= 0.4*x + 1.5) via auto
+  T2: B^down[slope=0] (nearest), handicap side=next
+  first sweep upward from b=1.5
+  second-sweep bound: handicap slot 1 folded over the first sweep's leaves
+  second sweep downward to that bound
+  refine candidates on their V-representation
+EXIST(y <= 0.4*x + 1.5) via auto
+  T2: B^down[slope=0] (nearest), handicap side=next
+  first sweep downward from b=1.5
+  second-sweep bound: handicap slot 3 folded over the first sweep's leaves
+  second sweep upward to that bound
+  refine candidates on their V-representation
+ALL(y >= 0.4*x + 1.5) via T1
+  app-query: ALL(>=) on B^down[slope=0]: seek b=1.5, sweep upward
+  app-query: EXIST(>=) on B^up[slope=1]: seek b=1.5, sweep upward
+  deduplicate ids, refine candidates on their V-representation
+EXIST(y <= 0.4*x + 1.5) via T1
+  app-query: EXIST(<=) on B^down[slope=0]: seek b=1.5, sweep downward
+  app-query: EXIST(<=) on B^down[slope=1]: seek b=1.5, sweep downward
+  deduplicate ids, refine candidates on their V-representation
+ALL(y >= 0.4*x + 1.5) via T2
+  T2: B^down[slope=0] (nearest), handicap side=next
+  first sweep upward from b=1.5
+  second-sweep bound: handicap slot 1 folded over the first sweep's leaves
+  second sweep downward to that bound
+  refine candidates on their V-representation
+EXIST(y <= 0.4*x + 1.5) via T2
+  T2: B^down[slope=0] (nearest), handicap side=next
+  first sweep downward from b=1.5
+  second-sweep bound: handicap slot 3 folded over the first sweep's leaves
+  second sweep upward to that bound
+  refine candidates on their V-representation
+ALL(y >= 0.4*x + 1.5) via restricted
+  ERROR: slope not in S
+EXIST(y <= 0.4*x + 1.5) via restricted
+  ERROR: slope not in S
+ALL(y >= 0.7*x + 1.5) via auto
+  T2: B^down[slope=1] (nearest), handicap side=prev
+  first sweep upward from b=1.5
+  second-sweep bound: handicap slot 0 folded over the first sweep's leaves
+  second sweep downward to that bound
+  refine candidates on their V-representation
+EXIST(y <= 0.7*x + 1.5) via auto
+  T2: B^down[slope=1] (nearest), handicap side=prev
+  first sweep downward from b=1.5
+  second-sweep bound: handicap slot 2 folded over the first sweep's leaves
+  second sweep upward to that bound
+  refine candidates on their V-representation
+ALL(y >= 0.7*x + 1.5) via T1
+  app-query: EXIST(>=) on B^up[slope=0]: seek b=1.5, sweep upward
+  app-query: ALL(>=) on B^down[slope=1]: seek b=1.5, sweep upward
+  deduplicate ids, refine candidates on their V-representation
+EXIST(y <= 0.7*x + 1.5) via T1
+  app-query: EXIST(<=) on B^down[slope=0]: seek b=1.5, sweep downward
+  app-query: EXIST(<=) on B^down[slope=1]: seek b=1.5, sweep downward
+  deduplicate ids, refine candidates on their V-representation
+ALL(y >= 0.7*x + 1.5) via T2
+  T2: B^down[slope=1] (nearest), handicap side=prev
+  first sweep upward from b=1.5
+  second-sweep bound: handicap slot 0 folded over the first sweep's leaves
+  second sweep downward to that bound
+  refine candidates on their V-representation
+EXIST(y <= 0.7*x + 1.5) via T2
+  T2: B^down[slope=1] (nearest), handicap side=prev
+  first sweep downward from b=1.5
+  second-sweep bound: handicap slot 2 folded over the first sweep's leaves
+  second sweep upward to that bound
+  refine candidates on their V-representation
+ALL(y >= 0.7*x + 1.5) via restricted
+  ERROR: slope not in S
+EXIST(y <= 0.7*x + 1.5) via restricted
+  ERROR: slope not in S
+ALL(y >= -2.5*x + 1.5) via auto
+  slope outside [min S, max S]: T2 falls back to T1
+  app-query: EXIST(<=) on B^down[slope=1]: seek b=1.5, sweep downward
+  app-query: ALL(>=) on B^down[slope=-1]: seek b=1.5, sweep upward
+  deduplicate ids, refine candidates on their V-representation
+EXIST(y <= -2.5*x + 1.5) via auto
+  slope outside [min S, max S]: T2 falls back to T1
+  app-query: EXIST(>=) on B^up[slope=1]: seek b=1.5, sweep upward
+  app-query: EXIST(<=) on B^down[slope=-1]: seek b=1.5, sweep downward
+  deduplicate ids, refine candidates on their V-representation
+ALL(y >= -2.5*x + 1.5) via T1
+  app-query: EXIST(<=) on B^down[slope=1]: seek b=1.5, sweep downward
+  app-query: ALL(>=) on B^down[slope=-1]: seek b=1.5, sweep upward
+  deduplicate ids, refine candidates on their V-representation
+EXIST(y <= -2.5*x + 1.5) via T1
+  app-query: EXIST(>=) on B^up[slope=1]: seek b=1.5, sweep upward
+  app-query: EXIST(<=) on B^down[slope=-1]: seek b=1.5, sweep downward
+  deduplicate ids, refine candidates on their V-representation
+ALL(y >= -2.5*x + 1.5) via T2
+  slope outside [min S, max S]: T2 falls back to T1
+  app-query: EXIST(<=) on B^down[slope=1]: seek b=1.5, sweep downward
+  app-query: ALL(>=) on B^down[slope=-1]: seek b=1.5, sweep upward
+  deduplicate ids, refine candidates on their V-representation
+EXIST(y <= -2.5*x + 1.5) via T2
+  slope outside [min S, max S]: T2 falls back to T1
+  app-query: EXIST(>=) on B^up[slope=1]: seek b=1.5, sweep upward
+  app-query: EXIST(<=) on B^down[slope=-1]: seek b=1.5, sweep downward
+  deduplicate ids, refine candidates on their V-representation
+ALL(y >= -2.5*x + 1.5) via restricted
+  ERROR: slope not in S
+EXIST(y <= -2.5*x + 1.5) via restricted
+  ERROR: slope not in S
+ALL(y >= 3*x + 1.5) via auto
+  slope outside [min S, max S]: T2 falls back to T1
+  app-query: ALL(>=) on B^down[slope=1]: seek b=1.5, sweep upward
+  app-query: EXIST(<=) on B^down[slope=-1]: seek b=1.5, sweep downward
+  deduplicate ids, refine candidates on their V-representation
+EXIST(y <= 3*x + 1.5) via auto
+  slope outside [min S, max S]: T2 falls back to T1
+  app-query: EXIST(<=) on B^down[slope=1]: seek b=1.5, sweep downward
+  app-query: EXIST(>=) on B^up[slope=-1]: seek b=1.5, sweep upward
+  deduplicate ids, refine candidates on their V-representation
+ALL(y >= 3*x + 1.5) via T1
+  app-query: ALL(>=) on B^down[slope=1]: seek b=1.5, sweep upward
+  app-query: EXIST(<=) on B^down[slope=-1]: seek b=1.5, sweep downward
+  deduplicate ids, refine candidates on their V-representation
+EXIST(y <= 3*x + 1.5) via T1
+  app-query: EXIST(<=) on B^down[slope=1]: seek b=1.5, sweep downward
+  app-query: EXIST(>=) on B^up[slope=-1]: seek b=1.5, sweep upward
+  deduplicate ids, refine candidates on their V-representation
+ALL(y >= 3*x + 1.5) via T2
+  slope outside [min S, max S]: T2 falls back to T1
+  app-query: ALL(>=) on B^down[slope=1]: seek b=1.5, sweep upward
+  app-query: EXIST(<=) on B^down[slope=-1]: seek b=1.5, sweep downward
+  deduplicate ids, refine candidates on their V-representation
+EXIST(y <= 3*x + 1.5) via T2
+  slope outside [min S, max S]: T2 falls back to T1
+  app-query: EXIST(<=) on B^down[slope=1]: seek b=1.5, sweep downward
+  app-query: EXIST(>=) on B^up[slope=-1]: seek b=1.5, sweep upward
+  deduplicate ids, refine candidates on their V-representation
+ALL(y >= 3*x + 1.5) via restricted
+  ERROR: slope not in S
+EXIST(y <= 3*x + 1.5) via restricted
+  ERROR: slope not in S
+ALL(x >= 2) via vertical support trees
+  exact: sweep X^min upward from 2
+  no refinement needed
+ALL(x <= -1.5) via vertical support trees
+  exact: sweep X^max downward from -1.5
+  no refinement needed
+EXIST(x >= 0.25) via vertical support trees
+  exact: sweep X^max upward from 0.25
+  no refinement needed
+EXIST(x <= 3) via vertical support trees
+  exact: sweep X^min downward from 3
+  no refinement needed
+ALL(y >= 0.4*x + 1.5) via T2
+  T2: B^down[slope=0] (nearest), handicap side=next
+  first sweep upward from b=1.5
+  second-sweep bound: one aggregate descent on handicap slot 1
+  second sweep downward to that bound
+  refine candidates on their V-representation
+EXIST(y <= 0.4*x + 1.5) via T2
+  T2: B^down[slope=0] (nearest), handicap side=next
+  first sweep downward from b=1.5
+  second-sweep bound: one aggregate descent on handicap slot 3
+  second sweep upward to that bound
+  refine candidates on their V-representation
+ALL(y >= 0.7*x + 1.5) via T2
+  T2: B^down[slope=1] (nearest), handicap side=prev
+  first sweep upward from b=1.5
+  second-sweep bound: one aggregate descent on handicap slot 0
+  second sweep downward to that bound
+  refine candidates on their V-representation
+EXIST(y <= 0.7*x + 1.5) via T2
+  T2: B^down[slope=1] (nearest), handicap side=prev
+  first sweep downward from b=1.5
+  second-sweep bound: one aggregate descent on handicap slot 2
+  second sweep upward to that bound
+  refine candidates on their V-representation
+)");
+}
+
 TEST(DatabaseTest, StatsFlowThrough) {
   std::unique_ptr<ConstraintDatabase> db;
   ASSERT_TRUE(ConstraintDatabase::Open("mem", MemOptions(), &db).ok());

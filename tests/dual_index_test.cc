@@ -87,8 +87,8 @@ TEST(DualIndexTest, RestrictedMatchesNaiveForAllFamilies) {
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         EXPECT_EQ(got.value(), fx.Truth(type, q))
             << "slope=" << slope << " b=" << q.intercept;
-        EXPECT_EQ(stats.false_hits, 0u);
-        EXPECT_EQ(stats.duplicates, 0u);
+        EXPECT_EQ(stats.filter.refine_rejects, 0u);
+        EXPECT_EQ(stats.filter.dedup_dropped, 0u);
       }
     }
   }
@@ -143,7 +143,11 @@ TEST(DualIndexTest, T2MatchesNaiveOnArbitrarySlopes) {
           << "qi=" << qi << " slope=" << slope << " b=" << q.intercept
           << " type=" << (type == SelectionType::kAll ? "ALL" : "EXIST")
           << " cmp=" << (q.cmp == Cmp::kGE ? ">=" : "<=");
-      if (stats.used_wrap_fallback) ++wrap;
+    }
+    const SlopeLocation::Kind kind = fx.index->slopes().Locate(slope).kind;
+    if (kind == SlopeLocation::Kind::kBelowMin ||
+        kind == SlopeLocation::Kind::kAboveMax) {
+      ++wrap;
     }
   }
   EXPECT_GT(wrap, 0);  // The slope range intentionally exceeds S.
@@ -167,7 +171,6 @@ TEST(DualIndexTest, T2RawCandidatesAreSupersetAndDuplicateFree) {
       Result<std::vector<TupleId>> got =
           fx.index->Select(type, q, QueryMethod::kT2, &stats);
       ASSERT_TRUE(got.ok());
-      if (stats.used_wrap_fallback) continue;
       const std::vector<TupleId>& raw = got.value();
       // Duplicate-free: T2's two sweeps cover disjoint key ranges.
       for (size_t i = 1; i < raw.size(); ++i) {
@@ -365,12 +368,19 @@ TEST(DualIndexTest, WrapFallbackIsFlagged) {
   IndexFixture fx(111);
   fx.Populate(50);
   fx.BuildIndex(SlopeSet({-0.5, 0.5}));
-  QueryStats stats;
-  Result<std::vector<TupleId>> got =
-      fx.index->Select(SelectionType::kExist, HalfPlaneQuery(5.0, 0, Cmp::kGE),
-                       QueryMethod::kT2, &stats);
+  const HalfPlaneQuery q(5.0, 0, Cmp::kGE);
+  obs::ExplainProfile profile;
+  Result<std::vector<TupleId>> got = fx.index->Select(
+      SelectionType::kExist, q, QueryMethod::kT2, nullptr, &profile);
   ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(stats.used_wrap_fallback);
+  // T1 ran: two app-query sweeps, no T2 first sweep.
+  const obs::ProfileNode* exact = profile.root.Find("sweep/exact");
+  ASSERT_NE(exact, nullptr);
+  EXPECT_EQ(exact->invocations, 2u);
+  EXPECT_EQ(profile.root.Find("sweep/first"), nullptr);
+  EXPECT_NE(fx.index->Explain(SelectionType::kExist, q, QueryMethod::kT2)
+                .find("T2 falls back to T1"),
+            std::string::npos);
   EXPECT_EQ(got.value(),
             fx.Truth(SelectionType::kExist, HalfPlaneQuery(5.0, 0, Cmp::kGE)));
 }

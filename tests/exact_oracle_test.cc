@@ -570,12 +570,11 @@ TEST(ExactOracleTest, BoxDecisionsMatchExactDecisions) {
                  {SelectionType::kAll, SelectionType::kExist}) {
               std::vector<TupleId> ids = {id};
               obs::FilterCounts filter;
-              uint64_t false_hits = 0;
               const uint64_t a0 = bbox_accepts->value();
               const uint64_t r0 = bbox_rejects->value();
               ASSERT_TRUE(RefineBatch2D(*relation, type,
                                         HalfPlaneQuery(s, bd, cmp), lp, &ids,
-                                        &filter, &false_hits)
+                                        &filter)
                               .ok());
               const uint64_t da = bbox_accepts->value() - a0;
               const uint64_t dr = bbox_rejects->value() - r0;

@@ -3,7 +3,7 @@
 // one thread the per-query page-access counts are identical, with many
 // threads the result sets are identical, and a failing query is contained
 // to its own BatchItemResult. Covers all three engines (dual index, d-dim
-// dual index, R+-tree) plus the ConstraintDatabase::SelectBatch facade.
+// dual index, R+-tree).
 
 #include "exec/query_executor.h"
 
@@ -16,7 +16,6 @@
 
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
-#include "db/database.h"
 #include "dualindex/ddim_index.h"
 #include "obs/metrics.h"
 #include "pager_test_util.h"
@@ -419,45 +418,6 @@ TEST(QueryExecutorTest, AdmissionCapacityShedsBeyondBound) {
   }
   // The bench-artifact invariant: every submitted query is accounted for.
   EXPECT_EQ(out.shed + completed, batch.size());
-}
-
-TEST(QueryExecutorTest, DatabaseSelectBatchMatchesSelectLoop) {
-  DatabaseOptions opts;
-  opts.in_memory = true;
-  opts.slopes = {-1.0, -0.3, 0.3, 1.0};
-  std::unique_ptr<ConstraintDatabase> db;
-  ASSERT_TRUE(ConstraintDatabase::Open("exec_test_db", opts, &db).ok());
-
-  Rng rng(507);
-  WorkloadOptions w;
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(db->Insert(RandomBoundedTuple(&rng, w)).ok());
-  }
-
-  std::vector<exec::BatchQuery> batch;
-  for (int i = 0; i < 20; ++i) {
-    exec::BatchQuery q;
-    q.type = rng.Chance(0.5) ? SelectionType::kAll : SelectionType::kExist;
-    q.query = HalfPlaneQuery(std::tan(rng.Uniform(-1.2, 1.2)),
-                             rng.Uniform(-60, 60),
-                             rng.Chance(0.5) ? Cmp::kGE : Cmp::kLE);
-    batch.push_back(q);
-  }
-
-  std::vector<std::vector<TupleId>> serial;
-  for (const exec::BatchQuery& q : batch) {
-    Result<std::vector<TupleId>> r = db->Select(q.type, q.query, q.method);
-    ASSERT_TRUE(r.ok());
-    serial.push_back(r.value());
-  }
-
-  std::vector<exec::BatchItemResult> results;
-  ASSERT_TRUE(db->SelectBatch(batch, /*threads=*/4, &results).ok());
-  ASSERT_EQ(results.size(), batch.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].status.ok());
-    EXPECT_EQ(results[i].ids, serial[i]) << "query " << i;
-  }
 }
 
 }  // namespace

@@ -132,11 +132,6 @@ TEST(FilterPrecisionTest, DualMethodsBalanceAndMatchNaive) {
         ExpectFilterEq(profile.filter, stats.filter);
         EXPECT_TRUE(profile.SumsBalance());
         EXPECT_TRUE(profile.filter.Balances());
-        // The phase counts refine the legacy tallies, not replace them.
-        EXPECT_EQ(stats.filter.refine_rejects, stats.false_hits);
-        if (method == QueryMethod::kT1) {
-          EXPECT_EQ(stats.filter.dedup_dropped, stats.duplicates);
-        }
       }
     }
   }
@@ -302,7 +297,6 @@ TEST(FilterPrecisionTest, DDimPathsBalanceAndMatchBruteForce) {
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       CheckFilter(stats, got.value(), brute(type, q), "ddim");
       ExpectFilterEq(profile.filter, stats.filter);
-      EXPECT_EQ(stats.filter.refine_rejects, stats.false_hits);
     }
   }
   // Exact slope points: all early accepts, precision 1.
@@ -359,8 +353,6 @@ TEST(FilterPrecisionTest, RTreePathBalancesAndMatchesNaive) {
       ASSERT_TRUE(want.ok());
       CheckFilter(stats, got.value(), want.value(), "rtree");
       ExpectFilterEq(profile.filter, stats.filter);
-      EXPECT_EQ(stats.filter.dedup_dropped, stats.duplicates);
-      EXPECT_EQ(stats.filter.refine_rejects, stats.false_hits);
       // The shared refiner's box accepts are the family's only early
       // accepts.
       EXPECT_EQ(stats.filter.early_accepts,

@@ -98,7 +98,7 @@ TEST(ObsIntegrationTest, DualIndexProfileReproducesMeasurement) {
         // One LP evaluation per deduplicated candidate the bounding box
         // did not already decide.
         EXPECT_EQ(lp->invocations + box_decided,
-                  stats.candidates - stats.duplicates);
+                  stats.candidates - stats.filter.dedup_dropped);
       }
       // Still the right answer (candidate superset refined exactly).
       Result<std::vector<TupleId>> naive =

@@ -209,8 +209,9 @@ TEST(RefineBatchTest, DirectRefinerBooksPartitionsAndSkipsBoxDecided) {
     const uint64_t lp_before = lp->value();
     const uint64_t accepts_before = bbox_accepts->value();
     const uint64_t rejects_before = bbox_rejects->value();
-    ASSERT_TRUE(RefineBatch2D(*fx.relation, c.type, c.q, lp, &kept, &filter,
-                              &false_hits)
+    // Through the overload that also books a caller-owned false-hit count.
+    ASSERT_TRUE(RefineBatch2D(*fx.relation, c.type, c.q, lp, nullptr, &kept,
+                              &filter, &false_hits)
                     .ok());
     const uint64_t lp_calls = lp->value() - lp_before;
     const uint64_t box_accepts = bbox_accepts->value() - accepts_before;
@@ -269,7 +270,7 @@ TEST(RefineBatchTest, RefineOffReturnsProvenSuperset) {
                                 truth.value().begin(), truth.value().end()))
           << "refine-off candidates dropped a true result: slope=" << q.slope
           << " b=" << q.intercept;
-      EXPECT_EQ(stats.false_hits, 0u);
+      EXPECT_EQ(stats.filter.refine_rejects, 0u);
       EXPECT_TRUE(stats.filter.Balances());
       fx.CheckClean();
     }

@@ -293,7 +293,8 @@ TEST(RTreeSelectTest, AllQueriesScanMoreThanExist) {
                   .ok());
   EXPECT_EQ(all_stats.candidates, exist_stats.candidates);
   EXPECT_LE(all_stats.results, exist_stats.results);
-  EXPECT_GE(all_stats.false_hits, exist_stats.false_hits);
+  EXPECT_GE(all_stats.filter.refine_rejects,
+            exist_stats.filter.refine_rejects);
 }
 
 }  // namespace

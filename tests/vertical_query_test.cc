@@ -90,7 +90,8 @@ TEST(VerticalQueryTest, MatchesNaiveOnBoundedWorkload) {
       ASSERT_TRUE(want.ok());
       EXPECT_EQ(got.value(), want.value())
           << "x=" << q.boundary << " cmp=" << (q.cmp == Cmp::kGE ? ">=" : "<=");
-      EXPECT_EQ(stats.false_hits, 0u);  // Vertical selections are exact.
+      // Vertical selections are exact.
+      EXPECT_EQ(stats.filter.refine_rejects, 0u);
       EXPECT_EQ(stats.results, got.value().size());
     }
   }
