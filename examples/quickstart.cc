@@ -60,7 +60,8 @@ int main() {
                          &index));
 
   // 4. Queries. ALL = extension contained in the half-plane; EXIST =
-  //    non-empty intersection. Any slope is allowed (T2 approximation).
+  //    non-empty intersection. Any slope is allowed: kAuto answers a slope
+  //    outside S with T1's two app-queries plus refinement.
   struct Demo {
     const char* text;
     SelectionType type;

@@ -169,6 +169,10 @@ Result<std::vector<TupleId>> DDimDualIndex::SelectT1(SelectionType type,
 Result<std::vector<TupleId>> DDimDualIndex::Select(
     SelectionType type, const HalfPlaneQueryD& q, QueryStats* stats,
     obs::ExplainProfile* profile) {
+  // Reset before any argument check: a rejected query reports zeros.
+  QueryStats local;
+  QueryStats* st = stats != nullptr ? stats : &local;
+  *st = QueryStats();
   if (q.dim() != relation_->dim()) {
     return Status::InvalidArgument("query dimension mismatch");
   }
@@ -177,9 +181,6 @@ Result<std::vector<TupleId>> DDimDualIndex::Select(
                   [](double s) { return !std::isfinite(s); })) {
     return Status::InvalidArgument("query slope/intercept must be finite");
   }
-  QueryStats local;
-  QueryStats* st = stats != nullptr ? stats : &local;
-  *st = QueryStats();
   obs::Tracer tracer("ddim/select", pager_, relation_->pager());
 
   Result<std::vector<TupleId>> result = [&]() -> Result<std::vector<TupleId>> {

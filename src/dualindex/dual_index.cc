@@ -335,8 +335,10 @@ DualIndex::QueryPlan DualIndex::Plan(SelectionType type,
     return plan;
   }
   if (method == QueryMethod::kRestricted) return plan;  // kReject.
-  // The filter for a slope outside S: kAuto and kT2 ask for T2.
-  const bool asks_t2 = method != QueryMethod::kT1;
+  // The filter for a slope outside S: only an explicit kT2 asks for T2.
+  // kAuto runs T1, whose candidate sets are several times smaller on the
+  // serving path (DESIGN.md decision 74).
+  const bool asks_t2 = method == QueryMethod::kT2;
   // Wrap-around region: T2's single-tree trick needs a same-surface
   // neighbour interval, so it falls back to T1 (DESIGN.md decision 4).
   plan.wrap_fallback =
@@ -453,8 +455,15 @@ std::string DualIndex::Explain(SelectionType type, const HalfPlaneQuery& q,
   return out + body;
 }
 
-std::string DualIndex::Explain(SelectionType type,
-                               const VerticalQuery& q) const {
+Status DualIndex::CheckVerticalSupport() const {
+  if (xmax_ != nullptr) return Status::OK();
+  return Status::NotSupported(
+      "vertical queries require DualIndexOptions::support_vertical");
+}
+
+Result<std::string> DualIndex::Explain(SelectionType type,
+                                       const VerticalQuery& q) const {
+  CDB_RETURN_IF_ERROR(CheckVerticalSupport());
   const SweepPlan plan = PlanSweep(type, q.cmp, /*next_side=*/false);
   char buf[200];
   std::snprintf(buf, sizeof(buf),
@@ -463,7 +472,7 @@ std::string DualIndex::Explain(SelectionType type,
                 TypeName(type), CmpName(q.cmp), q.boundary,
                 plan.up_tree ? "X^max" : "X^min", Direction(plan.upward),
                 q.boundary);
-  return buf;
+  return std::string(buf);
 }
 
 // --- Entry points ------------------------------------------------------------
@@ -473,14 +482,16 @@ Result<std::vector<TupleId>> DualIndex::Select(SelectionType type,
                                                QueryMethod method,
                                                QueryStats* stats,
                                                obs::ExplainProfile* profile) {
+  // Reset before any argument check: a rejected query reports zeros, not
+  // the previous query's books.
+  QueryStats local;
+  QueryStats* st = stats != nullptr ? stats : &local;
+  *st = QueryStats();
   if (std::isnan(q.slope) || std::isnan(q.intercept) ||
       std::isinf(q.slope)) {
     return Status::InvalidArgument("query slope/intercept must be finite");
   }
   if (slope_observer_ != nullptr) slope_observer_->Observe(q.slope);
-  QueryStats local;
-  QueryStats* st = stats != nullptr ? stats : &local;
-  *st = QueryStats();
   // All index/tuple page accesses from here on are attributed to the span
   // tree; QueryStats totals are read back from the tracer so there is a
   // single accounting mechanism (no manual snapshot diffs, no double
@@ -525,16 +536,13 @@ Result<std::vector<TupleId>> DualIndex::Select(SelectionType type,
 Result<std::vector<TupleId>> DualIndex::SelectVertical(
     SelectionType type, const VerticalQuery& q, QueryStats* stats,
     obs::ExplainProfile* profile) {
-  if (xmax_ == nullptr) {
-    return Status::NotSupported(
-        "vertical queries require DualIndexOptions::support_vertical");
-  }
-  if (std::isnan(q.boundary) || std::isinf(q.boundary)) {
-    return Status::InvalidArgument("vertical boundary must be finite");
-  }
   QueryStats local;
   QueryStats* st = stats != nullptr ? stats : &local;
   *st = QueryStats();
+  CDB_RETURN_IF_ERROR(CheckVerticalSupport());
+  if (std::isnan(q.boundary) || std::isinf(q.boundary)) {
+    return Status::InvalidArgument("vertical boundary must be finite");
+  }
   obs::Tracer tracer("dual/select-vertical", pager_, relation_->pager());
 
   // Section 3's table on the x-extent support trees, xmax in B^up's place
@@ -550,6 +558,9 @@ Result<std::vector<TupleId>> DualIndex::SelectVertical(
 Result<std::vector<TupleId>> DualIndex::SelectSlab(
     SelectionType type, double slope, double b_lo, double b_hi,
     QueryStats* stats, obs::ExplainProfile* profile) {
+  QueryStats local;
+  QueryStats* st = stats != nullptr ? stats : &local;
+  *st = QueryStats();
   if (!(b_lo <= b_hi)) {
     return Status::InvalidArgument("slab requires b_lo <= b_hi");
   }
@@ -557,9 +568,6 @@ Result<std::vector<TupleId>> DualIndex::SelectSlab(
   if (loc.kind != SlopeLocation::Kind::kExact) {
     return Status::InvalidArgument("slab selection requires slope in S");
   }
-  QueryStats local;
-  QueryStats* st = stats != nullptr ? stats : &local;
-  *st = QueryStats();
   obs::Tracer tracer("dual/select-slab", pager_, relation_->pager());
 
   // ALL: BOT >= b_lo ∩ TOP <= b_hi; EXIST: TOP >= b_lo ∩ BOT <= b_hi —

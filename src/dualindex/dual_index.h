@@ -13,7 +13,10 @@
 // Both techniques return a superset of the answer; a refinement step
 // (exact predicates on each tuple's V-representation) removes false hits.
 // Which of these a query runs is decided in one place, the private planner
-// DualIndex::Plan: Select executes its plan and Explain prints it.
+// DualIndex::Plan: Select executes its plan and Explain prints it. Unless
+// the caller names T2, an off-S slope runs T1: its candidate sets are
+// several times smaller, and on the serving path refinement costs more
+// than index pages (DESIGN.md decision 74).
 //
 // Unbounded tuples are stored as ±infinity keys — the index never
 // approximates objects, only queries (the paper's central design point).
@@ -40,7 +43,7 @@ namespace cdb {
 /// Query-execution strategy, as the caller asks for it. A slope in S runs
 /// the exact sweep under every method; DualIndex::Plan decides the rest.
 enum class QueryMethod {
-  kAuto,        // Exact when the slope is in S; otherwise T2 (Plan).
+  kAuto,        // Exact when the slope is in S; otherwise T1 (Plan).
   kRestricted,  // Require the slope to be in S (error otherwise).
   kT1,          // Two app-queries (Section 4.1).
   kT2,          // Single-tree handicap search (Section 4.2); T1 when the
@@ -225,7 +228,9 @@ class DualIndex {
                       QueryMethod method) const;
 
   /// The same for SelectVertical(): which support tree, which direction.
-  std::string Explain(SelectionType type, const VerticalQuery& q) const;
+  /// NotSupported, as SelectVertical returns, without vertical support.
+  Result<std::string> Explain(SelectionType type,
+                              const VerticalQuery& q) const;
 
   const SlopeSet& slopes() const { return slopes_; }
 
@@ -305,6 +310,9 @@ class DualIndex {
   // and the restricted method's rejection.
   QueryPlan Plan(SelectionType type, const HalfPlaneQuery& q,
                  QueryMethod method) const;
+
+  // NotSupported unless the vertical support trees exist.
+  Status CheckVerticalSupport() const;
 
   // Removes candidates failing the exact predicate (when options_.refine).
   Status Refine(SelectionType type, const HalfPlaneQuery& q,

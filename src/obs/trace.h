@@ -184,6 +184,8 @@ struct FilterCounts {
 
   uint64_t results = 0;
 
+  bool operator==(const FilterCounts&) const = default;
+
   /// The partition invariant: the four phase counts sum to `candidates`,
   /// accepted candidates are exactly the results, and the filter step can
   /// only over-approximate (candidates >= results).

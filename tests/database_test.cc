@@ -208,9 +208,10 @@ TEST(DatabaseTest, ExplainDescribesThePlan) {
   EXPECT_NE(plan.value().find("exact"), std::string::npos);
   EXPECT_NE(plan.value().find("B^up"), std::string::npos);
 
+  // An off-S slope runs T1 (DESIGN.md decision 74).
   plan = db->Explain("ALL y >= 0.4x + 1");
   ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan.value().find("T2"), std::string::npos);
+  EXPECT_NE(plan.value().find("app-query"), std::string::npos);
   EXPECT_NE(plan.value().find("B^down"), std::string::npos);
   EXPECT_NE(plan.value().find("refine"), std::string::npos);
 
@@ -219,6 +220,22 @@ TEST(DatabaseTest, ExplainDescribesThePlan) {
   EXPECT_NE(plan.value().find("X^min"), std::string::npos);
 
   EXPECT_TRUE(db->Explain("BOGUS y >= 1").status().IsInvalidArgument());
+}
+
+// Explain refuses what Query refuses: without the vertical support trees
+// a vertical query has no plan, only Query's NotSupported.
+TEST(DatabaseTest, ExplainRefusesVerticalQueriesWithoutSupportTrees) {
+  DatabaseOptions opts = MemOptions();
+  opts.slopes = {-1.0, 0.0, 1.0};
+  std::unique_ptr<ConstraintDatabase> db;
+  ASSERT_TRUE(ConstraintDatabase::Open("mem", opts, &db).ok());
+  ASSERT_TRUE(db->InsertText("x >= 0, x <= 1, y >= 0, y <= 1").ok());
+
+  const Status query = db->Query("EXIST x <= 3").status();
+  const Status plan = db->Explain("EXIST x <= 3").status();
+  EXPECT_TRUE(query.IsNotSupported());
+  EXPECT_TRUE(plan.IsNotSupported());
+  EXPECT_EQ(plan.ToString(), query.ToString());
 }
 
 // Every branch of the query planner as Explain prints it, as one text: a
@@ -289,17 +306,13 @@ EXIST(y <= 0*x + 1.5) via restricted
   exact: EXIST(<=) on B^down[slope=0]: seek b=1.5, sweep downward
   no refinement needed
 ALL(y >= 0.4*x + 1.5) via auto
-  T2: B^down[slope=0] (nearest), handicap side=next
-  first sweep upward from b=1.5
-  second-sweep bound: handicap slot 1 folded over the first sweep's leaves
-  second sweep downward to that bound
-  refine candidates on their V-representation
+  app-query: ALL(>=) on B^down[slope=0]: seek b=1.5, sweep upward
+  app-query: EXIST(>=) on B^up[slope=1]: seek b=1.5, sweep upward
+  deduplicate ids, refine candidates on their V-representation
 EXIST(y <= 0.4*x + 1.5) via auto
-  T2: B^down[slope=0] (nearest), handicap side=next
-  first sweep downward from b=1.5
-  second-sweep bound: handicap slot 3 folded over the first sweep's leaves
-  second sweep upward to that bound
-  refine candidates on their V-representation
+  app-query: EXIST(<=) on B^down[slope=0]: seek b=1.5, sweep downward
+  app-query: EXIST(<=) on B^down[slope=1]: seek b=1.5, sweep downward
+  deduplicate ids, refine candidates on their V-representation
 ALL(y >= 0.4*x + 1.5) via T1
   app-query: ALL(>=) on B^down[slope=0]: seek b=1.5, sweep upward
   app-query: EXIST(>=) on B^up[slope=1]: seek b=1.5, sweep upward
@@ -325,17 +338,13 @@ ALL(y >= 0.4*x + 1.5) via restricted
 EXIST(y <= 0.4*x + 1.5) via restricted
   ERROR: slope not in S
 ALL(y >= 0.7*x + 1.5) via auto
-  T2: B^down[slope=1] (nearest), handicap side=prev
-  first sweep upward from b=1.5
-  second-sweep bound: handicap slot 0 folded over the first sweep's leaves
-  second sweep downward to that bound
-  refine candidates on their V-representation
+  app-query: EXIST(>=) on B^up[slope=0]: seek b=1.5, sweep upward
+  app-query: ALL(>=) on B^down[slope=1]: seek b=1.5, sweep upward
+  deduplicate ids, refine candidates on their V-representation
 EXIST(y <= 0.7*x + 1.5) via auto
-  T2: B^down[slope=1] (nearest), handicap side=prev
-  first sweep downward from b=1.5
-  second-sweep bound: handicap slot 2 folded over the first sweep's leaves
-  second sweep upward to that bound
-  refine candidates on their V-representation
+  app-query: EXIST(<=) on B^down[slope=0]: seek b=1.5, sweep downward
+  app-query: EXIST(<=) on B^down[slope=1]: seek b=1.5, sweep downward
+  deduplicate ids, refine candidates on their V-representation
 ALL(y >= 0.7*x + 1.5) via T1
   app-query: EXIST(>=) on B^up[slope=0]: seek b=1.5, sweep upward
   app-query: ALL(>=) on B^down[slope=1]: seek b=1.5, sweep upward
@@ -361,12 +370,10 @@ ALL(y >= 0.7*x + 1.5) via restricted
 EXIST(y <= 0.7*x + 1.5) via restricted
   ERROR: slope not in S
 ALL(y >= -2.5*x + 1.5) via auto
-  slope outside [min S, max S]: T2 falls back to T1
   app-query: EXIST(<=) on B^down[slope=1]: seek b=1.5, sweep downward
   app-query: ALL(>=) on B^down[slope=-1]: seek b=1.5, sweep upward
   deduplicate ids, refine candidates on their V-representation
 EXIST(y <= -2.5*x + 1.5) via auto
-  slope outside [min S, max S]: T2 falls back to T1
   app-query: EXIST(>=) on B^up[slope=1]: seek b=1.5, sweep upward
   app-query: EXIST(<=) on B^down[slope=-1]: seek b=1.5, sweep downward
   deduplicate ids, refine candidates on their V-representation
@@ -393,12 +400,10 @@ ALL(y >= -2.5*x + 1.5) via restricted
 EXIST(y <= -2.5*x + 1.5) via restricted
   ERROR: slope not in S
 ALL(y >= 3*x + 1.5) via auto
-  slope outside [min S, max S]: T2 falls back to T1
   app-query: ALL(>=) on B^down[slope=1]: seek b=1.5, sweep upward
   app-query: EXIST(<=) on B^down[slope=-1]: seek b=1.5, sweep downward
   deduplicate ids, refine candidates on their V-representation
 EXIST(y <= 3*x + 1.5) via auto
-  slope outside [min S, max S]: T2 falls back to T1
   app-query: EXIST(<=) on B^down[slope=1]: seek b=1.5, sweep downward
   app-query: EXIST(>=) on B^up[slope=-1]: seek b=1.5, sweep upward
   deduplicate ids, refine candidates on their V-representation

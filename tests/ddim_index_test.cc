@@ -266,6 +266,29 @@ TEST(DDimIndexTest2, T1SweepsAreTracedUnderFilter) {
   }
 }
 
+// A rejected query reports zeroed books, not the previous query's.
+TEST(DDimIndexTest2, RejectedQueryZeroesStats) {
+  DdimFixture fx;
+  ASSERT_TRUE(fx.Init(3, GridSlopes(3, 3, 1.0)));
+  Rng rng(12);
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(fx.index->Insert(RandomBoundedTupleD(&rng, 3, 20.0)).ok());
+  }
+  HalfPlaneQueryD q;
+  q.slope = {0.0, 0.0};
+  q.intercept = 0.0;
+  q.cmp = Cmp::kGE;
+  QueryStats stats;
+  ASSERT_TRUE(fx.index->Select(SelectionType::kExist, q, &stats).ok());
+  ASSERT_GT(stats.candidates, 0u);
+  q.intercept = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(fx.index->Select(SelectionType::kExist, q, &stats)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(stats.candidates, 0u);
+  EXPECT_EQ(stats.results, 0u);
+}
+
 TEST(DDimIndexTest2, DimensionValidation) {
   auto pager = MakePager();
   std::unique_ptr<RelationD> bad_rel;

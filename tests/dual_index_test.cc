@@ -385,6 +385,65 @@ TEST(DualIndexTest, WrapFallbackIsFlagged) {
             fx.Truth(SelectionType::kExist, HalfPlaneQuery(5.0, 0, Cmp::kGE)));
 }
 
+// kAuto answers every slope outside S with T1: between two slopes of S and
+// beyond either end, on ordinary and augmented trees, it returns kT1's ids
+// with kT1's books, through two exact app-query sweeps and no T2 sweep.
+TEST(DualIndexTest, AutoServesOffSlopesWithT1) {
+  for (bool augmented : {false, true}) {
+    IndexFixture fx(114);
+    fx.Populate(200, /*include_unbounded=*/true);
+    DualIndexOptions opts;
+    opts.incremental_handicaps = augmented;
+    fx.BuildIndex(SlopeSet({-0.5, 0.0, 0.5}), opts);
+    for (double slope : {-0.3, 0.2, -2.0, 3.0}) {
+      for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
+        for (Cmp cmp : {Cmp::kGE, Cmp::kLE}) {
+          const HalfPlaneQuery q(slope, 4.0, cmp);
+          QueryStats auto_stats, t1_stats;
+          obs::ExplainProfile profile;
+          Result<std::vector<TupleId>> got = fx.index->Select(
+              type, q, QueryMethod::kAuto, &auto_stats, &profile);
+          Result<std::vector<TupleId>> t1 =
+              fx.index->Select(type, q, QueryMethod::kT1, &t1_stats);
+          ASSERT_TRUE(got.ok() && t1.ok());
+          EXPECT_EQ(got.value(), t1.value());
+          EXPECT_EQ(got.value(), fx.Truth(type, q));
+          EXPECT_EQ(auto_stats.candidates, t1_stats.candidates);
+          EXPECT_EQ(auto_stats.index_page_fetches,
+                    t1_stats.index_page_fetches);
+          EXPECT_EQ(auto_stats.filter, t1_stats.filter);
+          const obs::ProfileNode* exact = profile.root.Find("sweep/exact");
+          ASSERT_NE(exact, nullptr) << profile.ToString();
+          EXPECT_EQ(exact->invocations, 2u);
+          EXPECT_EQ(profile.root.Find("sweep/first"), nullptr);
+        }
+      }
+    }
+  }
+}
+
+// A rejected query reports zeroed books, not the previous query's.
+TEST(DualIndexTest, RejectedQueryZeroesStats) {
+  IndexFixture fx(115);
+  fx.Populate(100);
+  fx.BuildIndex(DefaultSlopes());
+  QueryStats stats;
+  ASSERT_TRUE(fx.index
+                  ->Select(SelectionType::kExist,
+                           HalfPlaneQuery(0.1, 0.0, Cmp::kGE),
+                           QueryMethod::kAuto, &stats)
+                  .ok());
+  ASSERT_GT(stats.candidates, 0u);
+  EXPECT_TRUE(fx.index
+                  ->Select(SelectionType::kExist,
+                           HalfPlaneQuery(std::nan(""), 0.0, Cmp::kGE),
+                           QueryMethod::kAuto, &stats)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(stats.candidates, 0u);
+  EXPECT_EQ(stats.results, 0u);
+}
+
 TEST(DualIndexTest, RejectsUnsatisfiableTuple) {
   IndexFixture fx(112);
   fx.Populate(10);
@@ -412,10 +471,11 @@ TEST(DualIndexTest, IndexesTuplesBeyondTheFormerLpBox) {
        {HalfPlaneQuery(0.0, 0.5, Cmp::kGE), HalfPlaneQuery(0.0, 2.0, Cmp::kLE),
         HalfPlaneQuery(0.3, -6e8 + 0.5, Cmp::kGE)}) {
     for (SelectionType type : {SelectionType::kExist, SelectionType::kAll}) {
-      Result<std::vector<TupleId>> got =
-          fx.index->Select(type, q, QueryMethod::kAuto);
-      ASSERT_TRUE(got.ok());
-      EXPECT_EQ(got.value(), fx.Truth(type, q));
+      for (QueryMethod method : {QueryMethod::kAuto, QueryMethod::kT2}) {
+        Result<std::vector<TupleId>> got = fx.index->Select(type, q, method);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got.value(), fx.Truth(type, q));
+      }
     }
   }
   Result<std::vector<TupleId>> hit = fx.index->Select(

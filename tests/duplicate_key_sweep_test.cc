@@ -99,7 +99,8 @@ TEST_P(DuplicateKeySweepTest, HalfPlaneSelectionsCollectEveryEqualKey) {
       {0.0, QueryMethod::kT2},          {-0.5, QueryMethod::kT1},
       {0.1, QueryMethod::kT1},          {-0.1, QueryMethod::kT2},
       {0.1, QueryMethod::kT2},          {0.5, QueryMethod::kT2},
-      {-0.9, QueryMethod::kAuto},       {2.0, QueryMethod::kT2},
+      {-0.9, QueryMethod::kAuto},       {-0.9, QueryMethod::kT2},
+      {2.0, QueryMethod::kT2},
   };
   int nonempty = 0;
   for (const Case& c : cases) {

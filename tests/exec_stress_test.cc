@@ -43,8 +43,10 @@ std::unique_ptr<Pager> MakePager(std::unique_ptr<BlockFile> file,
 
 // The batch every test in this file runs: kWorkerStreams decorrelated
 // query streams (WorkerRng) interleaved round-robin, so the workload is
-// what a real multi-client frontend would enqueue.
-std::vector<exec::BatchQuery> MakeStressBatch() {
+// what a real multi-client frontend would enqueue. Every query asks for
+// `method`.
+std::vector<exec::BatchQuery> MakeStressBatch(
+    QueryMethod method = QueryMethod::kAuto) {
   std::vector<Rng> streams;
   for (size_t w = 0; w < kWorkerStreams; ++w) {
     streams.push_back(WorkerRng(kBatchSeed, static_cast<uint32_t>(w)));
@@ -58,6 +60,7 @@ std::vector<exec::BatchQuery> MakeStressBatch() {
       q.query = HalfPlaneQuery(std::tan(rng.Uniform(-1.2, 1.2)),
                                rng.Uniform(-60, 60),
                                rng.Chance(0.5) ? Cmp::kGE : Cmp::kLE);
+      q.method = method;
       batch.push_back(q);
     }
   }
@@ -109,54 +112,61 @@ struct StressFixture {
   }
 };
 
+// The default method serves off-S slopes with T1; kT2 keeps the handicap
+// search under the same parallel load.
 TEST(ExecStressTest, EightThreadsMatchSerialAndNaive) {
   StressFixture fx;
-  std::vector<exec::BatchQuery> batch = MakeStressBatch();
+  for (QueryMethod method : {QueryMethod::kAuto, QueryMethod::kT2}) {
+    std::vector<exec::BatchQuery> batch = MakeStressBatch(method);
 
-  exec::QueryExecutor executor(kThreads);
-  exec::BatchResult run;
-  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &run).ok());
-  std::vector<exec::BatchItemResult> parallel = std::move(run.items);
-  ASSERT_EQ(parallel.size(), batch.size());
+    exec::QueryExecutor executor(kThreads);
+    exec::BatchResult run;
+    ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &run).ok());
+    std::vector<exec::BatchItemResult> parallel = std::move(run.items);
+    ASSERT_EQ(parallel.size(), batch.size());
 
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE(parallel[i].status.ok()) << parallel[i].status.ToString();
-    // Serial reference AND ground truth: the parallel result must equal the
-    // serial Select and both must equal the naive evaluator.
-    Result<std::vector<TupleId>> serial =
-        fx.index->Select(batch[i].type, batch[i].query, QueryMethod::kAuto);
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ(parallel[i].ids, serial.value()) << "query " << i;
-    EXPECT_EQ(parallel[i].ids, fx.Truth(batch[i].type, batch[i].query))
-        << "query " << i;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(parallel[i].status.ok()) << parallel[i].status.ToString();
+      // Serial reference AND ground truth: the parallel result must equal
+      // the serial Select and both must equal the naive evaluator.
+      Result<std::vector<TupleId>> serial =
+          fx.index->Select(batch[i].type, batch[i].query, method);
+      ASSERT_TRUE(serial.ok());
+      EXPECT_EQ(parallel[i].ids, serial.value()) << "query " << i;
+      EXPECT_EQ(parallel[i].ids, fx.Truth(batch[i].type, batch[i].query))
+          << "query " << i;
+    }
+    EXPECT_TRUE(exec::FirstError(parallel).ok());
   }
-  EXPECT_TRUE(exec::FirstError(parallel).ok());
 }
 
 TEST(ExecStressTest, ParallelCandidateSupersetsMatchSerialProofs) {
   StressFixture fx;
-  std::vector<exec::BatchQuery> batch = MakeStressBatch();
+  for (QueryMethod method : {QueryMethod::kAuto, QueryMethod::kT2}) {
+    std::vector<exec::BatchQuery> batch = MakeStressBatch(method);
 
-  // Raw (unrefined) candidates through the no-refine index, in parallel.
-  exec::QueryExecutor executor(kThreads);
-  exec::BatchResult run;
-  ASSERT_TRUE(executor.RunBatch(fx.raw_index.get(), batch, {}, &run).ok());
-  std::vector<exec::BatchItemResult> raw_parallel = std::move(run.items);
+    // Raw (unrefined) candidates through the no-refine index, in parallel.
+    exec::QueryExecutor executor(kThreads);
+    exec::BatchResult run;
+    ASSERT_TRUE(executor.RunBatch(fx.raw_index.get(), batch, {}, &run).ok());
+    std::vector<exec::BatchItemResult> raw_parallel = std::move(run.items);
 
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE(raw_parallel[i].status.ok());
-    // Identical candidate sets to the serial raw index...
-    Result<std::vector<TupleId>> raw_serial =
-        fx.raw_index->Select(batch[i].type, batch[i].query, QueryMethod::kAuto);
-    ASSERT_TRUE(raw_serial.ok());
-    EXPECT_EQ(raw_parallel[i].ids, raw_serial.value()) << "query " << i;
-    // ...and a proven superset of the naive truth, not merely equal after
-    // refinement.
-    std::vector<TupleId> sorted = raw_parallel[i].ids;
-    std::sort(sorted.begin(), sorted.end());
-    for (TupleId id : fx.Truth(batch[i].type, batch[i].query)) {
-      ASSERT_TRUE(std::binary_search(sorted.begin(), sorted.end(), id))
-          << "parallel candidate set lost tuple " << id << " on query " << i;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(raw_parallel[i].status.ok());
+      // Identical candidate sets to the serial raw index...
+      Result<std::vector<TupleId>> raw_serial =
+          fx.raw_index->Select(batch[i].type, batch[i].query, method);
+      ASSERT_TRUE(raw_serial.ok());
+      EXPECT_EQ(raw_parallel[i].ids, raw_serial.value()) << "query " << i;
+      // ...and a proven superset of the naive truth, not merely equal after
+      // refinement.
+      std::vector<TupleId> sorted = raw_parallel[i].ids;
+      std::sort(sorted.begin(), sorted.end());
+      for (TupleId id : fx.Truth(batch[i].type, batch[i].query)) {
+        ASSERT_TRUE(std::binary_search(sorted.begin(), sorted.end(), id))
+            << "parallel candidate set lost tuple " << id << " on query "
+            << i;
+      }
     }
   }
 }

@@ -129,5 +129,19 @@ TEST(SlabQueryTest, Validation) {
                   .IsInvalidArgument());
 }
 
+// A rejected slab query reports zeroed books, not the previous query's.
+TEST(SlabQueryTest, RejectedQueryZeroesStats) {
+  Fixture fx(57);
+  QueryStats stats;
+  ASSERT_TRUE(
+      fx.index->SelectSlab(SelectionType::kExist, 0.0, -20, 20, &stats).ok());
+  ASSERT_GT(stats.candidates, 0u);
+  EXPECT_TRUE(fx.index->SelectSlab(SelectionType::kExist, 0.0, 20, -20, &stats)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(stats.candidates, 0u);
+  EXPECT_EQ(stats.results, 0u);
+}
+
 }  // namespace
 }  // namespace cdb

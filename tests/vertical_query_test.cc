@@ -170,5 +170,40 @@ TEST(VerticalQueryTest, RejectsNonFiniteBoundary) {
                   .IsInvalidArgument());
 }
 
+// A rejected vertical query reports zeroed books, not the previous
+// query's: a bad boundary, and a vertical query on an index without the
+// support trees.
+TEST(VerticalQueryTest, RejectedQueryZeroesStats) {
+  Fixture fx(6, /*vertical=*/true);
+  QueryStats stats;
+  ASSERT_TRUE(fx.index
+                  ->SelectVertical(SelectionType::kExist, {0.0, Cmp::kGE},
+                                   &stats)
+                  .ok());
+  ASSERT_GT(stats.candidates, 0u);
+  EXPECT_TRUE(fx.index
+                  ->SelectVertical(SelectionType::kExist,
+                                   {std::nan(""), Cmp::kGE}, &stats)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(stats.candidates, 0u);
+  EXPECT_EQ(stats.results, 0u);
+
+  Fixture plain(7, /*vertical=*/false);
+  ASSERT_TRUE(plain.index
+                  ->Select(SelectionType::kExist,
+                           HalfPlaneQuery(0.0, 0.0, Cmp::kGE),
+                           QueryMethod::kAuto, &stats)
+                  .ok());
+  ASSERT_GT(stats.candidates, 0u);
+  EXPECT_TRUE(plain.index
+                  ->SelectVertical(SelectionType::kExist, {0.0, Cmp::kGE},
+                                   &stats)
+                  .status()
+                  .IsNotSupported());
+  EXPECT_EQ(stats.candidates, 0u);
+  EXPECT_EQ(stats.results, 0u);
+}
+
 }  // namespace
 }  // namespace cdb
