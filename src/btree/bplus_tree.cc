@@ -26,52 +26,6 @@ struct TreeMeta {
   uint32_t flags;
 };
 
-// Internal-node accessors dispatched on the tree's layout. With aug ==
-// false each reduces to the ordinary accessor, so ordinary trees execute
-// exactly the pre-augmentation operations.
-PageId XChild(bool aug, const char* p, size_t i) {
-  return aug ? nb::AugChild(p, i) : nb::Child(p, i);
-}
-void XSetChild(bool aug, char* p, size_t i, PageId id) {
-  if (aug) {
-    nb::AugSetChild(p, i, id);
-  } else {
-    nb::SetChild(p, i, id);
-  }
-}
-nb::CKey XKey(bool aug, const char* p, size_t i) {
-  return aug ? nb::AugInternalKey(p, i) : nb::InternalKey(p, i);
-}
-void XSetKey(bool aug, char* p, size_t i, const nb::CKey& e) {
-  if (aug) {
-    nb::AugSetInternalKey(p, i, e);
-  } else {
-    nb::SetInternalKey(p, i, e);
-  }
-}
-void XInsertEntry(bool aug, char* p, size_t i, const nb::CKey& e,
-                  PageId right) {
-  if (aug) {
-    nb::AugInsertInternalEntry(p, i, e, right);
-  } else {
-    nb::InsertInternalEntry(p, i, e, right);
-  }
-}
-void XRemoveEntry(bool aug, char* p, size_t i) {
-  if (aug) {
-    nb::AugRemoveInternalEntry(p, i);
-  } else {
-    nb::RemoveInternalEntry(p, i);
-  }
-}
-size_t XDescendIndex(bool aug, const char* p, const nb::CKey& c) {
-  return aug ? nb::AugDescendIndex(p, c) : nb::DescendIndex(p, c);
-}
-size_t XInternalCapacity(bool aug, size_t page_size) {
-  return aug ? nb::AugInternalCapacity(page_size)
-             : nb::InternalCapacity(page_size);
-}
-
 // Split `total` items into chunk sizes of ~per, keeping every chunk (and
 // especially the last) at or above `min`: an underfull tail merges into
 // its predecessor when the pair fits one node of capacity `cap`, and is
@@ -108,6 +62,10 @@ Status LeafCursor::LoadLeaf(PageId id) {
   if (!ref.ok()) return ref.status();
   if (!nb::IsLeaf(ref.value().data())) {
     return Status::Corruption("leaf cursor reached a non-leaf page");
+  }
+  if (nb::Count(ref.value().data()) > nb::LeafCapacity(pager_->page_size())) {
+    return Status::Corruption("leaf page " + std::to_string(id) +
+                              " count exceeds its capacity");
   }
   data_.assign(ref.value().data(), ref.value().data() + pager_->page_size());
   leaf_ = id;
@@ -148,6 +106,10 @@ Status LeafCursor::PrevLeaf() {
 
 // --- Construction --------------------------------------------------------
 
+size_t BPlusTree::LeafCapacity(size_t page_size) {
+  return nb::LeafCapacity(page_size);
+}
+
 Status BPlusTree::Create(Pager* pager, std::unique_ptr<BPlusTree>* out) {
   return CreateImpl(pager, /*augmented=*/false, out);
 }
@@ -172,16 +134,7 @@ Status BPlusTree::CreateImpl(Pager* pager, bool augmented,
 
   Result<PageRef> ref = pager->Fetch(root.value());
   if (!ref.ok()) return ref.status();
-  nb::SetType(ref.value().data(), /*leaf=*/true);
-  nb::SetCount(ref.value().data(), 0);
-  nb::SetNextLeaf(ref.value().data(), kInvalidPageId);
-  nb::SetPrevLeaf(ref.value().data(), kInvalidPageId);
-  if (augmented) {
-    nb::SetAugFlag(ref.value().data());
-    nb::AugResetHandicaps(ref.value().data());
-  } else {
-    nb::ResetHandicaps(ref.value().data());
-  }
+  nb::NodeCodec(augmented).Init(ref.value().data(), /*leaf=*/true);
   ref.value().MarkDirty();
 
   CDB_RETURN_IF_ERROR(tree->StoreMeta());
@@ -237,18 +190,18 @@ Status BPlusTree::BulkLoad(Pager* pager, std::vector<AugEntry> entries,
   tree->count_ = entries.size();
   tree->augmented_ = augmented;
 
+  const nb::NodeCodec nc(augmented);
   const size_t page_size = pager->page_size();
-  const size_t leaf_cap = nb::LeafCapacity(page_size);
+  const size_t leaf_cap = nc.Capacity(/*leaf=*/true, page_size);
   const size_t leaf_min = leaf_cap / 2;
 
   // --- Leaves (one packing for both layouts, so an augmented build has
   // the leaf structure — and every sweep the page count — of an ordinary
-  // one). `agg` is the child's slot fold, carried inline by augmented
-  // internal entries.
+  // one). A node's child slot carries its slot fold as the aggregate,
+  // which only the augmented layout stores.
   struct ChildRef {
     nb::CKey first;
-    PageId page;
-    double agg[nb::kHandicapSlots];
+    nb::ChildSlot child;
   };
   std::vector<ChildRef> level;
   size_t per_leaf = std::max<size_t>(
@@ -266,20 +219,13 @@ Status BPlusTree::BulkLoad(Pager* pager, std::vector<AugEntry> entries,
     Result<PageRef> ref = pager->Fetch(page.value());
     if (!ref.ok()) return ref.status();
     char* p = ref.value().data();
-    nb::SetType(p, /*leaf=*/true);
-    if (augmented) nb::SetAugFlag(p);
+    nc.Init(p, /*leaf=*/true);
     nb::SetCount(p, static_cast<uint16_t>(sizes[si]));
     nb::SetPrevLeaf(p, prev_leaf);
-    nb::SetNextLeaf(p, kInvalidPageId);
-    if (augmented) {
-      nb::AugResetHandicaps(p);
-    } else {
-      nb::ResetHandicaps(p);
-    }
     for (size_t i = 0; i < sizes[si]; ++i, ++pos) {
       nb::SetLeafEntry(p, i, {entries[pos].key, entries[pos].value});
       for (int s = 0; augmented && s < nb::kHandicapSlots; ++s) {
-        nb::AugCombineHandicap(p, s, entries[pos].m[s]);
+        nc.FoldSlot(p, s, entries[pos].m[s]);
       }
     }
     if (prev_leaf != kInvalidPageId) {
@@ -291,16 +237,16 @@ Status BPlusTree::BulkLoad(Pager* pager, std::vector<AugEntry> entries,
     ref.value().MarkDirty();
     ChildRef cr;
     cr.first = sizes[si] > 0 ? nb::LeafEntry(p, 0) : nb::CKey{0.0, 0};
-    cr.page = page.value();
+    cr.child.page = page.value();
     for (int s = 0; s < nb::kHandicapSlots; ++s) {
-      cr.agg[s] = nb::Handicap(p, s);
+      cr.child.agg[s] = nb::Handicap(p, s);
     }
     level.push_back(cr);
     prev_leaf = page.value();
   }
 
   // --- Internal levels.
-  const size_t icap = XInternalCapacity(augmented, page_size);
+  const size_t icap = nc.Capacity(/*leaf=*/false, page_size);
   const size_t max_children = icap + 1;
   const size_t min_children = icap / 2 + 1;
   uint32_t height = 1;
@@ -317,19 +263,19 @@ Status BPlusTree::BulkLoad(Pager* pager, std::vector<AugEntry> entries,
       Result<PageRef> ref = pager->Fetch(page.value());
       if (!ref.ok()) return ref.status();
       char* p = ref.value().data();
-      nb::SetType(p, /*leaf=*/false);
-      if (augmented) nb::SetAugFlag(p);
-      nb::SetCount(p, static_cast<uint16_t>(group[gi] - 1));
+      nc.Init(p, /*leaf=*/false);
       ChildRef cr;
       cr.first = level[at].first;
-      cr.page = page.value();
-      nb::AugNeutralArray(cr.agg);
+      cr.child.page = page.value();
+      nb::NodeCodec::NeutralAgg(cr.child.agg);
       for (size_t i = 0; i < group[gi]; ++i) {
         const ChildRef& child = level[at + i];
-        if (i > 0) XSetKey(augmented, p, i - 1, child.first);
-        XSetChild(augmented, p, i, child.page);
-        if (augmented) nb::AugSetAgg(p, i, child.agg);
-        nb::AugFoldArray(cr.agg, child.agg);
+        if (i == 0) {
+          nc.SetChild(p, 0, child.child);
+        } else {
+          nc.InsertEntry(p, i - 1, child.first, child.child);
+        }
+        nb::NodeCodec::FoldAgg(cr.child.agg, child.child.agg);
       }
       ref.value().MarkDirty();
       next.push_back(cr);
@@ -338,7 +284,7 @@ Status BPlusTree::BulkLoad(Pager* pager, std::vector<AugEntry> entries,
     level = std::move(next);
     ++height;
   }
-  tree->root_ = level.front().page;
+  tree->root_ = level.front().child.page;
   tree->height_ = height;
   CDB_RETURN_IF_ERROR(tree->StoreMeta());
   *out = std::move(tree);
@@ -428,17 +374,12 @@ Status BPlusTree::InsertImpl(double key, uint32_t value, const double* m) {
     if (!new_root.ok()) return new_root.status();
     Result<PageRef> ref = pager_->Fetch(new_root.value());
     if (!ref.ok()) return ref.status();
+    const nb::NodeCodec nc(augmented_);
     char* p = ref.value().data();
-    nb::SetType(p, /*leaf=*/false);
-    nb::SetCount(p, 0);
-    XSetChild(augmented_, p, 0, root_);
-    XInsertEntry(augmented_, p, 0, {split.sep_key, split.sep_value},
-                 split.right);
-    if (augmented_) {
-      nb::SetAugFlag(p);
-      CDB_RETURN_IF_ERROR(RefreshChildAgg(p, 0));
-      CDB_RETURN_IF_ERROR(RefreshChildAgg(p, 1));
-    }
+    nc.Init(p, /*leaf=*/false);
+    nc.SetChild(p, 0, {root_, {}});
+    nc.InsertEntry(p, 0, {split.sep_key, split.sep_value}, {split.right, {}});
+    CDB_RETURN_IF_ERROR(RefreshAggs(&ref.value(), 0, 1));
     ref.value().MarkDirty();
     root_ = new_root.value();
     ++height_;
@@ -450,8 +391,9 @@ Status BPlusTree::InsertImpl(double key, uint32_t value, const double* m) {
 Status BPlusTree::InsertRec(PageId page, double key, uint32_t value,
                             const double* m, SplitResult* out) {
   out->split = false;
-  Result<PageRef> ref = pager_->Fetch(page);
+  Result<PageRef> ref = LoadNode(page);
   if (!ref.ok()) return ref.status();
+  const nb::NodeCodec nc(augmented_);
   char* p = ref.value().data();
   const nb::CKey ckey{key, value};
 
@@ -461,14 +403,11 @@ Status BPlusTree::InsertRec(PageId page, double key, uint32_t value,
     if (pos < n && nb::CKeyEq(nb::LeafEntry(p, pos), ckey)) {
       return Status::InvalidArgument("duplicate (key, value) pair");
     }
-    size_t cap = nb::LeafCapacity(pager_->page_size());
-    if (n < cap) {
+    if (n < nc.Capacity(/*leaf=*/true, pager_->page_size())) {
       nb::InsertLeafEntry(p, pos, ckey);
       if (augmented_) {
         // Local slots: folding the new entry's assignments is exact.
-        for (int s = 0; s < nb::kHandicapSlots; ++s) {
-          nb::AugCombineHandicap(p, s, m[s]);
-        }
+        for (int s = 0; s < nb::kHandicapSlots; ++s) nc.FoldSlot(p, s, m[s]);
       }
       ref.value().MarkDirty();
       return Status::OK();
@@ -479,12 +418,9 @@ Status BPlusTree::InsertRec(PageId page, double key, uint32_t value,
     Result<PageRef> rref = pager_->Fetch(right_id.value());
     if (!rref.ok()) return rref.status();
     char* r = rref.value().data();
-    nb::SetType(r, /*leaf=*/true);
+    nc.Init(r, /*leaf=*/true);
     size_t half = n / 2;
-    nb::SetCount(r, static_cast<uint16_t>(n - half));
-    for (size_t i = half; i < n; ++i) {
-      nb::SetLeafEntry(r, i - half, nb::LeafEntry(p, i));
-    }
+    nc.AppendEntries(r, p, half, n);
     nb::SetCount(p, static_cast<uint16_t>(half));
     // Chain links.
     PageId old_next = nb::NextLeaf(p);
@@ -492,21 +428,10 @@ Status BPlusTree::InsertRec(PageId page, double key, uint32_t value,
     nb::SetPrevLeaf(r, page);
     nb::SetNextLeaf(p, right_id.value());
     if (old_next != kInvalidPageId) {
-      Result<PageRef> nref = pager_->Fetch(old_next);
+      Result<PageRef> nref = LoadNode(old_next);
       if (!nref.ok()) return nref.status();
       nb::SetPrevLeaf(nref.value().data(), right_id.value());
       nref.value().MarkDirty();
-    }
-    if (!augmented_) {
-      // Handicaps: both halves inherit the original slots (conservative —
-      // never loses a qualifying tuple; see DESIGN.md). This is the event
-      // that smears near-global bounds across leaves, so count it.
-      for (int s = 0; s < nb::kHandicapSlots; ++s) {
-        nb::SetHandicap(r, s, nb::Handicap(p, s));
-      }
-      ++handicap_staleness_;
-    } else {
-      nb::SetAugFlag(r);
     }
     // Place the new entry.
     nb::CKey sep = nb::LeafEntry(r, 0);
@@ -521,6 +446,14 @@ Status BPlusTree::InsertRec(PageId page, double key, uint32_t value,
       // entry's assignments, including the one just placed.
       CDB_RETURN_IF_ERROR(RecomputeLeafLocal(p));
       CDB_RETURN_IF_ERROR(RecomputeLeafLocal(r));
+    } else {
+      // Handicaps: both halves inherit the original slots (conservative —
+      // never loses a qualifying tuple; see DESIGN.md). This is the event
+      // that smears near-global bounds across leaves, so count it.
+      for (int s = 0; s < nb::kHandicapSlots; ++s) {
+        nb::SetHandicap(r, s, nb::Handicap(p, s));
+      }
+      ++handicap_staleness_;
     }
     ref.value().MarkDirty();
     rref.value().MarkDirty();
@@ -533,29 +466,20 @@ Status BPlusTree::InsertRec(PageId page, double key, uint32_t value,
   }
 
   // Internal node.
-  const bool aug = augmented_;
-  size_t idx = XDescendIndex(aug, p, ckey);
-  PageId child = XChild(aug, p, idx);
+  size_t idx = nc.Descend(p, ckey);
   SplitResult child_split;
-  CDB_RETURN_IF_ERROR(InsertRec(child, key, value, m, &child_split));
-  if (!child_split.split) {
-    if (aug) {
-      CDB_RETURN_IF_ERROR(RefreshChildAgg(p, idx));
-      ref.value().MarkDirty();
-    }
-    return Status::OK();
-  }
+  CDB_RETURN_IF_ERROR(
+      InsertRec(nc.ChildPage(p, idx), key, value, m, &child_split));
+  if (!child_split.split) return RefreshAggs(&ref.value(), idx, idx);
 
-  XInsertEntry(aug, p, idx, {child_split.sep_key, child_split.sep_value},
-               child_split.right);
-  if (aug) {
-    CDB_RETURN_IF_ERROR(RefreshChildAgg(p, idx));
-    CDB_RETURN_IF_ERROR(RefreshChildAgg(p, idx + 1));
-  }
+  nc.InsertEntry(p, idx, {child_split.sep_key, child_split.sep_value},
+                 {child_split.right, {}});
+  CDB_RETURN_IF_ERROR(RefreshAggs(&ref.value(), idx, idx + 1));
   ref.value().MarkDirty();
   uint16_t n = nb::Count(p);
-  size_t cap = XInternalCapacity(aug, pager_->page_size());
-  if (n <= cap) return Status::OK();
+  if (n <= nc.Capacity(/*leaf=*/false, pager_->page_size())) {
+    return Status::OK();
+  }
 
   // Split the internal node; the middle key is promoted (not kept).
   Result<PageId> right_id = pager_->Allocate();
@@ -563,26 +487,11 @@ Status BPlusTree::InsertRec(PageId page, double key, uint32_t value,
   Result<PageRef> rref = pager_->Fetch(right_id.value());
   if (!rref.ok()) return rref.status();
   char* r = rref.value().data();
-  nb::SetType(r, /*leaf=*/false);
-  if (aug) nb::SetAugFlag(r);
+  nc.Init(r, /*leaf=*/false);
   size_t mid = n / 2;
-  nb::CKey promoted = XKey(aug, p, mid);
-  nb::SetCount(r, static_cast<uint16_t>(n - mid - 1));
-  XSetChild(aug, r, 0, XChild(aug, p, mid + 1));
-  if (aug) {
-    double a[nb::kHandicapSlots];
-    nb::AugGetAgg(p, mid + 1, a);
-    nb::AugSetAgg(r, 0, a);
-  }
-  for (size_t i = mid + 1; i < n; ++i) {
-    XSetKey(aug, r, i - mid - 1, XKey(aug, p, i));
-    XSetChild(aug, r, i - mid, XChild(aug, p, i + 1));
-    if (aug) {
-      double a[nb::kHandicapSlots];
-      nb::AugGetAgg(p, i + 1, a);
-      nb::AugSetAgg(r, i - mid, a);
-    }
-  }
+  nb::CKey promoted = nc.Key(p, mid);
+  nc.SetChild(r, 0, nc.Child(p, mid + 1));
+  nc.AppendEntries(r, p, mid + 1, n);
   nb::SetCount(p, static_cast<uint16_t>(mid));
   rref.value().MarkDirty();
   out->split = true;
@@ -613,11 +522,11 @@ Status BPlusTree::Delete(double key, uint32_t value) {
     ++handicap_staleness_;
   }
   // Shrink the root when an internal root has a single child.
-  Result<PageRef> ref = pager_->Fetch(root_);
+  Result<PageRef> ref = LoadNode(root_);
   if (!ref.ok()) return ref.status();
   char* p = ref.value().data();
   if (!nb::IsLeaf(p) && nb::Count(p) == 0) {
-    PageId only_child = XChild(augmented_, p, 0);
+    PageId only_child = nb::NodeCodec(augmented_).ChildPage(p, 0);
     PageId old_root = root_;
     ref.value().Release();
     CDB_RETURN_IF_ERROR(pager_->Free(old_root));
@@ -631,8 +540,9 @@ Status BPlusTree::Delete(double key, uint32_t value) {
 Status BPlusTree::DeleteRec(PageId page, double key, uint32_t value,
                             const double* removed_m, bool* underflow) {
   *underflow = false;
-  Result<PageRef> ref = pager_->Fetch(page);
+  Result<PageRef> ref = LoadNode(page);
   if (!ref.ok()) return ref.status();
+  const nb::NodeCodec nc(augmented_);
   char* p = ref.value().data();
   const nb::CKey ckey{key, value};
 
@@ -652,109 +562,82 @@ Status BPlusTree::DeleteRec(PageId page, double key, uint32_t value,
       if (extremal) CDB_RETURN_IF_ERROR(RecomputeLeafLocal(p));
     }
     ref.value().MarkDirty();
-    *underflow = nb::Count(p) < nb::LeafCapacity(pager_->page_size()) / 2;
+    *underflow =
+        nb::Count(p) < nc.Capacity(/*leaf=*/true, pager_->page_size()) / 2;
     return Status::OK();
   }
 
-  const bool aug = augmented_;
-  size_t idx = XDescendIndex(aug, p, ckey);
-  PageId child = XChild(aug, p, idx);
+  size_t idx = nc.Descend(p, ckey);
   bool child_underflow = false;
-  CDB_RETURN_IF_ERROR(DeleteRec(child, key, value, removed_m,
+  CDB_RETURN_IF_ERROR(DeleteRec(nc.ChildPage(p, idx), key, value, removed_m,
                                 &child_underflow));
   if (child_underflow) {
-    CDB_RETURN_IF_ERROR(FixUnderflow(p, page, idx));
+    CDB_RETURN_IF_ERROR(FixUnderflow(p, idx));
     ref.value().MarkDirty();
-    if (aug) {
-      // The fix touched child idx and at most one neighbor (and may have
-      // removed one); refresh the aggregates of the surviving children in
-      // that window.
-      uint16_t n = nb::Count(p);
-      size_t lo = idx > 0 ? idx - 1 : 0;
-      size_t hi = std::min<size_t>(idx + 1, n);
-      for (size_t i = lo; i <= hi; ++i) {
-        CDB_RETURN_IF_ERROR(RefreshChildAgg(p, i));
-      }
-    }
-  } else if (aug) {
-    CDB_RETURN_IF_ERROR(RefreshChildAgg(p, idx));
-    ref.value().MarkDirty();
+    // The fix touched child idx and at most one neighbor (and may have
+    // removed one): the surviving children in that window changed.
+    CDB_RETURN_IF_ERROR(RefreshAggs(&ref.value(), idx > 0 ? idx - 1 : 0,
+                                    std::min<size_t>(idx + 1, nb::Count(p))));
+  } else {
+    CDB_RETURN_IF_ERROR(RefreshAggs(&ref.value(), idx, idx));
   }
   *underflow =
-      nb::Count(p) < XInternalCapacity(aug, pager_->page_size()) / 2;
+      nb::Count(p) < nc.Capacity(/*leaf=*/false, pager_->page_size()) / 2;
   return Status::OK();
 }
 
-Status BPlusTree::FixUnderflow(char* parent, PageId /*parent_id*/,
-                               size_t child_idx) {
-  const bool aug = augmented_;
+Status BPlusTree::FixUnderflow(char* parent, size_t child_idx) {
+  const nb::NodeCodec nc(augmented_);
   uint16_t pcount = nb::Count(parent);
-  PageId child_id = XChild(aug, parent, child_idx);
-  Result<PageRef> cref = pager_->Fetch(child_id);
+  PageId child_id = nc.ChildPage(parent, child_idx);
+  Result<PageRef> cref = LoadNode(child_id);
   if (!cref.ok()) return cref.status();
   char* c = cref.value().data();
   const bool leaves = nb::IsLeaf(c);
-  const size_t min_count =
-      (leaves ? nb::LeafCapacity(pager_->page_size())
-              : XInternalCapacity(aug, pager_->page_size())) /
-      2;
+  const size_t min_count = nc.Capacity(leaves, pager_->page_size()) / 2;
 
   PageId left_id =
-      child_idx > 0 ? XChild(aug, parent, child_idx - 1) : kInvalidPageId;
-  PageId right_id = child_idx < pcount ? XChild(aug, parent, child_idx + 1)
+      child_idx > 0 ? nc.ChildPage(parent, child_idx - 1) : kInvalidPageId;
+  PageId right_id = child_idx < pcount ? nc.ChildPage(parent, child_idx + 1)
                                        : kInvalidPageId;
+
+  // A leaf borrow moved an entry between `sibling` and the child, so both
+  // leaves' key ranges shifted.
+  auto borrowed_slots = [&](char* sibling) -> Status {
+    if (augmented_) {
+      // Both local folds changed; recompute them exactly.
+      CDB_RETURN_IF_ERROR(RecomputeLeafLocal(sibling));
+      return RecomputeLeafLocal(c);
+    }
+    // Conservatively combine the slots into both.
+    for (int s = 0; s < nb::kHandicapSlots; ++s) {
+      nc.FoldSlot(sibling, s, nb::Handicap(c, s));
+      nb::SetHandicap(c, s, nb::Handicap(sibling, s));
+    }
+    ++handicap_staleness_;
+    return Status::OK();
+  };
 
   // --- Try borrowing from the left sibling.
   if (left_id != kInvalidPageId) {
-    Result<PageRef> lref = pager_->Fetch(left_id);
+    Result<PageRef> lref = LoadNode(left_id);
     if (!lref.ok()) return lref.status();
     char* l = lref.value().data();
     if (nb::Count(l) > min_count) {
+      const size_t last = nb::Count(l) - 1;
       if (leaves) {
-        nb::CKey moved = nb::LeafEntry(l, nb::Count(l) - 1);
-        nb::RemoveLeafEntry(l, nb::Count(l) - 1);
+        nb::CKey moved = nb::LeafEntry(l, last);
+        nb::RemoveLeafEntry(l, last);
         nb::InsertLeafEntry(c, 0, moved);
-        XSetKey(aug, parent, child_idx - 1, moved);
-        if (aug) {
-          // Entries moved between the leaves; both local folds changed.
-          CDB_RETURN_IF_ERROR(RecomputeLeafLocal(l));
-          CDB_RETURN_IF_ERROR(RecomputeLeafLocal(c));
-        } else {
-          // Key ranges shifted between the two leaves: conservatively
-          // merge handicap slots into both.
-          for (int s = 0; s < nb::kHandicapSlots; ++s) {
-            double combined = s < 2 ? std::min(nb::Handicap(l, s),
-                                               nb::Handicap(c, s))
-                                    : std::max(nb::Handicap(l, s),
-                                               nb::Handicap(c, s));
-            nb::SetHandicap(l, s, combined);
-            nb::SetHandicap(c, s, combined);
-          }
-          ++handicap_staleness_;
-        }
+        nc.SetKey(parent, child_idx - 1, moved);
+        CDB_RETURN_IF_ERROR(borrowed_slots(l));
       } else {
-        // Rotate through the parent separator.
-        nb::CKey sep = XKey(aug, parent, child_idx - 1);
-        PageId borrowed = XChild(aug, l, nb::Count(l));
-        nb::CKey l_last = XKey(aug, l, nb::Count(l) - 1);
-        PageId old_child0 = XChild(aug, c, 0);
-        if (aug) {
-          // The borrowed child's aggregate travels with it; c's old head
-          // aggregate moves from the header into entry 0.
-          double a_head[nb::kHandicapSlots];
-          double a_borrowed[nb::kHandicapSlots];
-          nb::AugGetAgg(c, 0, a_head);
-          nb::AugGetAgg(l, nb::Count(l), a_borrowed);
-          nb::AugInsertInternalEntry(c, 0, sep, old_child0);
-          nb::AugSetAgg(c, 1, a_head);
-          nb::AugSetChild(c, 0, borrowed);
-          nb::AugSetAgg(c, 0, a_borrowed);
-        } else {
-          nb::InsertInternalEntry(c, 0, sep, old_child0);
-          nb::SetChild(c, 0, borrowed);
-        }
-        XSetKey(aug, parent, child_idx - 1, l_last);
-        XRemoveEntry(aug, l, nb::Count(l) - 1);
+        // Rotate through the parent separator: l's last child becomes the
+        // child's first.
+        nc.InsertEntry(c, 0, nc.Key(parent, child_idx - 1), nc.Child(c, 0));
+        nc.SetChild(c, 0, nc.Child(l, last + 1));
+        nc.SetKey(parent, child_idx - 1, nc.Key(l, last));
+        nc.RemoveEntry(l, last);
       }
       lref.value().MarkDirty();
       cref.value().MarkDirty();
@@ -764,7 +647,7 @@ Status BPlusTree::FixUnderflow(char* parent, PageId /*parent_id*/,
 
   // --- Try borrowing from the right sibling.
   if (right_id != kInvalidPageId) {
-    Result<PageRef> rref = pager_->Fetch(right_id);
+    Result<PageRef> rref = LoadNode(right_id);
     if (!rref.ok()) return rref.status();
     char* r = rref.value().data();
     if (nb::Count(r) > min_count) {
@@ -772,41 +655,16 @@ Status BPlusTree::FixUnderflow(char* parent, PageId /*parent_id*/,
         nb::CKey moved = nb::LeafEntry(r, 0);
         nb::RemoveLeafEntry(r, 0);
         nb::InsertLeafEntry(c, nb::Count(c), moved);
-        XSetKey(aug, parent, child_idx, nb::LeafEntry(r, 0));
-        if (aug) {
-          CDB_RETURN_IF_ERROR(RecomputeLeafLocal(r));
-          CDB_RETURN_IF_ERROR(RecomputeLeafLocal(c));
-        } else {
-          for (int s = 0; s < nb::kHandicapSlots; ++s) {
-            double combined = s < 2 ? std::min(nb::Handicap(r, s),
-                                               nb::Handicap(c, s))
-                                    : std::max(nb::Handicap(r, s),
-                                               nb::Handicap(c, s));
-            nb::SetHandicap(r, s, combined);
-            nb::SetHandicap(c, s, combined);
-          }
-          ++handicap_staleness_;
-        }
+        nc.SetKey(parent, child_idx, nb::LeafEntry(r, 0));
+        CDB_RETURN_IF_ERROR(borrowed_slots(r));
       } else {
-        nb::CKey sep = XKey(aug, parent, child_idx);
-        PageId borrowed = XChild(aug, r, 0);
-        nb::CKey r_first = XKey(aug, r, 0);
-        if (aug) {
-          double a_borrowed[nb::kHandicapSlots];
-          double a_next[nb::kHandicapSlots];
-          nb::AugGetAgg(r, 0, a_borrowed);
-          nb::AugGetAgg(r, 1, a_next);
-          nb::AugInsertInternalEntry(c, nb::Count(c), sep, borrowed);
-          nb::AugSetAgg(c, nb::Count(c), a_borrowed);
-          nb::AugSetChild(r, 0, nb::AugChild(r, 1));
-          nb::AugSetAgg(r, 0, a_next);
-          nb::AugRemoveInternalEntry(r, 0);
-        } else {
-          nb::InsertInternalEntry(c, nb::Count(c), sep, borrowed);
-          nb::SetChild(r, 0, nb::Child(r, 1));
-          nb::RemoveInternalEntry(r, 0);
-        }
-        XSetKey(aug, parent, child_idx, r_first);
+        // Rotate through the parent separator: r's first child becomes the
+        // child's last.
+        nc.InsertEntry(c, nb::Count(c), nc.Key(parent, child_idx),
+                       nc.Child(r, 0));
+        nc.SetKey(parent, child_idx, nc.Key(r, 0));
+        nc.SetChild(r, 0, nc.Child(r, 1));
+        nc.RemoveEntry(r, 0);
       }
       rref.value().MarkDirty();
       cref.value().MarkDirty();
@@ -817,133 +675,81 @@ Status BPlusTree::FixUnderflow(char* parent, PageId /*parent_id*/,
   // --- Merge. Prefer merging `child` into the left sibling; otherwise pull
   // the right sibling into `child`.
   if (left_id != kInvalidPageId) {
-    Result<PageRef> lref = pager_->Fetch(left_id);
+    Result<PageRef> lref = LoadNode(left_id);
     if (!lref.ok()) return lref.status();
-    char* l = lref.value().data();
-    if (leaves) {
-      uint16_t ln = nb::Count(l), cn = nb::Count(c);
-      for (uint16_t i = 0; i < cn; ++i) {
-        nb::SetLeafEntry(l, ln + i, nb::LeafEntry(c, i));
-      }
-      nb::SetCount(l, static_cast<uint16_t>(ln + cn));
-      PageId next = nb::NextLeaf(c);
-      nb::SetNextLeaf(l, next);
-      if (next != kInvalidPageId) {
-        Result<PageRef> nref = pager_->Fetch(next);
-        if (!nref.ok()) return nref.status();
-        nb::SetPrevLeaf(nref.value().data(), left_id);
-        nref.value().MarkDirty();
-      }
-      if (aug) {
-        // The union of two local folds is their (augmented) fold — exact.
-        for (int s = 0; s < nb::kHandicapSlots; ++s) {
-          nb::AugCombineHandicap(l, s, nb::Handicap(c, s));
-        }
-      } else {
-        for (int s = 0; s < nb::kHandicapSlots; ++s) {
-          nb::CombineHandicap(l, s, nb::Handicap(c, s));
-        }
-        ++handicap_staleness_;
-      }
-    } else {
-      nb::CKey sep = XKey(aug, parent, child_idx - 1);
-      XInsertEntry(aug, l, nb::Count(l), sep, XChild(aug, c, 0));
-      if (aug) {
-        double a[nb::kHandicapSlots];
-        nb::AugGetAgg(c, 0, a);
-        nb::AugSetAgg(l, nb::Count(l), a);
-      }
-      uint16_t cn = nb::Count(c);
-      for (uint16_t i = 0; i < cn; ++i) {
-        XInsertEntry(aug, l, nb::Count(l), XKey(aug, c, i),
-                     XChild(aug, c, i + 1));
-        if (aug) {
-          double a[nb::kHandicapSlots];
-          nb::AugGetAgg(c, i + 1, a);
-          nb::AugSetAgg(l, nb::Count(l), a);
-        }
-      }
-    }
-    lref.value().MarkDirty();
-    XRemoveEntry(aug, parent, child_idx - 1);
-    cref.value().Release();
-    return pager_->Free(child_id);
+    return MergeNodes(parent, child_idx - 1, &lref.value(), &cref.value());
   }
-
   if (right_id != kInvalidPageId) {
-    Result<PageRef> rref = pager_->Fetch(right_id);
+    Result<PageRef> rref = LoadNode(right_id);
     if (!rref.ok()) return rref.status();
-    char* r = rref.value().data();
-    if (leaves) {
-      uint16_t cn = nb::Count(c), rn = nb::Count(r);
-      for (uint16_t i = 0; i < rn; ++i) {
-        nb::SetLeafEntry(c, cn + i, nb::LeafEntry(r, i));
-      }
-      nb::SetCount(c, static_cast<uint16_t>(cn + rn));
-      PageId next = nb::NextLeaf(r);
-      nb::SetNextLeaf(c, next);
-      if (next != kInvalidPageId) {
-        Result<PageRef> nref = pager_->Fetch(next);
-        if (!nref.ok()) return nref.status();
-        nb::SetPrevLeaf(nref.value().data(), child_id);
-        nref.value().MarkDirty();
-      }
-      if (aug) {
-        for (int s = 0; s < nb::kHandicapSlots; ++s) {
-          nb::AugCombineHandicap(c, s, nb::Handicap(r, s));
-        }
-      } else {
-        for (int s = 0; s < nb::kHandicapSlots; ++s) {
-          nb::CombineHandicap(c, s, nb::Handicap(r, s));
-        }
-        ++handicap_staleness_;
-      }
-    } else {
-      nb::CKey sep = XKey(aug, parent, child_idx);
-      XInsertEntry(aug, c, nb::Count(c), sep, XChild(aug, r, 0));
-      if (aug) {
-        double a[nb::kHandicapSlots];
-        nb::AugGetAgg(r, 0, a);
-        nb::AugSetAgg(c, nb::Count(c), a);
-      }
-      uint16_t rn = nb::Count(r);
-      for (uint16_t i = 0; i < rn; ++i) {
-        XInsertEntry(aug, c, nb::Count(c), XKey(aug, r, i),
-                     XChild(aug, r, i + 1));
-        if (aug) {
-          double a[nb::kHandicapSlots];
-          nb::AugGetAgg(r, i + 1, a);
-          nb::AugSetAgg(c, nb::Count(c), a);
-        }
-      }
-    }
-    cref.value().MarkDirty();
-    XRemoveEntry(aug, parent, child_idx);
-    rref.value().Release();
-    return pager_->Free(right_id);
+    return MergeNodes(parent, child_idx, &cref.value(), &rref.value());
   }
 
   // No siblings: only possible at the root, which has no minimum.
   return Status::OK();
 }
 
+Status BPlusTree::MergeNodes(char* parent, size_t sep_idx, PageRef* lref,
+                             PageRef* rref) {
+  const nb::NodeCodec nc(augmented_);
+  char* l = lref->data();
+  const char* r = rref->data();
+  if (nb::IsLeaf(l)) {
+    nc.AppendEntries(l, r, 0, nb::Count(r));
+    PageId next = nb::NextLeaf(r);
+    nb::SetNextLeaf(l, next);
+    if (next != kInvalidPageId) {
+      Result<PageRef> nref = LoadNode(next);
+      if (!nref.ok()) return nref.status();
+      nb::SetPrevLeaf(nref.value().data(), lref->id());
+      nref.value().MarkDirty();
+    }
+    // The fold of two local folds is their union's (exact); ordinary slots
+    // combine conservatively.
+    for (int s = 0; s < nb::kHandicapSlots; ++s) {
+      nc.FoldSlot(l, s, nb::Handicap(r, s));
+    }
+    if (!augmented_) ++handicap_staleness_;
+  } else {
+    nc.InsertEntry(l, nb::Count(l), nc.Key(parent, sep_idx), nc.Child(r, 0));
+    nc.AppendEntries(l, r, 0, nb::Count(r));
+  }
+  lref->MarkDirty();
+  nc.RemoveEntry(parent, sep_idx);
+  const PageId r_id = rref->id();
+  rref->Release();
+  return pager_->Free(r_id);
+}
+
 // --- Lookup / cursors ------------------------------------------------------
+
+Result<PageRef> BPlusTree::LoadNode(PageId page) const {
+  Result<PageRef> ref = pager_->Fetch(page);
+  if (!ref.ok()) return ref;
+  const char* p = ref.value().data();
+  if (nb::Count(p) > nb::NodeCodec(augmented_).Room(p, pager_->page_size())) {
+    return Status::Corruption("B+-tree page " + std::to_string(page) +
+                              " count exceeds its capacity");
+  }
+  return ref;
+}
 
 Status BPlusTree::DescendToLeaf(double key, uint32_t value,
                                 PageId* leaf) const {
   PageId page;
   uint32_t height;
   CDB_RETURN_IF_ERROR(ReadView(&page, &height));
+  const nb::NodeCodec nc(augmented_);
   const nb::CKey ckey{key, value};
   for (uint32_t level = 0; level < height + 2; ++level) {
-    Result<PageRef> ref = pager_->Fetch(page);
+    Result<PageRef> ref = LoadNode(page);
     if (!ref.ok()) return ref.status();
     const char* p = ref.value().data();
     if (nb::IsLeaf(p)) {
       *leaf = page;
       return Status::OK();
     }
-    page = XChild(augmented_, p, XDescendIndex(augmented_, p, ckey));
+    page = nc.ChildPage(p, nc.Descend(p, ckey));
   }
   return Status::Corruption("B+-tree deeper than recorded height");
 }
@@ -953,7 +759,7 @@ Result<bool> BPlusTree::Contains(double key, uint32_t value) const {
   PageId leaf;
   Status st = DescendToLeaf(key, value, &leaf);
   if (!st.ok()) return st;
-  Result<PageRef> ref = pager_->Fetch(leaf);
+  Result<PageRef> ref = LoadNode(leaf);
   if (!ref.ok()) return ref.status();
   const char* p = ref.value().data();
   const nb::CKey ckey{key, value};
@@ -993,8 +799,9 @@ Status BPlusTree::SeekLastLeaf(LeafCursor* out) const {
   PageId page;
   uint32_t height;
   CDB_RETURN_IF_ERROR(ReadView(&page, &height));
+  const nb::NodeCodec nc(augmented_);
   for (uint32_t level = 0; level < height + 2; ++level) {
-    Result<PageRef> ref = pager_->Fetch(page);
+    Result<PageRef> ref = LoadNode(page);
     if (!ref.ok()) return ref.status();
     const char* p = ref.value().data();
     if (nb::IsLeaf(p)) {
@@ -1003,7 +810,7 @@ Status BPlusTree::SeekLastLeaf(LeafCursor* out) const {
       out->seek_pos_ = out->count_;
       return Status::OK();
     }
-    page = XChild(augmented_, p, nb::Count(p));
+    page = nc.ChildPage(p, nb::Count(p));
   }
   return Status::Corruption("B+-tree deeper than recorded height");
 }
@@ -1024,9 +831,9 @@ Status BPlusTree::MergeHandicap(double at, int slot, double v) {
   }
   PageId leaf;
   CDB_RETURN_IF_ERROR(DescendToLeaf(at, 0, &leaf));
-  Result<PageRef> ref = pager_->Fetch(leaf);
+  Result<PageRef> ref = LoadNode(leaf);
   if (!ref.ok()) return ref.status();
-  nb::CombineHandicap(ref.value().data(), slot, v);
+  nb::NodeCodec(augmented_).FoldSlot(ref.value().data(), slot, v);
   ref.value().MarkDirty();
   return Status::OK();
 }
@@ -1041,12 +848,13 @@ Status BPlusTree::ResetHandicaps() {
     return Status::InvalidArgument(
         "ResetHandicaps on an augmented tree (use RecomputeAugmented)");
   }
+  const nb::NodeCodec nc(augmented_);
   LeafCursor cur;
   CDB_RETURN_IF_ERROR(SeekFirstLeaf(&cur));
   while (cur.valid()) {
-    Result<PageRef> ref = pager_->Fetch(cur.leaf_);
+    Result<PageRef> ref = LoadNode(cur.leaf_);
     if (!ref.ok()) return ref.status();
-    nb::ResetHandicaps(ref.value().data());
+    nc.ResetSlots(ref.value().data());
     ref.value().MarkDirty();
     CDB_RETURN_IF_ERROR(cur.NextLeaf());
   }
@@ -1057,7 +865,7 @@ Status BPlusTree::ResetHandicaps() {
 // --- Augmented maintenance --------------------------------------------------
 
 Status BPlusTree::NodeAggregate(PageId page, double* out) const {
-  Result<PageRef> ref = pager_->Fetch(page);
+  Result<PageRef> ref = LoadNode(page);
   if (!ref.ok()) return ref.status();
   const char* p = ref.value().data();
   if (nb::IsLeaf(p)) {
@@ -1066,20 +874,24 @@ Status BPlusTree::NodeAggregate(PageId page, double* out) const {
     }
     return Status::OK();
   }
-  nb::AugNeutralArray(out);
+  const nb::NodeCodec nc(augmented_);
+  nb::NodeCodec::NeutralAgg(out);
   uint16_t n = nb::Count(p);
   for (size_t i = 0; i <= n; ++i) {
-    double a[nb::kHandicapSlots];
-    nb::AugGetAgg(p, i, a);
-    nb::AugFoldArray(out, a);
+    nb::NodeCodec::FoldAgg(out, nc.Child(p, i).agg);
   }
   return Status::OK();
 }
 
-Status BPlusTree::RefreshChildAgg(char* parent, size_t i) {
-  double a[nb::kHandicapSlots];
-  CDB_RETURN_IF_ERROR(NodeAggregate(nb::AugChild(parent, i), a));
-  nb::AugSetAgg(parent, i, a);
+Status BPlusTree::RefreshAggs(PageRef* parent, size_t lo, size_t hi) {
+  if (!augmented_) return Status::OK();
+  const nb::NodeCodec nc(augmented_);
+  for (size_t i = lo; i <= hi; ++i) {
+    nb::ChildSlot c{nc.ChildPage(parent->data(), i), {}};
+    CDB_RETURN_IF_ERROR(NodeAggregate(c.page, c.agg));
+    nc.SetChild(parent->data(), i, c);
+  }
+  parent->MarkDirty();
   return Status::OK();
 }
 
@@ -1088,20 +900,19 @@ Status BPlusTree::RecomputeLeafLocal(char* p) {
     return Status::InvalidArgument(
         "augmented tree mutation without an assignment callback");
   }
-  nb::AugResetHandicaps(p);
+  const nb::NodeCodec nc(augmented_);
+  nc.ResetSlots(p);
   uint16_t n = nb::Count(p);
   for (size_t i = 0; i < n; ++i) {
     double m[nb::kHandicapSlots];
     CDB_RETURN_IF_ERROR(assignment_fn_(nb::LeafEntry(p, i).value, m));
-    for (int s = 0; s < nb::kHandicapSlots; ++s) {
-      nb::AugCombineHandicap(p, s, m[s]);
-    }
+    for (int s = 0; s < nb::kHandicapSlots; ++s) nc.FoldSlot(p, s, m[s]);
   }
   return Status::OK();
 }
 
 Status BPlusTree::RecomputeAggRec(PageId page, double* out) {
-  Result<PageRef> ref = pager_->Fetch(page);
+  Result<PageRef> ref = LoadNode(page);
   if (!ref.ok()) return ref.status();
   char* p = ref.value().data();
   if (nb::IsLeaf(p)) {
@@ -1112,23 +923,22 @@ Status BPlusTree::RecomputeAggRec(PageId page, double* out) {
     }
     return Status::OK();
   }
-  nb::AugNeutralArray(out);
+  const nb::NodeCodec nc(augmented_);
+  nb::NodeCodec::NeutralAgg(out);
   uint16_t n = nb::Count(p);
   // Copy the children and release the pin before recursing (pool hygiene),
   // then re-fetch to store the recomputed aggregates.
-  std::vector<PageId> children(n + 1);
-  for (size_t i = 0; i <= n; ++i) children[i] = nb::AugChild(p, i);
+  std::vector<nb::ChildSlot> children(n + 1);
+  for (size_t i = 0; i <= n; ++i) children[i].page = nc.ChildPage(p, i);
   ref.value().Release();
-  std::vector<double> aggs((n + 1) * nb::kHandicapSlots);
-  for (size_t i = 0; i <= n; ++i) {
-    CDB_RETURN_IF_ERROR(
-        RecomputeAggRec(children[i], &aggs[i * nb::kHandicapSlots]));
-    nb::AugFoldArray(out, &aggs[i * nb::kHandicapSlots]);
+  for (nb::ChildSlot& c : children) {
+    CDB_RETURN_IF_ERROR(RecomputeAggRec(c.page, c.agg));
+    nb::NodeCodec::FoldAgg(out, c.agg);
   }
   Result<PageRef> wref = pager_->Fetch(page);
   if (!wref.ok()) return wref.status();
   for (size_t i = 0; i <= n; ++i) {
-    nb::AugSetAgg(wref.value().data(), i, &aggs[i * nb::kHandicapSlots]);
+    nc.SetChild(wref.value().data(), i, children[i]);
   }
   wref.value().MarkDirty();
   return Status::OK();
@@ -1154,12 +964,13 @@ Status BPlusTree::SecondSweepBound(int slot, double b, bool* have,
   }
   if (std::isnan(b)) return Status::InvalidArgument("NaN bound");
   *have = false;
+  const nb::NodeCodec nc(augmented_);
   const bool low = slot < 2;  // Low slots fold by max, qualify by m >= b.
   PageId page;
   uint32_t height;
   CDB_RETURN_IF_ERROR(ReadView(&page, &height));
   for (uint32_t level = 0; level < height + 2; ++level) {
-    Result<PageRef> ref = pager_->Fetch(page);
+    Result<PageRef> ref = LoadNode(page);
     if (!ref.ok()) return ref.status();
     const char* p = ref.value().data();
     if (nb::IsLeaf(p)) {
@@ -1177,20 +988,18 @@ Status BPlusTree::SecondSweepBound(int slot, double b, bool* have,
     if (low) {
       // Leftmost child whose subtree holds an entry with m_slot >= b.
       for (size_t i = 0; i <= n && !found; ++i) {
-        double a[nb::kHandicapSlots];
-        nb::AugGetAgg(p, i, a);
-        if (a[slot] >= b) {
-          page = nb::AugChild(p, i);
+        const nb::ChildSlot c = nc.Child(p, i);
+        if (c.agg[slot] >= b) {
+          page = c.page;
           found = true;
         }
       }
     } else {
       // Rightmost child whose subtree holds an entry with m_slot <= b.
       for (size_t i = n + 1; i-- > 0 && !found;) {
-        double a[nb::kHandicapSlots];
-        nb::AugGetAgg(p, i, a);
-        if (a[slot] <= b) {
-          page = nb::AugChild(p, i);
+        const nb::ChildSlot c = nc.Child(p, i);
+        if (c.agg[slot] <= b) {
+          page = c.page;
           found = true;
         }
       }
@@ -1206,12 +1015,12 @@ Status BPlusTree::CheckNode(PageId page, bool has_lo, double lo_key,
                             uint32_t lo_val, bool has_hi, double hi_key,
                             uint32_t hi_val, uint32_t depth,
                             uint64_t* entries, double* agg_out) const {
-  const bool aug = augmented_;
-  Result<PageRef> ref = pager_->Fetch(page);
+  const nb::NodeCodec nc(augmented_);
+  Result<PageRef> ref = LoadNode(page);
   if (!ref.ok()) return ref.status();
   const char* p = ref.value().data();
   const nb::CKey lo{lo_key, lo_val}, hi{hi_key, hi_val};
-  if (aug && !nb::AugFlag(p)) {
+  if (augmented_ && !nc.Stamped(p)) {
     return Status::Corruption("augmented tree node missing layout stamp");
   }
 
@@ -1220,7 +1029,8 @@ Status BPlusTree::CheckNode(PageId page, bool has_lo, double lo_key,
       return Status::Corruption("leaf at wrong depth");
     }
     uint16_t n = nb::Count(p);
-    if (page != root_ && n < nb::LeafCapacity(pager_->page_size()) / 2) {
+    if (page != root_ &&
+        n < nc.Capacity(/*leaf=*/true, pager_->page_size()) / 2) {
       return Status::Corruption("leaf under minimum occupancy");
     }
     for (size_t i = 0; i < n; ++i) {
@@ -1248,15 +1058,15 @@ Status BPlusTree::CheckNode(PageId page, bool has_lo, double lo_key,
   if (depth + 1 >= height_) return Status::Corruption("internal too deep");
   uint16_t n = nb::Count(p);
   if (page != root_ &&
-      n < XInternalCapacity(aug, pager_->page_size()) / 2) {
+      n < nc.Capacity(/*leaf=*/false, pager_->page_size()) / 2) {
     return Status::Corruption("internal node under minimum occupancy");
   }
   if (page == root_ && n == 0 && height_ > 1) {
     return Status::Corruption("internal root with single child not shrunk");
   }
   for (size_t i = 0; i < n; ++i) {
-    nb::CKey k = XKey(aug, p, i);
-    if (i > 0 && !nb::CKeyLess(XKey(aug, p, i - 1), k)) {
+    nb::CKey k = nc.Key(p, i);
+    if (i > 0 && !nb::CKeyLess(nc.Key(p, i - 1), k)) {
       return Status::Corruption("internal keys out of order");
     }
     if (has_lo && nb::CKeyLess(k, lo)) {
@@ -1267,20 +1077,15 @@ Status BPlusTree::CheckNode(PageId page, bool has_lo, double lo_key,
     }
   }
   // Recurse with refined bounds. Copy what we need, then release the pin so
-  // deep trees do not exhaust the buffer pool.
+  // deep trees do not exhaust the buffer pool. `agg_out` is set only on
+  // augmented trees, whose stored aggregates are checked against the fold
+  // of each child subtree.
   std::vector<nb::CKey> keys(n);
-  std::vector<PageId> children(n + 1);
-  std::vector<double> stored;
-  if (aug && agg_out != nullptr) {
-    stored.resize((n + 1) * nb::kHandicapSlots);
-    for (size_t i = 0; i <= n; ++i) {
-      nb::AugGetAgg(p, i, &stored[i * nb::kHandicapSlots]);
-    }
-    nb::AugNeutralArray(agg_out);
-  }
-  for (size_t i = 0; i < n; ++i) keys[i] = XKey(aug, p, i);
-  for (size_t i = 0; i <= n; ++i) children[i] = XChild(aug, p, i);
+  std::vector<nb::ChildSlot> children(n + 1);
+  for (size_t i = 0; i < n; ++i) keys[i] = nc.Key(p, i);
+  for (size_t i = 0; i <= n; ++i) children[i] = nc.Child(p, i);
   ref.value().Release();
+  if (agg_out != nullptr) nb::NodeCodec::NeutralAgg(agg_out);
   for (size_t i = 0; i <= n; ++i) {
     bool clo = i > 0 || has_lo;
     nb::CKey blo = i > 0 ? keys[i - 1] : lo;
@@ -1288,18 +1093,17 @@ Status BPlusTree::CheckNode(PageId page, bool has_lo, double lo_key,
     nb::CKey bhi = i < n ? keys[i] : hi;
     double child_agg[nb::kHandicapSlots];
     CDB_RETURN_IF_ERROR(CheckNode(
-        children[i], clo, blo.key, blo.value, chi, bhi.key, bhi.value,
-        depth + 1, entries,
-        (aug && agg_out != nullptr) ? child_agg : nullptr));
-    if (aug && agg_out != nullptr) {
+        children[i].page, clo, blo.key, blo.value, chi, bhi.key, bhi.value,
+        depth + 1, entries, agg_out != nullptr ? child_agg : nullptr));
+    if (agg_out != nullptr) {
       // The stored per-child aggregate must equal the child subtree's fold
       // bit-for-bit: incremental maintenance is exact, not conservative.
       for (int s = 0; s < nb::kHandicapSlots; ++s) {
-        if (stored[i * nb::kHandicapSlots + s] != child_agg[s]) {
+        if (children[i].agg[s] != child_agg[s]) {
           return Status::Corruption("stale child aggregate in internal node");
         }
       }
-      nb::AugFoldArray(agg_out, child_agg);
+      nb::NodeCodec::FoldAgg(agg_out, child_agg);
     }
   }
   return Status::OK();

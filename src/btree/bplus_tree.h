@@ -17,11 +17,16 @@
 //    events that degraded them since the last reset.
 //  * Trees made by CreateAugmented, or by BulkLoad with `augmented`, keep
 //    the slots *incrementally* instead (DESIGN.md section 2d): each leaf
-//    slot folds the assignment values of its own entries, internal nodes
-//    carry per-child aggregates, and mutations keep both exact via an
-//    assignment callback — so SecondSweepBound() answers T2's second-sweep
-//    bound by one root-to-leaf descent and no rebuild is ever required for
-//    correctness or tightness.
+//    slot folds the assignment values of its own entries, with the reverse
+//    polarity (low slots by maximum, high slots by minimum), and mutations
+//    keep it exact via an assignment callback. Their internal nodes have
+//    the ordinary layout plus one 32-byte aggregate per child, the fold of
+//    the child subtree's slots, read and written by the same internal-node
+//    codec — so SecondSweepBound() answers T2's second-sweep bound by one
+//    root-to-leaf descent and no rebuild is ever required for correctness
+//    or tightness. The slot rules of both kinds are exported below
+//    (kHandicapSlots, FoldHandicap, ...) for the index and its health
+//    inspector.
 //  * Keys may be ±infinity (dual values of unbounded polyhedra); NaN is
 //    rejected.
 //
@@ -31,8 +36,10 @@
 #ifndef CDB_BTREE_BPLUS_TREE_H_
 #define CDB_BTREE_BPLUS_TREE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -90,6 +97,34 @@ class LeafCursor {
 /// See file comment.
 class BPlusTree {
  public:
+  /// Handicap slots per leaf: the "low" pair 0 and 1 and the "high" pair 2
+  /// and 3; `second` picks the member of a pair.
+  static constexpr int kHandicapSlots = 4;
+  static constexpr int LowSlot(bool second) { return second ? 1 : 0; }
+  static constexpr int HighSlot(bool second) { return second ? 3 : 2; }
+
+  /// Whether `slot` folds by minimum in a tree of this kind: the low slots
+  /// of an ordinary tree, the high slots of an augmented one.
+  static constexpr bool FoldsByMin(bool augmented, int slot) {
+    return (slot < 2) != augmented;
+  }
+  /// The fold's identity, a freshly reset slot: +inf for a slot folding by
+  /// minimum, -inf for one folding by maximum.
+  static constexpr double NeutralHandicap(bool augmented, int slot) {
+    return FoldsByMin(augmented, slot)
+               ? std::numeric_limits<double>::infinity()
+               : -std::numeric_limits<double>::infinity();
+  }
+  /// Folds `v` into the slot value `cur`.
+  static constexpr double FoldHandicap(bool augmented, int slot, double cur,
+                                       double v) {
+    return FoldsByMin(augmented, slot) ? (v < cur ? v : cur)
+                                       : (v > cur ? v : cur);
+  }
+
+  /// Entries per leaf at a pager payload size (the same for both kinds).
+  static size_t LeafCapacity(size_t page_size);
+
   /// Resolves a stored value to its four assignment values m_0..m_3 (one
   /// per handicap slot). Augmented trees call this to recompute leaf slots
   /// on splits, deletes and rebalances; the callee typically refetches the
@@ -253,18 +288,24 @@ class BPlusTree {
   Status DeleteRec(PageId page, double key, uint32_t value,
                    const double* removed_m, bool* underflow);
   // Fixes an underflowing child i of internal node `parent`.
-  Status FixUnderflow(char* parent, PageId parent_id, size_t child_idx);
+  Status FixUnderflow(char* parent, size_t child_idx);
+  // Merges node `r` into its left sibling `l` under `parent`'s separator
+  // `sep_idx`, removes that separator and frees `r`.
+  Status MergeNodes(char* parent, size_t sep_idx, PageRef* l, PageRef* r);
 
   // Augmented helpers: fold of a node's subtree (leaf slots, or the fold
   // of an internal node's stored child aggregates) ...
   Status NodeAggregate(PageId page, double* out) const;
-  // ... refresh of `parent`'s stored aggregate for child i ...
-  Status RefreshChildAgg(char* parent, size_t i);
+  // ... refresh of `parent`'s stored aggregates for children lo..hi, which
+  // changed (a no-op on ordinary trees, which store none) ...
+  Status RefreshAggs(PageRef* parent, size_t lo, size_t hi);
   // ... exact recomputation of one leaf's slots via the callback ...
   Status RecomputeLeafLocal(char* p);
   // ... and the post-order walk behind RecomputeAugmented().
   Status RecomputeAggRec(PageId page, double* out);
 
+  // Fetches an existing node, rejecting a count past its page's room.
+  Result<PageRef> LoadNode(PageId page) const;
   Status DescendToLeaf(double key, uint32_t value, PageId* leaf) const;
   Status CheckNode(PageId page, bool has_lo, double lo_key, uint32_t lo_val,
                    bool has_hi, double hi_key, uint32_t hi_val,

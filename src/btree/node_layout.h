@@ -7,43 +7,37 @@
 // TOP/BOT value, which keeps insert/delete/split logic a textbook total
 // order.
 //
-// Leaf page:
-//   u8  type (=0)   u8 pad   u16 count
+// Every node starts with
+//   u8 type (0 leaf, 1 internal)   u8 stamp (1 in augmented trees)   u16 count
+//
+// Leaf page (both tree kinds):
 //   u32 next_leaf   u32 prev_leaf
-//   f64 handicap[4]             (slots 0,1 combine by min; 2,3 by max)
+//   f64 handicap[4]     (fold rules per kind: BPlusTree::FoldHandicap)
 //   entries: count * { f64 key, u32 value }
 //
-// Internal page:
-//   u8  type (=1)   u8 pad   u16 count
-//   u32 child0
-//   entries: count * { f64 key, u32 value, u32 child }
+// Internal page, one layout of aggregate width A — 0 in ordinary trees, 32
+// in augmented ones (incremental handicaps, DESIGN.md section 2d):
+//   u32 child0   [A: agg0]
+//   entries: count * { f64 key, u32 value, u32 child, [A: agg] }
 //     child(i+1) holds composites >= (key_i, value_i); child0 the rest.
+// So the header is 8 + A bytes and an entry 16 + A: child i >= 1 sits at
+// +12 of entry i-1 and its aggregate at +16; agg0 at byte 8. An aggregate
+// is f64[4], the augmented fold of its child subtree's leaf slots. A child
+// always moves as one unit — page id and aggregate — so the structural code
+// never picks an offset or moves an aggregate by itself.
 //
-// Augmented layout (incremental handicaps, DESIGN.md section 2d): trees
-// created augmented stamp every node's pad byte with 1 and reinterpret the
-// four leaf handicap slots with *local* semantics — slot s folds the
-// assignment values m_s(t) of the entries stored in THIS leaf (slots 0,1
-// combine by max, 2,3 by min; polarity is inverted relative to the
-// ordinary layout because the second-sweep bound asks "does this subtree
-// hold an entry with m_s >= b", a subtree maximum, for the low slots).
-// Augmented internal pages carry one agg[4] array per child, the fold of
-// that child subtree's slots:
-//
-//   u8 type (=1)  u8 flags (=1)  u16 count
-//   u32 child0    f64 agg0[4]
-//   entries: count * { f64 key, u32 value, u32 child, f64 agg[4] }
-//
-// The fatter entries cost internal fanout only; leaf density — and thus
-// every sweep's page count — is unchanged, which is what keeps the serial
-// figures byte-identical while augmented trees exist beside them.
+// The fatter augmented entries cost internal fanout only (19 separators
+// instead of 61 at 1 KiB pages); leaf density — and thus every sweep's page
+// count — is the same for both kinds, which is what keeps the serial figures
+// byte-identical while augmented trees exist beside them.
 
 #ifndef CDB_BTREE_NODE_LAYOUT_H_
 #define CDB_BTREE_NODE_LAYOUT_H_
 
 #include <cstdint>
 #include <cstring>
-#include <limits>
 
+#include "btree/bplus_tree.h"
 #include "storage/pager.h"
 
 namespace cdb {
@@ -63,32 +57,18 @@ inline bool CKeyEq(const CKey& a, const CKey& b) {
   return a.key == b.key && a.value == b.value;
 }
 
+inline constexpr int kHandicapSlots = BPlusTree::kHandicapSlots;
 inline constexpr size_t kLeafHeader = 4 + 8 + 32;       // 44 bytes.
 inline constexpr size_t kLeafEntry = 12;                // f64 + u32.
-inline constexpr size_t kInternalHeader = 4 + 4;        // 8 bytes.
-inline constexpr size_t kInternalEntry = 16;            // f64 + u32 + u32.
-inline constexpr int kHandicapSlots = 4;
-
-/// Neutral handicap per slot: +inf for min-combined slots (0, 1), -inf for
-/// max-combined slots (2, 3).
-inline double NeutralHandicap(int slot) {
-  return slot < 2 ? std::numeric_limits<double>::infinity()
-                  : -std::numeric_limits<double>::infinity();
-}
+inline constexpr size_t kAggBytes = 8 * kHandicapSlots;  // Augmented A.
 
 inline size_t LeafCapacity(size_t page_size) {
   return (page_size - kLeafHeader) / kLeafEntry;
-}
-inline size_t InternalCapacity(size_t page_size) {
-  // One slot is reserved so inserts can transiently overflow before the
-  // node is split.
-  return (page_size - kInternalHeader - 4) / kInternalEntry - 1;
 }
 
 // --- Common header -----------------------------------------------------
 
 inline bool IsLeaf(const char* p) { return p[0] == 0; }
-inline void SetType(char* p, bool leaf) { p[0] = leaf ? 0 : 1; }
 
 inline uint16_t Count(const char* p) {
   uint16_t c;
@@ -121,14 +101,6 @@ inline double Handicap(const char* p, int slot) {
 inline void SetHandicap(char* p, int slot, double v) {
   std::memcpy(p + 12 + 8 * slot, &v, 8);
 }
-inline void ResetHandicaps(char* p) {
-  for (int s = 0; s < kHandicapSlots; ++s) SetHandicap(p, s, NeutralHandicap(s));
-}
-/// Folds `v` into `slot` respecting its min/max polarity.
-inline void CombineHandicap(char* p, int slot, double v) {
-  double cur = Handicap(p, slot);
-  SetHandicap(p, slot, slot < 2 ? (v < cur ? v : cur) : (v > cur ? v : cur));
-}
 
 inline CKey LeafEntry(const char* p, size_t i) {
   CKey e;
@@ -156,73 +128,6 @@ inline void RemoveLeafEntry(char* p, size_t i) {
   SetCount(p, static_cast<uint16_t>(n - 1));
 }
 
-// --- Internal accessors -------------------------------------------------
-
-inline PageId Child(const char* p, size_t i) {
-  PageId id;
-  if (i == 0) {
-    std::memcpy(&id, p + 4, 4);
-  } else {
-    std::memcpy(&id, p + kInternalHeader + (i - 1) * kInternalEntry + 12, 4);
-  }
-  return id;
-}
-inline void SetChild(char* p, size_t i, PageId id) {
-  if (i == 0) {
-    std::memcpy(p + 4, &id, 4);
-  } else {
-    std::memcpy(p + kInternalHeader + (i - 1) * kInternalEntry + 12, &id, 4);
-  }
-}
-
-inline CKey InternalKey(const char* p, size_t i) {
-  CKey e;
-  std::memcpy(&e.key, p + kInternalHeader + i * kInternalEntry, 8);
-  std::memcpy(&e.value, p + kInternalHeader + i * kInternalEntry + 8, 4);
-  return e;
-}
-inline void SetInternalKey(char* p, size_t i, const CKey& e) {
-  std::memcpy(p + kInternalHeader + i * kInternalEntry, &e.key, 8);
-  std::memcpy(p + kInternalHeader + i * kInternalEntry + 8, &e.value, 4);
-}
-
-/// Inserts separator `e` at key position i with `right` as child i+1.
-inline void InsertInternalEntry(char* p, size_t i, const CKey& e,
-                                PageId right) {
-  uint16_t n = Count(p);
-  char* base = p + kInternalHeader;
-  std::memmove(base + (i + 1) * kInternalEntry, base + i * kInternalEntry,
-               (n - i) * kInternalEntry);
-  SetInternalKey(p, i, e);
-  std::memcpy(base + i * kInternalEntry + 12, &right, 4);
-  SetCount(p, static_cast<uint16_t>(n + 1));
-}
-
-/// Removes separator i together with child i+1.
-inline void RemoveInternalEntry(char* p, size_t i) {
-  uint16_t n = Count(p);
-  char* base = p + kInternalHeader;
-  std::memmove(base + i * kInternalEntry, base + (i + 1) * kInternalEntry,
-               (n - i - 1) * kInternalEntry);
-  SetCount(p, static_cast<uint16_t>(n - 1));
-}
-
-/// Index of the child to descend into for composite `c`: the first i with
-/// c < key_i, else count (child(i) convention in the header comment).
-inline size_t DescendIndex(const char* p, const CKey& c) {
-  uint16_t n = Count(p);
-  size_t lo = 0, hi = n;
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (CKeyLess(c, InternalKey(p, mid))) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
 /// First entry index in a leaf with entry >= c (may be count).
 inline size_t LeafLowerBound(const char* p, const CKey& c) {
   uint16_t n = Count(p);
@@ -238,133 +143,159 @@ inline size_t LeafLowerBound(const char* p, const CKey& c) {
   return lo;
 }
 
-// --- Augmented accessors (see file comment) ------------------------------
+// --- The node codec of one tree kind -------------------------------------
 
-inline constexpr size_t kAugInternalHeader = 4 + 4 + 32;  // 40 bytes.
-inline constexpr size_t kAugInternalEntry = 48;  // f64 + u32 + u32 + 4*f64.
+/// One child of an internal node: its page id and, when the layout has
+/// aggregates, the child subtree's aggregate.
+struct ChildSlot {
+  PageId page = kInvalidPageId;
+  double agg[kHandicapSlots] = {};
+};
 
-/// Pad-byte flag distinguishing augmented nodes; only meaningful inside a
-/// tree whose meta says it is augmented (recycled pages may carry stale
-/// bytes in ordinary trees, which never read it).
-inline bool AugFlag(const char* p) { return p[1] == 1; }
-inline void SetAugFlag(char* p) { p[1] = 1; }
+/// Reads and writes the nodes of one tree: the shared leaf slots under the
+/// kind's fold rules, and the internal layout of aggregate width A.
+class NodeCodec {
+ public:
+  explicit NodeCodec(bool augmented)
+      : augmented_(augmented), agg_(augmented ? kAggBytes : 0) {}
 
-/// Neutral value per augmented slot: -inf for the max-combined low slots
-/// (0, 1), +inf for the min-combined high slots (2, 3).
-inline double AugNeutralHandicap(int slot) {
-  return slot < 2 ? -std::numeric_limits<double>::infinity()
-                  : std::numeric_limits<double>::infinity();
-}
-inline void AugResetHandicaps(char* p) {
-  for (int s = 0; s < kHandicapSlots; ++s) {
-    SetHandicap(p, s, AugNeutralHandicap(s));
+  /// Initialises a freshly allocated (zeroed) page as an empty node. A leaf
+  /// gets no neighbours and neutral slots.
+  void Init(char* p, bool leaf) const {
+    p[0] = leaf ? 0 : 1;
+    p[1] = augmented_ ? 1 : 0;
+    SetCount(p, 0);
+    if (!leaf) return;
+    SetNextLeaf(p, kInvalidPageId);
+    SetPrevLeaf(p, kInvalidPageId);
+    ResetSlots(p);
   }
-}
-/// Folds `v` into leaf `slot` with augmented polarity (max for 0-1, min
-/// for 2-3).
-inline void AugCombineHandicap(char* p, int slot, double v) {
-  double cur = Handicap(p, slot);
-  SetHandicap(p, slot, slot < 2 ? (v > cur ? v : cur) : (v < cur ? v : cur));
-}
-/// Array forms of the neutral element and the fold, for aggregates.
-inline void AugNeutralArray(double m[kHandicapSlots]) {
-  for (int s = 0; s < kHandicapSlots; ++s) m[s] = AugNeutralHandicap(s);
-}
-inline void AugFoldArray(double acc[kHandicapSlots],
-                         const double m[kHandicapSlots]) {
-  for (int s = 0; s < kHandicapSlots; ++s) {
-    acc[s] = s < 2 ? (m[s] > acc[s] ? m[s] : acc[s])
-                   : (m[s] < acc[s] ? m[s] : acc[s]);
+  /// Whether the node carries the augmented stamp.
+  bool Stamped(const char* p) const { return p[1] == 1; }
+
+  /// Separators an internal node holds before it must split; one more
+  /// entry fits transiently, so a node may hold Capacity(false, ..) + 1.
+  /// For a leaf, the entries it holds.
+  size_t Capacity(bool leaf, size_t page_size) const {
+    return leaf ? LeafCapacity(page_size)
+                : (page_size - Header(false) - 4) / Stride(false) - 1;
   }
-}
-
-inline size_t AugInternalCapacity(size_t page_size) {
-  // Mirrors InternalCapacity: one slot reserved for transient overflow.
-  return (page_size - kAugInternalHeader - 4) / kAugInternalEntry - 1;
-}
-
-inline PageId AugChild(const char* p, size_t i) {
-  PageId id;
-  if (i == 0) {
-    std::memcpy(&id, p + 4, 4);
-  } else {
-    std::memcpy(&id,
-                p + kAugInternalHeader + (i - 1) * kAugInternalEntry + 12, 4);
+  /// The largest count the node's page has room for; a larger one read
+  /// from disk is corruption.
+  size_t Room(const char* p, size_t page_size) const {
+    const bool leaf = IsLeaf(p);
+    return Capacity(leaf, page_size) + (leaf ? 0 : 1);
   }
-  return id;
-}
-inline void AugSetChild(char* p, size_t i, PageId id) {
-  if (i == 0) {
-    std::memcpy(p + 4, &id, 4);
-  } else {
-    std::memcpy(p + kAugInternalHeader + (i - 1) * kAugInternalEntry + 12,
-                &id, 4);
+
+  /// Appends entries [from, to) of `src` to `dst`, a node of the same type.
+  void AppendEntries(char* dst, const char* src, size_t from,
+                     size_t to) const {
+    const bool leaf = IsLeaf(src);
+    const size_t h = Header(leaf), w = Stride(leaf);
+    const uint16_t n = Count(dst);
+    std::memcpy(dst + h + n * w, src + h + from * w, (to - from) * w);
+    SetCount(dst, static_cast<uint16_t>(n + (to - from)));
   }
-}
 
-/// Aggregate of child subtree i (agg0 lives in the header, like child0).
-inline void AugGetAgg(const char* p, size_t i, double out[kHandicapSlots]) {
-  const char* at =
-      i == 0 ? p + 8 : p + kAugInternalHeader + (i - 1) * kAugInternalEntry + 16;
-  std::memcpy(out, at, 8 * kHandicapSlots);
-}
-inline void AugSetAgg(char* p, size_t i, const double m[kHandicapSlots]) {
-  char* at =
-      i == 0 ? p + 8 : p + kAugInternalHeader + (i - 1) * kAugInternalEntry + 16;
-  std::memcpy(at, m, 8 * kHandicapSlots);
-}
-
-inline CKey AugInternalKey(const char* p, size_t i) {
-  CKey e;
-  std::memcpy(&e.key, p + kAugInternalHeader + i * kAugInternalEntry, 8);
-  std::memcpy(&e.value, p + kAugInternalHeader + i * kAugInternalEntry + 8, 4);
-  return e;
-}
-inline void AugSetInternalKey(char* p, size_t i, const CKey& e) {
-  std::memcpy(p + kAugInternalHeader + i * kAugInternalEntry, &e.key, 8);
-  std::memcpy(p + kAugInternalHeader + i * kAugInternalEntry + 8, &e.value, 4);
-}
-
-/// Inserts separator `e` at key position i with `right` as child i+1; the
-/// moved entries carry their agg arrays with them. The new entry's agg is
-/// zeroed — the caller must set it (AugSetAgg at i+1) before the page is
-/// read again.
-inline void AugInsertInternalEntry(char* p, size_t i, const CKey& e,
-                                   PageId right) {
-  uint16_t n = Count(p);
-  char* base = p + kAugInternalHeader;
-  std::memmove(base + (i + 1) * kAugInternalEntry,
-               base + i * kAugInternalEntry, (n - i) * kAugInternalEntry);
-  AugSetInternalKey(p, i, e);
-  std::memcpy(base + i * kAugInternalEntry + 12, &right, 4);
-  std::memset(base + i * kAugInternalEntry + 16, 0, 8 * kHandicapSlots);
-  SetCount(p, static_cast<uint16_t>(n + 1));
-}
-
-/// Removes separator i together with child i+1 and its agg.
-inline void AugRemoveInternalEntry(char* p, size_t i) {
-  uint16_t n = Count(p);
-  char* base = p + kAugInternalHeader;
-  std::memmove(base + i * kAugInternalEntry,
-               base + (i + 1) * kAugInternalEntry,
-               (n - i - 1) * kAugInternalEntry);
-  SetCount(p, static_cast<uint16_t>(n - 1));
-}
-
-/// Augmented-layout twin of DescendIndex.
-inline size_t AugDescendIndex(const char* p, const CKey& c) {
-  uint16_t n = Count(p);
-  size_t lo = 0, hi = n;
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (CKeyLess(c, AugInternalKey(p, mid))) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
+  // --- Leaf slots under the kind's fold rules.
+  void ResetSlots(char* p) const {
+    for (int s = 0; s < kHandicapSlots; ++s) {
+      SetHandicap(p, s, BPlusTree::NeutralHandicap(augmented_, s));
     }
   }
-  return lo;
-}
+  /// Folds `v` into leaf `slot`.
+  void FoldSlot(char* p, int slot, double v) const {
+    const double cur = Handicap(p, slot);
+    SetHandicap(p, slot, BPlusTree::FoldHandicap(augmented_, slot, cur, v));
+  }
+  /// Folds the slot array `m` into the aggregate `acc` (augmented rules).
+  static void FoldAgg(double* acc, const double* m) {
+    for (int s = 0; s < kHandicapSlots; ++s) {
+      acc[s] = BPlusTree::FoldHandicap(true, s, acc[s], m[s]);
+    }
+  }
+  static void NeutralAgg(double* acc) {
+    for (int s = 0; s < kHandicapSlots; ++s) {
+      acc[s] = BPlusTree::NeutralHandicap(true, s);
+    }
+  }
+
+  // --- Internal nodes.
+  PageId ChildPage(const char* p, size_t i) const {
+    PageId id;
+    std::memcpy(&id, p + ChildAt(i), 4);
+    return id;
+  }
+  ChildSlot Child(const char* p, size_t i) const {
+    ChildSlot c;
+    c.page = ChildPage(p, i);
+    std::memcpy(c.agg, p + AggAt(i), agg_);
+    return c;
+  }
+  void SetChild(char* p, size_t i, const ChildSlot& c) const {
+    std::memcpy(p + ChildAt(i), &c.page, 4);
+    std::memcpy(p + AggAt(i), c.agg, agg_);
+  }
+
+  CKey Key(const char* p, size_t i) const {
+    CKey e;
+    std::memcpy(&e.key, p + Header(false) + i * Stride(false), 8);
+    std::memcpy(&e.value, p + Header(false) + i * Stride(false) + 8, 4);
+    return e;
+  }
+  void SetKey(char* p, size_t i, const CKey& e) const {
+    std::memcpy(p + Header(false) + i * Stride(false), &e.key, 8);
+    std::memcpy(p + Header(false) + i * Stride(false) + 8, &e.value, 4);
+  }
+
+  /// Inserts separator `e` at key position i with `right` as child i+1.
+  void InsertEntry(char* p, size_t i, const CKey& e,
+                   const ChildSlot& right) const {
+    const uint16_t n = Count(p);
+    char* base = p + Header(false);
+    const size_t w = Stride(false);
+    std::memmove(base + (i + 1) * w, base + i * w, (n - i) * w);
+    SetCount(p, static_cast<uint16_t>(n + 1));
+    SetKey(p, i, e);
+    SetChild(p, i + 1, right);
+  }
+  /// Removes separator i together with child i+1.
+  void RemoveEntry(char* p, size_t i) const {
+    const uint16_t n = Count(p);
+    char* base = p + Header(false);
+    const size_t w = Stride(false);
+    std::memmove(base + i * w, base + (i + 1) * w, (n - i - 1) * w);
+    SetCount(p, static_cast<uint16_t>(n - 1));
+  }
+
+  /// Index of the child to descend into for composite `c`: the first i with
+  /// c < key_i, else count (child(i) convention in the file comment).
+  size_t Descend(const char* p, const CKey& c) const {
+    size_t lo = 0, hi = Count(p);
+    while (lo < hi) {
+      size_t mid = (lo + hi) / 2;
+      if (CKeyLess(c, Key(p, mid))) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo;
+  }
+
+ private:
+  size_t Header(bool leaf) const { return leaf ? kLeafHeader : 8 + agg_; }
+  size_t Stride(bool leaf) const { return leaf ? kLeafEntry : 16 + agg_; }
+  size_t ChildAt(size_t i) const {
+    return i == 0 ? 4 : Header(false) + (i - 1) * Stride(false) + 12;
+  }
+  size_t AggAt(size_t i) const {
+    return i == 0 ? 8 : Header(false) + (i - 1) * Stride(false) + 16;
+  }
+
+  bool augmented_;
+  size_t agg_;  // A: aggregate bytes per child.
+};
 
 }  // namespace btree_node
 }  // namespace cdb

@@ -18,14 +18,14 @@
 #include <map>
 #include <vector>
 
-#include "btree/node_layout.h"
+#include "btree/bplus_tree.h"
 #include "dualindex/dual_index.h"
 
 namespace cdb {
 
 namespace {
 
-namespace nb = btree_node;
+constexpr int kSlots = BPlusTree::kHandicapSlots;
 
 // Tallies one (leaf, slot) stored-vs-exact pair. `stored_leq` gives the
 // sound direction: true when a conservative stored value sits at or below
@@ -60,8 +60,8 @@ struct TreeScan {
   BPlusTree* tree = nullptr;
   obs::TreeHealth health;
   std::map<PageId, size_t> leaf_index;
-  std::vector<std::array<double, nb::kHandicapSlots>> stored;
-  std::vector<std::array<double, nb::kHandicapSlots>> exact;
+  std::vector<std::array<double, kSlots>> stored;
+  std::vector<std::array<double, kSlots>> exact;
 };
 
 }  // namespace
@@ -70,7 +70,7 @@ Status DualIndex::CollectHealth(obs::HealthReport* out) const {
   *out = obs::HealthReport();
   const size_t k = slopes_.size();
   const double leaf_capacity =
-      static_cast<double>(nb::LeafCapacity(pager_->page_size()));
+      static_cast<double>(BPlusTree::LeafCapacity(pager_->page_size()));
   const bool ordinary = !options_.incremental_handicaps;
 
   // Scan index for slope tree (i, is_up): B_i^up or B_i^down.
@@ -99,12 +99,11 @@ Status DualIndex::CollectHealth(obs::HealthReport* out) const {
     LeafCursor cur;
     CDB_RETURN_IF_ERROR(s.tree->SeekFirstLeaf(&cur));
     while (cur.valid()) {
-      std::array<double, nb::kHandicapSlots> sv, ev;
-      for (int slot = 0; slot < nb::kHandicapSlots; ++slot) {
+      std::array<double, kSlots> sv, ev;
+      for (int slot = 0; slot < kSlots; ++slot) {
         sv[static_cast<size_t>(slot)] = cur.handicap(slot);
-        ev[static_cast<size_t>(slot)] = s.health.augmented
-                                            ? nb::AugNeutralHandicap(slot)
-                                            : nb::NeutralHandicap(slot);
+        ev[static_cast<size_t>(slot)] =
+            BPlusTree::NeutralHandicap(s.health.augmented, slot);
       }
       if (s.health.augmented) {
         for (int j = 0; j < cur.entry_count(); ++j) {
@@ -112,9 +111,12 @@ Status DualIndex::CollectHealth(obs::HealthReport* out) const {
           if (!relation_->Shape(cur.value(j), &shape)) {
             return Status::NotFound("tuple " + std::to_string(cur.value(j)));
           }
-          double m[nb::kHandicapSlots];
+          double m[kSlots];
           CDB_RETURN_IF_ERROR(TreeAssignments(i, is_up, shape, m));
-          nb::AugFoldArray(ev.data(), m);
+          for (int slot = 0; slot < kSlots; ++slot) {
+            double& e = ev[static_cast<size_t>(slot)];
+            e = BPlusTree::FoldHandicap(/*augmented=*/true, slot, e, m[slot]);
+          }
         }
       }
       s.leaf_index[cur.page()] = s.stored.size();
@@ -148,20 +150,21 @@ Status DualIndex::CollectHealth(obs::HealthReport* out) const {
                 auto it = s.leaf_index.find(leaf);
                 if (it == s.leaf_index.end()) return Status::OK();
                 double& e = s.exact[it->second][static_cast<size_t>(slot)];
-                e = slot < 2 ? std::min(e, v) : std::max(e, v);
+                e = BPlusTree::FoldHandicap(/*augmented=*/false, slot, e, v);
                 return Status::OK();
               }));
         }
         return Status::OK();
       }));
 
-  // Pass 3: compare. Sound direction per slot: ordinary min slots (0, 1)
-  // and augmented min slots (2, 3) may only sit at or below the exact
-  // value; their max counterparts at or above.
+  // Pass 3: compare. Sound direction per slot: a slot folding by minimum
+  // may only sit at or below the exact value, one folding by maximum at or
+  // above.
   for (TreeScan& s : scans) {
     for (size_t leaf = 0; leaf < s.stored.size(); ++leaf) {
-      for (int slot = 0; slot < nb::kHandicapSlots; ++slot) {
-        const bool stored_leq = s.health.augmented ? slot >= 2 : slot < 2;
+      for (int slot = 0; slot < kSlots; ++slot) {
+        const bool stored_leq =
+            BPlusTree::FoldsByMin(s.health.augmented, slot);
         TallyGap(s.stored[leaf][static_cast<size_t>(slot)],
                  s.exact[leaf][static_cast<size_t>(slot)], stored_leq,
                  &s.health);

@@ -17,10 +17,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Handicap slot layout (must match btree_node polarity: 0-1 min, 2-3 max).
-int LowSlot(bool next_side) { return next_side ? 1 : 0; }
-int HighSlot(bool next_side) { return next_side ? 3 : 2; }
-
 // Whether slope i of k has a neighbour on that side. A missing side's
 // slots carry no contribution; they are skipped by index, never by value
 // (unbounded tuples have real infinite assignments).
@@ -169,9 +165,9 @@ Status DualIndex::Assignments(size_t i, const Polyhedron2DView& shape,
                               double* down) const {
   if (!shape.feasible) return Status::InvalidArgument("unsatisfiable tuple");
   for (double* m : {up, down}) {
-    if (m == nullptr) continue;
-    m[0] = m[1] = -kInf;  // Augmented neutral values: low slots fold by
-    m[2] = m[3] = kInf;   // max, high slots by min.
+    for (int s = 0; m != nullptr && s < BPlusTree::kHandicapSlots; ++s) {
+      m[s] = BPlusTree::NeutralHandicap(/*augmented=*/true, s);
+    }
   }
   const double s_i = slopes_.slope(i);
   for (bool next_side : {false, true}) {
@@ -182,8 +178,8 @@ Status DualIndex::Assignments(size_t i, const Polyhedron2DView& shape,
     const double hi = std::max(s_i, amid);
     const double top_mid = TopValue(shape, amid);
     const double bot_mid = BotValue(shape, amid);
-    const int low = LowSlot(next_side);
-    const int high = HighSlot(next_side);
+    const int low = BPlusTree::LowSlot(next_side);
+    const int high = BPlusTree::HighSlot(next_side);
     if (up != nullptr) {
       // EXIST(q(>=)): max TOP over [s_i, amid] (exact at the endpoints:
       // TOP is convex in the slope).
@@ -214,10 +210,12 @@ Status DualIndex::FoldHandicaps(size_t i, const Polyhedron2DView& shape,
   CDB_RETURN_IF_ERROR(Assignments(i, shape, top, bot, up, down));
   for (bool next_side : {false, true}) {
     if (!HasNeighbour(i, slopes_.size(), next_side)) continue;
-    for (int slot : {LowSlot(next_side), HighSlot(next_side)}) {
+    const int slots[] = {BPlusTree::LowSlot(next_side),
+                         BPlusTree::HighSlot(next_side)};
+    for (int slot : slots) {
       CDB_RETURN_IF_ERROR(fold(up_[i].get(), slot, up[slot], top));
     }
-    for (int slot : {LowSlot(next_side), HighSlot(next_side)}) {
+    for (int slot : slots) {
       CDB_RETURN_IF_ERROR(fold(down_[i].get(), slot, down[slot], bot));
     }
   }

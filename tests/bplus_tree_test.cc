@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "pager_test_util.h"
@@ -16,17 +20,46 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Deterministic assignment values per stored value, for augmented trees:
+// pure arithmetic, so inserts and the delete-time callback agree.
+void AssignOf(uint32_t v, double* m) {
+  m[0] = static_cast<double>((v * 7) % 991) - 400.0;
+  m[1] = static_cast<double>((v * 13) % 997) - 500.0;
+  m[2] = static_cast<double>((v * 5) % 983) - 450.0;
+  m[3] = static_cast<double>((v * 11) % 1009) - 520.0;
+}
+
+BPlusTree::AssignmentFn MakeAssignmentFn() {
+  return [](uint32_t value, double* m) -> Status {
+    AssignOf(value, m);
+    return Status::OK();
+  };
+}
+
 struct TreeFixture {
   std::unique_ptr<Pager> pager;
   std::unique_ptr<BPlusTree> tree;
 
-  explicit TreeFixture(size_t page_size = 256) {
+  explicit TreeFixture(size_t page_size = 256, bool augmented = false) {
     PagerOptions opts;
     opts.page_size = page_size;  // Small pages force deep trees quickly.
     opts.cache_frames = 32;
     EXPECT_TRUE(
         Pager::Open(std::make_unique<MemFile>(page_size), opts, &pager).ok());
-    EXPECT_TRUE(BPlusTree::Create(pager.get(), &tree).ok());
+    if (augmented) {
+      EXPECT_TRUE(BPlusTree::CreateAugmented(pager.get(), &tree).ok());
+      tree->SetAssignmentFn(MakeAssignmentFn());
+    } else {
+      EXPECT_TRUE(BPlusTree::Create(pager.get(), &tree).ok());
+    }
+  }
+
+  // Inserts through the entry point of the tree's kind.
+  Status Put(double key, uint32_t value) {
+    if (!tree->augmented()) return tree->Insert(key, value);
+    double m[4];
+    AssignOf(value, m);
+    return tree->InsertWithAssignment(key, value, m);
   }
 
   // Pins are never released spontaneously, so a leak anywhere in the test
@@ -270,11 +303,11 @@ TEST(BPlusTreeTest, OpenFromMetaPage) {
 
 // Model-based property test: random interleaved inserts and deletes against
 // a std::set reference, with invariant checks and full-content comparison.
-class BPlusTreeModelTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(BPlusTreeModelTest, MatchesReferenceModel) {
-  TreeFixture fx;
-  Rng rng(GetParam());
+// Each run ends by deleting every entry, which must leave an empty tree of
+// height 1 (root shrink at every level).
+void RunReferenceModel(uint64_t seed, bool augmented) {
+  TreeFixture fx(256, augmented);
+  Rng rng(seed);
   std::set<Entry> model;
   uint32_t next_val = 0;
   for (int op = 0; op < 4000; ++op) {
@@ -285,7 +318,7 @@ TEST_P(BPlusTreeModelTest, MatchesReferenceModel) {
                        ? (rng.Chance(0.5) ? kInf : -kInf)
                        : std::floor(rng.Uniform(-50, 50)) / 2.0;
       uint32_t val = next_val++;
-      ASSERT_TRUE(fx.tree->Insert(key, val).ok());
+      ASSERT_TRUE(fx.Put(key, val).ok());
       model.insert({key, val});
     } else {
       // Delete a random existing element.
@@ -302,9 +335,40 @@ TEST_P(BPlusTreeModelTest, MatchesReferenceModel) {
   EXPECT_EQ(fx.tree->size(), model.size());
   std::vector<Entry> expected(model.begin(), model.end());
   EXPECT_EQ(Dump(*fx.tree), expected);
+
+  while (!model.empty()) {
+    auto it = model.begin();
+    std::advance(it, rng.UniformInt(0, static_cast<int64_t>(model.size()) - 1));
+    ASSERT_TRUE(fx.tree->Delete(it->first, it->second).ok());
+    model.erase(it);
+    if (model.size() % 250 == 0) {
+      ASSERT_TRUE(fx.tree->CheckInvariants().ok()) << model.size() << " left";
+    }
+  }
+  EXPECT_EQ(fx.tree->size(), 0u);
+  EXPECT_EQ(fx.tree->height(), 1u);
+  EXPECT_TRUE(Dump(*fx.tree).empty());
+}
+
+// The ordinary tree kind (Insert) ...
+class BPlusTreeModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BPlusTreeModelTest, MatchesReferenceModel) {
+  RunReferenceModel(GetParam(), /*augmented=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BPlusTreeModelTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 20260704));
+
+// ... and the augmented kind (InsertWithAssignment, exact aggregates).
+class BPlusTreeAugmentedModelTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(BPlusTreeAugmentedModelTest, MatchesReferenceModel) {
+  RunReferenceModel(GetParam(), /*augmented=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BPlusTreeAugmentedModelTest,
                          ::testing::Values(1, 2, 3, 4, 5, 20260704));
 
 // Complexity sanity (Theorem 3.1 shape): page fetches per point lookup grow
@@ -325,6 +389,195 @@ TEST(BPlusTreeTest, LookupCostIsLogarithmic) {
   uint64_t fetches = fx.pager->stats().Delta(before).page_fetches;
   // Height is ~3 at 20k entries with 1 KiB pages; allow generous slack.
   EXPECT_LE(fetches, static_cast<uint64_t>(kLookups) * 6);
+}
+
+// --- On-disk node format ---------------------------------------------------
+//
+// The walk below decodes nodes from the format alone, not through the tree:
+//   meta:     u64 magic, u32 root, u32 height, u64 count, u32 flags
+//   leaf:     u8 type (0), u8 stamp, u16 count, u32 next, u32 prev,
+//             f64 slot[4], count * {f64 key, u32 value}
+//   internal: u8 type (1), u8 stamp, u16 count, u32 child0, [f64 agg0[4]],
+//             count * {f64 key, u32 value, u32 child, [f64 agg[4]]}
+// where the bracketed aggregates exist in augmented trees only.
+
+uint32_t LoadU32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+// FNV-1a, 64 bit.
+void Mix(uint64_t* h, const char* p, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    *h ^= static_cast<unsigned char>(p[i]);
+    *h *= 0x100000001b3ull;
+  }
+}
+
+// Digest of the tree's meta fields and, for every node reachable from the
+// root in breadth-first order, its page id and live bytes: the header,
+// count * stride entry bytes, leaf slots and chain links, child ids and
+// aggregates. Bytes past the live prefix are free to differ.
+uint64_t NodeDigest(Pager* pager, const BPlusTree& tree) {
+  const size_t agg = tree.augmented() ? 32 : 0;
+  uint64_t h = 0xcbf29ce484222325ull;
+  PageId root;
+  {
+    Result<PageRef> meta = pager->Fetch(tree.meta_page());
+    EXPECT_TRUE(meta.ok());
+    if (!meta.ok()) return 0;
+    Mix(&h, meta.value().data(), 28);
+    root = LoadU32(meta.value().data() + 8);
+  }
+  std::vector<PageId> queue{root};
+  for (size_t q = 0; q < queue.size(); ++q) {
+    Result<PageRef> ref = pager->Fetch(queue[q]);
+    EXPECT_TRUE(ref.ok());
+    if (!ref.ok()) return 0;
+    const char* p = ref.value().data();
+    uint16_t n;
+    std::memcpy(&n, p + 2, 2);
+    const bool leaf = p[0] == 0;
+    const size_t header = leaf ? 44 : 8 + agg;
+    const size_t stride = leaf ? 12 : 16 + agg;
+    EXPECT_LE(header + n * stride, pager->page_size()) << "page " << queue[q];
+    if (header + n * stride > pager->page_size()) return 0;
+    Mix(&h, reinterpret_cast<const char*>(&queue[q]), 4);
+    Mix(&h, p, header + n * stride);
+    if (leaf) continue;
+    queue.push_back(LoadU32(p + 4));
+    for (size_t i = 0; i < n; ++i) {
+      queue.push_back(LoadU32(p + header + i * stride + 12));
+    }
+  }
+  return h;
+}
+
+// Builds a tree of either kind by one fixed sequence and returns the node
+// digest after each phase: BulkLoad at fill 0.8; inserts until height 3 and
+// 400 more; deletes of nine entries in ten, in pseudo-random order, which
+// borrow from and merge with left and right siblings at leaf and internal
+// level and shrink the root (each of those paths runs at least once for
+// both kinds with this seed).
+std::vector<uint64_t> FormatDigests(bool augmented) {
+  TreeFixture fx(256, augmented);
+  std::vector<BPlusTree::AugEntry> bulk;
+  for (uint32_t v = 0; v < 40; ++v) {
+    BPlusTree::AugEntry e{static_cast<double>(2 * v), v, {}};
+    AssignOf(v, e.m);
+    bulk.push_back(e);
+  }
+  std::unique_ptr<BPlusTree> tree;
+  EXPECT_TRUE(
+      BPlusTree::BulkLoad(fx.pager.get(), bulk, 0.8, augmented, &tree).ok());
+  if (augmented) tree->SetAssignmentFn(MakeAssignmentFn());
+  fx.tree = std::move(tree);
+  std::vector<uint64_t> digests{NodeDigest(fx.pager.get(), *fx.tree)};
+
+  std::vector<Entry> live;
+  for (uint32_t v = 0; v < 40; ++v) live.emplace_back(2.0 * v, v);
+  Rng rng(7);
+  uint32_t v = 40;
+  for (int extra = 400; extra > 0; ++v) {
+    const double key = std::floor(rng.Uniform(0, 160)) + 0.5;
+    EXPECT_TRUE(fx.Put(key, v).ok());
+    live.emplace_back(key, v);
+    if (fx.tree->height() >= 3) --extra;
+  }
+  EXPECT_GE(fx.tree->height(), 3u);
+  digests.push_back(NodeDigest(fx.pager.get(), *fx.tree));
+
+  for (size_t keep = live.size() / 10; live.size() > keep;) {
+    const size_t at = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+    EXPECT_TRUE(fx.tree->Delete(live[at].first, live[at].second).ok());
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+  EXPECT_TRUE(fx.tree->CheckInvariants().ok());
+  digests.push_back(NodeDigest(fx.pager.get(), *fx.tree));
+  return digests;
+}
+
+std::string Hex(const std::vector<uint64_t>& digests) {
+  std::string out;
+  char buf[24];
+  for (uint64_t d : digests) {
+    std::snprintf(buf, sizeof(buf), "%016llx ",
+                  static_cast<unsigned long long>(d));
+    out += buf;
+  }
+  return out;
+}
+
+// Byte-level pin of both node layouts. The digests were recorded while the
+// two kinds still had separate internal-node accessors; they must not move
+// unless the format version does.
+TEST(BPlusTreeFormatTest, OrdinaryNodeBytesArePinned) {
+  EXPECT_EQ(Hex(FormatDigests(/*augmented=*/false)),
+            "c07a80cac1551ee5 ba9eb59632db7891 4204698a91762c40 ");
+}
+
+TEST(BPlusTreeFormatTest, AugmentedNodeBytesArePinned) {
+  EXPECT_EQ(Hex(FormatDigests(/*augmented=*/true)),
+            "655f21e6612f6c5c b5036908c6a523e1 944df8f8b4a30533 ");
+}
+
+// --- A node's count is checked where it is read ---------------------------
+//
+// A node's u16 entry count comes from disk. A count past what the page can
+// hold, planted with a valid checksum, must surface as Corruption from every
+// entry point that loads the node, never as a read past the frame.
+
+enum class Plant { kLeaf, kInternal };
+
+void ExpectCountCorruption(bool augmented, Plant plant) {
+  TreeFixture fx(256, augmented);
+  for (uint32_t v = 0; v < 300; ++v) {
+    ASSERT_TRUE(fx.Put(static_cast<double>(v), v).ok());
+  }
+  ASSERT_GE(fx.tree->height(), 2u);
+  PageId target;
+  if (plant == Plant::kLeaf) {
+    LeafCursor cur;
+    ASSERT_TRUE(fx.tree->SeekLeaf(150.0, &cur).ok());
+    target = cur.page();
+  } else {
+    Result<PageRef> meta = fx.pager->Fetch(fx.tree->meta_page());
+    ASSERT_TRUE(meta.ok());
+    target = LoadU32(meta.value().data() + 8);  // The internal root.
+  }
+  {
+    Result<PageRef> ref = fx.pager->Fetch(target);
+    ASSERT_TRUE(ref.ok());
+    const uint16_t bad = 0xFFFF;
+    std::memcpy(ref.value().data() + 2, &bad, 2);
+    ref.value().MarkDirty();
+  }
+  ASSERT_TRUE(fx.pager->Flush().ok());
+  ASSERT_TRUE(fx.pager->DropCache().ok());
+
+  LeafCursor cur;
+  EXPECT_TRUE(fx.tree->SeekLeaf(150.0, &cur).IsCorruption());
+  ExpectNoPinnedFrames(*fx.pager);
+  EXPECT_TRUE(fx.tree->Contains(150.0, 150).status().IsCorruption());
+  ExpectNoPinnedFrames(*fx.pager);
+  EXPECT_TRUE(fx.Put(150.5, 1000).IsCorruption());
+  ExpectNoPinnedFrames(*fx.pager);
+  EXPECT_TRUE(fx.tree->Delete(150.0, 150).IsCorruption());
+  ExpectNoPinnedFrames(*fx.pager);
+  EXPECT_TRUE(fx.tree->CheckInvariants().IsCorruption());
+  ExpectNoPinnedFrames(*fx.pager);
+}
+
+TEST(BPlusTreeTest, OverCapacityCountIsCorruption) {
+  for (bool augmented : {false, true}) {
+    for (Plant plant : {Plant::kLeaf, Plant::kInternal}) {
+      SCOPED_TRACE(std::string(augmented ? "augmented" : "ordinary") +
+                   (plant == Plant::kLeaf ? " leaf" : " internal node"));
+      ExpectCountCorruption(augmented, plant);
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Crash-recovery sweep: runs a B+-tree bulk-build + update workload
-// against a journaled pager, simulates a power loss at *every* write index
-// of the combined data+journal write stream (with varying torn-write
-// lengths), reopens the surviving bytes, and asserts that
+// Crash-recovery sweep: runs a B+-tree bulk-build + update workload, over
+// an ordinary and over an augmented tree, against a journaled pager,
+// simulates a power loss at *every* write index of the combined
+// data+journal write stream (with varying torn-write lengths), reopens the
+// surviving bytes, and asserts that
 //
-//   * recovery always succeeds and yields a structurally sound tree,
+//   * recovery always succeeds and yields a structurally sound tree (for
+//     augmented trees, with every stored aggregate exact),
 //   * the recovered state is exactly some batch boundary — no batch is
 //     ever partially applied,
 //   * every batch whose Flush() returned OK before the crash is present,
@@ -57,6 +59,44 @@ std::vector<Entry> BatchDeletes(int j) {  // From the bulk batch, disjoint.
   return entries;
 }
 
+// Deterministic assignment values per stored value (augmented trees).
+void AssignOf(uint32_t v, double* m) {
+  m[0] = static_cast<double>((v * 7) % 991) - 400.0;
+  m[1] = static_cast<double>((v * 13) % 997) - 500.0;
+  m[2] = static_cast<double>((v * 5) % 983) - 450.0;
+  m[3] = static_cast<double>((v * 11) % 1009) - 520.0;
+}
+
+Status AssignmentOf(uint32_t v, double* m) {
+  AssignOf(v, m);
+  return Status::OK();
+}
+
+// Builds the first batch's tree of either kind.
+Status BulkBuild(Pager* pager, bool augmented,
+                 std::unique_ptr<BPlusTree>* tree) {
+  if (!augmented) {
+    return BPlusTree::BulkLoad(pager, BulkEntries(), /*fill=*/0.8, tree);
+  }
+  std::vector<BPlusTree::AugEntry> entries;
+  for (const Entry& e : BulkEntries()) {
+    BPlusTree::AugEntry a{e.first, e.second, {}};
+    AssignOf(e.second, a.m);
+    entries.push_back(a);
+  }
+  CDB_RETURN_IF_ERROR(BPlusTree::BulkLoad(pager, std::move(entries),
+                                          /*fill=*/0.8, true, tree));
+  (*tree)->SetAssignmentFn(AssignmentOf);
+  return Status::OK();
+}
+
+Status InsertEntry(BPlusTree* tree, const Entry& e) {
+  if (!tree->augmented()) return tree->Insert(e.first, e.second);
+  double m[4];
+  AssignOf(e.second, m);
+  return tree->InsertWithAssignment(e.first, e.second, m);
+}
+
 // Tree contents after the first `m` batches committed.
 std::set<Entry> ExpectedAfter(int m) {
   std::set<Entry> expect;
@@ -80,7 +120,7 @@ struct RunResult {
 // shared crash plan so the crash_at-th post-creation write (across data
 // file and journal together) is torn to `torn_bytes` and everything after
 // it is lost.
-RunResult RunWorkload(std::shared_ptr<BlockFile> data,
+RunResult RunWorkload(bool augmented, std::shared_ptr<BlockFile> data,
                       std::shared_ptr<BlockFile> jnl, int64_t crash_at,
                       size_t torn_bytes) {
   RunResult result;
@@ -109,7 +149,7 @@ RunResult RunWorkload(std::shared_ptr<BlockFile> data,
   }
 
   std::unique_ptr<BPlusTree> tree;
-  st = BPlusTree::BulkLoad(pager.get(), BulkEntries(), /*fill=*/0.8, &tree);
+  st = BulkBuild(pager.get(), augmented, &tree);
   if (st.ok()) {
     result.meta = tree->meta_page();
     st = pager->Flush();
@@ -117,7 +157,7 @@ RunResult RunWorkload(std::shared_ptr<BlockFile> data,
   }
   for (int j = 1; st.ok() && j < kBatches; ++j) {
     for (const Entry& e : BatchInserts(j)) {
-      st = tree->Insert(e.first, e.second);
+      st = InsertEntry(tree.get(), e);
       if (!st.ok()) break;
     }
     if (!st.ok()) break;
@@ -166,6 +206,7 @@ int VerifyRecovered(std::shared_ptr<BlockFile> data,
   st = BPlusTree::Open(pager.get(), meta, &tree);
   EXPECT_TRUE(st.ok()) << st.ToString();
   if (!st.ok()) return -1;
+  if (tree->augmented()) tree->SetAssignmentFn(AssignmentOf);
   st = tree->CheckInvariants();
   EXPECT_TRUE(st.ok()) << st.ToString();
   if (!st.ok()) return -1;
@@ -187,22 +228,22 @@ int VerifyRecovered(std::shared_ptr<BlockFile> data,
   return -1;
 }
 
-TEST(CrashRecoveryTest, DryRunCommitsEverything) {
+void DryRunCommitsEverything(bool augmented) {
   auto data = std::make_shared<MemFile>(kBlockSize);
   auto jnl = std::make_shared<MemFile>(Pager::JournalBlockSize(kBlockSize));
-  RunResult run = RunWorkload(data, jnl, /*crash_at=*/-1, 0);
+  RunResult run = RunWorkload(augmented, data, jnl, /*crash_at=*/-1, 0);
   EXPECT_EQ(run.committed, kBatches);
   EXPECT_GT(run.writes, 0u);
   EXPECT_EQ(VerifyRecovered(data, jnl, run.meta), kBatches);
 }
 
-TEST(CrashRecoveryTest, SweepEveryWriteIndex) {
+void SweepEveryWriteIndex(bool augmented) {
   // Dry run: count the workload's writes and learn the tree's meta page.
   RunResult dry;
   {
     auto data = std::make_shared<MemFile>(kBlockSize);
     auto jnl = std::make_shared<MemFile>(Pager::JournalBlockSize(kBlockSize));
-    dry = RunWorkload(data, jnl, -1, 0);
+    dry = RunWorkload(augmented, data, jnl, -1, 0);
   }
   ASSERT_EQ(dry.committed, kBatches);
   ASSERT_GT(dry.writes, 20u);
@@ -216,8 +257,8 @@ TEST(CrashRecoveryTest, SweepEveryWriteIndex) {
     SCOPED_TRACE("crash at write " + std::to_string(k));
     auto data = std::make_shared<MemFile>(kBlockSize);
     auto jnl = std::make_shared<MemFile>(Pager::JournalBlockSize(kBlockSize));
-    RunResult run = RunWorkload(data, jnl, static_cast<int64_t>(k),
-                                torn[k % 4]);
+    RunResult run = RunWorkload(augmented, data, jnl,
+                                static_cast<int64_t>(k), torn[k % 4]);
     EXPECT_LT(run.committed, kBatches) << "crash did not bite";
     int recovered = VerifyRecovered(data, jnl, dry.meta);
     ASSERT_GE(recovered, 0) << "recovered state matches no batch boundary";
@@ -227,6 +268,22 @@ TEST(CrashRecoveryTest, SweepEveryWriteIndex) {
     EXPECT_GE(recovered, run.committed);
     EXPECT_LE(recovered, run.committed + 1);
   }
+}
+
+TEST(CrashRecoveryTest, DryRunCommitsEverything) {
+  DryRunCommitsEverything(/*augmented=*/false);
+}
+
+TEST(CrashRecoveryTest, SweepEveryWriteIndex) {
+  SweepEveryWriteIndex(/*augmented=*/false);
+}
+
+TEST(CrashRecoveryTest, AugmentedDryRunCommitsEverything) {
+  DryRunCommitsEverything(/*augmented=*/true);
+}
+
+TEST(CrashRecoveryTest, AugmentedSweepEveryWriteIndex) {
+  SweepEveryWriteIndex(/*augmented=*/true);
 }
 
 }  // namespace
