@@ -44,86 +44,57 @@ inline int DecideFromBox(const Rect& box, SelectionType type,
   return DefinitelyLess(q.intercept, f_min) ? -1 : 0;
 }
 
+/// The 2-D check: Load proves the record live and reads the candidate's
+/// mirrored shape; Holds decides ALL/EXIST on that shape, O(v).
+struct MirroredShapeCheck {
+  const Relation& relation;
+  SelectionType type;
+  const HalfPlaneQuery& q;
+  Polyhedron2DView shape;
+
+  Status Load(const PageRef& page, TupleId id) {
+    // The fetched record must be the live tuple the directory promised;
+    // the decision itself reads the mirror, not the record's bytes.
+    const char* body = nullptr;
+    uint16_t m = 0;
+    CDB_RETURN_IF_ERROR(relation.heap().Record(page, id, &body, &m));
+    // A record the heap shows has its mirror entry: the writer stores the
+    // entry before the heap's release store publishes the id.
+    if (relation.Shape(id, &shape)) return Status::OK();
+    return Status::Internal("no V-representation for tuple " +
+                            std::to_string(id));
+  }
+
+  bool Holds() const {
+    return type == SelectionType::kAll ? ExactAll(shape, q)
+                                       : ExactExist(shape, q);
+  }
+};
+
 }  // namespace
 
 Status RefineBatch2D(const Relation& relation, SelectionType type,
                      const HalfPlaneQuery& q, obs::Counter* lp_calls,
                      std::vector<TupleId>* ids, obs::FilterCounts* filter) {
-  static obs::Counter* const batch_pages =
-      obs::GlobalMetrics().counter("refine.batch.pages");
-  static obs::Counter* const batch_candidates =
-      obs::GlobalMetrics().counter("refine.batch.candidates");
   static obs::Counter* const bbox_accepts =
       obs::GlobalMetrics().counter("refine.batch.bbox_accepts");
   static obs::Counter* const bbox_rejects =
       obs::GlobalMetrics().counter("refine.batch.bbox_rejects");
 
-  CDB_TRACE_SPAN("refine");
-  batch_candidates->Increment(ids->size());
-  std::vector<TupleId> kept;
-  kept.reserve(ids->size());
-  std::optional<PageRef> page;
-  PageId pinned = kInvalidPageId;
-
-  for (TupleId id : *ids) {
+  // The 2-D screen: every bounded tuple's box, derived from its mirrored
+  // shape in O(v), decides the candidates it already proves.
+  auto box_screen = [&](TupleId id) {
     Polyhedron2DView shape;
-    const bool mirrored = relation.Shape(id, &shape);
-    // Layer (c): decide box-provable candidates without any fetch.
     Rect box;
-    if (mirrored && shape.BoundingRect(&box)) {
-      int decision = DecideFromBox(box, type, q);
-      if (decision > 0) {
-        kept.push_back(id);
-        ++filter->early_accepts;
-        bbox_accepts->Increment();
-        continue;
-      }
-      if (decision < 0) {
-        ++filter->refine_rejects;
-        bbox_rejects->Increment();
-        continue;
-      }
-    }
-    // Layer (a): ascending ids cluster into consecutive page runs; pin
-    // each run's page once.
-    PageId pid;
-    CDB_RETURN_IF_ERROR(relation.LocateTuple(id, &pid));
-    if (!page.has_value() || pid != pinned) {
-      page.reset();
-      Result<PageRef> ref = [&] {
-        CDB_TRACE_SPAN("fetch-page");
-        return relation.pager()->Fetch(pid);
-      }();
-      if (!ref.ok()) return ref.status();
-      page.emplace(std::move(ref.value()));
-      pinned = pid;
-      batch_pages->Increment();
-    }
-    // The fetched record must be the live tuple the directory promised;
-    // the decision itself reads the mirror, not the record's bytes.
-    const char* body = nullptr;
-    uint16_t m = 0;
-    CDB_RETURN_IF_ERROR(relation.heap().Record(*page, id, &body, &m));
-    // A writer may have published the id since the first lookup; the heap
-    // publishes after the mirror, so a visible record now has its shape.
-    if (!mirrored && !relation.Shape(id, &shape)) {
-      return Status::Internal("no V-representation for tuple " +
-                              std::to_string(id));
-    }
-    // Layer (b): the exact predicate on the V-representation, O(v).
-    CDB_TRACE_SPAN("lp");
-    lp_calls->Increment();
-    const bool hit = type == SelectionType::kAll ? ExactAll(shape, q)
-                                                 : ExactExist(shape, q);
-    if (hit) {
-      kept.push_back(id);
-      ++filter->refine_accepts;
-    } else {
-      ++filter->refine_rejects;
-    }
-  }
-  *ids = std::move(kept);
-  return Status::OK();
+    if (!relation.Shape(id, &shape) || !shape.BoundingRect(&box)) return 0;
+    const int decision = DecideFromBox(box, type, q);
+    if (decision > 0) bbox_accepts->Increment();
+    if (decision < 0) bbox_rejects->Increment();
+    return decision;
+  };
+  MirroredShapeCheck check{relation, type, q, {}};
+  return RefinePageClustered(relation, lp_calls, ids, filter, box_screen,
+                             check);
 }
 
 }  // namespace cdb

@@ -29,16 +29,9 @@ Result<TupleId> Relation::Insert(const GeneralizedTuple& tuple) {
 }
 
 bool Relation::Shape(TupleId id, Polyhedron2DView* out) const {
-  // Single-writer-mode readers never consult mirror_.size(), which the
-  // writer mutates mid-append: ids past the published bound read as absent.
-  // Visibility is checked first: PublishAppends stores the mirror bound
-  // before the heap's, so an id the heap shows is below the mirror bound.
-  if (!heap_.Visible(id)) return false;
-  const uint64_t bound =
-      pager()->InSwmrReadContext()
-          ? published_shapes_.load(std::memory_order_acquire)
-          : mirror_.size();
-  return id < bound && mirror_.Get(id, out);
+  // A visible id is below the mirror's size: Insert stores the mirror entry
+  // before a single-writer-mode publish makes the id visible to readers.
+  return heap_.Visible(id) && mirror_.Get(id, out);
 }
 
 Status Relation::ForEachShape(
@@ -63,7 +56,6 @@ Status Relation::BeginOnlineAppends(size_t max_inserts) {
   // The mirror is indexed lock-free by readers just like the directory, so
   // it must never reallocate while they run.
   mirror_.Reserve(max_inserts);
-  published_shapes_.store(mirror_.size(), std::memory_order_release);
   return Status::OK();
 }
 

@@ -11,7 +11,6 @@
 #ifndef CDB_CONSTRAINT_RELATION_H_
 #define CDB_CONSTRAINT_RELATION_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 
@@ -70,22 +69,14 @@ class Relation : public HeapRelation<GeneralizedTuple> {
 
   /// Makes every tuple appended so far, and its mirror entry, visible to
   /// single-writer-mode readers. Call after the pager's Flush() published
-  /// their pages. The mirror bound is published first, so an id a reader
-  /// finds in the heap always has its shape.
-  void PublishAppends() {
-    published_shapes_.store(mirror_.size(), std::memory_order_release);
-    heap_.PublishAppends();
-  }
+  /// their pages. Insert stores each mirror entry before this release
+  /// store, so an id a reader finds in the heap always has its shape.
+  void PublishAppends() { heap_.PublishAppends(); }
 
  private:
   explicit Relation(Pager* pager) : HeapRelation(pager, 2) {}
 
   ShapeMirror mirror_;  // Indexed by TupleId.
-
-  // Published bound on mirror_ — single-writer-mode readers bound-check
-  // shape lookups against this (acquire) instead of mirror_.size(), whose
-  // vector bookkeeping the writer's appends mutate.
-  std::atomic<uint64_t> published_shapes_{0};
 };
 
 }  // namespace cdb

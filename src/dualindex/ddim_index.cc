@@ -19,6 +19,24 @@ double Dist2(const std::vector<double>& a, const std::vector<double>& b) {
   return s;
 }
 
+/// The d-dimensional check of RefinePageClustered: Load decodes the record,
+/// Holds decides ALL/EXIST on its constraints by LP.
+struct DecodedTupleCheck {
+  const RelationD& relation;
+  SelectionType type;
+  const HalfPlaneQueryD& q;
+  GeneralizedTupleD tuple;
+
+  Status Load(const PageRef& page, TupleId id) {
+    return relation.GetFromPage(page, id, &tuple);
+  }
+
+  bool Holds() const {
+    return type == SelectionType::kAll ? ExactAllD(tuple.constraints(), q)
+                                       : ExactExistD(tuple.constraints(), q);
+  }
+};
+
 }  // namespace
 
 Status DDimDualIndex::Create(Pager* pager, RelationD* relation,
@@ -125,13 +143,10 @@ Status DDimDualIndex::Refine(SelectionType type, const HalfPlaneQueryD& q,
                              std::vector<TupleId>* ids, QueryStats* st) {
   static obs::Counter* const lp_calls =
       obs::GlobalMetrics().counter("ddim.refine.lp_calls");
-  return RefinePageClustered<RelationD, GeneralizedTupleD>(
-      *relation_, lp_calls, ids, &st->filter,
-      [&](const GeneralizedTupleD& tuple) {
-        return type == SelectionType::kAll
-                   ? ExactAllD(tuple.constraints(), q)
-                   : ExactExistD(tuple.constraints(), q);
-      });
+  DecodedTupleCheck check{*relation_, type, q, {}};
+  return RefinePageClustered(
+      *relation_, lp_calls, ids, &st->filter, [](TupleId) { return 0; },
+      check);
 }
 
 Result<std::vector<TupleId>> DDimDualIndex::SelectT1(SelectionType type,

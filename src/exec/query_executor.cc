@@ -17,6 +17,24 @@ Status FirstError(const std::vector<BatchItemResult>& results) {
   return Status::OK();
 }
 
+namespace {
+
+// Runs job(i) inside one read session per pager in [first, last). The
+// sessions nest on the stack, so opening them allocates nothing; closing
+// each merges this thread's IoStats delta into its pager and, under a live
+// writer, lets a waiting publish proceed.
+void RunInSessions(Pager* const* first, Pager* const* last,
+                   const std::function<void(size_t)>& job, size_t i) {
+  if (first == last) {
+    job(i);
+    return;
+  }
+  PagerReadSession session(*first);
+  RunInSessions(first + 1, last, job, i);
+}
+
+}  // namespace
+
 QueryExecutor::QueryExecutor(size_t threads) {
   size_t n = threads == 0 ? 1 : threads;
   workers_.reserve(n);
@@ -49,44 +67,22 @@ void QueryExecutor::WorkerLoop() {
       batch = current_;
       pagers = session_pagers_;
     }
-    {
-      // One read session per pager for this worker's whole share of the
-      // batch; destruction (reverse order, RAII) merges the thread's
-      // IoStats delta back into each pager. Under a live writer
-      // (per_item_sessions) the sessions instead scope each item, so the
-      // writer's publish gate only drains in-flight queries.
-      std::vector<std::unique_ptr<PagerReadSession>> sessions;
-      if (!batch->per_item_sessions) {
-        sessions.reserve(pagers.size());
-        for (Pager* p : pagers) {
-          sessions.push_back(std::make_unique<PagerReadSession>(p));
-        }
+    for (;;) {
+      size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= batch->n) break;
+      // Latency probes: queue wait = submit to pickup, service
+      // = pickup to job return (session open/close included — that cost
+      // is part of serving the query). clock == nullptr means latency
+      // recording is off and no clock is read at all.
+      uint64_t picked_ns = 0;
+      if (batch->clock != nullptr) {
+        picked_ns = batch->clock->NowNanos();
+        batch->queue->RecordNanos(picked_ns - batch->submit_ns);
       }
-      for (;;) {
-        size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= batch->n) break;
-        // Latency probes (ISSUE 5): queue wait = submit to pickup, service
-        // = pickup to job return (per-item session open/close included —
-        // that cost is part of serving the query). clock == nullptr means
-        // latency recording is off and no clock is read at all.
-        uint64_t picked_ns = 0;
-        if (batch->clock != nullptr) {
-          picked_ns = batch->clock->NowNanos();
-          batch->queue->RecordNanos(picked_ns - batch->submit_ns);
-        }
-        if (batch->per_item_sessions) {
-          std::vector<std::unique_ptr<PagerReadSession>> item_sessions;
-          item_sessions.reserve(pagers.size());
-          for (Pager* p : pagers) {
-            item_sessions.push_back(std::make_unique<PagerReadSession>(p));
-          }
-          (*batch->job)(i);
-        } else {
-          (*batch->job)(i);
-        }
-        if (batch->clock != nullptr) {
-          batch->service->RecordNanos(batch->clock->NowNanos() - picked_ns);
-        }
+      RunInSessions(pagers.data(), pagers.data() + pagers.size(), *batch->job,
+                    i);
+      if (batch->clock != nullptr) {
+        batch->service->RecordNanos(batch->clock->NowNanos() - picked_ns);
       }
     }
     {
@@ -132,7 +128,6 @@ Status QueryExecutor::Execute(std::vector<Pager*> pagers, size_t n,
   Batch batch;
   batch.n = n;
   batch.job = &job;
-  batch.per_item_sessions = single_writer;
   if (record_latency) {
     batch.service = &service;
     batch.queue = &queue_wait;

@@ -9,13 +9,15 @@
 // Protocol per batch (RunSharded):
 //   1. Every pager involved is switched into concurrent-read mode
 //      (Pager::BeginConcurrentReads — sharded buffer pool, read-only).
-//   2. Each worker opens one PagerReadSession per pager, then pulls query
-//      indices off a shared atomic cursor until the batch is drained. The
-//      sessions route each worker's IoStats to thread-local sinks, so the
-//      per-query QueryStats and ExplainProfiles a worker records are exact
-//      — decision 11's page-access accounting survives parallelism.
-//   3. Workers close their sessions (merging stats into Pager::stats())
-//      and the pagers return to exclusive mode.
+//   2. Workers pull query indices off a shared atomic cursor until the
+//      batch is drained, and run each query inside one PagerReadSession
+//      per pager. The sessions route the worker's IoStats to thread-local
+//      sinks, so the per-query QueryStats and ExplainProfiles it records
+//      are exact — decision 11's page-access accounting survives
+//      parallelism — and closing them after the query merges its stats
+//      into Pager::stats(). Under a live writer the per-query scope also
+//      means a publish waits only for in-flight queries.
+//   3. When every worker is done the pagers return to exclusive mode.
 //
 // Failure containment: each query's Status lands in its own
 // BatchItemResult; a query failing (e.g. Status::Corruption from a bad
@@ -144,8 +146,8 @@ class QueryExecutor {
 
   /// Generic form of RunBatch for any index: switches every pager in
   /// `pagers` (duplicates tolerated) into concurrent-read mode, runs job(i)
-  /// for i in [0, n) across the pool — each worker holding a
-  /// PagerReadSession on every pager — then restores exclusive mode. `job`
+  /// for i in [0, n) across the pool — each job inside a PagerReadSession
+  /// on every pager — then restores exclusive mode. `job`
   /// must confine each invocation's effects to index-i state and must not
   /// throw.
   Status RunSharded(std::vector<Pager*> pagers, size_t n,
@@ -155,9 +157,9 @@ class QueryExecutor {
   /// (Pager::BeginConcurrentReads(true)) with the *calling thread* as the
   /// writer, and `writer` runs on it concurrently with the workers. The
   /// writer mutates through the journal and publishes each batch of
-  /// changes with Pager::Flush(); workers open their read sessions per
-  /// *item* instead of per batch, so a publish only waits for in-flight
-  /// queries, never for the whole batch. Returns the writer's error if
+  /// changes with Pager::Flush(); since workers scope their read sessions
+  /// to one item, a publish only waits for in-flight queries, never for
+  /// the whole batch. Returns the writer's error if
   /// any, else the first mode-switch/teardown error (per-item query
   /// failures land in the job's own results, as in RunSharded).
   Status RunWithWriter(std::vector<Pager*> pagers, size_t n,
@@ -178,15 +180,11 @@ class QueryExecutor {
     const std::function<void(size_t)>* job = nullptr;
     std::atomic<size_t> next{0};
     size_t finished_workers = 0;
-    // Open read sessions around each item instead of the worker's whole
-    // share — required under a live writer, whose publish gate drains
-    // active sessions (a per-batch session would deadlock it).
-    bool per_item_sessions = false;
     // Latency instrumentation: the clock and both recorders are set
     // together, or all null (the worker loop then reads no clock at all).
     // Queue wait is measured from submit_ns (stamped just before the batch
     // is handed to the pool) to job pickup; service from pickup to job
-    // return, per-item sessions included.
+    // return, the item's sessions included.
     Clock* clock = nullptr;
     obs::LatencyRecorder* service = nullptr;
     obs::LatencyRecorder* queue = nullptr;
@@ -194,9 +192,8 @@ class QueryExecutor {
   };
 
   // The engine behind RunSharded / RunWithWriter: mode switch, dispatch,
-  // teardown. `writer` null = plain concurrent-read mode with per-batch
-  // sessions; non-null = single-writer mode, per-item sessions, writer
-  // runs on the calling thread. `bobs`/`out` non-null = latency recording
+  // teardown. `writer` null = plain concurrent-read mode; non-null =
+  // single-writer mode, writer runs on the calling thread. `bobs`/`out` non-null = latency recording
   // into *out, merged into the "exec.query.latency"/"exec.queue.wait"
   // histograms.
   Status Execute(std::vector<Pager*> pagers, size_t n,

@@ -48,11 +48,9 @@ Status RPlusTree::WriteNode(PageId page, bool leaf,
 }
 
 Status RPlusTree::ReadNode(PageId page, bool* leaf,
-                           std::vector<Entry>* entries,
-                           RTreeStats* stats) const {
+                           std::vector<Entry>* entries) const {
   Result<PageRef> ref = pager_->Fetch(page);
   if (!ref.ok()) return ref.status();
-  if (stats != nullptr) ++stats->page_fetches;
   const char* p = ref.value().data();
   *leaf = p[0] == 0;
   uint16_t n;
@@ -280,32 +278,28 @@ Status RPlusTree::BulkBuild(Pager* pager,
 
 template <typename Pred>
 Status RPlusTree::SearchRec(PageId page, const Pred& pred,
-                            std::vector<TupleId>* out,
-                            RTreeStats* stats) const {
+                            std::vector<TupleId>* out) const {
   // ReadNode materializes the node and leaves nothing pinned, so a failed
   // read between nodes is pin-clean.
   bool leaf;
   std::vector<Entry> entries;
-  CDB_RETURN_IF_ERROR(ReadNode(page, &leaf, &entries, stats));
+  CDB_RETURN_IF_ERROR(ReadNode(page, &leaf, &entries));
   for (const Entry& e : entries) {
-    if (stats != nullptr) ++stats->entries_scanned;
     if (!pred(e.rect)) continue;
     if (leaf) {
       out->push_back(e.id);
     } else {
-      CDB_RETURN_IF_ERROR(SearchRec(e.id, pred, out, stats));
+      CDB_RETURN_IF_ERROR(SearchRec(e.id, pred, out));
     }
   }
   return Status::OK();
 }
 
-Result<std::vector<TupleId>> RPlusTree::SearchHalfPlane(
-    const HalfPlaneQuery& q, RTreeStats* stats) {
+template <typename Pred>
+Result<std::vector<TupleId>> RPlusTree::Search(const Pred& pred,
+                                               RTreeStats* stats) {
   std::vector<TupleId> out;
-  Status st = SearchRec(
-      root_, [&](const Rect& r) { return r.IntersectsHalfPlane(q); }, &out,
-      stats);
-  if (!st.ok()) return st;
+  CDB_RETURN_IF_ERROR(SearchRec(root_, pred, &out));
   std::sort(out.begin(), out.end());
   size_t before = out.size();
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -313,18 +307,15 @@ Result<std::vector<TupleId>> RPlusTree::SearchHalfPlane(
   return out;
 }
 
+Result<std::vector<TupleId>> RPlusTree::SearchHalfPlane(
+    const HalfPlaneQuery& q, RTreeStats* stats) {
+  return Search([&](const Rect& r) { return r.IntersectsHalfPlane(q); },
+                stats);
+}
+
 Result<std::vector<TupleId>> RPlusTree::SearchRect(const Rect& window,
                                                    RTreeStats* stats) {
-  std::vector<TupleId> out;
-  Status st = SearchRec(
-      root_, [&](const Rect& r) { return r.Intersects(window); }, &out,
-      stats);
-  if (!st.ok()) return st;
-  std::sort(out.begin(), out.end());
-  size_t before = out.size();
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (stats != nullptr) stats->duplicates += before - out.size();
-  return out;
+  return Search([&](const Rect& r) { return r.Intersects(window); }, stats);
 }
 
 // --- Dynamic insert -----------------------------------------------------------
@@ -359,7 +350,7 @@ Status RPlusTree::InsertRec(PageId page, uint32_t depth, const Rect& rect,
                             TupleId id, std::vector<Entry>* split_out) {
   bool leaf;
   std::vector<Entry> entries;
-  CDB_RETURN_IF_ERROR(ReadNode(page, &leaf, &entries, nullptr));
+  CDB_RETURN_IF_ERROR(ReadNode(page, &leaf, &entries));
   const size_t cap = NodeCapacity(pager_->page_size());
 
   if (leaf) {
@@ -468,7 +459,7 @@ Status RPlusTree::Insert(const Rect& rect, TupleId id) {
     // Grow a new root above the old one.
     bool leaf;
     std::vector<Entry> old_entries;
-    CDB_RETURN_IF_ERROR(ReadNode(root_, &leaf, &old_entries, nullptr));
+    CDB_RETURN_IF_ERROR(ReadNode(root_, &leaf, &old_entries));
     Rect mbr = Rect::Empty();
     for (const Entry& e : old_entries) mbr = mbr.Enclose(e.rect);
     std::vector<Entry> new_root{{mbr, root_}};
@@ -489,7 +480,7 @@ Status RPlusTree::DeleteRec(PageId page, const Rect& rect, TupleId id,
                             uint64_t* removed) {
   bool leaf;
   std::vector<Entry> entries;
-  CDB_RETURN_IF_ERROR(ReadNode(page, &leaf, &entries, nullptr));
+  CDB_RETURN_IF_ERROR(ReadNode(page, &leaf, &entries));
   if (leaf) {
     size_t before = entries.size();
     entries.erase(std::remove_if(entries.begin(), entries.end(),
@@ -526,7 +517,7 @@ Status RPlusTree::CheckRec(PageId page, uint32_t depth, const Rect& region,
                            std::vector<Rect>* leaf_regions) const {
   bool leaf;
   std::vector<Entry> entries;
-  CDB_RETURN_IF_ERROR(ReadNode(page, &leaf, &entries, nullptr));
+  CDB_RETURN_IF_ERROR(ReadNode(page, &leaf, &entries));
   for (const Entry& e : entries) {
     Rect grown(region.xlo - 1e-9, region.ylo - 1e-9, region.xhi + 1e-9,
                region.yhi + 1e-9);

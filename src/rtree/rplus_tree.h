@@ -37,8 +37,6 @@ namespace cdb {
 
 /// Search-time statistics.
 struct RTreeStats {
-  uint64_t page_fetches = 0;
-  uint64_t entries_scanned = 0;
   uint64_t duplicates = 0;  // Clipped copies of already-reported objects.
 };
 
@@ -90,12 +88,15 @@ class RPlusTree {
   explicit RPlusTree(Pager* pager) : pager_(pager) {}
 
   Status WriteNode(PageId page, bool leaf, const std::vector<Entry>& entries);
-  Status ReadNode(PageId page, bool* leaf, std::vector<Entry>* entries,
-                  RTreeStats* stats) const;
+  Status ReadNode(PageId page, bool* leaf, std::vector<Entry>* entries) const;
 
+  /// Ids of objects whose rectangle satisfies `pred`, deduplicated and
+  /// sorted; the copies dropped add to stats->duplicates.
+  template <typename Pred>
+  Result<std::vector<TupleId>> Search(const Pred& pred, RTreeStats* stats);
   template <typename Pred>
   Status SearchRec(PageId page, const Pred& pred,
-                   std::vector<TupleId>* out, RTreeStats* stats) const;
+                   std::vector<TupleId>* out) const;
 
   Status InsertRec(PageId page, uint32_t depth, const Rect& rect, TupleId id,
                    std::vector<Entry>* split_out);

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
+#include "obs/health.h"
 #include "obs/json.h"
 #include "storage/file.h"
 #include "workload/generator.h"
@@ -168,27 +169,95 @@ TEST(CheckTest, AddCheckAttributesViolationDeltas) {
   EXPECT_EQ(checks->items[1].Find("violations")->number, 2.0);
 }
 
-TEST(CheckTest, FileBackedDatabaseChecksOutAndJournals) {
-  std::string path = TempPath("cdb_check_test_clean");
+// Both tree kinds through a file round trip: inserts, then deletes that
+// merge leaves, then flush, close and reopen. The reopened database checks
+// out, its stored aggregates check out bit for bit, and its T2 and kAuto
+// answers equal naive evaluation. Parameter: incremental_handicaps.
+class FileBackedCheckTest : public ::testing::TestWithParam<bool> {};
+
+uint64_t LeafCount(ConstraintDatabase* db) {
+  obs::HealthReport health;
+  EXPECT_TRUE(db->index()->CollectHealth(&health).ok());
+  uint64_t leaves = 0;
+  for (const obs::TreeHealth& tree : health.trees) leaves += tree.leaves;
+  return leaves;
+}
+
+TEST_P(FileBackedCheckTest, FileBackedDatabaseChecksOutAndJournals) {
+  const bool augmented = GetParam();
+  std::string path = TempPath(augmented ? "cdb_check_test_clean_aug"
+                                        : "cdb_check_test_clean");
   RemoveDb(path);
   DatabaseOptions opts;
-  std::unique_ptr<ConstraintDatabase> db;
-  ASSERT_TRUE(ConstraintDatabase::Open(path, opts, &db).ok());
-  EXPECT_TRUE(db->index_pager()->journal_enabled());
-  EXPECT_TRUE(db->index_pager()->checksums_enabled());
-  Rng rng(11);
-  WorkloadOptions wopts;
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(db->Insert(RandomBoundedTuple(&rng, wopts)).ok());
+  opts.index_options.incremental_handicaps = augmented;
+  {
+    std::unique_ptr<ConstraintDatabase> db;
+    ASSERT_TRUE(ConstraintDatabase::Open(path, opts, &db).ok());
+    EXPECT_TRUE(db->index_pager()->journal_enabled());
+    EXPECT_TRUE(db->index_pager()->checksums_enabled());
+    Rng rng(11);
+    WorkloadOptions wopts;
+    for (int i = 0; i < 300; ++i) {
+      GeneralizedTuple t = i % 11 == 0 ? RandomUnboundedTuple(&rng, wopts)
+                                       : RandomBoundedTuple(&rng, wopts);
+      ASSERT_TRUE(db->Insert(t).ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    const uint64_t full_leaves = LeafCount(db.get());
+    // Deleting two tuples in three empties leaves enough to merge them.
+    for (TupleId id = 0; id < 300; ++id) {
+      if (id % 3 != 0) {
+        ASSERT_TRUE(db->Delete(id).ok());
+      }
+    }
+    EXPECT_LT(LeafCount(db.get()), full_leaves);
+    ASSERT_TRUE(db->Flush().ok());
+    CheckReport report;
+    ASSERT_TRUE(CheckDatabase(db.get(), &report).ok());
+    EXPECT_TRUE(report.ok()) << report.Summary();
   }
-  ASSERT_TRUE(db->Flush().ok());
+  EXPECT_TRUE(std::filesystem::exists(path + ".idx-journal"));
+
+  std::unique_ptr<ConstraintDatabase> db;
+  ASSERT_TRUE(ConstraintDatabase::Open(path, DatabaseOptions(), &db).ok());
+  ASSERT_EQ(db->size(), 100u);
+  obs::HealthReport health;
+  ASSERT_TRUE(db->index()->CollectHealth(&health).ok());
+  for (const obs::TreeHealth& tree : health.trees) {
+    EXPECT_EQ(tree.augmented, augmented) << tree.name;
+  }
   CheckReport report;
   ASSERT_TRUE(CheckDatabase(db.get(), &report).ok());
   EXPECT_TRUE(report.ok()) << report.Summary();
+  Status invariants = db->index()->CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
+  for (double slope : {-1.1, -0.4, 0.0, 0.45}) {
+    for (double b : {-30.0, 0.0, 25.0}) {
+      for (Cmp cmp : {Cmp::kGE, Cmp::kLE}) {
+        for (SelectionType type :
+             {SelectionType::kAll, SelectionType::kExist}) {
+          const HalfPlaneQuery q(slope, b, cmp);
+          Result<std::vector<TupleId>> want =
+              NaiveSelect(*db->relation(), type, q);
+          ASSERT_TRUE(want.ok());
+          for (QueryMethod method : {QueryMethod::kT2, QueryMethod::kAuto}) {
+            Result<std::vector<TupleId>> got = db->Select(type, q, method);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            EXPECT_EQ(got.value(), want.value())
+                << "slope " << slope << " intercept " << b;
+          }
+        }
+      }
+    }
+  }
   db.reset();
-  EXPECT_TRUE(std::filesystem::exists(path + ".idx-journal"));
   RemoveDb(path);
 }
+
+INSTANTIATE_TEST_SUITE_P(TreeKinds, FileBackedCheckTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Augmented" : "Ordinary";
+                         });
 
 TEST(CheckTest, PagerIntegrityFindsCorruptPage) {
   auto data = std::make_shared<MemFile>(256);

@@ -4,7 +4,9 @@
 // (bounded and unbounded tuples), and its booking must be derivable from
 // the candidate set and NaiveSelect truth alone; FilterCounts partitions
 // must balance — including the abandoned bucket when a read fault stops a
-// query part-way; refine-off queries must return proven candidate
+// query part-way; the d-dimensional index's refinement books (LPs, pinned
+// page runs, cold reads) must follow from its candidates; refine-off
+// queries must return proven candidate
 // supersets; injected tuple-read faults must surface as per-item
 // kUnavailable with no leaked pins.
 
@@ -13,13 +15,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
+#include "constraint/relation_d.h"
+#include "dualindex/ddim_index.h"
 #include "dualindex/dual_index.h"
+#include "geometry/lpd.h"
 #include "obs/metrics.h"
 #include "pager_test_util.h"
 #include "storage/fault_file.h"
@@ -248,6 +254,132 @@ TEST(RefineBatchTest, DirectRefinerBooksPartitionsAndSkipsBoxDecided) {
   }
   obs::GlobalMetrics().SetEnabled(false);
 }
+
+// --- Direct refiner, d dimensions: books and page runs -----------------------
+
+// The d-dimensional index refines through the same page-clustered loop as
+// the 2-D one. Its T1 ALL queries below have an EXIST app-query that admits
+// every tuple, so the refiner receives every live id and its books can be
+// restated from the relation alone: one LP per candidate, one pinned page
+// per run of same-page ids in id order, and from a cold cache at most one
+// physical read per distinct page.
+class RefineBatchDDimTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RefineBatchDDimTest, RefinesEveryLiveIdFromColdCache) {
+  const size_t dim = GetParam();
+  std::unique_ptr<Pager> rel_pager = MakePager();
+  std::unique_ptr<Pager> idx_pager = MakePager();
+  std::unique_ptr<RelationD> relation;
+  ASSERT_TRUE(
+      RelationD::Open(rel_pager.get(), dim, kInvalidPageId, &relation).ok());
+  // Slope points: the origin and the d-1 axis points at 0.1, one small
+  // simplex whose interior holds the off-S query slope. T1 runs an ALL
+  // query as ALL at the nearest point, the origin, and EXIST at the others.
+  std::vector<std::vector<double>> slopes(dim, std::vector<double>(dim - 1));
+  for (size_t t = 1; t < dim; ++t) slopes[t][t - 1] = 0.1;
+  std::vector<double> off_s(dim - 1, 0.02);
+  off_s[0] = 0.035;
+  std::unique_ptr<DDimDualIndex> index;
+  ASSERT_TRUE(
+      DDimDualIndex::Create(idx_pager.get(), relation.get(), slopes, &index)
+          .ok());
+  Rng rng(8103 + dim);
+  std::vector<GeneralizedTupleD> tuples;
+  for (int i = 0; i < 150; ++i) {
+    tuples.push_back(RandomBoundedTupleD(&rng, dim, 20.0));
+    Result<TupleId> id = index->Insert(tuples.back());
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_EQ(id.value(), static_cast<TupleId>(i));
+  }
+
+  // Page runs in id order and distinct pages of the live ids 0..n-1.
+  uint64_t page_runs = 0;
+  std::vector<PageId> pages;
+  for (TupleId id = 0; id < tuples.size(); ++id) {
+    PageId pid;
+    ASSERT_TRUE(relation->LocateTuple(id, &pid).ok());
+    if (pages.empty() || pages.back() != pid) ++page_runs;
+    pages.push_back(pid);
+  }
+  std::sort(pages.begin(), pages.end());
+  const uint64_t distinct_pages = static_cast<uint64_t>(
+      std::unique(pages.begin(), pages.end()) - pages.begin());
+  ASSERT_GT(distinct_pages, 1u);
+
+  // Every tuple's TOP at some axis point is at least `low`, and its BOT at
+  // some axis point at most `high`: the EXIST app-queries of
+  // ALL y >= s.x + low and of ALL y <= s.x + high admit every tuple.
+  double low = std::numeric_limits<double>::infinity();
+  double high = -low;
+  for (const GeneralizedTupleD& t : tuples) {
+    double top = -std::numeric_limits<double>::infinity();
+    double bot = std::numeric_limits<double>::infinity();
+    for (size_t j = 1; j < dim; ++j) {
+      top = std::max(top, TopValueD(t.constraints(), slopes[j]));
+      bot = std::min(bot, BotValueD(t.constraints(), slopes[j]));
+    }
+    low = std::min(low, top);
+    high = std::max(high, bot);
+  }
+  HalfPlaneQueryD queries[2];
+  queries[0].slope = off_s;
+  queries[0].intercept = low - 0.01;
+  queries[0].cmp = Cmp::kGE;
+  queries[1].slope = off_s;
+  queries[1].intercept = high + 0.01;
+  queries[1].cmp = Cmp::kLE;
+
+  obs::GlobalMetrics().SetEnabled(true);
+  obs::Counter* lp = obs::GlobalMetrics().counter("ddim.refine.lp_calls");
+  obs::Counter* batch_pages =
+      obs::GlobalMetrics().counter("refine.batch.pages");
+  obs::Counter* batch_candidates =
+      obs::GlobalMetrics().counter("refine.batch.candidates");
+  for (const HalfPlaneQueryD& q : queries) {
+    std::vector<TupleId> truth;
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      if (ExactAllD(tuples[i].constraints(), q)) truth.push_back(i);
+    }
+    ASSERT_TRUE(idx_pager->Flush().ok());
+    ASSERT_TRUE(rel_pager->Flush().ok());
+    ASSERT_TRUE(rel_pager->DropCache().ok());
+    const IoStats io_before = rel_pager->stats();
+    const uint64_t lp_before = lp->value();
+    const uint64_t pages_before = batch_pages->value();
+    const uint64_t candidates_before = batch_candidates->value();
+    QueryStats stats;
+    Result<std::vector<TupleId>> got =
+        index->Select(SelectionType::kAll, q, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const uint64_t lp_calls = lp->value() - lp_before;
+    const uint64_t pinned_runs = batch_pages->value() - pages_before;
+    const uint64_t refined = batch_candidates->value() - candidates_before;
+    const uint64_t page_reads =
+        rel_pager->stats().Delta(io_before).page_reads;
+
+    EXPECT_EQ(got.value(), truth) << "cmp=" << static_cast<int>(q.cmp);
+    EXPECT_GT(truth.size(), 0u);
+    EXPECT_LT(truth.size(), tuples.size());
+
+    const obs::FilterCounts& f = stats.filter;
+    EXPECT_EQ(refined, tuples.size());
+    EXPECT_EQ(f.candidates - f.dedup_dropped, tuples.size());
+    EXPECT_EQ(lp_calls, tuples.size());
+    EXPECT_EQ(pinned_runs, page_runs);
+    EXPECT_LE(page_reads, distinct_pages);
+    EXPECT_TRUE(f.Balances());
+    EXPECT_EQ(f.abandoned, 0u);
+    EXPECT_EQ(f.early_accepts, 0u);
+    EXPECT_EQ(f.refine_accepts, truth.size());
+    EXPECT_EQ(f.refine_rejects, tuples.size() - truth.size());
+    ExpectNoPinnedFrames(*rel_pager);
+    ExpectNoPinnedFrames(*idx_pager);
+  }
+  obs::GlobalMetrics().SetEnabled(false);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, RefineBatchDDimTest,
+                         ::testing::Values(size_t{2}, size_t{3}));
 
 // --- Refine-off supersets ----------------------------------------------------
 
