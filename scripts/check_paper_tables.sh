@@ -7,9 +7,10 @@
 #
 # Usage: scripts/check_paper_tables.sh BUILD_DIR
 #   BUILD_DIR is a configured CMake tree (Release is fastest: fig8, fig9 and
-#   fig10 take ~40 s each on 4 vCPUs, the other six a second or two); the
+#   fig10 take 9-13 s each on 4 vCPUs, the other six a second or less); the
 #   nine bench targets are built first. Exit 0 when every table matches, 1
-#   on a mismatch or a failed bench, 2 on a usage error.
+#   on a mismatch or a failed bench, 2 on a usage error. The six fast
+#   tables also run under ctest (`ctest -L paper`, bench/CMakeLists.txt).
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then

@@ -57,20 +57,22 @@ std::vector<size_t> ChunkSizes(size_t total, size_t per, size_t min,
 
 // --- LeafCursor ----------------------------------------------------------
 
-Status LeafCursor::LoadLeaf(PageId id) {
-  Result<PageRef> ref = pager_->Fetch(id);
-  if (!ref.ok()) return ref.status();
-  if (!nb::IsLeaf(ref.value().data())) {
-    return Status::Corruption("leaf cursor reached a non-leaf page");
-  }
-  if (nb::Count(ref.value().data()) > nb::LeafCapacity(pager_->page_size())) {
-    return Status::Corruption("leaf page " + std::to_string(id) +
-                              " count exceeds its capacity");
-  }
-  data_.assign(ref.value().data(), ref.value().data() + pager_->page_size());
-  leaf_ = id;
+void LeafCursor::Take(const BPlusTree* tree, const PageRef& ref) {
+  tree_ = tree;
+  data_.assign(ref.data(), ref.data() + tree->pager_->page_size());
+  leaf_ = ref.id();
   count_ = nb::Count(data_.data());
   seek_pos_ = 0;
+}
+
+Status LeafCursor::Step(PageId id) {
+  if (id == kInvalidPageId) {
+    leaf_ = kInvalidPageId;
+    return Status::OK();
+  }
+  Result<PageRef> ref = tree_->LoadLeaf(id);
+  if (!ref.ok()) return ref.status();
+  Take(tree_, ref.value());
   return Status::OK();
 }
 
@@ -86,23 +88,9 @@ double LeafCursor::handicap(int slot) const {
   return nb::Handicap(data_.data(), slot);
 }
 
-Status LeafCursor::NextLeaf() {
-  PageId next = nb::NextLeaf(data_.data());
-  if (next == kInvalidPageId) {
-    leaf_ = kInvalidPageId;
-    return Status::OK();
-  }
-  return LoadLeaf(next);
-}
+Status LeafCursor::NextLeaf() { return Step(nb::NextLeaf(data_.data())); }
 
-Status LeafCursor::PrevLeaf() {
-  PageId prev = nb::PrevLeaf(data_.data());
-  if (prev == kInvalidPageId) {
-    leaf_ = kInvalidPageId;
-    return Status::OK();
-  }
-  return LoadLeaf(prev);
-}
+Status LeafCursor::PrevLeaf() { return Step(nb::PrevLeaf(data_.data())); }
 
 // --- Construction --------------------------------------------------------
 
@@ -734,8 +722,15 @@ Result<PageRef> BPlusTree::LoadNode(PageId page) const {
   return ref;
 }
 
-Status BPlusTree::DescendToLeaf(double key, uint32_t value,
-                                PageId* leaf) const {
+Result<PageRef> BPlusTree::LoadLeaf(PageId page) const {
+  Result<PageRef> ref = LoadNode(page);
+  if (ref.ok() && !nb::IsLeaf(ref.value().data())) {
+    return Status::Corruption("leaf chain reached a non-leaf page");
+  }
+  return ref;
+}
+
+Result<PageRef> BPlusTree::DescendToLeaf(double key, uint32_t value) const {
   PageId page;
   uint32_t height;
   CDB_RETURN_IF_ERROR(ReadView(&page, &height));
@@ -743,12 +738,8 @@ Status BPlusTree::DescendToLeaf(double key, uint32_t value,
   const nb::CKey ckey{key, value};
   for (uint32_t level = 0; level < height + 2; ++level) {
     Result<PageRef> ref = LoadNode(page);
-    if (!ref.ok()) return ref.status();
+    if (!ref.ok() || nb::IsLeaf(ref.value().data())) return ref;
     const char* p = ref.value().data();
-    if (nb::IsLeaf(p)) {
-      *leaf = page;
-      return Status::OK();
-    }
     page = nc.ChildPage(p, nc.Descend(p, ckey));
   }
   return Status::Corruption("B+-tree deeper than recorded height");
@@ -756,10 +747,7 @@ Status BPlusTree::DescendToLeaf(double key, uint32_t value,
 
 Result<bool> BPlusTree::Contains(double key, uint32_t value) const {
   if (std::isnan(key)) return Status::InvalidArgument("NaN key");
-  PageId leaf;
-  Status st = DescendToLeaf(key, value, &leaf);
-  if (!st.ok()) return st;
-  Result<PageRef> ref = LoadNode(leaf);
+  Result<PageRef> ref = DescendToLeaf(key, value);
   if (!ref.ok()) return ref.status();
   const char* p = ref.value().data();
   const nb::CKey ckey{key, value};
@@ -769,10 +757,9 @@ Result<bool> BPlusTree::Contains(double key, uint32_t value) const {
 
 Status BPlusTree::SeekLeaf(double key, LeafCursor* out) const {
   if (std::isnan(key)) return Status::InvalidArgument("NaN key");
-  PageId leaf;
-  CDB_RETURN_IF_ERROR(DescendToLeaf(key, 0, &leaf));
-  out->pager_ = pager_;
-  CDB_RETURN_IF_ERROR(out->LoadLeaf(leaf));
+  Result<PageRef> ref = DescendToLeaf(key, 0);
+  if (!ref.ok()) return ref.status();
+  out->Take(this, ref.value());
   out->seek_pos_ = static_cast<int>(
       nb::LeafLowerBound(out->data_.data(), nb::CKey{key, 0}));
   return Status::OK();
@@ -781,10 +768,9 @@ Status BPlusTree::SeekLeaf(double key, LeafCursor* out) const {
 Status BPlusTree::SeekLeafPast(double key, LeafCursor* out) const {
   if (std::isnan(key)) return Status::InvalidArgument("NaN key");
   const nb::CKey past{key, std::numeric_limits<uint32_t>::max()};
-  PageId leaf;
-  CDB_RETURN_IF_ERROR(DescendToLeaf(past.key, past.value, &leaf));
-  out->pager_ = pager_;
-  CDB_RETURN_IF_ERROR(out->LoadLeaf(leaf));
+  Result<PageRef> ref = DescendToLeaf(past.key, past.value);
+  if (!ref.ok()) return ref.status();
+  out->Take(this, ref.value());
   int pos = static_cast<int>(nb::LeafLowerBound(out->data_.data(), past));
   if (pos < out->count_ && out->key(pos) == key) ++pos;  // (key, max value).
   out->seek_pos_ = pos;
@@ -793,26 +779,6 @@ Status BPlusTree::SeekLeafPast(double key, LeafCursor* out) const {
 
 Status BPlusTree::SeekFirstLeaf(LeafCursor* out) const {
   return SeekLeaf(-std::numeric_limits<double>::infinity(), out);
-}
-
-Status BPlusTree::SeekLastLeaf(LeafCursor* out) const {
-  PageId page;
-  uint32_t height;
-  CDB_RETURN_IF_ERROR(ReadView(&page, &height));
-  const nb::NodeCodec nc(augmented_);
-  for (uint32_t level = 0; level < height + 2; ++level) {
-    Result<PageRef> ref = LoadNode(page);
-    if (!ref.ok()) return ref.status();
-    const char* p = ref.value().data();
-    if (nb::IsLeaf(p)) {
-      out->pager_ = pager_;
-      CDB_RETURN_IF_ERROR(out->LoadLeaf(page));
-      out->seek_pos_ = out->count_;
-      return Status::OK();
-    }
-    page = nc.ChildPage(p, nb::Count(p));
-  }
-  return Status::Corruption("B+-tree deeper than recorded height");
 }
 
 // --- Handicaps --------------------------------------------------------------
@@ -829,9 +795,7 @@ Status BPlusTree::MergeHandicap(double at, int slot, double v) {
   if (slot < 0 || slot >= nb::kHandicapSlots) {
     return Status::InvalidArgument("handicap slot out of range");
   }
-  PageId leaf;
-  CDB_RETURN_IF_ERROR(DescendToLeaf(at, 0, &leaf));
-  Result<PageRef> ref = LoadNode(leaf);
+  Result<PageRef> ref = DescendToLeaf(at, 0);
   if (!ref.ok()) return ref.status();
   nb::NodeCodec(augmented_).FoldSlot(ref.value().data(), slot, v);
   ref.value().MarkDirty();
@@ -840,7 +804,10 @@ Status BPlusTree::MergeHandicap(double at, int slot, double v) {
 
 Status BPlusTree::HandicapLeaf(double at, PageId* leaf) const {
   if (std::isnan(at)) return Status::InvalidArgument("NaN handicap key");
-  return DescendToLeaf(at, 0, leaf);
+  Result<PageRef> ref = DescendToLeaf(at, 0);
+  if (!ref.ok()) return ref.status();
+  *leaf = ref.value().id();
+  return Status::OK();
 }
 
 Status BPlusTree::ResetHandicaps() {
@@ -849,15 +816,18 @@ Status BPlusTree::ResetHandicaps() {
         "ResetHandicaps on an augmented tree (use RecomputeAugmented)");
   }
   const nb::NodeCodec nc(augmented_);
-  LeafCursor cur;
-  CDB_RETURN_IF_ERROR(SeekFirstLeaf(&cur));
-  while (cur.valid()) {
-    Result<PageRef> ref = LoadNode(cur.leaf_);
-    if (!ref.ok()) return ref.status();
-    nc.ResetSlots(ref.value().data());
+  Result<PageRef> ref =
+      DescendToLeaf(-std::numeric_limits<double>::infinity(), 0);
+  while (ref.ok()) {
+    char* p = ref.value().data();
+    nc.ResetSlots(p);
     ref.value().MarkDirty();
-    CDB_RETURN_IF_ERROR(cur.NextLeaf());
+    const PageId next = nb::NextLeaf(p);
+    if (next == kInvalidPageId) break;
+    ref.value().Release();
+    ref = LoadLeaf(next);
   }
+  if (!ref.ok()) return ref.status();
   handicap_staleness_ = 0;
   return Status::OK();
 }

@@ -52,7 +52,8 @@ namespace cdb {
 class BPlusTree;
 
 /// Leaf-granular iterator. T2 reads whole leaves: the handicap slots plus
-/// the qualifying entries. Movement costs exactly one page fetch per leaf.
+/// the qualifying entries. A seek costs the tree's height in page fetches
+/// (the descent hands its leaf over) and each move exactly one more.
 /// Cursors are invalidated by any tree mutation.
 class LeafCursor {
  public:
@@ -83,9 +84,13 @@ class LeafCursor {
 
  private:
   friend class BPlusTree;
-  Status LoadLeaf(PageId id);
+  // Copies the leaf `ref` of `tree` (checked by BPlusTree::LoadLeaf or the
+  // descent) into the cursor; the caller's pin ends with `ref`.
+  void Take(const BPlusTree* tree, const PageRef& ref);
+  // Moves to the chained leaf `id`, or past the end when it is invalid.
+  Status Step(PageId id);
 
-  Pager* pager_ = nullptr;
+  const BPlusTree* tree_ = nullptr;
   PageId leaf_ = kInvalidPageId;
   int count_ = 0;
   int seek_pos_ = 0;
@@ -216,9 +221,8 @@ class BPlusTree {
   /// entries equal to `key` fill.
   Status SeekLeafPast(double key, LeafCursor* out) const;
 
-  /// Positions `out` at the first / last leaf.
+  /// Positions `out` at the first leaf.
   Status SeekFirstLeaf(LeafCursor* out) const;
-  Status SeekLastLeaf(LeafCursor* out) const;
 
   /// Folds `v` into handicap `slot` of the leaf whose range contains `at`
   /// (min for slots 0-1, max for 2-3). Ordinary trees only.
@@ -304,9 +308,15 @@ class BPlusTree {
   // ... and the post-order walk behind RecomputeAugmented().
   Status RecomputeAggRec(PageId page, double* out);
 
+  friend class LeafCursor;
+
   // Fetches an existing node, rejecting a count past its page's room.
   Result<PageRef> LoadNode(PageId page) const;
-  Status DescendToLeaf(double key, uint32_t value, PageId* leaf) const;
+  // LoadNode for a page a leaf chain links to, which must be a leaf.
+  Result<PageRef> LoadLeaf(PageId page) const;
+  // Fetches the root-to-leaf path of (key, value) once per level and
+  // returns the leaf, pinned: a search costs height() fetches.
+  Result<PageRef> DescendToLeaf(double key, uint32_t value) const;
   Status CheckNode(PageId page, bool has_lo, double lo_key, uint32_t lo_val,
                    bool has_hi, double hi_key, uint32_t hi_val,
                    uint32_t depth, uint64_t* entries, double* agg_out) const;

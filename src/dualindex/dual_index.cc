@@ -403,8 +403,10 @@ std::string DescribeExact(const SlopeSet& slopes, const AppQuery& aq) {
 
 }  // namespace
 
-std::string DualIndex::Explain(SelectionType type, const HalfPlaneQuery& q,
-                               QueryMethod method) const {
+Result<std::string> DualIndex::Explain(SelectionType type,
+                                       const HalfPlaneQuery& q,
+                                       QueryMethod method) const {
+  CDB_RETURN_IF_ERROR(CheckHalfPlaneQuery(q));
   char head[160];
   std::snprintf(head, sizeof(head), "%s(y %s %g*x + %g) via %s\n",
                 TypeName(type), CmpName(q.cmp), q.slope, q.intercept,
@@ -475,6 +477,14 @@ Result<std::string> DualIndex::Explain(SelectionType type,
 
 // --- Entry points ------------------------------------------------------------
 
+Status CheckHalfPlaneQuery(const HalfPlaneQuery& q) {
+  if (!std::isfinite(q.slope) || std::isnan(q.intercept)) {
+    return Status::InvalidArgument(
+        "query slope must be finite and intercept not NaN");
+  }
+  return Status::OK();
+}
+
 Result<std::vector<TupleId>> DualIndex::Select(SelectionType type,
                                                const HalfPlaneQuery& q,
                                                QueryMethod method,
@@ -485,10 +495,7 @@ Result<std::vector<TupleId>> DualIndex::Select(SelectionType type,
   QueryStats local;
   QueryStats* st = stats != nullptr ? stats : &local;
   *st = QueryStats();
-  if (std::isnan(q.slope) || std::isnan(q.intercept) ||
-      std::isinf(q.slope)) {
-    return Status::InvalidArgument("query slope/intercept must be finite");
-  }
+  CDB_RETURN_IF_ERROR(CheckHalfPlaneQuery(q));
   if (slope_observer_ != nullptr) slope_observer_->Observe(q.slope);
   // All index/tuple page accesses from here on are attributed to the span
   // tree; QueryStats totals are read back from the tracer so there is a

@@ -55,8 +55,9 @@ enum class QueryMethod {
 /// duplicates and false hits as filter.dedup_dropped and
 /// filter.refine_rejects.
 struct QueryStats {
-  uint64_t index_page_fetches = 0;  // B+-tree page accesses (logical; each
-                                    // leaf is visited exactly once).
+  uint64_t index_page_fetches = 0;  // B+-tree page accesses (logical): a
+                                    // search costs the tree's height(),
+                                    // each further leaf of a sweep one.
   uint64_t tuple_page_fetches = 0;  // Relation pages physically read by the
                                     // refinement step (candidates are
                                     // visited in id order, so buffered
@@ -71,6 +72,11 @@ struct QueryStats {
   /// ExplainProfile when one is attached.
   obs::FilterCounts filter;
 };
+
+/// The argument check of every half-plane entry point (DualIndex::Select
+/// and Explain, RTreeSelect): the slope must be finite and the intercept
+/// not NaN. An infinite intercept is a valid, degenerate query.
+Status CheckHalfPlaneQuery(const HalfPlaneQuery& q);
 
 struct DualIndexOptions {
   /// Use the exact interval extrema (envelope maxima) for the ALL-family
@@ -224,8 +230,9 @@ class DualIndex {
   /// Human-readable, single-line-per-step description of how Select()
   /// would execute the query (tree choice, sweep directions, app-query
   /// plan, fallbacks) — the plan Select runs, printed without running it.
-  std::string Explain(SelectionType type, const HalfPlaneQuery& q,
-                      QueryMethod method) const;
+  /// Rejects the arguments Select rejects (CheckHalfPlaneQuery).
+  Result<std::string> Explain(SelectionType type, const HalfPlaneQuery& q,
+                              QueryMethod method) const;
 
   /// The same for SelectVertical(): which support tree, which direction.
   /// NotSupported, as SelectVertical returns, without vertical support.

@@ -18,6 +18,14 @@ uint64_t SatDiff(uint64_t later, uint64_t earlier) {
   return later > earlier ? later - earlier : 0;
 }
 
+// Every shed append, whether refused at admission or drained from a
+// poisoned lane (IngestQueueStats::shed).
+obs::Counter* ShedCounter() {
+  static obs::Counter* const counter =
+      obs::GlobalMetrics().counter("ingest.shed");
+  return counter;
+}
+
 }  // namespace
 
 struct IngestHandle::State {
@@ -106,9 +114,7 @@ Result<IngestHandle> IngestQueue::Submit(const GeneralizedTuple& tuple) {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_ || poisoned_ || queue_.size() >= options_.queue_capacity) {
     ++stats_.shed;
-    static obs::Counter* const shed_counter =
-        obs::GlobalMetrics().counter("ingest.shed");
-    shed_counter->Increment();
+    ShedCounter()->Increment();
     if (options_.event_log != nullptr) {
       options_.event_log->Record(obs::EventType::kShed,
                                  poisoned_ ? 2 : closed_ ? 1 : 0);
@@ -367,8 +373,9 @@ Status IngestQueue::RunWriter() {
     for (Pending& p : queue_) {
       Resolve(p.state,
               Status::Unavailable("ingest lane failed; reopen to retry"), 0);
-      ++stats_.shed;
     }
+    stats_.shed += queue_.size();
+    ShedCounter()->Increment(queue_.size());
     queue_.clear();
     if (event_log != nullptr) {
       event_log->Record(obs::EventType::kLanePoisoned, group_seq,

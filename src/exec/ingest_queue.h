@@ -96,7 +96,10 @@ struct IngestQueueOptions {
 /// Cumulative queue counters (see also the "ingest.*" global metrics).
 struct IngestQueueStats {
   uint64_t submitted = 0;         ///< Appends accepted into the queue.
-  uint64_t shed = 0;              ///< Appends rejected at admission.
+  /// Appends shed with kUnavailable: refused at admission (full, closed
+  /// or poisoned lane) or drained unapplied when the lane poisons
+  /// (DESIGN.md decision 61). The "ingest.shed" counter counts the same.
+  uint64_t shed = 0;
   uint64_t groups_committed = 0;  ///< Groups fully published.
   uint64_t appends_committed = 0; ///< Appends across committed groups.
   uint64_t groups_failed = 0;     ///< 0 or 1: a failure poisons the lane.

@@ -13,9 +13,10 @@
 #include <vector>
 
 #include "geometry/linear_constraint.h"
-#include "geometry/lp2d.h"  // LpStatus
 
 namespace cdb {
+
+enum class LpStatus { kOptimal, kUnbounded, kInfeasible };
 
 /// Outcome of a d-dimensional LP.
 struct LpDResult {

@@ -14,6 +14,7 @@ Result<std::vector<TupleId>> RTreeSelect(RPlusTree* tree, Relation* relation,
   QueryStats local;
   QueryStats* st = stats != nullptr ? stats : &local;
   *st = QueryStats();
+  CDB_RETURN_IF_ERROR(CheckHalfPlaneQuery(q));
   obs::Tracer tracer("rtree/select", tree->pager(), relation->pager());
 
   // The whole execution runs inside a lambda so every exit — including a

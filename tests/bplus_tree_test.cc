@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -207,7 +208,7 @@ TEST(BPlusTreeTest, BackwardSweepMatchesForward) {
   std::vector<Entry> fwd = Dump(*fx.tree);
   std::vector<Entry> bwd;
   LeafCursor cur;
-  ASSERT_TRUE(fx.tree->SeekLastLeaf(&cur).ok());
+  ASSERT_TRUE(fx.tree->SeekLeafPast(kInf, &cur).ok());  // The last leaf.
   while (cur.valid()) {
     for (int i = cur.entry_count() - 1; i >= 0; --i) {
       bwd.emplace_back(cur.key(i), cur.value(i));
@@ -389,6 +390,48 @@ TEST(BPlusTreeTest, LookupCostIsLogarithmic) {
   uint64_t fetches = fx.pager->stats().Delta(before).page_fetches;
   // Height is ~3 at 20k entries with 1 KiB pages; allow generous slack.
   EXPECT_LE(fetches, static_cast<uint64_t>(kLookups) * 6);
+}
+
+// Theorem 3.1's log_B n term, exactly: a search costs one fetch per level,
+// because the descent hands the leaf it reached to its caller and no entry
+// point fetches that leaf again. A sweep pays one fetch per further leaf.
+TEST(BPlusTreeTest, SearchCostsHeightFetches) {
+  for (uint32_t height : {1u, 2u, 3u}) {
+    SCOPED_TRACE("height " + std::to_string(height));
+    TreeFixture fx;
+    for (uint32_t v = 0; fx.tree->height() < height || v < 10; ++v) {
+      ASSERT_TRUE(fx.tree->Insert(static_cast<double>(v), v).ok());
+    }
+    ASSERT_EQ(fx.tree->height(), height);
+    const uint32_t mid = static_cast<uint32_t>(fx.tree->size() / 2);
+    const double key = static_cast<double>(mid);
+    auto fetches = [&](const std::function<Status()>& op) -> uint64_t {
+      const IoStats before = fx.pager->stats();
+      EXPECT_TRUE(op().ok());
+      return fx.pager->stats().Delta(before).page_fetches;
+    };
+    LeafCursor cur;
+    PageId leaf;
+    EXPECT_EQ(fetches([&] { return fx.tree->SeekLeaf(key, &cur); }), height);
+    EXPECT_EQ(fetches([&] { return fx.tree->SeekLeafPast(key, &cur); }),
+              height);
+    EXPECT_EQ(fetches([&] { return fx.tree->Contains(key, mid).status(); }),
+              height);
+    EXPECT_EQ(fetches([&] { return fx.tree->MergeHandicap(key, 0, 1.0); }),
+              height);
+    EXPECT_EQ(fetches([&] { return fx.tree->HandicapLeaf(key, &leaf); }),
+              height);
+
+    uint64_t leaves = 0;
+    const uint64_t sweep = fetches([&] {
+      Status s = fx.tree->SeekFirstLeaf(&cur);
+      for (; s.ok() && cur.valid(); s = cur.NextLeaf()) ++leaves;
+      return s;
+    });
+    EXPECT_EQ(sweep, height + leaves - 1);
+    EXPECT_EQ(fetches([&] { return fx.tree->ResetHandicaps(); }),
+              height + leaves - 1);
+  }
 }
 
 // --- On-disk node format ---------------------------------------------------

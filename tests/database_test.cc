@@ -264,8 +264,10 @@ std::string ExplainAllBranches() {
              {SelectionType::kAll, SelectionType::kExist}) {
           const Cmp cmp =
               type == SelectionType::kAll ? Cmp::kGE : Cmp::kLE;
-          out += db->index()->Explain(type, HalfPlaneQuery(slope, 1.5, cmp),
-                                      method);
+          Result<std::string> plan = db->index()->Explain(
+              type, HalfPlaneQuery(slope, 1.5, cmp), method);
+          EXPECT_TRUE(plan.ok());
+          out += plan.ok() ? plan.value() : "";
         }
       }
     }

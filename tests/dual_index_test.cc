@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "dualindex/sweep.h"
 #include "pager_test_util.h"
 #include "storage/file.h"
 #include "workload/generator.h"
@@ -102,6 +103,46 @@ TEST(DualIndexTest, RestrictedRejectsForeignSlope) {
       fx.index->Select(SelectionType::kExist, HalfPlaneQuery(0.123, 0, Cmp::kGE),
                        QueryMethod::kRestricted);
   EXPECT_TRUE(r.status().IsInvalidArgument());
+}
+
+// Decision 11's cost model: an exact query's search costs its tree's
+// height in index page accesses, and its sweep one more per further leaf.
+// The leaves are counted here on the same tree, reopened from the manifest.
+TEST(DualIndexTest, ExactQueryFetchesHeightPlusFurtherLeaves) {
+  IndexFixture fx(131);
+  fx.Populate(1500);
+  fx.BuildIndex(DefaultSlopes());
+  const DualIndexManifest manifest = fx.index->Manifest();
+  for (size_t i = 0; i < fx.index->slopes().size(); ++i) {
+    for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
+      for (Cmp cmp : {Cmp::kGE, Cmp::kLE}) {
+        const HalfPlaneQuery q(fx.index->slopes().slope(i),
+                               fx.rng.Uniform(-60, 60), cmp);
+        QueryStats stats;
+        ASSERT_TRUE(
+            fx.index->Select(type, q, QueryMethod::kRestricted, &stats).ok());
+
+        const SweepPlan plan = PlanSweep(type, cmp, /*next_side=*/false);
+        std::unique_ptr<BPlusTree> tree;
+        ASSERT_TRUE(BPlusTree::Open(fx.idx_pager.get(),
+                                    plan.up_tree ? manifest.up_metas[i]
+                                                 : manifest.down_metas[i],
+                                    &tree)
+                        .ok());
+        ASSERT_GE(tree->height(), 2u);
+        LeafCursor cur;
+        ASSERT_TRUE((plan.upward ? tree->SeekLeaf(q.intercept, &cur)
+                                 : tree->SeekLeafPast(q.intercept, &cur))
+                        .ok());
+        uint64_t further = 0;
+        while (cur.valid()) {
+          ASSERT_TRUE((plan.upward ? cur.NextLeaf() : cur.PrevLeaf()).ok());
+          if (cur.valid()) ++further;
+        }
+        EXPECT_EQ(stats.index_page_fetches, tree->height() + further);
+      }
+    }
+  }
 }
 
 TEST(DualIndexTest, T1MatchesNaiveOnArbitrarySlopes) {
@@ -378,9 +419,10 @@ TEST(DualIndexTest, WrapFallbackIsFlagged) {
   ASSERT_NE(exact, nullptr);
   EXPECT_EQ(exact->invocations, 2u);
   EXPECT_EQ(profile.root.Find("sweep/first"), nullptr);
-  EXPECT_NE(fx.index->Explain(SelectionType::kExist, q, QueryMethod::kT2)
-                .find("T2 falls back to T1"),
-            std::string::npos);
+  Result<std::string> plan =
+      fx.index->Explain(SelectionType::kExist, q, QueryMethod::kT2);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan.value().find("T2 falls back to T1"), std::string::npos);
   EXPECT_EQ(got.value(),
             fx.Truth(SelectionType::kExist, HalfPlaneQuery(5.0, 0, Cmp::kGE)));
 }

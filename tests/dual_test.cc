@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/rng.h"
-#include "geometry/lp2d.h"
 #include "geometry/polyhedron2d.h"
 
 namespace cdb {
@@ -121,7 +120,8 @@ TEST(Prop22Test, MatchesPrimalSatisfiability) {
       // Primal EXIST: tuple ∧ query satisfiable.
       auto with_query = cons;
       with_query.push_back(q.AsConstraint());
-      bool primal_exist = IsSatisfiable2D(with_query);
+      bool primal_exist =
+          Polyhedron2D::FromConstraints(with_query).feasible;
       // Primal ALL: tuple ∧ ¬query (strict complement, eps-shifted)
       // unsatisfiable.
       auto with_negation = cons;
@@ -132,7 +132,8 @@ TEST(Prop22Test, MatchesPrimalSatisfiability) {
       double bot = BotValue(cons, slope);
       if (ApproxEq(top, icept, 1e-6) || ApproxEq(bot, icept, 1e-6)) continue;
       with_negation.push_back(neg);
-      bool primal_all = !IsSatisfiable2D(with_negation);
+      bool primal_all =
+          !Polyhedron2D::FromConstraints(with_negation).feasible;
 
       EXPECT_EQ(ExactExist(cons, q), primal_exist)
           << "EXIST mismatch slope=" << slope << " b=" << icept;

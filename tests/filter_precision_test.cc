@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "dualindex/ddim_index.h"
@@ -360,6 +362,81 @@ TEST(FilterPrecisionTest, RTreePathBalancesAndMatchesNaive) {
     }
   }
   obs::GlobalMetrics().SetEnabled(false);
+}
+
+// One argument check guards every half-plane entry point. A NaN or
+// infinite slope, or a NaN intercept, is InvalidArgument from Select under
+// every method, from Explain and from RTreeSelect alike, and the rejected
+// query's books read zero. An infinite intercept is a valid, degenerate
+// query that all of them answer as the naive evaluator does.
+TEST(FilterPrecisionTest, EveryHalfPlaneEntryPointChecksItsArguments) {
+  IndexFixture fx(707);
+  WorkloadOptions w;
+  std::vector<std::pair<Rect, TupleId>> rects;
+  for (int i = 0; i < 120; ++i) {
+    GeneralizedTuple t = RandomBoundedTuple(&fx.rng, w);
+    Result<TupleId> id = fx.relation->Insert(t);
+    ASSERT_TRUE(id.ok());
+    Rect box;
+    ASSERT_TRUE(t.GetBoundingRect(&box));
+    rects.push_back({box, id.value()});
+  }
+  fx.BuildIndex();
+  auto rtree_pager = MakePager();
+  std::unique_ptr<RPlusTree> tree;
+  ASSERT_TRUE(RPlusTree::BulkBuild(rtree_pager.get(), rects, &tree).ok());
+
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double in_s = fx.index->slopes().slope(1);
+  const std::vector<HalfPlaneQuery> bad = {
+      HalfPlaneQuery(kNaN, 0, Cmp::kGE), HalfPlaneQuery(kInf, 0, Cmp::kLE),
+      HalfPlaneQuery(-kInf, 5, Cmp::kGE), HalfPlaneQuery(0.3, kNaN, Cmp::kLE),
+      HalfPlaneQuery(in_s, kNaN, Cmp::kGE)};
+  const std::vector<HalfPlaneQuery> degenerate = {
+      HalfPlaneQuery(0.3, kInf, Cmp::kGE), HalfPlaneQuery(0.3, -kInf, Cmp::kGE),
+      HalfPlaneQuery(in_s, kInf, Cmp::kLE),
+      HalfPlaneQuery(in_s, -kInf, Cmp::kLE)};
+  for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
+    for (QueryMethod method : {QueryMethod::kAuto, QueryMethod::kRestricted,
+                               QueryMethod::kT1, QueryMethod::kT2}) {
+      for (const HalfPlaneQuery& q : bad) {
+        SCOPED_TRACE("slope " + std::to_string(q.slope) + " intercept " +
+                     std::to_string(q.intercept));
+        QueryStats stats;
+        stats.candidates = stats.index_page_fetches = 7;
+        EXPECT_TRUE(fx.index->Select(type, q, method, &stats)
+                        .status()
+                        .IsInvalidArgument());
+        EXPECT_EQ(stats.candidates, 0u);
+        EXPECT_EQ(stats.index_page_fetches, 0u);
+        EXPECT_TRUE(
+            fx.index->Explain(type, q, method).status().IsInvalidArgument());
+      }
+      for (const HalfPlaneQuery& q : degenerate) {
+        if (method == QueryMethod::kRestricted && q.slope != in_s) continue;
+        Result<std::vector<TupleId>> got = fx.index->Select(type, q, method);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got.value(), fx.Truth(type, q));
+        EXPECT_TRUE(fx.index->Explain(type, q, method).ok());
+      }
+    }
+    for (const HalfPlaneQuery& q : bad) {
+      QueryStats stats;
+      stats.candidates = stats.tuple_page_fetches = 7;
+      EXPECT_TRUE(RTreeSelect(tree.get(), fx.relation.get(), type, q, &stats)
+                      .status()
+                      .IsInvalidArgument());
+      EXPECT_EQ(stats.candidates, 0u);
+      EXPECT_EQ(stats.tuple_page_fetches, 0u);
+    }
+    for (const HalfPlaneQuery& q : degenerate) {
+      Result<std::vector<TupleId>> got =
+          RTreeSelect(tree.get(), fx.relation.get(), type, q);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.value(), fx.Truth(type, q));
+    }
+  }
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "geometry/dual.h"
-#include "geometry/lp2d.h"
 #include "geometry/polyhedron2d.h"
 
 namespace cdb {
@@ -18,13 +17,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 TEST(GeometryEdgeTest, TrivialConstraints) {
   // 0x + 0y + c θ 0 constraints are either tautologies or contradictions.
   std::vector<Constraint2D> taut = {{0, 0, -1, Cmp::kLE}};  // -1 <= 0: true.
-  EXPECT_TRUE(IsSatisfiable2D(taut));
-  EXPECT_EQ(MaximizeLinear2D(taut, 1, 0).status, LpStatus::kUnbounded);
+  Polyhedron2D whole = Polyhedron2D::FromConstraints(taut);
+  EXPECT_TRUE(whole.feasible);
+  EXPECT_EQ(whole.view().Maximize(1, 0), kInf);
 
   std::vector<Constraint2D> contra = {{0, 0, 1, Cmp::kLE}};  // 1 <= 0: false.
-  EXPECT_FALSE(IsSatisfiable2D(contra));
-  Polyhedron2D p = Polyhedron2D::FromConstraints(contra);
-  EXPECT_FALSE(p.feasible);
+  EXPECT_FALSE(Polyhedron2D::FromConstraints(contra).feasible);
 }
 
 TEST(GeometryEdgeTest, VerticalBoundariesInTuples) {
@@ -47,7 +45,7 @@ TEST(GeometryEdgeTest, LineSegmentRegion) {
       {-1, 1, 0, Cmp::kLE}, {-1, 1, 0, Cmp::kGE},  // y = x.
       {1, 0, 0, Cmp::kGE},  {1, 0, -2, Cmp::kLE},
   };
-  EXPECT_TRUE(IsSatisfiable2D(seg));
+  EXPECT_TRUE(Polyhedron2D::FromConstraints(seg).feasible);
   EXPECT_NEAR(TopValue(seg, 0.0), 2.0, 1e-6);
   EXPECT_NEAR(BotValue(seg, 0.0), 0.0, 1e-6);
   EXPECT_NEAR(TopValue(seg, 1.0), 0.0, 1e-6);  // y - x == 0 on the line.
@@ -148,7 +146,7 @@ TEST(GeometryEdgeTest, SupportBeyondTheFormerLpBox) {
       {1, 0, -2e9, Cmp::kGE}, {1, 0, -3e9, Cmp::kLE},
       {0, 1, 0, Cmp::kGE},    {0, 1, -1, Cmp::kLE},
   };
-  EXPECT_TRUE(IsSatisfiable2D(far));
+  EXPECT_TRUE(Polyhedron2D::FromConstraints(far).feasible);
   EXPECT_EQ(XMinValue(far), 2e9);
   EXPECT_EQ(XMaxValue(far), 3e9);
   EXPECT_EQ(TopValue(far, 0.5), 1.0 - 0.5 * 2e9);

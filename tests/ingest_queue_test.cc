@@ -450,6 +450,46 @@ TEST(IngestQueueTest, TransientJournalFaultFailsWholeGroupAndPoisonsLane) {
   EXPECT_TRUE(after.status().IsUnavailable());
 }
 
+// A poisoned lane sheds what it still holds: the appends queued behind the
+// failed group, then every later Submit. Both kinds are booked alike in
+// stats().shed and in the "ingest.shed" counter.
+TEST(IngestQueueTest, PoisonDrainIsBookedInShedStatsAndCounter) {
+  auto plan = std::make_shared<FaultPlan>();
+  std::unique_ptr<Pager> pager = MakePager(
+      std::make_unique<FaultInjectionFile>(std::make_unique<MemFile>(1024),
+                                           plan),
+      std::make_unique<FaultInjectionFile>(
+          std::make_unique<MemFile>(Pager::JournalBlockSize(1024)), plan));
+  std::unique_ptr<Relation> relation;
+  ASSERT_TRUE(Relation::Open(pager.get(), kInvalidPageId, &relation).ok());
+  ASSERT_TRUE(pager->Flush().ok());
+
+  obs::GlobalMetrics().SetEnabled(true);
+  obs::Counter* const shed = obs::GlobalMetrics().counter("ingest.shed");
+  const uint64_t before = shed->value();
+  Rng rng(kSeed + 2);
+  WorkloadOptions wopts;
+  IngestQueueOptions opts;
+  opts.max_group_size = 2;
+  IngestQueue queue(relation.get(), nullptr, pager.get(), nullptr, opts);
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(queue.Submit(RandomBoundedTuple(&rng, wopts)).ok());
+  }
+  queue.Close();
+  plan->ArmTransientWrites(0, 1);
+  EXPECT_TRUE(queue.RunWriter().IsUnavailable());
+  plan->DisarmTransient();
+
+  // The failed group took 2 appends; the 5 still queued were drained.
+  EXPECT_EQ(queue.stats().groups_failed, 1u);
+  EXPECT_EQ(queue.stats().shed, 5u);
+  EXPECT_EQ(shed->value() - before, queue.stats().shed);
+  EXPECT_FALSE(queue.Submit(RandomBoundedTuple(&rng, wopts)).ok());
+  EXPECT_EQ(queue.stats().shed, 6u);
+  EXPECT_EQ(shed->value() - before, queue.stats().shed);
+  obs::GlobalMetrics().SetEnabled(false);
+}
+
 // Satellite 4b: queries racing grouped publishes under SWMR serving see
 // some published group boundary — never a torn group.
 TEST(IngestQueueTest, QueriesRacingGroupPublishesAreLinearizable) {

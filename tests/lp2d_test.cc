@@ -1,13 +1,31 @@
-#include "geometry/lp2d.h"
+// 2-variable linear programs, answered by the geometry oracle directly:
+// Polyhedron2D::FromConstraints builds the V-representation of the
+// conjunction and Maximize reads one support value from it.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
+#include "geometry/polyhedron2d.h"
 
 namespace cdb {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// max cx*x + cy*y over `cons`: NaN when infeasible, +inf when unbounded.
+// `at`, if given, receives the maximizing point.
+double Max(const std::vector<Constraint2D>& cons, double cx, double cy,
+           Vec2* at = nullptr) {
+  return Polyhedron2D::FromConstraints(cons).view().Maximize(cx, cy, at);
+}
+
+bool Satisfiable(const std::vector<Constraint2D>& cons) {
+  return Polyhedron2D::FromConstraints(cons).feasible;
+}
 
 // Triangle with vertices (0,0), (4,0), (0,4):
 //   x >= 0, y >= 0, x + y <= 4.
@@ -21,21 +39,16 @@ std::vector<Constraint2D> Triangle() {
 
 TEST(Lp2DTest, OptimalAtTriangleVertex) {
   // max x + y = 4 along the hypotenuse.
-  Lp2DResult r = MaximizeLinear2D(Triangle(), 1.0, 1.0);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.value, 4.0, 1e-6);
+  EXPECT_NEAR(Max(Triangle(), 1.0, 1.0), 4.0, 1e-6);
 
   // max y hits (0, 4).
-  r = MaximizeLinear2D(Triangle(), 0.0, 1.0);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.value, 4.0, 1e-6);
+  EXPECT_NEAR(Max(Triangle(), 0.0, 1.0), 4.0, 1e-6);
 
   // max -x - y hits the origin.
-  r = MaximizeLinear2D(Triangle(), -1.0, -1.0);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.value, 0.0, 1e-6);
-  EXPECT_NEAR(r.point.x, 0.0, 1e-6);
-  EXPECT_NEAR(r.point.y, 0.0, 1e-6);
+  Vec2 at;
+  EXPECT_NEAR(Max(Triangle(), -1.0, -1.0, &at), 0.0, 1e-6);
+  EXPECT_NEAR(at.x, 0.0, 1e-6);
+  EXPECT_NEAR(at.y, 0.0, 1e-6);
 }
 
 TEST(Lp2DTest, InfeasibleConjunction) {
@@ -43,19 +56,17 @@ TEST(Lp2DTest, InfeasibleConjunction) {
       {1, 0, 0, Cmp::kGE},   // x >= 0
       {1, 0, 1, Cmp::kLE},   // x <= -1
   };
-  EXPECT_EQ(MaximizeLinear2D(cons, 1.0, 0.0).status, LpStatus::kInfeasible);
-  EXPECT_FALSE(IsSatisfiable2D(cons));
+  EXPECT_TRUE(std::isnan(Max(cons, 1.0, 0.0)));
+  EXPECT_FALSE(Satisfiable(cons));
 }
 
 TEST(Lp2DTest, UnboundedHalfPlane) {
   std::vector<Constraint2D> cons = {{0, 1, -3, Cmp::kGE}};  // y >= 3.
-  EXPECT_EQ(MaximizeLinear2D(cons, 0.0, 1.0).status, LpStatus::kUnbounded);
+  EXPECT_EQ(Max(cons, 0.0, 1.0), kInf);
   // Minimizing y over y >= 3 is bounded: value -3 at y = 3.
-  Lp2DResult r = MaximizeLinear2D(cons, 0.0, -1.0);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.value, -3.0, 1e-6);
+  EXPECT_NEAR(Max(cons, 0.0, -1.0), -3.0, 1e-6);
   // x is unbounded in both directions.
-  EXPECT_EQ(MaximizeLinear2D(cons, 1.0, 0.0).status, LpStatus::kUnbounded);
+  EXPECT_EQ(Max(cons, 1.0, 0.0), kInf);
 }
 
 TEST(Lp2DTest, StripIsVertexFree) {
@@ -64,22 +75,18 @@ TEST(Lp2DTest, StripIsVertexFree) {
       {0, 1, -1, Cmp::kGE},
       {0, 1, -2, Cmp::kLE},
   };
-  Lp2DResult r = MaximizeLinear2D(cons, 0.0, 1.0);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.value, 2.0, 1e-6);
-  EXPECT_EQ(MaximizeLinear2D(cons, 1.0, 0.0).status, LpStatus::kUnbounded);
+  EXPECT_NEAR(Max(cons, 0.0, 1.0), 2.0, 1e-6);
+  EXPECT_EQ(Max(cons, 1.0, 0.0), kInf);
   // Diagonal objective escapes along the strip.
-  EXPECT_EQ(MaximizeLinear2D(cons, 1.0, 1.0).status, LpStatus::kUnbounded);
+  EXPECT_EQ(Max(cons, 1.0, 1.0), kInf);
 }
 
 TEST(Lp2DTest, WholePlane) {
   std::vector<Constraint2D> cons;
-  EXPECT_TRUE(IsSatisfiable2D(cons));
-  EXPECT_EQ(MaximizeLinear2D(cons, 1.0, 2.0).status, LpStatus::kUnbounded);
+  EXPECT_TRUE(Satisfiable(cons));
+  EXPECT_EQ(Max(cons, 1.0, 2.0), kInf);
   // Zero objective over the whole plane is trivially optimal at 0.
-  Lp2DResult r = MaximizeLinear2D(cons, 0.0, 0.0);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.value, 0.0, 1e-9);
+  EXPECT_NEAR(Max(cons, 0.0, 0.0), 0.0, 1e-9);
 }
 
 TEST(Lp2DTest, SinglePointRegion) {
@@ -88,9 +95,7 @@ TEST(Lp2DTest, SinglePointRegion) {
       {1, 0, -2, Cmp::kLE}, {1, 0, -2, Cmp::kGE},
       {0, 1, 1, Cmp::kLE},  {0, 1, 1, Cmp::kGE},
   };
-  Lp2DResult r = MaximizeLinear2D(cons, 3.0, 5.0);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.value, 3.0 * 2 + 5.0 * -1, 1e-6);
+  EXPECT_NEAR(Max(cons, 3.0, 5.0), 3.0 * 2 + 5.0 * -1, 1e-6);
 }
 
 TEST(Lp2DTest, UnboundedWedge) {
@@ -99,11 +104,9 @@ TEST(Lp2DTest, UnboundedWedge) {
       {-1, 1, 0, Cmp::kLE},
       {1, 1, 0, Cmp::kGE},
   };
-  EXPECT_EQ(MaximizeLinear2D(cons, 1.0, 0.0).status, LpStatus::kUnbounded);
+  EXPECT_EQ(Max(cons, 1.0, 0.0), kInf);
   // max -x is bounded at the apex (0,0).
-  Lp2DResult r = MaximizeLinear2D(cons, -1.0, 0.0);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.value, 0.0, 1e-6);
+  EXPECT_NEAR(Max(cons, -1.0, 0.0), 0.0, 1e-6);
 }
 
 // Property: on random bounded polygons the LP optimum dominates every
@@ -131,20 +134,21 @@ TEST(Lp2DTest, RandomizedDominatesSampledPoints) {
       cons.push_back({a, b, c, Cmp::kLE});
     }
     double ox = rng.Uniform(-1, 1), oy = rng.Uniform(-1, 1);
-    Lp2DResult r = MaximizeLinear2D(cons, ox, oy);
-    ASSERT_EQ(r.status, LpStatus::kOptimal) << "trial " << trial;
+    Vec2 at;
+    const double best = Max(cons, ox, oy, &at);
+    ASSERT_TRUE(std::isfinite(best)) << "trial " << trial;
     // Monte-Carlo feasible samples must not beat the optimum.
     for (int s = 0; s < 300; ++s) {
       Vec2 p{rng.Uniform(cx0, cx0 + w), rng.Uniform(cy0, cy0 + h)};
       bool feas = true;
       for (const auto& c : cons) feas = feas && c.Satisfies(p);
       if (!feas) continue;
-      EXPECT_LE(ox * p.x + oy * p.y, r.value + 1e-6)
+      EXPECT_LE(ox * p.x + oy * p.y, best + 1e-6)
           << "trial " << trial << " sample beats LP optimum";
     }
     // The reported optimal point is feasible.
     for (const auto& c : cons) {
-      EXPECT_TRUE(c.Satisfies(r.point, 1e-6)) << "trial " << trial;
+      EXPECT_TRUE(c.Satisfies(at, 1e-6)) << "trial " << trial;
     }
   }
 }

@@ -6,7 +6,7 @@
 
 #include "common/rng.h"
 #include "geometry/dual.h"
-#include "geometry/lp2d.h"
+#include "geometry/polyhedron2d.h"
 
 namespace cdb {
 namespace {
@@ -66,7 +66,7 @@ TEST(LpDTest, NegativeCoordinatesReachable) {
 }
 
 // Cross-validation: in 2 dimensions the simplex must agree with the
-// geometric lp2d solver on status and value.
+// geometry oracle (Polyhedron2D) on status and value.
 TEST(LpDTest, AgreesWithLp2DOnRandomPrograms) {
   Rng rng(1618);
   for (int trial = 0; trial < 300; ++trial) {
@@ -81,12 +81,16 @@ TEST(LpDTest, AgreesWithLp2DOnRandomPrograms) {
       consd.push_back({{a, b}, c, cmp});
     }
     double ox = rng.Uniform(-2, 2), oy = rng.Uniform(-2, 2);
-    Lp2DResult r2 = MaximizeLinear2D(cons2, ox, oy);
+    const double v2 =
+        Polyhedron2D::FromConstraints(cons2).view().Maximize(ox, oy);
+    const LpStatus s2 = std::isnan(v2)   ? LpStatus::kInfeasible
+                        : std::isinf(v2) ? LpStatus::kUnbounded
+                                         : LpStatus::kOptimal;
     LpDResult rd = MaximizeLinearD(consd, {ox, oy});
-    EXPECT_EQ(static_cast<int>(r2.status), static_cast<int>(rd.status))
+    EXPECT_EQ(static_cast<int>(s2), static_cast<int>(rd.status))
         << "trial " << trial;
-    if (r2.status == LpStatus::kOptimal && rd.status == LpStatus::kOptimal) {
-      EXPECT_NEAR(r2.value, rd.value, 1e-5) << "trial " << trial;
+    if (s2 == LpStatus::kOptimal && rd.status == LpStatus::kOptimal) {
+      EXPECT_NEAR(v2, rd.value, 1e-5) << "trial " << trial;
     }
   }
 }

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "geometry/lp2d.h"
 #include "workload/generator.h"
 
 namespace cdb {
