@@ -15,7 +15,8 @@
 //
 // Phase B (concurrent): sustained query throughput while a single writer
 // ingests and publishes through the same index
-// (exec::QueryExecutor::RunBatchWithWriter); zero failed queries required.
+// (exec::QueryExecutor::RunBatch with a writer); zero failed queries
+// required.
 // ISSUE 5 instruments the publish pipeline: every writer-side publish
 // (Flush + PublishAppends + Flush) is timed into a LatencyRecorder and
 // reported as percentiles ("publish" row), alongside the pager's SWMR
@@ -248,8 +249,7 @@ int main(int argc, char** argv) {
   exec::QueryExecutor executor(kThreads);
   exec::BatchResult run;
   auto start = std::chrono::steady_clock::now();
-  Status st =
-      executor.RunBatchWithWriter(inc.dual.get(), batch, {}, &run, writer);
+  Status st = executor.RunBatch(inc.dual.get(), batch, {}, &run, writer);
   const double wall_ms = MillisSince(start);
   if (!st.ok()) {
     std::fprintf(stderr, "FATAL: ingest run failed: %s\n",
@@ -360,8 +360,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       const uint64_t commits_before = pager->stats().journal_commits;
-      const uint64_t counter_before =
-          obs::GlobalMetrics().counter("ingest.group.fsyncs")->value();
 
       // One deterministic stream per lane: only the grouping differs.
       Rng srng(9119);
@@ -403,29 +401,23 @@ int main(int argc, char** argv) {
       }
 
       // The durability claim, proven on the lane itself: every committed
-      // group paid exactly one journal commit, and the group counters
-      // agree with the pager's transaction ledger.
+      // group paid exactly one journal commit, so the lane's group count
+      // agrees with the pager's transaction ledger.
       const exec::IngestQueueStats qstats = queue.stats();
       const uint64_t expected_groups =
           (kAppends + group_size - 1) / group_size;
       const uint64_t commits =
           pager->stats().journal_commits - commits_before;
-      const uint64_t fsync_counter =
-          obs::GlobalMetrics().counter("ingest.group.fsyncs")->value() -
-          counter_before;
       if (qstats.groups_committed != expected_groups ||
           qstats.appends_committed != kAppends ||
-          commits != qstats.groups_committed ||
-          (obs::GlobalMetrics().enabled() &&
-           fsync_counter > qstats.groups_committed)) {
+          commits != qstats.groups_committed) {
         std::fprintf(stderr,
                      "BUG: group %zu: %llu groups (%llu expected), %llu "
-                     "journal commits, %llu fsync marks\n",
+                     "journal commits\n",
                      group_size,
                      static_cast<unsigned long long>(qstats.groups_committed),
                      static_cast<unsigned long long>(expected_groups),
-                     static_cast<unsigned long long>(commits),
-                     static_cast<unsigned long long>(fsync_counter));
+                     static_cast<unsigned long long>(commits));
         return 1;
       }
       if (relation->size() != kAppends) {
@@ -531,9 +523,8 @@ int main(int argc, char** argv) {
     exec::BatchResult drun;
     Clock* dclock = DefaultClock();
     const uint64_t run_t0 = dclock->NowNanos();
-    Status dst = dexecutor.RunBatchWithWriter(
-        live.dual.get(), dbatch, {}, &drun,
-        [&] { return dqueue.RunWriter(); });
+    Status dst = dexecutor.RunBatch(live.dual.get(), dbatch, {}, &drun,
+                                    [&] { return dqueue.RunWriter(); });
     const uint64_t run_ns = dclock->NowNanos() - run_t0;
     if (!dst.ok()) {
       std::fprintf(stderr, "FATAL: phase-D run failed: %s\n",

@@ -140,7 +140,7 @@ bool MeasureObservability(Dataset* ds,
                           std::vector<obs::ExplainProfile>* sampled) {
   exec::QueryExecutor executor(threads);
   exec::BatchObservability bobs;
-  bobs.record_latency = true;
+  bobs.clock = DefaultClock();
   bobs.trace_sample_every = kSampleEvery;
   bobs.trace_sample_seed = kSeed;
   exec::BatchResult out;
@@ -219,7 +219,7 @@ bool MeasureOverload(Dataset* ds, const std::vector<exec::BatchQuery>& batch,
                      BenchReporter* reporter) {
   exec::QueryExecutor executor(4);
   exec::BatchObservability bobs;
-  bobs.overload.admission_capacity = (batch.size() + 1) / 2;
+  bobs.admission_capacity = (batch.size() + 1) / 2;
   exec::BatchResult out;
   DropCaches(ds);
   if (!executor.RunBatch(ds->dual.get(), batch, bobs, &out).ok()) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "harness.h"
+#include "obs/health.h"
 #include "obs/trace.h"
 #include "storage/file.h"
 
@@ -61,6 +62,10 @@ int main(int argc, char** argv) {
     config.k = 3;
     config.build_rtree = false;
     Dataset ds = BuildDataset(config);
+    // EXIST(q(>=)) sweeps B_i^up (health reports each slope's up tree
+    // first), whose measured fill sets the output term T/B.
+    obs::HealthReport health;
+    if (!ds.dual->CollectHealth(&health).ok()) return 1;
     // Restricted queries: pick slopes from S directly and intercepts at the
     // 85-90% quantile of the matching surface.
     Rng rng(321);
@@ -90,8 +95,11 @@ int main(int argc, char** argv) {
       results += static_cast<double>(stats.results);
       // Residual pages after subtracting the output-proportional term: the
       // Theorem 3.1 shape predicts this stays ~log_B N.
+      const obs::TreeHealth& up = health.trees[2 * si];
+      const double per_leaf =
+          static_cast<double>(up.entries) / static_cast<double>(up.leaves);
       resid += static_cast<double>(stats.index_page_fetches) -
-               static_cast<double>(stats.results) / 56.0;  // ~69% leaf fill.
+               static_cast<double>(stats.results) / per_leaf;
     }
     reporter.AddValue("restricted", {{"n", static_cast<double>(n)}},
                       "index_fetches", fetches / kQ);

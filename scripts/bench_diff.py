@@ -85,7 +85,6 @@ _DETERMINISTIC_LOWER_IS_BETTER = (
     "refine/pages_per_candidate",
     "*/ingest/group_fsyncs",
     "ingest/group_fsyncs",
-    "*ingest.group.fsyncs",
 )
 
 

@@ -1,6 +1,7 @@
 #include "db/database.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstring>
 
 #include "constraint/parser.h"
@@ -16,6 +17,11 @@ constexpr uint8_t kFlagVertical = 2;
 // Flag bit 4 is taken: older files set it and store a bounding-box sidecar
 // root after the down-tree metas. Both are ignored on load, so neither may
 // be given a new meaning; the sidecar's pages stay allocated, unreferenced.
+
+// Catalog layout: magic u64 | k u32 | flags u8 | 3 pad | relation root u32 |
+// xmax meta u32 | xmin meta u32, then k slopes (f64), k up-tree metas and k
+// down-tree metas (u32 each).
+constexpr size_t CatalogBytes(size_t k) { return 28 + k * (8 + 4 + 4); }
 
 Status OpenPager(const std::string& path, const DatabaseOptions& options,
                  std::unique_ptr<Pager>* out, bool* existed) {
@@ -98,8 +104,7 @@ Status ConstraintDatabase::StoreCatalog() {
   std::memset(p, 0, idx_pager_->page_size());
   DualIndexManifest m = index_->Manifest();
   size_t k = m.slopes.size();
-  size_t need = 8 + 4 + 1 + 3 + 4 + 4 + 4 + k * (8 + 4 + 4);
-  if (need > idx_pager_->page_size()) {
+  if (CatalogBytes(k) > idx_pager_->page_size()) {
     return Status::InvalidArgument("slope set too large for catalog page");
   }
   std::memcpy(p, &kCatalogMagic, 8);
@@ -139,6 +144,13 @@ Status ConstraintDatabase::LoadCatalogAndAttach(
   }
   uint32_t k;
   std::memcpy(&k, p + 8, 4);
+  // Validate what Manifest() writes before trusting it: a slope count that
+  // fits the page, and finite, strictly increasing slopes (SlopeSet would
+  // sort and deduplicate anything else, pairing trees with wrong slopes).
+  if (k == 0 || CatalogBytes(k) > idx_pager_->page_size()) {
+    return Status::Corruption("bad database catalog slope count " +
+                              std::to_string(k));
+  }
   uint8_t flags = static_cast<uint8_t>(p[12]);
   DualIndexManifest m;
   m.tight_assignment = (flags & kFlagTight) != 0;
@@ -151,6 +163,11 @@ Status ConstraintDatabase::LoadCatalogAndAttach(
   m.slopes.resize(k);
   for (uint32_t i = 0; i < k; ++i, cursor += 8) {
     std::memcpy(&m.slopes[i], cursor, 8);
+    if (!std::isfinite(m.slopes[i]) ||
+        (i > 0 && !(m.slopes[i - 1] < m.slopes[i]))) {
+      return Status::Corruption(
+          "database catalog slopes are not finite and strictly increasing");
+    }
   }
   m.up_metas.resize(k);
   for (uint32_t i = 0; i < k; ++i, cursor += 4) {

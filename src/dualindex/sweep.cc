@@ -61,8 +61,8 @@ Status Walk(const BPlusTree& tree, double b, bool upward, bool take_equal,
 
 SweepPlan PlanSweep(SelectionType type, Cmp cmp, bool next_side) {
   const bool upward = cmp == Cmp::kGE;
-  // Slot layout (btree node polarity): 0-1 min, 2-3 max; odd = next side.
-  const int slot = (upward ? 0 : 2) + (next_side ? 1 : 0);
+  const int slot = upward ? BPlusTree::LowSlot(next_side)
+                          : BPlusTree::HighSlot(next_side);
   return {(type == SelectionType::kExist) == upward, upward, slot};
 }
 

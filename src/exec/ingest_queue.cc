@@ -18,14 +18,6 @@ uint64_t SatDiff(uint64_t later, uint64_t earlier) {
   return later > earlier ? later - earlier : 0;
 }
 
-// Every shed append, whether refused at admission or drained from a
-// poisoned lane (IngestQueueStats::shed).
-obs::Counter* ShedCounter() {
-  static obs::Counter* const counter =
-      obs::GlobalMetrics().counter("ingest.shed");
-  return counter;
-}
-
 }  // namespace
 
 struct IngestHandle::State {
@@ -114,7 +106,6 @@ Result<IngestHandle> IngestQueue::Submit(const GeneralizedTuple& tuple) {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_ || poisoned_ || queue_.size() >= options_.queue_capacity) {
     ++stats_.shed;
-    ShedCounter()->Increment();
     if (options_.event_log != nullptr) {
       options_.event_log->Record(obs::EventType::kShed,
                                  poisoned_ ? 2 : closed_ ? 1 : 0);
@@ -158,13 +149,6 @@ void IngestQueue::Close() {
 Status IngestQueue::CommitGroup(std::vector<Pending>* group,
                                 uint64_t group_seq, uint64_t open_ns,
                                 uint64_t drain_ns) {
-  static obs::Counter* const groups_counter =
-      obs::GlobalMetrics().counter("ingest.groups");
-  static obs::Counter* const group_size_counter =
-      obs::GlobalMetrics().counter("ingest.group.size");
-  static obs::Counter* const group_fsyncs =
-      obs::GlobalMetrics().counter("ingest.group.fsyncs");
-
   obs::IngestPipelineRecorders* const pipeline = options_.pipeline;
   obs::EventLog* const event_log = options_.event_log;
   const uint64_t commit_t0 =
@@ -192,7 +176,6 @@ Status IngestQueue::CommitGroup(std::vector<Pending>* group,
     // every tuple page the group dirtied. A transient write fault here
     // surfaces kUnavailable and fails the whole group.
     CDB_RETURN_IF_ERROR(rel_pager_->Flush());
-    group_fsyncs->Increment();
     if (pipeline != nullptr) fsync_ns = clock_->NowNanos();
     if (event_log != nullptr) {
       event_log->Record(obs::EventType::kGroupFsync, group_seq);
@@ -264,8 +247,6 @@ Status IngestQueue::CommitGroup(std::vector<Pending>* group,
       pipeline->AddGroupProfile(profile);
     }
   }
-  groups_counter->Increment();
-  group_size_counter->Increment(group->size());
   for (Pending& p : *group) {
     Resolve(p.state, Status::OK(), p.state->id);
   }
@@ -273,8 +254,6 @@ Status IngestQueue::CommitGroup(std::vector<Pending>* group,
 }
 
 Status IngestQueue::RunWriter() {
-  static obs::Counter* const commit_wait_counter =
-      obs::GlobalMetrics().counter("ingest.commit.wait_ns");
   obs::IngestPipelineRecorders* const pipeline = options_.pipeline;
   obs::EventLog* const event_log = options_.event_log;
   for (;;) {
@@ -334,7 +313,6 @@ Status IngestQueue::RunWriter() {
       }
       stats_.commit_wait_ns += waited_ns;
     }
-    if (waited_ns > 0) commit_wait_counter->Increment(waited_ns);
     ++next_group_seq_;
 
     Status st = CommitGroup(&group, group_seq, open_ns, drain_ns);
@@ -375,7 +353,6 @@ Status IngestQueue::RunWriter() {
               Status::Unavailable("ingest lane failed; reopen to retry"), 0);
     }
     stats_.shed += queue_.size();
-    ShedCounter()->Increment(queue_.size());
     queue_.clear();
     if (event_log != nullptr) {
       event_log->Record(obs::EventType::kLanePoisoned, group_seq,

@@ -14,10 +14,11 @@
 //  - A Submit() returns an IngestHandle whose Wait() resolves only after
 //    the group's publish — durability is never acknowledged early. On
 //    success Wait() yields the assigned TupleId.
-//  - Admission is bounded, OverloadPolicy-style: a full queue sheds the
-//    append immediately with kUnavailable (the producer may retry), and a
-//    malformed tuple is rejected producer-side with InvalidArgument via
-//    DualIndex::ValidateForInsert so it can never fail a group mid-apply.
+//  - Admission is bounded, like the executor's admission_capacity: a full
+//    queue sheds the append immediately with kUnavailable (the producer
+//    may retry), and a malformed tuple is rejected producer-side with
+//    InvalidArgument via DualIndex::ValidateForInsert so it can never fail
+//    a group mid-apply.
 //  - A group fails as a whole: any environmental failure while applying or
 //    committing (a transient journal-write fault surfaces kUnavailable)
 //    resolves every handle in the group with that status and poisons the
@@ -29,8 +30,9 @@
 // Threading: Submit()/Close()/stats() are thread-safe; RunWriter() must
 // run on exactly one thread — under SWMR serving, the thread that entered
 // Pager::BeginConcurrentReads(true), i.e. as the `writer` callback of
-// QueryExecutor::RunWithWriter. It also runs standalone in exclusive mode
-// (no concurrent readers), where PublishAppends is a harmless no-op.
+// QueryExecutor::RunWithWriter or RunBatch. It also runs standalone in
+// exclusive mode (no concurrent readers), where PublishAppends is a
+// harmless no-op.
 
 #ifndef CDB_EXEC_INGEST_QUEUE_H_
 #define CDB_EXEC_INGEST_QUEUE_H_
@@ -93,12 +95,13 @@ struct IngestQueueOptions {
   std::string flight_dump_path;
 };
 
-/// Cumulative queue counters (see also the "ingest.*" global metrics).
+/// Cumulative queue counters: the lane's only tally, published to a
+/// registry by IngestQueue::ExportMetrics.
 struct IngestQueueStats {
   uint64_t submitted = 0;         ///< Appends accepted into the queue.
   /// Appends shed with kUnavailable: refused at admission (full, closed
   /// or poisoned lane) or drained unapplied when the lane poisons
-  /// (DESIGN.md decision 61). The "ingest.shed" counter counts the same.
+  /// (DESIGN.md decision 61).
   uint64_t shed = 0;
   uint64_t groups_committed = 0;  ///< Groups fully published.
   uint64_t appends_committed = 0; ///< Appends across committed groups.

@@ -96,9 +96,8 @@ void QueryExecutor::WorkerLoop() {
 
 Status QueryExecutor::Execute(std::vector<Pager*> pagers, size_t n,
                               const std::function<void(size_t)>& job,
-                              const std::function<Status()>* writer,
-                              const BatchObservability* bobs,
-                              BatchResult* out) {
+                              const std::function<Status()>& writer,
+                              Clock* clock, BatchResult* out) {
   std::sort(pagers.begin(), pagers.end());
   pagers.erase(std::unique(pagers.begin(), pagers.end()), pagers.end());
   pagers.erase(std::remove(pagers.begin(), pagers.end(), nullptr),
@@ -107,7 +106,7 @@ Status QueryExecutor::Execute(std::vector<Pager*> pagers, size_t n,
   // Mode switch; with a writer, the calling thread (this one) becomes the
   // single writer of every pager. On partial failure, restore the pagers
   // already switched.
-  const bool single_writer = writer != nullptr;
+  const bool single_writer = static_cast<bool>(writer);
   for (size_t i = 0; i < pagers.size(); ++i) {
     Status st = pagers[i]->BeginConcurrentReads(single_writer);
     if (!st.ok()) {
@@ -120,19 +119,17 @@ Status QueryExecutor::Execute(std::vector<Pager*> pagers, size_t n,
 
   // Per-batch latency recorders live on this frame; workers reference
   // them only between dispatch and the done_cv_ handshake below.
-  const bool record_latency =
-      bobs != nullptr && bobs->record_latency && out != nullptr;
   obs::LatencyRecorder service;
   obs::LatencyRecorder queue_wait;
 
   Batch batch;
   batch.n = n;
   batch.job = &job;
-  if (record_latency) {
+  if (clock != nullptr) {
     batch.service = &service;
     batch.queue = &queue_wait;
-    batch.clock = bobs->clock != nullptr ? bobs->clock : DefaultClock();
-    batch.submit_ns = batch.clock->NowNanos();
+    batch.clock = clock;
+    batch.submit_ns = clock->NowNanos();
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -145,7 +142,7 @@ Status QueryExecutor::Execute(std::vector<Pager*> pagers, size_t n,
   // The writer (if any) runs here, concurrent with the workers, mutating
   // through the journal and publishing at its own cadence.
   Status writer_status;
-  if (writer != nullptr) writer_status = (*writer)();
+  if (single_writer) writer_status = writer();
 
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -155,7 +152,7 @@ Status QueryExecutor::Execute(std::vector<Pager*> pagers, size_t n,
     session_pagers_.clear();
   }
 
-  if (record_latency) {
+  if (clock != nullptr) {
     out->service = service.Snapshot();
     out->queue_wait = queue_wait.Snapshot();
     obs::GlobalMetrics().histogram("exec.query.latency")->MergeFrom(service);
@@ -174,14 +171,14 @@ Status QueryExecutor::Execute(std::vector<Pager*> pagers, size_t n,
 
 Status QueryExecutor::RunSharded(std::vector<Pager*> pagers, size_t n,
                                  const std::function<void(size_t)>& job) {
-  return Execute(std::move(pagers), n, job, /*writer=*/nullptr,
-                 /*bobs=*/nullptr, /*out=*/nullptr);
+  return Execute(std::move(pagers), n, job, /*writer=*/{}, /*clock=*/nullptr,
+                 /*out=*/nullptr);
 }
 
 Status QueryExecutor::RunWithWriter(std::vector<Pager*> pagers, size_t n,
                                     const std::function<void(size_t)>& job,
                                     const std::function<Status()>& writer) {
-  return Execute(std::move(pagers), n, job, &writer, /*bobs=*/nullptr,
+  return Execute(std::move(pagers), n, job, writer, /*clock=*/nullptr,
                  /*out=*/nullptr);
 }
 
@@ -206,11 +203,11 @@ void TallySampledTraces(BatchResult* out) {
 
 }  // namespace
 
-Status QueryExecutor::RunDualBatch(DualIndex* index,
-                                   const std::vector<BatchQuery>& batch,
-                                   const BatchObservability& bobs,
-                                   BatchResult* out,
-                                   const std::function<Status()>* writer) {
+Status QueryExecutor::RunBatch(DualIndex* index,
+                               const std::vector<BatchQuery>& batch,
+                               const BatchObservability& bobs,
+                               BatchResult* out,
+                               const std::function<Status()>& writer) {
   out->items.clear();
   out->items.resize(batch.size());
   out->sampled_traces = 0;
@@ -221,7 +218,7 @@ Status QueryExecutor::RunDualBatch(DualIndex* index,
   // here, before dispatch, so the pool's queue never grows past the bound.
   // Their items still occupy their slots (items[i] <-> batch[i]).
   size_t admitted = batch.size();
-  const size_t capacity = bobs.overload.admission_capacity;
+  const size_t capacity = bobs.admission_capacity;
   if (capacity > 0 && admitted > capacity) {
     admitted = capacity;
     for (size_t i = admitted; i < batch.size(); ++i) {
@@ -253,24 +250,9 @@ Status QueryExecutor::RunDualBatch(DualIndex* index,
     }
   };
   Status st = Execute({index->pager(), index->relation()->pager()}, admitted,
-                      job, writer, &bobs, out);
+                      job, writer, bobs.clock, out);
   TallySampledTraces(out);
   return st;
-}
-
-Status QueryExecutor::RunBatch(DualIndex* index,
-                               const std::vector<BatchQuery>& batch,
-                               const BatchObservability& bobs,
-                               BatchResult* out) {
-  return RunDualBatch(index, batch, bobs, out, /*writer=*/nullptr);
-}
-
-Status QueryExecutor::RunBatchWithWriter(DualIndex* index,
-                                         const std::vector<BatchQuery>& batch,
-                                         const BatchObservability& bobs,
-                                         BatchResult* out,
-                                         const std::function<Status()>& writer) {
-  return RunDualBatch(index, batch, bobs, out, &writer);
 }
 
 }  // namespace exec

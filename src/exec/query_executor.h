@@ -22,7 +22,8 @@
 // Failure containment: each query's Status lands in its own
 // BatchItemResult; a query failing (e.g. Status::Corruption from a bad
 // page) never aborts the batch, deadlocks a worker, or loses the queries
-// behind it. RunBatch itself only fails when the mode switch does.
+// behind it. RunBatch itself only fails when the mode switch or the
+// writer does.
 //
 // With one thread the executor visits queries in submission order on a
 // single worker, so its page-access counts are identical to calling
@@ -72,42 +73,35 @@ struct BatchItemResult {
 /// summary), or OK.
 Status FirstError(const std::vector<BatchItemResult>& results);
 
-/// Overload-control policy (ISSUE 7). Default-constructed = fully off:
-/// every query is admitted and served.
-struct OverloadPolicy {
-  /// Bounded admission: at most this many queries of a batch are admitted;
-  /// the rest are rejected up front with kUnavailable instead of queueing
-  /// unboundedly. 0 = unbounded.
-  size_t admission_capacity = 0;
-};
-
-/// Per-batch observability knobs (ISSUE 5). Default-constructed = fully
-/// off: the executor then reads no clock and allocates nothing, keeping
-/// the serial/paper paths byte-identical.
+/// Per-batch observability and overload knobs.
+/// Default-constructed = fully off: the executor then reads no clock,
+/// allocates nothing and admits every query, keeping the serial/paper
+/// paths byte-identical.
 struct BatchObservability {
-  /// Record per-query service time and queue-wait time into
-  /// BatchResult::service / ::queue_wait (digests of this batch alone) and
-  /// merge them into the GlobalMetrics() histograms "exec.query.latency" /
-  /// "exec.queue.wait", whose counts accumulate across batches.
-  bool record_latency = false;
-  /// Clock behind the latency timers (null = DefaultClock(); tests inject a
-  /// ManualClock).
+  /// Non-null turns latency recording on: per-query service time and
+  /// queue-wait time are timed on this clock into BatchResult::service /
+  /// ::queue_wait (digests of this batch alone) and merged into the
+  /// GlobalMetrics() histograms "exec.query.latency" / "exec.queue.wait",
+  /// whose counts accumulate across batches. Pass DefaultClock() for wall
+  /// time; tests inject a ManualClock.
   Clock* clock = nullptr;
   /// Attach an ExplainProfile to ~1-in-N queries, chosen deterministically
   /// from (trace_sample_seed, query index) — see obs::TraceSampler. 0
   /// disables sampling, 1 traces everything.
   uint64_t trace_sample_every = 0;
   uint64_t trace_sample_seed = 0;
-  /// Overload control: the admission bound. Shed queries carry Status
-  /// kUnavailable in their item and bump the "exec.shed.count" counter.
-  OverloadPolicy overload;
+  /// Bounded admission: at most this many queries of a batch are admitted;
+  /// the rest are rejected up front with kUnavailable (and bump the
+  /// "exec.shed.count" counter) instead of queueing unboundedly.
+  /// 0 = unbounded.
+  size_t admission_capacity = 0;
 };
 
-/// Outcome of a RunBatch / RunBatchWithWriter batch. `items[i]` corresponds
-/// to batch[i]; with overload control off the latency digests cover exactly
-/// the batch (service.count == queue_wait.count == items.size() — the
-/// throughput bench asserts this). Shed queries record neither service time
-/// nor queue wait.
+/// Outcome of a RunBatch batch. `items[i]` corresponds to batch[i]; with
+/// admission unbounded the latency digests cover exactly the batch
+/// (service.count == queue_wait.count == items.size() — the throughput
+/// bench asserts this). Shed queries record neither service time nor queue
+/// wait.
 struct BatchResult {
   std::vector<BatchItemResult> items;
   /// Per-query service time: job pickup to completion on a worker,
@@ -140,9 +134,13 @@ class QueryExecutor {
   /// Runs `batch` against the dual index into out->items (element i
   /// corresponds to batch[i]), with per-query service/queue-wait latency
   /// recording, deterministic trace sampling and admission control as
-  /// `bobs` asks. Pass `{}` for a plain batch.
+  /// `bobs` asks. Pass `{}` for a plain batch. A non-empty `writer`
+  /// (typically a loop of Relation::Insert + DualIndex::Insert + publish,
+  /// or IngestQueue::RunWriter) runs on the calling thread as the single
+  /// writer, as in RunWithWriter.
   Status RunBatch(DualIndex* index, const std::vector<BatchQuery>& batch,
-                  const BatchObservability& bobs, BatchResult* out);
+                  const BatchObservability& bobs, BatchResult* out,
+                  const std::function<Status()>& writer = {});
 
   /// Generic form of RunBatch for any index: switches every pager in
   /// `pagers` (duplicates tolerated) into concurrent-read mode, runs job(i)
@@ -166,14 +164,6 @@ class QueryExecutor {
                        const std::function<void(size_t)>& job,
                        const std::function<Status()>& writer);
 
-  /// Typed ingest lane over the dual index: runs `batch` like RunBatch
-  /// while `writer` (typically a loop of Relation::Insert +
-  /// DualIndex::Insert + publish) runs on the calling thread.
-  Status RunBatchWithWriter(DualIndex* index,
-                            const std::vector<BatchQuery>& batch,
-                            const BatchObservability& bobs, BatchResult* out,
-                            const std::function<Status()>& writer);
-
  private:
   struct Batch {
     size_t n = 0;
@@ -191,21 +181,15 @@ class QueryExecutor {
     uint64_t submit_ns = 0;
   };
 
-  // The engine behind RunSharded / RunWithWriter: mode switch, dispatch,
-  // teardown. `writer` null = plain concurrent-read mode; non-null =
-  // single-writer mode, writer runs on the calling thread. `bobs`/`out` non-null = latency recording
-  // into *out, merged into the "exec.query.latency"/"exec.queue.wait"
-  // histograms.
+  // The engine behind every entry point: mode switch, dispatch, teardown.
+  // An empty `writer` = plain concurrent-read mode; otherwise single-writer
+  // mode, the writer running on the calling thread. A non-null `clock`
+  // records latency into *out, merged into the "exec.query.latency" /
+  // "exec.queue.wait" histograms.
   Status Execute(std::vector<Pager*> pagers, size_t n,
                  const std::function<void(size_t)>& job,
-                 const std::function<Status()>* writer,
-                 const BatchObservability* bobs, BatchResult* out);
-
-  // Shared body of RunBatch and RunBatchWithWriter (`writer` null = plain
-  // batch): trace sampling, admission control, latency recording.
-  Status RunDualBatch(DualIndex* index, const std::vector<BatchQuery>& batch,
-                      const BatchObservability& bobs, BatchResult* out,
-                      const std::function<Status()>* writer);
+                 const std::function<Status()>& writer, Clock* clock,
+                 BatchResult* out);
 
   void WorkerLoop();
 

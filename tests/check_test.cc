@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
@@ -493,6 +495,80 @@ TEST(CheckTest, LegacyBoxSidecarCatalogOpensAndChecksOut) {
   }
   db.reset();
   RemoveDb(path);
+}
+
+// Builds a small file-backed database, lets `edit` rewrite its catalog
+// page (the index file's first page) through a bare pager, so the page
+// keeps a valid checksum, and returns the status of reopening it.
+Status ReopenWithEditedCatalog(const std::string& name,
+                               const std::function<void(char*, size_t)>& edit) {
+  std::string path = TempPath(name);
+  RemoveDb(path);
+  DatabaseOptions opts;
+  {
+    std::unique_ptr<ConstraintDatabase> db;
+    EXPECT_TRUE(ConstraintDatabase::Open(path, opts, &db).ok());
+    Rng rng(29);
+    WorkloadOptions wopts;
+    for (int i = 0; i < 40; ++i) {
+      EXPECT_TRUE(db->Insert(RandomBoundedTuple(&rng, wopts)).ok());
+    }
+  }
+  {
+    std::unique_ptr<Pager> idx = OpenDbFile(path + ".idx", opts.page_size);
+    Result<PageRef> ref = idx->Fetch(1);
+    EXPECT_TRUE(ref.ok());
+    edit(ref.value().data(), idx->page_size());
+    ref.value().MarkDirty();
+    ref.value().Release();
+    EXPECT_TRUE(idx->Flush().ok());
+  }
+  std::unique_ptr<ConstraintDatabase> db;
+  Status st = ConstraintDatabase::Open(path, opts, &db);
+  EXPECT_EQ(db == nullptr, !st.ok());
+  db.reset();
+  RemoveDb(path);
+  return st;
+}
+
+// A catalog that Manifest() could not have written must not open: a slope
+// count past the page (the read would overrun it) or of zero, and slopes
+// that are not finite and strictly increasing (SlopeSet would sort them,
+// pairing the stored tree metas with the wrong slopes). The count k sits at
+// offset 8; the default slopes {-1, 0, 1} start at 28.
+TEST(CheckTest, CatalogThatManifestCannotWriteIsCorruption) {
+  const auto set_count = [](uint32_t k) {
+    return [k](char* page, size_t) { std::memcpy(page + 8, &k, 4); };
+  };
+  const auto set_second_slope = [](double v) {
+    return [v](char* page, size_t) { std::memcpy(page + 36, &v, 8); };
+  };
+  const std::vector<
+      std::pair<const char*, std::function<void(char*, size_t)>>>
+      edits = {
+          {"200 slopes (3228 bytes)", set_count(200)},
+          {"one slope more than fits",
+           [](char* page, size_t page_size) {
+             const uint32_t k =
+                 static_cast<uint32_t>((page_size - 28) / 16 + 1);
+             std::memcpy(page + 8, &k, 4);
+           }},
+          {"no slopes", set_count(0)},
+          {"first two slopes swapped",
+           [](char* page, size_t) {
+             char first[8];
+             std::memcpy(first, page + 28, 8);
+             std::memmove(page + 28, page + 36, 8);
+             std::memcpy(page + 36, first, 8);
+           }},
+          {"repeated slope", set_second_slope(-1.0)},
+          {"NaN slope", set_second_slope(std::nan(""))},
+          {"infinite slope", set_second_slope(HUGE_VAL)},
+      };
+  for (const auto& [what, edit] : edits) {
+    Status st = ReopenWithEditedCatalog("cdb_check_test_catalog_edit", edit);
+    EXPECT_TRUE(st.IsCorruption()) << what << ": " << st.ToString();
+  }
 }
 
 TEST(CheckTest, TreeCheckersCountSoundTrees) {

@@ -397,7 +397,7 @@ TEST(QueryExecutorTest, AdmissionCapacityShedsBeyondBound) {
   const uint64_t shed_before = shed_counter->value();
 
   exec::BatchObservability bobs;
-  bobs.overload.admission_capacity = 4;
+  bobs.admission_capacity = 4;
   exec::BatchResult out;
   ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, bobs, &out).ok());
   obs::GlobalMetrics().SetEnabled(metrics_were_enabled);

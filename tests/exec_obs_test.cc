@@ -104,7 +104,7 @@ TEST(ExecObsTest, LatencyIsRecordedExactlyOncePerQuery) {
   const uint64_t queue0 = queue->count();
 
   exec::BatchObservability bobs;
-  bobs.record_latency = true;
+  bobs.clock = DefaultClock();
   exec::BatchResult out;
   ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, bobs, &out).ok());
   registry.SetEnabled(was_enabled);
@@ -132,7 +132,6 @@ TEST(ExecObsTest, RegistryHistogramsAccumulateAcrossBatches) {
   std::vector<exec::BatchQuery> batch = fx.MakeBatch(24);
   ManualClock clock;
   exec::BatchObservability bobs;
-  bobs.record_latency = true;
   bobs.clock = &clock;
   exec::QueryExecutor executor(2);
 
@@ -166,7 +165,6 @@ TEST(ExecObsTest, InjectedClockDrivesAllTiming) {
   // durations would be non-zero.
   ManualClock clock(1'000'000'000);
   exec::BatchObservability bobs;
-  bobs.record_latency = true;
   bobs.clock = &clock;
 
   exec::QueryExecutor executor(4);
@@ -183,7 +181,7 @@ TEST(ExecObsTest, SamplingIsDeterministicAcrossRunsAndThreadCounts) {
   ObsFixture fx;
   std::vector<exec::BatchQuery> batch = fx.MakeBatch(64);
   exec::BatchObservability bobs;
-  bobs.record_latency = true;
+  bobs.clock = DefaultClock();
   bobs.trace_sample_every = 4;
   bobs.trace_sample_seed = kSeed;
 
@@ -241,7 +239,7 @@ TEST(ExecObsTest, SampleEveryOneTracesTheWholeBatch) {
     ASSERT_NE(out.items[i].profile, nullptr) << "query " << i;
     EXPECT_TRUE(out.items[i].profile->SumsBalance()) << "query " << i;
   }
-  // Sampling without record_latency leaves the digests empty.
+  // Sampling without a latency clock leaves the digests empty.
   EXPECT_EQ(out.service.count, 0u);
   EXPECT_EQ(out.queue_wait.count, 0u);
 }
@@ -254,7 +252,7 @@ TEST(ExecObsTest, TracedWorkerSessionsKeepFetchAccountingBalanced) {
   ObsFixture fx;
   std::vector<exec::BatchQuery> batch = fx.MakeBatch(48);
   exec::BatchObservability bobs;
-  bobs.record_latency = true;
+  bobs.clock = DefaultClock();
   bobs.trace_sample_every = 2;
   bobs.trace_sample_seed = kSeed;
 
@@ -318,15 +316,14 @@ TEST(ExecObsTest, InstrumentedWriterOverloadRecordsAndSamples) {
   };
 
   exec::BatchObservability bobs;
-  bobs.record_latency = true;
+  bobs.clock = DefaultClock();
   bobs.trace_sample_every = 3;
   bobs.trace_sample_seed = kSeed;
 
   exec::QueryExecutor executor(8);
   exec::BatchResult out;
   ASSERT_TRUE(
-      executor.RunBatchWithWriter(fx.index.get(), batch, bobs, &out, writer)
-          .ok());
+      executor.RunBatch(fx.index.get(), batch, bobs, &out, writer).ok());
   EXPECT_EQ(inserted, stream.size());
   EXPECT_EQ(out.service.count, batch.size());
   EXPECT_EQ(out.queue_wait.count, batch.size());

@@ -7,8 +7,8 @@
 // page_fetches == buffer_hits + page_reads has to balance on every pager
 // even though queries aborted between fetches.
 //
-// Part 2 (tentpole): RunBatchWithWriter interleaves an insert stream with
-// a live query batch under single-writer/multi-reader mode. Publishes
+// Part 2 (tentpole): RunBatch with a writer interleaves an insert stream
+// with a live query batch under single-writer/multi-reader mode. Publishes
 // drain in-flight per-item read sessions, so every query executes against
 // exactly one published prefix of the insert-only stream — which makes the
 // results linearizable and cheap to verify: for each query,
@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
 #include "exec/query_executor.h"
+#include "obs/metrics.h"
 #include "pager_test_util.h"
 #include "storage/file.h"
 #include "workload/generator.h"
@@ -192,8 +193,7 @@ TEST(ExecOnlineTest, ConcurrentWriterIngestIsLinearizable) {
   exec::QueryExecutor executor(kThreads);
   exec::BatchResult run;
   ASSERT_TRUE(
-      executor.RunBatchWithWriter(fx.index.get(), batch, {}, &run, writer)
-          .ok());
+      executor.RunBatch(fx.index.get(), batch, {}, &run, writer).ok());
   std::vector<exec::BatchItemResult> results = std::move(run.items);
   ASSERT_EQ(inserted, kInserts);
   ASSERT_TRUE(exec::FirstError(results).ok())
@@ -268,8 +268,7 @@ TEST(ExecOnlineTest, WriterCapacityAndDeleteGuards) {
 
   exec::QueryExecutor executor(kThreads);
   exec::BatchResult run;
-  Status st = executor.RunBatchWithWriter(fx.index.get(), batch, {}, &run,
-                                          writer);
+  Status st = executor.RunBatch(fx.index.get(), batch, {}, &run, writer);
   std::vector<exec::BatchItemResult> results = std::move(run.items);
   // The writer's error is the batch's error; the queries themselves ran.
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
@@ -286,6 +285,89 @@ TEST(ExecOnlineTest, WriterCapacityAndDeleteGuards) {
   ASSERT_TRUE(fx.relation->Get(0, &t0).ok());
   ASSERT_TRUE(fx.index->Remove(0, t0).ok());
   ASSERT_TRUE(fx.relation->Delete(0).ok());
+}
+
+// Admission control under a live writer: RunBatch with both a writer and
+// an admission bound sheds exactly the tail past the bound, books the shed
+// in "exec.shed.count", and serves every admitted query as the naive
+// evaluator over one published prefix of the stream.
+TEST(ExecOnlineTest, AdmissionBoundShedsTheTailUnderALiveWriter) {
+  OnlineFixture fx(/*incremental=*/true, /*n0=*/250);
+  constexpr size_t kInserts = 120;
+  constexpr size_t kPublishEvery = 20;
+  constexpr size_t kCapacity = 40;
+  std::vector<exec::BatchQuery> batch = MakeBatch(64, kSeed + 6,
+                                                  QueryMethod::kAuto);
+  std::vector<GeneralizedTuple> stream;
+  for (size_t i = 0; i < kInserts; ++i) {
+    stream.push_back(RandomBoundedTuple(&fx.rng, fx.wopts));
+  }
+  ASSERT_TRUE(fx.relation->BeginOnlineAppends(kInserts).ok());
+
+  // Published prefixes as id bounds: before the first publish every id
+  // below the first append is visible, after each publish every id up to
+  // the last one it covered.
+  std::vector<TupleId> published_bounds;
+  auto writer = [&]() -> Status {
+    for (size_t i = 0; i < stream.size(); ++i) {
+      Result<TupleId> id = fx.relation->Insert(stream[i]);
+      if (!id.ok()) return id.status();
+      if (i == 0) published_bounds.push_back(id.value());
+      CDB_RETURN_IF_ERROR(fx.index->Insert(id.value(), stream[i]));
+      if ((i + 1) % kPublishEvery == 0) {
+        CDB_RETURN_IF_ERROR(fx.rel_pager->Flush());
+        fx.relation->PublishAppends();
+        CDB_RETURN_IF_ERROR(fx.idx_pager->Flush());
+        published_bounds.push_back(id.value() + 1);
+      }
+    }
+    return Status::OK();
+  };
+
+  const bool metrics_were_enabled = obs::GlobalMetrics().enabled();
+  obs::GlobalMetrics().SetEnabled(true);
+  obs::Counter* const shed_counter =
+      obs::GlobalMetrics().counter("exec.shed.count");
+  const uint64_t shed_before = shed_counter->value();
+
+  exec::BatchObservability bobs;
+  bobs.admission_capacity = kCapacity;
+  exec::QueryExecutor executor(kThreads);
+  exec::BatchResult out;
+  ASSERT_TRUE(
+      executor.RunBatch(fx.index.get(), batch, bobs, &out, writer).ok());
+  const uint64_t shed_delta = shed_counter->value() - shed_before;
+  obs::GlobalMetrics().SetEnabled(metrics_were_enabled);
+
+  ASSERT_EQ(out.items.size(), batch.size());
+  EXPECT_EQ(out.shed, batch.size() - kCapacity);
+  EXPECT_EQ(shed_delta, out.shed);
+  ASSERT_EQ(published_bounds.size(), 1 + kInserts / kPublishEvery);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const exec::BatchItemResult& item = out.items[i];
+    if (i >= kCapacity) {
+      EXPECT_TRUE(item.status.IsUnavailable()) << "query " << i;
+      EXPECT_TRUE(item.ids.empty()) << "query " << i;
+      continue;
+    }
+    ASSERT_TRUE(item.status.ok()) << "query " << i << ": "
+                                  << item.status.ToString();
+    const std::vector<TupleId> truth_after =
+        fx.Truth(batch[i].type, batch[i].query);
+    bool matches_a_prefix = false;
+    for (TupleId bound : published_bounds) {
+      std::vector<TupleId> prefix;
+      for (TupleId id : truth_after) {
+        if (id < bound) prefix.push_back(id);
+      }
+      matches_a_prefix = matches_a_prefix || item.ids == prefix;
+    }
+    EXPECT_TRUE(matches_a_prefix)
+        << "query " << i << " matches no published prefix";
+  }
+  // The fixture's destructor checks that no frame stayed pinned.
+  EXPECT_FALSE(fx.rel_pager->concurrent_reads_active());
+  EXPECT_FALSE(fx.idx_pager->concurrent_reads_active());
 }
 
 // Concurrent refinement with bounding-box early decisions: every worker
@@ -371,8 +453,7 @@ TEST(ExecOnlineTest, BboxSidecarLiveAppendsNeverServeStaleBoxes) {
   exec::QueryExecutor executor(kThreads);
   exec::BatchResult run;
   ASSERT_TRUE(
-      executor.RunBatchWithWriter(fx.index.get(), batch, {}, &run, writer)
-          .ok());
+      executor.RunBatch(fx.index.get(), batch, {}, &run, writer).ok());
   std::vector<exec::BatchItemResult> results = std::move(run.items);
   ASSERT_EQ(inserted, kInserts);
   ASSERT_TRUE(exec::FirstError(results).ok())

@@ -2,8 +2,8 @@
 //
 // Unit coverage for the lane itself: group assembly (size bound, commit
 // wait on a ManualClock, greedy batching), the one-journal-commit-per-group
-// durability claim (journal_commits and the ingest.group.fsyncs counter
-// both advance by exactly the group count), bounded admission shedding,
+// durability claim (journal_commits advances by exactly the group count the
+// lane exports), bounded admission shedding,
 // producer-side validation, whole-group failure + lane poisoning on a
 // transient journal fault, and linearizability of queries racing grouped
 // publishes under single-writer/multi-reader serving. Runs under `-L tsan`.
@@ -80,14 +80,6 @@ struct LaneFixture {
 
 TEST(IngestQueueTest, GroupCommitAmortizesJournalAndAcksAfterPublish) {
   LaneFixture fx;
-  obs::GlobalMetrics().SetEnabled(true);
-  obs::Counter* group_fsyncs =
-      obs::GlobalMetrics().counter("ingest.group.fsyncs");
-  obs::Counter* groups = obs::GlobalMetrics().counter("ingest.groups");
-  obs::Counter* group_size = obs::GlobalMetrics().counter("ingest.group.size");
-  const uint64_t fsyncs_before = group_fsyncs->value();
-  const uint64_t groups_before = groups->value();
-  const uint64_t size_before = group_size->value();
   const uint64_t commits_before = fx.pager->stats().journal_commits;
 
   IngestQueueOptions opts;
@@ -127,11 +119,18 @@ TEST(IngestQueueTest, GroupCommitAmortizesJournalAndAcksAfterPublish) {
   EXPECT_EQ(stats.groups_failed, 0u);
   EXPECT_EQ(stats.max_group_size, 8u);
   EXPECT_EQ(fx.pager->stats().journal_commits - commits_before, 2u);
-  EXPECT_EQ(group_fsyncs->value() - fsyncs_before, stats.groups_committed);
-  EXPECT_EQ(groups->value() - groups_before, 2u);
-  EXPECT_EQ(group_size->value() - size_before, kAppends);
   EXPECT_EQ(fx.relation->size(), kAppends);
-  obs::GlobalMetrics().SetEnabled(false);
+
+  // The exported gauges carry the same ledger, so a scrape can check the
+  // amortization against the pager's journal commits.
+  obs::MetricsRegistry registry(/*enabled=*/true);
+  queue.ExportMetrics(&registry, "lane");
+  EXPECT_EQ(registry.gauge("lane.groups_committed")->value(),
+            static_cast<double>(fx.pager->stats().journal_commits -
+                                commits_before));
+  EXPECT_EQ(registry.gauge("lane.appends_committed")->value(), kAppends);
+  EXPECT_EQ(registry.gauge("lane.max_group_size")->value(), 8);
+  EXPECT_EQ(registry.gauge("lane.shed")->value(), 0);
 }
 
 TEST(IngestQueueTest, FullQueueShedsWithUnavailable) {
@@ -452,8 +451,8 @@ TEST(IngestQueueTest, TransientJournalFaultFailsWholeGroupAndPoisonsLane) {
 
 // A poisoned lane sheds what it still holds: the appends queued behind the
 // failed group, then every later Submit. Both kinds are booked alike in
-// stats().shed and in the "ingest.shed" counter.
-TEST(IngestQueueTest, PoisonDrainIsBookedInShedStatsAndCounter) {
+// stats().shed and in the exported ".shed" gauge.
+TEST(IngestQueueTest, PoisonDrainIsBookedInShedStatsAndExport) {
   auto plan = std::make_shared<FaultPlan>();
   std::unique_ptr<Pager> pager = MakePager(
       std::make_unique<FaultInjectionFile>(std::make_unique<MemFile>(1024),
@@ -464,9 +463,8 @@ TEST(IngestQueueTest, PoisonDrainIsBookedInShedStatsAndCounter) {
   ASSERT_TRUE(Relation::Open(pager.get(), kInvalidPageId, &relation).ok());
   ASSERT_TRUE(pager->Flush().ok());
 
-  obs::GlobalMetrics().SetEnabled(true);
-  obs::Counter* const shed = obs::GlobalMetrics().counter("ingest.shed");
-  const uint64_t before = shed->value();
+  obs::MetricsRegistry registry(/*enabled=*/true);
+  obs::Gauge* const shed = registry.gauge("lane.shed");
   Rng rng(kSeed + 2);
   WorkloadOptions wopts;
   IngestQueueOptions opts;
@@ -483,11 +481,14 @@ TEST(IngestQueueTest, PoisonDrainIsBookedInShedStatsAndCounter) {
   // The failed group took 2 appends; the 5 still queued were drained.
   EXPECT_EQ(queue.stats().groups_failed, 1u);
   EXPECT_EQ(queue.stats().shed, 5u);
-  EXPECT_EQ(shed->value() - before, queue.stats().shed);
+  queue.ExportMetrics(&registry, "lane");
+  EXPECT_EQ(shed->value(), 5);
+  EXPECT_EQ(registry.gauge("lane.groups_failed")->value(), 1);
+  EXPECT_EQ(registry.gauge("lane.poisoned")->value(), 1);
   EXPECT_FALSE(queue.Submit(RandomBoundedTuple(&rng, wopts)).ok());
   EXPECT_EQ(queue.stats().shed, 6u);
-  EXPECT_EQ(shed->value() - before, queue.stats().shed);
-  obs::GlobalMetrics().SetEnabled(false);
+  queue.ExportMetrics(&registry, "lane");
+  EXPECT_EQ(shed->value(), 6);
 }
 
 // Satellite 4b: queries racing grouped publishes under SWMR serving see
@@ -554,8 +555,8 @@ TEST(IngestQueueTest, QueriesRacingGroupPublishesAreLinearizable) {
                     idx_pager.get(), qopts);
 
   // Producers submit disjoint slices; a closer thread joins them and shuts
-  // the lane so the writer (running as RunBatchWithWriter's writer
-  // callback, i.e. on the SWMR writer thread) drains and returns.
+  // the lane so the writer (running as RunBatch's writer callback, i.e. on
+  // the SWMR writer thread) drains and returns.
   std::vector<std::thread> producers;
   std::vector<std::vector<IngestHandle>> handles(kProducers);
   for (size_t p = 0; p < kProducers; ++p) {
@@ -575,8 +576,8 @@ TEST(IngestQueueTest, QueriesRacingGroupPublishesAreLinearizable) {
   exec::QueryExecutor executor(kThreads);
   exec::BatchResult run;
   ASSERT_TRUE(executor
-                  .RunBatchWithWriter(index.get(), batch, {}, &run,
-                                      [&] { return queue.RunWriter(); })
+                  .RunBatch(index.get(), batch, {}, &run,
+                            [&] { return queue.RunWriter(); })
                   .ok());
   std::vector<exec::BatchItemResult> results = std::move(run.items);
   closer.join();
