@@ -145,6 +145,39 @@ void BM_PagerFetchHit(benchmark::State& state) {
 }
 BENCHMARK(BM_PagerFetchHit);
 
+// Concurrent-read hits: one shared pool of 64 resident pages in
+// concurrent-read mode, each benchmark thread a reader with its own
+// session cycling over its own 16 pages. A hit pins its frame without the
+// shard lock, so per-thread time should stay flat from 1 to 4 threads.
+Pager* SharedHitPager(std::vector<PageId>* ids) {
+  static std::vector<PageId> pages;
+  static Pager* const pager = [] {
+    Pager* p = MakePager(/*frames=*/256).release();
+    for (int i = 0; i < 64; ++i) {
+      Result<PageId> id = p->Allocate();
+      if (!id.ok()) std::abort();
+      pages.push_back(id.value());
+    }
+    if (!p->BeginConcurrentReads().ok()) std::abort();
+    return p;
+  }();
+  *ids = pages;
+  return pager;
+}
+
+void BM_PagerFetchHitShared(benchmark::State& state) {
+  std::vector<PageId> ids;
+  Pager* pager = SharedHitPager(&ids);
+  PagerReadSession session(pager);
+  const size_t base = static_cast<size_t>(state.thread_index()) * 16;
+  size_t i = 0;
+  for (auto _ : state) {
+    Result<PageRef> ref = pager->Fetch(ids[(base + i++ % 16) % ids.size()]);
+    benchmark::DoNotOptimize(ref.value().data());
+  }
+}
+BENCHMARK(BM_PagerFetchHitShared)->Threads(1)->Threads(4);
+
 void BM_PagerFetchMiss(benchmark::State& state) {
   auto pager = MakePager(/*frames=*/4);
   std::vector<PageId> ids;

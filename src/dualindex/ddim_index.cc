@@ -196,7 +196,8 @@ Result<std::vector<TupleId>> DDimDualIndex::Select(
                   [](double s) { return !std::isfinite(s); })) {
     return Status::InvalidArgument("query slope/intercept must be finite");
   }
-  obs::Tracer tracer("ddim/select", pager_, relation_->pager());
+  obs::Tracer tracer("ddim/select", pager_, relation_->pager(),
+                     /*clock=*/nullptr, /*profiled=*/profile != nullptr);
 
   Result<std::vector<TupleId>> result = [&]() -> Result<std::vector<TupleId>> {
     size_t exact = FindExact(q.slope);

@@ -497,11 +497,11 @@ Result<std::vector<TupleId>> DualIndex::Select(SelectionType type,
   *st = QueryStats();
   CDB_RETURN_IF_ERROR(CheckHalfPlaneQuery(q));
   if (slope_observer_ != nullptr) slope_observer_->Observe(q.slope);
-  // All index/tuple page accesses from here on are attributed to the span
-  // tree; QueryStats totals are read back from the tracer so there is a
-  // single accounting mechanism (no manual snapshot diffs, no double
-  // counting).
-  obs::Tracer tracer("dual/select", pager_, relation_->pager());
+  // QueryStats totals are read back from the tracer, so there is a single
+  // accounting mechanism (no manual snapshot diffs, no double counting);
+  // the span tree is recorded only when a profile was asked for.
+  obs::Tracer tracer("dual/select", pager_, relation_->pager(),
+                     /*clock=*/nullptr, /*profiled=*/profile != nullptr);
 
   Result<std::vector<TupleId>> result = [&]() -> Result<std::vector<TupleId>> {
     const QueryPlan plan = Plan(type, q, method);
@@ -548,7 +548,8 @@ Result<std::vector<TupleId>> DualIndex::SelectVertical(
   if (std::isnan(q.boundary) || std::isinf(q.boundary)) {
     return Status::InvalidArgument("vertical boundary must be finite");
   }
-  obs::Tracer tracer("dual/select-vertical", pager_, relation_->pager());
+  obs::Tracer tracer("dual/select-vertical", pager_, relation_->pager(),
+                     /*clock=*/nullptr, /*profiled=*/profile != nullptr);
 
   // Section 3's table on the x-extent support trees, xmax in B^up's place
   // and xmin in B^down's: EXIST(x >= c) is max_x >= c, ALL(x >= c) is
@@ -573,7 +574,8 @@ Result<std::vector<TupleId>> DualIndex::SelectSlab(
   if (loc.kind != SlopeLocation::Kind::kExact) {
     return Status::InvalidArgument("slab selection requires slope in S");
   }
-  obs::Tracer tracer("dual/select-slab", pager_, relation_->pager());
+  obs::Tracer tracer("dual/select-slab", pager_, relation_->pager(),
+                     /*clock=*/nullptr, /*profiled=*/profile != nullptr);
 
   // ALL: BOT >= b_lo ∩ TOP <= b_hi; EXIST: TOP >= b_lo ∩ BOT <= b_hi —
   // the exact sweeps of q(>=) at b_lo and q(<=) at b_hi.

@@ -213,6 +213,10 @@ Status QueryExecutor::RunBatch(DualIndex* index,
   out->sampled_traces = 0;
   out->balanced_traces = 0;
   out->shed = 0;
+  // Filled only when the batch records latency; a reused `out` must not
+  // keep the previous batch's digests.
+  out->service = {};
+  out->queue_wait = {};
 
   // Bounded admission (ISSUE 7): queries past the capacity are rejected
   // here, before dispatch, so the pool's queue never grows past the bound.

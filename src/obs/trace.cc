@@ -48,20 +48,22 @@ const ProfileNode* ProfileNode::Find(std::string_view target) const {
 Tracer* Tracer::Current() { return g_current_tracer; }
 
 Tracer::Tracer(const char* root_name, Pager* index_pager, Pager* tuple_pager,
-               Clock* clock)
+               Clock* clock, bool profiled)
     : index_pager_(index_pager),
       tuple_pager_(tuple_pager == index_pager ? nullptr : tuple_pager),
-      clock_(clock != nullptr ? clock : DefaultClock()) {
+      clock_(clock != nullptr ? clock : DefaultClock()),
+      previous_(g_current_tracer),
+      recording_(profiled || previous_ != nullptr) {
   root_.name = root_name;
   root_.invocations = 1;
-  stack_.push_back(&root_);
   if (index_pager_ != nullptr) initial_index_ = index_pager_->ThreadStats();
   if (tuple_pager_ != nullptr) initial_tuple_ = tuple_pager_->ThreadStats();
+  initial_time_ns_ = clock_->NowNanos();
+  if (!recording_) return;
+  stack_.push_back(&root_);
   last_index_ = initial_index_;
   last_tuple_ = initial_tuple_;
-  initial_time_ns_ = clock_->NowNanos();
   last_time_ns_ = initial_time_ns_;
-  previous_ = g_current_tracer;
   g_current_tracer = this;
 }
 
@@ -128,6 +130,13 @@ void Tracer::Exit() {
 }
 
 ProfileNode Tracer::Finish(PhaseCost* overall) {
+  if (!recording_) {
+    // No spans were opened: the root's self cost is the whole region.
+    root_.self = ReadDelta(initial_index_, initial_tuple_, initial_time_ns_);
+    finished_ = true;
+    if (overall != nullptr) *overall = root_.self;
+    return std::move(root_);
+  }
   assert(stack_.size() == 1 && "Finish() with child spans still open");
   // Defensive: even if a child span leaked (bug), close it so the tree and
   // the totals still balance.

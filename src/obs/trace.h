@@ -19,6 +19,13 @@
 // Spans re-entered under the same parent (e.g. "refine/lp" inside a loop)
 // merge into one node with an invocation count.
 //
+// A query path that was not asked for a profile builds its Tracer with
+// `profiled` false: unless an outer tracer is recording, it stays out of
+// the ambient slot, so its spans cost one thread-local load each, and it
+// only brackets the region's pager totals and wall time (all that
+// QueryStats needs). Inside a recording outer tracer it records as before,
+// so the outer tree keeps the query as one span-free lump.
+//
 // The ambient tracer pointer is thread-local, and the tracer reads pagers
 // through Pager::ThreadStats(): on an executor worker thread (concurrent-
 // read mode, with a PagerReadSession open) it sees only that thread's own
@@ -71,18 +78,20 @@ struct ProfileNode {
   const ProfileNode* Find(std::string_view target) const;
 };
 
-/// See file comment. Construct on the stack around a query; it becomes the
-/// ambient tracer until destroyed (previous tracer is restored, so traced
-/// regions may nest).
+/// See file comment. Construct on the stack around a query; a recording
+/// tracer is the ambient tracer until destroyed (previous tracer is
+/// restored, so traced regions may nest).
 class Tracer {
  public:
   /// `tuple_pager` may be null, or equal to `index_pager` (then all cost is
   /// reported on the index slots and the tuple slots stay zero). `clock`
   /// drives every wall_ms reading (null = DefaultClock(), so production
   /// call sites change nothing while tests inject a ManualClock and
-  /// assert span timings exactly).
+  /// assert span timings exactly). With `profiled` false the tracer
+  /// records spans only under a recording outer tracer; otherwise
+  /// Finish() returns a childless root holding the region's totals.
   Tracer(const char* root_name, Pager* index_pager, Pager* tuple_pager,
-         Clock* clock = nullptr);
+         Clock* clock = nullptr, bool profiled = true);
   ~Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -117,6 +126,7 @@ class Tracer {
   IoStats initial_index_, initial_tuple_;
   uint64_t last_time_ns_ = 0, initial_time_ns_ = 0;
   Tracer* previous_;
+  bool recording_;  // Installed as the ambient tracer.
   bool finished_ = false;
 };
 

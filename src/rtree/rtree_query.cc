@@ -15,7 +15,8 @@ Result<std::vector<TupleId>> RTreeSelect(RPlusTree* tree, Relation* relation,
   QueryStats* st = stats != nullptr ? stats : &local;
   *st = QueryStats();
   CDB_RETURN_IF_ERROR(CheckHalfPlaneQuery(q));
-  obs::Tracer tracer("rtree/select", tree->pager(), relation->pager());
+  obs::Tracer tracer("rtree/select", tree->pager(), relation->pager(),
+                     /*clock=*/nullptr, /*profiled=*/profile != nullptr);
 
   // The whole execution runs inside a lambda so every exit — including a
   // failed page read — closes its books through FinishSelect. A

@@ -97,7 +97,7 @@ PagerReadSession::~PagerReadSession() {
   }
   // Merge *before* deregistering from the publish gate, so a publish that
   // drains on this session observes its counters already folded in.
-  pager_->MergeSessionStats(local_);
+  pager_->MergeSession(*this);
   if (counted_) {
     {
       std::lock_guard<std::mutex> lock(pager_->publish_mu_);
@@ -111,11 +111,11 @@ PageRef& PageRef::operator=(PageRef&& other) noexcept {
   if (this != &other) {
     Release();
     pager_ = other.pager_;
-    id_ = other.id_;
+    frame_ = other.frame_;
     data_ = other.data_;
     other.pager_ = nullptr;
+    other.frame_ = nullptr;
     other.data_ = nullptr;
-    other.id_ = kInvalidPageId;
   }
   return *this;
 }
@@ -123,15 +123,15 @@ PageRef& PageRef::operator=(PageRef&& other) noexcept {
 PageRef::~PageRef() { Release(); }
 
 void PageRef::MarkDirty() {
-  if (pager_ != nullptr) pager_->MarkDirty(id_);
+  if (pager_ != nullptr) pager_->MarkDirty(frame_);
 }
 
 void PageRef::Release() {
   if (pager_ != nullptr) {
-    pager_->Unpin(id_);
+    pager_->Unpin(frame_);
     pager_ = nullptr;
+    frame_ = nullptr;
     data_ = nullptr;
-    id_ = kInvalidPageId;
   }
 }
 
@@ -186,6 +186,7 @@ Status Pager::Open(std::unique_ptr<BlockFile> file,
     CDB_RETURN_IF_ERROR(pager->WalkFreeList());
   }
   pager->txn_base_blocks_ = pager->file_->BlockCount();
+  pager->ReserveTable(pager->next_page_id_);
   *out = std::move(pager);
   return Status::OK();
 }
@@ -214,9 +215,17 @@ const IoStats& Pager::ThreadStats() const {
   return stats_;
 }
 
-void Pager::MergeSessionStats(const IoStats& delta) {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.Merge(delta);
+void Pager::MergeSession(const PagerReadSession& session) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.Merge(session.local_);
+  }
+  for (size_t i = 0; i < kReadShards; ++i) {
+    if (session.shard_fetches_[i] != 0) {
+      shards_[i].fetches.fetch_add(session.shard_fetches_[i],
+                                   std::memory_order_relaxed);
+    }
+  }
 }
 
 Status Pager::LoadMeta() {
@@ -320,17 +329,22 @@ Result<PageId> Pager::Allocate() {
     std::memcpy(&free_head_, ref.value().data(), sizeof(free_head_));
     std::memset(ref.value().data(), 0, payload_size_);
     ref.value().MarkDirty();
+    // Live again; a writer's page stays free to readers until published.
+    if (!IsSwmrWriterThread()) SetTableEntry(id, ref.value().frame_);
   } else {
     id = next_page_id_++;
     const bool writer = IsSwmrWriterThread();
     Shard& shard = shards_[ShardOf(id)];
-    Frame& frame = (writer ? overlay_ : shard.frames)[id];
+    BufferFrame& frame = (writer ? overlay_ : shard.frames)[id];
+    frame.page = id;
     frame.data.assign(block_size_, 0);
     frame.dirty = true;
     Count(writer ? overlay_frames_ : pool_frames_, 1);
     if (!writer) {
-      PushLru(shard, id, frame);
-      CDB_RETURN_IF_ERROR(EvictIfNeeded(nullptr, stats_));
+      LinkNewest(shard, &frame, ++tick_);
+      ReserveTable(next_page_id_);
+      SetTableEntry(id, &frame);
+      CDB_RETURN_IF_ERROR(EvictIfNeeded(stats_));
     }
   }
   ++live_pages_;
@@ -351,7 +365,8 @@ Status Pager::Free(PageId id) {
   auto& frames =
       IsSwmrWriterThread() ? overlay_ : shards_[ShardOf(id)].frames;
   auto it = frames.find(id);
-  if (it != frames.end() && it->second.pins > 0) {
+  if (it != frames.end() &&
+      it->second.pins.load(std::memory_order_relaxed) > 0) {
     return Status::InvalidArgument("Free of pinned page " +
                                    std::to_string(id));
   }
@@ -362,54 +377,39 @@ Status Pager::Free(PageId id) {
   ref.value().MarkDirty();
   free_head_ = id;
   free_set_.insert(id);
+  // Readers see a writer's free only once it is published.
+  if (!IsSwmrWriterThread()) SetTableEntry(id, nullptr);
   assert(live_pages_ > 0);
   --live_pages_;
   return Status::OK();
 }
 
 Result<PageRef> Pager::Fetch(PageId id) {
-  // One body for three callers. A single thread, or a reader holding a
-  // session, fetches through the pool; under single-writer mode the writer
-  // fetches into its private overlay.
-  const bool writer = IsSwmrWriterThread();
-  PagerReadSession* session = nullptr;
+  // A reader holding a session fetches through the page table; a single
+  // thread fetches through the pool, and under single-writer mode the
+  // writer fetches into its private overlay.
   if (IsReader()) {
-    session = FindSession();
+    PagerReadSession* session = FindSession();
     if (session == nullptr) {
       return Status::InvalidArgument(
           "concurrent-read Fetch requires a PagerReadSession on this thread");
     }
+    return ReaderFetch(id, session);
   }
-  // Readers validate against the published snapshot: the live allocation
-  // state belongs to the writer's uncommitted transaction (and equals the
-  // snapshot in plain concurrent-read mode). The session's gate
-  // registration ordered this read after the last snapshot swap.
-  const bool reader = session != nullptr;
-  if (id == kInvalidPageId ||
-      id >= (reader ? published_next_page_id_ : next_page_id_)) {
+  const bool writer = IsSwmrWriterThread();
+  if (id == kInvalidPageId || id >= next_page_id_) {
     return Status::InvalidArgument("Fetch of invalid page id " +
                                    std::to_string(id));
   }
-  if ((reader ? published_free_ : free_set_).count(id) > 0) {
+  if (free_set_.count(id) > 0) {
     return Status::Corruption("Fetch of free page " + std::to_string(id));
   }
-  IoStats& sink = reader ? session->local_ : MutStats();
+  IoStats& sink = MutStats();
   ++sink.page_fetches;
   Shard& shard = shards_[ShardOf(id)];
-  std::unique_lock<std::mutex> lock;
-  if (reader) {
-    shard.fetches.fetch_add(1, std::memory_order_relaxed);
-    lock = LockShard(shard);
-  }
-  auto& frames = writer ? overlay_ : shard.frames;
+  FrameMap& frames = writer ? overlay_ : shard.frames;
   auto it = frames.find(id);
   if (it == frames.end()) {
-    // Miss: load outside the shard lock so a slow read does not serialize
-    // the shard. Two readers may race to load the same page; the loser
-    // adopts the winner's frame and its duplicate read is charged as a
-    // physical read (it was one), which keeps the per-session
-    // fetches == hits + reads invariant exact.
-    if (lock.owns_lock()) lock.unlock();
     std::vector<char> block(block_size_);
     bool copied = false;
     if (writer) {
@@ -425,55 +425,142 @@ Result<PageRef> Pager::Fetch(PageId id) {
     if (copied) {
       ++sink.buffer_hits;
     } else {
-      // A page allocated but never flushed does not exist in the file
-      // yet: past EOF a miss is a zero page.
-      ++sink.page_reads;
-      if (id < file_->BlockCount()) {
-        CDB_RETURN_IF_ERROR(ReadBlockVerified(id, block.data(), &sink));
-      }
+      CDB_RETURN_IF_ERROR(ReadBlockVerified(id, block.data(), &sink));
     }
-    if (reader) lock = LockShard(shard);
-    bool inserted;
-    std::tie(it, inserted) = frames.try_emplace(id);
-    if (inserted) {
-      it->second.data = std::move(block);
-      Count(writer ? overlay_frames_ : pool_frames_, 1);
+    it = frames.try_emplace(id).first;
+    it->second.page = id;
+    it->second.data = std::move(block);
+    Count(writer ? overlay_frames_ : pool_frames_, 1);
+    if (!writer) {
+      // Pinned until its first unpin restamps it, so no tick is spent here.
+      LinkNewest(shard, &it->second, tick_);
+      SetTableEntry(id, &it->second);
     }
   } else {
     ++sink.buffer_hits;
   }
-  Frame& frame = it->second;
-  if (frame.pins++ == 0) {
-    Count(pinned_, 1);
-    if (frame.in_lru) {
-      shard.lru.erase(frame.lru_pos);
-      frame.in_lru = false;
-    }
-  }
+  BufferFrame& frame = it->second;
+  frame.pins.store(frame.pins.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
   if (!writer && pool_frames_.load(std::memory_order_relaxed) > cache_frames_) {
-    Status st = EvictIfNeeded(reader ? &shard : nullptr, sink);
+    Status st = EvictIfNeeded(sink);
     if (!st.ok()) {
-      // Only single-threaded eviction writes back, so no lock is held.
-      Unpin(id);
+      Unpin(&frame);
       return st;
     }
   }
-  return PageRef(this, id, frame.data.data() + payload_offset_);
+  return MakeRef(&frame);
 }
 
-void Pager::Unpin(PageId id) {
-  const bool writer = IsSwmrWriterThread();
+Result<PageRef> Pager::ReaderFetch(PageId id, PagerReadSession* session) {
+  // Readers validate against the published snapshot: the live allocation
+  // state belongs to the writer's uncommitted transaction (and equals the
+  // snapshot in plain concurrent-read mode). The session's gate
+  // registration ordered this read after the last snapshot swap.
+  if (id == kInvalidPageId || id >= published_next_page_id_) {
+    return Status::InvalidArgument("Fetch of invalid page id " +
+                                   std::to_string(id));
+  }
+  IoStats& sink = session->local_;
+  ++sink.page_fetches;
+  ++session->shard_fetches_[ShardOf(id)];
+  // The hit: no lock, no hash. A table entry may be stale (its frame was
+  // evicted, and perhaps reused for another page): an evicted frame
+  // refuses the pin (-1), and a reused one fails the page check below,
+  // which the pin orders after the reuser's writes.
+  if (BufferFrame* frame = table_[id].load(std::memory_order_acquire)) {
+    int pins = frame->pins.load(std::memory_order_relaxed);
+    while (pins >= 0 &&
+           !frame->pins.compare_exchange_weak(pins, pins + 1,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed)) {
+    }
+    if (pins >= 0) {
+      if (frame->page == id) {
+        if (!frame->referenced.load(std::memory_order_relaxed)) {
+          frame->referenced.store(true, std::memory_order_relaxed);
+        }
+        ++sink.buffer_hits;
+        return MakeRef(frame);
+      }
+      frame->pins.fetch_sub(1, std::memory_order_release);
+    }
+  }
+  return ReaderMiss(id, sink);
+}
+
+Result<PageRef> Pager::ReaderMiss(PageId id, IoStats& sink) {
+  // The table leaves free pages out, so only this path checks for them;
+  // published_free_ changes only while readers are drained.
+  if (published_free_.count(id) > 0) {
+    return Status::Corruption("Fetch of free page " + std::to_string(id));
+  }
   Shard& shard = shards_[ShardOf(id)];
-  std::unique_lock<std::mutex> lock;
-  if (shared_mode_ && !writer) lock = LockShard(shard);
-  auto& frames = writer ? overlay_ : shard.frames;
-  auto it = frames.find(id);
-  assert(it != frames.end() && it->second.pins > 0);
-  Frame& frame = it->second;
-  if (--frame.pins > 0) return;
-  Count(pinned_, static_cast<size_t>(-1));
-  // Overlay frames are never evicted, so only pool frames join an LRU.
-  if (!writer) PushLru(shard, id, frame);
+  std::unique_lock<std::mutex> lock = LockShard(shard);
+  auto it = shard.frames.find(id);
+  if (it == shard.frames.end()) {
+    // Load outside the shard lock so a slow read does not serialize the
+    // shard. Two readers may race to load the same page; the loser adopts
+    // the winner's frame and its duplicate read is charged as a physical
+    // read (it was one), which keeps the per-session
+    // fetches == hits + reads invariant exact.
+    lock.unlock();
+    std::vector<char> block(block_size_);
+    CDB_RETURN_IF_ERROR(ReadBlockVerified(id, block.data(), &sink));
+    lock = LockShard(shard);
+    it = shard.frames.find(id);
+    if (it == shard.frames.end()) {
+      // A new frame, or a spare re-keyed: its address stays put.
+      if (shard.spare.empty()) {
+        it = shard.frames.try_emplace(id).first;
+      } else {
+        FrameMap::node_type node = std::move(shard.spare.back());
+        shard.spare.pop_back();
+        node.key() = id;
+        it = shard.frames.insert(std::move(node)).position;
+      }
+      BufferFrame* frame = &it->second;
+      frame->page = id;
+      frame->data.swap(block);
+      frame->referenced.store(false, std::memory_order_relaxed);
+      LinkNewest(shard, frame, tick_);
+      // Publishes the frame's bytes and page to a stale pointer's pin, and
+      // (a release store, unlike SetTableEntry) the frame to the next hit.
+      frame->pins.store(1, std::memory_order_release);
+      table_[id].store(frame, std::memory_order_release);
+      Count(pool_frames_, 1);
+      if (pool_frames_.load(std::memory_order_relaxed) > cache_frames_) {
+        ReaderEvict(shard, sink);
+      }
+      return MakeRef(frame);
+    }
+  } else {
+    ++sink.buffer_hits;
+  }
+  // Resident after all (another reader inserted it since the table was
+  // read). A frame in the map is never evicted without this lock, so its
+  // pin count is not negative.
+  BufferFrame* frame = &it->second;
+  frame->pins.fetch_add(1, std::memory_order_acquire);
+  frame->referenced.store(true, std::memory_order_relaxed);
+  return MakeRef(frame);
+}
+
+void Pager::Unpin(BufferFrame* frame) {
+  if (IsReader()) {
+    // Orders this reader's use of the bytes before an evictor's CAS.
+    frame->pins.fetch_sub(1, std::memory_order_release);
+    return;
+  }
+  const int pins = frame->pins.load(std::memory_order_relaxed) - 1;
+  assert(pins >= 0);
+  frame->pins.store(pins, std::memory_order_relaxed);
+  // Overlay frames are never evicted, so only pool frames are restamped.
+  if (pins == 0 && !IsSwmrWriterThread()) {
+    Shard& shard = shards_[ShardOf(frame->page)];
+    Unlink(shard, frame);
+    LinkNewest(shard, frame, ++tick_);
+  }
 }
 
 void Pager::Count(std::atomic<size_t>& counter, size_t delta) {
@@ -485,24 +572,34 @@ void Pager::Count(std::atomic<size_t>& counter, size_t delta) {
   }
 }
 
-void Pager::PushLru(Shard& shard, PageId id, Frame& frame) {
-  shard.lru.push_front({shared_mode_ ? tick_ : ++tick_, id});
-  frame.lru_pos = shard.lru.begin();
-  frame.in_lru = true;
+void Pager::LinkNewest(Shard& shard, BufferFrame* frame, uint64_t tick) {
+  frame->tick = tick;
+  frame->newer = nullptr;
+  frame->older = shard.newest;
+  if (shard.newest != nullptr) {
+    shard.newest->newer = frame;
+  } else {
+    shard.oldest = frame;
+  }
+  shard.newest = frame;
 }
 
-void Pager::MarkDirty(PageId id) {
+void Pager::Unlink(Shard& shard, BufferFrame* frame) {
+  (frame->newer != nullptr ? frame->newer->older : shard.newest) =
+      frame->older;
+  (frame->older != nullptr ? frame->older->newer : shard.oldest) =
+      frame->newer;
+  frame->newer = frame->older = nullptr;
+}
+
+void Pager::MarkDirty(BufferFrame* frame) {
   // Writes are a programming error in concurrent-read mode (except from
   // the single writer); there is no Status channel here, so fail loudly in
   // debug builds and ignore the mark otherwise (the frame would never be
   // written back anyway — write-back paths are all mode-guarded).
   assert(!IsReader());
   if (IsReader()) return;
-  auto& frames =
-      IsSwmrWriterThread() ? overlay_ : shards_[ShardOf(id)].frames;
-  auto it = frames.find(id);
-  assert(it != frames.end());
-  it->second.dirty = true;
+  frame->dirty = true;
   txn_active_ = true;
 }
 
@@ -615,7 +712,7 @@ Status Pager::RecoverFromJournal() {
   return InvalidateJournal();
 }
 
-Status Pager::WriteBack(PageId id, Frame* frame) {
+Status Pager::WriteBack(PageId id, BufferFrame* frame) {
   if (!frame->dirty) return Status::OK();
   CDB_RETURN_IF_ERROR(EnsureJournaled(id));
   CDB_RETURN_IF_ERROR(SyncJournalForWrite());
@@ -632,36 +729,71 @@ Status Pager::WriteBack(PageId id, Frame* frame) {
   return Status::OK();
 }
 
-Status Pager::EvictIfNeeded(Shard* home, IoStats& sink) {
+Status Pager::EvictIfNeeded(IoStats& sink) {
   while (pool_frames_.load(std::memory_order_relaxed) > cache_frames_) {
-    // Every shard's LRU is ordered by tick, so the oldest tick among the
-    // shard tails is the pool's least recently used frame. A reader holds
-    // only its home shard's lock and evicts there, tolerating transient
-    // overflow elsewhere rather than taking a second lock.
-    Shard* victim = home;
-    if (victim == nullptr) {
-      uint64_t oldest = UINT64_MAX;
-      for (Shard& s : shards_) {
-        if (!s.lru.empty() && s.lru.back().tick < oldest) {
-          oldest = s.lru.back().tick;
-          victim = &s;
-        }
+    // Every shard's list is ordered by tick, so the oldest tick among the
+    // shards' oldest unpinned frames is the pool's least recently used
+    // one. Pinned frames are few (a descent's path), so the skips are
+    // short.
+    Shard* home = nullptr;
+    BufferFrame* victim = nullptr;
+    for (Shard& shard : shards_) {
+      BufferFrame* f = shard.oldest;
+      while (f != nullptr && f->pins.load(std::memory_order_relaxed) != 0) {
+        f = f->newer;
+      }
+      if (f != nullptr && (victim == nullptr || f->tick < victim->tick)) {
+        victim = f;
+        home = &shard;
       }
     }
-    if (victim == nullptr || victim->lru.empty()) break;
-    const PageId id = victim->lru.back().id;
-    auto it = victim->frames.find(id);
-    assert(it != victim->frames.end() && it->second.pins == 0);
+    if (victim == nullptr) break;
+    const PageId id = victim->page;
     // Only single-threaded frames can be dirty: concurrent reads begin
     // with a flush, and a publish hands over committed frames.
-    if (it->second.dirty) ++sink.dirty_writebacks;
-    CDB_RETURN_IF_ERROR(WriteBack(id, &it->second));
+    if (victim->dirty) ++sink.dirty_writebacks;
+    CDB_RETURN_IF_ERROR(WriteBack(id, victim));
     ++sink.buffer_evictions;
-    victim->lru.pop_back();
-    victim->frames.erase(it);
+    Unlink(*home, victim);
+    SetTableEntry(id, nullptr);
+    home->frames.erase(id);
     Count(pool_frames_, static_cast<size_t>(-1));
   }
   return Status::OK();
+}
+
+void Pager::ReaderEvict(Shard& home, IoStats& sink) {
+  // A reader holds only its home shard's lock and evicts there, tolerating
+  // transient overflow elsewhere rather than taking a second lock. The
+  // walk is bounded: concurrent hits may re-reference frames it has
+  // already moved.
+  size_t budget = 2 * home.frames.size();
+  BufferFrame* f = home.oldest;
+  while (f != nullptr && budget-- > 0 &&
+         pool_frames_.load(std::memory_order_relaxed) > cache_frames_) {
+    BufferFrame* next = f->newer;
+    if (f->referenced.load(std::memory_order_relaxed)) {
+      // Second chance: newest again, stamped with the epoch's tick so the
+      // list stays ordered.
+      f->referenced.store(false, std::memory_order_relaxed);
+      if (next != nullptr) {
+        Unlink(home, f);
+        LinkNewest(home, f, tick_);
+      }
+    } else {
+      int unpinned = 0;
+      if (f->pins.compare_exchange_strong(unpinned, -1,
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed)) {
+        Unlink(home, f);
+        SetTableEntry(f->page, nullptr);
+        home.spare.push_back(home.frames.extract(f->page));
+        ++sink.buffer_evictions;
+        Count(pool_frames_, static_cast<size_t>(-1));
+      }
+    }
+    f = next;
+  }
 }
 
 Status Pager::Flush() {
@@ -678,7 +810,7 @@ Status Pager::FlushBody() {
   if (!txn_active_ && !journal_header_written_) return Status::OK();
   // Under single-writer mode the transaction lives in the overlay and the
   // pool is clean; otherwise it lives in the pool.
-  std::vector<std::unordered_map<PageId, Frame>*> stores;
+  std::vector<FrameMap*> stores;
   if (swmr_) {
     stores.push_back(&overlay_);
   } else {
@@ -726,7 +858,7 @@ Status Pager::PublishWriter() {
     // empty). The overlay holds only clean copies of committed pages; drop
     // the unpinned ones.
     std::erase_if(overlay_, [](const auto& entry) {
-      return entry.second.pins == 0;
+      return entry.second.pins.load(std::memory_order_relaxed) == 0;
     });
     overlay_frames_.store(overlay_.size(), std::memory_order_relaxed);
     return Status::OK();
@@ -750,9 +882,11 @@ Status Pager::PublishWriter() {
       std::memory_order_relaxed);
   Status st = FlushBody();
   if (st.ok()) {
+    ReleaseSpares();
+    ReserveTable(next_page_id_);
     AdoptOverlay();
     // Committed frames are clean, so this eviction writes nothing back.
-    st = EvictIfNeeded(nullptr, writer_stats_);
+    st = EvictIfNeeded(writer_stats_);
     published_next_page_id_ = next_page_id_;
     published_free_ = free_set_;
   }
@@ -772,26 +906,30 @@ void Pager::AdoptOverlay() {
   ++tick_;
   for (auto it = overlay_.begin(); it != overlay_.end();) {
     const PageId id = it->first;
-    Frame& src = it->second;
+    BufferFrame& src = it->second;
     Shard& shard = shards_[ShardOf(id)];
     auto [dst, inserted] = shard.frames.try_emplace(id);
+    BufferFrame& frame = dst->second;
     // A superseded copy is unpinned: its readers have drained.
-    assert(dst->second.pins == 0);
+    assert(frame.pins.load(std::memory_order_relaxed) == 0);
     if (inserted) {
+      frame.page = id;
       Count(pool_frames_, 1);
-    } else if (dst->second.in_lru) {
-      shard.lru.erase(dst->second.lru_pos);
+    } else {
+      Unlink(shard, &frame);
     }
-    dst->second.dirty = false;
-    PushLru(shard, id, dst->second);
-    if (src.pins == 0) {
-      dst->second.data = std::move(src.data);
+    frame.dirty = false;
+    LinkNewest(shard, &frame, tick_);
+    // The transaction's frees become visible with it.
+    SetTableEntry(id, free_set_.count(id) > 0 ? nullptr : &frame);
+    if (src.pins.load(std::memory_order_relaxed) == 0) {
+      frame.data = std::move(src.data);
       it = overlay_.erase(it);
       Count(overlay_frames_, static_cast<size_t>(-1));
     } else {
       // The writer still holds this page: leave it the overlay's frame and
       // give readers a copy.
-      dst->second.data = src.data;
+      frame.data = src.data;
       ++it;
     }
   }
@@ -804,8 +942,9 @@ Status Pager::DropCache() {
   CDB_RETURN_IF_ERROR(Flush());
   for (Shard& shard : shards_) {
     for (auto it = shard.frames.begin(); it != shard.frames.end();) {
-      if (it->second.pins == 0) {
-        if (it->second.in_lru) shard.lru.erase(it->second.lru_pos);
+      if (it->second.pins.load(std::memory_order_relaxed) == 0) {
+        Unlink(shard, &it->second);
+        SetTableEntry(it->first, nullptr);
         it = shard.frames.erase(it);
         Count(pool_frames_, static_cast<size_t>(-1));
       } else {
@@ -814,6 +953,42 @@ Status Pager::DropCache() {
     }
   }
   return Status::OK();
+}
+
+size_t Pager::pinned_frame_count() const {
+  // The table is a flat array, so this is a short scan even over a large
+  // pool. An entry read while a reader clears it still names a live frame
+  // (spares are freed only when readers are drained), and a pinned frame
+  // is never evicted.
+  size_t pinned = 0;
+  for (size_t i = 0; i < table_capacity_; ++i) {
+    const BufferFrame* frame = table_[i].load(std::memory_order_acquire);
+    if (frame != nullptr && frame->pins.load(std::memory_order_relaxed) > 0) {
+      ++pinned;
+    }
+  }
+  if (!IsReader()) {
+    for (const auto& entry : overlay_) {
+      pinned += entry.second.pins.load(std::memory_order_relaxed) > 0;
+    }
+  }
+  return pinned;
+}
+
+void Pager::ReserveTable(size_t n) {
+  if (n <= table_capacity_) return;
+  const size_t capacity = std::max({n, 2 * table_capacity_, size_t{64}});
+  auto table = std::make_unique<std::atomic<BufferFrame*>[]>(capacity);
+  for (size_t i = 0; i < table_capacity_; ++i) {
+    table[i].store(table_[i].load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+  }
+  table_ = std::move(table);
+  table_capacity_ = capacity;
+}
+
+void Pager::ReleaseSpares() {
+  for (Shard& shard : shards_) shard.spare.clear();
 }
 
 Status Pager::BeginConcurrentReads(bool single_writer) {
@@ -838,6 +1013,7 @@ Status Pager::BeginConcurrentReads(bool single_writer) {
   // are rejected); under single-writer mode it advances only at publish.
   published_next_page_id_ = next_page_id_;
   published_free_ = free_set_;
+  ReserveTable(published_next_page_id_);
   swmr_ = single_writer;
   writer_thread_ = std::this_thread::get_id();
   writer_stats_.Reset();
@@ -869,6 +1045,7 @@ Status Pager::EndConcurrentReads() {
     return Status::InvalidArgument(
         "EndConcurrentReads with live PageRefs or sessions");
   }
+  ReleaseSpares();
   // Residual writer counters (reads that never hit a publish) and the
   // mode reset. The publish above already merged the mutation counters.
   {
@@ -897,8 +1074,11 @@ std::unique_lock<std::mutex> Pager::LockShard(Shard& shard) {
 }
 
 Status Pager::ReadBlockVerified(PageId id, char* block, IoStats* sink) {
-  // `page_reads` was already charged by the caller: one miss is one
-  // physical read in the paper's accounting.
+  // One miss is one physical read in the paper's accounting, even for a
+  // page allocated but never flushed: it does not exist in the file yet,
+  // and past EOF a miss is the zero page `block` already holds.
+  ++sink->page_reads;
+  if (id >= file_->BlockCount()) return Status::OK();
   CDB_RETURN_IF_ERROR(file_->ReadBlock(id, block));
   return VerifyPageBlock(id, block, sink);
 }

@@ -8,15 +8,19 @@
 // warm or cold cache.
 //
 // Buffer pool (DESIGN.md §2c): one pool, sharded by page id into
-// kReadShards shards, holds every resident page in every mode.
+// kReadShards shards, holds every resident page in every mode. Each shard
+// keeps its frames in one recency list ordered by tick (newest first).
 //   - Single-threaded (the default, and the only state in which any thread
-//     may mutate): no lock is taken, and eviction follows one global LRU
-//     order (recency ticks across the shards), as the paper's accounting
-//     requires.
+//     may mutate): no lock is taken, pins change by plain load and store,
+//     and eviction follows one global LRU order (the oldest unpinned frame
+//     across the shards), as the paper's accounting requires.
 //   - Concurrent reads (BeginConcurrentReads()): Fetch() is safe from any
 //     thread holding a PagerReadSession, which collects that thread's
-//     IoStats delta and merges it into stats() when it closes. A fetch
-//     locks one shard and evicts there. Mutations (Allocate, Free, Flush,
+//     IoStats delta and merges it into stats() when it closes. A hit takes
+//     no lock: it reads the page table, pins its frame by CAS and marks it
+//     referenced; an unpin is one atomic decrement. A miss locks one shard
+//     and evicts there, giving referenced frames a second chance
+//     (DESIGN.md decisions 24-26). Mutations (Allocate, Free, Flush,
 //     DropCache, MarkDirty) are rejected until EndConcurrentReads().
 //   - Single writer (BeginConcurrentReads(true)): the calling thread keeps
 //     the full API, working in a private overlay (see there).
@@ -53,7 +57,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -90,6 +93,29 @@ inline constexpr size_t kReadShards = 8;
 class Pager;
 class PagerReadSession;
 
+/// One frame of the buffer pool or of the single writer's overlay; the
+/// pager's own. A pool frame keeps its address while concurrent reads
+/// last (a reader-evicted frame waits in its shard's spare list), so a
+/// stale page-table pointer never dangles: it fails the pin or the `page`
+/// check.
+struct BufferFrame {
+  std::vector<char> data;  // Full block; the payload follows the header.
+  PageId page = kInvalidPageId;
+  bool dirty = false;
+  /// Live PageRefs; -1 marks a frame a concurrent reader evicted. Readers
+  /// pin by CAS and unpin by fetch_sub; single-threaded, the count changes
+  /// by relaxed load and store.
+  std::atomic<int> pins{0};
+  /// Set by a concurrent hit; reader eviction clears it and gives the
+  /// frame a second chance.
+  std::atomic<bool> referenced{false};
+  /// Recency stamp; its shard's list is ordered by it. Pool frames only,
+  /// like the links; guarded by the shard lock while reads are concurrent.
+  uint64_t tick = 0;
+  BufferFrame* newer = nullptr;
+  BufferFrame* older = nullptr;
+};
+
 /// Pinned view of a page's bytes. The frame stays resident while any
 /// PageRef to it is alive. Call MarkDirty() after mutating data().
 class PageRef {
@@ -102,7 +128,9 @@ class PageRef {
   ~PageRef();
 
   bool valid() const { return pager_ != nullptr; }
-  PageId id() const { return id_; }
+  PageId id() const {
+    return frame_ != nullptr ? frame_->page : kInvalidPageId;
+  }
   char* data() { return data_; }
   const char* data() const { return data_; }
 
@@ -114,11 +142,11 @@ class PageRef {
 
  private:
   friend class Pager;
-  PageRef(Pager* pager, PageId id, char* data)
-      : pager_(pager), id_(id), data_(data) {}
+  PageRef(Pager* pager, BufferFrame* frame, char* data)
+      : pager_(pager), frame_(frame), data_(data) {}
 
   Pager* pager_ = nullptr;
-  PageId id_ = kInvalidPageId;
+  BufferFrame* frame_ = nullptr;
   char* data_ = nullptr;
 };
 
@@ -251,13 +279,15 @@ class Pager {
            overlay_frames_.load(std::memory_order_relaxed);
   }
 
-  /// Frames with at least one live PageRef. Zero between operations — a
-  /// non-zero value after a query returns means a leaked pin (checked by
-  /// the fault-injection tests). Buffer-pool state is published to a
-  /// MetricsRegistry by obs::ExportPagerMetrics (obs/metrics.h).
-  size_t pinned_frame_count() const {
-    return pinned_.load(std::memory_order_relaxed);
-  }
+  /// Frames with at least one live PageRef, counted over the frames the
+  /// page table names (free pages cannot be pinned) plus, outside reader
+  /// threads, the writer's overlay. Zero between operations — a non-zero
+  /// value after a query returns means a leaked pin (checked by the
+  /// fault-injection tests). A publish replaces the table, so under
+  /// single-writer mode only the writer and threads holding a read session
+  /// may call it. Buffer-pool state is published to a MetricsRegistry by
+  /// obs::ExportPagerMetrics (obs/metrics.h).
+  size_t pinned_frame_count() const;
 
   /// Drops every unpinned frame (writing dirty ones back) so subsequent
   /// fetches hit the file. Benchmarks use it to take cold-cache readings.
@@ -317,32 +347,23 @@ class Pager {
   double ShardImbalance() const;
 
  private:
-  /// A shard LRU entry. `tick` is the pool's recency clock when the frame
-  /// entered the list; lists are ordered by it (front = newest).
-  struct LruEntry {
-    uint64_t tick;
-    PageId id;
-  };
-
-  struct Frame {
-    std::vector<char> data;  // Full block; payload at payload_offset_.
-    bool dirty = false;
-    // Guarded by the shard lock while reads are concurrent; an overlay
-    // frame is only ever touched by the writer.
-    int pins = 0;
-    std::list<LruEntry>::iterator lru_pos;  // Valid iff in_lru.
-    bool in_lru = false;
-  };
+  using FrameMap = std::unordered_map<PageId, BufferFrame>;
 
   /// One shard of the pool: pages with ShardOf(id) == index. While reads
-  /// are concurrent every field but `fetches` is guarded by `mu`;
-  /// single-threaded, no lock is taken.
+  /// are concurrent every field but `fetches` is guarded by `mu` (a hit
+  /// touches only its frame); single-threaded, no lock is taken.
   struct alignas(64) Shard {
     std::mutex mu;
-    std::unordered_map<PageId, Frame> frames;
-    std::list<LruEntry> lru;  // Unpinned frames only.
-    // Reader fetches routed here since the last BeginConcurrentReads();
-    // feeds ShardImbalance().
+    FrameMap frames;
+    // Every frame in `frames`, newest tick first.
+    BufferFrame* newest = nullptr;
+    BufferFrame* oldest = nullptr;
+    // Frames readers evicted this epoch, out of `frames` but alive so a
+    // stale page-table pointer stays valid; a miss here reuses one. Freed
+    // when readers are drained.
+    std::vector<FrameMap::node_type> spare;
+    // Reader fetches routed here since the last BeginConcurrentReads(),
+    // merged from sessions as they close; feeds ShardImbalance().
     std::atomic<uint64_t> fetches{0};
   };
 
@@ -367,18 +388,33 @@ class Pager {
 
   friend class PageRef;
   friend class PagerReadSession;
-  void Unpin(PageId id);
-  void MarkDirty(PageId id);
+  void Unpin(BufferFrame* frame);
+  void MarkDirty(BufferFrame* frame);
+  // Fetch() on a reader thread: the lock-free hit, else ReaderMiss().
+  Result<PageRef> ReaderFetch(PageId id, PagerReadSession* session);
+  Result<PageRef> ReaderMiss(PageId id, IoStats& sink);
+  PageRef MakeRef(BufferFrame* frame) {
+    return PageRef(this, frame, frame->data.data() + payload_offset_);
+  }
 
   static size_t ShardOf(PageId id) { return id & (kReadShards - 1); }
   // This thread's open session on this pager, or null.
   PagerReadSession* FindSession() const;
-  void MergeSessionStats(const IoStats& delta);
+  void MergeSession(const PagerReadSession& session);
   // Adds `delta` (mod 2^64) to a frame counter other threads may read;
   // an atomic read-modify-write only while reads are concurrent.
   void Count(std::atomic<size_t>& counter, size_t delta);
-  // Puts an unpinned pool frame at the front of its shard's LRU.
-  void PushLru(Shard& shard, PageId id, Frame& frame);
+  // Recency-list surgery on a pool frame of `shard`.
+  static void LinkNewest(Shard& shard, BufferFrame* frame, uint64_t tick);
+  static void Unlink(Shard& shard, BufferFrame* frame);
+  // Grows the page table to cover ids below `n` (new entries null).
+  // Single-threaded, or readers drained.
+  void ReserveTable(size_t n);
+  void SetTableEntry(PageId id, BufferFrame* frame) {
+    table_[id].store(frame, std::memory_order_relaxed);
+  }
+  // Frees the frames readers evicted. Readers must be drained.
+  void ReleaseSpares();
   // Acquires shard.mu; on contention (try_lock failure) charges the wait to
   // cc_.shard_lock_waits / shard_lock_wait_ns. Uncontended path is just the
   // try_lock — no clock read.
@@ -414,18 +450,21 @@ class Pager {
   // commit). Shared between exclusive Flush() and PublishWriter().
   Status FlushBody();
   // Evicts unpinned pool frames, charging `sink`, until the pool fits
-  // cache_frames_. With `home` (a reader holding its lock) only that
-  // shard's cold end is eligible; otherwise the victim is the pool's least
-  // recently used frame.
-  Status EvictIfNeeded(Shard* home, IoStats& sink);
-  Status WriteBack(PageId id, Frame* frame);
+  // cache_frames_; each victim is the pool's least recently used unpinned
+  // frame. Single-threaded (or readers drained).
+  Status EvictIfNeeded(IoStats& sink);
+  // A reader's eviction, holding `home`'s lock: walks that shard from its
+  // oldest frame, second-chancing referenced frames, skipping pinned ones
+  // and taking the rest by CAS 0 -> -1, until the pool fits.
+  void ReaderEvict(Shard& home, IoStats& sink);
+  Status WriteBack(PageId id, BufferFrame* frame);
   // `sink` receives checksum_failures (the caller's IoStats: the pager-wide
   // accumulator in exclusive mode, the session's in concurrent-read mode).
   Status VerifyPageBlock(PageId id, const char* block, IoStats* sink);
-  // The one physical-read path behind Fetch() cache misses: one ReadBlock
-  // and one checksum verify. A transient read failure surfaces as
-  // kUnavailable and a mismatch as Corruption; nothing is retried.
-  // Thread-safe.
+  // The one physical-read path behind Fetch() cache misses: charges one
+  // page_reads, then one ReadBlock and one checksum verify (a block past
+  // EOF is left zero). A transient read failure surfaces as kUnavailable
+  // and a mismatch as Corruption; nothing is retried. Thread-safe.
   Status ReadBlockVerified(PageId id, char* block, IoStats* sink);
 
   // Journal machinery (all no-ops when journal_ is null).
@@ -460,13 +499,22 @@ class Pager {
   bool txn_active_ = false;  // Any mutation since the last commit?
   uint64_t txn_base_blocks_ = 0;  // BlockCount() at the last commit.
 
-  // The buffer pool. `tick_` is the recency clock behind LruEntry::tick;
+  // The buffer pool. `tick_` is the recency clock behind BufferFrame::tick;
   // concurrent readers stamp it without advancing it (DESIGN.md §2c).
   std::array<Shard, kReadShards> shards_;
   uint64_t tick_ = 0;
   std::atomic<size_t> pool_frames_{0};     // Frames across all shards.
   std::atomic<size_t> overlay_frames_{0};  // overlay_.size().
-  std::atomic<size_t> pinned_{0};          // Frames with pins > 0.
+  // The page table: entry i names page i's pool frame, or is null when the
+  // page is not resident or is free in the state readers see (the
+  // published one under single-writer mode). Kept current wherever a pool
+  // frame comes or goes or a page's free state changes: single-threaded
+  // by plain stores, by readers under the page's shard lock, by a publish
+  // while readers are drained. It covers every id below next_page_id_
+  // (published_next_page_id_ while a writer runs); it grows only when
+  // no reader runs.
+  std::unique_ptr<std::atomic<BufferFrame*>[]> table_;
+  size_t table_capacity_ = 0;
 
   std::vector<char> block_scratch_;    // One data block (pre-image reads).
   std::vector<char> journal_scratch_;  // One journal block.
@@ -489,7 +537,7 @@ class Pager {
   std::thread::id writer_thread_{};
   // The writer's private frames: every page its transaction touched since
   // the last publish, never evicted.
-  std::unordered_map<PageId, Frame> overlay_;
+  FrameMap overlay_;
   IoStats writer_stats_;
   PageId published_next_page_id_ = 1;
   std::unordered_set<PageId> published_free_;
@@ -524,6 +572,7 @@ class PagerReadSession {
   friend class Pager;
   Pager* pager_;
   IoStats local_;
+  std::array<uint64_t, kReadShards> shard_fetches_{};  // Per-shard fetches.
   PagerReadSession* prev_;  // Next-older session on this thread's stack.
   // True when this session registered with the single-writer publish gate
   // (and so must deregister + wake a waiting publish on close).

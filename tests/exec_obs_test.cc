@@ -125,6 +125,26 @@ TEST(ExecObsTest, LatencyIsRecordedExactlyOncePerQuery) {
   EXPECT_EQ(queue->count() - queue0, batch.size());
 }
 
+// A batch that records no latency leaves empty digests, even in a
+// BatchResult whose previous batch recorded some.
+TEST(ExecObsTest, UnclockedBatchClearsReusedDigests) {
+  ObsFixture fx;
+  std::vector<exec::BatchQuery> batch = fx.MakeBatch(8);
+  exec::QueryExecutor executor(2);
+  exec::BatchObservability bobs;
+  bobs.clock = DefaultClock();
+  exec::BatchResult out;
+  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, bobs, &out).ok());
+  ASSERT_EQ(out.service.count, batch.size());
+  ASSERT_EQ(out.queue_wait.count, batch.size());
+
+  ASSERT_TRUE(executor.RunBatch(fx.index.get(), batch, {}, &out).ok());
+  EXPECT_EQ(out.service.count, 0u);
+  EXPECT_EQ(out.queue_wait.count, 0u);
+  EXPECT_EQ(out.service.max_ms, 0.0);
+  EXPECT_EQ(out.items.size(), batch.size());
+}
+
 // Each BatchResult digest covers its own batch, while the registry
 // histograms accumulate every batch recorded into them.
 TEST(ExecObsTest, RegistryHistogramsAccumulateAcrossBatches) {

@@ -1,10 +1,14 @@
 // Concurrent-read-mode pager tests (ISSUE 3 tentpole): mode-switch guards,
 // per-session stats accounting, correctness of concurrently fetched bytes,
-// bounded shard eviction, and warm-cache preservation across the mode
-// round-trip. Runs under both ASan (`-L sanitize`) and TSan (`-L tsan`);
+// bounded shard eviction, warm-cache preservation across the mode
+// round-trip, and lock-free hits racing evictions, frame reuse and
+// publishes. Runs under both ASan (`-L sanitize`) and TSan (`-L tsan`);
 // the multi-thread cases are the ones TSan exists for.
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -293,6 +297,186 @@ TEST(PagerConcurrencyTest, DuplicateLoadChargesLoserHonestly) {
   // At least one thread paid the physical read; racers may add more, but
   // the invariant above keeps each one honest.
   EXPECT_GE(pager->stats().page_reads - before.page_reads, 1u);
+}
+
+// What one reader saw: its sessions' counters, its fetches per shard, and
+// pages whose bytes were not the page asked for.
+struct ReaderTally {
+  IoStats stats;
+  std::array<uint64_t, kReadShards> shard_fetches{};
+  int mismatches = 0;
+  int failures = 0;
+  bool balanced = true;  // fetches == hits + reads in every session.
+};
+
+// Fetches `id` and checks that the bytes and the id are page `id`'s.
+// Returns the pin (or an invalid ref after a failure).
+PageRef CheckedFetch(Pager* pager, PageId id, ReaderTally* tally) {
+  ++tally->shard_fetches[id & (kReadShards - 1)];
+  Result<PageRef> ref = pager->Fetch(id);
+  if (!ref.ok()) {
+    ++tally->failures;
+    return PageRef();
+  }
+  if (ref.value().id() != id ||
+      !PageMatchesStamp(*pager, id, ref.value().data())) {
+    ++tally->mismatches;
+  }
+  return std::move(ref.value());
+}
+
+// One session's worth of the hot/cold mix: two hot fetches (mostly hits,
+// sometimes pinned across the next fetch) per step of a cold scan (misses
+// that evict and re-key frames other readers may still be hitting).
+void HotColdSession(Pager* pager, const std::vector<PageId>& hot,
+                    const std::vector<PageId>& cold, Rng* rng, size_t* cursor,
+                    size_t steps, ReaderTally* tally) {
+  PagerReadSession session(pager);
+  const auto pick = [&](const std::vector<PageId>& ids) {
+    return ids[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(ids.size()) - 1))];
+  };
+  for (size_t i = 0; i < steps; ++i) {
+    PageRef held = CheckedFetch(pager, pick(hot), tally);
+    if (!rng->Chance(0.25)) held.Release();
+    CheckedFetch(pager, pick(hot), tally);
+    CheckedFetch(pager, cold[(*cursor)++ % cold.size()], tally);
+  }
+  const IoStats& s = session.stats();
+  tally->balanced &= s.page_fetches == s.buffer_hits + s.page_reads;
+  tally->stats.Merge(s);
+}
+
+// The per-shard tallies behind ShardImbalance() are the readers' own
+// fetches, shard for shard: same total, same peak.
+void ExpectShardTalliesMatch(const Pager& pager,
+                             const std::vector<ReaderTally>& tallies) {
+  std::array<uint64_t, kReadShards> per_shard{};
+  uint64_t session_fetches = 0;
+  for (const ReaderTally& t : tallies) {
+    EXPECT_EQ(t.mismatches, 0);
+    EXPECT_EQ(t.failures, 0);
+    EXPECT_TRUE(t.balanced);
+    session_fetches += t.stats.page_fetches;
+    for (size_t i = 0; i < kReadShards; ++i) {
+      per_shard[i] += t.shard_fetches[i];
+    }
+  }
+  uint64_t total = 0;
+  uint64_t peak = 0;
+  for (uint64_t f : per_shard) {
+    total += f;
+    peak = std::max(peak, f);
+  }
+  EXPECT_EQ(total, session_fetches);
+  const double mean =
+      static_cast<double>(total) / static_cast<double>(kReadShards);
+  EXPECT_DOUBLE_EQ(pager.ShardImbalance(), static_cast<double>(peak) / mean);
+}
+
+// Twice as many readers as the four cores the suite is sized for: a
+// reader preempted between reading the page table and pinning is what
+// leaves it holding a frame that was evicted and reused meanwhile. With
+// four readers a build that skips the post-pin page check still passed
+// most runs; with eight it failed every run.
+TEST(PagerConcurrencyTest, HitsRaceEvictionAndFrameReuse) {
+  constexpr size_t kReaders = 8;
+  constexpr size_t kSteps = 10000;
+  auto pager = MakePager(/*cache_frames=*/8);
+  std::vector<PageId> ids = StampPages(pager.get(), 40);
+  const std::vector<PageId> hot(ids.begin(), ids.begin() + 6);
+  const std::vector<PageId> cold(ids.begin() + 6, ids.end());
+
+  const IoStats before = pager->stats();
+  ASSERT_TRUE(pager->BeginConcurrentReads().ok());
+  std::vector<ReaderTally> tallies(kReaders);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(SplitSeed(34, t));
+      size_t cursor = t * 9;
+      HotColdSession(pager.get(), hot, cold, &rng, &cursor, kSteps,
+                     &tallies[t]);
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_TRUE(pager->EndConcurrentReads().ok());
+
+  ExpectShardTalliesMatch(*pager, tallies);
+  IoStats sum;
+  for (const ReaderTally& t : tallies) sum.Merge(t.stats);
+  EXPECT_EQ(sum.page_fetches, kReaders * kSteps * 3);
+  EXPECT_EQ(pager->stats().page_fetches - before.page_fetches,
+            sum.page_fetches);
+  EXPECT_EQ(pager->stats().buffer_hits - before.buffer_hits,
+            sum.buffer_hits);
+  EXPECT_GT(sum.buffer_hits, 0u);
+  EXPECT_GT(sum.buffer_evictions, 0u);
+  EXPECT_EQ(pager->pinned_frame_count(), 0u);
+  EXPECT_LE(pager->resident_frame_count(), 8 + kReadShards);
+
+  // Back in exclusive mode the pool is whole: every page reads back.
+  for (PageId id : ids) {
+    Result<PageRef> ref = pager->Fetch(id);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_TRUE(PageMatchesStamp(*pager, id, ref.value().data()));
+  }
+}
+
+TEST(PagerConcurrencyTest, HitsRacePublishesUnderSingleWriter) {
+  constexpr size_t kReaders = 4;
+  constexpr size_t kPublishes = 24;
+  auto pager = MakePager(/*cache_frames=*/8);
+  std::vector<PageId> ids = StampPages(pager.get(), 24);
+  const std::vector<PageId> hot(ids.begin(), ids.begin() + 6);
+
+  ASSERT_TRUE(pager->BeginConcurrentReads(/*single_writer=*/true).ok());
+  // Pages the writer adds, visible to readers once `published` counts them.
+  std::vector<PageId> added(kPublishes);
+  std::atomic<size_t> published{0};
+  std::atomic<bool> stop{false};
+  std::vector<ReaderTally> tallies(kReaders);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(SplitSeed(3434, t));
+      size_t cursor = t * 5;
+      while (!stop.load(std::memory_order_acquire)) {
+        // The cold scan covers every published page, old and added.
+        std::vector<PageId> cold(ids.begin() + 6, ids.end());
+        const size_t n = published.load(std::memory_order_acquire);
+        cold.insert(cold.end(), added.begin(), added.begin() + n);
+        // Short sessions, so each publish drains quickly.
+        HotColdSession(pager.get(), hot, cold, &rng, &cursor, 16,
+                       &tallies[t]);
+      }
+    });
+  }
+  for (size_t k = 0; k < kPublishes; ++k) {
+    Result<PageId> id = pager->Allocate();
+    ASSERT_TRUE(id.ok());
+    {
+      Result<PageRef> ref = pager->Fetch(id.value());
+      ASSERT_TRUE(ref.ok());
+      for (size_t i = 0; i < pager->page_size(); ++i) {
+        ref.value().data()[i] = StampByte(id.value(), i);
+      }
+      ref.value().MarkDirty();
+    }
+    added[k] = id.value();
+    ASSERT_TRUE(pager->Flush().ok());
+    published.store(k + 1, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+  ASSERT_TRUE(pager->EndConcurrentReads().ok());
+
+  ExpectShardTalliesMatch(*pager, tallies);
+  EXPECT_EQ(pager->pinned_frame_count(), 0u);
+  EXPECT_EQ(pager->stats().page_fetches,
+            pager->stats().buffer_hits + pager->stats().page_reads);
+  EXPECT_EQ(pager->concurrency_stats().publish_epochs, kPublishes);
 }
 
 }  // namespace
